@@ -14,6 +14,10 @@
      contiguous chain of generators feeding it, when that chain is
      independent of the probe side — into a hash-table probe, built
      once per environment in which the segment's inputs are fixed;
+     when the probe side is decided by the outer environment and the
+     segment reads nothing outside itself (a nested mapping joined to
+     its parent), the table is built once per run and shared by every
+     execution of the plan in that run;
    - streaming execution: bindings are folded into an [emit] callback
      instead of being materialised as a list.
 
@@ -75,7 +79,42 @@ type 'env cond =
   | Eq of { left : 'env keyed; right : 'env keyed; orig : 'env pred }
   | Other of 'env pred
 
+(* --- Hash tables --------------------------------------------------------- *)
+
+(* The bound item tuples of one segment enumeration, flat: tuple [k]
+   occupies [items.(k * width) .. items.(k * width + width - 1)].
+   Entries — one per distinct key hash of a tuple — are chained per
+   bucket in int arrays, in enumeration order. No key is stored: a
+   chain hit whose hash matches is only a candidate, and the probe's
+   residual predicates, which always include the original equality,
+   make the exact check. *)
+type 'item table = {
+  width : int;
+  items : 'item array;
+  heads : int array;  (** bucket -> first entry, or -1 *)
+  hashes : int array;  (** entry -> key hash *)
+  tuples : int array;
+      (** entry -> tuple index; empty when every tuple has exactly one
+          entry, entry [e] then being tuple [e] *)
+  next : int array;  (** entry -> next entry of the bucket, or -1 *)
+}
+
+module Run = struct
+  type id = unit ref
+  type 'item t = { mutable tables : (id * 'item table) list }
+
+  let create () = { tables = [] }
+end
+
 (* --- Physical plan ----------------------------------------------------- *)
+
+(* Where a probe's table lives. [At_step]: built on entry to step
+   [step], once per binding of the steps before it, into table slot
+   [slot] of the executing call. [Per_run]: the segment reads nothing
+   from outside itself, so one table serves every execution of the
+   plan in a run; it is built on the first probe and kept in the
+   caller's {!Run.t} under the probe's own [id]. *)
+type scope = At_step of { step : int; slot : int } | Per_run of Run.id
 
 (* A step covers one generator (Scan) or a contiguous run of
    generators (Probe) replaced wholesale by a hash-table lookup: the
@@ -88,8 +127,7 @@ type ('env, 'item) stage =
   | Probe of {
       gens : ('env, 'item) gen array;
           (** the segment's generators, in enumeration order *)
-      slot : int;  (** table slot, unique per probe *)
-      build_at : int;  (** step index at whose entry the table is built *)
+      scope : scope;
       build_keys : 'env -> Key.t list;
           (** keys of one build-side tuple (evaluated with the whole
               segment bound) *)
@@ -104,9 +142,9 @@ type ('env, 'item) t = {
   pre : 'env pred list;  (** conditions decided by the outer environment *)
   stages : ('env, 'item) stage array;  (** steps, in enumeration order *)
   builds : int list array;
-      (** [builds.(i)]: probe steps whose table is built on entry to
-          step [i] (once per binding of the steps [< i]) *)
-  nslots : int;
+      (** [builds.(i)]: step-scoped probes whose table is built on
+          entry to step [i] (once per binding of the steps [< i]) *)
+  nslots : int;  (** table slots of the step-scoped probes *)
   notes : string list;
       (** planner decisions, one line per equality condition: the
           chosen strategy plus the cost-model inputs that justified it *)
@@ -123,10 +161,12 @@ let describe t =
             | Scan { gen; preds } ->
               Printf.sprintf "scan(%s%s)" gen.var
                 (if preds = [] then "" else Printf.sprintf "/%d" (List.length preds))
-            | Probe { gens; build_at; _ } ->
-              Printf.sprintf "probe(%s@%d)"
+            | Probe { gens; scope; _ } ->
+              Printf.sprintf "probe(%s@%s)"
                 (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
-                build_at)
+                (match scope with
+                 | At_step { step; _ } -> string_of_int step
+                 | Per_run _ -> "run"))
           t.stages))
 
 (* --- Cost model --------------------------------------------------------- *)
@@ -148,7 +188,7 @@ let join_pays ~outer ~seg =
   | None, _ | _, None -> true
 
 (* Saturating product of a segment's per-generator estimates; [None]
-   when any member is unknown — mirrors the planner's [est_range]. *)
+   when any member is unknown. *)
 let est_product gens =
   Array.fold_left
     (fun acc g ->
@@ -156,6 +196,17 @@ let est_product gens =
       | Some a, Some e -> Some (min est_cap (a * min (max e 0) est_cap))
       | None, _ | _, None -> None)
     (Some 1) gens
+
+let est_mul a b =
+  match a, b with
+  | Some a, Some b -> Some (min est_cap (min (max a 0) est_cap * min (max b 0) est_cap))
+  | None, _ | _, None -> None
+
+(* Runs of a plan nested in [t]'s per-binding action: [t]'s own runs
+   times the bindings its whole chain enumerates (filters ignored — an
+   upper bound, like every other estimate here). *)
+let inner_runs ~runs t =
+  est_mul runs (est_product (Array.concat (List.map stage_gens (Array.to_list t.stages))))
 
 let explain t =
   let b = Buffer.create 256 in
@@ -174,11 +225,12 @@ let explain t =
         Printf.bprintf b "  stage %d: scan %s (est %s)%s\n" i gen.var
           (est_str gen.est)
           (filters "filter" (List.length preds))
-      | Probe { gens; build_at; preds; _ } ->
-        Printf.bprintf b "  stage %d: hash probe %s (built at step %d, est %s)%s\n"
-          i
+      | Probe { gens; scope; preds; _ } ->
+        Printf.bprintf b "  stage %d: hash probe %s (%s, est %s)%s\n" i
           (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
-          build_at
+          (match scope with
+           | At_step { step; _ } -> Printf.sprintf "built at step %d" step
+           | Per_run _ -> "built once per run")
           (est_str (est_product gens))
           (filters "residual filter" (List.length preds)))
     t.stages;
@@ -187,7 +239,7 @@ let explain t =
 
 (* --- Planning ---------------------------------------------------------- *)
 
-let plan ?(policy = `Force) ~bound ~gens ~conds () =
+let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
   (* Fault boundary: planning happens inside the backends' guarded
      entry points, so an injected planner fault escapes as a
      structured [Error]. *)
@@ -276,16 +328,27 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                ([level probe.kvars <= g]). Growing the segment
                downward absorbs feeder generators (e.g. [d2] in
                [d2 in source.dept, r in d2.regEmp]) whose presence
-               would otherwise pin [bp] to [s]. *)
-            let lp = level probe.kvars in
-            (* Structural guard, independent of the cost model: the
-               probe side must read at least one variable bound by a
-               generator of this chain ([lp >= 1]). An equality whose
-               probe side is decided entirely by the outer environment
-               or by constants (e.g. [y.a = 5]) carries no equi-join
-               key between generators — turning it into a table build
+               would otherwise pin [bp] to [s].
+
+               A probe side decided entirely by the outer environment
+               ([lp = 0]) is a nested mapping's join with its parent
+               (e.g. [c.@cid = g.@recipient] with [c] bound by the
+               parent): no generator of this chain can hold the table,
+               but when the segment reads nothing from outside itself
+               ([ext g = []]) the table is the same for every parent
+               binding, so it is built once per run. Its cost gate
+               prices the probes as [runs] (how often the plan runs)
+               times the bindings before the segment. A constant probe
+               side ([y.a = 5]) carries no join key at all: a table
                would trade a pushed-down filter for allocation. *)
-            if lp >= 1 then begin
+            let lp = level probe.kvars in
+            let unkeyed () =
+              note "eq(%s): probe side reads no chain generator, kept as pushed-down filter"
+                vars
+            in
+            if lp = 0 && probe.kvars = [] then unkeyed ()
+            else begin
+              let per_run = lp = 0 in
               let ext g =
                 let seg_var v =
                   let rec mem t = t <= s && (String.equal gens.(t).var v || mem (t + 1)) in
@@ -297,32 +360,28 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                 done;
                 !vars
               in
-              (* Estimated bindings of generators [lo..hi]; [None]
-                 when any member is unknown. *)
-              let est_range lo hi =
-                let rec go i acc =
-                  if i > hi then Some acc
-                  else
-                    match gens.(i).est with
-                    | None -> None
-                    | Some e -> go (i + 1) (min est_cap (acc * min (max e 0) est_cap))
-                in
-                go lo 1
+              let est_range lo hi = est_product (Array.sub gens lo (hi - lo + 1)) in
+              let outer g =
+                let o = est_range 0 (g - 1) in
+                if per_run then est_mul runs o else o
               in
               let cost_rejected = ref None in
               let cost_ok g =
                 match policy with
                 | `Force -> true
                 | `Cost ->
-                  let outer = est_range 0 (g - 1) and seg = est_range g s in
+                  let outer = outer g and seg = est_range g s in
                   join_pays ~outer ~seg
                   ||
                   (if !cost_rejected = None then cost_rejected := Some (outer, seg);
                    false)
               in
+              let fits g =
+                if per_run then ext g = [] else g >= 1 && g >= lp && level (ext g) < g
+              in
               let rec pick g =
-                if g < 1 || g < lp || claimed.(g) then None
-                else if level (ext g) < g && cost_ok g then Some g
+                if g < 0 || claimed.(g) then None
+                else if fits g && cost_ok g then Some g
                 else pick (g - 1)
               in
               match pick s with
@@ -332,6 +391,7 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                    note
                      "eq(%s): hash join rejected by cost model (outer~%s, seg~%s: join does not pay)"
                      vars (est_str outer) (est_str seg)
+                 | None when per_run -> unkeyed ()
                  | None ->
                    note "eq(%s): no independent feeder segment, kept as pushed-down filter"
                      vars)
@@ -340,22 +400,28 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                   String.concat "."
                     (List.init (s - g + 1) (fun t -> gens.(g + t).var))
                 in
+                let once = if per_run then ", built once per run" else "" in
                 (match policy with
-                 | `Force -> note "eq(%s): hash join over %s (forced)" vars seg_vars
+                 | `Force -> note "eq(%s): hash join over %s%s (forced)" vars seg_vars once
                  | `Cost ->
-                   let outer = est_range 0 (g - 1) and seg = est_range g s in
-                   note "eq(%s): hash join over %s (outer~%s, seg~%s: join pays)" vars
-                     seg_vars (est_str outer) (est_str seg));
-                let slot = !nslots in
-                incr nslots;
+                   note "eq(%s): hash join over %s%s (outer~%s, seg~%s: join pays)" vars
+                     seg_vars once
+                     (est_str (outer g))
+                     (est_str (est_range g s)));
+                let scope =
+                  if per_run then Per_run (ref ())
+                  else begin
+                    let slot = !nslots in
+                    incr nslots;
+                    (* [step] is a generator level for now; mapped below *)
+                    At_step { step = level (ext g); slot }
+                  end
+                in
                 for t = g to s do
                   claimed.(t) <- true
                 done;
-                seg_start.(g) <- Some (s, slot, level (ext g), build, probe)
+                seg_start.(g) <- Some (s, scope, build, probe)
             end
-            else
-              note "eq(%s): probe side reads no chain generator, kept as pushed-down filter"
-                vars
         end)
     conds;
   (* Lay out the steps: each segment collapses to one probe step whose
@@ -369,7 +435,7 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
   while !i < n do
     starts_rev := !i :: !starts_rev;
     (match seg_start.(!i) with
-    | Some (s, slot, bp, build, probe) ->
+    | Some (s, scope, build, probe) ->
       let preds = ref [] in
       for t = s + 1 downto !i + 1 do
         preds := List.rev_append preds_at.(t) !preds
@@ -378,8 +444,7 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
         Probe
           {
             gens = Array.sub gens !i (s - !i + 1);
-            slot;
-            build_at = bp (* a generator level for now; mapped below *);
+            scope;
             build_keys = build.keys;
             probe_keys = probe.keys;
             preds = !preds;
@@ -406,15 +471,16 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
   Array.iteri
     (fun idx step ->
       match step with
-      | Probe p -> stages.(idx) <- Probe { p with build_at = step_of_level p.build_at }
-      | Scan _ -> ())
+      | Probe ({ scope = At_step { step; slot }; _ } as p) ->
+        stages.(idx) <- Probe { p with scope = At_step { step = step_of_level step; slot } }
+      | Probe { scope = Per_run _; _ } | Scan _ -> ())
     stages;
   let builds = Array.make (Array.length stages + 1) [] in
   Array.iteri
     (fun idx stage ->
       match stage with
-      | Probe { build_at; _ } -> builds.(build_at) <- idx :: builds.(build_at)
-      | Scan _ -> ())
+      | Probe { scope = At_step { step; _ }; _ } -> builds.(step) <- idx :: builds.(step)
+      | Probe { scope = Per_run _; _ } | Scan _ -> ())
     stages;
   Array.iteri (fun idx l -> builds.(idx) <- List.rev l) builds;
   { pre = List.rev preds_at.(0); stages; builds; nslots = !nslots; notes = List.rev !notes }
@@ -423,7 +489,8 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
    element more than once? This is what decides whether the lazy tag
    index ({!Clip_xml.Index}) can pay for itself: a grouping is only
    reused when some element's children are listed at least twice.
-   That happens when a probe table is rebuilt per outer binding, or
+   That happens when a step-scoped probe table is rebuilt per outer
+   binding (a run-scoped one enumerates its segment once per run), or
    when a scan at stage [i >= 1] does not depend on the variable bound
    immediately before it — its expression then re-enumerates the same
    elements once per binding of that variable. A straight-line chain
@@ -439,7 +506,8 @@ let revisit_prone t =
     i < n
     &&
     match t.stages.(i) with
-    | Probe _ -> true
+    | Probe { scope = At_step _; _ } -> true
+    | Probe { scope = Per_run _; _ } -> go (i + 1)
     | Scan { gen; _ } ->
       (i >= 1 && not (List.mem (last_var (i - 1)) gen.deps)) || go (i + 1)
   in
@@ -447,76 +515,150 @@ let revisit_prone t =
 
 (* --- Execution --------------------------------------------------------- *)
 
-module KeyTbl = Hashtbl.Make (Key)
+(* Enumerate a probe's segment under [env] and build its table.
+   Tuples are numbered in enumeration (document) order; a tuple gets
+   one entry per distinct hash of its keys, so a single-hash probe
+   meets each tuple at most once. The scratch lists hold one cell per
+   item and one per tuple — the common single-key tuple records just
+   its hash, the others a [-1] marker and their hash list aside
+   ([Key.hash] is never negative). *)
+let build_table ?obs (gens : ('env, 'item) gen array) build_keys (env : 'env) :
+    'item table =
+  Clip_obs.hash_join_build obs;
+  let width = Array.length gens in
+  let items_rev = ref [] and hash_rev = ref [] and multi_rev = ref [] in
+  let ntuples = ref 0 and nent = ref 0 in
+  let rec enum d env tuple_rev =
+    if d = width then begin
+      (match List.sort_uniq Int.compare (List.map Key.hash (build_keys env)) with
+       | [ h ] ->
+         hash_rev := h :: !hash_rev;
+         incr nent
+       | hs ->
+         hash_rev := -1 :: !hash_rev;
+         multi_rev := hs :: !multi_rev;
+         nent := !nent + List.length hs);
+      items_rev := tuple_rev @ !items_rev;
+      incr ntuples
+    end
+    else
+      List.iter
+        (fun item -> enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
+        (gens.(d).eval env)
+  in
+  enum 0 env [];
+  let items =
+    match !items_rev with
+    | [] -> [||]
+    | x :: _ ->
+      let len = !ntuples * width in
+      let a = Array.make len x in
+      List.iteri (fun i item -> a.(len - 1 - i) <- item) !items_rev;
+      a
+  in
+  (* Up to two entries per bucket on average: the hash check makes a
+     longer chain cheap, and the bucket array is the table's largest
+     part after the entries. *)
+  let nb = ref 1 in
+  while 2 * !nb < !nent do
+    nb := 2 * !nb
+  done;
+  let heads = Array.make !nb (-1) in
+  let hashes = Array.make !nent 0 and next = Array.make !nent (-1) in
+  let tuples = if !multi_rev = [] then [||] else Array.make !nent 0 in
+  (* Fill back to front, pushing each entry on its bucket's chain, so
+     every chain reads in enumeration order. *)
+  let e = ref !nent and multi = ref !multi_rev in
+  let add k h =
+    decr e;
+    let b = h land (!nb - 1) in
+    hashes.(!e) <- h;
+    if Array.length tuples > 0 then tuples.(!e) <- k;
+    next.(!e) <- heads.(b);
+    heads.(b) <- !e
+  in
+  List.iteri
+    (fun i h ->
+      let k = !ntuples - 1 - i in
+      if h >= 0 then add k h
+      else
+        match !multi with
+        | hs :: rest ->
+          List.iter (add k) hs;
+          multi := rest
+        | [] -> assert false)
+    !hash_rev;
+  { width; items; heads; hashes; tuples; next }
 
-(* Build probe stage [k]'s hash table into [tables]. Shared by the
+(* [iter_hits tbl keys f] calls [f k] once for every tuple [k] one of
+   whose key hashes equals that of one of [keys], in enumeration
+   order. Candidates only — see {!table}. *)
+let iter_hits tbl keys f =
+  let chain h f =
+    let e = ref tbl.heads.(h land (Array.length tbl.heads - 1)) in
+    while !e >= 0 do
+      if tbl.hashes.(!e) = h then
+        f (if Array.length tbl.tuples = 0 then !e else tbl.tuples.(!e));
+      e := tbl.next.(!e)
+    done
+  in
+  match List.sort_uniq Int.compare (List.map Key.hash keys) with
+  | [] -> ()
+  | [ h ] -> chain h f
+  | hs ->
+    (* Multi-valued side: union the per-hash hits, dedup, restore
+       enumeration order. *)
+    let hits = ref [] in
+    List.iter (fun h -> chain h (fun k -> hits := k :: !hits)) hs;
+    List.iter f (List.sort_uniq Int.compare !hits)
+
+(* Bind tuple [k] of [tbl] on top of [env]. *)
+let bind_tuple gens tbl k env =
+  let env = ref env in
+  for d = 0 to tbl.width - 1 do
+    env := gens.(d).bind !env tbl.items.((k * tbl.width) + d)
+  done;
+  !env
+
+(* Build step-scoped probe [k]'s table into [tables]. Shared by the
    depth-first interpreter and the vectorized executor — builds depend
    on the environment they run under, so each caller decides which
    tables array (shared vs per-frontier-cell snapshot) receives the
    result. *)
-let build_into ?obs (t : ('env, 'item) t)
-    (tables : (int * 'item list) KeyTbl.t option array) ~(env : 'env) k =
+let build_into ?obs (t : ('env, 'item) t) (tables : 'item table option array)
+    ~(env : 'env) k =
   match t.stages.(k) with
-  | Scan _ -> ()
-  | Probe { gens; slot; build_keys; _ } ->
-    Clip_obs.hash_join_build obs;
-    (* Enumerate the whole segment once, collecting each bound tuple
-       with its keys (reversed enumeration order). *)
-    let m = Array.length gens in
-    let entries = ref [] in
-    let rec enum d env tuple_rev =
-      if d = m then
-        entries :=
-          (List.sort_uniq compare (build_keys env), List.rev tuple_rev) :: !entries
-      else
-        List.iter
-          (fun item -> enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
-          (gens.(d).eval env)
-    in
-    enum 0 env [];
-    let tbl = KeyTbl.create (2 * List.length !entries + 1) in
-    (* [Hashtbl.add] stacks, so insert back-to-front: [find_all]
-       then yields enumeration (document) order. Sequence numbers
-       recover a global order for multi-key probes. Keys are deduped
-       per tuple so a multi-valued build side never yields the same
-       tuple twice. *)
-    let seq = ref (List.length !entries) in
-    List.iter
-      (fun (keys, tuple) ->
-        decr seq;
-        List.iter (fun key -> KeyTbl.add tbl key (!seq, tuple)) keys)
-      !entries;
-    tables.(slot) <- Some tbl
+  | Probe { gens; scope = At_step { slot; _ }; build_keys; _ } ->
+    tables.(slot) <- Some (build_table ?obs gens build_keys env)
+  | Probe { scope = Per_run _; _ } | Scan _ -> ()
 
-(* Tuples of [tbl] matching any of [keys] (sorted, deduped), in
-   enumeration (document) order. *)
-let probe_tuples tbl keys =
-  match keys with
-  | [] -> []
-  | [ k ] -> List.map snd (KeyTbl.find_all tbl k)
-  | ks ->
-    (* Multi-valued side: union the per-key hits, dedup by
-       sequence number, restore document order. *)
-    let hits = List.concat_map (fun k -> KeyTbl.find_all tbl k) ks in
-    let seen = Hashtbl.create 16 in
-    let uniq =
-      List.filter
-        (fun (s, _) ->
-          if Hashtbl.mem seen s then false
-          else begin
-            Hashtbl.add seen s ();
-            true
-          end)
-        hits
-    in
-    List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) uniq)
+(* Run probe step [gens]/[scope]: look its table up (a run-scoped one
+   is built on its first probe of the run, under the probing [env] —
+   the segment reads nothing from it), then pass every surviving
+   binding to [k]. *)
+let probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys ~preds k =
+  let tbl =
+    match scope with
+    | At_step { slot; _ } -> (
+      match tables.(slot) with Some tbl -> tbl | None -> assert false)
+    | Per_run id -> (
+      match List.assq_opt id run.Run.tables with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = build_table ?obs gens build_keys env in
+        run.Run.tables <- (id, tbl) :: run.Run.tables;
+        tbl)
+  in
+  Clip_obs.hash_join_probe obs;
+  iter_hits tbl (probe_keys env) (fun i ->
+      tick ();
+      let env' = bind_tuple gens tbl i env in
+      if List.for_all (fun p -> p.test env') preds then k env')
 
-let execute ?obs (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
+let execute ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
     ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
-  let tables : (int * 'item list) KeyTbl.t option array =
-    Array.make (max 1 t.nslots) None
-  in
+  let tables = Array.make (max 1 t.nslots) None in
   let rec go i env =
     if i = n then emit env
     else begin
@@ -529,21 +671,9 @@ let execute ?obs (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
             let env' = gen.bind env item in
             if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
           (gen.eval env)
-      | Probe { gens; slot; probe_keys; preds; _ } ->
-        Clip_obs.hash_join_probe obs;
-        let tbl = match tables.(slot) with Some tbl -> tbl | None -> assert false in
-        let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-        List.iter
-          (fun tuple ->
-            tick ();
-            let env' =
-              List.fold_left
-                (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                (0, env) tuple
-              |> snd
-            in
-            if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
-          tuples
+      | Probe { gens; scope; build_keys; probe_keys; preds } ->
+        probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys
+          ~preds (go (i + 1))
     end
   in
   if List.for_all (fun p -> p.test env) t.pre then go 0 env
@@ -571,12 +701,10 @@ let rec take_chunk k acc l =
    expansion instead of a cons cell plus a reversal cell per surviving
    binding. Counter traces are identical to the general executor: same
    expansions, same widths, same per-cell probe counts. *)
-let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
+let execute_batch_shared ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
     ~(env : 'env) ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
-  let tables : (int * 'item list) KeyTbl.t option array =
-    Array.make (max 1 t.nslots) None
-  in
+  let tables = Array.make (max 1 t.nslots) None in
   let expand i (src : 'env array) lo hi (sink : 'env -> unit) =
     Clip_obs.batch_executed obs;
     if Clip_obs.enabled obs then Clip_obs.batch_width obs (hi - lo);
@@ -591,26 +719,13 @@ let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
             if List.for_all (fun p -> p.test env') preds then sink env')
           (gen.eval env)
       done
-    | Probe { gens; slot; probe_keys; preds; _ } ->
-      let tbl = match tables.(slot) with Some tbl -> tbl | None -> assert false in
+    | Probe { gens; scope; build_keys; probe_keys; preds } ->
       for j = lo to hi - 1 do
-        let env = src.(j) in
-        Clip_obs.hash_join_probe obs;
-        let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-        List.iter
-          (fun tuple ->
-            tick ();
-            let env' =
-              List.fold_left
-                (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                (0, env) tuple
-              |> snd
-            in
-            if List.for_all (fun p -> p.test env') preds then sink env')
-          tuples
+        probe_step ?obs run tables ~tick ~env:src.(j) ~gens ~scope ~build_keys
+          ~probe_keys ~preds sink
       done
   in
-  let rec run i (src : 'env array) lo hi =
+  let rec sweep i (src : 'env array) lo hi =
     if hi > lo then begin
       if i = n then
         for j = lo to hi - 1 do
@@ -640,7 +755,7 @@ let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
         let j = ref 0 in
         while !j < m do
           let hi' = min m (!j + batch_chunk) in
-          run (i + 1) dst !j hi';
+          sweep (i + 1) dst !j hi';
           j := hi'
         done
       end
@@ -648,7 +763,7 @@ let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
   in
   if List.for_all (fun p -> p.test env) t.pre then begin
     if n > 0 then List.iter (build_into ?obs t tables ~env) t.builds.(0);
-    run 0 [| env |] 0 1
+    sweep 0 [| env |] 0 1
   end
 
 let batchable (t : ('env, 'item) t) =
@@ -662,9 +777,9 @@ let batchable (t : ('env, 'item) t) =
 let scan_only (t : ('env, 'item) t) =
   Array.for_all (function Scan _ -> true | Probe _ -> false) t.stages
 
-let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
+let execute_batch ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
     ~(env : 'env) ~(emit : 'env -> unit) : unit =
-  if batchable t then execute_batch_shared ?obs t ~tick ~env ~emit
+  if batchable t then execute_batch_shared ?obs ~run t ~tick ~env ~emit
   else begin
   let n = Array.length t.stages in
   (* One frontier cell: an environment plus its private view of the
@@ -696,24 +811,9 @@ let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
               if List.for_all (fun p -> p.test env') preds then
                 out := (env', tables) :: !out)
             (gen.eval env)
-        | Probe { gens; slot; probe_keys; preds; _ } ->
-          Clip_obs.hash_join_probe obs;
-          let tbl =
-            match tables.(slot) with Some tbl -> tbl | None -> assert false
-          in
-          let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-          List.iter
-            (fun tuple ->
-              tick ();
-              let env' =
-                List.fold_left
-                  (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                  (0, env) tuple
-                |> snd
-              in
-              if List.for_all (fun p -> p.test env') preds then
-                out := (env', tables) :: !out)
-            tuples)
+        | Probe { gens; scope; build_keys; probe_keys; preds } ->
+          probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys
+            ~preds (fun env' -> out := (env', tables) :: !out))
       cells;
     List.rev !out
   in
@@ -726,7 +826,7 @@ let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
      item enumerated at every stage, so step budgets, cancellation
      polls and fault windows land on the same counts — at batch
      granularity rather than per recursive call. *)
-  let rec run i cells =
+  let rec sweep i cells =
     match cells with
     | [] -> ()
     | _ ->
@@ -737,12 +837,12 @@ let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
           | [] -> ()
           | l ->
             let chunk, rest = take_chunk batch_chunk [] l in
-            run (i + 1) chunk;
+            sweep (i + 1) chunk;
             pieces rest
         in
         pieces (expand i cells)
       end
   in
     if List.for_all (fun p -> p.test env) t.pre then
-      run 0 [ (env, Array.make (max 1 t.nslots) None) ]
+      sweep 0 [ (env, Array.make (max 1 t.nslots) None) ]
   end

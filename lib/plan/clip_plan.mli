@@ -16,7 +16,10 @@
       when that chain is independent of the probe side — into a
       hash-table probe; the table enumerates the segment once per
       environment in which its inputs are fixed and is probed with the
-      earlier side's key;
+      earlier side's key. When the probe side is decided by the outer
+      environment — a nested mapping joined to its parent — and the
+      segment reads nothing outside itself, the table is built once per
+      run ({!Run}) and shared by every execution of the plan;
     - {b streaming execution} — bindings are folded into an [emit]
       callback; the full Cartesian product is never materialised.
 
@@ -102,19 +105,39 @@ type 'env cond =
 
 (** {1 Physical plans} *)
 
+(** The run-scoped state of plan execution: the tables of
+    {!Per_run} probes. A backend creates one per evaluation run and
+    passes it to every {!execute} of that run, so a nested plan run
+    once per parent binding builds such a table once. It is never
+    stored in a plan: plans are cached by sessions and shared across
+    shards and domains, while a run's tables die with the run. *)
+module Run : sig
+  type 'item t
+
+  val create : unit -> 'item t
+
+  (** Identity of a run-scoped probe, compared physically. *)
+  type id
+end
+
+(** Where a probe's table lives. [At_step]: built on entry to step
+    [step], once per binding of the steps before it, into table slot
+    [slot] of the executing call. [Per_run]: the segment reads nothing
+    outside itself, so the table is built on the plan's first probe in
+    a run and kept in the {!Run.t} for every later execution. *)
+type scope = At_step of { step : int; slot : int } | Per_run of Run.id
+
 (** A step covers one generator ([Scan]) or a contiguous segment of
     generators ([Probe]) replaced wholesale by a hash-table lookup
     storing bound item tuples; a plain single-generator hash join is
-    the segment of length one. [build_at] is the step index at whose
-    entry the table is built; [preds] are re-checked on every hit
-    (they include the original equality, so key coarsening can never
-    widen the join). *)
+    the segment of length one. [preds] are re-checked on every hit:
+    they include the original equality, so neither key coarsening nor
+    a hash collision can widen the join. *)
 type ('env, 'item) stage =
   | Scan of { gen : ('env, 'item) gen; preds : 'env pred list }
   | Probe of {
       gens : ('env, 'item) gen array;
-      slot : int;
-      build_at : int;
+      scope : scope;
       build_keys : 'env -> Key.t list;
       probe_keys : 'env -> Key.t list;
       preds : 'env pred list;
@@ -124,7 +147,7 @@ type ('env, 'item) t = {
   pre : 'env pred list;
   stages : ('env, 'item) stage array;
   builds : int list array;
-  nslots : int;
+  nslots : int;  (** table slots of the [At_step] probes *)
   notes : string list;
       (** planner decisions, one line per equality condition: the
           chosen strategy (hash join / pushed-down filter) plus the
@@ -134,8 +157,8 @@ type ('env, 'item) t = {
 
 val stage_gens : ('env, 'item) stage -> ('env, 'item) gen array
 
-(** One-line plan rendering, e.g. ["scan(p) probe(d.e@0)"] — for tests
-    and debugging. *)
+(** One-line plan rendering, e.g. ["scan(p) probe(d.e@0)"], or
+    ["probe(g@run)"] for a run-scoped probe — for tests and debugging. *)
 val describe : ('env, 'item) t -> string
 
 (** Multi-line EXPLAIN rendering: one line per stage (strategy,
@@ -160,19 +183,34 @@ val est_cap : int
     i.e. the join is taken. *)
 val join_pays : outer:int option -> seg:int option -> bool
 
-(** [plan ?policy ~bound ~gens ~conds] — the physical plan for one
-    generator chain. [bound] lists the variables already bound by the
-    outer environment. [policy] (default [`Force]) selects between
-    forced and cost-based join selection; condition pushdown is free
-    and happens under both. Regardless of policy, an equality whose
-    probe side reads no chain generator variable (a constant or
-    outer-bound key) is never turned into a join — it stays a
-    pushed-down filter. If a generator shadows an outer variable or a
-    sibling generator, the planner degrades to checking every
-    condition at the innermost position (naive semantics are always
-    preserved). *)
+(** [inner_runs ~runs t] — estimated runs of a plan nested in [t]'s
+    per-binding action, when [t] itself runs [runs] times: [runs]
+    times the bindings [t]'s chain enumerates. Saturates at
+    {!est_cap}; [None] when any factor is unknown. *)
+val inner_runs : runs:int option -> ('env, 'item) t -> int option
+
+(** [plan ?policy ?runs ~bound ~gens ~conds] — the physical plan for
+    one generator chain. [bound] lists the variables already bound by
+    the outer environment; [runs] estimates how often the plan runs
+    per evaluation (the product of its ancestors' chain estimates, see
+    {!inner_runs}; absent = unknown, priced as large). [policy]
+    (default [`Force]) selects between forced and cost-based join
+    selection; condition pushdown is free and happens under both.
+
+    An equality whose probe side reads only outer-bound variables — a
+    nested mapping's join with its parent, [c.@cid = g.@recipient] —
+    becomes a {!Per_run} probe when some segment ending at the build
+    side's generator reads nothing outside itself; under [`Cost] only
+    when {!join_pays} with [outer] = [runs] times the bindings before
+    the segment. An equality whose probe side is a constant
+    ([y.a = 5]) is never turned into a join, under either policy: it
+    stays a pushed-down filter. If a generator shadows an outer
+    variable or a sibling generator, the planner degrades to checking
+    every condition at the innermost position (naive semantics are
+    always preserved). *)
 val plan :
   ?policy:policy ->
+  ?runs:int ->
   bound:string list ->
   gens:('env, 'item) gen list ->
   conds:'env cond list ->
@@ -180,20 +218,25 @@ val plan :
   ('env, 'item) t
 
 (** [revisit_prone t] — can executing [t] enumerate the same parent
-    element more than once? True when some stage is a probe (its table
-    may be rebuilt per outer binding) or some later scan is
+    element more than once? True when some stage is an [At_step] probe
+    (its table may be rebuilt per outer binding) or some later scan is
     independent of the variable bound immediately before it. The lazy
     tag index only pays on such plans; straight-line chains never
     reuse a grouping. *)
 val revisit_prone : ('env, 'item) t -> bool
 
-(** [execute ?obs t ~tick ~env ~emit] streams every surviving binding
-    of the chain into [emit], in exactly the naive enumeration order.
-    [tick] is called once per item enumerated at every stage, so step
-    budgets keep metering enumerated bindings (CLIP-LIM-004). [?obs]
-    counts hash-join builds and probes. *)
+(** [execute ?obs ~run t ~tick ~env ~emit] streams every surviving
+    binding of the chain into [emit], in exactly the naive enumeration
+    order. [tick] is called once per item enumerated at every stage, so
+    step budgets keep metering enumerated bindings (CLIP-LIM-004); a
+    table build is metered by the backend's own generator and key
+    closures. [run] holds the run-scoped tables: a {!Per_run} table is
+    built on the first probe that reaches it under [run] and reused by
+    every later call with the same [run]. [?obs] counts hash-join
+    builds and probes. *)
 val execute :
   ?obs:Clip_obs.Counters.t ->
+  run:'item Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->
@@ -216,7 +259,7 @@ val batchable : ('env, 'item) t -> bool
     workloads. *)
 val scan_only : ('env, 'item) t -> bool
 
-(** [execute_batch ?obs t ~tick ~env ~emit] — the vectorized executor:
+(** [execute_batch ?obs ~run t ~tick ~env ~emit] — the vectorized executor:
     instead of one recursive descent per binding, each stage runs as
     one sweep over a frontier chunk of environments (id vectors, on
     the columnar document path). Emission order, survivors and the
@@ -229,6 +272,7 @@ val scan_only : ('env, 'item) t -> bool
     additionally counts [batches_executed] / [batch_width]. *)
 val execute_batch :
   ?obs:Clip_obs.Counters.t ->
+  run:'item Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->

@@ -219,30 +219,34 @@ type planned = {
 (* Compile a mapping tree to physical plans over the column store:
    scans are row-ordinal sweeps, equality conditions hash-join over
    column-extracted keys. Row counts are exact, so the [`Cost] policy
-   prices joins with true cardinalities instead of estimates. *)
-let rec plan_mapping ctx store policy ~root bound (m : Tgd.t) =
+   prices joins with true cardinalities instead of estimates; [runs]
+   is how often the plan runs per evaluation, from its ancestors' row
+   counts. The row-ordinal list is made per enumeration rather than
+   captured: a captured list would live as long as the cached plan. *)
+let rec plan_mapping ctx store policy ~root ?runs bound (m : Tgd.t) =
   let gens =
     List.map
       (fun (g : Tgd.source_gen) ->
         let tbl = gen_table store g in
-        let items = List.init (Array.length tbl.Store.t_rows) Fun.id in
+        let rows = Array.length tbl.Store.t_rows in
         {
           Clip_plan.var = g.Tgd.svar;
           deps = Term.expr_vars g.Tgd.sexpr;
-          est = Some (Array.length tbl.Store.t_rows);
+          est = Some rows;
           eval =
             (fun _env ->
               check_root store root;
-              items);
+              List.init rows Fun.id);
           bind = (fun env i -> Env.add g.Tgd.svar (Brow (tbl, i)) env);
         })
       m.Tgd.foralls
   in
   let rplan =
-    Clip_plan.plan ~policy ~bound ~gens
+    Clip_plan.plan ~policy ?runs ~bound ~gens
       ~conds:(List.map (cond_of ctx store) m.Tgd.cond)
       ()
   in
+  let runs = Clip_plan.inner_runs ~runs rplan in
   let bound' =
     bound
     @ List.map (fun (g : Tgd.source_gen) -> g.Tgd.svar) m.Tgd.foralls
@@ -251,7 +255,7 @@ let rec plan_mapping ctx store policy ~root bound (m : Tgd.t) =
   {
     rm = m;
     rplan;
-    rchildren = List.map (plan_mapping ctx store policy ~root bound') m.Tgd.children;
+    rchildren = List.map (plan_mapping ctx store policy ~root ?runs bound') m.Tgd.children;
   }
 
 (* --- Sessions ---------------------------------------------------------- *)
@@ -337,7 +341,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
   in
   let planned_for policy =
     let build () =
-      plan_mapping ctx store policy ~root:prog.Program.source_root []
+      plan_mapping ctx store policy ~root:prog.Program.source_root ~runs:1 []
         prog.Program.tgd
     in
     match session with
@@ -363,9 +367,12 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
          p)
     | _ -> build ()
   in
+  (* The run-scoped hash tables: a nested mapping joined to its parent
+     builds its table once here, not once per parent binding. *)
+  let run = Clip_plan.Run.create () in
   let rec eval_planned env (p : planned) =
     pre_instantiate env p.rm;
-    Clip_plan.execute ?obs:ctx.obs p.rplan
+    Clip_plan.execute ?obs:ctx.obs ~run p.rplan
       ~tick:(fun () -> tick ctx)
       ~env
       ~emit:(fun env ->
@@ -469,13 +476,13 @@ let explain ?(plan = `Auto) ?session ~source (prog : Program.t) : string =
      Buffer.add_string b
        "strategy: physical plans over the column store, forced hash joins\n";
      planned_rules ""
-       (plan_mapping ctx store `Force ~root:prog.Program.source_root []
+       (plan_mapping ctx store `Force ~root:prog.Program.source_root ~runs:1 []
           prog.Program.tgd)
    | `Auto ->
      Buffer.add_string b
        "strategy: physical plans over the column store, cost-based joins \
         (exact row counts)\n";
      planned_rules ""
-       (plan_mapping ctx store `Cost ~root:prog.Program.source_root []
+       (plan_mapping ctx store `Cost ~root:prog.Program.source_root ~runs:1 []
           prog.Program.tgd));
   Buffer.contents b

@@ -480,8 +480,10 @@ let cond_of ctx (c : Tgd.comparison) =
    statically known outer variables (and, under [`Cost], the instance
    statistics), so a compiled tree is a per-(policy, mapping) artifact:
    its closures capture the context but none of a run's builder state,
-   which is what lets a {!Session} cache it across runs. *)
-let rec plan_mapping ctx policy bound var_tags (m : Tgd.t) =
+   which is what lets a {!Session} cache it across runs. [runs]
+   estimates how often the plan runs per evaluation (its ancestors'
+   chain estimates), for pricing a per-run join with the parent. *)
+let rec plan_mapping ctx policy ?runs bound var_tags (m : Tgd.t) =
   let gens_rev, var_tags' =
     List.fold_left
       (fun (acc, vt) (g : Tgd.source_gen) ->
@@ -503,22 +505,28 @@ let rec plan_mapping ctx policy bound var_tags (m : Tgd.t) =
       ([], var_tags) m.foralls
   in
   let pplan =
-    Clip_plan.plan ~policy ~bound ~gens:(List.rev gens_rev)
+    Clip_plan.plan ~policy ?runs ~bound ~gens:(List.rev gens_rev)
       ~conds:(List.map (cond_of ctx) m.cond) ()
   in
+  let runs = Clip_plan.inner_runs ~runs pplan in
   let bound' =
     bound
     @ List.map (fun (g : Tgd.source_gen) -> g.svar) m.foralls
     @ List.map (fun (g : Tgd.target_gen) -> g.tvar) m.exists
   in
-  { pm = m; pplan; pchildren = List.map (plan_mapping ctx policy bound' var_tags') m.children }
+  {
+    pm = m;
+    pplan;
+    pchildren = List.map (plan_mapping ctx policy ?runs bound' var_tags') m.children;
+  }
 
 (* Can evaluating this tree list some element's children twice? Within
    a chain {!Clip_plan.revisit_prone} answers; across nesting, a child
    chain runs once per parent binding, so its first generator
    re-enumerates the same elements whenever it does not read the
-   parent chain's innermost variable. Only then can the lazy tag
-   index's memoised groupings ever be reused. *)
+   parent chain's innermost variable — unless it opens a run-scoped
+   probe, whose segment is enumerated once per run. Only then can the
+   lazy tag index's memoised groupings ever be reused. *)
 let rec tree_revisits ~outer_last (p : planned) =
   let stages = (p.pplan : (_, _) Clip_plan.t).stages in
   let nst = Array.length stages in
@@ -528,8 +536,9 @@ let rec tree_revisits ~outer_last (p : planned) =
     match outer_last with
     | None -> false
     | Some v ->
-      let gens = Clip_plan.stage_gens stages.(0) in
-      not (List.mem v gens.(0).Clip_plan.deps)
+      (match stages.(0) with
+       | Clip_plan.Probe { scope = Clip_plan.Per_run _; _ } -> false
+       | st -> not (List.mem v (Clip_plan.stage_gens st).(0).Clip_plan.deps))
   in
   let last =
     if nst = 0 then outer_last
@@ -648,7 +657,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      compiled tree is fetched from (or added to) the per-document
      cache instead of recompiled. *)
   let planned_for policy =
-    let build () = plan_mapping ctx policy [] [] m in
+    let build () = plan_mapping ctx policy ~runs:1 [] [] m in
     match session with
     | Some s when s.sctx == ctx ->
       let cost = match policy with `Cost -> true | `Force -> false in
@@ -683,6 +692,9 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     | `Auto -> Xml.Stats.node_count (force_stats ctx) >= columnar_threshold
   in
   let docidx () = snd (force_doc ctx) in
+  (* The run-scoped hash tables: a nested mapping joined to its parent
+     builds its table once here, not once per parent binding. *)
+  let run = Clip_plan.Run.create () in
   let rec eval_planned ~outer env (p : planned) =
     pre_instantiate env p.pm;
     (* Batch only where batching pays: the outermost plan of a mapping
@@ -696,7 +708,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
         Clip_plan.execute_batch
       else Clip_plan.execute
     in
-    exec ?obs:ctx.obs p.pplan
+    exec ?obs:ctx.obs ~run p.pplan
       ~tick:(fun () -> tick ctx)
       ~env
       ~emit:(fun env ->
@@ -838,7 +850,7 @@ let explain ?(plan = `Auto) ?session ~source (m : Tgd.t) : string =
    | `Indexed ->
      Buffer.add_string b
        "strategy: physical plans, forced hash joins, tag index on\n";
-     planned_rules "" (plan_mapping ctx `Force [] [] m)
+     planned_rules "" (plan_mapping ctx `Force ~runs:1 [] [] m)
    | `Auto ->
      if nodes < naive_threshold then begin
        Printf.bprintf b
@@ -847,7 +859,7 @@ let explain ?(plan = `Auto) ?session ~source (m : Tgd.t) : string =
        naive_rules "" m
      end
      else begin
-       let p = plan_mapping ctx `Cost [] [] m in
+       let p = plan_mapping ctx `Cost ~runs:1 [] [] m in
        let revisits = tree_revisits ~outer_last:None p in
        let use_index = revisits && nodes >= index_threshold in
        Printf.bprintf b

@@ -21,8 +21,8 @@ module Env = Map.Make (String)
    owns the index itself. [plans] memoises compiled FLWOR plans keyed
    by the physical identity of the clause list — the same FLWOR block
    re-entered once per outer binding (the hot path of nested queries)
-   then replans zero times — plus the outer-variable set and policy,
-   which both affect planning. *)
+   then replans zero times — plus the outer-variable set, policy and
+   run estimate, which all affect planning. *)
 (* Per-run columnar view of the input document: [Cnone] runs the
    boxed-tree paths; [Cnaive] sweeps the sibling-chain arrays with
    naive-scan counting; [Cindexed] probes the memoised id-vector
@@ -44,9 +44,19 @@ type ctx = {
          id-vector index, amortised across a session's runs *)
   mutable plan : Clip_plan.mode;
   plans :
-    (Ast.clause list * string list * bool * (Value.t Env.t, Value.t) Clip_plan.t)
+    (Ast.clause list
+    * string list
+    * bool
+    * int option
+    * (Value.t Env.t, Value.t) Clip_plan.t)
     list
     ref;
+  mutable run : Value.t Clip_plan.Run.t;
+      (* per-run hash tables of run-scoped probes, set by [with_ctx]
+         and dropped when the run ends *)
+  mutable runs : int option;
+      (* estimated runs of the FLWOR block being entered: 1 at the top,
+         times each enclosing block's chain estimate *)
   steps : int ref;
   mutable max_steps : int;
   mutable obs : Clip_obs.sink;
@@ -494,7 +504,7 @@ and eval_flwor_naive ctx env clauses where return =
    conjuncts become hash-join candidates. Purely static — the
    closures capture [ctx] but nothing is evaluated here — which is
    what lets [explain] below reuse it without running the query. *)
-and flwor_plan ctx ~policy ~bound clauses where =
+and flwor_plan ctx ~policy ?runs ~bound clauses where =
   let cost = match policy with `Cost -> true | `Force -> false in
   let gens_rev, _ =
     List.fold_left
@@ -555,7 +565,7 @@ and flwor_plan ctx ~policy ~bound clauses where =
   let conds =
     match where with None -> [] | Some w -> List.map cond_of (conjuncts w)
   in
-  Clip_plan.plan ~policy ~bound ~gens:(List.rev gens_rev) ~conds ()
+  Clip_plan.plan ~policy ?runs ~bound ~gens:(List.rev gens_rev) ~conds ()
 
 and eval_flwor_planned ctx env clauses where return =
   let policy =
@@ -566,11 +576,13 @@ and eval_flwor_planned ctx env clauses where return =
      deterministic for a given environment domain and usable as part
      of the memo key. *)
   let bound = Env.fold (fun x _ acc -> x :: acc) env [] in
+  let runs = ctx.runs in
   let p =
     let rec find = function
       | [] -> None
-      | (cs, b, c, p) :: rest ->
-        if cs == clauses && c = cost && List.equal String.equal b bound then Some p
+      | (cs, b, c, r, p) :: rest ->
+        if cs == clauses && c = cost && r = runs && List.equal String.equal b bound
+        then Some p
         else find rest
     in
     match find !(ctx.plans) with
@@ -578,8 +590,8 @@ and eval_flwor_planned ctx env clauses where return =
       Clip_obs.memo_hit ctx.obs;
       p
     | None ->
-      let p = flwor_plan ctx ~policy ~bound clauses where in
-      ctx.plans := (clauses, bound, cost, p) :: !(ctx.plans);
+      let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
+      ctx.plans := (clauses, bound, cost, runs, p) :: !(ctx.plans);
       p
   in
   (* Adaptive indexing: FLWOR plans materialise lazily during
@@ -614,10 +626,12 @@ and eval_flwor_planned ctx env clauses where return =
       if Clip_plan.scan_only p then Clip_plan.execute_batch
       else Clip_plan.execute
   in
-  exec ?obs:ctx.obs p
+  ctx.runs <- Clip_plan.inner_runs ~runs p;
+  exec ?obs:ctx.obs ~run:ctx.run p
     ~tick:(fun () -> tick ctx)
     ~env
     ~emit:(fun env -> acc := eval ctx env return :: !acc);
+  ctx.runs <- runs;
   List.concat (List.rev !acc)
 
 and eval_call ctx env name args =
@@ -706,6 +720,8 @@ let make_ctx input =
     xdoc = None;
     plan = `Auto;
     plans = ref [];
+    run = Clip_plan.Run.create ();
+    runs = Some 1;
     steps = ref 0;
     max_steps = max_int;
     obs = Clip_obs.none;
@@ -768,22 +784,25 @@ let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
    | (`Indexed | `Auto) as r ->
      let policy = match r with `Auto -> `Cost | `Indexed -> `Force in
      let counter = ref 0 in
-     let rec walk bound (e : Ast.expr) =
+     (* [runs] mirrors [ctx.runs] during evaluation: a block nested
+        anywhere in another runs once per binding of the outer chain. *)
+     let rec walk runs bound (e : Ast.expr) =
+       let walk' = walk runs in
        match e with
        | Ast.Var _ | Ast.Doc _ | Ast.Literal _ -> ()
-       | Ast.Path (base, _) -> walk bound base
-       | Ast.Seq es -> List.iter (walk bound) es
+       | Ast.Path (base, _) -> walk' bound base
+       | Ast.Seq es -> List.iter (walk' bound) es
        | Ast.Elem { attrs; content; _ } ->
-         List.iter (fun (_, e) -> walk bound e) attrs;
-         List.iter (walk bound) content
+         List.iter (fun (_, e) -> walk' bound e) attrs;
+         List.iter (walk' bound) content
        | Ast.If (c, t, e) ->
-         walk bound c;
-         walk bound t;
-         walk bound e
+         walk' bound c;
+         walk' bound t;
+         walk' bound e
        | Ast.Cmp (_, l, r) | Ast.And (l, r) | Ast.Or (l, r) | Ast.Arith (_, l, r) ->
-         walk bound l;
-         walk bound r
-       | Ast.Call (_, args) -> List.iter (walk bound) args
+         walk' bound l;
+         walk' bound r
+       | Ast.Call (_, args) -> List.iter (walk' bound) args
        | Ast.Flwor { clauses; where; return } ->
          incr counter;
          let header =
@@ -800,9 +819,10 @@ let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
            (match where with
             | None -> ""
             | Some w -> " where " ^ Pretty.expr_to_string w);
-         let p = flwor_plan ctx ~policy ~bound clauses where in
+         let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
          Printf.bprintf b "  plan: %s\n" (Clip_plan.describe p);
          Buffer.add_string b (Clip_plan.explain p);
+         let walk = walk (Clip_plan.inner_runs ~runs p) in
          let bound' =
            List.fold_left
              (fun bd clause ->
@@ -815,7 +835,7 @@ let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
          (match where with Some w -> walk bound' w | None -> ());
          walk bound' return
      in
-     walk [] expr);
+     walk (Some 1) [] expr);
   Buffer.contents b
 
 (* Documents smaller than this don't repay the one-off columnar
@@ -860,10 +880,14 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
      | _ -> None (* [`Auto] switches it on adaptively *));
   ctx.steps := 0;
   ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
-  let record_steps () =
-    match steps_out with Some r -> r := !(ctx.steps) | None -> ()
+  ctx.run <- Clip_plan.Run.create ();
+  ctx.runs <- Some 1;
+  let finish () =
+    (match steps_out with Some r -> r := !(ctx.steps) | None -> ());
+    (* A session keeps [ctx]; the run's tables must not outlive it. *)
+    ctx.run <- Clip_plan.Run.create ()
   in
-  Fun.protect ~finally:record_steps (fun () ->
+  Fun.protect ~finally:finish (fun () ->
       (* One unconditional control poll before any work makes an
          already-lapsed deadline or a pre-set cancel flag deterministic
          regardless of the 64-step amortisation. *)

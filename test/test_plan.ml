@@ -43,7 +43,7 @@ let key1 x env = P.Key.of_atom (Atom.Int (lookup env x))
 let run_plan p =
   let acc = ref [] in
   let ticks = ref 0 in
-  P.execute p
+  P.execute ~run:(P.Run.create ()) p
     ~tick:(fun () -> incr ticks)
     ~env:[]
     ~emit:(fun env -> acc := env :: !acc);
@@ -880,6 +880,153 @@ let session_tests =
           (Node.equal via (Clip_tgd.Eval.run ~source:doc2 ~target_root tgd)));
   ]
 
+(* --- Run-scoped tables ---------------------------------------------------- *)
+
+(* The nested-mapping shape: [c] is bound by the parent plan, and the
+   chain joins its one generator [g] to it. *)
+let nested_join ?(policy = `Force) ?runs ?(deps = []) ?(eval = fun _ -> [ 3; 1; 2; 1; 3 ])
+    () =
+  P.plan ~policy ?runs ~bound:[ "c" ]
+    ~gens:[ gen ~deps ~est:5 "g" eval ]
+    ~conds:[ eq ~left:[ "c" ] ~lkeys:(key1 "c") ~right:[ "g" ] ~rkeys:(key1 "g") ]
+    ()
+
+(* Execute [p] once per parent value under one [run]; the [g]s each
+   execution emits. *)
+let per_parent ?obs ~run p parents =
+  List.map
+    (fun c ->
+      let acc = ref [] in
+      P.execute ?obs ~run p ~tick:ignore ~env:[ ("c", c) ]
+        ~emit:(fun env -> acc := lookup env "g" :: !acc);
+      List.rev !acc)
+    parents
+
+let atom_gen =
+  QCheck2.Gen.oneofl
+    Atom.
+      [
+        Int 1; Float 1.0; String "1"; Float 0.; Float (-0.); Float Float.nan; Int 2;
+        String "x"; Bool true; Int max_int; Int (max_int - 1); Float (float_of_int max_int);
+      ]
+
+(* Multi-valued sides over keys that coarsen ([Int 1] / [Float 1.]),
+   collide in kind ([String "1"]), or are special floats: both probe
+   scopes must return exactly the naive join, in order. *)
+let flat_table_property =
+  QCheck2.Test.make ~count:300
+    ~name:"flat tables: multi-valued, coarsened and special keys join like naive"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 5) (list_size (int_range 0 3) atom_gen))
+        (list_size (int_range 0 12) (list_size (int_range 0 3) atom_gen)))
+    (fun (parents, children) ->
+      let pa = Array.of_list parents and ca = Array.of_list children in
+      let keys a x env = List.map P.Key.of_atom a.(lookup env x) in
+      let joins env =
+        List.exists
+          (fun a -> List.exists (Atom.equal a) ca.(lookup env "g"))
+          pa.(lookup env "c")
+      in
+      let cond =
+        P.Eq
+          {
+            left = { P.kvars = [ "c" ]; keys = keys pa "c" };
+            right = { P.kvars = [ "g" ]; keys = keys ca "g" };
+            orig = pred [ "c"; "g" ] joins;
+          }
+      in
+      let idx a = List.init (Array.length a) Fun.id in
+      let g = const "g" (idx ca) in
+      let nested = P.plan ~bound:[ "c" ] ~gens:[ g ] ~conds:[ cond ] () in
+      let flat = P.plan ~bound:[] ~gens:[ const "c" (idx pa); g ] ~conds:[ cond ] () in
+      let expected =
+        List.map
+          (fun c -> List.filter (fun g -> joins [ ("g", g); ("c", c) ]) (idx ca))
+          (idx pa)
+      in
+      String.equal (P.describe nested) "probe(g@run)"
+      && String.equal (P.describe flat) "scan(c) probe(g@0)"
+      && per_parent ~run:(P.Run.create ()) nested (idx pa) = expected
+      && fst (run_plan flat) = run_naive [ const "c" (idx pa); g ] [ cond ])
+
+let run_table_tests =
+  [
+    Alcotest.test_case "a parent-bound equality probes a table built once per run"
+      `Quick (fun () ->
+        let p = nested_join () in
+        checks "shape" "probe(g@run)" (P.describe p);
+        let c = C.create () in
+        let run = P.Run.create () in
+        let got = per_parent ~obs:c ~run p [ 1; 2; 3; 4; 1 ] in
+        Alcotest.(check (list (list int)))
+          "matches in build order" [ [ 1; 1 ]; [ 2 ]; [ 3; 3 ]; []; [ 1; 1 ] ] got;
+        checki "one build for five executions" 1 c.C.hash_join_builds;
+        checki "five probes" 5 c.C.hash_join_probes;
+        ignore (per_parent ~obs:c ~run:(P.Run.create ()) p [ 1 ]);
+        checki "a new run builds its own table" 2 c.C.hash_join_builds);
+    Alcotest.test_case "the run-scoped build waits for the first probe" `Quick
+      (fun () ->
+        (* The segment's generator fails the way a wrong source root
+           does: while no probe is reached, nothing may evaluate it. *)
+        let p =
+          P.plan ~bound:[ "c" ]
+            ~gens:[ gen "g" (fun _ -> failwith "wrong root") ]
+            ~conds:
+              [
+                P.Other (pred [ "c" ] (fun env -> lookup env "c" > 0));
+                eq ~left:[ "c" ] ~lkeys:(key1 "c") ~right:[ "g" ] ~rkeys:(key1 "g");
+              ]
+            ()
+        in
+        checks "shape" "probe(g@run)" (P.describe p);
+        let run = P.Run.create () in
+        Alcotest.(check (list (list int)))
+          "no probe, no build" [ []; [] ] (per_parent ~run p [ 0; -1 ]);
+        checkb "the first probe builds" true
+          (match per_parent ~run p [ 1 ] with
+           | exception Failure _ -> true
+           | _ -> false));
+    Alcotest.test_case "a constant-only equality stays a filter under an outer scope"
+      `Quick (fun () ->
+        let conds =
+          [
+            P.Eq
+              {
+                left = { P.kvars = [ "g" ]; keys = (fun env -> [ key1 "g" env ]) };
+                right = { P.kvars = []; keys = (fun _ -> [ P.Key.of_atom (Atom.Int 1) ]) };
+                orig = pred [ "g" ] (fun env -> lookup env "g" = 1);
+              };
+          ]
+        in
+        List.iter
+          (fun policy ->
+            let p =
+              P.plan ~policy ~bound:[ "c" ] ~gens:[ const "g" [ 3; 1; 2; 1 ] ] ~conds ()
+            in
+            checks "stays a filter" "scan(g/1)" (P.describe p))
+          [ `Force; `Cost ]);
+    Alcotest.test_case "a segment reading the parent is rescanned per binding"
+      `Quick (fun () ->
+        let p = nested_join ~deps:[ "c" ] () in
+        checks "filter" "scan(g/1)" (P.describe p));
+    Alcotest.test_case "`Cost prices the per-run table by the plan's runs" `Quick
+      (fun () ->
+        checks "2 runs x 5 rows scan" "scan(g/1)"
+          (P.describe (nested_join ~policy:`Cost ~runs:2 ()));
+        checks "100 runs x 5 rows join" "probe(g@run)"
+          (P.describe (nested_join ~policy:`Cost ~runs:100 ()));
+        checks "unknown runs join" "probe(g@run)"
+          (P.describe (nested_join ~policy:`Cost ())));
+    Alcotest.test_case "EXPLAIN names the per-run build and its cost inputs" `Quick
+      (fun () ->
+        checks "explain"
+          "  stage 0: hash probe g (built once per run, est 5) [1 residual filter]\n\
+          \  note: eq(c,g): hash join over g, built once per run (outer~100, seg~5: join pays)\n"
+          (P.explain (nested_join ~policy:`Cost ~runs:100 ())));
+    QCheck_alcotest.to_alcotest flat_table_property;
+  ]
+
 let () =
   Alcotest.run "plan"
     [
@@ -896,4 +1043,5 @@ let () =
       ("repr-counters", repr_counter_tests);
       ("sessions", session_tests);
       ("fuzz-differential", [ QCheck_alcotest.to_alcotest fuzz_differential ]);
+      ("run-tables", run_table_tests);
     ]

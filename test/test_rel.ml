@@ -242,6 +242,149 @@ let sql_tests =
           (String.length e1 > 12 && String.equal (String.sub e1 0 12) "backend: rel"));
   ]
 
+(* --- The per-run join table ------------------------------------------- *)
+
+(* The grants join keyed on a value child, so a grant may carry no
+   recipient, one, or several (a multi-valued build key). *)
+let recipients_mapping =
+  match
+    Clip_core.Dsl.parse_result
+      {|schema db {
+  company [0..*] {
+    @cid: int
+    cname: string
+  }
+  grant [0..*] {
+    @gid: int
+    recipient: int
+  }
+}
+schema web {
+  organization [0..*] {
+    @name: string
+    funding [0..*] { @fid: int }
+  }
+}
+mapping {
+  node n2: db.company as $c -> web.organization {
+    node n1: db.grant as $g -> web.organization.funding where $c.@cid = $g.recipient.value
+  }
+  value db.company.cname.value -> web.organization.@name
+  value db.grant.@gid -> web.organization.funding.@fid
+}|}
+  with
+  | Ok m -> m
+  | Error _ -> assert false
+
+(* Keys that collide or coarsen: [Int 1], [Float 1.], hex and exponent
+   spellings of 1, the two zeros, NaN, a string, and two integers that
+   share their nearest float. The CDATA recipient is the string "1". *)
+let key_pool =
+  [|
+    "1"; "1.0"; "0x1"; "1e0"; "0"; "0.0"; "-0.0"; "nan"; "2"; "x";
+    "9007199254740993"; "9007199254740992";
+  |]
+
+let render_db companies grants =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "<db>";
+  List.iteri
+    (fun i cid ->
+      Printf.bprintf b "<company cid=\"%s\"><cname>C%d</cname></company>" cid i)
+    companies;
+  List.iteri
+    (fun j rs ->
+      Printf.bprintf b "<grant gid=\"%d\">" j;
+      List.iter (Printf.bprintf b "<recipient>%s</recipient>") rs;
+      Buffer.add_string b "</grant>")
+    grants;
+  Buffer.add_string b "</db>";
+  Buffer.contents b
+
+(* Above the cost gate (12+ companies x 40+ grants, and past the
+   128-node planning threshold), duplicate company keys and dangling
+   recipients included; one case in four has no grants at all. *)
+let grants_db_gen =
+  let open QCheck2.Gen in
+  let key = oneofa key_pool in
+  let recipient = oneof [ key; return "<![CDATA[1]]>" ] in
+  let* companies = list_size (int_range 12 24) key in
+  let* grants =
+    list_size (frequency [ (1, return 0); (3, int_range 40 80) ]) (list_size (int_range 0 2) recipient)
+  in
+  return (render_db companies grants)
+
+let backends = [ (`Rel, "rel"); (`Tgd, "tgd"); (`Xquery, "xquery") ]
+
+let join_differential =
+  QCheck2.Test.make ~count:40 ~print:Fun.id
+    ~name:"random company/grant joins: auto and indexed == naive, every backend"
+    grants_db_gen (fun text ->
+      let source = Clip_xml.Parser.parse_string text in
+      let out backend plan =
+        Clip_xml.Printer.to_string (Engine.run ~backend ~plan recipients_mapping source)
+      in
+      let expected = out `Tgd `Naive in
+      List.for_all
+        (fun (backend, _) ->
+          List.for_all (fun plan -> String.equal expected (out backend plan))
+            [ `Naive; `Indexed; `Auto ])
+        backends)
+
+let counted f =
+  let c = Clip_obs.Counters.create () in
+  let r = f (Clip_run.create ~counters:c ()) in
+  (r, c)
+
+let run_table_tests =
+  [
+    QCheck_alcotest.to_alcotest join_differential;
+    Alcotest.test_case "two session runs build one table each, same output" `Quick
+      (fun () ->
+        let source = grants_instance 30 in
+        let s = Engine.Session.create source in
+        List.iter
+          (fun (backend, name) ->
+            let run () = counted (fun ctx -> Engine.Session.run ~ctx ~backend s grants_mapping) in
+            let o1, c1 = run () in
+            let o2, c2 = run () in
+            checkb (name ^ ": identical") true (Node.equal o1 o2);
+            checki (name ^ ": one build per run") 1 c1.Clip_obs.Counters.hash_join_builds;
+            checki (name ^ ": same builds") c1.Clip_obs.Counters.hash_join_builds
+              c2.Clip_obs.Counters.hash_join_builds)
+          backends);
+    Alcotest.test_case "sharded runs over session-cached plans stay identical" `Quick
+      (fun () ->
+        let source = grants_instance 30 in
+        let expected = Clip_xml.Printer.to_string (Engine.run ~backend:`Tgd ~plan:`Naive grants_mapping source) in
+        let s = Engine.Session.create source in
+        List.iter
+          (fun (backend, name) ->
+            for _ = 1 to 2 do
+              checks (name ^ ": sharded, 2 jobs") expected
+                (Clip_xml.Printer.to_string
+                   (Engine.Session.run ~backend ~mode:`Sharded ~jobs:2 s grants_mapping))
+            done)
+          backends);
+    Alcotest.test_case "the step budget meters the per-run build (CLIP-LIM-004)"
+      `Quick (fun () ->
+        (* 200 companies, 600 grants: the first company's probe builds
+           the grant table, and a 100-step budget runs out inside it. *)
+        let source = grants_instance 200 in
+        let limits = { Clip_diag.Limits.default with max_eval_steps = 100 } in
+        List.iter
+          (fun (backend, name) ->
+            let r, c =
+              counted (fun ctx -> Engine.run_result ~ctx ~limits ~backend grants_mapping source)
+            in
+            (match r with
+             | Ok _ -> Alcotest.failf "%s: expected the budget to trip" name
+             | Error ds -> checks (name ^ ": code") "CLIP-LIM-004" (List.hd ds).Clip_diag.code);
+            checki (name ^ ": inside the build") 1 c.Clip_obs.Counters.hash_join_builds;
+            checki (name ^ ": before any probe") 0 c.Clip_obs.Counters.hash_join_probes)
+          backends);
+  ]
+
 let () =
   Alcotest.run "rel"
     [
@@ -249,4 +392,5 @@ let () =
       ("differential", differential_tests);
       ("errors", error_tests);
       ("sql", sql_tests);
+      ("run-tables", run_table_tests);
     ]
