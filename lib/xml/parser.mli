@@ -8,7 +8,11 @@
     either parses or yields spanned diagnostics ([CLIP-XML-001] for
     syntax errors, [CLIP-LIM-001]/[CLIP-LIM-002] when a resource guard
     trips). Element nesting is depth-guarded, so a pathologically deep
-    document degrades to a diagnostic instead of a stack overflow. *)
+    document degrades to a diagnostic instead of a stack overflow.
+
+    There is one XML lexer: [parse_string_result s] is
+    [Stream.parse_result (Stream.of_string s)], which reads [s] in
+    place and builds the tree directly. *)
 
 exception Parse_error of { line : int; column : int; message : string }
 

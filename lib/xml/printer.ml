@@ -1,66 +1,80 @@
 (* Serializers for instance documents.
 
-   Every traversal here runs on an explicit worklist, never on OCaml
-   recursion: the parser bounds the depth of *parsed* documents, but
+   Every traversal here runs on an explicit worklist (in tail calls),
+   never on OCaml recursion: the parser bounds the depth of *parsed* documents, but
    engine-*generated* target instances have no such bound, and a
    serializer must not be the one place a deep (but legal) result can
    blow the stack. *)
 
-let escape_text s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Append [s] with the characters XML reserves escaped: in text
+   ([attr] false) '<', '>' and '&'; in a double-quoted attribute value
+   ([attr] true) '<', '&' and '"'. *)
+let add_escaped buf ~attr s =
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let rep =
+      match String.unsafe_get s i with
+      | '<' -> "&lt;"
+      | '&' -> "&amp;"
+      | '>' when not attr -> "&gt;"
+      | '"' when attr -> "&quot;"
+      | _ -> ""
+    in
+    if String.length rep > 0 then begin
+      Buffer.add_substring buf s !from (i - !from);
+      Buffer.add_string buf rep;
+      from := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !from (String.length s - !from)
 
-let escape_attr s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let add_text buf a = add_escaped buf ~attr:false (Atom.to_string a)
 
-let attrs_to_string attrs =
-  String.concat ""
-    (List.map
-       (fun (k, v) -> Printf.sprintf " %s=\"%s\"" k (escape_attr (Atom.to_string v)))
-       attrs)
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf k;
+    Buffer.add_string buf "=\"";
+    add_escaped buf ~attr:true (Atom.to_string v);
+    Buffer.add_char buf '"';
+    add_attrs buf rest
+
+(* "<tag k="v" ..." — the open tag, still unterminated. *)
+let add_open buf (e : Node.element) =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf e.tag;
+  add_attrs buf e.attrs
+
+let add_close buf tag =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
 
 (* Compact rendering: a worklist of nodes still to open and closing
    tags to emit once their subtree is done. *)
 type ctok = CNode of Node.t | CClose of string
 
 let add_compact buf node =
-  let stack = ref [ CNode node ] in
-  while !stack <> [] do
-    match !stack with
+  let rec go = function
     | [] -> ()
     | CClose tag :: rest ->
-      stack := rest;
-      Buffer.add_string buf (Printf.sprintf "</%s>" tag)
+      add_close buf tag;
+      go rest
     | CNode (Node.Text a) :: rest ->
-      stack := rest;
-      Buffer.add_string buf (escape_text (Atom.to_string a))
+      add_text buf a;
+      go rest
     | CNode (Node.Element e) :: rest ->
-      if e.children = [] then begin
-        stack := rest;
-        Buffer.add_string buf (Printf.sprintf "<%s%s/>" e.tag (attrs_to_string e.attrs))
-      end
-      else begin
-        Buffer.add_string buf (Printf.sprintf "<%s%s>" e.tag (attrs_to_string e.attrs));
-        stack := List.map (fun c -> CNode c) e.children @ (CClose e.tag :: rest)
-      end
-  done
+      add_open buf e;
+      (match e.children with
+       | [] ->
+         Buffer.add_string buf "/>";
+         go rest
+       | children ->
+         Buffer.add_char buf '>';
+         go (List.map (fun c -> CNode c) children @ (CClose e.tag :: rest)))
+  in
+  go [ CNode node ]
 
 let to_string node =
   let buf = Buffer.create 256 in
@@ -71,37 +85,43 @@ type ptok = PNode of Node.t | PClose of string
 
 let to_pretty_string ?(indent = 2) node =
   let buf = Buffer.create 256 in
-  let pad level = String.make (level * indent) ' ' in
-  let stack = ref [ (0, PNode node) ] in
-  while !stack <> [] do
-    match !stack with
+  let pad level =
+    for _ = 1 to level * indent do
+      Buffer.add_char buf ' '
+    done
+  in
+  let rec go = function
     | [] -> ()
     | (level, PClose tag) :: rest ->
-      stack := rest;
-      Buffer.add_string buf (Printf.sprintf "%s</%s>\n" (pad level) tag)
+      pad level;
+      add_close buf tag;
+      Buffer.add_char buf '\n';
+      go rest
     | (level, PNode (Node.Text a)) :: rest ->
-      stack := rest;
-      Buffer.add_string buf (pad level);
-      Buffer.add_string buf (escape_text (Atom.to_string a));
-      Buffer.add_char buf '\n'
+      pad level;
+      add_text buf a;
+      Buffer.add_char buf '\n';
+      go rest
     | (level, PNode (Node.Element e)) :: rest ->
-      let open_tag = Printf.sprintf "<%s%s" e.tag (attrs_to_string e.attrs) in
+      pad level;
+      add_open buf e;
       (match e.children with
        | [] ->
-         stack := rest;
-         Buffer.add_string buf (pad level ^ open_tag ^ "/>\n")
+         Buffer.add_string buf "/>\n";
+         go rest
        | [ Node.Text a ] ->
-         stack := rest;
-         Buffer.add_string buf
-           (Printf.sprintf "%s%s>%s</%s>\n" (pad level) open_tag
-              (escape_text (Atom.to_string a))
-              e.tag)
+         Buffer.add_char buf '>';
+         add_text buf a;
+         add_close buf e.tag;
+         Buffer.add_char buf '\n';
+         go rest
        | children ->
-         Buffer.add_string buf (pad level ^ open_tag ^ ">\n");
-         stack :=
-           List.map (fun c -> (level + 1, PNode c)) children
-           @ ((level, PClose e.tag) :: rest))
-  done;
+         Buffer.add_string buf ">\n";
+         go
+           (List.map (fun c -> (level + 1, PNode c)) children
+           @ ((level, PClose e.tag) :: rest)))
+  in
+  go [ (0, PNode node) ];
   Buffer.contents buf
 
 (* --- The paper's ASCII-tree rendering --------------------------------- *)

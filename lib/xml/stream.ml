@@ -1,30 +1,41 @@
-(* A pull-based (SAX-style) event lexer over an incremental byte feed.
+(* The XML lexer: a pull-based (SAX-style) event lexer over an
+   incremental byte feed, which also builds trees directly
+   ([parse_result], [subtree_result]); [Parser.parse_string_result] is
+   [parse_result] over [of_string].
 
-   This is [Parser] re-cut as a state machine: every recognising
-   function below is a line-for-line port of its recursive-descent
-   counterpart, reading through a sliding byte window that is refilled
-   from a caller-supplied chunk producer instead of indexing one
-   resident string. Two invariants tie the two parsers together and
-   are pinned by test/test_stream.ml:
+   Runs, not bytes. Names, spaces, character data, quoted values and
+   the [-->] / []]>] / [?>] terminators are each found by one loop over
+   the window, and the cursor then moves once. Text and attribute
+   values are sliced from the window at the markup that ends them and
+   entity-decoded only when they contain ['&']; a closing tag is
+   compared with its opening tag in place, and a name seen before is
+   shared rather than copied.
 
-   - {e chunk-boundary independence} — the produced events (and hence
-     the document built by {!parse_result}) do not depend on where the
-     feed is cut: byte-by-byte, random chunks and one whole-string
-     chunk all yield identical results, because every lookahead
-     ([looking_at], up to the 9 bytes of ["<![CDATA["]) first ensures
-     the window holds enough bytes;
-   - {e diagnostic identity} — errors carry the same CLIP-XML-* /
-     CLIP-LIM-* codes, messages and spans as [Parser.parse_string_result]
-     on the same bytes. Spans are global: the window keeps absolute
-     offset / line / beginning-of-line positions across refills.
+   The window. Bytes [wpos, len) of [buf] are unconsumed; a run being
+   scanned stays in the window from the cursor on while [more] pulls
+   further chunks. A chunk arriving when nothing is pending is adopted
+   as the window without a copy ([of_string] never copies its string).
+   Otherwise the pending bytes and the chunk go into a buffer the lexer
+   owns: it is compacted only when its consumed prefix is at least half
+   of it and grown geometrically otherwise, so a run that crosses many
+   refills is copied an amortised constant number of times. Residency
+   is one chunk plus the longest pending run.
 
-   Diagnostic identity holds for the input-size limit too: [Parser]
-   checks it up front against the whole string, so an oversized
-   document always reports CLIP-LIM-001 even when its first byte is
-   garbage. A chunked feed only discovers the total size as it reads,
-   so before latching any other failure it drains and sizes the rest
-   of the feed ([size_precedence]) and lets the limit verdict win —
-   the reported diagnostic does not depend on where the feed was cut. *)
+   Lines. Spans carry line and column, but newlines are counted only
+   when a span is built or just before a refill drops the consumed
+   prefix: [line]/[bol] describe global offset [lpos].
+
+   Two invariants are pinned by test/test_stream.ml against the
+   reference parser in test/xml_oracle.ml:
+
+   - {e chunk-boundary independence} — results do not depend on where
+     the feed is cut: every scan pulls until its run ends;
+   - {e size precedence} — the reference checks the input-size limit up
+     front against the whole string, so an oversized document reports
+     CLIP-LIM-001 even when its first byte is garbage. A chunked feed
+     only discovers the total size as it reads, so before latching any
+     other failure it drains and sizes the rest of the feed
+     ([size_precedence]) and lets the limit verdict win. *)
 
 type event =
   | Start of { tag : string; attrs : (string * Atom.t) list }
@@ -35,18 +46,22 @@ type phase = Prolog | Content | Epilog | Finished
 
 type source = {
   refill : unit -> string option;
-  mutable win : string; (* bytes [wpos, length win) are unconsumed *)
+  mutable buf : Bytes.t; (* the window: bytes [wpos, len) are unconsumed *)
+  mutable len : int;
+  mutable owned : bool; (* [buf] is ours to write, not an adopted chunk *)
   mutable wpos : int;
-  mutable base : int; (* global offset of win.[0] *)
+  mutable base : int; (* global offset of buf.[0] *)
   mutable at_eof : bool; (* the producer is exhausted *)
   mutable fed : int; (* total bytes accepted from the producer *)
-  mutable line : int;
-  mutable bol : int; (* global offset of the current line start *)
+  mutable line : int; (* line number at global offset [lpos] *)
+  mutable bol : int; (* global offset of that line's start *)
+  mutable lpos : int;
   mutable depth : int; (* current element-nesting depth *)
+  names : string array; (* names read, by a hash of their bytes; the
+                           length is a power of two *)
   limits : Clip_diag.Limits.t;
   mutable phase : phase;
   mutable stack : string list; (* open elements, innermost first *)
-  tbuf : Buffer.t; (* pending character data *)
   mutable pending : event list; (* recognised but undelivered events *)
   mutable started : bool; (* the xml.parse fault point has fired *)
   mutable failed : Clip_diag.t list option; (* latched first failure *)
@@ -54,17 +69,29 @@ type source = {
 
 let pos st = st.base + st.wpos
 
-let here st =
-  Clip_diag.span ~offset:(pos st) ~line:st.line ~col:(pos st - st.bol + 1) ()
+(* Count the newlines in [lpos, p); [p] is in the window. *)
+let sync_lines st p =
+  for i = st.lpos - st.base to p - st.base - 1 do
+    if Bytes.unsafe_get st.buf i = '\n' then begin
+      st.line <- st.line + 1;
+      st.bol <- st.base + i + 1
+    end
+  done;
+  if p > st.lpos then st.lpos <- p
 
 let error_at ?(code = Clip_diag.Codes.xml_syntax) ?hints st message =
-  Clip_diag.fail (Clip_diag.error ~span:(here st) ?hints ~code message)
+  let p = pos st in
+  sync_lines st p;
+  Clip_diag.fail
+    (Clip_diag.error
+       ~span:(Clip_diag.span ~offset:p ~line:st.line ~col:(p - st.bol + 1) ())
+       ?hints ~code message)
 
 let error st message = error_at st message
 
-(* [Parser] checks the size limit before touching a byte, at position
-   0; a feed reproduces the identical diagnostic (total size included)
-   by draining the producer once the running total exceeds the limit. *)
+(* The limit is checked before any byte is read, at position 0; a feed
+   reproduces the identical diagnostic (total size included) by
+   draining the producer once the running total exceeds the limit. *)
 let oversized_error ~total st =
   Clip_diag.error
     ~span:(Clip_diag.span ~offset:0 ~line:1 ~col:1 ())
@@ -93,84 +120,142 @@ let drain_total st =
 
 let oversized st = Clip_diag.fail (oversized_error ~total:(drain_total st) st)
 
-(* Pull the next non-empty chunk, compacting the consumed prefix of
-   the window away so memory is bounded by one chunk plus the longest
-   unconsumed lookahead, not the document. *)
-let rec pull st =
-  if not st.at_eof then
-    match st.refill () with
-    | None -> st.at_eof <- true
-    | Some "" -> pull st
-    | Some chunk ->
-      st.fed <- st.fed + String.length chunk;
-      if st.fed > st.limits.Clip_diag.Limits.max_input_bytes then oversized st;
-      let keep = String.length st.win - st.wpos in
-      let b = Bytes.create (keep + String.length chunk) in
-      Bytes.blit_string st.win st.wpos b 0 keep;
-      Bytes.blit_string chunk 0 b keep (String.length chunk);
-      st.base <- st.base + st.wpos;
-      st.wpos <- 0;
-      st.win <- Bytes.unsafe_to_string b
-
-let avail st = String.length st.win - st.wpos
-
-let ensure st n =
-  while avail st < n && not st.at_eof do
-    pull st
-  done
-
-let eof st =
-  ensure st 1;
-  avail st = 0
-
-let peek st = if eof st then '\000' else st.win.[st.wpos]
-
-let advance st =
-  if not (eof st) then begin
-    if peek st = '\n' then begin
-      st.line <- st.line + 1;
-      st.bol <- pos st + 1
+(* Append [chunk] to the unconsumed bytes (see the window, above). *)
+let accept st chunk =
+  let n = String.length chunk in
+  st.fed <- st.fed + n;
+  if st.fed > st.limits.Clip_diag.Limits.max_input_bytes then oversized st;
+  let keep = st.len - st.wpos and cap = Bytes.length st.buf in
+  if st.owned && st.len + n <= cap then begin
+    Bytes.blit_string chunk 0 st.buf st.len n;
+    st.len <- st.len + n
+  end
+  else begin
+    sync_lines st (pos st);
+    if keep = 0 then begin
+      st.buf <- Bytes.unsafe_of_string chunk;
+      st.owned <- false
+    end
+    else begin
+      let dst =
+        if st.owned && keep + n <= cap && st.wpos >= cap / 2 then st.buf
+        else Bytes.create (2 * (keep + n))
+      in
+      Bytes.blit st.buf st.wpos dst 0 keep;
+      Bytes.blit_string chunk 0 dst keep n;
+      st.buf <- dst;
+      st.owned <- true
     end;
-    st.wpos <- st.wpos + 1
+    st.base <- st.base + st.wpos;
+    st.wpos <- 0;
+    st.len <- keep + n
   end
 
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+(* Pull the next non-empty chunk; [false] once the feed is exhausted. *)
+let rec more st =
+  (not st.at_eof)
+  &&
+  match st.refill () with
+  | None ->
+    st.at_eof <- true;
+    false
+  | Some "" -> more st
+  | Some chunk ->
+    accept st chunk;
+    true
 
-let skip_spaces st =
-  while (not (eof st)) && is_space (peek st) do
-    advance st
-  done
+let rec fill st k = more st && (st.wpos + k < st.len || fill st k)
 
-let looking_at st s =
-  let n = String.length s in
-  ensure st n;
-  avail st >= n && String.sub st.win st.wpos n = s
+(* Is the byte [k] past the cursor available? Pulls as needed. *)
+let[@inline] has st k = st.wpos + k < st.len || fill st k
 
-let expect st s =
-  if looking_at st s then
-    for _ = 1 to String.length s do
-      advance st
-    done
-  else error st (Printf.sprintf "expected %S" s)
+(* The byte [k] past the cursor; [has st k] must hold. *)
+let[@inline] byte st k = Bytes.unsafe_get st.buf (st.wpos + k)
 
-let is_name_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
+let[@inline] is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let is_name_char c =
-  is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
+let[@inline] is_name_start = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
+  | _ -> false
 
-let parse_name st =
-  if not (is_name_start (peek st)) then error st "expected a name";
-  let buf = Buffer.create 16 in
-  while (not (eof st)) && is_name_char (peek st) do
-    Buffer.add_char buf (peek st);
-    advance st
+let[@inline] is_name_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' | '0' .. '9' | '-' | '.' -> true
+  | _ -> false
+
+(* The offset of the first [c] at or past offset [k], or of the end of
+   the feed. *)
+let rec index st k c =
+  let buf = st.buf and stop = st.len in
+  let i = ref (st.wpos + k) in
+  while !i < stop && Bytes.unsafe_get buf !i <> c do
+    incr i
   done;
-  Buffer.contents buf
+  let k = !i - st.wpos in
+  if !i < stop || not (more st) then k else index st k c
 
-(* Verbatim from [Parser]: called at the same points (after the
-   closing quote, at the text-flush boundary), so error positions
-   agree. *)
+let rec name_end st k =
+  let buf = st.buf and stop = st.len in
+  let i = ref (st.wpos + k) in
+  while !i < stop && is_name_char (Bytes.unsafe_get buf !i) do
+    incr i
+  done;
+  let k = !i - st.wpos in
+  if !i < stop || not (more st) then k else name_end st k
+
+let rec skip_spaces st =
+  let buf = st.buf and stop = st.len in
+  let i = ref st.wpos in
+  while !i < stop && is_space (Bytes.unsafe_get buf !i) do
+    incr i
+  done;
+  st.wpos <- !i;
+  if !i = stop && more st then skip_spaces st
+
+(* Do the bytes from offset [k] on spell [lit] from its index [j] on?
+   They must be available. *)
+let rec spells st k lit j =
+  j = String.length lit
+  || Bytes.unsafe_get st.buf (st.wpos + k + j) = String.unsafe_get lit j
+     && spells st k lit (j + 1)
+
+let looking_at st lit = has st (String.length lit - 1) && spells st 0 lit 0
+
+(* The offset of the first [lit] at or past offset [k], or [-1]. *)
+let rec find st k lit =
+  let k = index st k (String.unsafe_get lit 0) in
+  if not (has st (k + String.length lit - 1)) then -1
+  else if spells st k lit 0 then k
+  else find st (k + 1) lit
+
+let expect st c =
+  if has st 0 && byte st 0 = c then st.wpos <- st.wpos + 1
+  else error st (Printf.sprintf "expected %S" (String.make 1 c))
+
+(* Documents repeat a schema-sized set of names: a name still held in
+   its slot of [names] is returned again, not copied, so trees share
+   their name strings. *)
+let name st =
+  if not (has st 0 && is_name_start (byte st 0)) then error st "expected a name";
+  let k = name_end st 1 in
+  let h = ref 0 in
+  for i = st.wpos to st.wpos + k - 1 do
+    h := (!h * 31) + Char.code (Bytes.unsafe_get st.buf i)
+  done;
+  let h = !h land (Array.length st.names - 1) in
+  let s = st.names.(h) in
+  let s =
+    if String.length s = k && spells st 0 s 0 then s
+    else begin
+      let s = Bytes.sub_string st.buf st.wpos k in
+      st.names.(h) <- s;
+      s
+    end
+  in
+  st.wpos <- st.wpos + k;
+  s
+
+(* Errors point at the cursor, which the caller has moved past the
+   text or quoted value being decoded. *)
 let decode_entities st s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -210,31 +295,105 @@ let decode_entities st s =
   done;
   Buffer.contents buf
 
-let parse_quoted st =
-  let quote = peek st in
-  if quote <> '"' && quote <> '\'' then error st "expected a quoted value";
-  advance st;
-  let buf = Buffer.create 16 in
-  while (not (eof st)) && peek st <> quote do
-    Buffer.add_char buf (peek st);
-    advance st
-  done;
-  if eof st then error st "unterminated attribute value";
-  let raw = Buffer.contents buf in
-  advance st;
-  decode_entities st raw
+let decoded st s = if String.contains s '&' then decode_entities st s else s
+
+let quoted st =
+  let q = if has st 0 then byte st 0 else '\000' in
+  if q <> '"' && q <> '\'' then error st "expected a quoted value";
+  let k = index st 1 q in
+  if not (has st k) then begin
+    st.wpos <- st.len;
+    error st "unterminated attribute value"
+  end;
+  let raw = Bytes.sub_string st.buf (st.wpos + 1) (k - 1) in
+  st.wpos <- st.wpos + k + 1;
+  decoded st raw
+
+let rec attrs st acc =
+  skip_spaces st;
+  if not (has st 0) then List.rev acc
+  else
+    match byte st 0 with
+    | '>' | '/' -> List.rev acc
+    | _ ->
+      let n = name st in
+      skip_spaces st;
+      expect st '=';
+      skip_spaces st;
+      let v = quoted st in
+      attrs st ((n, Atom.of_string v) :: acc)
+
+(* The cursor is on the '<' of a start tag: bound the depth (before
+   the tag is read), read the name. *)
+let open_tag st =
+  st.depth <- st.depth + 1;
+  if st.depth > st.limits.Clip_diag.Limits.max_xml_depth then
+    error_at st ~code:Clip_diag.Codes.limit_xml_depth
+      ~hints:[ "raise Limits.max_xml_depth to accept deeper documents" ]
+      (Printf.sprintf "element nesting exceeds the limit of %d"
+         st.limits.Clip_diag.Limits.max_xml_depth);
+  expect st '<';
+  name st
+
+(* After the attributes: [true] for "/>" (the element is closed, depth
+   restored), [false] for '>'. *)
+let self_closing st =
+  if looking_at st "/>" then begin
+    st.wpos <- st.wpos + 2;
+    st.depth <- st.depth - 1;
+    true
+  end
+  else begin
+    expect st '>';
+    false
+  end
+
+(* The cursor is on "</" inside [tag]. *)
+let close_tag st tag =
+  st.wpos <- st.wpos + 2;
+  if not (has st 0 && is_name_start (byte st 0)) then error st "expected a name";
+  let k = name_end st 1 in
+  let same = k = String.length tag && spells st 0 tag 0 in
+  let closing = if same then tag else Bytes.sub_string st.buf st.wpos k in
+  st.wpos <- st.wpos + k;
+  skip_spaces st;
+  expect st '>';
+  if not same then
+    error st
+      (Printf.sprintf "mismatched closing tag: expected </%s>, found </%s>" tag
+         closing);
+  st.depth <- st.depth - 1
 
 let skip_comment st =
-  expect st "<!--";
-  let rec loop () =
-    if eof st then error st "unterminated comment"
-    else if looking_at st "-->" then expect st "-->"
-    else begin
-      advance st;
-      loop ()
-    end
-  in
-  loop ()
+  let k = find st 4 "-->" in
+  if k < 0 then begin
+    st.wpos <- st.len;
+    error st "unterminated comment"
+  end;
+  st.wpos <- st.wpos + k + 3
+
+let cdata st =
+  let k = find st 9 "]]>" in
+  if k < 0 then begin
+    st.wpos <- st.len;
+    error st "unterminated CDATA section"
+  end;
+  let raw = Bytes.sub_string st.buf (st.wpos + 9) (k - 9) in
+  st.wpos <- st.wpos + k + 3;
+  raw
+
+(* Skip to the '>' closing a DOCTYPE, internal subsets in brackets
+   included. *)
+let rec skip_doctype st k depth =
+  if not (has st k) then begin
+    st.wpos <- st.len;
+    error st "unterminated DOCTYPE"
+  end;
+  match byte st k with
+  | '[' -> skip_doctype st (k + 1) (depth + 1)
+  | ']' -> skip_doctype st (k + 1) (depth - 1)
+  | '>' when depth = 0 -> st.wpos <- st.wpos + k + 1
+  | _ -> skip_doctype st (k + 1) depth
 
 let rec skip_misc st =
   skip_spaces st;
@@ -243,134 +402,129 @@ let rec skip_misc st =
     skip_misc st
   end
   else if looking_at st "<!DOCTYPE" then begin
-    let depth = ref 0 in
-    let rec loop () =
-      if eof st then error st "unterminated DOCTYPE"
-      else begin
-        (match peek st with
-         | '[' -> incr depth
-         | ']' -> decr depth
-         | '>' when !depth = 0 ->
-           advance st;
-           raise Exit
-         | _ -> ());
-        advance st;
-        loop ()
-      end
-    in
-    (try loop () with Exit -> ());
+    skip_doctype st 0 0;
     skip_misc st
   end
   else if looking_at st "<?" then begin
-    let rec loop () =
-      if eof st then error st "unterminated processing instruction"
-      else if looking_at st "?>" then expect st "?>"
-      else begin
-        advance st;
-        loop ()
-      end
-    in
-    loop ();
+    let k = find st 1 "?>" in
+    if k < 0 then begin
+      st.wpos <- st.len;
+      error st "unterminated processing instruction"
+    end;
+    st.wpos <- st.wpos + k + 2;
     skip_misc st
   end
 
-let parse_attrs st =
-  let rec loop acc =
-    skip_spaces st;
-    let c = peek st in
-    if c = '>' || c = '/' || eof st then List.rev acc
-    else
-      let name = parse_name st in
-      skip_spaces st;
-      expect st "=";
-      skip_spaces st;
-      let value = parse_quoted st in
-      loop ((name, Atom.of_string value) :: acc)
-  in
-  loop []
+let prolog st =
+  skip_misc st;
+  if not (has st 0) then error st "empty document"
 
-(* The cursor is on a '<' opening an element. Mirrors [parse_element]:
-   depth is incremented (and bounds-checked, same code and hints)
-   before the tag is read, decremented when the element closes. *)
-let start_element st =
-  st.depth <- st.depth + 1;
-  if st.depth > st.limits.Clip_diag.Limits.max_xml_depth then
-    error_at st ~code:Clip_diag.Codes.limit_xml_depth
-      ~hints:[ "raise Limits.max_xml_depth to accept deeper documents" ]
-      (Printf.sprintf "element nesting exceeds the limit of %d"
-         st.limits.Clip_diag.Limits.max_xml_depth);
-  expect st "<";
-  let tag = parse_name st in
-  let attrs = parse_attrs st in
-  skip_spaces st;
-  if looking_at st "/>" then begin
-    expect st "/>";
-    st.depth <- st.depth - 1;
+let epilog st =
+  skip_misc st;
+  if has st 0 then error st "trailing content after the root element";
+  st.phase <- Finished
+
+(* Character data inside [tag]: move the cursor over the run to the
+   next markup and return the run's start. The markup must be there. *)
+let text_run st tag =
+  let k = index st 0 '<' in
+  let i = st.wpos in
+  st.wpos <- i + k;
+  if not (has st 0) then error st ("unterminated element <" ^ tag ^ ">");
+  i
+
+(* Is the run from [i] to the cursor whitespace-only (no text node)? *)
+let blank st i =
+  let j = ref i in
+  while !j < st.wpos && is_space (Bytes.unsafe_get st.buf !j) do
+    incr j
+  done;
+  !j = st.wpos
+
+let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* The non-blank run from [i] to the cursor as a text atom: trimmed
+   (as [String.trim] does), decoded, typed. *)
+let text st i =
+  let lo = ref i and hi = ref st.wpos in
+  while !lo < !hi && is_trimmed (Bytes.unsafe_get st.buf !lo) do
+    incr lo
+  done;
+  while !hi > !lo && is_trimmed (Bytes.unsafe_get st.buf (!hi - 1)) do
+    decr hi
+  done;
+  Atom.of_string (decoded st (Bytes.sub_string st.buf !lo (!hi - !lo)))
+
+type markup = Close | Comment | Cdata | Open
+
+(* The cursor is on a '<' inside an element. *)
+let markup st =
+  match if has st 1 then byte st 1 else '\000' with
+  | '/' -> Close
+  | '!' when looking_at st "<!--" -> Comment
+  | '!' when looking_at st "<![CDATA[" -> Cdata
+  | _ -> Open
+
+(* --- Building trees ------------------------------------------------------ *)
+
+let rec element st =
+  let tag = open_tag st in
+  let attrs = attrs st [] in
+  if self_closing st then Node.elem ~attrs tag [] else children st tag attrs []
+
+(* The content of the open element [tag] up to its closing tag. *)
+and children st tag attrs acc =
+  let i = text_run st tag in
+  let acc = if blank st i then acc else Node.text (text st i) :: acc in
+  match markup st with
+  | Close ->
+    close_tag st tag;
+    Node.elem ~attrs tag (List.rev acc)
+  | Comment ->
+    skip_comment st;
+    children st tag attrs acc
+  | Cdata -> children st tag attrs (Node.text (Atom.String (cdata st)) :: acc)
+  | Open -> children st tag attrs (element st :: acc)
+
+(* --- Events ------------------------------------------------------------- *)
+
+let start_events st =
+  let tag = open_tag st in
+  let attrs = attrs st [] in
+  if self_closing st then begin
     if st.stack = [] then st.phase <- Epilog;
     [ Start { tag; attrs }; End tag ]
   end
   else begin
-    expect st ">";
     st.stack <- tag :: st.stack;
     st.phase <- Content;
     [ Start { tag; attrs } ]
   end
 
-let flush_text st =
-  let s = Buffer.contents st.tbuf in
-  Buffer.clear st.tbuf;
-  if String.for_all is_space s then []
-  else [ Text (Atom.of_string (decode_entities st (String.trim s))) ]
+let close st =
+  st.stack <- List.tl st.stack;
+  if st.stack = [] then st.phase <- Epilog
 
-(* One step inside element [tagname] (the innermost open element);
-   returns any events recognised — possibly none, e.g. after a
-   comment — and the driver loops. Branches and their order mirror
-   [parse_content]. *)
-let content_step st tagname =
-  if eof st then error st ("unterminated element <" ^ tagname ^ ">")
-  else if looking_at st "</" then begin
-    let flushed = flush_text st in
-    expect st "</";
-    let closing = parse_name st in
-    skip_spaces st;
-    expect st ">";
-    if not (String.equal closing tagname) then
-      error st
-        (Printf.sprintf "mismatched closing tag: expected </%s>, found </%s>"
-           tagname closing);
-    st.stack <- List.tl st.stack;
-    st.depth <- st.depth - 1;
-    if st.stack = [] then st.phase <- Epilog;
-    flushed @ [ End tagname ]
-  end
-  else if looking_at st "<!--" then begin
-    let flushed = flush_text st in
-    skip_comment st;
-    flushed
-  end
-  else if looking_at st "<![CDATA[" then begin
-    let flushed = flush_text st in
-    expect st "<![CDATA[";
-    let buf = Buffer.create 16 in
-    while (not (eof st)) && not (looking_at st "]]>") do
-      Buffer.add_char buf (peek st);
-      advance st
-    done;
-    if eof st then error st "unterminated CDATA section";
-    expect st "]]>";
-    (* CDATA contributes literal text, no entity decoding; the flushed
-       text precedes it, as in [parse_content]. *)
-    flushed @ [ Text (Atom.String (Buffer.contents buf)) ]
-  end
-  else if peek st = '<' then flush_text st @ start_element st
-  else begin
-    (* Character data: consume the whole run up to the next markup. *)
-    while (not (eof st)) && peek st <> '<' do
-      Buffer.add_char st.tbuf (peek st);
-      advance st
-    done;
-    []
-  end
+(* The events up to and including the next markup inside [tag]. The
+   text before the markup is decoded first (its errors point where it
+   ends) but delivered only with the markup's events, so a markup
+   error wins over the text in front of it. *)
+let content_events st tag =
+  let i = text_run st tag in
+  let text = if blank st i then None else Some (Text (text st i)) in
+  let evs =
+    match markup st with
+    | Close ->
+      close_tag st tag;
+      close st;
+      [ End tag ]
+    | Comment ->
+      skip_comment st;
+      []
+    | Cdata -> [ Text (Atom.String (cdata st)) ]
+    | Open -> start_events st
+  in
+  match text with None -> evs | Some t -> t :: evs
 
 let rec next_ev st =
   match st.pending with
@@ -378,33 +532,23 @@ let rec next_ev st =
     st.pending <- rest;
     Some e
   | [] ->
-    (match st.phase with
-     | Finished -> None
-     | Prolog ->
-       skip_misc st;
-       if eof st then error st "empty document";
-       st.pending <- start_element st;
+    (match st.phase, st.stack with
+     | Finished, _ -> None
+     | Prolog, _ ->
+       prolog st;
+       st.pending <- start_events st;
        next_ev st
-     | Content ->
-       (match st.stack with
-        | tag :: _ ->
-          st.pending <- content_step st tag;
-          next_ev st
-        | [] -> assert false)
-     | Epilog ->
-       skip_misc st;
-       if not (eof st) then error st "trailing content after the root element";
-       st.phase <- Finished;
+     | Content, tag :: _ ->
+       st.pending <- content_events st tag;
+       next_ev st
+     | Content, [] -> assert false
+     | Epilog, _ ->
+       epilog st;
        None)
 
-(* Keep diagnostics chunking-independent: [Parser] checks the size
-   limit up front against the whole string, so on an oversized document
-   it reports CLIP-LIM-001 even when an early byte is garbage. A
-   chunked feed may recognise the garbage before the running total
-   reaches the limit — so before latching any other failure, drain and
-   size the rest of the feed and let the limit verdict take precedence.
+(* Keep diagnostics chunking-independent (see the top of the file).
    Injected faults escape unchanged: their boundary is before any byte
-   is consumed, on both parsers. *)
+   is consumed. *)
 let size_precedence st ds =
   let keeps d =
     let code = d.Clip_diag.code in
@@ -418,54 +562,78 @@ let size_precedence st ds =
       [ oversized_error ~total st ]
     else ds
 
-let next_result st =
+(* Run [body] under the source's one guard: a failure latches, and
+   the xml.parse fault point fires once per source, before the first
+   byte is consumed, so an injected fault escapes as a structured
+   [Error] like any syntax error. *)
+let guarded body st =
   match st.failed with
   | Some ds -> Error ds
   | None ->
     (match
-       Clip_diag.guard (fun () ->
-           if not st.started then begin
-             st.started <- true;
-             (* Same fault boundary as [Parser.parse_string_result]:
-                an injected xml.parse fault escapes as a structured
-                [Error] before any byte is consumed. *)
-             Clip_fault.hit Clip_fault.Site.xml_parse
-           end;
-           next_ev st)
+       if not st.started then begin
+         st.started <- true;
+         Clip_fault.hit Clip_fault.Site.xml_parse
+       end;
+       body st
      with
-     | Ok _ as ok -> ok
-     | Error ds ->
+     | v -> Ok v
+     | exception Clip_diag.Fail ds ->
        let ds = size_precedence st ds in
        st.failed <- Some ds;
        Error ds)
 
-let make ?(limits = Clip_diag.Limits.default) refill =
+let next_result st = guarded next_ev st
+
+let subtree_result st ~tag ~attrs =
+  guarded
+    (fun st ->
+      match st.pending with
+      | End _ :: rest ->
+        st.pending <- rest;
+        Node.elem ~attrs tag []
+      | _ ->
+        let node = children st tag attrs [] in
+        close st;
+        node)
+    st
+
+let document st =
+  prolog st;
+  let root = element st in
+  epilog st;
+  root
+
+let parse_result st = guarded document st
+
+let of_chunks ?(limits = Clip_diag.Limits.default) refill =
   {
     refill;
-    win = "";
+    buf = Bytes.empty;
+    len = 0;
+    owned = false;
     wpos = 0;
     base = 0;
     at_eof = false;
     fed = 0;
     line = 1;
     bol = 0;
+    lpos = 0;
     depth = 0;
+    names = Array.make 64 "";
     limits;
     phase = Prolog;
     stack = [];
-    tbuf = Buffer.create 64;
     pending = [];
     started = false;
     failed = None;
   }
 
-let of_chunks ?limits refill = make ?limits refill
-
 let of_string ?limits s =
   (* One whole-string chunk: the first refill sees the full length, so
-     the size limit behaves exactly like [Parser]'s up-front check. *)
+     the size limit is checked up front. *)
   let sent = ref false in
-  make ?limits (fun () ->
+  of_chunks ?limits (fun () ->
       if !sent then None
       else begin
         sent := true;
@@ -475,34 +643,6 @@ let of_string ?limits s =
 let of_channel ?limits ?(chunk_bytes = 65536) ic =
   let chunk_bytes = max 1 chunk_bytes in
   let buf = Bytes.create chunk_bytes in
-  make ?limits (fun () ->
+  of_chunks ?limits (fun () ->
       let n = input ic buf 0 chunk_bytes in
       if n = 0 then None else Some (Bytes.sub_string buf 0 n))
-
-let next_must st =
-  match next_result st with
-  | Ok (Some e) -> e
-  | Ok None -> error st "empty document"
-  | Error ds -> raise (Clip_diag.Fail ds)
-
-let rec build_subtree st tag attrs acc =
-  match next_must st with
-  | Text a -> build_subtree st tag attrs (Node.text a :: acc)
-  | Start { tag = t; attrs = a } ->
-    let child = build_subtree st t a [] in
-    build_subtree st tag attrs (child :: acc)
-  | End _ -> Node.elem ~attrs tag (List.rev acc)
-
-let subtree_result st ~tag ~attrs =
-  Clip_diag.guard (fun () -> build_subtree st tag attrs [])
-
-let parse_result st =
-  Clip_diag.guard (fun () ->
-      match next_must st with
-      | Start { tag; attrs } ->
-        let root = build_subtree st tag attrs [] in
-        (match next_result st with
-         | Ok None -> root
-         | Ok (Some _) -> assert false
-         | Error ds -> raise (Clip_diag.Fail ds))
-      | Text _ | End _ -> assert false)

@@ -1,33 +1,29 @@
-(** A streaming (SAX-style, pull-based) XML event lexer over an
-    incremental byte feed.
+(** The XML lexer: a pull-based (SAX-style) event lexer over an
+    incremental byte feed, which also builds trees ({!parse_result},
+    {!subtree_result}). {!Parser.parse_string_result} is
+    [parse_result (of_string s)]: there is one lexer.
 
-    Where {!Parser} materialises a whole {!Node.t} from one resident
-    string, this module recognises the same grammar over chunks pulled
-    on demand from a producer ({!of_channel}, {!of_chunks}) through a
-    sliding window whose residency is one chunk plus the longest
-    pending lookahead — the substrate of bounded-memory ingestion and
-    the shard cutter ({!Clip_shard}).
+    Bytes are pulled on demand from a producer ({!of_channel},
+    {!of_chunks}) through a sliding window whose residency is one
+    chunk plus the longest pending run (a text node, quoted value,
+    comment or CDATA section being scanned); {!of_string} reads its
+    string in place. This is the substrate of bounded-memory ingestion
+    and of the shard cutter ({!Clip_shard}).
 
-    Two contracts tie it to {!Parser} (pinned by test/test_stream.ml):
+    Malformed input yields spanned diagnostics: [CLIP-XML-001] for
+    syntax errors, [CLIP-LIM-001] / [CLIP-LIM-002] when the input-size
+    or nesting-depth guard trips. Spans are absolute offsets, lines and
+    columns of the whole feed. Two contracts, pinned by
+    test/test_stream.ml against a reference parser kept with the tests:
 
-    - {b chunk-boundary independence} — the event sequence (and the
-      document {!parse_result} builds from it) is the same whether the
-      bytes arrive one at a time, in arbitrary chunks, or as a single
-      string;
-    - {b diagnostic identity} — malformed input produces the same
-      [CLIP-XML-001] / [CLIP-LIM-001] / [CLIP-LIM-002] codes, messages
-      and (absolute) spans as [Parser.parse_string_result] on the same
-      bytes. The input-size limit included: [Parser] checks it up
-      front against the whole string, so on an oversized document that
-      is {e also} syntactically broken early, before surfacing any
-      other failure a chunked feed drains and sizes the rest of the
-      feed and reports [CLIP-LIM-001] exactly as [Parser] would —
-      diagnostics never depend on where the feed was cut. *)
+    - {b chunk-boundary independence} — the event sequence, the
+      document and the diagnostics are the same whether the bytes
+      arrive one at a time, in arbitrary chunks, or as a single string;
+    - {b size precedence} — an oversized feed reports [CLIP-LIM-001]
+      (as a check of the whole string up front would) even when it is
+      also syntactically broken early: before surfacing any other
+      failure a chunked feed drains and sizes the rest of the feed. *)
 
-(** One markup event. Text is delivered exactly as {!Parser} would
-    store it: whitespace-only runs dropped, surrounding space trimmed,
-    entities decoded ([Atom.of_string] typed); CDATA kept raw as
-    [Atom.String]. [End] carries the (already match-checked) tag. *)
 type event =
   | Start of { tag : string; attrs : (string * Atom.t) list }
   | Text of Atom.t
@@ -41,9 +37,8 @@ type source
     needs more bytes. *)
 val of_chunks : ?limits:Clip_diag.Limits.t -> (unit -> string option) -> source
 
-(** [of_string s] — the whole string as one chunk; event-for-event and
-    diagnostic-for-diagnostic equivalent to {!Parser.parse_string_result}
-    on [s]. *)
+(** [of_string s] — the whole string as one chunk, read in place
+    (not copied); the size limit is checked before any byte is read. *)
 val of_string : ?limits:Clip_diag.Limits.t -> string -> source
 
 (** [of_channel ic] — read [ic] in [chunk_bytes]-sized chunks (default
@@ -55,8 +50,8 @@ val of_channel :
     (root element plus trailing misc) has been fully consumed, or the
     diagnostics of the first failure. A failed source latches: every
     subsequent call returns the same error. The [xml.parse]
-    {!Clip_fault} site fires once, before the first byte is
-    consumed — same boundary as the tree parser. *)
+    {!Clip_fault} site fires once per source, before the first byte is
+    consumed, whichever of the three readers runs first. *)
 val next_result : source -> (event option, Clip_diag.t list) result
 
 (** [pos src] — the absolute byte offset of the next unconsumed byte;
@@ -75,8 +70,6 @@ val subtree_result :
   attrs:(string * Atom.t) list ->
   (Node.t, Clip_diag.t list) result
 
-(** [parse_result src] — drive the source to completion and build the
-    document; [Node.equal]-identical (same text typing, same attribute
-    order) to [Parser.parse_string_result] of the same bytes, with
-    identical diagnostics on failure. *)
+(** [parse_result src] — drive a fresh source to completion and build
+    the document (root element plus the misc around it). *)
 val parse_result : source -> (Node.t, Clip_diag.t list) result

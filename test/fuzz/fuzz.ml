@@ -4,8 +4,10 @@
    The harness asserts TOTALITY: each [*_result] entry point must
    return [Ok _] or [Error diagnostics] on arbitrary bytes — any other
    exception (including [Stack_overflow] and [Invalid_argument]) is a
-   bug and fails the run. The engine target is additionally
-   DIFFERENTIAL: every mapping that runs is evaluated under both the
+   bug and fails the run. The xml target is additionally
+   DIFFERENTIAL: the tree parser and a randomly chunked lexer feed must
+   reach the reference parser's outcome (test/xml_oracle.ml). So is
+   the engine target: every mapping that runs is evaluated under both the
    [`Naive] and [`Indexed] physical plans on a random valid instance
    of its own source schema, and the outputs must agree. A fixed
    pre-pass additionally checks the resource guards: a 100k-deep XML
@@ -193,7 +195,40 @@ let report_failure name input exn =
 
 let targets : (string * (string -> unit)) list =
   [
-    ("xml", fun s -> ignore (Clip_xml.Parser.parse_string_result ~limits s));
+    ( "xml",
+      (* Differential: the tree parser and the lexer fed in random chunks
+         must reach the reference parser's outcome — the same document,
+         or the same diagnostics, spans included. The chunk sizes come
+         from a generator seeded by the input, so the run's own PRNG
+         sequence does not depend on this target. *)
+      fun s ->
+        let reference = Xml_oracle.(outcome (parse_string_result ~limits s)) in
+        let off = ref 0 and r = ref (Hashtbl.hash s) in
+        let chunked =
+          Clip_xml.Stream.of_chunks ~limits (fun () ->
+              if !off >= String.length s then None
+              else begin
+                r := ((!r * 25214903917) + 11) land max_int;
+                let k = min (String.length s - !off) (1 + ((!r lsr 17) mod 64)) in
+                let chunk = String.sub s !off k in
+                off := !off + k;
+                Some chunk
+              end)
+        in
+        List.iter
+          (fun (name, got) ->
+            if not (String.equal got reference) then begin
+              incr failures;
+              Printf.eprintf
+                "FAILURE [xml]: %s disagrees with the reference parser\n\
+                \  input prefix: %S\n"
+                name
+                (String.sub s 0 (min 160 (String.length s)))
+            end)
+          [
+            ("parser", Xml_oracle.outcome (Clip_xml.Parser.parse_string_result ~limits s));
+            ("chunked stream", Xml_oracle.outcome (Clip_xml.Stream.parse_result chunked));
+          ] );
     ("schema-lexer", fun s -> ignore (Clip_schema.Lexer.tokenize_result s));
     ("schema-dsl", fun s -> ignore (Clip_schema.Dsl.parse_result ~limits s));
     ("xsd", fun s -> ignore (Clip_schema.Xsd.of_string_result ~limits s));

@@ -1,6 +1,7 @@
-(* Tests for the streaming XML lexer (Clip_xml.Stream): chunk-boundary
-   independence and diagnostic identity against the tree parser, the
-   two contracts the shard cutter and the CLI's --stream path stand
+(* Tests for the XML lexer (Clip_xml.Stream, which Clip_xml.Parser
+   wraps): chunk-boundary independence, and document and diagnostic
+   identity with the reference parser in xml_oracle.ml — the contracts
+   the tree parser, the shard cutter and the CLI's --stream path stand
    on. *)
 
 open Clip_xml
@@ -8,11 +9,7 @@ open Clip_xml
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-(* Render a parse outcome — document or diagnostics, spans included —
-   to one comparable string. *)
-let outcome = function
-  | Ok node -> "ok: " ^ Printer.to_string node
-  | Error ds -> "error: " ^ String.concat "\n" (List.map Clip_diag.render ds)
+let outcome = Xml_oracle.outcome
 
 (* Feed [bytes] as chunks cut at the given (sorted, in-range)
    positions. *)
@@ -43,10 +40,12 @@ let byte_by_byte ?limits bytes =
         Some c
       end)
 
-(* The three stream feeds and the tree parser must agree on [bytes] —
-   same document, or same diagnostics (codes, messages, spans). *)
+(* The tree parser and the three stream feeds must agree with the
+   oracle on [bytes] — same document, or same diagnostics (codes,
+   messages, spans). *)
 let assert_all_agree ?limits bytes =
-  let reference = outcome (Parser.parse_string_result ?limits bytes) in
+  let reference = outcome (Xml_oracle.parse_string_result ?limits bytes) in
+  checks "parser" reference (outcome (Parser.parse_string_result ?limits bytes));
   checks "of_string" reference
     (outcome (Stream.parse_result (Stream.of_string ?limits bytes)));
   checks "byte-by-byte" reference
@@ -91,6 +90,9 @@ let malformed =
     "<1bad/>";
     "<r><a/>";
     "<!-- only a comment -->";
+    "<r>&<x/></r>";
+    "<r>a &bogus; b<x/></r>";
+    "<r>&<![CDATA[x]]></r>";
   ]
 
 let equivalence_tests =
@@ -99,6 +101,23 @@ let equivalence_tests =
         List.iter assert_all_agree well_formed);
     Alcotest.test_case "malformed documents: identical diagnostics" `Quick
       (fun () -> List.iter assert_all_agree malformed);
+    Alcotest.test_case "text errors point where the text run ends" `Quick
+      (fun () ->
+        (* The text before a child element or a CDATA section is decoded
+           before that markup is read, so an entity error in it reports
+           the column of the markup's '<'. *)
+        List.iter
+          (fun (bytes, col) ->
+            assert_all_agree bytes;
+            match Parser.parse_string bytes with
+            | _ -> Alcotest.failf "%S parsed" bytes
+            | exception Parser.Parse_error { column; _ } ->
+              Alcotest.(check int) bytes col column)
+          [
+            ("<r>&<x/></r>", 5);
+            ("<r>a &bogus; b<x/></r>", 15);
+            ("<r>&<![CDATA[x]]></r>", 5);
+          ]);
     Alcotest.test_case "depth limit: identical CLIP-LIM-002" `Quick (fun () ->
         let limits = { Clip_diag.Limits.default with max_xml_depth = 3 } in
         assert_all_agree ~limits "<a><b><c><d>too deep</d></c></b></a>";
@@ -108,26 +127,26 @@ let equivalence_tests =
         let limits = { Clip_diag.Limits.default with max_input_bytes = 10 } in
         let bytes = "<r>0123456789</r>" in
         (* The whole-string feed checks the limit up front, exactly as
-           the tree parser does. *)
+           the reference parser does. *)
         checks "of_string"
-          (outcome (Parser.parse_string_result ~limits bytes))
+          (outcome (Xml_oracle.parse_string_result ~limits bytes))
           (outcome (Stream.parse_result (Stream.of_string ~limits bytes)));
         (* A chunked feed discovers the total size incrementally but
            still reports the same code, message and span once the
            running count passes the limit on this well-formed input. *)
         checks "byte-by-byte"
-          (outcome (Parser.parse_string_result ~limits bytes))
+          (outcome (Xml_oracle.parse_string_result ~limits bytes))
           (outcome (Stream.parse_result (byte_by_byte ~limits bytes))));
     Alcotest.test_case
       "size limit beats a later syntax error, chunking-independent" `Quick
       (fun () ->
-        (* Oversized AND malformed: the tree parser's up-front size
+        (* Oversized AND malformed: the reference parser's up-front size
            check reports CLIP-LIM-001 before it ever sees the broken
            markup. A chunked feed recognises the syntax error first —
            the unterminated root, the garbage prologue — while its
            running total is still under the limit; it must drain the
            rest of the feed and report the same CLIP-LIM-001 as the
-           tree parser, wherever the chunks were cut. *)
+           reference parser, wherever the chunks were cut. *)
         let limits = { Clip_diag.Limits.default with max_input_bytes = 10 } in
         List.iter
           (fun bytes -> assert_all_agree ~limits bytes)
@@ -182,46 +201,113 @@ let equivalence_tests =
          | Ok _ -> Alcotest.fail "error did not latch"));
   ]
 
-(* --- Chunk-boundary property ------------------------------------------- *)
+(* --- Agreement with the oracle, over random documents ------------------ *)
 
-(* Random documents (and random mutations of their bytes) fed whole,
-   byte by byte, and in random chunks must produce identical outcomes —
-   the same Node.t or the same diagnostics. *)
+(* A tree built from [Stream.next_result] events alone, or — with
+   [~subtrees] — from events down to the root's children and
+   [Stream.subtree_result] below them, as the shard cutter reads. *)
+let events_outcome ~subtrees src =
+  let rec children tag attrs acc =
+    match Stream.next_result src with
+    | Error ds -> Error ds
+    | Ok (Some (Stream.Text a)) -> children tag attrs (Node.text a :: acc)
+    | Ok (Some (Stream.Start { tag = t; attrs = a })) ->
+      let child =
+        if subtrees then Stream.subtree_result src ~tag:t ~attrs:a
+        else children t a []
+      in
+      (match child with Ok c -> children tag attrs (c :: acc) | e -> e)
+    | Ok (Some (Stream.End _)) -> Ok (Node.elem ~attrs tag (List.rev acc))
+    | Ok None -> Alcotest.fail "end of events inside an element"
+  in
+  match Stream.next_result src with
+  | Error ds -> Error ds
+  | Ok (Some (Stream.Start { tag; attrs })) ->
+    (match children tag attrs [] with
+     | Ok root ->
+       (match Stream.next_result src with
+        | Ok None -> Ok root
+        | Ok (Some _) -> Alcotest.fail "an event after the root"
+        | Error ds -> Error ds)
+     | e -> e)
+  | Ok _ -> Alcotest.fail "the first event is not a start tag"
 
-let gen_atom =
+(* Documents written as bytes, so that they reach what a printer never
+   writes: entities (malformed ones too), CDATA, comments, processing
+   instructions, DOCTYPE, \n and \r\n, whitespace-only and form-feed
+   runs, '>' and '<' inside attribute values, spaces inside tags. *)
+let gen_text =
   QCheck2.Gen.(
-    oneof
-      [
-        map (fun i -> Atom.Int i) small_int;
-        map (fun s -> Atom.String s) (string_size ~gen:(char_range 'a' 'z') (1 -- 8));
-        map (fun b -> Atom.Bool b) bool;
-      ])
-
-let gen_node =
-  QCheck2.Gen.(
-    sized_size (1 -- 4) @@ fix (fun self n ->
-        let leaf = map (fun a -> Node.leaf "leaf" a) gen_atom in
-        if n <= 0 then leaf
-        else
-          oneof
+    map (String.concat "")
+      (list_size (0 -- 4)
+         (oneofl
             [
-              leaf;
-              map2
-                (fun attrs children ->
-                  let attrs =
-                    List.mapi (fun i a -> (Printf.sprintf "a%d" i, a)) attrs
-                  in
-                  Node.elem ~attrs "node" children)
-                (list_size (0 -- 2) gen_atom)
-                (list_size (0 -- 3) (self (n / 2)));
-            ]))
+              "a"; "hi there"; "12"; "-3"; "2.5"; "true"; " "; "  "; "\t"; "\n";
+              "\r\n"; "\012"; "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;";
+              "&#65;"; "&#x41;"; "&"; "&bogus;"; "&#xZZ;"; "&#300;"; "&#;";
+              "&amp"; ">"; "]]>"; "'"; "\"";
+            ])))
+
+let gen_name = QCheck2.Gen.oneofl [ "a"; "b"; "r"; "x1"; "_n"; "a-b"; "n.m"; "p:q" ]
+let gen_space = QCheck2.Gen.oneofl [ ""; ""; " "; "\n"; "\r\n"; "\t " ]
+
+let gen_attr =
+  QCheck2.Gen.(
+    gen_space >>= fun lead ->
+    gen_name >>= fun name ->
+    gen_space >>= fun sp ->
+    oneofl [ '"'; '\'' ] >>= fun q ->
+    map
+      (fun v ->
+        let v = String.map (fun c -> if c = q then '>' else c) v in
+        Printf.sprintf " %s%s%s=%s%c%s%c" lead name sp sp q v q)
+      (oneof [ gen_text; oneofl [ ">"; "<"; "a>b"; "x < y" ] ]))
+
+let gen_cdata =
+  QCheck2.Gen.(
+    map
+      (fun parts -> "<![CDATA[" ^ String.concat "" parts ^ "]]>")
+      (list_size (0 -- 3) (oneofl [ "x"; "<y>"; "&amp;"; "]]"; "]"; " "; "\n"; "\r\n" ])))
+
+let gen_misc =
+  QCheck2.Gen.oneofl
+    [
+      "<!-- c -->"; "<!---->"; "<!-- a - b -->"; "<?pi x?>"; "<?>";
+      "<?xml version=\"1.0\"?>"; "<!DOCTYPE r [<!ELEMENT r ANY>]>"; "<!DOCTYPE r>";
+      " "; "\n"; "\r\n";
+    ]
+
+let gen_element =
+  QCheck2.Gen.(
+    sized_size (0 -- 4) @@ fix (fun self n ->
+        gen_name >>= fun tag ->
+        list_size (0 -- 2) gen_attr >>= fun attrs ->
+        gen_space >>= fun sp ->
+        gen_space >>= fun sp_close ->
+        let open_tag = "<" ^ tag ^ String.concat "" attrs ^ sp in
+        let with_content items =
+          open_tag ^ ">" ^ String.concat "" items ^ "</" ^ tag ^ sp_close ^ ">"
+        in
+        let item =
+          frequency
+            [
+              (3, gen_text);
+              ((if n = 0 then 0 else 3), self (n / 2));
+              (1, gen_misc);
+              (1, gen_cdata);
+            ]
+        in
+        frequency
+          [ (1, return (open_tag ^ "/>")); (4, map with_content (list_size (0 -- 4) item)) ]))
 
 (* A document's bytes, possibly mutated (one byte overwritten, a byte
    inserted, or a truncated tail), plus random cut positions. *)
 let gen_case =
   QCheck2.Gen.(
-    gen_node >>= fun node ->
-    let bytes = Printer.to_string node in
+    list_size (0 -- 2) gen_misc >>= fun prolog ->
+    gen_element >>= fun root ->
+    list_size (0 -- 2) gen_misc >>= fun epilog ->
+    let bytes = String.concat "" prolog ^ root ^ String.concat "" epilog in
     let n = String.length bytes in
     let mutated =
       oneof
@@ -243,22 +329,71 @@ let gen_case =
     list_size (0 -- 6) (int_bound (max 1 (String.length bytes))) >>= fun cuts ->
     return (bytes, cuts))
 
-let prop_chunk_boundaries =
-  QCheck2.Test.make ~count:500
-    ~name:"whole / byte-by-byte / random chunks agree (documents and mutations)"
+let prop_oracle =
+  QCheck2.Test.make ~count:5000
+    ~print:(fun (bytes, cuts) ->
+      Printf.sprintf "%S cut at [%s]" bytes
+        (String.concat "; " (List.map string_of_int cuts)))
+    ~name:"whole / byte-by-byte / random chunks agree with the oracle (parser and events too)"
     gen_case
     (fun (bytes, cuts) ->
-      let reference = outcome (Parser.parse_string_result bytes) in
-      outcome (Stream.parse_result (Stream.of_string bytes)) = reference
+      let reference = outcome (Xml_oracle.parse_string_result bytes) in
+      outcome (Parser.parse_string_result bytes) = reference
+      && outcome (Stream.parse_result (Stream.of_string bytes)) = reference
       && outcome (Stream.parse_result (byte_by_byte bytes)) = reference
-      && outcome (Stream.parse_result (chunked bytes cuts)) = reference)
+      && outcome (Stream.parse_result (chunked bytes cuts)) = reference
+      && outcome (events_outcome ~subtrees:false (chunked bytes cuts)) = reference
+      && outcome (events_outcome ~subtrees:true (byte_by_byte bytes)) = reference)
 
-let property_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_chunk_boundaries ]
+let property_tests = List.map QCheck_alcotest.to_alcotest [ prop_oracle ]
+
+(* --- The window stays amortised-linear --------------------------------- *)
+
+(* One text node of [mb] MiB fed in 4 KiB chunks: the run crosses every
+   refill, so a window that re-copied the pending run on each pull
+   would be quadratic. CPU seconds, best of [tries]. *)
+let time_text_node ~tries mb =
+  let n = mb * 1024 * 1024 in
+  let doc = "<r>" ^ String.make n 'x' ^ "</r>" in
+  let limits = { Clip_diag.Limits.default with max_input_bytes = max_int } in
+  let best = ref infinity in
+  for _ = 1 to tries do
+    let off = ref 0 in
+    let src =
+      Stream.of_chunks ~limits (fun () ->
+          if !off >= String.length doc then None
+          else begin
+            let k = min 4096 (String.length doc - !off) in
+            let chunk = String.sub doc !off k in
+            off := !off + k;
+            Some chunk
+          end)
+    in
+    let t0 = Sys.time () in
+    let r = Stream.parse_result src in
+    best := Float.min !best (Sys.time () -. t0);
+    match r with
+    | Ok (Node.Element { children = [ Node.Text (Atom.String s) ]; _ })
+      when String.length s = n -> ()
+    | _ -> Alcotest.fail "the text node did not parse"
+  done;
+  !best
+
+let scaling_tests =
+  [
+    Alcotest.test_case "a 16 MiB text node costs < 16x a 2 MiB one" `Slow
+      (fun () ->
+        let small = time_text_node ~tries:3 2 in
+        let large = time_text_node ~tries:2 16 in
+        if large > 16. *. Float.max small 1e-3 then
+          Alcotest.failf "2 MiB: %.3fs, 16 MiB: %.3fs (%.1fx; linear is 8x)" small
+            large (large /. small));
+  ]
 
 let () =
   Alcotest.run "stream"
     [
       ("equivalence", equivalence_tests);
       ("properties", property_tests);
+      ("scaling", scaling_tests);
     ]
