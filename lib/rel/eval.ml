@@ -167,7 +167,7 @@ let rec eval_scalar ctx store env (s : Term.scalar) : Xml.Atom.t list =
           | _ -> Builder.error "%s: an argument evaluates to multiple values" name)
         args
     in
-    [ Builder.apply_fn name arg_atoms ]
+    [ Builder.scalar_fn name arg_atoms ]
 
 let holds ctx store env (c : Tgd.comparison) =
   let ls = eval_scalar ctx store env c.Tgd.left in
@@ -210,9 +210,27 @@ let cond_of ctx store (c : Tgd.comparison) =
     Clip_plan.Eq { left = keyed c.Tgd.left; right = keyed c.Tgd.right; orig }
   | Tgd.Ne | Tgd.Lt | Tgd.Le | Tgd.Gt | Tgd.Ge -> Clip_plan.Other orig
 
+(* The environment operations of the shared compiled rule bodies;
+   scalars and aggregate arguments run through this backend's own
+   evaluation (column reads where they apply). *)
+let body_ops ctx store =
+  {
+    Builder.lookup_tgt =
+      (fun env x ->
+        match Env.find_opt x env with
+        | Some (Btgt b) -> Some b
+        | Some (Brow _) ->
+          Builder.error "variable %s is a source variable in a target position" x
+        | None -> None);
+    bind_tgt = (fun env x b -> Env.add x (Btgt b) env);
+    compile_scalar = (fun s env -> eval_scalar ctx store env s);
+    compile_items = (fun e env -> items_of ctx store env e);
+  }
+
 type planned = {
   rm : Tgd.t;
   rplan : (binding Env.t, int) Clip_plan.t;
+  rbody : binding Env.t Builder.rule;
   rchildren : planned list;
 }
 
@@ -255,6 +273,7 @@ let rec plan_mapping ctx store policy ~root ?runs bound (m : Tgd.t) =
   {
     rm = m;
     rplan;
+    rbody = Builder.compile (body_ops ctx store) m;
     rchildren = List.map (plan_mapping ctx store policy ~root ?runs bound') m.Tgd.children;
   }
 
@@ -296,32 +315,14 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
   if not (Clip_run.Control.is_none ctx.ctl) then check_control ctx;
   let store = force_store ctx prog.Program.shape in
   let target_root = prog.Program.target_root in
-  let bld = Builder.create ~min_card:true ~target_root in
-  let ops =
-    {
-      Builder.lookup_tgt =
-        (fun env x ->
-          match Env.find_opt x env with
-          | Some (Btgt b) -> Some b
-          | Some (Brow _) ->
-            Builder.error "variable %s is a source variable in a target position" x
-          | None -> None);
-      bind_tgt = (fun env x b -> Env.add x (Btgt b) env);
-      eval_scalar = (fun env s -> eval_scalar ctx store env s);
-      eval_items = (fun env e -> items_of ctx store env e);
-      (* Instance-level lineage is served by the tgd backend only
-         ([Eval.run_traced]); recording here would be dead weight. *)
-      record_provenance = (fun _env _node -> ());
-    }
-  in
-  let pre_instantiate env m = Builder.pre_instantiate bld ~ops ~target_root env m in
-  let emit_binding children env m =
-    Builder.emit_binding bld ~ops ~target_root children env m
-  in
+  (* Instance-level lineage is served by the tgd backend only
+     ([Eval.run_traced]), so this builder records none. *)
+  let bld = Builder.create ~min_card:true ~target_root () in
   (* The naive nested-loop interpreter over the column store — the
      oracle for the plan path, mirroring the tgd backend's shape. *)
-  let rec eval_mapping env (m : Tgd.t) =
-    pre_instantiate env m;
+  let rec eval_mapping env (t : binding Env.t Builder.tree) =
+    let m = t.Builder.tm in
+    Builder.pre_instantiate bld t.Builder.trule env;
     let rec cartesian env = function
       | [] -> [ env ]
       | (g : Tgd.source_gen) :: rest ->
@@ -336,7 +337,9 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
       (fun env ->
         tick ctx;
         if List.for_all (holds ctx store env) m.Tgd.cond then
-          emit_binding (fun env -> List.iter (eval_mapping env) m.Tgd.children) env m)
+          Builder.emit bld t.Builder.trule
+            (fun env -> List.iter (eval_mapping env) t.Builder.tchildren)
+            env)
       (cartesian env m.Tgd.foralls)
   in
   let planned_for policy =
@@ -371,17 +374,15 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
      builds its table once here, not once per parent binding. *)
   let run = Clip_plan.Run.create () in
   let rec eval_planned env (p : planned) =
-    pre_instantiate env p.rm;
+    Builder.pre_instantiate bld p.rbody env;
     Clip_plan.execute ?obs:ctx.obs ~run p.rplan
       ~tick:(fun () -> tick ctx)
       ~env
-      ~emit:(fun env ->
-        emit_binding
-          (fun env -> List.iter (eval_planned env) p.rchildren)
-          env p.rm)
+      ~emit:(Builder.emit bld p.rbody (fun env -> List.iter (eval_planned env) p.rchildren))
   in
   (match plan with
-   | `Naive -> eval_mapping Env.empty prog.Program.tgd
+   | `Naive ->
+     eval_mapping Env.empty (Builder.compile_tree (body_ops ctx store) prog.Program.tgd)
    | `Indexed -> eval_planned Env.empty (planned_for `Force)
    | `Auto -> eval_planned Env.empty (planned_for `Cost));
   Builder.root bld

@@ -7,18 +7,16 @@ let error fmt =
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
     fmt
 
-(* Mutable target tree under construction. [bseen] is the identity
-   seen-set backing [bprov], so recording provenance is O(1) per
-   binding instead of a [List.memq] scan over everything recorded so
-   far. *)
+(* Mutable target tree under construction. [bcompletions] memoises
+   the node's completion children by tag: completion tags come from the
+   target schema, so the list stays short and a scan beats hashing. *)
 type bnode = {
   id : int;
   btag : string;
   mutable battrs : (string * Xml.Atom.t) list; (* reversed *)
   mutable btext : Xml.Atom.t option;
   mutable bchildren : bnode list; (* reversed *)
-  mutable bprov : Xml.Node.element list; (* contributing source elements, reversed *)
-  mutable bseen : unit Xml.Index.Tbl.t option;
+  mutable bcompletions : bnode list;
 }
 
 (* Atomic so parallel batch runs ({!Clip_par}) can never hand two
@@ -32,8 +30,7 @@ let fresh_bnode btag =
     battrs = [];
     btext = None;
     bchildren = [];
-    bprov = [];
-    bseen = None;
+    bcompletions = [];
   }
 
 let rec bnode_to_node b =
@@ -47,34 +44,30 @@ let rec bnode_to_node b =
   in
   Xml.Node.elem ~attrs:(List.rev b.battrs) b.btag children
 
-type t = {
+type 'env t = {
   root : bnode;
-  completion : (int * string, bnode) Hashtbl.t;
   groups : (int * string * Clip_plan.Key.t, bnode) Hashtbl.t;
   min_card : bool;
+  record : ('env -> bnode -> unit) option;
 }
 
-let create ~min_card ~target_root =
-  {
-    root = fresh_bnode target_root;
-    completion = Hashtbl.create 64;
-    groups = Hashtbl.create 64;
-    min_card;
-  }
+let create ?record ~min_card ~target_root () =
+  { root = fresh_bnode target_root; groups = Hashtbl.create 64; min_card; record }
 
 let root bld = bld.root
-let min_card bld = bld.min_card
 
 let append_child parent child = parent.bchildren <- child :: parent.bchildren
 
-let completion_child bld parent tag =
-  match Hashtbl.find_opt bld.completion (parent.id, tag) with
-  | Some b -> b
-  | None ->
-    let b = fresh_bnode tag in
-    append_child parent b;
-    Hashtbl.add bld.completion (parent.id, tag) b;
-    b
+let completion_child parent tag =
+  let rec find = function
+    | [] ->
+      let b = fresh_bnode tag in
+      append_child parent b;
+      parent.bcompletions <- b :: parent.bcompletions;
+      b
+    | b :: rest -> if String.equal b.btag tag then b else find rest
+  in
+  find parent.bcompletions
 
 let driven_child parent tag =
   let b = fresh_bnode tag in
@@ -90,33 +83,6 @@ let grouped_child bld parent tag key =
     Hashtbl.add bld.groups (parent.id, tag, key) b;
     b
 
-(* Resolve the element part of a target expression: the head must be a
-   bound target variable or the target root; intermediate child steps
-   materialise as singleton (completion) elements. Returns the bnode of
-   the last-but-one element and the final step. *)
-let resolve_target bld ~target_root ~lookup (e : Term.expr) =
-  let head = Term.head e in
-  let base =
-    match head with
-    | Term.Root s when String.equal s target_root -> bld.root
-    | Term.Root s -> error "unknown target root %s" s
-    | Term.Var x ->
-      (match lookup x with
-       | Some b -> b
-       | None -> error "unbound target variable %s" x)
-    | Term.Proj _ -> assert false
-  in
-  (base, Term.steps e)
-
-let descend_completion bld base steps =
-  List.fold_left
-    (fun b step ->
-      match (step : Path.step) with
-      | Path.Child tag -> completion_child bld b tag
-      | Path.Attr _ | Path.Value ->
-        error "target path traverses a leaf step")
-    base steps
-
 let split_last = function
   | [] -> None
   | steps ->
@@ -127,34 +93,41 @@ let split_last = function
     in
     go [] steps
 
-let set_leaf b (step : Path.step) atom =
-  let conflict kind old =
+(* [leaf_setter step] — assign an attribute or text value at [step],
+   rejecting conflicting reassignment. *)
+let leaf_setter (step : Path.step) : bnode -> Xml.Atom.t -> unit =
+  let conflict b kind old atom =
     error "conflicting values for %s of <%s>: %s vs %s" kind b.btag
       (Xml.Atom.to_string old) (Xml.Atom.to_string atom)
   in
   match step with
   | Path.Attr name ->
-    (match List.assoc_opt name b.battrs with
-     | Some old ->
-       if not (Xml.Atom.equal old atom) then conflict ("@" ^ name) old
-     | None -> b.battrs <- (name, atom) :: b.battrs)
+    fun b atom ->
+      (match List.assoc_opt name b.battrs with
+       | Some old ->
+         if not (Xml.Atom.equal old atom) then conflict b ("@" ^ name) old atom
+       | None -> b.battrs <- (name, atom) :: b.battrs)
   | Path.Value ->
-    (match b.btext with
-     | Some old -> if not (Xml.Atom.equal old atom) then conflict "text" old
-     | None -> b.btext <- Some atom)
-  | Path.Child _ -> error "a leaf assignment must end on an attribute or value step"
+    fun b atom ->
+      (match b.btext with
+       | Some old -> if not (Xml.Atom.equal old atom) then conflict b "text" old atom
+       | None -> b.btext <- Some atom)
+  | Path.Child _ ->
+    fun _ _ -> error "a leaf assignment must end on an attribute or value step"
 
 (* --- Scalar kernel ----------------------------------------------------- *)
 
 let scalar_functions = [ "concat"; "add"; "sub"; "mul"; "div"; "upper"; "lower" ]
 
-let apply_fn name (args : Xml.Atom.t list) : Xml.Atom.t =
+(* [scalar_fn name] — the function symbol [name], dispatched once; an
+   unknown name raises only when the function is applied. *)
+let scalar_fn name : Xml.Atom.t list -> Xml.Atom.t =
   let numeric a =
     match Xml.Atom.to_float a with
     | Some f -> f
     | None -> error "%s: non-numeric argument %s" name (Xml.Atom.to_string a)
   in
-  let arith op =
+  let arith op args =
     match args with
     | [ a; b ] ->
       let x = numeric a and y = numeric b in
@@ -166,19 +139,18 @@ let apply_fn name (args : Xml.Atom.t list) : Xml.Atom.t =
   in
   match name with
   | "concat" ->
-    Xml.Atom.String (String.concat "" (List.map Xml.Atom.to_string args))
+    fun args -> Xml.Atom.String (String.concat "" (List.map Xml.Atom.to_string args))
   | "add" -> arith ( +. )
   | "sub" -> arith ( -. )
   | "mul" -> arith ( *. )
   | "div" ->
     arith (fun x y -> if y = 0. then error "div: division by zero" else x /. y)
   | "upper" | "lower" ->
-    (match args with
-     | [ a ] ->
-       let f = if String.equal name "upper" then String.uppercase_ascii else String.lowercase_ascii in
-       Xml.Atom.String (f (Xml.Atom.to_string a))
-     | _ -> error "%s: expected 1 argument, got %d" name (List.length args))
-  | name -> error "unknown scalar function %s" name
+    let f = if String.equal name "upper" then String.uppercase_ascii else String.lowercase_ascii in
+    (function
+      | [ a ] -> Xml.Atom.String (f (Xml.Atom.to_string a))
+      | args -> error "%s: expected 1 argument, got %d" name (List.length args))
+  | name -> fun _ -> error "unknown scalar function %s" name
 
 let atomize_items items =
   List.map
@@ -228,120 +200,155 @@ let aggregate kind (items : Value.item list) : Xml.Atom.t option =
   | Tgd.Min -> condense (fun x xs -> List.fold_left min x xs)
   | Tgd.Max -> condense (fun x xs -> List.fold_left max x xs)
 
-(* --- Env-generic emission ---------------------------------------------- *)
+(* --- Compiled rule bodies ------------------------------------------- *)
 
-(* The per-binding body both executors run: instantiate the node's
-   target generators, then apply its assertions. The environment type
-   is the evaluator's own; [ops] supplies exactly the evaluator-side
-   operations the body needs, so the tgd tree-walk and the relational
-   executor share one construction semantics (and one set of dynamic
-   error messages). *)
+(* The per-binding body every executor runs — instantiate a rule's
+   target generators, then apply its assertions — compiled once per
+   rule: target paths split and their heads resolved statically, scalar
+   and item evaluation taken from the evaluator's own compiler through
+   [ops]. Every error stays lazy and keeps its text: it is raised only
+   when a binding reaches it, in the order the operational reading
+   meets it. *)
 type 'env ops = {
   lookup_tgt : 'env -> string -> bnode option;
       (** target-variable lookup; expected to raise the evaluator's own
           diagnostic when the name is bound to a source value *)
   bind_tgt : 'env -> string -> bnode -> 'env;
-  eval_scalar : 'env -> Term.scalar -> Xml.Atom.t list;
-  eval_items : 'env -> Term.expr -> Value.item list; (* aggregate arguments *)
-  record_provenance : 'env -> bnode -> unit;
+  compile_scalar : Term.scalar -> 'env -> Xml.Atom.t list;
+  compile_items : Term.expr -> 'env -> Value.item list; (* aggregate arguments *)
 }
 
-let instantiate_target bld ~ops ~target_root env (g : Tgd.target_gen) =
-  let base, steps =
-    resolve_target bld ~target_root ~lookup:(ops.lookup_tgt env) g.texpr
-  in
-  match split_last steps with
-  | None -> error "target generator %s binds the target root itself" g.tvar
+(* The head of a target expression: the target root or a bound target
+   variable. *)
+let compile_head ops (e : Term.expr) : 'env t -> 'env -> bnode =
+  match Term.head e with
+  | Term.Root s ->
+    fun bld _ -> if String.equal s bld.root.btag then bld.root else error "unknown target root %s" s
+  | Term.Var x ->
+    fun _ env ->
+      (match ops.lookup_tgt env x with
+       | Some b -> b
+       | None -> error "unbound target variable %s" x)
+  | Term.Proj _ -> assert false (* [Term.head] never returns a projection *)
+
+(* Intermediate child steps materialise as completion singletons. *)
+let rec compile_descend : Path.step list -> bnode -> bnode = function
+  | [] -> Fun.id
+  | Path.Child tag :: rest ->
+    let k = compile_descend rest in
+    fun b -> k (completion_child b tag)
+  | (Path.Attr _ | Path.Value) :: _ -> fun _ -> error "target path traverses a leaf step"
+
+(* A leaf assignment at the end of target expression [e]; [on_root]
+   names the assignment when [e] has no step to assign. *)
+let compile_leaf ops (e : Term.expr) ~on_root : 'env t -> 'env -> Xml.Atom.t -> unit =
+  let head = compile_head ops e in
+  match split_last (Term.steps e) with
+  | None ->
+    fun bld env _ ->
+      ignore (head bld env);
+      error "%s targets the document root" on_root
   | Some (intermediate, last) ->
-    let parent = descend_completion bld base intermediate in
-    let tag =
-      match last with
-      | Path.Child tag -> tag
-      | Path.Attr _ | Path.Value ->
-        error "target generator %s ends on a leaf step" g.tvar
-    in
-    let node =
-      match g.mode with
-      | Tgd.Driven -> driven_child parent tag
-      | Tgd.Completion ->
-        if bld.min_card then completion_child bld parent tag
-        else driven_child parent tag
-      | Tgd.Grouped { keys } ->
-        let key =
+    let descend = compile_descend intermediate and set = leaf_setter last in
+    fun bld env atom -> set (descend (head bld env)) atom
+
+let compile_gen ops (g : Tgd.target_gen) : 'env t -> 'env -> 'env =
+  let head = compile_head ops g.texpr in
+  match split_last (Term.steps g.texpr) with
+  | None ->
+    fun bld env ->
+      ignore (head bld env);
+      error "target generator %s binds the target root itself" g.tvar
+  | Some (intermediate, last) ->
+    let descend = compile_descend intermediate in
+    let create : 'env t -> 'env -> bnode -> bnode =
+      match last, g.mode with
+      | (Path.Attr _ | Path.Value), _ ->
+        fun _ _ _ -> error "target generator %s ends on a leaf step" g.tvar
+      | Path.Child tag, Tgd.Driven -> fun _ _ parent -> driven_child parent tag
+      | Path.Child tag, Tgd.Completion ->
+        fun bld _ parent ->
+          if bld.min_card then completion_child parent tag else driven_child parent tag
+      | Path.Child tag, Tgd.Grouped { keys } ->
+        let keys =
           List.map
             (fun k ->
-              match ops.eval_scalar env k with
-              | [ a ] -> a
-              | [] -> error "grouping key evaluates to the empty sequence"
-              | _ -> error "grouping key evaluates to multiple values")
+              let k = ops.compile_scalar k in
+              fun env ->
+                match k env with
+                | [ a ] -> a
+                | [] -> error "grouping key evaluates to the empty sequence"
+                | _ -> error "grouping key evaluates to multiple values")
             keys
         in
-        (* Keys are normalised so tgd grouping and the generated
-           XQuery's value comparisons agree on mixed-type data. *)
-        grouped_child bld parent tag (Clip_plan.Key.of_atoms key)
+        fun bld env parent ->
+          (* Keys are normalised so tgd grouping and the generated
+             XQuery's value comparisons agree on mixed-type data. *)
+          let key = List.map (fun k -> k env) keys in
+          grouped_child bld parent tag (Clip_plan.Key.of_atoms key)
     in
-    ops.record_provenance env node;
-    ops.bind_tgt env g.tvar node
+    let tvar = g.tvar in
+    fun bld env ->
+      let node = create bld env (descend (head bld env)) in
+      (match bld.record with Some record -> record env node | None -> ());
+      ops.bind_tgt env tvar node
 
-let apply_assertion bld ~ops ~target_root env (a : Tgd.assertion) =
-  let resolve e = resolve_target bld ~target_root ~lookup:(ops.lookup_tgt env) e in
+let compile_assertion ops (a : Tgd.assertion) : 'env t -> 'env -> unit =
   match a with
   | Tgd.St_eq (e, s) ->
-    (match ops.eval_scalar env s with
-     | [] -> () (* optional source data absent: nothing to copy *)
-     | [ atom ] ->
-       let base, steps = resolve e in
-       (match split_last steps with
-        | None -> error "a leaf assignment targets the document root"
-        | Some (intermediate, last) ->
-          let parent = descend_completion bld base intermediate in
-          set_leaf parent last atom)
-     | _ :: _ :: _ ->
-       error
-         "value mapping %s = %s binds multiple values; aggregate or group first"
-         (Term.expr_to_string e) (Term.scalar_to_string s))
-  | Tgd.Target_cond (e, op, atom) ->
-    (match op with
-     | Tgd.Eq ->
-       let base, steps = resolve e in
-       (match split_last steps with
-        | None -> error "a target condition targets the document root"
-        | Some (intermediate, last) ->
-          let parent = descend_completion bld base intermediate in
-          set_leaf parent last atom)
-     | _ ->
-       error "only equality target conditions are enforceable at build time")
+    let scalar = ops.compile_scalar s in
+    let leaf = compile_leaf ops e ~on_root:"a leaf assignment" in
+    fun bld env ->
+      (match scalar env with
+       | [] -> () (* optional source data absent: nothing to copy *)
+       | [ atom ] -> leaf bld env atom
+       | _ :: _ :: _ ->
+         error "value mapping %s = %s binds multiple values; aggregate or group first"
+           (Term.expr_to_string e) (Term.scalar_to_string s))
+  | Tgd.Target_cond (e, Tgd.Eq, atom) ->
+    let leaf = compile_leaf ops e ~on_root:"a target condition" in
+    fun bld env -> leaf bld env atom
+  | Tgd.Target_cond (_, (Tgd.Ne | Tgd.Lt | Tgd.Le | Tgd.Gt | Tgd.Ge | Tgd.In), _) ->
+    fun _ _ -> error "only equality target conditions are enforceable at build time"
   | Tgd.Agg (e, kind, arg) ->
-    let items = ops.eval_items env arg in
-    (match aggregate kind items with
-     | None -> ()
-     | Some atom ->
-       let base, steps = resolve e in
-       (match split_last steps with
-        | None -> error "an aggregate targets the document root"
-        | Some (intermediate, last) ->
-          let parent = descend_completion bld base intermediate in
-          set_leaf parent last atom))
+    let items = ops.compile_items arg in
+    let leaf = compile_leaf ops e ~on_root:"an aggregate" in
+    fun bld env ->
+      (match aggregate kind (items env) with
+       | None -> ()
+       | Some atom -> leaf bld env atom)
+
+type 'env rule = {
+  pre : ('env t -> 'env -> 'env) list; (* the leading completion generators *)
+  gens : ('env t -> 'env -> 'env) list;
+  asserts : ('env t -> 'env -> unit) list;
+}
+
+let compile ops (m : Tgd.t) =
+  let gens = List.map (compile_gen ops) m.exists in
+  let rec leading gens (exists : Tgd.target_gen list) =
+    match gens, exists with
+    | g :: gens, { Tgd.mode = Tgd.Completion; _ } :: exists -> g :: leading gens exists
+    | _ -> []
+  in
+  { pre = leading gens m.exists; gens; asserts = List.map (compile_assertion ops) m.assertions }
 
 (* Leading completion generators are the paper's constant tags: they
    exist once per parent context even when no binding survives, so
    instantiate them before enumerating bindings. (They only depend
    on outer variables; memoisation makes the per-binding
-   re-instantiation below a no-op.) *)
-let pre_instantiate bld ~ops ~target_root env (m : Tgd.t) =
-  if bld.min_card then begin
-    let rec pre env = function
-      | ({ Tgd.mode = Tgd.Completion; _ } as g) :: rest ->
-        pre (instantiate_target bld ~ops ~target_root env g) rest
-      | _ -> env
-    in
-    ignore (pre env m.exists)
-  end
+   re-instantiation in [emit] a no-op.) *)
+let pre_instantiate bld rule env =
+  match rule.pre with
+  | [] -> ()
+  | pre -> if bld.min_card then ignore (List.fold_left (fun env g -> g bld env) env pre)
 
-let emit_binding bld ~ops ~target_root children env (m : Tgd.t) =
-  let env =
-    List.fold_left (fun env g -> instantiate_target bld ~ops ~target_root env g)
-      env m.exists
-  in
-  List.iter (apply_assertion bld ~ops ~target_root env) m.assertions;
+let emit bld rule children env =
+  let env = List.fold_left (fun env g -> g bld env) env rule.gens in
+  List.iter (fun a -> a bld env) rule.asserts;
   children env
+
+type 'env tree = { tm : Tgd.t; trule : 'env rule; tchildren : 'env tree list }
+
+let rec compile_tree ops (m : Tgd.t) =
+  { tm = m; trule = compile ops m; tchildren = List.map (compile_tree ops) m.children }

@@ -139,12 +139,14 @@ type binding = Src of Value.item | Tgt of Builder.bnode
 module Env = Map.Make (String)
 
 (* A mapping tree with each universal part compiled to a physical plan
-   (condition pushdown + hash joins, see {!Clip_plan}). Planning only
-   needs the statically known set of outer variables, so the tree is
-   compiled once per [execute]. *)
+   (condition pushdown + hash joins, see {!Clip_plan}) and each node's
+   per-binding work compiled to a {!Builder.rule}. Planning only needs
+   the statically known set of outer variables, so the tree is compiled
+   once per [execute], or once per session. *)
 type planned = {
   pm : Tgd.t;
   pplan : (binding Env.t, Value.item) Clip_plan.t;
+  pbody : binding Env.t Builder.rule;
   pchildren : planned list;
 }
 
@@ -179,6 +181,17 @@ let doc_scan_child_step ctx (doc : Xml.Doc.t) id sym =
   done;
   Clip_obs.scanned ctx.obs !n;
   List.rev_map (fun nd -> Value.Node nd) !matches
+
+(* A child step over the boxed tree: an index probe when the run uses
+   the tag index, else the naive scan. *)
+let tree_child_step ctx (e : Xml.Node.element) sym =
+  match ctx.index with
+  | None -> scan_child_step ctx e sym
+  | Some idx ->
+    let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
+    if Clip_obs.enabled ctx.obs then
+      Clip_obs.scanned ctx.obs (List.length matches);
+    List.map (fun n -> Value.Node n) matches
 
 let step_items ctx (item : Value.item) (step : Path.step) : Value.item list =
   match item, step with
@@ -217,14 +230,7 @@ let step_items ctx (item : Value.item) (step : Path.step) : Value.item list =
        let id = Xml.Doc.find_id doc e in
        if id >= 0 then doc_scan_child_step ctx doc id sym
        else scan_child_step ctx e sym
-     | Cnone ->
-       (match ctx.index with
-        | None -> scan_child_step ctx e sym
-        | Some idx ->
-          let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
-          if Clip_obs.enabled ctx.obs then
-            Clip_obs.scanned ctx.obs (List.length matches);
-          List.map (fun n -> Value.Node n) matches))
+     | Cnone -> tree_child_step ctx e sym)
   | Value.Node (Xml.Node.Element e), Path.Attr name ->
     (match Xml.Node.attr e name with Some a -> [ Value.Atomic a ] | None -> [])
   | Value.Node (Xml.Node.Element e), Path.Value ->
@@ -380,12 +386,127 @@ let rec eval_scalar ctx env (s : Term.scalar) : Xml.Atom.t list =
           | _ -> error "%s: an argument evaluates to multiple values" name)
         args
     in
-    [ Builder.apply_fn name arg_atoms ]
+    [ Builder.scalar_fn name arg_atoms ]
 
 let holds ctx env (c : Tgd.comparison) =
   let ls = eval_scalar ctx env c.left in
   let rs = eval_scalar ctx env c.right in
   List.exists (fun a -> List.exists (Builder.compare_atoms c.op a) rs) ls
+
+(* --- Compiled evaluation ----------------------------------------------- *)
+
+(* [compile_src]/[compile_scalar] turn an expression into a closure
+   once per plan: tags are interned and every step dispatched at
+   compile time. The closures tick, count and fail exactly where
+   [eval_src]/[eval_scalar] do, in the same order, so budgets, deadline
+   polls and counters cannot tell the two apart. A cached plan outlives
+   one run's representation, so each closure reads [ctx.cview] per call
+   and hands columnar views to [eval_src]. *)
+let rec compile_tree_src ctx (e : Term.expr) : binding Env.t -> Value.item list =
+  match e with
+  | Term.Root s ->
+    let items = [ Value.Node ctx.source ] in
+    fun _ ->
+      tick ctx;
+      (match ctx.source with
+       | Xml.Node.Element root when String.equal root.tag s -> items
+       | Xml.Node.Element root ->
+         error "source root is <%s>, the mapping expects <%s>" root.tag s
+       | Xml.Node.Text _ -> error "source document root is a text node")
+  | Term.Var x ->
+    fun env ->
+      tick ctx;
+      (match Env.find_opt x env with
+       | Some (Src item) -> [ item ]
+       | Some (Tgt _) -> error "variable %s is a target variable in a source position" x
+       | None -> error "unbound source variable %s" x)
+  | Term.Proj (inner, step) ->
+    let inner = compile_tree_src ctx inner in
+    let step : Value.item -> Value.item list =
+      match step with
+      | Path.Child tag ->
+        let sym = Xml.Symbol.intern tag in
+        (function
+          | Value.Node (Xml.Node.Element e) ->
+            Clip_obs.child_step ctx.obs;
+            tree_child_step ctx e sym
+          | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> [])
+      | Path.Attr name ->
+        (function
+          | Value.Node (Xml.Node.Element e) ->
+            (match Xml.Node.attr e name with Some a -> [ Value.Atomic a ] | None -> [])
+          | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> [])
+      | Path.Value ->
+        (function
+          | Value.Node (Xml.Node.Element e) ->
+            (match Xml.Node.text_value e with Some a -> [ Value.Atomic a ] | None -> [])
+          | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> [])
+    in
+    fun env ->
+      tick ctx;
+      (match inner env with
+       | [ item ] -> step item
+       | items -> List.concat_map step items)
+
+let compile_src ctx (e : Term.expr) =
+  let tree = compile_tree_src ctx e in
+  fun env ->
+    match ctx.cview with
+    | Cnone -> tree env
+    | Cnaive _ | Cindexed _ -> eval_src ctx env e
+
+let rec compile_scalar ctx (s : Term.scalar) : binding Env.t -> Xml.Atom.t list =
+  match s with
+  | Term.E e ->
+    let src = compile_src ctx e in
+    fun env ->
+      tick ctx;
+      Builder.atomize_items (src env)
+  | Term.Const a ->
+    let atoms = [ a ] in
+    fun _ ->
+      tick ctx;
+      atoms
+  | Term.Fn (name, args) ->
+    let fn = Builder.scalar_fn name in
+    let args =
+      List.map
+        (fun arg ->
+          let arg = compile_scalar ctx arg in
+          fun env ->
+            match arg env with
+            | [ a ] -> a
+            | [] -> error "%s: an argument evaluates to the empty sequence" name
+            | _ -> error "%s: an argument evaluates to multiple values" name)
+        args
+    in
+    fun env ->
+      tick ctx;
+      [ fn (List.map (fun arg -> arg env) args) ]
+
+let compile_holds ctx (c : Tgd.comparison) =
+  let left = compile_scalar ctx c.left and right = compile_scalar ctx c.right in
+  let cmp = Builder.compare_atoms c.op in
+  fun env ->
+    let ls = left env in
+    let rs = right env in
+    List.exists (fun a -> List.exists (cmp a) rs) ls
+
+(* The environment operations shared by every compiled rule body;
+   [compile_scalar]/[compile_items] choose compiled or interpreted
+   evaluation. *)
+let body_ops ~compile_scalar ~compile_items =
+  {
+    Builder.lookup_tgt =
+      (fun env x ->
+        match Env.find_opt x env with
+        | Some (Tgt b) -> Some b
+        | Some (Src _) -> error "variable %s is a source variable in a target position" x
+        | None -> None);
+    bind_tgt = (fun env x b -> Env.add x (Tgt b) env);
+    compile_scalar;
+    compile_items;
+  }
 
 (* --- The engine ------------------------------------------------------- *)
 
@@ -399,29 +520,6 @@ let cartesian_bindings ctx env (gens : Tgd.source_gen list) =
       List.concat_map (fun item -> go (Env.add g.svar (Src item) env) rest) items
   in
   go env gens
-
-(* Record which source elements were bound when a target element was
-   created (or re-reached, for completion/group elements). The identity
-   table mirrors [bprov], keeping each recording O(1). *)
-let record_provenance (node : Builder.bnode) env =
-  let seen =
-    match node.Builder.bseen with
-    | Some t -> t
-    | None ->
-      let t = Xml.Index.Tbl.create 8 in
-      node.Builder.bseen <- Some t;
-      t
-  in
-  Env.iter
-    (fun _ binding ->
-      match binding with
-      | Src (Value.Node (Xml.Node.Element e)) ->
-        if not (Xml.Index.Tbl.mem seen e) then begin
-          Xml.Index.Tbl.add seen e ();
-          node.Builder.bprov <- e :: node.Builder.bprov
-        end
-      | Src (Value.Node (Xml.Node.Text _) | Value.Atomic _) | Tgt _ -> ())
-    env
 
 (* --- Planning ---------------------------------------------------------- *)
 
@@ -464,13 +562,14 @@ let est_expr ctx var_tags (e : Term.expr) : int option * Xml.Symbol.t option =
 
 let cond_of ctx (c : Tgd.comparison) =
   let pvars = Term.scalar_vars c.left @ Term.scalar_vars c.right in
-  let orig = { Clip_plan.pvars; test = (fun env -> holds ctx env c) } in
+  let orig = { Clip_plan.pvars; test = compile_holds ctx c } in
   match c.op with
   | Tgd.Eq | Tgd.In ->
     let keyed s =
+      let scalar = compile_scalar ctx s in
       {
         Clip_plan.kvars = Term.scalar_vars s;
-        keys = (fun env -> List.map Clip_plan.Key.of_atom (eval_scalar ctx env s));
+        keys = (fun env -> List.map Clip_plan.Key.of_atom (scalar env));
       }
     in
     Clip_plan.Eq { left = keyed c.left; right = keyed c.right; orig }
@@ -479,10 +578,11 @@ let cond_of ctx (c : Tgd.comparison) =
 (* Compile a mapping tree to physical plans. Planning needs only the
    statically known outer variables (and, under [`Cost], the instance
    statistics), so a compiled tree is a per-(policy, mapping) artifact:
-   its closures capture the context but none of a run's builder state,
-   which is what lets a {!Session} cache it across runs. [runs]
-   estimates how often the plan runs per evaluation (its ancestors'
-   chain estimates), for pricing a per-run join with the parent. *)
+   its closures — plans and rule bodies — capture the context but none
+   of a run's builder state, which is what lets a {!Session} cache it
+   across runs. [runs] estimates how often the plan runs per evaluation
+   (its ancestors' chain estimates), for pricing a per-run join with the
+   parent. *)
 let rec plan_mapping ctx policy ?runs bound var_tags (m : Tgd.t) =
   let gens_rev, var_tags' =
     List.fold_left
@@ -497,7 +597,7 @@ let rec plan_mapping ctx policy ?runs bound var_tags (m : Tgd.t) =
             Clip_plan.var = g.svar;
             deps = Term.expr_vars g.sexpr;
             est;
-            eval = (fun env -> eval_src ctx env g.sexpr);
+            eval = compile_src ctx g.sexpr;
             bind = (fun env item -> Env.add g.svar (Src item) env);
           }
         in
@@ -517,6 +617,10 @@ let rec plan_mapping ctx policy ?runs bound var_tags (m : Tgd.t) =
   {
     pm = m;
     pplan;
+    pbody =
+      Builder.compile
+        (body_ops ~compile_scalar:(compile_scalar ctx) ~compile_items:(compile_src ctx))
+        m;
     pchildren = List.map (plan_mapping ctx policy ?runs bound' var_tags') m.children;
   }
 
@@ -595,7 +699,7 @@ let columnar_threshold = 256
 
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     ?(plan = `Auto) ?(repr = (`Tree : Xml.Doc.repr)) ?(ctl = Clip_run.Control.none)
-    ?session ?steps_out ?obs ~source ~target_root (m : Tgd.t) =
+    ?session ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
   let ctx =
     match session with
     | Some s when s.sctx.source == source -> s.sctx
@@ -614,41 +718,27 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      cancel flag deterministic regardless of the 64-step amortisation. *)
   if not (Clip_run.Control.is_none ctx.ctl) then check_control ctx;
   Clip_fault.hit ~obs Clip_fault.Site.tgd_execute;
-  let bld = Builder.create ~min_card:minimum_cardinality ~target_root in
-  (* The evaluator-side operations the shared construction core needs:
-     variable lookup/binding over this evaluator's [Env], source
-     evaluation through [ctx] (so ticks and counters keep firing at
-     the same sites), and instance-level provenance. *)
-  let ops =
-    {
-      Builder.lookup_tgt =
-        (fun env x ->
-          match Env.find_opt x env with
-          | Some (Tgt b) -> Some b
-          | Some (Src _) ->
-            error "variable %s is a source variable in a target position" x
-          | None -> None);
-      bind_tgt = (fun env x b -> Env.add x (Tgt b) env);
-      eval_scalar = (fun env s -> eval_scalar ctx env s);
-      eval_items = (fun env e -> eval_src ctx env e);
-      record_provenance = (fun env node -> record_provenance node env);
-    }
-  in
-  let pre_instantiate env m = Builder.pre_instantiate bld ~ops ~target_root env m in
-  let emit_binding children env m =
-    Builder.emit_binding bld ~ops ~target_root children env m
-  in
-  (* The naive interpreter, kept verbatim as the differential-testing
-     oracle for the plan-based path below. *)
-  let rec eval_mapping env (m : Tgd.t) =
-    pre_instantiate env m;
-    let bindings = cartesian_bindings ctx env m.foralls in
+  let bld = Builder.create ?record ~min_card:minimum_cardinality ~target_root () in
+  (* The naive interpreter, kept as the differential-testing oracle for
+     the plan-based path below: source generators, conditions and the
+     rule bodies' scalars all run through the interpreted
+     [eval_src]/[eval_scalar]. *)
+  let rec eval_mapping env (t : binding Env.t Builder.tree) =
+    Builder.pre_instantiate bld t.trule env;
+    let bindings = cartesian_bindings ctx env t.tm.foralls in
     List.iter
       (fun env ->
         tick ctx;
-        if List.for_all (holds ctx env) m.cond then
-          emit_binding (fun env -> List.iter (eval_mapping env) m.children) env m)
+        if List.for_all (holds ctx env) t.tm.cond then
+          Builder.emit bld t.trule (fun env -> List.iter (eval_mapping env) t.tchildren) env)
       bindings
+  in
+  let naive () =
+    eval_mapping Env.empty
+      (Builder.compile_tree
+         (body_ops ~compile_scalar:(fun s env -> eval_scalar ctx env s)
+            ~compile_items:(fun e env -> eval_src ctx env e))
+         m)
   in
   (* The plan-based path: compile each mapping's universal part once
      (conditions pushed down, equality conditions turned into hash
@@ -696,7 +786,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      builds its table once here, not once per parent binding. *)
   let run = Clip_plan.Run.create () in
   let rec eval_planned ~outer env (p : planned) =
-    pre_instantiate env p.pm;
+    Builder.pre_instantiate bld p.pbody env;
     (* Batch only where batching pays: the outermost plan of a mapping
        node, whose frontier actually widens over the document, and only
        when its builds are frontier-uniform (see {!Clip_plan.batchable}).
@@ -711,16 +801,15 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     exec ?obs:ctx.obs ~run p.pplan
       ~tick:(fun () -> tick ctx)
       ~env
-      ~emit:(fun env ->
-        emit_binding
-          (fun env -> List.iter (eval_planned ~outer:false env) p.pchildren)
-          env p.pm)
+      ~emit:
+        (Builder.emit bld p.pbody (fun env ->
+             List.iter (eval_planned ~outer:false env) p.pchildren))
   in
   (match plan with
    | `Naive ->
      ctx.index <- None;
      ctx.cview <- (if columnar then Cnaive (docidx ()) else Cnone);
-     eval_mapping Env.empty m
+     naive ()
    | `Indexed ->
      if columnar then begin
        ctx.index <- None;
@@ -735,7 +824,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      if Xml.Stats.node_count (force_stats ctx) < naive_threshold then begin
        ctx.index <- None;
        ctx.cview <- (if columnar then Cnaive (docidx ()) else Cnone);
-       eval_mapping Env.empty m
+       naive ()
      end
      else begin
        let p = planned_for `Cost in
@@ -878,20 +967,45 @@ type trace_entry = {
   sources : Xml.Node.t list;
 }
 
+(* Lineage is recorded only here: a side table keyed by build-node id
+   collects, each time a target generator creates or re-reaches an
+   element, the source elements bound at that moment (deduplicated by
+   identity). Untraced runs pass no recorder and pay nothing. *)
 let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
     ?steps_out ?obs ~source ~target_root m =
+  let lineage = Hashtbl.create 64 in
+  let record env (node : Builder.bnode) =
+    let seen, sources =
+      match Hashtbl.find_opt lineage node.Builder.id with
+      | Some entry -> entry
+      | None ->
+        let entry = (Xml.Index.Tbl.create 8, ref []) in
+        Hashtbl.add lineage node.Builder.id entry;
+        entry
+    in
+    Env.iter
+      (fun _ binding ->
+        match binding with
+        | Src (Value.Node (Xml.Node.Element e)) ->
+          if not (Xml.Index.Tbl.mem seen e) then begin
+            Xml.Index.Tbl.add seen e ();
+            sources := e :: !sources
+          end
+        | Src (Value.Node (Xml.Node.Text _) | Value.Atomic _) | Tgt _ -> ())
+      env
+  in
   let root =
     execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out ?obs
-      ~source ~target_root m
+      ~record ~source ~target_root m
   in
   let trace = ref [] in
   let rec walk path (b : Builder.bnode) =
-    trace :=
-      {
-        target_path = List.rev path;
-        sources = List.rev_map (fun e -> Xml.Node.Element e) b.Builder.bprov;
-      }
-      :: !trace;
+    let sources =
+      match Hashtbl.find_opt lineage b.Builder.id with
+      | Some (_, sources) -> List.rev_map (fun e -> Xml.Node.Element e) !sources
+      | None -> []
+    in
+    trace := { target_path = List.rev path; sources } :: !trace;
     List.iteri (fun i c -> walk (i :: path) c) (List.rev b.Builder.bchildren)
   in
   walk [] root;

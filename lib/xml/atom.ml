@@ -9,26 +9,75 @@ let int i = Int i
 let float f = Float f
 let bool b = Bool b
 
+(* Floats print in the shortest of 15, 16 or 17 significant digits that
+   reads back as the same float, so a value never changes on its way
+   through; integral floats print as integers (no OCaml "3." spelling). *)
+let float_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if Float.equal (float_of_string s) f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+
 let to_string = function
   | String s -> s
   | Int i -> string_of_int i
-  | Float f ->
-    (* Avoid the "3." OCaml spelling: print integral floats as integers. *)
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
+  | Float f -> float_to_string f
   | Bool b -> string_of_bool b
 
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\011' || c = '\012'
+let is_digit c = c >= '0' && c <= '9'
+
+(* The decimal digits s.[i..j-1] as an int, [None] on overflow.
+   Accumulating negatively keeps [min_int] reachable. *)
+let int_of_digits s i j ~neg =
+  let rec go k acc =
+    if k = j then
+      if neg then Some acc else if acc = min_int then None else Some (-acc)
+    else
+      let d = Char.code s.[k] - 48 in
+      if acc < (min_int + d) / 10 then None else go (k + 1) ((acc * 10) - d)
+  in
+  go i 0
+
+(* One scan for the XML decimal and double lexical forms — an optional
+   sign, digits with an optional fraction, an optional exponent — after
+   optional leading whitespace. A plain integer is an [Int] (a [Float]
+   when it overflows); a fraction, an exponent or leading whitespace
+   makes a [Float]; [true]/[false] are [Bool]s. Everything else,
+   including radix prefixes, digit separators and the INF/NaN spellings,
+   stays a [String], so the value prints back unchanged. *)
 let of_string s =
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Float f
-     | None ->
-       (match bool_of_string_opt s with
-        | Some b -> Bool b
-        | None -> String s))
+  let n = String.length s in
+  let rec skip_space i = if i < n && is_space s.[i] then skip_space (i + 1) else i in
+  let rec skip_digits i = if i < n && is_digit s.[i] then skip_digits (i + 1) else i in
+  let lead = skip_space 0 in
+  let digits = if lead < n && (s.[lead] = '+' || s.[lead] = '-') then lead + 1 else lead in
+  let int_end = skip_digits digits in
+  let point = int_end < n && s.[int_end] = '.' in
+  let frac_end = if point then skip_digits (int_end + 1) else int_end in
+  let numeric = int_end > digits || frac_end > int_end + 1 in
+  let stop =
+    if numeric && frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
+      let e = frac_end + 1 in
+      let e = if e < n && (s.[e] = '+' || s.[e] = '-') then e + 1 else e in
+      let d = skip_digits e in
+      if d > e then d else -1
+    else frac_end
+  in
+  let as_float () =
+    let f = float_of_string s in
+    if Float.is_finite f then Float f else String s
+  in
+  if not (numeric && stop = n) then
+    match s with "true" -> Bool true | "false" -> Bool false | _ -> String s
+  else if lead = 0 && stop = int_end then
+    match int_of_digits s digits int_end ~neg:(s.[lead] = '-') with
+    | Some i -> Int i
+    | None -> as_float ()
+  else as_float ()
 
 let to_float = function
   | Int i -> Some (float_of_int i)

@@ -15,12 +15,20 @@ val float : float -> t
 val bool : bool -> t
 
 (** [to_string a] renders the value the way the paper prints instance
-    leaves (integers without decoration, floats trimmed). *)
+    leaves: integers without decoration, integral floats below 1e15 as
+    integers, other floats in the shortest of 15, 16 or 17 significant
+    digits that reads back as the same float. *)
 val to_string : t -> string
 
-(** [of_string s] guesses the tightest atomic type for a lexical value:
-    int, then float, then bool, then string. Used by the XML parser,
-    which has no schema at hand. *)
+(** [of_string s] guesses the tightest atomic type for a lexical value,
+    in one scan. An XML decimal or double form (optional sign, digits
+    with an optional fraction, optional exponent) is an [Int] when it
+    is a plain integer that fits, else a [Float]; leading whitespace
+    makes any such form a [Float] and trailing whitespace makes it a
+    [String]. [true] and [false] are [Bool]s. Everything else —
+    including OCaml's radix prefixes, [_] separators, hex floats, the
+    INF/NaN spellings and values overflowing to infinity — stays a
+    [String]. Used by the XML parser, which has no schema at hand. *)
 val of_string : string -> t
 
 (** Structural equality with numeric promotion: [Int 3 = Float 3.0]. *)

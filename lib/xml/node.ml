@@ -44,13 +44,14 @@ let children_named e name =
 let attr e name = List.assoc_opt name e.attrs
 
 let text_value e =
-  let texts =
-    List.filter_map (function Text a -> Some a | Element _ -> None) e.children
-  in
-  match texts with
-  | [] -> None
-  | [ a ] -> Some a
-  | many -> Some (Atom.String (String.concat "" (List.map Atom.to_string many)))
+  match e.children with
+  | [] | [ Element _ ] -> None
+  | [ Text a ] -> Some a
+  | children ->
+    (match List.filter_map (function Text a -> Some a | Element _ -> None) children with
+     | [] -> None
+     | [ a ] -> Some a
+     | many -> Some (Atom.String (String.concat "" (List.map Atom.to_string many))))
 
 let rec compare a b =
   match a, b with

@@ -12,35 +12,49 @@ type t = {
   elements : int;
   depth : int;
   max_fanout : int; (* most element children under one element *)
-  counts : (Symbol.t, int) Hashtbl.t; (* elements per tag *)
+  counts : int array; (* elements per tag, indexed by symbol *)
 }
 
+(* Per-tag counters in a symbol-indexed array: every tag of a document
+   was interned before its node was built, so [Symbol.interned] at the
+   start of a walk bounds them; [bump] still grows the array should a
+   concurrent domain intern more. *)
+let make_counts () = ref (Array.make (Symbol.interned ()) 0)
+
+let bump counts (sym : Symbol.t) =
+  let i = (sym :> int) in
+  let a = !counts in
+  if i >= Array.length a then begin
+    let a' = Array.make (max (i + 1) (2 * Array.length a)) 0 in
+    Array.blit a 0 a' 0 (Array.length a);
+    counts := a'
+  end;
+  let a = !counts in
+  a.(i) <- a.(i) + 1
+
 let collect doc =
-  let counts = Hashtbl.create 64 in
+  let counts = make_counts () in
   let nodes = ref 0 and elements = ref 0 and max_fanout = ref 0 in
-  let bump sym =
-    Hashtbl.replace counts sym (1 + Option.value ~default:0 (Hashtbl.find_opt counts sym))
-  in
+  (* Returns the deepest level in the subtree of [n] at level [depth]. *)
   let rec walk depth n =
     match n with
     | Node.Text _ ->
       incr nodes;
       depth
     | Node.Element e ->
-      incr nodes;
       incr elements;
-      nodes := !nodes + List.length e.Node.attrs;
-      bump e.Node.sym;
-      let fanout = ref 0 in
-      let deepest =
-        List.fold_left
-          (fun acc c ->
-            (match c with Node.Element _ -> incr fanout | Node.Text _ -> ());
-            max acc (walk (depth + 1) c))
-          depth e.Node.children
-      in
-      if !fanout > !max_fanout then max_fanout := !fanout;
+      nodes := !nodes + 1 + List.length e.Node.attrs;
+      bump counts e.Node.sym;
+      children (depth + 1) e.Node.children 0 depth
+  and children depth cs fanout deepest =
+    match cs with
+    | [] ->
+      if fanout > !max_fanout then max_fanout := fanout;
       deepest
+    | c :: rest ->
+      let fanout = match c with Node.Element _ -> fanout + 1 | Node.Text _ -> fanout in
+      let d = walk depth c in
+      children depth rest fanout (if d > deepest then d else deepest)
   in
   let depth = walk 1 doc in
   {
@@ -48,7 +62,7 @@ let collect doc =
     elements = !elements;
     depth;
     max_fanout = !max_fanout;
-    counts;
+    counts = !counts;
   }
 
 (* The columnar variant: one forward sweep over the {!Doc} arrays.
@@ -58,10 +72,7 @@ let collect doc =
    the boxed tree the doc was converted from. *)
 let collect_doc (doc : Doc.t) =
   let n = Doc.length doc in
-  let counts = Hashtbl.create 64 in
-  let bump sym =
-    Hashtbl.replace counts sym (1 + Option.value ~default:0 (Hashtbl.find_opt counts sym))
-  in
+  let counts = make_counts () in
   let nodes = ref 0 and elements = ref 0 and max_fanout = ref 0 and depth = ref 0 in
   let depths = Array.make (max n 1) 1 in
   let fanout = Array.make (max n 1) 0 in
@@ -73,7 +84,7 @@ let collect_doc (doc : Doc.t) =
     if Doc.is_element doc id then begin
       incr elements;
       nodes := !nodes + 1 + doc.Doc.attr_len.(id);
-      bump (Doc.tag doc id);
+      bump counts (Doc.tag doc id);
       if p >= 0 then begin
         fanout.(p) <- fanout.(p) + 1;
         if fanout.(p) > !max_fanout then max_fanout := fanout.(p)
@@ -86,10 +97,13 @@ let collect_doc (doc : Doc.t) =
     elements = !elements;
     depth = !depth;
     max_fanout = !max_fanout;
-    counts;
+    counts = !counts;
   }
 
-let tag_count t sym = Option.value ~default:0 (Hashtbl.find_opt t.counts sym)
+let tag_count t (sym : Symbol.t) =
+  let i = (sym :> int) in
+  if i < Array.length t.counts then t.counts.(i) else 0
+
 let node_count t = t.nodes
 let element_count t = t.elements
 let depth t = t.depth
@@ -98,10 +112,11 @@ let max_fanout t = t.max_fanout
 let pp fmt t =
   Format.fprintf fmt "@[<v>nodes %d, elements %d, depth %d, max fan-out %d"
     t.nodes t.elements t.depth t.max_fanout;
-  let tags =
-    Hashtbl.fold (fun sym n acc -> (Symbol.name sym, n) :: acc) t.counts []
-  in
+  let tags = ref [] in
+  Array.iteri
+    (fun i n -> if n > 0 then tags := (Symbol.name (Symbol.of_int i), n) :: !tags)
+    t.counts;
   List.iter
     (fun (tag, n) -> Format.fprintf fmt "@,  %s: %d" tag n)
-    (List.sort compare tags);
+    (List.sort compare !tags);
   Format.fprintf fmt "@]"

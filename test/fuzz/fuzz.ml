@@ -9,7 +9,8 @@
    reach the reference parser's outcome (test/xml_oracle.ml). So is
    the engine target: every mapping that runs is evaluated under both the
    [`Naive] and [`Indexed] physical plans on a random valid instance
-   of its own source schema, and the outputs must agree. A fixed
+   of its own source schema, and the outputs and the recorded lineage
+   must agree. A fixed
    pre-pass additionally checks the resource guards: a 100k-deep XML
    document (and equally deep schema DSL, mapping DSL and XQuery
    nestings) must come back as CLIP-LIM-* diagnostics, never a crash.
@@ -21,7 +22,8 @@
    manual staged execution, with CLIP-ALG-* codes on every rejection —
    and [--rel N] draws random relational databases and checks the
    relational backend against the tgd backend: byte-identical outputs
-   when both succeed, identical diagnostic codes when both fail.
+   when both succeed (and plan-independent tgd lineage), identical
+   diagnostic codes when both fail.
 
    Runs are reproducible: the PRNG is our own (no [Random]), seeded
    from [--seed], so a failing input can be replayed by seed +
@@ -193,6 +195,38 @@ let report_failure name input exn =
   Printf.eprintf "FAILURE [%s]: raised %s\n  input prefix: %S\n" name
     (Printexc.to_string exn) prefix
 
+(* Lineage must not depend on the plan: [run_traced] under [`Indexed]
+   and [`Auto] must record the [`Naive] lineage entry for entry, source
+   elements compared physically. Returns the first disagreeing plan;
+   a plan whose traced run fails is skipped. *)
+let lineage_disagreement m doc =
+  let traced plan =
+    match Clip_core.Engine.run_traced ~plan m doc with
+    | _, trace -> Some trace
+    | exception Clip_tgd.Eval.Error _ -> None
+  in
+  let same_source x y =
+    match (x, y) with
+    | Clip_xml.Node.Element e, Clip_xml.Node.Element e' -> e == e'
+    | _ -> false
+  in
+  let same_entry (x : Clip_tgd.Eval.trace_entry) (y : Clip_tgd.Eval.trace_entry) =
+    x.target_path = y.target_path
+    && List.length x.sources = List.length y.sources
+    && List.for_all2 same_source x.sources y.sources
+  in
+  match traced `Naive with
+  | None -> None
+  | Some naive ->
+    List.find_map
+      (fun (name, plan) ->
+        match traced plan with
+        | Some t
+          when not (List.length t = List.length naive && List.for_all2 same_entry t naive)
+          -> Some name
+        | Some _ | None -> None)
+      [ ("indexed", `Indexed); ("auto", `Auto) ]
+
 let targets : (string * (string -> unit)) list =
   [
     ( "xml",
@@ -239,9 +273,10 @@ let targets : (string * (string -> unit)) list =
          axes. Across plans: the same run under [`Naive], [`Indexed]
          and [`Auto] must agree (unordered node equality — target
          sibling order is pinned separately by the plan test suite)
-         whenever both succeed. Across representations: for each plan,
-         the [`Columnar] run must be {e exactly} equal to the [`Tree]
-         run — the vectorized executor promises byte-identical
+         whenever both succeed, and then record the same lineage.
+         Across representations: for each plan, the [`Columnar] run
+         must be {e exactly} equal to the [`Tree] run — the vectorized
+         executor promises byte-identical
          enumeration order. The source document is a random valid
          instance of the parsed mapping's own source schema, so
          generators actually enumerate. *)
@@ -261,6 +296,11 @@ let targets : (string * (string -> unit)) list =
           let run ?(repr = (`Tree : Clip_xml.Doc.repr)) plan =
             Clip_core.Engine.run_result ~limits ~plan ~repr m doc
           in
+          let fail what =
+            incr failures;
+            Printf.eprintf "FAILURE [engine]: %s\n  mapping prefix: %S\n" what
+              (String.sub s 0 (min 160 (String.length s)))
+          in
           (match run `Naive with
            | Error _ -> ()
            | Ok a ->
@@ -269,28 +309,21 @@ let targets : (string * (string -> unit)) list =
                  match run plan with
                  | Error _ -> ()
                  | Ok b ->
-                   if not (Clip_xml.Node.equal_unordered a b) then begin
-                     incr failures;
-                     Printf.eprintf
-                       "FAILURE [engine]: naive and %s plans disagree\n\
-                       \  mapping prefix: %S\n"
-                       name
-                       (String.sub s 0 (min 160 (String.length s)))
-                   end)
+                   if not (Clip_xml.Node.equal_unordered a b) then
+                     fail (Printf.sprintf "naive and %s plans disagree" name)
+                   else if plan = `Auto then
+                     Option.iter
+                       (fun name -> fail ("naive and " ^ name ^ " lineage disagree"))
+                       (lineage_disagreement m doc))
                [ ("indexed", `Indexed); ("auto", `Auto) ]);
           List.iter
             (fun (name, plan) ->
               match (run plan, run ~repr:`Columnar plan) with
               | Ok t, Ok c ->
-                if not (Clip_xml.Node.equal t c) then begin
-                  incr failures;
-                  Printf.eprintf
-                    "FAILURE [engine]: tree and columnar reprs disagree under \
-                     %s plan\n\
-                    \  mapping prefix: %S\n"
-                    name
-                    (String.sub s 0 (min 160 (String.length s)))
-                end
+                if not (Clip_xml.Node.equal t c) then
+                  fail
+                    (Printf.sprintf "tree and columnar reprs disagree under %s plan"
+                       name)
               | (Ok _ | Error _), _ -> ())
             [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ] );
   ]
@@ -735,7 +768,13 @@ let rel_sweep () =
           incr failures;
           Printf.eprintf
             "FAILURE [rel]: iter %d (%s): backend outputs differ\n" i label
-        end
+        end;
+        Option.iter
+          (fun name ->
+            incr failures;
+            Printf.eprintf "FAILURE [rel]: iter %d (%s): naive and %s lineage disagree\n"
+              i label name)
+          (lineage_disagreement m doc)
       | Ok (Error da), Ok (Error db) ->
         if codes da <> codes db then begin
           incr failures;

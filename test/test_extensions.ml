@@ -440,6 +440,33 @@ let provenance_tests =
           | Node.Text _ -> 0
         in
         checki "counts agree" (count_elems out) (List.length trace));
+    Alcotest.test_case "planned runs trace exactly like the naive interpreter"
+      `Quick (fun () ->
+        (* above the 128-node planning threshold, so `Auto and `Indexed
+           record lineage on the plan path *)
+        let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
+        checkb "above the planning threshold" true (Node.size doc >= 128);
+        let rec count_elems n =
+          match n with
+          | Node.Element e ->
+            1 + List.fold_left (fun acc c -> acc + count_elems c) 0 e.Node.children
+          | Node.Text _ -> 0
+        in
+        List.iter
+          (fun (sc : S.Figures.t) ->
+            let traced plan = Clip_core.Engine.run_traced ~plan sc.mapping doc in
+            let out, naive = traced `Naive in
+            checki (sc.name ^ ": an entry per target element") (count_elems out)
+              (List.length naive);
+            checkb (sc.name ^ ": some lineage recorded") true
+              (List.exists (fun (t : Clip_tgd.Eval.trace_entry) -> t.sources <> []) naive);
+            List.iter
+              (fun plan ->
+                let out', trace = traced plan in
+                checkb (sc.name ^ ": same output") true (Node.equal out out');
+                checkb (sc.name ^ ": same trace") true (trace = naive))
+              [ `Indexed; `Auto ])
+          S.Figures.[ fig4; fig5; fig7 ]);
   ]
 
 (* --- Feature combinations ---------------------------------------------------------- *)

@@ -716,6 +716,84 @@ let counter_tests =
             [ `Naive; `Indexed; `Auto ]);
     ]
 
+(* Exact work counters per figure × plan on one fixed instance above
+   the planning threshold, recorded from the interpreted evaluator the
+   compiled rule bodies replaced: compiling must tick and count at the
+   same sites, in the same order. Columns: lim_ticks, child_steps,
+   nodes_scanned, index_probes, index_hits, hash_join_builds,
+   hash_join_probes. *)
+let pinned_counters =
+  [
+    ("fig3", "naive", (694, 138, 394, 0, 0, 0, 0));
+    ("fig3", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig3", "auto", (702, 138, 394, 0, 0, 0, 0));
+    ("fig3-universal", "naive", (694, 138, 394, 0, 0, 0, 0));
+    ("fig3-universal", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig3-universal", "auto", (702, 138, 394, 0, 0, 0, 0));
+    ("fig4", "naive", (702, 138, 394, 0, 0, 0, 0));
+    ("fig4", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig4", "auto", (702, 138, 394, 0, 0, 0, 0));
+    ("fig4-nocontext", "naive", (5562, 1105, 3160, 0, 0, 0, 0));
+    ("fig4-nocontext", "indexed", (5626, 1105, 1744, 1105, 73, 0, 0));
+    ("fig4-nocontext", "auto", (5626, 1105, 1744, 1105, 73, 0, 0));
+    ("fig5", "naive", (642, 137, 464, 0, 0, 0, 0));
+    ("fig5", "indexed", (642, 137, 248, 137, 17, 0, 0));
+    ("fig5", "auto", (642, 137, 464, 0, 0, 0, 0));
+    ("fig6", "naive", (3546, 209, 1016, 0, 0, 0, 0));
+    ("fig6", "indexed", (1642, 177, 288, 177, 17, 8, 40));
+    ("fig6", "auto", (1642, 177, 288, 177, 17, 8, 40));
+    ("fig6-cartesian", "naive", (3706, 849, 1976, 0, 0, 0, 0));
+    ("fig6-cartesian", "indexed", (3746, 849, 1248, 849, 49, 0, 0));
+    ("fig6-cartesian", "auto", (3746, 849, 1248, 849, 49, 0, 0));
+    ("fig6-global", "naive", (29538, 6769, 15176, 0, 0, 0, 0));
+    ("fig6-global", "indexed", (29906, 6769, 9968, 6769, 369, 0, 0));
+    ("fig6-global", "auto", (29906, 6769, 9968, 6769, 369, 0, 0));
+    ("fig6-join-global", "naive", (23778, 529, 5816, 0, 0, 0, 0));
+    ("fig6-join-global", "indexed", (1644, 178, 296, 178, 18, 1, 40));
+    ("fig6-join-global", "auto", (1644, 178, 296, 178, 18, 1, 40));
+    ("fig7", "naive", (3618, 209, 1016, 0, 0, 0, 0));
+    ("fig7", "indexed", (2746, 209, 608, 209, 49, 40, 40));
+    ("fig7", "auto", (3666, 209, 608, 209, 49, 0, 0));
+    ("fig8", "naive", (618, 129, 856, 0, 0, 0, 0));
+    ("fig8", "indexed", (626, 129, 168, 129, 49, 0, 0));
+    ("fig8", "auto", (626, 129, 168, 129, 49, 0, 0));
+    ("fig9", "naive", (106, 113, 680, 0, 0, 0, 0));
+    ("fig9", "indexed", (106, 113, 296, 113, 33, 0, 0));
+    ("fig9", "auto", (106, 113, 680, 0, 0, 0, 0));
+  ]
+
+let pinned_counter_tests =
+  [
+    Alcotest.test_case "work counters per figure × plan equal the pinned values"
+      `Quick (fun () ->
+        let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
+        let plans = [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ] in
+        checki "one pinned row per figure × plan"
+          (3 * List.length S.Figures.all)
+          (List.length pinned_counters);
+        List.iter
+          (fun (name, pname, expected) ->
+            let sc =
+              List.find (fun (sc : S.Figures.t) -> sc.S.Figures.name = name) S.Figures.all
+            in
+            let _, c = counted_run sc ~backend:`Tgd ~plan:(List.assoc pname plans) doc in
+            let got =
+              C.
+                ( c.lim_ticks,
+                  c.child_steps,
+                  c.nodes_scanned,
+                  c.index_probes,
+                  c.index_hits,
+                  c.hash_join_builds,
+                  c.hash_join_probes )
+            in
+            let show (a, b, c, d, e, f, g) =
+              Printf.sprintf "(%d, %d, %d, %d, %d, %d, %d)" a b c d e f g
+            in
+            checks (Printf.sprintf "%s/%s" name pname) (show expected) (show got))
+          pinned_counters);
+  ]
+
 (* --- Counters across representations ------------------------------------ *)
 
 (* The counters are the semantics oracle for the columnar path: a
@@ -1039,7 +1117,7 @@ let () =
       ("scaled-differential", scaled_differential_tests);
       ("repr-differential", repr_differential_tests);
       ("auto-steps", auto_steps_tests);
-      ("counters", counter_tests);
+      ("counters", counter_tests @ pinned_counter_tests);
       ("repr-counters", repr_counter_tests);
       ("sessions", session_tests);
       ("fuzz-differential", [ QCheck_alcotest.to_alcotest fuzz_differential ]);

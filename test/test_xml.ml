@@ -23,6 +23,83 @@ let atom_tests =
         checks "10875" "10875" (Atom.to_string (Atom.Float 10875.)));
     Alcotest.test_case "to_string fractional float" `Quick (fun () ->
         checks "2.5" "2.5" (Atom.to_string (Atom.Float 2.5)));
+    Alcotest.test_case "of_string reads only XML decimal and double forms" `Quick
+      (fun () ->
+        let show = function
+          | Atom.Int i -> Printf.sprintf "Int %d" i
+          | Atom.Float f -> Printf.sprintf "Float %h" f
+          | Atom.Bool b -> Printf.sprintf "Bool %b" b
+          | Atom.String s -> Printf.sprintf "String %S" s
+        in
+        List.iter
+          (fun (s, want) -> checks s (show want) (show (Atom.of_string s)))
+          [
+            (* OCaml literal syntax stays text *)
+            ("0x10", Atom.String "0x10");
+            ("0o7", Atom.String "0o7");
+            ("0b1", Atom.String "0b1");
+            ("0u5", Atom.String "0u5");
+            ("1_000", Atom.String "1_000");
+            ("_1", Atom.String "_1");
+            ("0x1p3", Atom.String "0x1p3");
+            ("Infinity", Atom.String "Infinity");
+            ("inf", Atom.String "inf");
+            ("-inf", Atom.String "-inf");
+            ("INF", Atom.String "INF");
+            ("nan", Atom.String "nan");
+            ("NaN", Atom.String "NaN");
+            ("1e400", Atom.String "1e400");
+            (* leading zeros and signs *)
+            ("007", Atom.Int 7);
+            ("-007", Atom.Int (-7));
+            ("+5", Atom.Int 5);
+            ("-0", Atom.Int 0);
+            ("4611686018427387903", Atom.Int max_int);
+            ("-4611686018427387904", Atom.Int min_int);
+            ("4611686018427387904", Atom.Float 0x1p62);
+            ("+5.5", Atom.Float 5.5);
+            ("-.5", Atom.Float (-0.5));
+            ("5.", Atom.Float 5.);
+            ("00.5", Atom.Float 0.5);
+            (* exponents *)
+            ("1e3", Atom.Float 1000.);
+            ("1E+3", Atom.Float 1000.);
+            ("1.e-3", Atom.Float 0.001);
+            ("1e", Atom.String "1e");
+            (".e3", Atom.String ".e3");
+            (* whitespace: leading reads as a float, trailing as text *)
+            (" 5", Atom.Float 5.);
+            ("\t-5", Atom.Float (-5.));
+            ("5 ", Atom.String "5 ");
+            ("- 5", Atom.String "- 5");
+            (* neither numbers nor booleans *)
+            (".", Atom.String ".");
+            ("-", Atom.String "-");
+            ("", Atom.String "");
+            ("True", Atom.String "True");
+            ("false", Atom.Bool false);
+          ]);
+    Alcotest.test_case "to_string prints the shortest float that reads back" `Quick
+      (fun () ->
+        List.iter
+          (fun (f, want) ->
+            let got = Atom.to_string (Atom.Float f) in
+            checks want want got;
+            checkb (want ^ " reads back") true (Float.equal (float_of_string got) f))
+          [
+            (3.14159265, "3.14159265");
+            (1234567.25, "1234567.25");
+            (0.1, "0.1");
+            (0.1 +. 0.2, "0.30000000000000004");
+            (1. /. 3., "0.3333333333333333");
+            (12204.485714285714, "12204.485714285714");
+            (1e20, "1e+20");
+            (-0., "-0");
+          ]);
+    Alcotest.test_case "source values print back unchanged" `Quick (fun () ->
+        List.iter
+          (fun s -> checks s s (Atom.to_string (Atom.of_string s)))
+          [ "3.14159265"; "1234567.25"; "1_000"; "Infinity"; "0x10"; "16"; "-7"; "0.001" ]);
     Alcotest.test_case "numeric promotion in equal" `Quick (fun () ->
         checkb "3 = 3.0" true (Atom.equal (Atom.Int 3) (Atom.Float 3.)));
     Alcotest.test_case "string <> int" `Quick (fun () ->
@@ -319,6 +396,38 @@ let property_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_roundtrip; prop_pretty_roundtrip; prop_canonical_reflexive ]
 
+(* --- Instance statistics ------------------------------------------------ *)
+
+let stats_tests =
+  [
+    Alcotest.test_case "collect counts tags, depth and fan-out" `Quick (fun () ->
+        let doc =
+          parse
+            {|<r a="1"><d><p x="1" y="2">t</p><p/><e>u</e></d><d><p/></d>text</r>|}
+        in
+        let st = Stats.collect doc in
+        let count tag = Stats.tag_count st (Symbol.intern tag) in
+        checki "nodes like Node.size" (Node.size doc) (Stats.node_count st);
+        checki "elements" 7 (Stats.element_count st);
+        checki "depth" 4 (Stats.depth st);
+        checki "max fan-out" 3 (Stats.max_fanout st);
+        checki "p" 3 (count "p");
+        checki "d" 2 (count "d");
+        checki "r" 1 (count "r");
+        checki "absent tag" 0 (count "no-such-tag-in-this-document");
+        let shown = Format.asprintf "%a" Stats.pp st in
+        checks "columnar sweep agrees" shown
+          (Format.asprintf "%a" Stats.pp (Stats.collect_doc (Doc.of_node doc))));
+    Alcotest.test_case "text_value reads every child shape" `Quick (fun () ->
+        let value xml = Node.text_value (Node.as_element (parse xml)) in
+        checkb "no children" true (value "<a/>" = None);
+        checkb "one text" true (value "<a>5</a>" = Some (Atom.Int 5));
+        checkb "one element" true (value "<a><b>5</b></a>" = None);
+        checkb "text beside an element" true (value "<a><b/>x</a>" = Some (Atom.String "x"));
+        checkb "texts concatenate" true
+          (value "<a>x<b/>y</a>" = Some (Atom.String "xy")));
+  ]
+
 let () =
   Alcotest.run "xml"
     [
@@ -327,5 +436,6 @@ let () =
       ("parser", parser_tests);
       ("printer", printer_tests);
       ("node", node_tests);
+      ("stats", stats_tests);
       ("properties", property_tests);
     ]
