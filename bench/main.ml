@@ -387,29 +387,6 @@ let auto_speedup r = r.r_auto_speedup
    CI. *)
 let auto_speedup_min r = r.r_auto_speedup_min
 
-(* One representation row: the same (figure, backend, document) run
-   under [`Auto] plan on a warm session, once per document
-   representation. Byte identity ([Printer.to_string] equality) is the
-   correctness bar — sibling order included — and the batch counters
-   witness that the columnar run actually went down the vectorized
-   path. *)
-type repr_row = {
-  p_figure : string;
-  p_backend : string;
-  p_scale : int; (* 0 = the paper instance *)
-  p_src_nodes : int;
-  p_identical : bool; (* rendered outputs byte-identical *)
-  p_tree_ms : float;
-  p_col_ms : float;
-  p_tree_min_ms : float;
-  p_col_min_ms : float;
-  p_speedup : float; (* tree vs columnar: better of paired median, minima *)
-  p_batches : int; (* batches_executed on the columnar run *)
-  p_batch_width : int;
-}
-
-let repr_speedup p = p.p_speedup
-
 type session_row = {
   s_figure : string;
   s_backend : string;
@@ -618,215 +595,6 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
         s.s_figure s.s_scale s.s_cold_ms s.s_warm_ms (session_speedup s)
         s.s_identical)
     session_rows;
-  subrule "representation: boxed tree vs columnar (auto plan, warm sessions)";
-  (* The repr comparison gates on per-row ratios, so it keeps a higher
-     rep count than the smoke default: microsecond-scale rows need the
-     extra medians far more than they cost. *)
-  let rreps = if smoke then 11 else 13 in
-  let measure_repr_once (sc : S.Figures.t) ~(backend : Engine.backend) ~scale doc
-      =
-    let bname =
-      match backend with
-      | `Tgd -> "tgd"
-      | `Xquery -> "xquery"
-      | `Xquery_text -> "xquery-text"
-      | `Rel -> "rel"
-    in
-    (* One session per row: the converted [Doc.t] (and its id-vector
-       index) is cached there, so the timings compare warm steady
-       states — the conversion cost itself is a session-amortised
-       one-off, reported separately in the memory table. *)
-    let session = Engine.Session.create doc in
-    let run ?ctx repr () =
-      match
-        Engine.Session.run_result ?ctx ~limits ~backend
-          ~minimum_cardinality:sc.minimum_cardinality ~plan:`Auto ~repr session
-          sc.mapping
-      with
-      | Ok out -> out
-      | Error ds ->
-        List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
-        Printf.eprintf "plan bench (repr): %s failed\n" sc.name;
-        exit 1
-    in
-    let out_t = run `Tree () in
-    let out_c = run `Columnar () in
-    let c = Clip_obs.Counters.create () in
-    ignore (run ~ctx:(Clip_run.create ~counters:c ()) `Columnar ());
-    let tt, tc =
-      match interleaved_reps rreps [ run `Tree; run `Columnar ] with
-      | [ t; c ] -> (t, c)
-      | _ -> assert false
-    in
-    {
-      p_figure = sc.name;
-      p_backend = bname;
-      p_scale = scale;
-      p_src_nodes = Node.size doc;
-      p_identical =
-        String.equal
-          (Clip_xml.Printer.to_string out_t)
-          (Clip_xml.Printer.to_string out_c);
-      p_tree_ms = median_of tt;
-      p_col_ms = median_of tc;
-      p_tree_min_ms = min_of tt;
-      p_col_min_ms = min_of tc;
-      p_speedup =
-        Float.max (paired_speedup tt tc)
-          (min_of tt /. Float.max (min_of tc) 1e-9);
-      p_batches = c.Clip_obs.Counters.batches_executed;
-      p_batch_width = c.Clip_obs.Counters.batch_width;
-    }
-  in
-  (* Rows gate on per-row thresholds (>= 0.9x everywhere, >= 1.5x on a
-     scale-100 row), and a single timing pass occasionally lands a
-     borderline row a few percent off its steady paired median. Rows
-     near a threshold are re-measured (bounded) and the best pass
-     kept; rows far from both thresholds are never retried, so a real
-     regression still fails every pass. *)
-  let measure_repr (sc : S.Figures.t) ~(backend : Engine.backend) ~scale doc =
-    let borderline p =
-      let s = repr_speedup p in
-      s < 0.95 || (p.p_scale = 100 && s >= 1.3 && s < 1.55)
-    in
-    let best a b = if repr_speedup b > repr_speedup a then b else a in
-    let rec go row retries =
-      if retries = 0 || not (borderline row) then row
-      else go (best row (measure_repr_once sc ~backend ~scale doc)) (retries - 1)
-    in
-    go (measure_repr_once sc ~backend ~scale doc) 2
-  in
-  let repr_figure_rows =
-    List.concat_map
-      (fun (sc : S.Figures.t) ->
-        let backends =
-          if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
-        in
-        List.map
-          (fun backend -> measure_repr sc ~backend ~scale:0 S.Deptdb.instance)
-          backends)
-      S.Figures.all
-  in
-  (* Scale 100 stays in the smoke run: the >= 1.5x part of the repr
-     gate only has meaning where scans dominate, and that takes a
-     large document. *)
-  let repr_scales = if smoke then [ 1; 100 ] else [ 1; 10; 100 ] in
-  (* A bench-only scan-heavy scenario: pick the one employee with a
-     given name out of every employee in the instance. Almost nothing
-     is emitted, so the run is dominated by child steps and text-value
-     reads — the pure-navigation shape the columnar representation
-     exists for, with none of the (representation-independent) target
-     construction that caps the speedup of the paper figures. *)
-  let scan_filter =
-    let module M = Clip_core.Mapping in
-    let module Path = Clip_schema.Path in
-    let p s =
-      match Path.of_string s with Ok p -> p | Error e -> failwith e
-    in
-    {
-      S.Figures.name = "scan-filter";
-      title = "Selective employee scan (bench-only)";
-      mapping =
-        M.make ~source:S.Deptdb.source ~target:S.Deptdb.target_fig7
-          ~roots:
-            [
-              M.node ~id:"emp"
-                ~output:(p "target.project")
-                ~cond:
-                  [
-                    {
-                      M.p_left =
-                        M.O_path ("e", [ Path.Child "ename"; Path.Value ]);
-                      p_op = Clip_tgd.Tgd.Eq;
-                      p_right = M.O_const (Clip_xml.Atom.String "emp-1-1");
-                    };
-                  ]
-                [ M.input ~var:"e" (p "source.dept.regEmp") ];
-            ]
-          [
-            M.value
-              [ p "source.dept.regEmp.ename.value" ]
-              (p "target.project.@name");
-          ];
-      expected = None;
-      ordered = true;
-      minimum_cardinality = true;
-    }
-  in
-  let repr_scaling_rows =
-    List.concat_map
-      (fun ((sc : S.Figures.t), backends) ->
-        List.concat_map
-          (fun scale ->
-            let doc =
-              S.Deptdb.synthetic_instance ~depts:(2 * scale) ~projs:5 ~emps:10
-            in
-            List.map (fun backend -> measure_repr sc ~backend ~scale doc) backends)
-          repr_scales)
-      [
-        (S.Figures.fig5, [ `Tgd ]);
-        (S.Figures.fig6, [ `Tgd; `Xquery ]);
-        (S.Figures.fig6_join_global, [ `Tgd; `Xquery ]);
-        (S.Figures.fig7, [ `Tgd ]);
-        (S.Figures.fig8, [ `Tgd ]);
-        (S.Figures.fig9, [ `Tgd ]);
-        (scan_filter, [ `Tgd; `Xquery ]);
-      ]
-  in
-  let repr_rows = repr_figure_rows @ repr_scaling_rows in
-  Printf.printf
-    "%-18s | %-7s | %-6s | %-10s | %-11s | %-9s | %-9s | %-7s | %s\n" "figure"
-    "backend" "scale" "tree ms" "columnar ms" "identical" "speedup" "batches"
-    "width";
-  print_endline (String.make 104 '-');
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-18s | %-7s | %-6d | %10.3f | %11.3f | %-9b | %7.2fx | %-7d | %d\n"
-        p.p_figure p.p_backend p.p_scale p.p_tree_ms p.p_col_ms p.p_identical
-        (repr_speedup p) p.p_batches p.p_batch_width)
-    repr_rows;
-  let repr_identical = List.for_all (fun p -> p.p_identical) repr_rows in
-  let repr_floor_ok = List.for_all (fun p -> repr_speedup p >= 0.9) repr_rows in
-  let repr_scan_win =
-    List.exists (fun p -> p.p_scale = 100 && repr_speedup p >= 1.5) repr_rows
-  in
-  let repr_batched = List.exists (fun p -> p.p_batches > 0) repr_rows in
-  Printf.printf
-    "\nall repr outputs byte-identical: %b\n\
-     columnar >= 0.9x tree on every row: %b\n\
-     columnar >= 1.5x tree on a scale-100 row: %b\n\
-     vectorized path exercised (batches > 0 somewhere): %b\n"
-    repr_identical repr_floor_ok repr_scan_win repr_batched;
-  subrule "columnar footprint (Obj.reachable_words, shared atoms included)";
-  (* The doc shares its atom table's atoms (and tag strings via the
-     symbol table) with the boxed tree, so [doc words] counts the
-     columnar arrays plus that shared leaf data — an upper bound on
-     what a doc costs next to a tree that is also still live. *)
-  let mem_rows =
-    List.map
-      (fun scale ->
-        let tree =
-          if scale = 0 then S.Deptdb.instance
-          else S.Deptdb.synthetic_instance ~depts:(2 * scale) ~projs:5 ~emps:10
-        in
-        let d = Clip_xml.Doc.of_node tree in
-        let nodes = Clip_xml.Doc.length d in
-        let doc_words = Obj.reachable_words (Obj.repr d) in
-        let tree_words = Obj.reachable_words (Obj.repr tree) in
-        (scale, nodes, doc_words, tree_words))
-      (if smoke then [ 0; 1; 100 ] else [ 0; 1; 10; 100 ])
-  in
-  Printf.printf "%-6s | %-9s | %-10s | %-10s | %-10s | %s\n" "scale" "doc nodes"
-    "doc words" "tree words" "words/node" "doc/tree";
-  print_endline (String.make 70 '-');
-  List.iter
-    (fun (scale, nodes, dw, tw) ->
-      Printf.printf "%-6d | %-9d | %-10d | %-10d | %10.1f | %8.2f\n" scale nodes
-        dw tw
-        (float_of_int dw /. float_of_int (max nodes 1))
-        (float_of_int dw /. float_of_int (max tw 1)))
-    mem_rows;
   let all_agree =
     List.for_all (fun r -> r.r_agree) (figure_rows @ scaling_rows)
     && List.for_all (fun s -> s.s_identical) session_rows
@@ -854,23 +622,6 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
       (auto_speedup r) (auto_speedup_min r) r.r_auto_vs_best r.r_naive_steps
       r.r_indexed_steps r.r_auto_steps
   in
-  let repr_json p =
-    Printf.sprintf
-      "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \"src_nodes\": %d, \
-       \"identical\": %b, \"tree_ms\": %.3f, \"columnar_ms\": %.3f, \
-       \"tree_min_ms\": %.3f, \"columnar_min_ms\": %.3f, \"speedup\": %.2f, \
-       \"batches\": %d, \"batch_width\": %d}"
-      (json_string p.p_figure) (json_string p.p_backend) p.p_scale p.p_src_nodes
-      p.p_identical p.p_tree_ms p.p_col_ms p.p_tree_min_ms p.p_col_min_ms
-      (repr_speedup p) p.p_batches p.p_batch_width
-  in
-  let mem_json (scale, nodes, dw, tw) =
-    Printf.sprintf
-      "{\"scale\": %d, \"doc_nodes\": %d, \"doc_words\": %d, \"tree_words\": \
-       %d, \"words_per_node\": %.2f}"
-      scale nodes dw tw
-      (float_of_int dw /. float_of_int (max nodes 1))
-  in
   let session_json s =
     Printf.sprintf
       "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \"cold_ms\": %.3f, \
@@ -894,25 +645,12 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
   Buffer.add_string buf "\n  ],\n  \"session\": [\n";
   Buffer.add_string buf
     (String.concat ",\n" (List.map (fun s -> "    " ^ session_json s) session_rows));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"repr_identical\": %b,\n  \"repr_floor_ok\": %b,\n  \
-        \"repr_scan_win\": %b,\n  \"repr_batched\": %b,\n"
-       repr_identical repr_floor_ok repr_scan_win repr_batched);
-  Buffer.add_string buf "  \"repr\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun p -> "    " ^ repr_json p) repr_rows));
-  Buffer.add_string buf "\n  ],\n  \"memory\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun m -> "    " ^ mem_json m) mem_rows));
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_plan.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_plan.json (%d rows, commit %s)\n"
-    (List.length figure_rows + List.length scaling_rows + List.length session_rows
-    + List.length repr_rows)
+    (List.length figure_rows + List.length scaling_rows + List.length session_rows)
     commit;
   if check then begin
     (* The CI regression guard: every output must agree across modes,
@@ -935,42 +673,6 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
             "plan bench check FAILED: %s/%s auto %.2fx (min-based %.2fx) < 0.8x of naive\n"
             r.r_figure r.r_backend (auto_speedup r) (auto_speedup_min r))
         slow;
-      exit 1
-    end;
-    (* The representation gate: byte identity is absolute; columnar
-       must never fall below 0.9x of the boxed tree (the better of
-       median- and min-based speedups, same outlier tolerance as
-       above) and must win by >= 1.5x on at least one scale-100
-       scan-heavy row — otherwise the whole representation is dead
-       weight. The batch counter existence check keeps the gate
-       honest: a silent fall-back to scalar execution would otherwise
-       pass on identity alone. *)
-    if not repr_identical then begin
-      prerr_endline
-        "plan bench check FAILED: columnar output differs from the boxed tree";
-      exit 1
-    end;
-    if not repr_batched then begin
-      prerr_endline
-        "plan bench check FAILED: no columnar row executed any batch — the \
-         vectorized path was never taken";
-      exit 1
-    end;
-    let repr_slow = List.filter (fun p -> repr_speedup p < 0.9) repr_rows in
-    if repr_slow <> [] then begin
-      List.iter
-        (fun p ->
-          Printf.eprintf
-            "plan bench check FAILED: %s/%s scale %d columnar %.2fx < 0.9x of \
-             tree\n"
-            p.p_figure p.p_backend p.p_scale (repr_speedup p))
-        repr_slow;
-      exit 1
-    end;
-    if not repr_scan_win then begin
-      prerr_endline
-        "plan bench check FAILED: no scale-100 row reached 1.5x — columnar \
-         does not repay conversion on scan-heavy documents";
       exit 1
     end;
     print_endline "plan bench check passed"
@@ -1562,17 +1264,9 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let shard_stream_identical = String.equal whole_out streamed_out in
   (* Parallel shard evaluation must merge counters to exactly the
      sequential-shard totals. (Whole-document counters are not the
-     oracle here: per-shard plan selection legitimately differs, and
-     the vectorized executor's batches_executed/batch_width depend on
-     shard granularity.) *)
-  let strip_batches a =
-    List.filter
-      (fun (k, _) -> k <> "batches_executed" && k <> "batch_width")
-      a
-  in
+     oracle here: per-shard plan selection legitimately differs.) *)
   let shard_counters_exact =
-    strip_batches (Clip_obs.Counters.work_assoc c_sseq)
-    = strip_batches (Clip_obs.Counters.work_assoc c_spar)
+    Clip_obs.Counters.work_assoc c_sseq = Clip_obs.Counters.work_assoc c_spar
   in
   Printf.printf
     "fig6/tgd, %d depts, %d shards: sharded output byte-identical %b | \
@@ -1972,7 +1666,7 @@ let rel_experiment ?(smoke = false) ?(check = false) () =
   rule
     (Printf.sprintf "Relational backend — columnar execution vs tree-walks%s"
        (if smoke then " (smoke)" else ""));
-  subrule "byte-identity: rel vs tgd across plan x repr on relational-shaped mappings";
+  subrule "byte-identity: rel vs tgd across plans on relational-shaped mappings";
   (* The join workload: company ⋈ grant with both attribute and
      value-child columns, scaled below. A selective join (20% of the
      grants resolve) keeps the run scan-bound rather than
@@ -2043,22 +1737,17 @@ mapping {
     List.concat_map
       (fun (name, m, doc) ->
         let expected = Engine.run ~backend:`Tgd m doc in
-        List.concat_map
+        List.map
           (fun (plan, pname) ->
-            List.map
-              (fun (repr, rname) ->
-                let identical =
-                  Clip_xml.Node.equal expected
-                    (Engine.run ~backend:`Rel ~plan ~repr m doc)
-                in
-                Printf.printf "%-18s | %-7s | %-8s | identical %b\n" name
-                  pname rname identical;
-                (name, pname, rname, identical))
-              [ (`Tree, "tree"); (`Columnar, "columnar") ])
+            let identical =
+              Clip_xml.Node.equal expected (Engine.run ~backend:`Rel ~plan m doc)
+            in
+            Printf.printf "%-18s | %-7s | identical %b\n" name pname identical;
+            (name, pname, identical))
           [ (`Naive, "naive"); (`Indexed, "indexed"); (`Auto, "auto") ])
       workloads
   in
-  let all_identical = List.for_all (fun (_, _, _, i) -> i) identity_rows in
+  let all_identical = List.for_all (fun (_, _, i) -> i) identity_rows in
   Printf.printf "\nall outputs byte-identical: %b\n" all_identical;
   (* The gated row is the scale-100 join even under --smoke (constant
      costs dominate at smaller scales and the ratio loses meaning);
@@ -2106,10 +1795,9 @@ mapping {
      (recorded) | identical %b\n"
     speedup speedup_target speedup_auto join_identical;
   let commit = git_commit () in
-  let row_json (name, plan, repr, identical) =
-    Printf.sprintf
-      "{\"workload\": %s, \"plan\": %s, \"repr\": %s, \"identical\": %b}"
-      (json_string name) (json_string plan) (json_string repr) identical
+  let row_json (name, plan, identical) =
+    Printf.sprintf "{\"workload\": %s, \"plan\": %s, \"identical\": %b}"
+      (json_string name) (json_string plan) identical
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";

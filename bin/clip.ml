@@ -169,18 +169,6 @@ let plan_arg =
        & opt (enum [ ("auto", `Auto); ("indexed", `Indexed); ("naive", `Naive) ]) `Auto
        & info [ "plan" ] ~docv:"PLAN" ~doc)
 
-let repr_arg =
-  let doc =
-    "Document representation: tree (the boxed-tree interpreters, the \
-     default), columnar (convert the source to the struct-of-arrays \
-     document store and run the vectorized executor), or auto (columnar \
-     for large-enough documents). All representations produce identical \
-     output."
-  in
-  Arg.(value
-       & opt (enum [ ("tree", `Tree); ("columnar", `Columnar); ("auto", `Auto) ]) `Tree
-       & info [ "repr" ] ~docv:"REPR" ~doc)
-
 let stream_flag =
   let doc =
     "Read each input incrementally (chunked) instead of loading it whole. \
@@ -273,7 +261,7 @@ let run_cmd =
     in
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
   in
-  let run file inputs backend plan repr tree trace jobs timeout_ms keep_going
+  let run file inputs backend plan tree trace jobs timeout_ms keep_going
       retries stream shard_bytes thens =
     let m = load_mapping file in
     if thens <> [] && stream then begin
@@ -376,7 +364,7 @@ let run_cmd =
                       in
                       match
                         Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
-                          ~repr ~mode ?shard_bytes ~jobs m st
+                          ~mode ?shard_bytes ~jobs m st
                       with
                       | Error ds -> Error ds
                       | Ok out -> Ok (render_out out))
@@ -449,10 +437,10 @@ let run_cmd =
           let r =
             match chain with
             | [ m ] ->
-              Clip_core.Engine.run_result ~ctx ~backend ~plan ~repr ~mode
+              Clip_core.Engine.run_result ~ctx ~backend ~plan ~mode
                 ?shard_bytes ~jobs m source
             | ms ->
-              Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ~repr ~mode
+              Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ~mode
                 ?shard_bytes ~jobs ms source
           in
           match r with
@@ -517,7 +505,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Transform a source instance into a target instance")
     Term.(const run $ mapping_file $ input_files $ backend_arg $ plan_arg
-          $ repr_arg $ tree_flag $ trace_flag $ jobs_arg $ timeout_arg
+          $ tree_flag $ trace_flag $ jobs_arg $ timeout_arg
           $ keep_going_flag $ retries_arg $ stream_flag $ shard_bytes_arg
           $ then_arg)
 

@@ -1222,22 +1222,22 @@ module Pipeline = struct
       Printf.sprintf "fusion: staged (%s)" reason
 
   let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan:plan_mode
-      ?repr ?steps_out ?mode ?shard_bytes ?jobs ms source =
+      ?steps_out ?mode ?shard_bytes ?jobs ms source =
     match ms with
     | [] -> invalid_arg "Clip_algebra.Pipeline.run_result: empty chain"
     | _ ->
       (match plan ms with
        | Fused m ->
          Engine.run_result ?ctx ?limits ?backend ?minimum_cardinality
-           ?plan:plan_mode ?repr ?steps_out ?mode ?shard_bytes ?jobs m source
+           ?plan:plan_mode ?steps_out ?mode ?shard_bytes ?jobs m source
        | Staged _ ->
          Engine.run_staged_result ?ctx ?limits ?backend ?minimum_cardinality
-           ?plan:plan_mode ?repr ?steps_out ?mode ?shard_bytes ?jobs ms source)
+           ?plan:plan_mode ?steps_out ?mode ?shard_bytes ?jobs ms source)
 
-  let run ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr ?steps_out
+  let run ?ctx ?limits ?backend ?minimum_cardinality ?plan ?steps_out
       ?mode ?shard_bytes ?jobs ms source =
     match
-      run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+      run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
         ?steps_out ?mode ?shard_bytes ?jobs ms source
     with
     | Ok n -> n

@@ -112,7 +112,6 @@ module Pipeline : sig
     ?backend:Clip_core.Engine.backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     ?mode:Clip_core.Engine.mode ->
     ?shard_bytes:int ->
@@ -128,7 +127,6 @@ module Pipeline : sig
     ?backend:Clip_core.Engine.backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     ?mode:Clip_core.Engine.mode ->
     ?shard_bytes:int ->

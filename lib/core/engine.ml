@@ -208,7 +208,6 @@ module type BACKEND = sig
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     session ->
     Mapping.t ->
@@ -220,7 +219,6 @@ module type BACKEND = sig
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     session ->
     Mapping.t ->
@@ -236,7 +234,6 @@ module type BACKEND = sig
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ctl:Clip_run.Control.t ->
     obs:Clip_obs.Counters.t option ->
     steps_out:int ref ->
@@ -270,25 +267,25 @@ module Tgd_backend : BACKEND = struct
       ~mapping:(m : Mapping.t) tgd =
     Ok (m.target.root.name, tgd)
 
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
+  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
       tgd =
     let obs = Clip_run.counters ctx in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_tgd.Eval.run ~minimum_cardinality ?plan ?repr
+      Clip_tgd.Eval.run ~minimum_cardinality ?plan
         ~ctl:(Clip_run.control ctx) ~session:s.stgd ?steps_out ?obs
         ~source:s.ssource ~target_root:m.target.root.name tgd)
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
       (m : Mapping.t) tgd =
     let obs = Clip_run.counters ctx in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ?repr
+      Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan
         ~ctl:(Clip_run.control ctx) ~session:s.stgd ?steps_out ?obs
         ~source:s.ssource ~target_root:m.target.root.name tgd)
 
-  let eval_shard ?limits ~minimum_cardinality ?plan ?repr ~ctl ~obs ~steps_out
+  let eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs ~steps_out
       (target_root, tgd) shard =
-    Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ?repr ~ctl
+    Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ~ctl
       ~session:(Clip_tgd.Eval.Session.create shard) ~steps_out ?obs
       ~source:shard ~target_root tgd
 
@@ -344,7 +341,7 @@ end) : BACKEND = struct
             Clip_xquery.Parser.parse_string_result ?limits
               (Clip_xquery.Pretty.query_to_string q))
 
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
+  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
       tgd =
     if not minimum_cardinality then
       invalid_arg
@@ -356,10 +353,10 @@ end) : BACKEND = struct
         (translated ?obs ~ctx ~session:s ~target_root:m.target.root.name tgd)
     in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_xquery.Eval.run_document ?plan ?repr ~ctl:(Clip_run.control ctx)
+      Clip_xquery.Eval.run_document ?plan ~ctl:(Clip_run.control ctx)
         ~session:s.sxq ?steps_out ?obs ~input:s.ssource query)
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
       (m : Mapping.t) tgd =
     if not minimum_cardinality then
       invalid_arg
@@ -372,13 +369,13 @@ end) : BACKEND = struct
     | Error ds -> Error ds
     | Ok query ->
       Clip_run.span ctx "execute" (fun () ->
-        Clip_xquery.Eval.run_document_result ?limits ?plan ?repr
+        Clip_xquery.Eval.run_document_result ?limits ?plan
           ~ctl:(Clip_run.control ctx) ~session:s.sxq ?steps_out ?obs
           ~input:s.ssource query)
 
-  let eval_shard ?limits ~minimum_cardinality:_ ?plan ?repr ~ctl ~obs
+  let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
-    Clip_xquery.Eval.run_document_result ?limits ?plan ?repr ~ctl
+    Clip_xquery.Eval.run_document_result ?limits ?plan ~ctl
       ~session:(Clip_xquery.Eval.Session.create shard) ~steps_out ?obs
       ~input:shard query
 
@@ -413,7 +410,7 @@ module Rel_backend : BACKEND = struct
         Clip_rel.Program.compile_result ~source:m.source
           ~target_root:m.target.root.name tgd)
 
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
+  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
       tgd =
     if not minimum_cardinality then
       invalid_arg
@@ -422,10 +419,10 @@ module Rel_backend : BACKEND = struct
     let obs = Clip_run.counters ctx in
     let query = prepare ?obs ~ctx ~session:s ~mapping:m tgd in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_rel.Eval.run ?plan ?repr ~ctl:(Clip_run.control ctx)
+      Clip_rel.Eval.run ?plan ~ctl:(Clip_run.control ctx)
         ~session:s.srel ?steps_out ?obs ~source:s.ssource query)
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
       (m : Mapping.t) tgd =
     if not minimum_cardinality then
       invalid_arg
@@ -436,13 +433,13 @@ module Rel_backend : BACKEND = struct
     | Error ds -> Error ds
     | Ok query ->
       Clip_run.span ctx "execute" (fun () ->
-        Clip_rel.Eval.run_result ?limits ?plan ?repr
+        Clip_rel.Eval.run_result ?limits ?plan
           ~ctl:(Clip_run.control ctx) ~session:s.srel ?steps_out ?obs
           ~source:s.ssource query)
 
-  let eval_shard ?limits ~minimum_cardinality:_ ?plan ?repr ~ctl ~obs
+  let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
-    Clip_rel.Eval.run_result ?limits ?plan ?repr ~ctl
+    Clip_rel.Eval.run_result ?limits ?plan ~ctl
       ~session:(Clip_rel.Eval.Session.create shard) ~steps_out ?obs
       ~source:shard query
 
@@ -495,10 +492,10 @@ let backend_names =
    full step budget — the budget bounds any single evaluation, not
    their sum. *)
 let eval_shard (type q) (module B : BACKEND with type query = q) ?limits
-    ~minimum_cardinality ?plan ?repr ~ctl ~obs ~(query : q) shard =
+    ~minimum_cardinality ?plan ~ctl ~obs ~(query : q) shard =
   let steps = ref 0 in
   let r =
-    B.eval_shard ?limits ~minimum_cardinality ?plan ?repr ~ctl ~obs
+    B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs
       ~steps_out:steps query shard
   in
   Result.map (fun out -> (out, !steps)) r
@@ -508,7 +505,7 @@ let eval_shard (type q) (module B : BACKEND with type query = q) ?limits
    error reported is the lowest shard index's — the one the sequential
    whole-document run would have hit first. *)
 let sharded_run_result (type q) (module B : BACKEND with type query = q)
-    ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out ?jobs
+    ?limits ~ctx ~minimum_cardinality ?plan ?steps_out ?jobs
     ~shard_bytes ~cut ~(query : q) source =
   let obs = Clip_run.counters ctx in
   let ctl = Clip_run.control ctx in
@@ -519,7 +516,7 @@ let sharded_run_result (type q) (module B : BACKEND with type query = q)
           (fun ~obs shard ->
             eval_shard
               (module B)
-              ?limits ~minimum_cardinality ?plan ?repr ~ctl ~obs ~query shard)
+              ?limits ~minimum_cardinality ?plan ~ctl ~obs ~query shard)
           shards)
   in
   let rec split outs = function
@@ -543,7 +540,7 @@ module Session = struct
   let create = create_session
   let source s = s.ssource
 
-  let run ?ctx ?(backend = `Tgd) ?(minimum_cardinality = true) ?plan ?repr
+  let run ?ctx ?(backend = `Tgd) ?(minimum_cardinality = true) ?plan
       ?steps_out ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs s
       (m : Mapping.t) =
     let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
@@ -555,20 +552,20 @@ module Session = struct
           decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource
         with
         | Clip_shard.Whole _ ->
-          B.eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s m tgd
+          B.eval ~ctx ~minimum_cardinality ?plan ?steps_out s m tgd
         | Clip_shard.Sharded cut ->
           let query = B.prepare ?obs ~ctx ~session:s ~mapping:m tgd in
           (match
              sharded_run_result
                (module B)
-               ~ctx ~minimum_cardinality ?plan ?repr ?steps_out ?jobs
+               ~ctx ~minimum_cardinality ?plan ?steps_out ?jobs
                ~shard_bytes ~cut ~query s.ssource
            with
            | Ok out -> out
            | Error ds -> raise (Clip_diag.Fail ds)))
 
   let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
-      ?plan ?repr ?steps_out ?(mode = `Whole)
+      ?plan ?steps_out ?(mode = `Whole)
       ?(shard_bytes = default_shard_bytes) ?jobs s (m : Mapping.t) =
     let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
     let obs = Clip_run.counters ctx in
@@ -583,7 +580,7 @@ module Session = struct
               decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource
             with
             | Clip_shard.Whole _ ->
-              B.eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr
+              B.eval_result ?limits ~ctx ~minimum_cardinality ?plan
                 ?steps_out s m tgd
             | Clip_shard.Sharded cut -> (
                 match
@@ -593,7 +590,7 @@ module Session = struct
                 | Ok query ->
                   sharded_run_result
                     (module B)
-                    ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out
+                    ?limits ~ctx ~minimum_cardinality ?plan ?steps_out
                     ?jobs ~shard_bytes ~cut ~query s.ssource)))
 end
 
@@ -635,16 +632,16 @@ let session_for ctx source =
 
 let resolve_ctx = function Some c -> c | None -> Clip_run.ambient ()
 
-let run ?ctx ?backend ?minimum_cardinality ?plan ?repr ?steps_out ?mode
+let run ?ctx ?backend ?minimum_cardinality ?plan ?steps_out ?mode
     ?shard_bytes ?jobs (m : Mapping.t) source =
   let ctx = resolve_ctx ctx in
-  Session.run ~ctx ?backend ?minimum_cardinality ?plan ?repr ?steps_out ?mode
+  Session.run ~ctx ?backend ?minimum_cardinality ?plan ?steps_out ?mode
     ?shard_bytes ?jobs (session_for ctx source) m
 
-let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
     ?steps_out ?mode ?shard_bytes ?jobs (m : Mapping.t) source =
   let ctx = resolve_ctx ctx in
-  Session.run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+  Session.run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan
     ?steps_out ?mode ?shard_bytes ?jobs (session_for ctx source) m
 
 (* --- Staged pipelines -------------------------------------------------- *)
@@ -654,7 +651,7 @@ let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
    tracer, deadline and cancellation are shared, and each stage's
    session is memoised per intermediate document as usual. The first
    failing stage aborts the chain. *)
-let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
     ?steps_out ?mode ?shard_bytes ?jobs (ms : Mapping.t list) source =
   if ms = [] then invalid_arg "Engine.run_staged_result: empty chain";
   let ctx = resolve_ctx ctx in
@@ -665,7 +662,7 @@ let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
     | m :: rest ->
       stage_steps := 0;
       (match
-         run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+         run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan
            ~steps_out:stage_steps ?mode ?shard_bytes ?jobs m doc
        with
        | Ok out ->
@@ -688,7 +685,7 @@ let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
    prologue-bearing shards need the whole prologue before the first
    unit can be cut loose). *)
 let run_stream_result ?ctx ?limits ?(backend = `Tgd)
-    ?(minimum_cardinality = true) ?plan ?repr ?steps_out ?(mode = `Auto)
+    ?(minimum_cardinality = true) ?plan ?steps_out ?(mode = `Auto)
     ?(shard_bytes = default_shard_bytes) ?jobs (m : Mapping.t) src =
   let ctx = resolve_ctx ctx in
   let obs = Clip_run.counters ctx in
@@ -698,7 +695,7 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
     with
     | Error ds -> Error ds
     | Ok doc ->
-      run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan ?repr
+      run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan
         ?steps_out ~mode ~shard_bytes ?jobs m doc
   in
   match mode with
@@ -740,7 +737,7 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
                       | Ok Clip_shard.Exhausted -> assert false
                       | Ok (Clip_shard.Fallback_doc doc) ->
                         run_result ~ctx ?limits ~backend ~minimum_cardinality
-                          ?plan ?repr ?steps_out ~mode:`Whole m doc
+                          ?plan ?steps_out ~mode:`Whole m doc
                       | Ok (Clip_shard.Shard first) -> (
                           let pending = ref (Some first) in
                           let produce () =
@@ -770,7 +767,7 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
                                   ~consume (fun ~obs shard ->
                                     eval_shard
                                       (module B)
-                                      ?limits ~minimum_cardinality ?plan ?repr
+                                      ?limits ~minimum_cardinality ?plan
                                       ~ctl ~obs ~query shard))
                           with
                           | Error ds -> Error ds
@@ -782,10 +779,10 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
                               | Some doc -> Ok doc
                               | None -> assert false)))))))
 
-let run_stream ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+let run_stream ?ctx ?limits ?backend ?minimum_cardinality ?plan
     ?steps_out ?mode ?shard_bytes ?jobs m src =
   match
-    run_stream_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
+    run_stream_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
       ?steps_out ?mode ?shard_bytes ?jobs m src
   with
   | Ok doc -> doc

@@ -28,15 +28,6 @@
     instances. [?steps_out], when given, receives the number of
     evaluation-budget steps consumed.
 
-    Also orthogonally, [?repr] selects the document representation
-    ({!Clip_xml.Doc.repr}, default [`Tree]): [`Columnar] converts the
-    source to the struct-of-arrays {!Clip_xml.Doc} — cached per
-    document by a {!Session} — and both backends then run child steps
-    as id-vector probes and physical plans through the vectorized
-    {!Clip_plan.execute_batch}; [`Auto] picks columnar when the
-    document is large enough to repay conversion. Every representation
-    produces byte-identical target instances.
-
     For repeated runs against one source instance, a {!Session}
     amortises the per-document and per-mapping analysis — compile,
     translation, statistics, tag index, physical plans — across
@@ -110,7 +101,6 @@ module Session : sig
     ?backend:backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     ?mode:mode ->
     ?shard_bytes:int ->
@@ -127,7 +117,6 @@ module Session : sig
     ?backend:backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     ?mode:mode ->
     ?shard_bytes:int ->
@@ -182,7 +171,6 @@ module type BACKEND = sig
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     Session.t ->
     Mapping.t ->
@@ -194,7 +182,6 @@ module type BACKEND = sig
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ?steps_out:int ref ->
     Session.t ->
     Mapping.t ->
@@ -205,7 +192,6 @@ module type BACKEND = sig
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
     ctl:Clip_run.Control.t ->
     obs:Clip_obs.Counters.t option ->
     steps_out:int ref ->
@@ -257,7 +243,6 @@ val run :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
@@ -277,7 +262,6 @@ val run_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
@@ -300,7 +284,6 @@ val run_staged_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
@@ -336,7 +319,6 @@ val run_stream_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
@@ -353,7 +335,6 @@ val run_stream :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->

@@ -13,8 +13,7 @@ module Counters = struct
     mutable index_hits : int;
     mutable hash_join_builds : int;
     mutable hash_join_probes : int;
-    mutable batches_executed : int;
-    mutable batch_width : int;
+    mutable batches_executed : int; (* never written: always 0 *)
     mutable memo_hits : int;
     mutable session_hits : int;
     mutable lim_ticks : int;
@@ -31,7 +30,6 @@ module Counters = struct
       hash_join_builds = 0;
       hash_join_probes = 0;
       batches_executed = 0;
-      batch_width = 0;
       memo_hits = 0;
       session_hits = 0;
       lim_ticks = 0;
@@ -46,8 +44,6 @@ module Counters = struct
     c.index_hits <- 0;
     c.hash_join_builds <- 0;
     c.hash_join_probes <- 0;
-    c.batches_executed <- 0;
-    c.batch_width <- 0;
     c.memo_hits <- 0;
     c.session_hits <- 0;
     c.lim_ticks <- 0;
@@ -63,8 +59,6 @@ module Counters = struct
     into.index_hits <- into.index_hits + c.index_hits;
     into.hash_join_builds <- into.hash_join_builds + c.hash_join_builds;
     into.hash_join_probes <- into.hash_join_probes + c.hash_join_probes;
-    into.batches_executed <- into.batches_executed + c.batches_executed;
-    into.batch_width <- into.batch_width + c.batch_width;
     into.memo_hits <- into.memo_hits + c.memo_hits;
     into.session_hits <- into.session_hits + c.session_hits;
     into.lim_ticks <- into.lim_ticks + c.lim_ticks;
@@ -79,8 +73,6 @@ module Counters = struct
       ("index_hits", c.index_hits);
       ("hash_join_builds", c.hash_join_builds);
       ("hash_join_probes", c.hash_join_probes);
-      ("batches_executed", c.batches_executed);
-      ("batch_width", c.batch_width);
       ("lim_ticks", c.lim_ticks);
     ]
 
@@ -142,19 +134,6 @@ let hash_join_probe (s : sink) =
   match s with
   | None -> ()
   | Some c -> c.Counters.hash_join_probes <- c.Counters.hash_join_probes + 1
-
-(* One call per (stage, frontier chunk) the vectorized executor
-   processes; [batch_width] accumulates the chunk widths, so
-   [batch_width / batches_executed] is the mean id-vector width. *)
-let batch_executed (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.batches_executed <- c.Counters.batches_executed + 1
-
-let batch_width (s : sink) n =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.batch_width <- c.Counters.batch_width + n
 
 let memo_hit (s : sink) =
   match s with

@@ -38,11 +38,8 @@ module Counters : sig
     mutable hash_join_builds : int;  (** hash-join tables built *)
     mutable hash_join_probes : int;  (** hash-join table lookups *)
     mutable batches_executed : int;
-        (** frontier chunks processed by the vectorized plan executor
-            (zero on the boxed-tree interpreters) *)
-    mutable batch_width : int;
-        (** summed widths of those chunks;
-            [batch_width / batches_executed] is the mean batch width *)
+        (** always 0: no executor batches frontiers. Kept so readers of
+            the field (perfbench's [plan.batches]) still compile. *)
     mutable memo_hits : int;  (** compiled-plan memo hits (per-document) *)
     mutable session_hits : int;
         (** engine session-cache hits (compiled tgds, generated
@@ -103,11 +100,6 @@ val index_hit : sink -> unit
 val hash_join_build : sink -> unit
 val hash_join_probe : sink -> unit
 
-(** [batch_executed s] / [batch_width s n] — one frontier chunk of [n]
-    environments processed by the vectorized plan executor. *)
-val batch_executed : sink -> unit
-
-val batch_width : sink -> int -> unit
 val memo_hit : sink -> unit
 val session_hit : sink -> unit
 val lim_tick : sink -> unit

@@ -620,40 +620,14 @@ let bind_tuple gens tbl k env =
   done;
   !env
 
-(* Build step-scoped probe [k]'s table into [tables]. Shared by the
-   depth-first interpreter and the vectorized executor — builds depend
-   on the environment they run under, so each caller decides which
-   tables array (shared vs per-frontier-cell snapshot) receives the
-   result. *)
+(* Build step-scoped probe [k]'s table into [tables], under the
+   environment the build runs in. *)
 let build_into ?obs (t : ('env, 'item) t) (tables : 'item table option array)
     ~(env : 'env) k =
   match t.stages.(k) with
   | Probe { gens; scope = At_step { slot; _ }; build_keys; _ } ->
     tables.(slot) <- Some (build_table ?obs gens build_keys env)
   | Probe { scope = Per_run _; _ } | Scan _ -> ()
-
-(* Run probe step [gens]/[scope]: look its table up (a run-scoped one
-   is built on its first probe of the run, under the probing [env] —
-   the segment reads nothing from it), then pass every surviving
-   binding to [k]. *)
-let probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys ~preds k =
-  let tbl =
-    match scope with
-    | At_step { slot; _ } -> (
-      match tables.(slot) with Some tbl -> tbl | None -> assert false)
-    | Per_run id -> (
-      match List.assq_opt id run.Run.tables with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = build_table ?obs gens build_keys env in
-        run.Run.tables <- (id, tbl) :: run.Run.tables;
-        tbl)
-  in
-  Clip_obs.hash_join_probe obs;
-  iter_hits tbl (probe_keys env) (fun i ->
-      tick ();
-      let env' = bind_tuple gens tbl i env in
-      if List.for_all (fun p -> p.test env') preds then k env')
 
 let execute ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
     ~(emit : 'env -> unit) : unit =
@@ -672,177 +646,25 @@ let execute ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
             if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
           (gen.eval env)
       | Probe { gens; scope; build_keys; probe_keys; preds } ->
-        probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys
-          ~preds (go (i + 1))
+        (* A run-scoped table is built on its first probe of the run,
+           under the probing [env] — the segment reads nothing from it. *)
+        let tbl =
+          match scope with
+          | At_step { slot; _ } -> (
+            match tables.(slot) with Some tbl -> tbl | None -> assert false)
+          | Per_run id -> (
+            match List.assq_opt id run.Run.tables with
+            | Some tbl -> tbl
+            | None ->
+              let tbl = build_table ?obs gens build_keys env in
+              run.Run.tables <- (id, tbl) :: run.Run.tables;
+              tbl)
+        in
+        Clip_obs.hash_join_probe obs;
+        iter_hits tbl (probe_keys env) (fun k ->
+            tick ();
+            let env' = bind_tuple gens tbl k env in
+            if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
     end
   in
   if List.for_all (fun p -> p.test env) t.pre then go 0 env
-
-(* --- Vectorized execution ---------------------------------------------- *)
-
-(* Frontier chunk bound: a single stage expansion widens a chunk by at
-   most its fan-out before the split in [execute_batch] re-bounds it,
-   so frontier memory never exceeds chunk x fan-out cells. *)
-let batch_chunk = 4096
-
-let rec take_chunk k acc l =
-  match l with
-  | rest when k = 0 -> (List.rev acc, rest)
-  | [] -> (List.rev acc, [])
-  | x :: tl -> take_chunk (k - 1) (x :: acc) tl
-
-(* Specialisation of {!execute_batch} for plans whose builds all fire
-   before the first stage (the build sides depend only on the outer
-   environment — the overwhelmingly common shape): every frontier cell
-   sees the same tables, so the per-item [(env, tables)] pairing of the
-   general executor — two extra words per item per stage, right in the
-   hot loop — disappears, and the frontier itself is a flat growable
-   ['env array] swept in place: one doubling buffer per stage
-   expansion instead of a cons cell plus a reversal cell per surviving
-   binding. Counter traces are identical to the general executor: same
-   expansions, same widths, same per-cell probe counts. *)
-let execute_batch_shared ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
-    ~(env : 'env) ~(emit : 'env -> unit) : unit =
-  let n = Array.length t.stages in
-  let tables = Array.make (max 1 t.nslots) None in
-  let expand i (src : 'env array) lo hi (sink : 'env -> unit) =
-    Clip_obs.batch_executed obs;
-    if Clip_obs.enabled obs then Clip_obs.batch_width obs (hi - lo);
-    match t.stages.(i) with
-    | Scan { gen; preds } ->
-      for j = lo to hi - 1 do
-        let env = src.(j) in
-        List.iter
-          (fun item ->
-            tick ();
-            let env' = gen.bind env item in
-            if List.for_all (fun p -> p.test env') preds then sink env')
-          (gen.eval env)
-      done
-    | Probe { gens; scope; build_keys; probe_keys; preds } ->
-      for j = lo to hi - 1 do
-        probe_step ?obs run tables ~tick ~env:src.(j) ~gens ~scope ~build_keys
-          ~probe_keys ~preds sink
-      done
-  in
-  let rec sweep i (src : 'env array) lo hi =
-    if hi > lo then begin
-      if i = n then
-        for j = lo to hi - 1 do
-          emit src.(j)
-        done
-      else if i = n - 1 then
-        (* Last stage: fuse expansion with emission — survivors stream
-           into [emit] while their environments are hot instead of
-           parking in a frontier first. Order, ticks and counters are
-           those of materialise-then-emit, verbatim. *)
-        expand i src lo hi emit
-      else begin
-        (* [env] doubles as the (never-read) fill element of fresh
-           buffers, so frontiers need no option boxing. *)
-        let buf = ref (Array.make 64 env) and len = ref 0 in
-        let push e =
-          if !len = Array.length !buf then begin
-            let nb = Array.make (2 * !len) env in
-            Array.blit !buf 0 nb 0 !len;
-            buf := nb
-          end;
-          !buf.(!len) <- e;
-          incr len
-        in
-        expand i src lo hi push;
-        let dst = !buf and m = !len in
-        let j = ref 0 in
-        while !j < m do
-          let hi' = min m (!j + batch_chunk) in
-          sweep (i + 1) dst !j hi';
-          j := hi'
-        done
-      end
-    end
-  in
-  if List.for_all (fun p -> p.test env) t.pre then begin
-    if n > 0 then List.iter (build_into ?obs t tables ~env) t.builds.(0);
-    sweep 0 [| env |] 0 1
-  end
-
-let batchable (t : ('env, 'item) t) =
-  let n = Array.length t.stages in
-  let ok = ref true in
-  for i = 1 to n - 1 do
-    if t.builds.(i) <> [] then ok := false
-  done;
-  !ok
-
-let scan_only (t : ('env, 'item) t) =
-  Array.for_all (function Scan _ -> true | Probe _ -> false) t.stages
-
-let execute_batch ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
-    ~(env : 'env) ~(emit : 'env -> unit) : unit =
-  if batchable t then execute_batch_shared ?obs ~run t ~tick ~env ~emit
-  else begin
-  let n = Array.length t.stages in
-  (* One frontier cell: an environment plus its private view of the
-     probe tables. Builds depend on the environment they run under, so
-     a breadth-first frontier cannot share the single mutable tables
-     array the depth-first executor uses — a cell snapshots the array
-     ([nslots] is tiny) whenever a stage triggers builds for it; cells
-     that trigger no builds share their parent's snapshot. *)
-  let expand i cells =
-    Clip_obs.batch_executed obs;
-    if Clip_obs.enabled obs then Clip_obs.batch_width obs (List.length cells);
-    let out = ref [] in
-    List.iter
-      (fun (env, tables) ->
-        let tables =
-          match t.builds.(i) with
-          | [] -> tables
-          | builds ->
-            let tables = Array.copy tables in
-            List.iter (build_into ?obs t tables ~env) builds;
-            tables
-        in
-        match t.stages.(i) with
-        | Scan { gen; preds } ->
-          List.iter
-            (fun item ->
-              tick ();
-              let env' = gen.bind env item in
-              if List.for_all (fun p -> p.test env') preds then
-                out := (env', tables) :: !out)
-            (gen.eval env)
-        | Probe { gens; scope; build_keys; probe_keys; preds } ->
-          probe_step ?obs run tables ~tick ~env ~gens ~scope ~build_keys ~probe_keys
-            ~preds (fun env' -> out := (env', tables) :: !out))
-      cells;
-    List.rev !out
-  in
-  (* Run a chunk of frontier cells through stages [i..n): expand one
-     stage as an array sweep over the whole chunk, split the result,
-     and run each piece to completion before the next. Pieces stay in
-     frontier order and every cell's descendants are emitted before
-     its successor's, so emission order is exactly the depth-first
-     lexicographic order of {!execute}; [tick] still fires once per
-     item enumerated at every stage, so step budgets, cancellation
-     polls and fault windows land on the same counts — at batch
-     granularity rather than per recursive call. *)
-  let rec sweep i cells =
-    match cells with
-    | [] -> ()
-    | _ ->
-      if i = n then List.iter (fun (env, _) -> emit env) cells
-      else begin
-        let rec pieces l =
-          match l with
-          | [] -> ()
-          | l ->
-            let chunk, rest = take_chunk batch_chunk [] l in
-            sweep (i + 1) chunk;
-            pieces rest
-        in
-        pieces (expand i cells)
-      end
-  in
-    if List.for_all (fun p -> p.test env) t.pre then
-      sweep 0 [ (env, Array.make (max 1 t.nslots) None) ]
-  end

@@ -242,39 +242,3 @@ val execute :
   env:'env ->
   emit:('env -> unit) ->
   unit
-
-(** [batchable t] — true when every hash-join build of [t] fires
-    before stage 0, so a breadth-first frontier can share one table
-    set and {!execute_batch} runs its allocation-free sweep.
-    Correlated (later-stage) builds force the batch executor onto a
-    per-cell table-snapshot path that costs more than the depth-first
-    {!execute}; evaluators use this predicate to batch exactly the
-    plans where batching pays. *)
-val batchable : ('env, 'item) t -> bool
-
-(** [scan_only t] — true when [t] has no hash-probe stages at all: the
-    plan is a pure navigation sweep. Implies {!batchable} (builds
-    exist only for probes). The strictest batching criterion an
-    evaluator can pick when probe-stage frontiers don't pay on its
-    workloads. *)
-val scan_only : ('env, 'item) t -> bool
-
-(** [execute_batch ?obs ~run t ~tick ~env ~emit] — the vectorized executor:
-    instead of one recursive descent per binding, each stage runs as
-    one sweep over a frontier chunk of environments (id vectors, on
-    the columnar document path). Emission order, survivors and the
-    per-item [tick] count are exactly those of {!execute} — only the
-    iteration schedule changes: ticks, cancellation polls and fault
-    windows land stage-by-stage at batch granularity. Frontier chunks
-    are bounded (a few thousand cells) and each chunk runs to
-    completion before the next, so memory stays proportional to chunk
-    width x stage fan-out, not to the full cross product. [?obs]
-    additionally counts [batches_executed] / [batch_width]. *)
-val execute_batch :
-  ?obs:Clip_obs.Counters.t ->
-  run:'item Run.t ->
-  ('env, 'item) t ->
-  tick:(unit -> unit) ->
-  env:'env ->
-  emit:('env -> unit) ->
-  unit

@@ -297,8 +297,8 @@ end
 (* --- Execution --------------------------------------------------------- *)
 
 let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
-    ?repr:(_ : Doc.repr option) ?(ctl = Clip_run.Control.none) ?session
-    ?steps_out ?obs ~source (prog : Program.t) =
+    ?(ctl = Clip_run.Control.none) ?session ?steps_out ?obs ~source
+    (prog : Program.t) =
   let ctx =
     match session with
     | Some s when s.sctx.source == source -> s.sctx
@@ -391,13 +391,13 @@ let reraise_legacy ds =
   let d = match ds with d :: _ -> d | [] -> assert false in
   raise (Error d.Clip_diag.message)
 
-let run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog =
+let run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
-      (execute ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog))
+      (execute ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog))
 
-let run ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog =
-  match run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog with
+let run ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog =
+  match run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog with
   | Ok n -> n
   | Error ds -> reraise_legacy ds
 

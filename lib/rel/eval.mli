@@ -29,7 +29,6 @@ type session = Session.t
 val run_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:session ->
   ?steps_out:int ref ->
@@ -43,7 +42,6 @@ val run_result :
 val run :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:session ->
   ?steps_out:int ref ->

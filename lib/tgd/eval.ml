@@ -21,25 +21,11 @@ let error fmt =
    the shared index ([`Indexed], or [`Auto] when indexing is judged to
    pay) or to [None] — while [xindex] owns the index itself. [steps]
    and [max_steps] are reset per run. *)
-(* Per-run columnar view of the source document: [Cnone] runs the
-   boxed-tree paths; [Cnaive] sweeps the sibling-chain arrays with
-   naive-scan counting (the columnar twin of the unindexed scan);
-   [Cindexed] probes the memoised id-vector index. *)
-type cview =
-  | Cnone
-  | Cnaive of Xml.Index.docidx
-  | Cindexed of Xml.Index.docidx
-
 type ctx = {
   source : Xml.Node.t;
   mutable index : Xml.Index.t option;
   mutable xindex : Xml.Index.t option; (* resettable memo, see [force_index] *)
   mutable stats : Xml.Stats.t option; (* resettable memo, see [force_stats] *)
-  mutable cview : cview; (* per-run view, set by [execute] like [index] *)
-  mutable xdoc : (Xml.Doc.t * Xml.Index.docidx) option;
-      (* resettable memo: the converted columnar document and its
-         id-vector index — per-document, so a session amortises the
-         conversion across runs *)
   steps : int ref;
   mutable max_steps : int;
   mutable obs : Clip_obs.sink;
@@ -47,14 +33,6 @@ type ctx = {
          evaluator never reaches for an ambient sink *)
   mutable ctl : Clip_run.Control.t;
       (* per-run deadline/cancellation view, polled by [tick] *)
-  sbuf_a : Xml.Index.idbuf;
-  sbuf_b : Xml.Index.idbuf;
-      (* scratch id buffers for the fused projection path, ping-ponged
-         between levels. Owning them here makes the steady state
-         allocation-free; sound because the fused path never re-enters
-         source evaluation while a buffer is live (the base expression
-         is evaluated before the first buffer fills, and level
-         expansion calls only index sweeps and counters). *)
 }
 
 let make_ctx source =
@@ -63,14 +41,10 @@ let make_ctx source =
     index = None;
     xindex = None;
     stats = None;
-    cview = Cnone;
-    xdoc = None;
     steps = ref 0;
     max_steps = max_int;
     obs = Clip_obs.none;
     ctl = Clip_run.Control.none;
-    sbuf_a = Xml.Index.idbuf_make ();
-    sbuf_b = Xml.Index.idbuf_make ();
   }
 
 (* Memo slots rather than lazies: a lazy that raises re-raises forever,
@@ -85,30 +59,11 @@ let force_index ctx =
     ctx.xindex <- Some i;
     i
 
-(* The columnar document and its index share one memo slot: the
-   conversion is the expensive half, and the index ([build_doc], the
-   fault boundary) is O(1) on top of it. *)
-let force_doc ctx =
-  match ctx.xdoc with
-  | Some d -> d
-  | None ->
-    let doc = Xml.Doc.of_node ctx.source in
-    let d = (doc, Xml.Index.build_doc doc) in
-    ctx.xdoc <- Some d;
-    d
-
 let force_stats ctx =
   match ctx.stats with
   | Some s -> s
   | None ->
-    let s =
-      (* When the columnar document already exists, collect with the
-         array sweep; {!Xml.Stats.collect_doc} agrees exactly with the
-         tree walk, so which one ran is unobservable. *)
-      match ctx.xdoc with
-      | Some (doc, _) -> Xml.Stats.collect_doc doc
-      | None -> Xml.Stats.collect ctx.source
-    in
+    let s = Xml.Stats.collect ctx.source in
     ctx.stats <- Some s;
     s
 
@@ -165,23 +120,6 @@ let scan_child_step ctx (e : Xml.Node.element) sym =
       | Xml.Node.Element _ | Xml.Node.Text _ -> None)
     e.children
 
-(* The columnar twin of the naive scan: one sweep down the
-   sibling-chain arrays, visiting every child (texts included) like the
-   boxed scan — same [nodes_scanned] count, same matches, no
-   memoisation. *)
-let doc_scan_child_step ctx (doc : Xml.Doc.t) id sym =
-  let tagi = (sym : Xml.Symbol.t :> int) in
-  let matches = ref [] and n = ref 0 in
-  let c = ref doc.Xml.Doc.first_child.(id) in
-  while !c >= 0 do
-    incr n;
-    if doc.Xml.Doc.tags.(!c) = tagi then
-      matches := doc.Xml.Doc.nodes.(!c) :: !matches;
-    c := doc.Xml.Doc.next_sibling.(!c)
-  done;
-  Clip_obs.scanned ctx.obs !n;
-  List.rev_map (fun nd -> Value.Node nd) !matches
-
 (* A child step over the boxed tree: an index probe when the run uses
    the tag index, else the naive scan. *)
 let tree_child_step ctx (e : Xml.Node.element) sym =
@@ -200,55 +138,11 @@ let step_items ctx (item : Value.item) (step : Path.step) : Value.item list =
        int compares instead of string equality. *)
     let sym = Xml.Symbol.intern tag in
     Clip_obs.child_step ctx.obs;
-    (match ctx.cview with
-     | Cindexed d ->
-       let id = Xml.Doc.find_id (Xml.Index.doc_of_index d) e in
-       if id >= 0 then begin
-         let items =
-           Xml.Index.doc_children_map ?obs:ctx.obs d id sym ~f:(fun n ->
-               Value.Node n)
-         in
-         if Clip_obs.enabled ctx.obs then
-           Clip_obs.scanned ctx.obs (List.length items);
-         items
-       end
-       else begin
-         (* An element constructed during evaluation: not part of the
-            converted document. Probe the boxed index (lazy, O(1)
-            build) so foreign elements do exactly the work — probes,
-            hits, matches-only scans — the boxed-tree indexed path
-            reports for them. *)
-         let matches =
-           Xml.Index.children_by_tag ?obs:ctx.obs (force_index ctx) e sym
-         in
-         if Clip_obs.enabled ctx.obs then
-           Clip_obs.scanned ctx.obs (List.length matches);
-         List.map (fun n -> Value.Node n) matches
-       end
-     | Cnaive d ->
-       let doc = Xml.Index.doc_of_index d in
-       let id = Xml.Doc.find_id doc e in
-       if id >= 0 then doc_scan_child_step ctx doc id sym
-       else scan_child_step ctx e sym
-     | Cnone -> tree_child_step ctx e sym)
+    tree_child_step ctx e sym
   | Value.Node (Xml.Node.Element e), Path.Attr name ->
     (match Xml.Node.attr e name with Some a -> [ Value.Atomic a ] | None -> [])
   | Value.Node (Xml.Node.Element e), Path.Value ->
-    let columnar =
-      match ctx.cview with
-      | Cnaive d | Cindexed d ->
-        (* O(1) read of the precomputed text value instead of a walk
-           over the children list. *)
-        let doc = Xml.Index.doc_of_index d in
-        let id = Xml.Doc.find_id doc e in
-        if id >= 0 then Some (Xml.Doc.text_value_of doc id) else None
-      | Cnone -> None
-    in
-    (match columnar with
-     | Some (Some a) -> [ Value.Atomic a ]
-     | Some None -> []
-     | None ->
-       (match Xml.Node.text_value e with Some a -> [ Value.Atomic a ] | None -> []))
+    (match Xml.Node.text_value e with Some a -> [ Value.Atomic a ] | None -> [])
   | (Value.Node (Xml.Node.Text _) | Value.Atomic _), _ -> []
 
 let rec eval_src ctx env (e : Term.expr) : Value.item list =
@@ -265,109 +159,8 @@ let rec eval_src ctx env (e : Term.expr) : Value.item list =
      | Some (Src item) -> [ item ]
      | Some (Tgt _) -> error "variable %s is a target variable in a source position" x
      | None -> error "unbound source variable %s" x)
-  | Term.Proj ((Term.Proj _ as inner), step) as proj ->
-    (* chains of ≥ 2 steps amortise the fused path's setup; a lone
-       step is cheaper through the per-item fast path below *)
-    (match ctx.cview with
-     | Cnaive d | Cindexed d -> eval_proj_fused ctx env d proj
-     | Cnone ->
-       List.concat_map (fun item -> step_items ctx item step) (eval_src ctx env inner))
   | Term.Proj (inner, step) ->
     List.concat_map (fun item -> step_items ctx item step) (eval_src ctx env inner)
-
-(* Fused columnar projection: the whole [Proj] chain runs in node-id
-   space — one interned symbol and one growable id buffer per level,
-   boxing only the final level — instead of a dispatch, a symbol
-   intern and an intermediate boxed list per item per level. Results
-   and counters are exactly the generic recursion's: ticks fire once
-   per [Proj] node before the base evaluates (the generic unwind
-   order), every parent element counts one [child_step], and
-   scans/probes go through {!Xml.Index.doc_append_children}'s shared
-   counting rules. Any base item outside the document (an
-   evaluator-built element, a text node, an atom) falls back to the
-   per-item path for the whole chain. *)
-and eval_proj_fused ctx env d (e0 : Term.expr) : Value.item list =
-  let rec spine acc e =
-    match e with Term.Proj (inner, s) -> spine (s :: acc) inner | base -> (base, acc)
-  in
-  let base, steps = spine [] e0 in
-  (* the caller's [tick] covered the outermost node *)
-  (match steps with [] -> () | _ :: rest -> List.iter (fun _ -> tick ctx) rest);
-  let items = eval_src ctx env base in
-  let doc = Xml.Index.doc_of_index d in
-  let ok = ref true in
-  let buf = ctx.sbuf_a in
-  buf.Xml.Index.len <- 0;
-  List.iter
-    (fun it ->
-      if !ok then
-        match it with
-        | Value.Node (Xml.Node.Element e) ->
-          let id = Xml.Doc.find_id doc e in
-          if id >= 0 then Xml.Index.idbuf_push buf id else ok := false
-        | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> ok := false)
-    items;
-  if not !ok then
-    List.fold_left
-      (fun its step -> List.concat_map (fun it -> step_items ctx it step) its)
-      items steps
-  else begin
-    let naive = match ctx.cview with Cnaive _ -> true | _ -> false in
-    let boxed (src : int array) n =
-      let rec mk i acc =
-        if i < 0 then acc
-        else mk (i - 1) (Value.Node doc.Xml.Doc.nodes.(src.(i)) :: acc)
-      in
-      mk (n - 1) []
-    in
-    let rec levels (cur : Xml.Index.idbuf) (other : Xml.Index.idbuf) = function
-      | [] -> boxed cur.Xml.Index.ids cur.Xml.Index.len
-      | Path.Child tag :: rest ->
-        let sym = Xml.Symbol.intern tag in
-        let dst = other in
-        dst.Xml.Index.len <- 0;
-        let src = cur.Xml.Index.ids and n = cur.Xml.Index.len in
-        for j = 0 to n - 1 do
-          Clip_obs.child_step ctx.obs;
-          Xml.Index.doc_append_children ?obs:ctx.obs d ~naive dst src.(j) sym
-        done;
-        levels dst cur rest
-      | [ Path.Value ] ->
-        let src = cur.Xml.Index.ids in
-        let rec mk i acc =
-          if i < 0 then acc
-          else
-            let tv = doc.Xml.Doc.text_value.(src.(i)) in
-            mk (i - 1)
-              (if tv >= 0 then Value.Atomic doc.Xml.Doc.atoms.(tv) :: acc else acc)
-        in
-        mk (cur.Xml.Index.len - 1) []
-      | [ Path.Attr name ] ->
-        let src = cur.Xml.Index.ids in
-        let rec mk i acc =
-          if i < 0 then acc
-          else
-            let acc =
-              match doc.Xml.Doc.nodes.(src.(i)) with
-              | Xml.Node.Element e ->
-                (match Xml.Node.attr e name with
-                 | Some a -> Value.Atomic a :: acc
-                 | None -> acc)
-              | Xml.Node.Text _ -> acc
-            in
-            mk (i - 1) acc
-        in
-        mk (cur.Xml.Index.len - 1) []
-      | ((Path.Value | Path.Attr _) :: _ :: _) as all ->
-        (* a leaf step mid-chain: box here and let the per-item path
-           finish (it answers [] for atoms, like the generic walk) *)
-        List.fold_left
-          (fun its step -> List.concat_map (fun it -> step_items ctx it step) its)
-          (boxed cur.Xml.Index.ids cur.Xml.Index.len)
-          all
-    in
-    levels buf ctx.sbuf_b steps
-  end
 
 let scalar_functions = Builder.scalar_functions
 
@@ -399,10 +192,8 @@ let holds ctx env (c : Tgd.comparison) =
    once per plan: tags are interned and every step dispatched at
    compile time. The closures tick, count and fail exactly where
    [eval_src]/[eval_scalar] do, in the same order, so budgets, deadline
-   polls and counters cannot tell the two apart. A cached plan outlives
-   one run's representation, so each closure reads [ctx.cview] per call
-   and hands columnar views to [eval_src]. *)
-let rec compile_tree_src ctx (e : Term.expr) : binding Env.t -> Value.item list =
+   polls and counters cannot tell the two apart. *)
+let rec compile_src ctx (e : Term.expr) : binding Env.t -> Value.item list =
   match e with
   | Term.Root s ->
     let items = [ Value.Node ctx.source ] in
@@ -421,7 +212,7 @@ let rec compile_tree_src ctx (e : Term.expr) : binding Env.t -> Value.item list 
        | Some (Tgt _) -> error "variable %s is a target variable in a source position" x
        | None -> error "unbound source variable %s" x)
   | Term.Proj (inner, step) ->
-    let inner = compile_tree_src ctx inner in
+    let inner = compile_src ctx inner in
     let step : Value.item -> Value.item list =
       match step with
       | Path.Child tag ->
@@ -447,13 +238,6 @@ let rec compile_tree_src ctx (e : Term.expr) : binding Env.t -> Value.item list 
       (match inner env with
        | [ item ] -> step item
        | items -> List.concat_map step items)
-
-let compile_src ctx (e : Term.expr) =
-  let tree = compile_tree_src ctx e in
-  fun env ->
-    match ctx.cview with
-    | Cnone -> tree env
-    | Cnaive _ | Cindexed _ -> eval_src ctx env e
 
 let rec compile_scalar ctx (s : Term.scalar) : binding Env.t -> Xml.Atom.t list =
   match s with
@@ -693,12 +477,8 @@ module Session = struct
   let stats s = force_stats s.sctx
 end
 
-(* Documents smaller than this don't repay the one-off columnar
-   conversion under [`Auto] representation; the boxed tree runs. *)
-let columnar_threshold = 256
-
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
-    ?(plan = `Auto) ?(repr = (`Tree : Xml.Doc.repr)) ?(ctl = Clip_run.Control.none)
+    ?(plan = `Auto) ?(ctl = Clip_run.Control.none)
     ?session ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
   let ctx =
     match session with
@@ -771,59 +551,28 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
          p)
     | _ -> build ()
   in
-  (* Resolve the document representation for this run. Under columnar
-     the boxed tag index is never built: all child steps go through
-     the id-vector index (or the array-sweep naive scan), and the
-     planned path runs the vectorized frontier executor. *)
-  let columnar =
-    match repr with
-    | `Tree -> false
-    | `Columnar -> true
-    | `Auto -> Xml.Stats.node_count (force_stats ctx) >= columnar_threshold
-  in
-  let docidx () = snd (force_doc ctx) in
   (* The run-scoped hash tables: a nested mapping joined to its parent
      builds its table once here, not once per parent binding. *)
   let run = Clip_plan.Run.create () in
-  let rec eval_planned ~outer env (p : planned) =
+  let rec eval_planned env (p : planned) =
     Builder.pre_instantiate bld p.pbody env;
-    (* Batch only where batching pays: the outermost plan of a mapping
-       node, whose frontier actually widens over the document, and only
-       when its builds are frontier-uniform (see {!Clip_plan.batchable}).
-       Nested plans run once per outer tuple over singleton frontiers,
-       where the batch machinery is pure per-invocation overhead — they
-       keep the depth-first executor. *)
-    let exec =
-      if columnar && outer && Clip_plan.batchable p.pplan then
-        Clip_plan.execute_batch
-      else Clip_plan.execute
-    in
-    exec ?obs:ctx.obs ~run p.pplan
+    Clip_plan.execute ?obs:ctx.obs ~run p.pplan
       ~tick:(fun () -> tick ctx)
       ~env
       ~emit:
         (Builder.emit bld p.pbody (fun env ->
-             List.iter (eval_planned ~outer:false env) p.pchildren))
+             List.iter (eval_planned env) p.pchildren))
   in
   (match plan with
    | `Naive ->
      ctx.index <- None;
-     ctx.cview <- (if columnar then Cnaive (docidx ()) else Cnone);
      naive ()
    | `Indexed ->
-     if columnar then begin
-       ctx.index <- None;
-       ctx.cview <- Cindexed (docidx ())
-     end
-     else begin
-       ctx.index <- Some (force_index ctx);
-       ctx.cview <- Cnone
-     end;
-     eval_planned ~outer:true Env.empty (planned_for `Force)
+     ctx.index <- Some (force_index ctx);
+     eval_planned Env.empty (planned_for `Force)
    | `Auto ->
      if Xml.Stats.node_count (force_stats ctx) < naive_threshold then begin
        ctx.index <- None;
-       ctx.cview <- (if columnar then Cnaive (docidx ()) else Cnone);
        naive ()
      end
      else begin
@@ -835,15 +584,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
          tree_revisits ~outer_last:None p
          && Xml.Stats.node_count (force_stats ctx) >= index_threshold
        in
-       if columnar then begin
-         ctx.index <- None;
-         ctx.cview <- (if use_index then Cindexed (docidx ()) else Cnaive (docidx ()))
-       end
-       else begin
-         ctx.index <- (if use_index then Some (force_index ctx) else None);
-         ctx.cview <- Cnone
-       end;
-       eval_planned ~outer:true Env.empty p
+       ctx.index <- (if use_index then Some (force_index ctx) else None);
+       eval_planned Env.empty p
      end);
   Builder.root bld
 
@@ -851,17 +593,17 @@ let reraise_legacy ds =
   let d = match ds with d :: _ -> d | [] -> assert false in
   raise (Error d.Clip_diag.message)
 
-let run_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
+let run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
     ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
-      (execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
+      (execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
          ?obs ~source ~target_root m))
 
-let run ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out ?obs
+let run ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out ?obs
     ~source ~target_root m =
   match
-    run_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
+    run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
       ?obs ~source ~target_root m
   with
   | Ok n -> n
@@ -971,7 +713,7 @@ type trace_entry = {
    collects, each time a target generator creates or re-reaches an
    element, the source elements bound at that moment (deduplicated by
    identity). Untraced runs pass no recorder and pay nothing. *)
-let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
+let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
     ?steps_out ?obs ~source ~target_root m =
   let lineage = Hashtbl.create 64 in
   let record env (node : Builder.bnode) =
@@ -995,7 +737,7 @@ let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
       env
   in
   let root =
-    execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out ?obs
+    execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out ?obs
       ~record ~source ~target_root m
   in
   let trace = ref [] in
@@ -1011,16 +753,16 @@ let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
   walk [] root;
   (Builder.bnode_to_node root, List.rev !trace)
 
-let run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
+let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session
     ?steps_out ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
-    run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
+    run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
       ?steps_out ?obs ~source ~target_root m)
 
-let run_traced ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
+let run_traced ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
     ?obs ~source ~target_root m =
   match
-    run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
+    run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session
       ?steps_out ?obs ~source ~target_root m
   with
   | Ok r -> r

@@ -41,16 +41,6 @@
     deadline reports [CLIP-LIM-005], a set cancellation flag
     [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    Every run entry point also takes [?repr] (default [`Tree]): the
-    document-representation switch of {!Clip_xml.Doc.repr}. [`Columnar]
-    converts the source to the struct-of-arrays {!Clip_xml.Doc} (cached
-    per document by a session), runs child and value steps as id-vector
-    probes / array sweeps, and executes physical plans with the
-    vectorized {!Clip_plan.execute_batch}; [`Auto] picks columnar for
-    large-enough documents. All representations produce byte-identical
-    documents and preserve the counter invariants; [explain] is
-    representation-independent.
-
     A {!Session} pins one source document and carries its per-document
     artifacts — tag index, instance statistics, compiled plans —
     across runs, so repeated execution against the same source pays
@@ -89,7 +79,6 @@ val run_result :
   ?limits:Clip_diag.Limits.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -105,7 +94,6 @@ val run :
   ?limits:Clip_diag.Limits.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -148,7 +136,6 @@ val run_traced_result :
   ?limits:Clip_diag.Limits.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -164,7 +151,6 @@ val run_traced :
   ?limits:Clip_diag.Limits.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->

@@ -1,72 +1,41 @@
-(* A struct-of-arrays (columnar) document representation.
+(* A struct-of-arrays (columnar) copy of a document, read by the
+   relational backend's column store.
 
    Nodes are numbered in preorder (document order): the root is id 0
    and every parent precedes its descendants. Each per-node property
-   lives in its own flat array — interned tag symbols, parent /
-   first-child / next-sibling links, attribute ranges — and every
-   atomic value (text payloads, attribute values, precomputed element
-   text values) is an index into one shared, deduplicated atom table.
-   Traversals become int-array sweeps with no pointer chasing and no
-   per-step allocation, which is what the vectorized execution path
-   ({!Clip_plan}, both backend evaluators under [`Columnar]) runs on.
+   lives in its own flat array — interned tag symbols, first-child /
+   next-sibling links, attribute ranges — and every atomic value (text
+   payloads, attribute values, precomputed element text values) is an
+   index into one shared, deduplicated atom table.
 
-   [of_node] additionally records the original boxed node of every id,
-   so [to_node] is an O(1) array read returning the {e physically
-   identical} subtree. That choice is load-bearing: identity-keyed
-   caches ({!Index}, provenance seen-sets) and byte-identical output
-   guarantees keep holding when columnar and tree execution mix in one
-   run. [rebuild] is the genuine array-to-tree reconstruction — used
-   by round-trip tests and, later, by cross-domain document shipping —
-   and shares nothing with the input.
+   [nodes] records the original boxed node of every id, so a store row
+   hands back the {e physically identical} subtree. [rebuild] is the
+   genuine array-to-tree reconstruction — the round-trip oracle for
+   [of_node] — and shares nothing with the input.
 
    Atom deduplication is by exact representation ([Float] payloads
    compared as IEEE bits), never by the looser [Atom.equal] classes:
-   [Int 3] and [Float 3.] stay separate atoms, so a value read through
-   the columnar path prints and compares exactly like the boxed
-   original and outputs cannot drift across representations. *)
+   [Int 3] and [Float 3.] stay separate atoms, so a value read off the
+   arrays prints and compares exactly like the boxed original. *)
 
 type t = {
   tags : int array;
       (* per node: [(Node.element.sym :> int)]; [-1] for text nodes *)
-  parent : int array; (* [-1] for the root *)
   first_child : int array; (* [-1] when childless *)
   next_sibling : int array; (* [-1] for a last sibling *)
-  nchildren : int array;
-      (* per node: child count (elements and texts); the smallness
-         test of {!Index} reads it instead of re-walking the sibling
-         chain on every probe *)
   attr_start : int array; (* per node: first slot in [attr_names] *)
   attr_len : int array; (* per node: attribute count; 0 for text *)
   attr_names : string array; (* per attribute slot *)
   attr_value : int array; (* per attribute slot: index into [atoms] *)
-  text_atom : int array; (* per text node: index into [atoms]; else -1 *)
   text_value : int array;
-      (* per element: precomputed {!Node.text_value} as an index into
-         [atoms]; [-1] = no text children. Makes value/predicate reads
-         an O(1) array load on the columnar path. *)
+      (* index into [atoms]: per element its precomputed
+         {!Node.text_value} ([-1] = no text children), per text node
+         its payload *)
   atoms : Atom.t array; (* shared deduplicated atom table *)
   nodes : Node.t array; (* per node: the original boxed subtree *)
-  by_elem : (int, int) Hashtbl.t; (* Node.element.id -> node id *)
-  elem_lo : int;
-  elem_map : int array;
-      (* dense element-id -> node-id map: slot [e.id - elem_lo] holds
-         the node id, [-1] when no element of the document has that
-         allocation id. Built when the document's allocation ids are
-         near-contiguous (a tree parsed or built in one go), which
-         makes the per-step element lookup three instructions instead
-         of a generic hash; empty when the ids are too sparse, and
-         [find_id] falls back to [by_elem]. *)
-  elements : int;
 }
 
-(* The document representation switch threaded from the engine down to
-   both backends: [`Tree] runs the boxed interpreters (the oracle),
-   [`Columnar] the array path, [`Auto] picks columnar for documents
-   large enough that conversion pays for itself. *)
-type repr = [ `Tree | `Columnar | `Auto ]
-
 let length t = Array.length t.tags
-let element_count t = t.elements
 
 (* --- Conversion: tree -> arrays ---------------------------------------- *)
 
@@ -84,7 +53,7 @@ let akey = function
 
 let of_node root =
   (* Pass 1: size everything (stack-safe worklist). *)
-  let n = ref 0 and nattrs = ref 0 and nelems = ref 0 in
+  let n = ref 0 and nattrs = ref 0 in
   let stack = ref [ root ] in
   while !stack <> [] do
     match !stack with
@@ -94,7 +63,6 @@ let of_node root =
       (match node with
        | Node.Text _ -> stack := rest
        | Node.Element e ->
-         incr nelems;
          nattrs := !nattrs + List.length e.Node.attrs;
          stack := List.rev_append (List.rev e.Node.children) rest)
   done;
@@ -105,13 +73,10 @@ let of_node root =
   let next_sibling = Array.make n (-1) in
   let attr_start = Array.make n 0 in
   let attr_len = Array.make n 0 in
-  let nchildren = Array.make n 0 in
   let attr_names = Array.make !nattrs "" in
   let attr_value = Array.make !nattrs (-1) in
-  let text_atom = Array.make n (-1) in
   let text_value = Array.make n (-1) in
   let nodes = Array.make n root in
-  let by_elem = Hashtbl.create (2 * !nelems) in
   (* Atom table: deduplicated, in first-seen order. *)
   let atom_ids : (akey, int) Hashtbl.t = Hashtbl.create 64 in
   let atoms_rev = ref [] and natoms = ref 0 in
@@ -131,7 +96,6 @@ let of_node root =
      numbered before any following sibling. *)
   let next = ref 0 in
   let anext = ref 0 in
-  let elem_lo = ref max_int and elem_hi = ref min_int in
   let stack = ref [ (root, -1) ] in
   while !stack <> [] do
     match !stack with
@@ -143,13 +107,9 @@ let of_node root =
       nodes.(id) <- node;
       parent.(id) <- p;
       (match node with
-       | Node.Text a -> text_atom.(id) <- atom_id a
+       | Node.Text a -> text_value.(id) <- atom_id a
        | Node.Element e ->
          tags.(id) <- (e.Node.sym :> int);
-         nchildren.(id) <- List.length e.Node.children;
-         elem_lo := min !elem_lo e.Node.id;
-         elem_hi := max !elem_hi e.Node.id;
-         Hashtbl.replace by_elem e.Node.id id;
          (match Node.text_value e with
           | Some a -> text_value.(id) <- atom_id a
           | None -> ());
@@ -173,37 +133,17 @@ let of_node root =
     next_sibling.(id) <- first_child.(p);
     first_child.(p) <- id
   done;
-  (* Dense lookup only when the id range is close to the element
-     count: hash-consing allocates ids monotonically, so a tree built
-     in one go is contiguous; a document assembled from widely-spaced
-     builds keeps the hashtable instead of a mostly-empty array. *)
-  let elem_lo, elem_map =
-    let range = !elem_hi - !elem_lo + 1 in
-    if !nelems > 0 && range <= 4 * !nelems then begin
-      let map = Array.make range (-1) in
-      Hashtbl.iter (fun eid id -> map.(eid - !elem_lo) <- id) by_elem;
-      (!elem_lo, map)
-    end
-    else (0, [||])
-  in
   {
     tags;
-    parent;
     first_child;
     next_sibling;
     attr_start;
     attr_len;
-    nchildren;
     attr_names;
     attr_value;
-    text_atom;
     text_value;
     atoms = Array.of_list (List.rev !atoms_rev);
     nodes;
-    by_elem;
-    elem_lo;
-    elem_map;
-    elements = !nelems;
   }
 
 (* --- Reads -------------------------------------------------------------- *)
@@ -212,51 +152,11 @@ let check t id fn =
   if id < 0 || id >= Array.length t.tags then
     invalid_arg (Printf.sprintf "Doc.%s: node id %d out of range" fn id)
 
-let to_node t id =
-  check t id "to_node";
-  t.nodes.(id)
-
-let id_of t (e : Node.element) = Hashtbl.find_opt t.by_elem e.Node.id
-
-(* The non-allocating twin of [id_of] for per-step hot paths: an
-   option cell — and a generic hash — per child step is measurable
-   across a whole run. With the dense map, a document element costs an
-   offset and a bounds test, and a foreign (evaluator-built) element
-   falls off the range immediately: allocation ids only grow, so
-   nothing built after conversion can land inside it. *)
-let find_id t (e : Node.element) =
-  let off = e.Node.id - t.elem_lo in
-  if off >= 0 && off < Array.length t.elem_map then Array.unsafe_get t.elem_map off
-  else if Array.length t.elem_map > 0 then -1
-  else
-    match Hashtbl.find t.by_elem e.Node.id with
-    | id -> id
-    | exception Not_found -> -1
 let is_element t id = t.tags.(id) >= 0
 
 let tag t id =
   check t id "tag";
   Symbol.of_int t.tags.(id)
-
-let text_value_of t id =
-  check t id "text_value_of";
-  let v = t.text_value.(id) in
-  if v < 0 then None else Some t.atoms.(v)
-
-let attr t id name =
-  check t id "attr";
-  let stop = t.attr_start.(id) + t.attr_len.(id) in
-  let rec go i =
-    if i >= stop then None
-    else if String.equal t.attr_names.(i) name then Some t.atoms.(t.attr_value.(i))
-    else go (i + 1)
-  in
-  go t.attr_start.(id)
-
-let children_ids t id =
-  check t id "children_ids";
-  let rec go acc c = if c < 0 then List.rev acc else go (c :: acc) t.next_sibling.(c) in
-  go [] t.first_child.(id)
 
 (* --- Reconstruction: arrays -> tree ------------------------------------- *)
 
@@ -264,7 +164,7 @@ type frame = { id : int; mutable next : int; mutable kids_rev : Node.t list }
 
 let rebuild t id0 =
   check t id0 "rebuild";
-  let text id = Node.text t.atoms.(t.text_atom.(id)) in
+  let text id = Node.text t.atoms.(t.text_value.(id)) in
   let mk_elem id kids_rev =
     let tag = Symbol.name (Symbol.of_int t.tags.(id)) in
     let attrs =

@@ -85,252 +85,6 @@ let children_by_tag ?obs t e sym =
     Tbl.add t.children e groups;
     (match assq_opt sym groups with Some nodes -> nodes | None -> [])
 
-(* --- Columnar (Doc) variants ------------------------------------------- *)
-
-(* The id-vector face of the same index, over a converted {!Doc}: a
-   probe answers with a flat [int array] of preorder node ids instead
-   of a boxed node list. Child vectors come off the sibling-chain
-   arrays, descendant vectors off the contiguous preorder range of the
-   subtree — both are pure int sweeps. The boxed views ([*_by_tag])
-   are memoised per (parent id, tag) on top of the id vectors, so a
-   warm probe returns the exact same list (zero allocation), which is
-   what makes the columnar path cheaper than re-walking children lists
-   run after run. *)
-
-type docidx = {
-  didx_doc : Doc.t;
-  dchildren : (int * Symbol.t, int array) Hashtbl.t;
-  dchild_nodes : (int * Symbol.t, Node.t list) Hashtbl.t;
-  ddescendants : (int * Symbol.t, int array) Hashtbl.t;
-  ddesc_nodes : (int * Symbol.t, Node.t list) Hashtbl.t;
-}
-
-let build_doc doc =
-  (* Same fault boundary as {!build}: held in resettable memo slots. *)
-  Clip_fault.hit Clip_fault.Site.index_build;
-  {
-    didx_doc = doc;
-    dchildren = Hashtbl.create 256;
-    dchild_nodes = Hashtbl.create 256;
-    ddescendants = Hashtbl.create 16;
-    ddesc_nodes = Hashtbl.create 16;
-  }
-
-let doc_of_index d = d.didx_doc
-
-(* Mirror of [shorter_than e.children small] on the sibling chain, so
-   the columnar index memoises exactly the elements the boxed index
-   memoises — which keeps the probe/hit counters byte-identical across
-   representations (the counters are the cross-representation
-   semantics oracle). *)
-let doc_small (doc : Doc.t) id = doc.Doc.nchildren.(id) < small
-
-(* Both child probes test [doc_small] {e first}: a narrow element is
-   never in the memo tables, so probing them would be a guaranteed
-   miss — two wasted tuple allocations and generic hashes on the
-   hottest path. The narrow case is instead one fused sweep down the
-   sibling chain (bounded by the scan itself), exactly the work the
-   boxed index does for the same element, with the same single
-   probe-no-hit counter trace. *)
-
-let doc_collect_child_ids (doc : Doc.t) id tag =
-  let count = ref 0 in
-  let c = ref doc.Doc.first_child.(id) in
-  while !c >= 0 do
-    if doc.Doc.tags.(!c) = tag then incr count;
-    c := doc.Doc.next_sibling.(!c)
-  done;
-  let ids = Array.make !count 0 in
-  let k = ref 0 in
-  let c = ref doc.Doc.first_child.(id) in
-  while !c >= 0 do
-    if doc.Doc.tags.(!c) = tag then begin
-      ids.(!k) <- !c;
-      incr k
-    end;
-    c := doc.Doc.next_sibling.(!c)
-  done;
-  ids
-
-let doc_children_ids ?obs d id sym =
-  Clip_obs.index_probe obs;
-  let doc = d.didx_doc in
-  if doc_small doc id then doc_collect_child_ids doc id (sym : Symbol.t :> int)
-  else
-    match Hashtbl.find_opt d.dchildren (id, sym) with
-    | Some ids ->
-      Clip_obs.index_hit obs;
-      ids
-    | None ->
-      let ids = doc_collect_child_ids doc id (sym : Symbol.t :> int) in
-      Hashtbl.replace d.dchildren (id, sym) ids;
-      ids
-
-let doc_children_by_tag ?obs d id sym =
-  let doc = d.didx_doc in
-  if doc_small doc id then begin
-    Clip_obs.index_probe obs;
-    (* Narrow: build the boxed list in one sweep — no id vector, no
-       memo tables, one allocation. The recursion depth is bounded by
-       [small], so the non-tail cons is safe. *)
-    let tag = (sym : Symbol.t :> int) in
-    let rec go c =
-      if c < 0 then []
-      else if doc.Doc.tags.(c) = tag then
-        doc.Doc.nodes.(c) :: go doc.Doc.next_sibling.(c)
-      else go doc.Doc.next_sibling.(c)
-    in
-    go doc.Doc.first_child.(id)
-  end
-  else
-    match Hashtbl.find_opt d.dchild_nodes (id, sym) with
-    | Some nodes ->
-      Clip_obs.index_probe obs;
-      Clip_obs.index_hit obs;
-      nodes
-    | None ->
-      let ids = doc_children_ids ?obs d id sym in
-      let nodes = Array.to_list (Array.map (fun i -> doc.Doc.nodes.(i)) ids) in
-      Hashtbl.replace d.dchild_nodes (id, sym) nodes;
-      nodes
-
-(* One-pass mapped view of {!doc_children_by_tag}: narrow elements
-   build the [f]-mapped list directly (one list, no boxed
-   intermediate); wide ones map over the memoised grouping. Counter
-   trace identical to {!doc_children_by_tag} — this is the columnar
-   evaluators' child step, where the extra intermediate list per step
-   is measurable across a run. *)
-let doc_children_map ?obs d id sym ~f =
-  let doc = d.didx_doc in
-  if doc_small doc id then begin
-    Clip_obs.index_probe obs;
-    let tag = (sym : Symbol.t :> int) in
-    let rec go c =
-      if c < 0 then []
-      else if doc.Doc.tags.(c) = tag then
-        f doc.Doc.nodes.(c) :: go doc.Doc.next_sibling.(c)
-      else go doc.Doc.next_sibling.(c)
-    in
-    go doc.Doc.first_child.(id)
-  end
-  else List.map f (doc_children_by_tag ?obs d id sym)
-
-(* --- Fused level expansion --------------------------------------------- *)
-
-(* A growable id buffer: the fused projection path of both evaluators
-   expands a whole level of parent ids into one of these instead of
-   boxing an intermediate node list per parent. *)
-type idbuf = { mutable ids : int array; mutable len : int }
-
-let idbuf_make () = { ids = Array.make 32 0; len = 0 }
-
-let idbuf_reserve b extra =
-  let need = b.len + extra in
-  if need > Array.length b.ids then begin
-    let cap = ref (2 * Array.length b.ids) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let nb = Array.make !cap 0 in
-    Array.blit b.ids 0 nb 0 b.len;
-    b.ids <- nb
-  end
-
-let idbuf_push b v =
-  if b.len = Array.length b.ids then idbuf_reserve b 1;
-  b.ids.(b.len) <- v;
-  b.len <- b.len + 1
-
-(* Append the [sym]-tagged children of [id] to [b], with exactly the
-   counter trace of the per-item probes: [~naive:false] mirrors
-   {!doc_children_ids} (narrow elements sweep under a single probe,
-   wide ones consult the memoised id vector — probe plus hit when
-   warm), [~naive:true] mirrors the naive scan (no probes, every child
-   counts as scanned). The fused projection path of the evaluators is
-   built on this, so the cross-representation counter oracle keeps
-   holding without each caller re-deriving the rules. *)
-let doc_append_children ?obs d ~naive b id sym =
-  let doc = d.didx_doc in
-  let tag = (sym : Symbol.t :> int) in
-  if naive then begin
-    let c = ref doc.Doc.first_child.(id) in
-    while !c >= 0 do
-      if doc.Doc.tags.(!c) = tag then idbuf_push b !c;
-      c := doc.Doc.next_sibling.(!c)
-    done;
-    Clip_obs.scanned obs doc.Doc.nchildren.(id)
-  end
-  else if doc_small doc id then begin
-    Clip_obs.index_probe obs;
-    let m = ref 0 in
-    let c = ref doc.Doc.first_child.(id) in
-    while !c >= 0 do
-      if doc.Doc.tags.(!c) = tag then begin
-        idbuf_push b !c;
-        incr m
-      end;
-      c := doc.Doc.next_sibling.(!c)
-    done;
-    Clip_obs.scanned obs !m
-  end
-  else begin
-    let ids = doc_children_ids ?obs d id sym in
-    let n = Array.length ids in
-    idbuf_reserve b n;
-    Array.blit ids 0 b.ids b.len n;
-    b.len <- b.len + n;
-    Clip_obs.scanned obs n
-  end
-
-(* First preorder id past the subtree of [id]: the next sibling of the
-   nearest ancestor (or [id] itself) that has one. *)
-let subtree_stop (doc : Doc.t) id =
-  let rec climb i =
-    if i < 0 then Array.length doc.Doc.tags
-    else if doc.Doc.next_sibling.(i) >= 0 then doc.Doc.next_sibling.(i)
-    else climb doc.Doc.parent.(i)
-  in
-  climb id
-
-let doc_descendants_ids ?obs d id sym =
-  Clip_obs.index_probe obs;
-  match Hashtbl.find_opt d.ddescendants (id, sym) with
-  | Some ids ->
-    Clip_obs.index_hit obs;
-    ids
-  | None ->
-    let doc = d.didx_doc in
-    let tag = (sym : Symbol.t :> int) in
-    let stop = subtree_stop doc id in
-    let count = ref 0 in
-    for c = id + 1 to stop - 1 do
-      if doc.Doc.tags.(c) = tag then incr count
-    done;
-    let ids = Array.make !count 0 in
-    let k = ref 0 in
-    for c = id + 1 to stop - 1 do
-      if doc.Doc.tags.(c) = tag then begin
-        ids.(!k) <- c;
-        incr k
-      end
-    done;
-    Hashtbl.replace d.ddescendants (id, sym) ids;
-    ids
-
-let doc_descendants_by_tag ?obs d id sym =
-  match Hashtbl.find_opt d.ddesc_nodes (id, sym) with
-  | Some nodes ->
-    Clip_obs.index_probe obs;
-    Clip_obs.index_hit obs;
-    nodes
-  | None ->
-    let ids = doc_descendants_ids ?obs d id sym in
-    let nodes =
-      Array.to_list (Array.map (fun i -> d.didx_doc.Doc.nodes.(i)) ids)
-    in
-    Hashtbl.replace d.ddesc_nodes (id, sym) nodes;
-    nodes
-
 let descendants_by_tag ?obs t e sym =
   Clip_obs.index_probe obs;
   match Hashtbl.find_opt t.descendants (e.Node.id, sym) with

@@ -35,81 +35,3 @@ val children_by_tag :
     [e] tagged [sym], preorder; memoised per [(element, tag)]. *)
 val descendants_by_tag :
   ?obs:Clip_obs.Counters.t -> t -> Node.element -> Symbol.t -> Node.t list
-
-(** {1 Columnar (id-vector) variants}
-
-    The same index over a converted {!Doc}: probes answer with flat
-    [int array]s of preorder node ids (child vectors off the
-    sibling-chain arrays, descendant vectors off the contiguous
-    preorder subtree range). The [*_by_tag] boxed views are memoised
-    on top of the id vectors, so a warm probe returns the physically
-    same list — zero allocation per step on the columnar path.
-    Memoisation mirrors the boxed index's smallness threshold exactly
-    (narrow elements are re-scanned, wide ones grouped), which keeps
-    the probe/hit counters byte-identical across representations. *)
-
-type docidx
-
-(** [build_doc doc] — a fresh lazy columnar index; same fault boundary
-    as {!build} (hold it in a resettable memo slot). *)
-val build_doc : Doc.t -> docidx
-
-val doc_of_index : docidx -> Doc.t
-
-(** [doc_children_ids ?obs d id sym] — ids of the child elements of
-    node [id] tagged [sym], document order; memoised. *)
-val doc_children_ids :
-  ?obs:Clip_obs.Counters.t -> docidx -> int -> Symbol.t -> int array
-
-(** [doc_children_by_tag ?obs d id sym] — boxed view of
-    {!doc_children_ids} (the original child nodes); memoised. *)
-val doc_children_by_tag :
-  ?obs:Clip_obs.Counters.t -> docidx -> int -> Symbol.t -> Node.t list
-
-(** [doc_children_map ?obs d id sym ~f] — [List.map f] of
-    {!doc_children_by_tag}, fused: narrow elements build the mapped
-    list in one sweep with no intermediate. Same counter trace. *)
-val doc_children_map :
-  ?obs:Clip_obs.Counters.t ->
-  docidx ->
-  int ->
-  Symbol.t ->
-  f:(Node.t -> 'a) ->
-  'a list
-
-(** {2 Fused level expansion}
-
-    The id-space primitives behind the evaluators' fused projection
-    path: a whole level of parent ids expands into one growable id
-    buffer instead of an intermediate boxed list per parent, boxing
-    only the final level. *)
-
-type idbuf = { mutable ids : int array; mutable len : int }
-
-val idbuf_make : unit -> idbuf
-val idbuf_push : idbuf -> int -> unit
-
-(** [doc_append_children ?obs d ~naive b id sym] appends the ids of
-    the [sym]-tagged children of [id] to [b], with exactly the counter
-    trace of the per-item probes: [~naive:false] mirrors
-    {!doc_children_ids} (probe per element, hit on warm wide
-    elements), [~naive:true] the unindexed scan (no probes, every
-    child scanned). *)
-val doc_append_children :
-  ?obs:Clip_obs.Counters.t ->
-  docidx ->
-  naive:bool ->
-  idbuf ->
-  int ->
-  Symbol.t ->
-  unit
-
-(** [doc_descendants_ids ?obs d id sym] — ids of proper descendant
-    elements of [id] tagged [sym], preorder; memoised. *)
-val doc_descendants_ids :
-  ?obs:Clip_obs.Counters.t -> docidx -> int -> Symbol.t -> int array
-
-(** [doc_descendants_by_tag ?obs d id sym] — boxed view of
-    {!doc_descendants_ids}; memoised. *)
-val doc_descendants_by_tag :
-  ?obs:Clip_obs.Counters.t -> docidx -> int -> Symbol.t -> Node.t list

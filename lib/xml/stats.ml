@@ -65,41 +65,6 @@ let collect doc =
     counts = !counts;
   }
 
-(* The columnar variant: one forward sweep over the {!Doc} arrays.
-   Preorder ids guarantee a parent precedes its children, so per-node
-   depth and per-parent fan-out resolve in the same pass — no walk,
-   no pointer chasing. Produces exactly what {!collect} produces on
-   the boxed tree the doc was converted from. *)
-let collect_doc (doc : Doc.t) =
-  let n = Doc.length doc in
-  let counts = make_counts () in
-  let nodes = ref 0 and elements = ref 0 and max_fanout = ref 0 and depth = ref 0 in
-  let depths = Array.make (max n 1) 1 in
-  let fanout = Array.make (max n 1) 0 in
-  for id = 0 to n - 1 do
-    let p = doc.Doc.parent.(id) in
-    let d = if p < 0 then 1 else depths.(p) + 1 in
-    depths.(id) <- d;
-    if d > !depth then depth := d;
-    if Doc.is_element doc id then begin
-      incr elements;
-      nodes := !nodes + 1 + doc.Doc.attr_len.(id);
-      bump counts (Doc.tag doc id);
-      if p >= 0 then begin
-        fanout.(p) <- fanout.(p) + 1;
-        if fanout.(p) > !max_fanout then max_fanout := fanout.(p)
-      end
-    end
-    else incr nodes
-  done;
-  {
-    nodes = !nodes;
-    elements = !elements;
-    depth = !depth;
-    max_fanout = !max_fanout;
-    counts = !counts;
-  }
-
 let tag_count t (sym : Symbol.t) =
   let i = (sym :> int) in
   if i < Array.length t.counts then t.counts.(i) else 0

@@ -11,12 +11,6 @@ type t
 (** [collect doc] — one preorder walk over [doc]. *)
 val collect : Node.t -> t
 
-(** [collect_doc doc] — the columnar variant: one forward array sweep
-    over a converted {!Doc} (preorder ids resolve depth and fan-out in
-    the same pass). Agrees exactly with {!collect} on the boxed tree
-    the doc was converted from. *)
-val collect_doc : Doc.t -> t
-
 (** [tag_count t sym] — number of elements tagged [sym]; 0 when the
     tag does not occur. *)
 val tag_count : t -> Symbol.t -> int

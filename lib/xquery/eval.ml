@@ -23,25 +23,11 @@ module Env = Map.Make (String)
    re-entered once per outer binding (the hot path of nested queries)
    then replans zero times — plus the outer-variable set, policy and
    run estimate, which all affect planning. *)
-(* Per-run columnar view of the input document: [Cnone] runs the
-   boxed-tree paths; [Cnaive] sweeps the sibling-chain arrays with
-   naive-scan counting; [Cindexed] probes the memoised id-vector
-   index. Under [`Auto] the view upgrades [Cnaive] -> [Cindexed]
-   adaptively, mirroring the boxed index switch. *)
-type cview =
-  | Cnone
-  | Cnaive of Xml.Index.docidx
-  | Cindexed of Xml.Index.docidx
-
 type ctx = {
   input : Xml.Node.t;
   mutable index : Xml.Index.t option;
   mutable xindex : Xml.Index.t option; (* resettable memo, see [force_index] *)
   mutable stats : Xml.Stats.t option; (* resettable memo, see [force_stats] *)
-  mutable cview : cview; (* per-run view, set by [with_ctx] like [index] *)
-  mutable xdoc : (Xml.Doc.t * Xml.Index.docidx) option;
-      (* resettable memo: the converted columnar document and its
-         id-vector index, amortised across a session's runs *)
   mutable plan : Clip_plan.mode;
   plans :
     (Ast.clause list
@@ -64,11 +50,6 @@ type ctx = {
          evaluator never reaches for an ambient sink *)
   mutable ctl : Clip_run.Control.t;
       (* per-run deadline/cancellation view, polled by [tick] *)
-  sbuf_a : Xml.Index.idbuf;
-  sbuf_b : Xml.Index.idbuf;
-      (* scratch id buffers for the fused path, ping-ponged between
-         levels; sound because the fused walk never re-enters [eval]
-         while a buffer is live *)
 }
 
 (* Memo slots rather than lazies: a lazy that raises re-raises forever,
@@ -83,29 +64,11 @@ let force_index ctx =
     ctx.xindex <- Some i;
     i
 
-(* The columnar document and its index share one memo slot: the
-   conversion is the expensive half, and the index ([build_doc], the
-   fault boundary) is O(1) on top of it. *)
-let force_doc ctx =
-  match ctx.xdoc with
-  | Some d -> d
-  | None ->
-    let doc = Xml.Doc.of_node ctx.input in
-    let d = (doc, Xml.Index.build_doc doc) in
-    ctx.xdoc <- Some d;
-    d
-
 let force_stats ctx =
   match ctx.stats with
   | Some s -> s
   | None ->
-    let s =
-      (* {!Xml.Stats.collect_doc} agrees exactly with the tree walk,
-         so which one ran is unobservable. *)
-      match ctx.xdoc with
-      | Some (doc, _) -> Xml.Stats.collect_doc doc
-      | None -> Xml.Stats.collect ctx.input
-    in
+    let s = Xml.Stats.collect ctx.input in
     ctx.stats <- Some s;
     s
 
@@ -148,22 +111,6 @@ let scan_child_step ctx (e : Xml.Node.element) sym =
       | Xml.Node.Element _ | Xml.Node.Text _ -> None)
     e.children
 
-(* The columnar twin of the naive scan: one sweep down the
-   sibling-chain arrays, visiting every child (texts included) like
-   the boxed scan — same [nodes_scanned] count, same matches. *)
-let doc_scan_child_step ctx (doc : Xml.Doc.t) id sym =
-  let tagi = (sym : Xml.Symbol.t :> int) in
-  let matches = ref [] and n = ref 0 in
-  let c = ref doc.Xml.Doc.first_child.(id) in
-  while !c >= 0 do
-    incr n;
-    if doc.Xml.Doc.tags.(!c) = tagi then
-      matches := doc.Xml.Doc.nodes.(!c) :: !matches;
-    c := doc.Xml.Doc.next_sibling.(!c)
-  done;
-  Clip_obs.scanned ctx.obs !n;
-  List.rev_map (fun nd -> Value.Node nd) !matches
-
 let step_nodes ctx (item : Value.item) (step : Ast.step) : Value.t =
   match item, step with
   | Value.Node (Xml.Node.Element e), Ast.Child_step tag ->
@@ -171,44 +118,13 @@ let step_nodes ctx (item : Value.item) (step : Ast.step) : Value.t =
        int compares instead of string equality. *)
     let sym = Xml.Symbol.intern tag in
     Clip_obs.child_step ctx.obs;
-    (match ctx.cview with
-     | Cindexed d ->
-       let id = Xml.Doc.find_id (Xml.Index.doc_of_index d) e in
-       if id >= 0 then begin
-         let items =
-           Xml.Index.doc_children_map ?obs:ctx.obs d id sym ~f:(fun n ->
-               Value.Node n)
-         in
-         if Clip_obs.enabled ctx.obs then
-           Clip_obs.scanned ctx.obs (List.length items);
-         items
-       end
-       else begin
-         (* Constructed during evaluation — not in the converted
-            document. Probe the boxed index (lazy, O(1) build) so
-            foreign elements do exactly the work — probes, hits,
-            matches-only scans — the boxed-tree indexed path reports
-            for them. *)
-         let matches =
-           Xml.Index.children_by_tag ?obs:ctx.obs (force_index ctx) e sym
-         in
-         if Clip_obs.enabled ctx.obs then
-           Clip_obs.scanned ctx.obs (List.length matches);
-         List.map (fun n -> Value.Node n) matches
-       end
-     | Cnaive d ->
-       let doc = Xml.Index.doc_of_index d in
-       let id = Xml.Doc.find_id doc e in
-       if id >= 0 then doc_scan_child_step ctx doc id sym
-       else scan_child_step ctx e sym
-     | Cnone ->
-       (match ctx.index with
-        | None -> scan_child_step ctx e sym
-        | Some idx ->
-          let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
-          if Clip_obs.enabled ctx.obs then
-            Clip_obs.scanned ctx.obs (List.length matches);
-          List.map (fun n -> Value.Node n) matches))
+    (match ctx.index with
+     | None -> scan_child_step ctx e sym
+     | Some idx ->
+       let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
+       if Clip_obs.enabled ctx.obs then
+         Clip_obs.scanned ctx.obs (List.length matches);
+       List.map (fun n -> Value.Node n) matches)
   | Value.Node (Xml.Node.Element e), Ast.Attr_step name ->
     (match Xml.Node.attr e name with
      | Some a -> [ Value.Atomic a ]
@@ -219,96 +135,10 @@ let step_nodes ctx (item : Value.item) (step : Ast.step) : Value.t =
       e.children
   | (Value.Node (Xml.Node.Text _) | Value.Atomic _), _ -> []
 
-let apply_steps_generic ctx v steps =
+let apply_steps ctx v steps =
   List.fold_left
     (fun items step -> List.concat_map (fun it -> step_nodes ctx it step) items)
     v steps
-
-(* Fused columnar path walk: chains of >= 2 steps run in node-id space
-   — one interned symbol and one scratch id buffer per level, boxing
-   only the final level — instead of a dispatch and an intermediate
-   boxed list per item per level. Counters match the per-item walk
-   exactly: one [child_step] per element per child step, and
-   {!Xml.Index.doc_append_children} reproduces the probe/hit/scanned
-   trace of [step_nodes] in both naive and indexed modes ([attr] and
-   [text()] steps touch no counters on either path). Base items
-   outside the converted document (evaluator-built elements, texts,
-   atoms) send the whole chain down the per-item path. *)
-let apply_steps ctx v steps =
-  match steps, ctx.cview with
-  | ([] | [ _ ]), _ | _, Cnone -> apply_steps_generic ctx v steps
-  | _, (Cnaive d | Cindexed d) ->
-    let doc = Xml.Index.doc_of_index d in
-    let ok = ref true in
-    let buf = ctx.sbuf_a in
-    buf.Xml.Index.len <- 0;
-    List.iter
-      (fun it ->
-        if !ok then
-          match it with
-          | Value.Node (Xml.Node.Element e) ->
-            let id = Xml.Doc.find_id doc e in
-            if id >= 0 then Xml.Index.idbuf_push buf id else ok := false
-          | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> ok := false)
-      v;
-    if not !ok then apply_steps_generic ctx v steps
-    else begin
-      let naive = match ctx.cview with Cnaive _ -> true | _ -> false in
-      let boxed (src : int array) n =
-        let rec mk i acc =
-          if i < 0 then acc
-          else mk (i - 1) (Value.Node doc.Xml.Doc.nodes.(src.(i)) :: acc)
-        in
-        mk (n - 1) []
-      in
-      let rec levels (cur : Xml.Index.idbuf) (other : Xml.Index.idbuf) = function
-        | [] -> boxed cur.Xml.Index.ids cur.Xml.Index.len
-        | Ast.Child_step tag :: rest ->
-          let sym = Xml.Symbol.intern tag in
-          let dst = other in
-          dst.Xml.Index.len <- 0;
-          let src = cur.Xml.Index.ids and n = cur.Xml.Index.len in
-          for j = 0 to n - 1 do
-            Clip_obs.child_step ctx.obs;
-            Xml.Index.doc_append_children ?obs:ctx.obs d ~naive dst src.(j) sym
-          done;
-          levels dst cur rest
-        | [ Ast.Text_step ] ->
-          (* final text(): the text children straight off the arrays *)
-          let src = cur.Xml.Index.ids in
-          let acc = ref [] in
-          for i = 0 to cur.Xml.Index.len - 1 do
-            let c = ref doc.Xml.Doc.first_child.(src.(i)) in
-            while !c >= 0 do
-              let ta = doc.Xml.Doc.text_atom.(!c) in
-              if ta >= 0 then acc := Value.Atomic doc.Xml.Doc.atoms.(ta) :: !acc;
-              c := doc.Xml.Doc.next_sibling.(!c)
-            done
-          done;
-          List.rev !acc
-        | [ Ast.Attr_step name ] ->
-          let src = cur.Xml.Index.ids in
-          let rec mk i acc =
-            if i < 0 then acc
-            else
-              let acc =
-                match doc.Xml.Doc.nodes.(src.(i)) with
-                | Xml.Node.Element e ->
-                  (match Xml.Node.attr e name with
-                   | Some a -> Value.Atomic a :: acc
-                   | None -> acc)
-                | Xml.Node.Text _ -> acc
-              in
-              mk (i - 1) acc
-          in
-          mk (cur.Xml.Index.len - 1) []
-        | ((Ast.Text_step | Ast.Attr_step _) :: _ :: _) as all ->
-          (* a leaf step mid-chain: box here and let the per-item walk
-             finish (it answers [] for atoms, like the generic fold) *)
-          apply_steps_generic ctx (boxed cur.Xml.Index.ids cur.Xml.Index.len) all
-      in
-      levels buf ctx.sbuf_b steps
-    end
 
 let compare_atoms op a b =
   let open Xml.Atom in
@@ -598,36 +428,17 @@ and eval_flwor_planned ctx env clauses where return =
      evaluation, so [`Auto] turns the tag index on the moment a
      revisit-prone plan shows up over a large-enough document (the
      index's memoised groupings stay sound mid-run — nodes are
-     immutable). Straight-line queries never pay for it. On the
-     columnar path the same switch upgrades the view to the id-vector
-     index instead of building the boxed one. *)
-  (match ctx.plan, ctx.index, ctx.cview with
-   | `Auto, None, Cnone ->
+     immutable). Straight-line queries never pay for it. *)
+  (match ctx.plan, ctx.index with
+   | `Auto, None ->
      if
        Clip_plan.revisit_prone p
        && Xml.Stats.node_count (force_stats ctx) >= index_threshold
      then ctx.index <- Some (force_index ctx)
-   | `Auto, _, Cnaive d ->
-     if
-       Clip_plan.revisit_prone p
-       && Xml.Stats.node_count (force_stats ctx) >= index_threshold
-     then ctx.cview <- Cindexed d
    | _ -> ());
   let acc = ref [] in
-  (* Batch only where batching pays: on this backend that is the
-     scan-only plans (pure navigation sweeps, where the frontier sweep
-     amortises per-stage dispatch). Plans with hash probes keep the
-     depth-first executor — re-walking the materialised frontier costs
-     them more than the sweep saves (see also {!Clip_plan.batchable}). *)
-  let exec =
-    match ctx.cview with
-    | Cnone -> Clip_plan.execute
-    | Cnaive _ | Cindexed _ ->
-      if Clip_plan.scan_only p then Clip_plan.execute_batch
-      else Clip_plan.execute
-  in
   ctx.runs <- Clip_plan.inner_runs ~runs p;
-  exec ?obs:ctx.obs ~run:ctx.run p
+  Clip_plan.execute ?obs:ctx.obs ~run:ctx.run p
     ~tick:(fun () -> tick ctx)
     ~env
     ~emit:(fun env -> acc := eval ctx env return :: !acc);
@@ -716,8 +527,6 @@ let make_ctx input =
     index = None;
     xindex = None;
     stats = None;
-    cview = Cnone;
-    xdoc = None;
     plan = `Auto;
     plans = ref [];
     run = Clip_plan.Run.create ();
@@ -726,8 +535,6 @@ let make_ctx input =
     max_steps = max_int;
     obs = Clip_obs.none;
     ctl = Clip_run.Control.none;
-    sbuf_a = Xml.Index.idbuf_make ();
-    sbuf_b = Xml.Index.idbuf_make ();
   }
 
 (* A session pins one input document and keeps its per-document
@@ -838,12 +645,8 @@ let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
      walk (Some 1) [] expr);
   Buffer.contents b
 
-(* Documents smaller than this don't repay the one-off columnar
-   conversion under [`Auto] representation; the boxed tree runs. *)
-let columnar_threshold = 256
-
-let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
-    ?(repr = (`Tree : Xml.Doc.repr)) plan limits steps_out input f =
+let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs plan limits steps_out
+    input f =
   let ctx =
     match session with
     | Some s when s.sctx.input == input -> s.sctx
@@ -859,24 +662,9 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
     | p -> p
   in
   ctx.plan <- plan;
-  let columnar =
-    match repr with
-    | `Tree -> false
-    | `Columnar -> true
-    | `Auto -> Xml.Stats.node_count (force_stats ctx) >= columnar_threshold
-  in
-  (* Under columnar the boxed tag index is never built: child steps go
-     through the id-vector index (or the array-sweep scan). *)
-  ctx.cview <-
-    (if not columnar then Cnone
-     else
-       let didx = snd (force_doc ctx) in
-       match plan with
-       | `Indexed -> Cindexed didx
-       | `Naive | `Auto -> Cnaive didx (* [`Auto] upgrades adaptively *));
   ctx.index <-
     (match plan with
-     | `Indexed when not columnar -> Some (force_index ctx)
+     | `Indexed -> Some (force_index ctx)
      | _ -> None (* [`Auto] switches it on adaptively *));
   ctx.steps := 0;
   ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
@@ -895,36 +683,36 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
       Clip_fault.hit ~obs:ctx.obs Clip_fault.Site.xquery_execute;
       f ctx)
 
-let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?repr ?ctl
+let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl
     ?session ?steps_out ?obs ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?session ?obs ?repr plan limits steps_out input (fun ctx ->
+    with_ctx ?ctl ?session ?obs plan limits steps_out input (fun ctx ->
         eval ctx Env.empty expr))
 
 let reraise_legacy ds =
   let d = match ds with d :: _ -> d | [] -> assert false in
   raise (Error d.Clip_diag.message)
 
-let run ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr =
+let run ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr =
   match
-    run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr
+    run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr
   with
   | Ok v -> v
   | Error ds -> reraise_legacy ds
 
 let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
-    ?repr ?ctl ?session ?steps_out ?obs ~input expr =
+    ?ctl ?session ?steps_out ?obs ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?session ?obs ?repr plan limits steps_out input (fun ctx ->
+    with_ctx ?ctl ?session ?obs plan limits steps_out input (fun ctx ->
       match eval ctx Env.empty expr with
       | [ Value.Node (Xml.Node.Element _ as n) ] -> n
       | v ->
         error "query result is not a single element: %s"
           (Format.asprintf "%a" Value.pp v)))
 
-let run_document ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr =
+let run_document ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr =
   match
-    run_document_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input
+    run_document_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~input
       expr
   with
   | Ok n -> n

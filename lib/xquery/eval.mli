@@ -25,16 +25,6 @@
     once at run start): an expired deadline reports [CLIP-LIM-005], a
     set cancellation flag [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    Every run entry point also takes [?repr] (default [`Tree]): the
-    document-representation switch of {!Clip_xml.Doc.repr}. [`Columnar]
-    converts the input to the struct-of-arrays {!Clip_xml.Doc} (cached
-    per document by a session), runs child steps as id-vector probes /
-    array sweeps, and executes FLWOR plans with the vectorized
-    {!Clip_plan.execute_batch}; [`Auto] picks columnar for large-enough
-    documents. All representations produce identical values and
-    preserve the counter invariants; [explain] is
-    representation-independent.
-
     A {!Session} pins one input document and carries its per-document
     artifacts — tag index, instance statistics, compiled FLWOR plans —
     across runs. *)
@@ -76,7 +66,6 @@ val explain :
 val run_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -90,7 +79,6 @@ val run_result :
 val run :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -105,7 +93,6 @@ val run :
 val run_document_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->
@@ -119,7 +106,6 @@ val run_document_result :
 val run_document :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
   ?steps_out:int ref ->

@@ -269,17 +269,13 @@ let targets : (string * (string -> unit)) list =
     ("mapping-dsl", fun s -> ignore (Clip_core.Dsl.parse_result ~limits s));
     ("xquery", fun s -> ignore (Clip_xquery.Parser.parse_string_result ~limits s));
     ( "engine",
-      (* Beyond totality, the engine target is differential on two
-         axes. Across plans: the same run under [`Naive], [`Indexed]
-         and [`Auto] must agree (unordered node equality — target
-         sibling order is pinned separately by the plan test suite)
-         whenever both succeed, and then record the same lineage.
-         Across representations: for each plan, the [`Columnar] run
-         must be {e exactly} equal to the [`Tree] run — the vectorized
-         executor promises byte-identical
-         enumeration order. The source document is a random valid
-         instance of the parsed mapping's own source schema, so
-         generators actually enumerate. *)
+      (* Beyond totality, the engine target is differential across
+         plans: the same run under [`Naive], [`Indexed] and [`Auto]
+         must agree (unordered node equality — target sibling order is
+         pinned separately by the plan test suite) whenever both
+         succeed, and then record the same lineage. The source
+         document is a random valid instance of the parsed mapping's
+         own source schema, so generators actually enumerate. *)
       fun s ->
         match Clip_core.Dsl.parse_result ~limits s with
         | Error _ -> ()
@@ -293,9 +289,7 @@ let targets : (string * (string -> unit)) list =
             | doc -> doc
             | exception _ -> Clip_xml.Node.elem m.source.root.name []
           in
-          let run ?(repr = (`Tree : Clip_xml.Doc.repr)) plan =
-            Clip_core.Engine.run_result ~limits ~plan ~repr m doc
-          in
+          let run plan = Clip_core.Engine.run_result ~limits ~plan m doc in
           let fail what =
             incr failures;
             Printf.eprintf "FAILURE [engine]: %s\n  mapping prefix: %S\n" what
@@ -315,17 +309,7 @@ let targets : (string * (string -> unit)) list =
                      Option.iter
                        (fun name -> fail ("naive and " ^ name ^ " lineage disagree"))
                        (lineage_disagreement m doc))
-               [ ("indexed", `Indexed); ("auto", `Auto) ]);
-          List.iter
-            (fun (name, plan) ->
-              match (run plan, run ~repr:`Columnar plan) with
-              | Ok t, Ok c ->
-                if not (Clip_xml.Node.equal t c) then
-                  fail
-                    (Printf.sprintf "tree and columnar reprs disagree under %s plan"
-                       name)
-              | (Ok _ | Error _), _ -> ())
-            [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ] );
+               [ ("indexed", `Indexed); ("auto", `Auto) ]) );
   ]
 
 let run_target name f input =
@@ -542,8 +526,7 @@ let identity_mapping (s : Clip_schema.Schema.t) : Clip_core.Mapping.t =
 
 (* Each iteration draws a random compose chain over the Table-I figure
    pool — the figure mapping bracketed by identity mappings over its
-   endpoint schemas — a random plan mode and document representation,
-   and checks the algebra's differential oracle on the paper instance:
+   endpoint schemas — and a random plan mode, and checks the algebra's differential oracle on the paper instance:
    [Clip_algebra.Pipeline.run_result] (fused when the chain composes,
    staged otherwise) must agree with manual staged execution, both
    must be total (Ok or Error diagnostics, never an exception), and a
@@ -567,7 +550,6 @@ let algebra_sweep () =
         | _ -> [ id_s; m; id_t ]
       in
       let plan = pick [ `Naive; `Indexed; `Auto ] in
-      let repr = pick [ (`Tree : Clip_xml.Doc.repr); `Columnar ] in
       let mc = sc.SF.minimum_cardinality in
       if !verbose then
         Printf.eprintf "algebra iter %d: %s, %d stages\n" i sc.SF.name
@@ -592,16 +574,16 @@ let algebra_sweep () =
            sc.SF.name (Printexc.to_string e));
       let piped =
         match
-          Clip_algebra.Pipeline.run_result ~minimum_cardinality:mc ~plan ~repr
-            chain instance
+          Clip_algebra.Pipeline.run_result ~minimum_cardinality:mc ~plan chain
+            instance
         with
         | r -> Ok r
         | exception e -> Error e
       in
       let staged =
         match
-          Clip_core.Engine.run_staged_result ~minimum_cardinality:mc ~plan
-            ~repr chain instance
+          Clip_core.Engine.run_staged_result ~minimum_cardinality:mc ~plan chain
+            instance
         with
         | r -> Ok r
         | exception e -> Error e
@@ -672,7 +654,7 @@ mapping {
    columns, an optional foreign key), random row contents with
    deliberately colliding keys, and runs the identity mapping over the
    canonical XML encoding on both the [`Tgd] and [`Rel] backends under
-   a random plan mode and document representation. Every third
+   a random plan mode. Every third
    iteration instead scales the fixed join mapping above with random
    row counts and dangling references, exercising the hash-join path
    and the value-child columns. Oracle: the relational backend must be
@@ -752,9 +734,8 @@ let rel_sweep () =
     let show ds = String.concat "," (codes ds) in
     let differential i label m doc =
       let plan = pick [ `Naive; `Indexed; `Auto ] in
-      let repr = pick [ (`Tree : Clip_xml.Doc.repr); `Columnar ] in
       let run backend =
-        match Clip_core.Engine.run_result ~limits ~backend ~plan ~repr m doc with
+        match Clip_core.Engine.run_result ~limits ~backend ~plan m doc with
         | r -> Ok r
         | exception e -> Error e
       in

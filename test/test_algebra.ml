@@ -1,7 +1,7 @@
 (* Differential-oracle harness for the mapping algebra: composition is
    held to staged execution on every figure of the paper — compose-then-
    run must produce a [Node.equal]-identical instance to run-then-run,
-   across every backend, plan mode and document representation; chains
+   across every backend and plan mode; chains
    outside the composable fragment must degrade to staged execution
    byte-identically. Metamorphic laws pin the algebra itself. *)
 
@@ -54,7 +54,6 @@ let identity (s : Schema.t) : Mapping.t =
 
 let backends = [ `Tgd; `Xquery; `Xquery_text ]
 let plans = [ `Naive; `Indexed; `Auto ]
-let reprs = [ `Tree; `Columnar ]
 
 let backend_name = function
   | `Tgd -> "tgd"
@@ -63,32 +62,25 @@ let backend_name = function
   | `Rel -> "rel"
 
 let plan_name = function `Naive -> "naive" | `Indexed -> "indexed" | `Auto -> "auto"
-let repr_name = function
-  | `Tree -> "tree"
-  | `Columnar -> "columnar"
-  | `Auto -> "auto"
 
 let combos ~mc =
   List.concat_map
     (fun b ->
-      List.concat_map
-        (fun p -> List.map (fun r -> (b, p, r)) reprs)
-        plans)
+      List.map (fun p -> (b, p)) plans)
     (if mc then backends else [ `Tgd ])
 
-let run_mapping ~backend ~plan ~repr ~mc m doc =
+let run_mapping ~backend ~plan ~mc m doc =
   match
-    Engine.run_result ~backend ~minimum_cardinality:mc ~plan ~repr m doc
+    Engine.run_result ~backend ~minimum_cardinality:mc ~plan m doc
   with
   | Ok out -> out
   | Error ds ->
     Alcotest.failf "run failed: %s"
       (String.concat "; " (List.map Clip_diag.to_string ds))
 
-let run_staged ~backend ~plan ~repr ~mc ms doc =
+let run_staged ~backend ~plan ~mc ms doc =
   match
-    Engine.run_staged_result ~backend ~minimum_cardinality:mc ~plan ~repr ms
-      doc
+    Engine.run_staged_result ~backend ~minimum_cardinality:mc ~plan ms doc
   with
   | Ok out -> out
   | Error ds ->
@@ -119,20 +111,19 @@ let differential_tests =
           in
           let mc = sc.minimum_cardinality in
           List.iter
-            (fun (backend, plan, repr) ->
+            (fun (backend, plan) ->
               let fused =
-                run_mapping ~backend ~plan ~repr ~mc composed
+                run_mapping ~backend ~plan ~mc composed
                   S.Deptdb.instance
               in
               let staged =
-                run_staged ~backend ~plan ~repr ~mc
+                run_staged ~backend ~plan ~mc
                   [ id_s; sc.mapping ]
                   S.Deptdb.instance
               in
               if not (Node.equal fused staged) then
-                Alcotest.failf "%s/%s/%s/%s: fused and staged disagree"
-                  sc.name (backend_name backend) (plan_name plan)
-                  (repr_name repr))
+                Alcotest.failf "%s/%s/%s: fused and staged disagree"
+                  sc.name (backend_name backend) (plan_name plan))
             (combos ~mc)))
     S.Figures.all
 
@@ -169,7 +160,7 @@ let fallback_tests =
                   (String.concat "; " (diag_codes ds))
             in
             let manual =
-              run_staged ~backend:`Tgd ~plan:`Auto ~repr:`Tree ~mc chain
+              run_staged ~backend:`Tgd ~plan:`Auto ~mc chain
                 S.Deptdb.instance
             in
             checkb "byte-identical to manual staging" true
@@ -252,30 +243,27 @@ let chain_of (sc : S.Figures.t) shape =
 
 let gen_case =
   QCheck2.Gen.(
-    tup4
-      (int_bound (Array.length figure_pool - 1))
-      (int_bound 3) (int_bound 2) (int_bound 1))
+    triple (int_bound (Array.length figure_pool - 1)) (int_bound 3) (int_bound 2))
 
 let prop_chain_differential =
   QCheck2.Test.make ~count:200
     ~name:"algebra: random chains — pipeline == staged on every combo"
     gen_case
-    (fun (fi, shape, pi, ri) ->
+    (fun (fi, shape, pi) ->
       let sc = figure_pool.(fi) in
       let mc = sc.minimum_cardinality in
       let backend = if mc then List.nth backends (fi mod 3) else `Tgd in
       let plan = List.nth plans pi in
-      let repr = List.nth reprs ri in
       let chain = chain_of sc shape in
       (* totality: compose_chain_result never raises *)
       (match A.compose_chain_result chain with Ok _ | Error _ -> ());
       let a =
-        A.Pipeline.run_result ~backend ~minimum_cardinality:mc ~plan ~repr
-          chain S.Deptdb.instance
+        A.Pipeline.run_result ~backend ~minimum_cardinality:mc ~plan chain
+          S.Deptdb.instance
       in
       let b =
-        Engine.run_staged_result ~backend ~minimum_cardinality:mc ~plan ~repr
-          chain S.Deptdb.instance
+        Engine.run_staged_result ~backend ~minimum_cardinality:mc ~plan chain
+          S.Deptdb.instance
       in
       match a, b with
       | Ok a, Ok b -> Node.equal a b
@@ -350,11 +338,11 @@ let clio_tests =
               (String.concat "; " (diag_codes ds))
         in
         let fused =
-          run_mapping ~backend:`Tgd ~plan:`Auto ~repr:`Tree ~mc:true composed
+          run_mapping ~backend:`Tgd ~plan:`Auto ~mc:true composed
             S.Deptdb.instance
         in
         let staged =
-          run_staged ~backend:`Tgd ~plan:`Auto ~repr:`Tree ~mc:true
+          run_staged ~backend:`Tgd ~plan:`Auto ~mc:true
             [ id_s; m ] S.Deptdb.instance
         in
         checkb "identical" true (Node.equal fused staged));

@@ -319,11 +319,10 @@ let index_tests =
           == Clip_xml.Index.descendants_by_tag idx e (Clip_xml.Symbol.intern "x")));
   ]
 
-(* --- The columnar document store and its id-vector index --------------- *)
+(* --- The columnar document the rel store loads ---------------------------- *)
 
 let docidx_tests =
   let module Doc = Clip_xml.Doc in
-  let module Index = Clip_xml.Index in
   let wide n tag =
     Node.elem "root"
       (List.concat_map
@@ -334,23 +333,26 @@ let docidx_tests =
            ])
          (List.init n Fun.id))
   in
+  (* the boxed nodes in preorder: the id order [Doc.of_node] assigns *)
+  let preorder n =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | (Node.Text _ as t) :: rest -> go (t :: acc) rest
+      | (Node.Element e as el) :: rest -> go (el :: acc) (e.Node.children @ rest)
+    in
+    go [] [ n ]
+  in
   [
     Alcotest.test_case "to_node returns the original node physically" `Quick
       (fun () ->
         let n = wide 10 "a" in
         let doc = Doc.of_node n in
-        checkb "root" true (Doc.to_node doc 0 == n);
-        (* every interior element round-trips to its own boxed node *)
-        let e = match n with Node.Element e -> e | _ -> assert false in
-        List.iter
-          (fun c ->
-            match c with
-            | Node.Element ce ->
-              (match Doc.id_of doc ce with
-               | Some id -> checkb "child" true (Doc.to_node doc id == c)
-               | None -> Alcotest.fail "child element missing from doc")
-            | Node.Text _ -> ())
-          e.Node.children);
+        let nodes = preorder n in
+        checki "one id per node" (List.length nodes) (Doc.length doc);
+        List.iteri
+          (fun id node ->
+            checkb (Printf.sprintf "node %d" id) true (doc.Doc.nodes.(id) == node))
+          nodes);
     Alcotest.test_case "rebuild reconstructs the tree structurally" `Quick
       (fun () ->
         let n = wide 7 "a" in
@@ -358,64 +360,6 @@ let docidx_tests =
         let n' = Doc.rebuild doc 0 in
         checkb "fresh value" false (n' == n);
         checkb "equal" true (Node.equal n' n));
-    Alcotest.test_case "doc_children_by_tag matches a scan, in document order"
-      `Quick
-      (fun () ->
-        List.iter
-          (fun n ->
-            let node = wide n "a" in
-            let doc = Doc.of_node node in
-            let idx = Index.build_doc doc in
-            let e = match node with Node.Element e -> e | _ -> assert false in
-            let scan =
-              List.filter
-                (function Node.Element c -> String.equal c.Node.tag "a" | _ -> false)
-                e.Node.children
-            in
-            let got = Index.doc_children_by_tag idx 0 (Clip_xml.Symbol.intern "a") in
-            checki "count" (List.length scan) (List.length got);
-            (* each answer is the boxed original, not a copy *)
-            checkb "physical" true (List.for_all2 ( == ) got scan);
-            let again = Index.doc_children_by_tag idx 0 (Clip_xml.Symbol.intern "a") in
-            (* wide elements are memoised (the warm probe returns the
-               same list); small ones are re-scanned, mirroring the
-               boxed index's smallness threshold *)
-            if n >= 8 then checkb "memoised probe is the same list" true (got == again)
-            else checkb "re-scanned probe agrees" true (List.for_all2 ( == ) got again);
-            checkb "absent tag" true
-              (Index.doc_children_by_tag idx 0 (Clip_xml.Symbol.intern "zzz") = []))
-          [ 0; 3; 100 ]);
-    Alcotest.test_case "doc_children_ids agree with children_ids" `Quick
-      (fun () ->
-        let node = wide 20 "a" in
-        let doc = Doc.of_node node in
-        let idx = Index.build_doc doc in
-        let ids = Index.doc_children_ids idx 0 (Clip_xml.Symbol.intern "a") in
-        let all = Doc.children_ids doc 0 in
-        let expect =
-          List.filter
-            (fun id -> Doc.is_element doc id && Doc.tag doc id = Clip_xml.Symbol.intern "a")
-            all
-        in
-        checkb "same ids in order" true (Array.to_list ids = expect));
-    Alcotest.test_case "doc_descendants_ids are preorder and memoised" `Quick
-      (fun () ->
-        let node =
-          Node.elem "r"
-            [
-              Node.elem "a" [ Node.elem "x" []; Node.elem "a" [ Node.elem "x" [] ] ];
-              Node.elem "x" [];
-            ]
-        in
-        let doc = Doc.of_node node in
-        let idx = Index.build_doc doc in
-        let x = Clip_xml.Symbol.intern "x" in
-        let ids = Index.doc_descendants_ids idx 0 x in
-        checki "count" 3 (Array.length ids);
-        checkb "preorder" true
-          (Array.to_list ids = List.sort compare (Array.to_list ids));
-        checkb "memoised" true
-          (Index.doc_descendants_by_tag idx 0 x == Index.doc_descendants_by_tag idx 0 x));
     Alcotest.test_case "text_value_of agrees with Node.text_value" `Quick
       (fun () ->
         let node =
@@ -427,17 +371,19 @@ let docidx_tests =
             ]
         in
         let doc = Doc.of_node node in
-        let rec walk id =
-          (match Doc.to_node doc id with
-           | Node.Element e ->
-             checkb
-               (Printf.sprintf "node %d" id)
-               true
-               (Doc.text_value_of doc id = Node.text_value e)
-           | Node.Text _ -> ());
-          List.iter walk (Doc.children_ids doc id)
+        let read id =
+          let v = doc.Doc.text_value.(id) in
+          if v < 0 then None else Some doc.Doc.atoms.(v)
         in
-        walk 0);
+        List.iteri
+          (fun id n ->
+            checkb
+              (Printf.sprintf "node %d" id)
+              true
+              (match n with
+               | Node.Element e -> read id = Node.text_value e
+               | Node.Text a -> read id = Some a))
+          (preorder node));
   ]
 
 (* --- Differential: `Indexed against the `Naive oracles ----------------- *)
@@ -445,10 +391,10 @@ let docidx_tests =
 module S = Clip_scenarios
 module Engine = Clip_core.Engine
 
-let run_mode ?(repr = (`Tree : Clip_xml.Doc.repr)) sc ~backend ~plan doc =
+let run_mode sc ~backend ~plan doc =
   match
     Engine.run_result ~limits:Clip_diag.Limits.unlimited ~backend
-      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan ~repr
+      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan
       sc.S.Figures.mapping doc
   with
   | Ok d -> d
@@ -456,6 +402,10 @@ let run_mode ?(repr = (`Tree : Clip_xml.Doc.repr)) sc ~backend ~plan doc =
     Alcotest.failf "%s/%s did not run: %s" sc.S.Figures.name
       (match backend with `Tgd -> "tgd" | _ -> "xquery")
       (Clip_diag.render_list ds)
+
+(* Large enough that [`Auto] plans (128 nodes) and turns the tag index
+   on (256 nodes): the paper instance stays below both thresholds. *)
+let scaled_instance = lazy (S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10)
 
 let differential_tests =
   let backends sc = if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ] in
@@ -468,15 +418,19 @@ let differential_tests =
             (Printf.sprintf "%s/%s: indexed ≡ naive" sc.S.Figures.name bname)
             `Quick
             (fun () ->
-              let doc = S.Deptdb.instance in
-              let naive = run_mode sc ~backend ~plan:`Naive doc in
-              (* byte-identical, not just unordered-equal: the plan
-                 layer promises exact enumeration order *)
               List.iter
-                (fun plan ->
-                  checkb "identical documents" true
-                    (Node.equal naive (run_mode sc ~backend ~plan doc)))
-                [ `Indexed; `Auto ]))
+                (fun (iname, doc) ->
+                  let naive = Printer.to_string (run_mode sc ~backend ~plan:`Naive doc) in
+                  (* byte-identical, not just unordered-equal: the plan
+                     layer promises exact enumeration order *)
+                  List.iter
+                    (fun (pname, plan) ->
+                      checks
+                        (Printf.sprintf "%s instance, %s" iname pname)
+                        naive
+                        (Printer.to_string (run_mode sc ~backend ~plan doc)))
+                    [ ("indexed", `Indexed); ("auto", `Auto) ])
+                [ ("paper", S.Deptdb.instance); ("scaled", Lazy.force scaled_instance) ]))
         (backends sc))
     S.Figures.all
 
@@ -501,31 +455,18 @@ let scaled_differential_tests =
           S.Figures.[ fig5; fig6; fig6_join_global; fig7 ]);
   ]
 
-(* --- Differential: columnar against the boxed-tree oracle -------------- *)
+(* --- Differential: the columnar copy against the tree ------------------- *)
 
-(* The boxed-tree interpreters are the oracle for the columnar path:
-   every figure, backend, plan mode and scale must produce the same
-   bytes under [`Tree], [`Columnar] and [`Auto] representations. The
-   comparison is on serialized output — byte-identical, not just
-   unordered-equal — because the vectorized executor promises exact
-   enumeration order. *)
+(* [Clip_xml.Doc] is the columnar copy of a document that the rel
+   store loads. Rebuilt back into a tree, it must run exactly like the
+   document it came from — same bytes under every backend and plan
+   mode — even though every rebuilt element carries a fresh allocation
+   id for the tag index and the session caches to key on. *)
+let rebuilt doc = Clip_xml.Doc.rebuild (Clip_xml.Doc.of_node doc) 0
+
 let repr_differential_tests =
   let backends (sc : S.Figures.t) =
     if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
-  in
-  let check_figure (sc : S.Figures.t) ~backend doc =
-    List.iter
-      (fun plan ->
-        let tree = Printer.to_string (run_mode ~repr:`Tree sc ~backend ~plan doc) in
-        List.iter
-          (fun (rname, repr) ->
-            checks
-              (Printf.sprintf "%s/%s %s" sc.S.Figures.name rname
-                 (match plan with `Naive -> "naive" | `Indexed -> "indexed" | `Auto -> "auto"))
-              tree
-              (Printer.to_string (run_mode ~repr sc ~backend ~plan doc)))
-          [ ("columnar", `Columnar); ("auto-repr", `Auto) ])
-      [ `Naive; `Indexed; `Auto ]
   in
   List.concat_map
     (fun (sc : S.Figures.t) ->
@@ -535,22 +476,17 @@ let repr_differential_tests =
           Alcotest.test_case
             (Printf.sprintf "%s/%s: columnar ≡ tree" sc.S.Figures.name bname)
             `Quick
-            (fun () -> check_figure sc ~backend S.Deptdb.instance))
+            (fun () ->
+              let doc = S.Deptdb.instance in
+              let copy = rebuilt doc in
+              List.iter
+                (fun (pname, plan) ->
+                  checks pname
+                    (Printer.to_string (run_mode sc ~backend ~plan doc))
+                    (Printer.to_string (run_mode sc ~backend ~plan copy)))
+                [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ]))
         (backends sc))
     S.Figures.all
-  @ [
-      Alcotest.test_case "scaled instances cross the columnar threshold" `Quick
-        (fun () ->
-          (* large enough that [`Auto] repr really goes columnar and
-             [`Auto] plan really plans — the interesting quadrant *)
-          let doc = S.Deptdb.synthetic_instance ~depts:40 ~projs:5 ~emps:10 in
-          List.iter
-            (fun (sc : S.Figures.t) ->
-              List.iter
-                (fun backend -> check_figure sc ~backend doc)
-                [ `Tgd; `Xquery ])
-            S.Figures.[ fig5; fig6; fig6_join_global; fig7 ]);
-    ]
 
 (* Random mapping programs would need a generator for the mapping DSL;
    random *data* under the deptdb schema is cheap and exercises the
@@ -627,12 +563,11 @@ let contains hay needle =
 (* Counters of one run on a warm session: the warm-up run outside the
    sink pays compile/plan once, so the measured run's work counters
    describe execution alone and are deterministic. *)
-let counted_run ?(repr = (`Tree : Clip_xml.Doc.repr)) (sc : S.Figures.t)
-    ~backend ~plan doc =
+let counted_run (sc : S.Figures.t) ~backend ~plan doc =
   let session = Engine.Session.create doc in
   let run ?ctx () =
     Engine.Session.run ?ctx ~backend
-      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan ~repr session
+      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan session
       sc.S.Figures.mapping
   in
   ignore (run ());
@@ -686,7 +621,10 @@ let counter_tests =
           Alcotest.test_case
             (Printf.sprintf "%s/%s: counter invariants" sc.S.Figures.name bname)
             `Quick
-            (fun () -> counter_invariants sc ~backend S.Deptdb.instance))
+            (fun () ->
+              List.iter
+                (counter_invariants sc ~backend)
+                [ S.Deptdb.instance; Lazy.force scaled_instance ]))
         (backends sc))
     S.Figures.all
   @ [
@@ -794,75 +732,31 @@ let pinned_counter_tests =
           pinned_counters);
   ]
 
-(* --- Counters across representations ------------------------------------ *)
+(* --- Counters on the columnar copy ---------------------------------------- *)
 
-(* The counters are the semantics oracle for the columnar path: a
-   columnar run must do exactly the boxed-tree run's work — same
-   scans, same probes, same joins, same budget ticks — and only the
-   batch counters (which describe the iteration schedule, not the
-   work) may differ. *)
+(* The rebuilt copy (see [rebuilt]) must also cost exactly what the
+   original does: same scans, probes, joins and budget ticks. *)
 let repr_counter_tests =
-  let strip_batches =
-    List.filter (fun (k, _) -> k <> "batches_executed" && k <> "batch_width")
-  in
-  let agree (sc : S.Figures.t) ~backend ~plan doc =
-    let _, ct = counted_run ~repr:`Tree sc ~backend ~plan doc in
-    let _, cc = counted_run ~repr:`Columnar sc ~backend ~plan doc in
-    checkb
-      (Printf.sprintf "%s work counters agree" sc.S.Figures.name)
-      true
-      (strip_batches (C.work_assoc ct) = strip_batches (C.work_assoc cc));
-    checki "tree runs execute no batches" 0 ct.C.batches_executed;
-    (ct, cc)
-  in
   [
     Alcotest.test_case "columnar does the tree run's work, per figure" `Quick
       (fun () ->
+        let copy = rebuilt S.Deptdb.instance in
         List.iter
           (fun (sc : S.Figures.t) ->
             List.iter
               (fun backend ->
                 List.iter
-                  (fun plan -> ignore (agree sc ~backend ~plan S.Deptdb.instance))
+                  (fun plan ->
+                    let _, ct = counted_run sc ~backend ~plan S.Deptdb.instance in
+                    let _, cc = counted_run sc ~backend ~plan copy in
+                    checkb
+                      (Printf.sprintf "%s work counters agree" sc.S.Figures.name)
+                      true
+                      (C.work_assoc ct = C.work_assoc cc))
                   [ `Naive; `Indexed; `Auto ])
               (if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ]
                else [ `Tgd ]))
           S.Figures.all);
-    Alcotest.test_case "scaled columnar runs are genuinely batched" `Quick
-      (fun () ->
-        let doc = S.Deptdb.synthetic_instance ~depts:40 ~projs:5 ~emps:10 in
-        List.iter
-          (fun backend ->
-            let _, cc = agree S.Figures.fig6 ~backend ~plan:`Indexed doc in
-            checkb
-              (Printf.sprintf "batches executed (%d) > 0" cc.C.batches_executed)
-              true (cc.C.batches_executed > 0);
-            checkb
-              (Printf.sprintf "batch width %d >= batches %d" cc.C.batch_width
-                 cc.C.batches_executed)
-              true
-              (cc.C.batch_width >= cc.C.batches_executed))
-          [ `Tgd; `Xquery ]);
-    Alcotest.test_case "a session converts the document once" `Quick (fun () ->
-        (* the second columnar run through one session must hit the
-           cached [Doc.t] — and still agree with a cold tree run *)
-        let doc = S.Deptdb.synthetic_instance ~depts:40 ~projs:5 ~emps:10 in
-        let sc = S.Figures.fig6 in
-        let session = Engine.Session.create doc in
-        let cold = run_mode ~repr:`Tree sc ~backend:`Tgd ~plan:`Auto doc in
-        List.iter
-          (fun label ->
-            let warm =
-              Engine.Session.run ~plan:`Auto ~repr:`Columnar session
-                sc.S.Figures.mapping
-            in
-            checkb label true (Node.equal cold warm))
-          [ "first columnar run"; "second columnar run" ];
-        (* reprs can be mixed freely on one session *)
-        let tree_again =
-          Engine.Session.run ~plan:`Auto ~repr:`Tree session sc.S.Figures.mapping
-        in
-        checkb "tree run on the same session" true (Node.equal cold tree_again));
   ]
 
 (* --- Sessions ----------------------------------------------------------- *)

@@ -1,7 +1,7 @@
 (* The relational backend, differentially tested against the tgd
    backend: on every relational-shaped mapping the two must produce
-   byte-identical targets under every plan mode and document
-   representation, and byte-identical dynamic error diagnostics.
+   byte-identical targets under every plan mode, and byte-identical
+   dynamic error diagnostics.
    Nested sources must be rejected statically with CLIP-REL-003. *)
 
 module S = Clip_scenarios
@@ -23,7 +23,6 @@ let runnable (sc : S.Table1.scenario) =
   Clip_clio.Generate.to_clip m (Clip_clio.Generate.forest ~extension:true m)
 
 let plans = [ (`Naive, "naive"); (`Indexed, "indexed"); (`Auto, "auto") ]
-let reprs = [ (`Tree, "tree"); (`Columnar, "columnar") ]
 
 (* The cram scenario as a DSL text, for scaled instances: a proper
    join (company ⋈ grant) with attribute and value-child columns. *)
@@ -83,13 +82,8 @@ let differential name mapping source =
       let expected = Engine.run ~backend:`Tgd mapping source in
       List.iter
         (fun (plan, pname) ->
-          List.iter
-            (fun (repr, rname) ->
-              let out = Engine.run ~backend:`Rel ~plan ~repr mapping source in
-              checkb
-                (Printf.sprintf "%s/%s identical" pname rname)
-                true (Node.equal expected out))
-            reprs)
+          let out = Engine.run ~backend:`Rel ~plan mapping source in
+          checkb (Printf.sprintf "%s identical" pname) true (Node.equal expected out))
         plans)
 
 let shape_tests =
@@ -134,10 +128,10 @@ let shape_tests =
 
 let differential_tests =
   [
-    differential "translating_fig1: rel == tgd on every plan x repr"
+    differential "translating_fig1: rel == tgd on every plan"
       (runnable S.Table1.translating_fig1)
       S.Table1.translating_fig1.S.Table1.instance;
-    differential "grants join, scale 20: rel == tgd on every plan x repr"
+    differential "grants join, scale 20: rel == tgd on every plan"
       grants_mapping (grants_instance 20);
     Alcotest.test_case "sharded/auto modes agree too" `Quick (fun () ->
         let source = grants_instance 10 in

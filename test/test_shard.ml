@@ -190,26 +190,6 @@ let differential_tests =
             in
             checks name whole sharded)
           [ "fig3"; "fig4"; "fig5"; "fig6"; "fig9" ]);
-    Alcotest.test_case "columnar representation shards identically" `Quick
-      (fun () ->
-        let doc =
-          Clip_scenarios.Deptdb.synthetic_instance ~depts:6 ~projs:2 ~emps:3
-        in
-        let sc = figure "fig4" in
-        let whole =
-          match
-            Clip_core.Engine.run_result ~backend:`Tgd ~repr:`Columnar
-              ~plan:`Auto sc.mapping doc
-          with
-          | Ok out -> Clip_xml.Printer.to_string out
-          | Error _ -> Alcotest.fail "whole columnar run failed"
-        in
-        match
-          Clip_core.Engine.run_result ~backend:`Tgd ~repr:`Columnar
-            ~plan:`Auto ~mode:`Sharded ~shard_bytes:256 ~jobs:3 sc.mapping doc
-        with
-        | Ok out -> checks "columnar" whole (Clip_xml.Printer.to_string out)
-        | Error _ -> Alcotest.fail "sharded columnar run failed");
     Alcotest.test_case "no-safe-cut mappings fall back byte-identically"
       `Quick (fun () ->
         let doc =
@@ -326,12 +306,7 @@ let stream_tests =
 
 (* Work counters are deterministic per shard, so the parallel sharded
    run must sum to exactly the sequential sharded run's totals — the
-   task-to-domain partition must not show. (batches_executed and
-   batch_width stay exempt, as in the batch-execution suite: batching
-   is a physical detail the scheduler may legitimately change.) *)
-let strip_batches =
-  List.filter (fun (k, _) -> k <> "batches_executed" && k <> "batch_width")
-
+   task-to-domain partition must not show. *)
 let counter_assoc ~jobs ~mode (sc : Clip_scenarios.Figures.t) doc =
   let counters = Clip_obs.Counters.create () in
   let ctx = Clip_run.create ~counters () in
@@ -341,7 +316,7 @@ let counter_assoc ~jobs ~mode (sc : Clip_scenarios.Figures.t) doc =
    with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail (sc.name ^ ": run failed"));
-  strip_batches (Clip_obs.Counters.work_assoc counters)
+  Clip_obs.Counters.work_assoc counters
 
 let counter_tests =
   [
@@ -381,7 +356,7 @@ let counter_tests =
          with
         | Ok _ -> ()
         | Error _ -> Alcotest.fail "stream run failed");
-        let streamed = strip_batches (Clip_obs.Counters.work_assoc counters) in
+        let streamed = Clip_obs.Counters.work_assoc counters in
         List.iter
           (fun (k, v) ->
             checki k v
