@@ -103,7 +103,7 @@ end
 type sink = Counters.t option
 
 let none : sink = None
-let enabled (s : sink) = s <> None
+let enabled (s : sink) = match s with Some _ -> true | None -> false
 
 let scanned (s : sink) n =
   match s with

@@ -30,17 +30,14 @@ let to_string = function
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\011' || c = '\012'
 let is_digit c = c >= '0' && c <= '9'
 
-(* The decimal digits s.[i..j-1] as an int, [None] on overflow.
-   Accumulating negatively keeps [min_int] reachable. *)
-let int_of_digits s i j ~neg =
-  let rec go k acc =
-    if k = j then
-      if neg then Some acc else if acc = min_int then None else Some (-acc)
-    else
-      let d = Char.code s.[k] - 48 in
-      if acc < (min_int + d) / 10 then None else go (k + 1) ((acc * 10) - d)
-  in
-  go i 0
+(* The decimal digits s.[k..j-1] as an int, [None] on overflow; start
+   with [acc] = 0. Accumulating negatively keeps [min_int] reachable. *)
+let rec int_of_digits s k j ~neg acc =
+  if k = j then
+    if neg then Some acc else if acc = min_int then None else Some (-acc)
+  else
+    let d = Char.code s.[k] - 48 in
+    if acc < (min_int + d) / 10 then None else int_of_digits s (k + 1) j ~neg ((acc * 10) - d)
 
 (* One scan for the XML decimal and double lexical forms — an optional
    sign, digits with an optional fraction, an optional exponent — after
@@ -49,35 +46,39 @@ let int_of_digits s i j ~neg =
    makes a [Float]; [true]/[false] are [Bool]s. Everything else,
    including radix prefixes, digit separators and the INF/NaN spellings,
    stays a [String], so the value prints back unchanged. *)
+(* Top-level rather than local to [of_string]: a local function
+   capturing [s] is a closure allocated on every call, and every text
+   and attribute value of a parsed document goes through here. *)
+let rec skip_space s n i = if i < n && is_space s.[i] then skip_space s n (i + 1) else i
+let rec skip_digits s n i = if i < n && is_digit s.[i] then skip_digits s n (i + 1) else i
+
+let as_float s =
+  let f = float_of_string s in
+  if Float.is_finite f then Float f else String s
+
 let of_string s =
   let n = String.length s in
-  let rec skip_space i = if i < n && is_space s.[i] then skip_space (i + 1) else i in
-  let rec skip_digits i = if i < n && is_digit s.[i] then skip_digits (i + 1) else i in
-  let lead = skip_space 0 in
+  let lead = skip_space s n 0 in
   let digits = if lead < n && (s.[lead] = '+' || s.[lead] = '-') then lead + 1 else lead in
-  let int_end = skip_digits digits in
+  let int_end = skip_digits s n digits in
   let point = int_end < n && s.[int_end] = '.' in
-  let frac_end = if point then skip_digits (int_end + 1) else int_end in
+  let frac_end = if point then skip_digits s n (int_end + 1) else int_end in
   let numeric = int_end > digits || frac_end > int_end + 1 in
   let stop =
     if numeric && frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
       let e = frac_end + 1 in
       let e = if e < n && (s.[e] = '+' || s.[e] = '-') then e + 1 else e in
-      let d = skip_digits e in
+      let d = skip_digits s n e in
       if d > e then d else -1
     else frac_end
-  in
-  let as_float () =
-    let f = float_of_string s in
-    if Float.is_finite f then Float f else String s
   in
   if not (numeric && stop = n) then
     match s with "true" -> Bool true | "false" -> Bool false | _ -> String s
   else if lead = 0 && stop = int_end then
-    match int_of_digits s digits int_end ~neg:(s.[lead] = '-') with
+    match int_of_digits s digits int_end ~neg:(s.[lead] = '-') 0 with
     | Some i -> Int i
-    | None -> as_float ()
-  else as_float ()
+    | None -> as_float s
+  else as_float s
 
 let to_float = function
   | Int i -> Some (float_of_int i)

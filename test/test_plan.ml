@@ -999,6 +999,198 @@ let run_table_tests =
     QCheck_alcotest.to_alcotest flat_table_property;
   ]
 
+(* --- Frame scoping -------------------------------------------------------- *)
+
+(* Planned runs bind variables in slots resolved at plan time. These
+   tgds re-bind names, bind a source and a target variable under one
+   name, and leave names unbound, on a document above the planning
+   threshold; every plan mode must give the same bytes or error text.
+   The work counters of each mode are pinned to the values the
+   name-keyed environments gave before slots, so a slot that resolves
+   to the wrong binding, or a tick moved or dropped, shows as a
+   changed count. *)
+module Tgd = Clip_tgd.Tgd
+module Term = Clip_tgd.Term
+module Path = Clip_schema.Path
+
+let scoping_doc = lazy (S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10)
+let v x steps = Term.proj (Term.var x) steps
+let src steps = Term.proj (Term.root "source") steps
+let tgt steps = Term.proj (Term.root "t") steps
+let dept_gen x = Tgd.source_gen x (src [ Path.Child "dept" ])
+
+(* The outcome of one run: output bytes or error text, and the work
+   counters as "lim_ticks child_steps nodes_scanned index_probes
+   index_hits hash_join_builds hash_join_probes". *)
+let scoped_run ?session ?(source = Lazy.force scoping_doc) ~plan tgd =
+  let c = C.create () in
+  let text =
+    match Clip_tgd.Eval.run_result ?session ~plan ~obs:c ~source ~target_root:"t" tgd with
+    | Ok out -> Printer.to_string out
+    | Error ds -> "error: " ^ String.concat "; " (List.map (fun d -> d.Clip_diag.message) ds)
+  in
+  let counts =
+    C.
+      [
+        c.lim_ticks;
+        c.child_steps;
+        c.nodes_scanned;
+        c.index_probes;
+        c.index_hits;
+        c.hash_join_builds;
+        c.hash_join_probes;
+      ]
+  in
+  (text, String.concat " " (List.map string_of_int counts))
+
+let st_eq x attr scalar = Tgd.St_eq (v x [ Path.Attr attr ], scalar)
+let at x steps = Term.E (v x steps)
+
+(* Each case with the error text every mode must report, if any. *)
+let scoping_cases =
+  [
+    (* The child's [d] ranges over the parent's [d]'s projects; the
+       sibling after it must still see the parent's department. *)
+    ( "a child rule re-binds a parent's source name",
+      Tgd.make
+        ~foralls:[ dept_gen "d" ]
+        ~exists:[ Tgd.driven "x" (tgt [ Path.Child "dept" ]) ]
+        ~assertions:[ st_eq "x" "name" (at "d" [ Path.Child "dname"; Path.Value ]) ]
+        ~children:
+          [
+            Tgd.make
+              ~foralls:[ Tgd.source_gen "d" (v "d" [ Path.Child "Proj" ]) ]
+              ~cond:[ Tgd.cmp (at "d" [ Path.Attr "pid" ]) Tgd.Gt (Term.Const (Atom.Int 20)) ]
+              ~exists:[ Tgd.driven "p" (v "x" [ Path.Child "proj" ]) ]
+              ~assertions:[ st_eq "p" "pid" (at "d" [ Path.Attr "pid" ]) ]
+              ();
+            Tgd.make
+              ~foralls:[ Tgd.source_gen "e" (v "d" [ Path.Child "regEmp" ]) ]
+              ~cond:
+                [
+                  Tgd.cmp (at "e" [ Path.Attr "pid" ]) Tgd.Eq
+                    (at "d" [ Path.Child "Proj"; Path.Attr "pid" ]);
+                ]
+              ~exists:[ Tgd.driven "y" (v "x" [ Path.Child "emp" ]) ]
+              ~assertions:
+                [
+                  st_eq "y" "dept" (at "d" [ Path.Child "dname"; Path.Value ]);
+                  st_eq "y" "name" (at "e" [ Path.Child "ename"; Path.Value ]);
+                ]
+              ();
+          ]
+        (),
+      None );
+    (* The second [d] ranges over the first [d]'s employees; the
+       condition and the assertion read the inner one. *)
+    ( "a chain re-binds its own earlier name",
+      Tgd.make
+        ~foralls:[ dept_gen "d"; Tgd.source_gen "d" (v "d" [ Path.Child "regEmp" ]) ]
+        ~cond:
+          [ Tgd.cmp (at "d" [ Path.Child "sal"; Path.Value ]) Tgd.Gt (Term.Const (Atom.Int 12000)) ]
+        ~exists:[ Tgd.driven "e" (tgt [ Path.Child "emp" ]) ]
+        ~assertions:[ st_eq "e" "name" (at "d" [ Path.Child "ename"; Path.Value ]) ]
+        (),
+      None );
+    ( "an exists variable shares a forall name",
+      Tgd.make
+        ~foralls:[ dept_gen "d" ]
+        ~exists:[ Tgd.driven "d" (tgt [ Path.Child "dept" ]) ]
+        ~assertions:[ st_eq "d" "name" (at "d" [ Path.Child "dname"; Path.Value ]) ]
+        (),
+      Some "variable d is a target variable in a source position" );
+    ( "an unbound name in a generator",
+      Tgd.make
+        ~foralls:[ dept_gen "d"; Tgd.source_gen "p" (v "q" [ Path.Child "Proj" ]) ]
+        ~exists:[ Tgd.driven "x" (tgt [ Path.Child "proj" ]) ]
+        (),
+      Some "unbound source variable q" );
+    ( "an unbound name in a condition",
+      Tgd.make
+        ~foralls:[ dept_gen "d"; Tgd.source_gen "p" (v "d" [ Path.Child "Proj" ]) ]
+        ~cond:[ Tgd.cmp (at "p" [ Path.Attr "pid" ]) Tgd.Eq (at "z" [ Path.Attr "pid" ]) ]
+        ~exists:[ Tgd.driven "x" (tgt [ Path.Child "proj" ]) ]
+        (),
+      Some "unbound source variable z" );
+  ]
+
+let scoping_plans = [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ]
+
+(* Per case and mode, as the name-keyed environments counted them. *)
+let pinned_scoping_counters =
+  [
+    (("a child rule re-binds a parent's source name", "naive"), "1614 265 3112 0 0 0 0");
+    (("a child rule re-binds a parent's source name", "indexed"), "1614 265 696 265 176 0 0");
+    (("a child rule re-binds a parent's source name", "auto"), "1614 265 3112 0 0 0 0");
+    (("a chain re-binds its own earlier name", "naive"), "670 132 382 0 0 0 0");
+    (("a chain re-binds its own earlier name", "indexed"), "678 132 211 132 0 0 0");
+    (("a chain re-binds its own earlier name", "auto"), "678 132 382 0 0 0 0");
+    (("an exists variable shares a forall name", "naive"), "7 1 8 0 0 0 0");
+    (("an exists variable shares a forall name", "indexed"), "7 1 8 1 0 0 0");
+    (("an exists variable shares a forall name", "auto"), "7 1 8 0 0 0 0");
+    (("an unbound name in a generator", "naive"), "4 1 8 0 0 0 0");
+    (("an unbound name in a generator", "indexed"), "5 1 8 1 0 0 0");
+    (("an unbound name in a generator", "auto"), "5 1 8 1 0 0 0");
+    (("an unbound name in a condition", "naive"), "25 9 136 0 0 0 0");
+    (("an unbound name in a condition", "indexed"), "12 2 13 2 0 0 0");
+    (("an unbound name in a condition", "auto"), "12 2 24 0 0 0 0");
+  ]
+
+let scoping_tests =
+  List.map
+    (fun (name, tgd, error) ->
+      Alcotest.test_case name `Quick (fun () ->
+          checkb "above the planning threshold" true
+            (Node.size (Lazy.force scoping_doc) >= 128);
+          let naive, _ = scoped_run ~plan:`Naive tgd in
+          Option.iter
+            (fun e -> checkb ("reports: " ^ e) true (contains naive ("error: " ^ e)))
+            error;
+          List.iter
+            (fun (pname, plan) ->
+              let text, counts = scoped_run ~plan tgd in
+              checks (pname ^ ": same bytes or error") naive text;
+              checks (pname ^ ": pinned counters")
+                (List.assoc (name, pname) pinned_scoping_counters)
+                counts)
+            scoping_plans))
+    scoping_cases
+  @ [
+      Alcotest.test_case "one session runs the same plan twice" `Quick (fun () ->
+          let doc = Lazy.force scoping_doc in
+          List.iter
+            (fun (name, tgd, _) ->
+              List.iter
+                (fun (pname, plan) ->
+                  let cold = scoped_run ~plan tgd in
+                  let session = Clip_tgd.Eval.Session.create doc in
+                  let first = scoped_run ~session ~plan tgd in
+                  let second = scoped_run ~session ~plan tgd in
+                  let third = scoped_run ~session ~plan tgd in
+                  checks (name ^ "/" ^ pname ^ ": first run") (fst cold) (fst first);
+                  checks (name ^ "/" ^ pname ^ ": second run") (fst cold) (fst second);
+                  (* The first run fills the session's index memo; the
+                     warm runs after it do the same work. *)
+                  checks (name ^ "/" ^ pname ^ ": same warm work") (snd second) (snd third))
+                scoping_plans)
+            scoping_cases);
+      Alcotest.test_case "two sessions run interleaved" `Quick (fun () ->
+          let doc = Lazy.force scoping_doc in
+          let other = S.Deptdb.synthetic_instance ~depts:9 ~projs:4 ~emps:9 in
+          let run ?session source tgd = fst (scoped_run ?session ~source ~plan:`Auto tgd) in
+          let s1 = Clip_tgd.Eval.Session.create doc
+          and s2 = Clip_tgd.Eval.Session.create other in
+          List.iter
+            (fun (name, tgd, _) ->
+              let cold1 = run doc tgd and cold2 = run other tgd in
+              for round = 1 to 2 do
+                let tag = Printf.sprintf "%s, round %d" name round in
+                checks (tag ^ ": first session") cold1 (run ~session:s1 doc tgd);
+                checks (tag ^ ": second session") cold2 (run ~session:s2 other tgd)
+              done)
+            scoping_cases);
+    ]
+
 let () =
   Alcotest.run "plan"
     [
@@ -1016,4 +1208,5 @@ let () =
       ("sessions", session_tests);
       ("fuzz-differential", [ QCheck_alcotest.to_alcotest fuzz_differential ]);
       ("run-tables", run_table_tests);
+      ("frame-scoping", scoping_tests);
     ]
