@@ -380,7 +380,7 @@ let build_shard cut ~group (root : Node.t) =
             | Node.Element _ | Node.Text _ -> cut.needs_prologue)
           e.Node.children
       in
-      Node.elem ~attrs:e.Node.attrs e.Node.tag children
+      Node.elem_sym ~attrs:e.Node.attrs e.Node.sym children
     | next :: rest ->
       let descended = ref false in
       let children =
@@ -395,7 +395,7 @@ let build_shard cut ~group (root : Node.t) =
               if cut.needs_prologue then Some c else None)
           e.Node.children
       in
-      Node.elem ~attrs:e.Node.attrs e.Node.tag children
+      Node.elem_sym ~attrs:e.Node.attrs e.Node.sym children
   in
   match root, cut.containers with
   | Node.Element e, _ :: below -> rebuild e below

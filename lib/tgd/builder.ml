@@ -7,12 +7,14 @@ let error fmt =
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
     fmt
 
-(* Mutable target tree under construction. [bcompletions] memoises
-   the node's completion children by tag: completion tags come from the
-   target schema, so the list stays short and a scan beats hashing. *)
+(* Mutable target tree under construction. [bsym] is the tag's symbol,
+   resolved when the rule was compiled, so building an element interns
+   nothing. [bcompletions] memoises the node's completion children by
+   tag: completion tags come from the target schema, so the list stays
+   short and a scan beats hashing. *)
 type bnode = {
   id : int;
-  btag : string;
+  bsym : Xml.Symbol.t;
   mutable battrs : (string * Xml.Atom.t) list; (* reversed *)
   mutable btext : Xml.Atom.t option;
   mutable bchildren : bnode list; (* reversed *)
@@ -23,10 +25,10 @@ type bnode = {
    build nodes the same id — builder hash tables key on it. *)
 let next_id = Atomic.make 0
 
-let fresh_bnode btag =
+let fresh_bnode bsym =
   {
     id = 1 + Atomic.fetch_and_add next_id 1;
-    btag;
+    bsym;
     battrs = [];
     btext = None;
     bchildren = [];
@@ -42,44 +44,44 @@ let rec bnode_to_node b =
     | Some a -> Xml.Node.text a :: children
     | None -> children
   in
-  Xml.Node.elem ~attrs:(List.rev b.battrs) b.btag children
+  Xml.Node.elem_sym ~attrs:(List.rev b.battrs) b.bsym children
 
 type t = {
   root : bnode;
-  groups : (int * string * Clip_plan.Key.t, bnode) Hashtbl.t;
+  groups : (int * Xml.Symbol.t * Clip_plan.Key.t, bnode) Hashtbl.t;
   min_card : bool;
 }
 
 let create ~min_card ~target_root () =
-  { root = fresh_bnode target_root; groups = Hashtbl.create 64; min_card }
+  { root = fresh_bnode (Xml.Symbol.intern target_root); groups = Hashtbl.create 64; min_card }
 
 let root bld = bld.root
 
 let append_child parent child = parent.bchildren <- child :: parent.bchildren
 
-let completion_child parent tag =
+let completion_child parent sym =
   let rec find = function
     | [] ->
-      let b = fresh_bnode tag in
+      let b = fresh_bnode sym in
       append_child parent b;
       parent.bcompletions <- b :: parent.bcompletions;
       b
-    | b :: rest -> if String.equal b.btag tag then b else find rest
+    | b :: rest -> if Xml.Symbol.equal b.bsym sym then b else find rest
   in
   find parent.bcompletions
 
-let driven_child parent tag =
-  let b = fresh_bnode tag in
+let driven_child parent sym =
+  let b = fresh_bnode sym in
   append_child parent b;
   b
 
-let grouped_child bld parent tag key =
-  match Hashtbl.find_opt bld.groups (parent.id, tag, key) with
+let grouped_child bld parent sym key =
+  match Hashtbl.find_opt bld.groups (parent.id, sym, key) with
   | Some b -> b
   | None ->
-    let b = fresh_bnode tag in
+    let b = fresh_bnode sym in
     append_child parent b;
-    Hashtbl.add bld.groups (parent.id, tag, key) b;
+    Hashtbl.add bld.groups (parent.id, sym, key) b;
     b
 
 let split_last = function
@@ -96,7 +98,7 @@ let split_last = function
    rejecting conflicting reassignment. *)
 let leaf_setter (step : Path.step) : bnode -> Xml.Atom.t -> unit =
   let conflict b kind old atom =
-    error "conflicting values for %s of <%s>: %s vs %s" kind b.btag
+    error "conflicting values for %s of <%s>: %s vs %s" kind (Xml.Symbol.name b.bsym)
       (Xml.Atom.to_string old) (Xml.Atom.to_string atom)
   in
   match step with
@@ -223,7 +225,8 @@ type ('env, 'scope) ops = {
 let compile_head ops scope (e : Term.expr) : t -> 'env -> bnode =
   match Term.head e with
   | Term.Root s ->
-    fun bld _ -> if String.equal s bld.root.btag then bld.root else error "unknown target root %s" s
+    let sym = Xml.Symbol.intern s in
+    fun bld _ -> if Xml.Symbol.equal sym bld.root.bsym then bld.root else error "unknown target root %s" s
   | Term.Var x ->
     let lookup = ops.lookup_tgt scope x in
     fun _ env -> lookup env
@@ -233,8 +236,8 @@ let compile_head ops scope (e : Term.expr) : t -> 'env -> bnode =
 let rec compile_descend : Path.step list -> bnode -> bnode = function
   | [] -> Fun.id
   | Path.Child tag :: rest ->
-    let k = compile_descend rest in
-    fun b -> k (completion_child b tag)
+    let k = compile_descend rest and sym = Xml.Symbol.intern tag in
+    fun b -> k (completion_child b sym)
   | (Path.Attr _ | Path.Value) :: _ -> fun _ -> error "target path traverses a leaf step"
 
 (* A leaf assignment at the end of target expression [e]; [on_root]
@@ -271,11 +274,15 @@ let compile_gen ops scope bind (g : Tgd.target_gen) : t -> 'env -> 'env =
       match last, g.mode with
       | (Path.Attr _ | Path.Value), _ ->
         fun _ _ _ -> error "target generator %s ends on a leaf step" g.tvar
-      | Path.Child tag, Tgd.Driven -> fun _ _ parent -> driven_child parent tag
+      | Path.Child tag, Tgd.Driven ->
+        let sym = Xml.Symbol.intern tag in
+        fun _ _ parent -> driven_child parent sym
       | Path.Child tag, Tgd.Completion ->
+        let sym = Xml.Symbol.intern tag in
         fun bld _ parent ->
-          if bld.min_card then completion_child parent tag else driven_child parent tag
+          if bld.min_card then completion_child parent sym else driven_child parent sym
       | Path.Child tag, Tgd.Grouped { keys } ->
+        let sym = Xml.Symbol.intern tag in
         let keys =
           List.map
             (fun k ->
@@ -288,7 +295,7 @@ let compile_gen ops scope bind (g : Tgd.target_gen) : t -> 'env -> 'env =
           (* Keys are normalised so tgd grouping and the generated
              XQuery's value comparisons agree on mixed-type data. *)
           let key = List.map (fun k -> k env) keys in
-          grouped_child bld parent tag (Clip_plan.Key.of_atoms key)
+          grouped_child bld parent sym (Clip_plan.Key.of_atoms key)
     in
     fun bld env -> bind env (create bld env (descend (head bld env)))
 

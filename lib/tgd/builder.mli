@@ -20,11 +20,13 @@
     {!type-rule} is run by {!pre_instantiate} and {!emit}, generic over
     the executor's environment type. *)
 
-(** A mutable target element under construction; [bcompletions]
+(** A mutable target element under construction. [bsym] is its tag,
+    interned when the rule was compiled, so {!bnode_to_node} builds
+    with {!Clip_xml.Node.elem_sym} and interns nothing; [bcompletions]
     memoises its completion children by tag. *)
 type bnode = private {
   id : int;
-  btag : string;
+  bsym : Clip_xml.Symbol.t;
   mutable battrs : (string * Clip_xml.Atom.t) list; (* reversed *)
   mutable btext : Clip_xml.Atom.t option;
   mutable bchildren : bnode list; (* reversed *)

@@ -30,55 +30,91 @@ let to_string = function
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\011' || c = '\012'
 let is_digit c = c >= '0' && c <= '9'
 
-(* The decimal digits s.[k..j-1] as an int, [None] on overflow; start
-   with [acc] = 0. Accumulating negatively keeps [min_int] reachable. *)
-let rec int_of_digits s k j ~neg acc =
-  if k = j then
-    if neg then Some acc else if acc = min_int then None else Some (-acc)
-  else
-    let d = Char.code s.[k] - 48 in
-    if acc < (min_int + d) / 10 then None else int_of_digits s (k + 1) j ~neg ((acc * 10) - d)
-
-(* One scan for the XML decimal and double lexical forms — an optional
-   sign, digits with an optional fraction, an optional exponent — after
-   optional leading whitespace. A plain integer is an [Int] (a [Float]
-   when it overflows); a fraction, an exponent or leading whitespace
-   makes a [Float]; [true]/[false] are [Bool]s. Everything else,
-   including radix prefixes, digit separators and the INF/NaN spellings,
-   stays a [String], so the value prints back unchanged. *)
-(* Top-level rather than local to [of_string]: a local function
-   capturing [s] is a closure allocated on every call, and every text
+(* The lexical forms are read from bytes [b.[lo..hi-1]]: {!of_string}
+   reads its string in place and {!of_bytes} a slice of the lexer's
+   window, so both share one scanner and agree by construction.
+   Helpers are top-level rather than local: a local function capturing
+   the bytes would be a closure allocated on every call, and every text
    and attribute value of a parsed document goes through here. *)
-let rec skip_space s n i = if i < n && is_space s.[i] then skip_space s n (i + 1) else i
-let rec skip_digits s n i = if i < n && is_digit s.[i] then skip_digits s n (i + 1) else i
+let[@inline] get b i = Bytes.unsafe_get b i
+
+let rec skip_space b hi i = if i < hi && is_space (get b i) then skip_space b hi (i + 1) else i
+let rec skip_digits b hi i = if i < hi && is_digit (get b i) then skip_digits b hi (i + 1) else i
+
+(* The decimal digits b.[k..j-1], accumulated negatively from [acc] = 0
+   so that [min_int] stays reachable. The result is never positive, so
+   [1] reports an overflow without allocating an option. *)
+let rec neg_digits b k j acc =
+  if k = j then acc
+  else
+    let d = Char.code (get b k) - 48 in
+    if acc < (min_int + d) / 10 then 1 else neg_digits b (k + 1) j ((acc * 10) - d)
+
+(* The shape of b.[lo..hi-1] under one scan for the XML decimal and
+   double lexical forms — an optional sign, digits with an optional
+   fraction, an optional exponent — after optional leading whitespace:
+   [Integer] is a plain integer with no leading whitespace, [Number]
+   any other such form, [Other] everything else. *)
+type shape = Integer | Number | Other
+
+let shape b lo hi =
+  let lead = skip_space b hi lo in
+  let digits = if lead < hi && (get b lead = '+' || get b lead = '-') then lead + 1 else lead in
+  let int_end = skip_digits b hi digits in
+  let point = int_end < hi && get b int_end = '.' in
+  let frac_end = if point then skip_digits b hi (int_end + 1) else int_end in
+  let numeric = int_end > digits || frac_end > int_end + 1 in
+  let stop =
+    if numeric && frac_end < hi && (get b frac_end = 'e' || get b frac_end = 'E') then
+      let e = frac_end + 1 in
+      let e = if e < hi && (get b e = '+' || get b e = '-') then e + 1 else e in
+      let d = skip_digits b hi e in
+      if d > e then d else -1
+    else frac_end
+  in
+  if not (numeric && stop = hi) then Other else if lead = lo && stop = int_end then Integer else Number
+
+(* An [Integer]-shaped b.[lo..hi-1]: minus its magnitude, [1] when
+   that overflows; whether it fits once signed; its value. *)
+let neg_magnitude b lo hi =
+  neg_digits b (if get b lo = '-' || get b lo = '+' then lo + 1 else lo) hi 0
+
+let fits b lo m = m <> 1 && (get b lo = '-' || m <> min_int)
+let signed b lo m = if get b lo = '-' then m else -m
 
 let as_float s =
   let f = float_of_string s in
   if Float.is_finite f then Float f else String s
 
+(* A plain integer that fits is an [Int], one that overflows a
+   [Float]; a fraction, an exponent or leading whitespace makes a
+   [Float]; [true]/[false] are [Bool]s. Everything else, including radix
+   prefixes, digit separators and the INF/NaN spellings, stays a
+   [String], so the value prints back unchanged. *)
 let of_string s =
-  let n = String.length s in
-  let lead = skip_space s n 0 in
-  let digits = if lead < n && (s.[lead] = '+' || s.[lead] = '-') then lead + 1 else lead in
-  let int_end = skip_digits s n digits in
-  let point = int_end < n && s.[int_end] = '.' in
-  let frac_end = if point then skip_digits s n (int_end + 1) else int_end in
-  let numeric = int_end > digits || frac_end > int_end + 1 in
-  let stop =
-    if numeric && frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
-      let e = frac_end + 1 in
-      let e = if e < n && (s.[e] = '+' || s.[e] = '-') then e + 1 else e in
-      let d = skip_digits s n e in
-      if d > e then d else -1
-    else frac_end
-  in
-  if not (numeric && stop = n) then
-    match s with "true" -> Bool true | "false" -> Bool false | _ -> String s
-  else if lead = 0 && stop = int_end then
-    match int_of_digits s digits int_end ~neg:(s.[lead] = '-') 0 with
-    | Some i -> Int i
-    | None -> as_float s
-  else as_float s
+  let b = Bytes.unsafe_of_string s and n = String.length s in
+  match shape b 0 n with
+  | Integer ->
+    let m = neg_magnitude b 0 n in
+    if fits b 0 m then Int (signed b 0 m) else as_float s
+  | Number -> as_float s
+  | Other -> (match s with "true" -> Bool true | "false" -> Bool false | _ -> String s)
+
+let rec spells b off lit j =
+  j = String.length lit || (get b (off + j) = String.unsafe_get lit j && spells b off lit (j + 1))
+
+let of_bytes b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Atom.of_bytes";
+  let hi = off + len in
+  match shape b off hi with
+  | Integer ->
+    let m = neg_magnitude b off hi in
+    if fits b off m then Int (signed b off m) else as_float (Bytes.sub_string b off len)
+  | Number -> as_float (Bytes.sub_string b off len)
+  | Other ->
+    if len = 4 && spells b off "true" 0 then Bool true
+    else if len = 5 && spells b off "false" 0 then Bool false
+    else String (Bytes.sub_string b off len)
 
 let to_float = function
   | Int i -> Some (float_of_int i)

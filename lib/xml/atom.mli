@@ -31,6 +31,13 @@ val to_string : t -> string
     [String]. Used by the XML parser, which has no schema at hand. *)
 val of_string : string -> t
 
+(** [of_bytes b off len] — [of_string (Bytes.sub_string b off len)],
+    typed where the bytes sit: an [Int] or [Bool] is read without a
+    copy, and any other value is sliced once. The XML lexer types text
+    and attribute values in its window with it.
+    @raise Invalid_argument when the range is not within [b]. *)
+val of_bytes : Bytes.t -> int -> int -> t
+
 (** Structural equality with numeric promotion: [Int 3 = Float 3.0]. *)
 val equal : t -> t -> bool
 

@@ -6,10 +6,12 @@
    Runs, not bytes. Names, spaces, character data, quoted values and
    the [-->] / []]>] / [?>] terminators are each found by one loop over
    the window, and the cursor then moves once. Text and attribute
-   values are sliced from the window at the markup that ends them and
-   entity-decoded only when they contain ['&']; a closing tag is
-   compared with its opening tag in place, and a name seen before is
-   shared rather than copied.
+   values are typed in the window at the markup that ends them
+   ([Atom.of_bytes]): an integer or boolean is read without a copy, any
+   other value is sliced once, and only a value holding ['&'] is
+   entity-decoded and typed again. A closing tag is compared with its
+   opening tag in place, and a name seen before is shared rather than
+   copied.
 
    The window. Bytes [wpos, len) of [buf] are unconsumed; a run being
    scanned stays in the window from the cursor on while [more] pulls
@@ -264,6 +266,28 @@ let symbol st h =
     st.syms.(h) <- Some sym;
     sym
 
+(* The character a reference's digits [ent.[i..]] name in [radix], or
+   [-1] when a byte is not a digit of [radix] or the code reaches 128. *)
+let rec char_code ent i radix acc =
+  if i = String.length ent then acc
+  else
+    let d =
+      match ent.[i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | ('a' .. 'f' as c) when radix = 16 -> Char.code c - 87
+      | ('A' .. 'F' as c) when radix = 16 -> Char.code c - 55
+      | _ -> -1
+    in
+    let acc = (acc * radix) + d in
+    if d < 0 || acc >= 128 then -1 else char_code ent (i + 1) radix acc
+
+(* [ent] is ["#..."]: XML spells a character reference [#] then decimal
+   digits, or [#x] then hexadecimal digits, and nothing else. *)
+let char_ref ent =
+  if ent.[1] <> 'x' then char_code ent 1 10 0
+  else if String.length ent > 2 then char_code ent 2 16 0
+  else -1
+
 (* Errors point at the cursor, which the caller has moved past the
    text or quoted value being decoded. *)
 let decode_entities st s =
@@ -285,14 +309,9 @@ let decode_entities st s =
           | "apos" -> "'"
           | _ ->
             if String.length ent > 1 && ent.[0] = '#' then
-              let code =
-                if ent.[1] = 'x' || ent.[1] = 'X' then
-                  int_of_string_opt ("0x" ^ String.sub ent 2 (String.length ent - 2))
-                else int_of_string_opt (String.sub ent 1 (String.length ent - 1))
-              in
-              match code with
-              | Some c when c >= 0 && c < 128 -> String.make 1 (Char.chr c)
-              | Some _ | None -> error st ("unsupported character reference &" ^ ent ^ ";")
+              let c = char_ref ent in
+              if c < 0 then error st ("unsupported character reference &" ^ ent ^ ";")
+              else String.make 1 (Char.chr c)
             else error st ("unknown entity &" ^ ent ^ ";")
         in
         Buffer.add_string buf repl;
@@ -305,7 +324,15 @@ let decode_entities st s =
   done;
   Buffer.contents buf
 
-let decoded st s = if String.contains s '&' then decode_entities st s else s
+let rec has_amp s i = i < String.length s && (String.unsafe_get s i = '&' || has_amp s (i + 1))
+
+(* The value in [buf.[lo..hi-1]], typed where it sits (see the top of
+   the file). A value holding ['&'] types as a [String]: only then is it
+   decoded and typed again. *)
+let value st lo hi =
+  match Atom.of_bytes st.buf lo (hi - lo) with
+  | Atom.String s when has_amp s 0 -> Atom.of_string (decode_entities st s)
+  | a -> a
 
 let quoted st =
   let q = if has st 0 then byte st 0 else '\000' in
@@ -315,9 +342,9 @@ let quoted st =
     st.wpos <- st.len;
     error st "unterminated attribute value"
   end;
-  let raw = Bytes.sub_string st.buf (st.wpos + 1) (k - 1) in
+  let lo = st.wpos + 1 in
   st.wpos <- st.wpos + k + 1;
-  decoded st raw
+  value st lo (lo + k - 1)
 
 let rec attrs st acc =
   skip_spaces st;
@@ -331,7 +358,7 @@ let rec attrs st acc =
       expect st '=';
       skip_spaces st;
       let v = quoted st in
-      attrs st ((n, Atom.of_string v) :: acc)
+      attrs st ((n, v) :: acc)
 
 (* The cursor is on the '<' of a start tag: bound the depth (before
    the tag is read), read the name. *)
@@ -454,7 +481,7 @@ let blank st i =
 let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 (* The non-blank run from [i] to the cursor as a text atom: trimmed
-   (as [String.trim] does), decoded, typed. *)
+   (as [String.trim] does), typed, decoded if it holds ['&']. *)
 let text st i =
   let lo = ref i and hi = ref st.wpos in
   while !lo < !hi && is_trimmed (Bytes.unsafe_get st.buf !lo) do
@@ -463,7 +490,7 @@ let text st i =
   while !hi > !lo && is_trimmed (Bytes.unsafe_get st.buf (!hi - 1)) do
     decr hi
   done;
-  Atom.of_string (decoded st (Bytes.sub_string st.buf !lo (!hi - !lo)))
+  value st !lo !hi
 
 type markup = Close | Comment | Cdata | Open
 

@@ -14,6 +14,13 @@
    (counters, tracers, session memos); cross-domain state must be
    [Atomic] or mutex-guarded with an explicit allowlist entry.
 
+   Under [lib/xml/], the lexer and the atoms type every value of a
+   parsed document, and [int_of_string*] / [float_of_string*] read
+   OCaml literal syntax ([0x10], [0o7], [1_000], [+65], [nan]) that XML
+   does not allow: twice a value or a character reference was misread
+   that way. Only the sites in [number_allowlist] may call them, each
+   on text it has already checked.
+
    Every [.ml] under [lib/] must have a matching [.mli]: the interface
    is where invariants live (Doc's array layout, the index's
    memoisation contract, symbol interning), and an uninterfaced
@@ -34,6 +41,12 @@ let allowlist = [ ("clio/generate.ml", 1); ("clio/enumerate.ml", 1); ("core/comp
    the empty initial intern table, published through an [Atomic]
    snapshot and only ever replaced under its mutex. *)
 let mutable_allowlist = [ ("xml/symbol.ml", 1) ]
+
+(* Files under xml/ allowed N calls of [int_of_string*] /
+   [float_of_string*]. atom.ml's three are [float_of_string] on a value
+   its own scanner has read as an XML decimal or double form, and on
+   the float printer's own output. *)
+let number_allowlist = [ ("xml/atom.ml", 3) ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -66,6 +79,18 @@ let count_token hay needle =
       String.equal (String.sub hay i nn) needle
       && (i = 0 || (not (is_ident_char hay.[i - 1]) && hay.[i - 1] <> '.'))
       && (i + nn >= nh || not (is_ident_char hay.[i + nn]))
+    then incr count
+  done;
+  !count
+
+(* Occurrences of identifiers starting with [prefix] (no identifier
+   character before it, so [M.int_of_string] counts and [my_int_of_string]
+   does not). *)
+let count_prefix hay prefix =
+  let nh = String.length hay and np = String.length prefix in
+  let count = ref 0 in
+  for i = 0 to nh - np do
+    if String.equal (String.sub hay i np) prefix && (i = 0 || not (is_ident_char hay.[i - 1]))
     then incr count
   done;
   !count
@@ -243,6 +268,19 @@ let () =
           "lint: %s: %d use(s) of failwith, %d allowed — report a Clip_diag \
            diagnostic instead (see lib/diag)"
           rel fw allowed;
+      if Filename.check_suffix path ".ml" && String.starts_with ~prefix:"xml/" rel then begin
+        let code = strip_literals src in
+        let calls = count_prefix code "int_of_string" + count_prefix code "float_of_string" in
+        let allowed =
+          match List.assoc_opt rel number_allowlist with Some n -> n | None -> 0
+        in
+        if calls > allowed then
+          complain
+            "lint: %s: %d use(s) of int_of_string*/float_of_string*, %d allowed \
+             — they read OCaml literal syntax; scan the XML form instead (see \
+             Atom.of_bytes)"
+            rel calls allowed
+      end;
       if Filename.check_suffix path ".ml" then begin
         let globals = count_mutable_globals src in
         let allowed =

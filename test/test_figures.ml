@@ -127,6 +127,37 @@ let xquery_text_tests =
         checkb "avg" true (contains q "avg($d/regEmp/sal/text())"));
   ]
 
+(* Every output element's interned symbol names its tag: the tgd
+   builder and the shard rebuild construct elements from symbols they
+   resolved earlier, never from the tag string. *)
+let symbol_tests =
+  [
+    Alcotest.test_case "output symbols name their tags" `Quick (fun () ->
+        let rec check where = function
+          | Node.Text _ -> ()
+          | Node.Element e ->
+            if not (String.equal (Clip_xml.Symbol.name e.Node.sym) e.Node.tag) then
+              Alcotest.failf "%s: <%s> carries the symbol of <%s>" where e.Node.tag
+                (Clip_xml.Symbol.name e.Node.sym);
+            List.iter (check where) e.Node.children
+        in
+        List.iter
+          (fun (sc : S.Figures.t) ->
+            List.iter
+              (fun (backend, plan, mode) ->
+                check sc.name
+                  (Engine.run ~backend ~plan ~mode ~shard_bytes:64
+                     ~minimum_cardinality:sc.minimum_cardinality sc.mapping S.Deptdb.instance))
+              (List.concat_map
+                 (fun backend ->
+                   List.concat_map
+                     (fun plan -> [ (backend, plan, `Whole); (backend, plan, `Sharded) ])
+                     [ `Naive; `Indexed; `Auto ])
+                 (* the universal-solution ablation runs on tgd only *)
+                 (if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ])))
+          S.Figures.all);
+  ]
+
 (* Robustness: running the figures over degenerate instances. *)
 let robustness_tests =
   let empty_source = Clip_xml.Parser.parse_string "<source/>" in
@@ -209,4 +240,5 @@ let () =
       ("cardinalities", cardinality_tests);
       ("xquery-text", xquery_text_tests);
       ("robustness", robustness_tests);
+      ("symbols", symbol_tests);
     ]

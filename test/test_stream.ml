@@ -55,6 +55,25 @@ let assert_all_agree ?limits bytes =
        (Stream.parse_result
           (chunked ?limits bytes [ 1; 3; String.length bytes / 2 ])))
 
+(* [outcome] with every atom shown with its kind and a float to the
+   bit: [Int 12], [Float 12.] and [String "12"] print alike in XML. *)
+let show_atom = function
+  | Atom.Int i -> Printf.sprintf "Int %d" i
+  | Atom.Float f -> Printf.sprintf "Float %h" f
+  | Atom.Bool b -> Printf.sprintf "Bool %b" b
+  | Atom.String s -> Printf.sprintf "String %S" s
+
+let rec typed = function
+  | Node.Text a -> show_atom a
+  | Node.Element e ->
+    let attrs = List.map (fun (k, v) -> Printf.sprintf " %s=%s" k (show_atom v)) e.Node.attrs in
+    Printf.sprintf "<%s%s>%s</>" e.Node.tag (String.concat "" attrs)
+      (String.concat "," (List.map typed e.Node.children))
+
+let typed_outcome = function
+  | Ok node -> "ok: " ^ typed node
+  | Error ds -> "error: " ^ String.concat "\n" (List.map Clip_diag.render ds)
+
 let well_formed =
   [
     "<a/>";
@@ -160,6 +179,66 @@ let equivalence_tests =
            the precedence rule only fires when the whole feed is
            actually oversized. *)
         assert_all_agree ~limits "<r><a>");
+    Alcotest.test_case "character references: only &#digits; and &#xhex;" `Quick
+      (fun () ->
+        let in_text r = "<r>" ^ r ^ "</r>" and in_attr r = "<r a=\"" ^ r ^ "\"/>" in
+        (* OCaml literal syntax, an uppercase X, a sign, no digits, a
+           code past 127: all CLIP-XML-001, in text and in attributes. *)
+        List.iter
+          (fun r ->
+            List.iter
+              (fun bytes ->
+                assert_all_agree bytes;
+                match Parser.parse_string_result bytes with
+                | Ok _ -> Alcotest.failf "%S parsed" bytes
+                | Error [ d ] ->
+                  checks bytes "CLIP-XML-001" d.Clip_diag.code;
+                  checks bytes ("unsupported character reference " ^ r) d.Clip_diag.message
+                | Error _ -> Alcotest.failf "%S: not one diagnostic" bytes)
+              [ in_text r; in_attr r ])
+          [
+            "&#0o101;"; "&#0b1000001;"; "&#6_5;"; "&#+65;"; "&#0x41;"; "&#X41;"; "&#-65;";
+            "&#x;"; "&#x-41;"; "&#128;"; "&#x80;"; "&#99999999999999999999999;";
+          ];
+        List.iter
+          (fun (r, want) ->
+            List.iter
+              (fun (bytes, node) ->
+                assert_all_agree bytes;
+                checks bytes (typed_outcome (Ok node)) (typed_outcome (Parser.parse_string_result bytes)))
+              [
+                (in_text r, Node.elem "r" [ Node.text_string want ]);
+                (in_attr r, Node.elem ~attrs:[ ("a", Atom.String want) ] "r" []);
+              ])
+          [ ("&#65;", "A"); ("&#065;", "A"); ("&#x41;", "A"); ("&#x4a;", "J"); ("&#x4A;", "J");
+            ("&#x0000041;", "A"); ("&#127;", "\127") ]);
+    Alcotest.test_case "values typed across every chunk boundary" `Quick (fun () ->
+        (* Numbers, signs and references cut at every byte, and at
+           every single cut: each feed gives the oracle's tree, atom
+           kinds included, or its diagnostic. *)
+        let docs =
+          [
+            "<r a=\"+5\" b=\"007\" c=\"-\" d=\"4611686018427387904\" e=\" 12\" f=\"1e5\" \
+             g=\"0x10\" h=\"true\" i=\"-4611686018427387904\" j=\"&#49;2\"/>";
+            "<r><x>-12</x><x>+7</x><x>  42  </x><x>4611686018427387903</x>\
+             <x>-4611686018427387905</x><x>2.5e-3</x><x>-.5</x><x>false</x><x>-</x></r>";
+            "<r><x>&#49;2</x><x>1&#50;</x><x>&#45;7</x><x>+&#x35;</x><x>tr&#117;e</x>\
+             <x>1&amp;2</x><x>&#x31;&#x30;</x><x> &#32;5</x></r>";
+            "<r><x>12&#0x41;</x></r>";
+            "<r a=\"-3&#+65;\"/>";
+            "<r><x>99&unknown;</x></r>";
+            "<r><x>-5&#49</x></r>";
+          ]
+        in
+        List.iter
+          (fun bytes ->
+            let reference = typed_outcome (Xml_oracle.parse_string_result bytes) in
+            checks bytes reference (typed_outcome (Stream.parse_result (byte_by_byte bytes)));
+            for c = 1 to String.length bytes - 1 do
+              checks (Printf.sprintf "%s cut at %d" bytes c) reference
+                (typed_outcome (Stream.parse_result (chunked bytes [ c ])))
+            done)
+          docs);
     Alcotest.test_case "event stream shape" `Quick (fun () ->
         let st = Stream.of_string "<r a=\"1\">hi<e/></r>" in
         let next () =
@@ -245,7 +324,8 @@ let gen_text =
               "a"; "hi there"; "12"; "-3"; "2.5"; "true"; " "; "  "; "\t"; "\n";
               "\r\n"; "\012"; "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;";
               "&#65;"; "&#x41;"; "&"; "&bogus;"; "&#xZZ;"; "&#300;"; "&#;";
-              "&amp"; ">"; "]]>"; "'"; "\"";
+              "&amp"; ">"; "]]>"; "'"; "\""; "+5"; "007"; "1e5"; "&#+65;"; "&#0x41;";
+              "&#6_5;"; "&#X41;"; "&#049;";
             ])))
 
 let gen_name = QCheck2.Gen.oneofl [ "a"; "b"; "r"; "x1"; "_n"; "a-b"; "n.m"; "p:q" ]

@@ -7,6 +7,19 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let checki = Alcotest.(check int)
 
+(* An atom with its kind, and a float to the bit. *)
+let show_atom = function
+  | Atom.Int i -> Printf.sprintf "Int %d" i
+  | Atom.Float f -> Printf.sprintf "Float %h" f
+  | Atom.Bool b -> Printf.sprintf "Bool %b" b
+  | Atom.String s -> Printf.sprintf "String %S" s
+
+(* [Atom.of_bytes] on [s] set between bytes that would change the
+   value if it read past the slice. *)
+let of_bytes_between ~pad s =
+  let b = Bytes.of_string (pad ^ s ^ pad) in
+  Atom.of_bytes b (String.length pad) (String.length s)
+
 (* --- Atoms -------------------------------------------------------------- *)
 
 let atom_tests =
@@ -25,12 +38,7 @@ let atom_tests =
         checks "2.5" "2.5" (Atom.to_string (Atom.Float 2.5)));
     Alcotest.test_case "of_string reads only XML decimal and double forms" `Quick
       (fun () ->
-        let show = function
-          | Atom.Int i -> Printf.sprintf "Int %d" i
-          | Atom.Float f -> Printf.sprintf "Float %h" f
-          | Atom.Bool b -> Printf.sprintf "Bool %b" b
-          | Atom.String s -> Printf.sprintf "String %S" s
-        in
+        let show = show_atom in
         List.iter
           (fun (s, want) -> checks s (show want) (show (Atom.of_string s)))
           [
@@ -79,6 +87,36 @@ let atom_tests =
             ("True", Atom.String "True");
             ("false", Atom.Bool false);
           ]);
+    Alcotest.test_case "of_bytes types a slice as of_string types its copy" `Quick
+      (fun () ->
+        List.iter
+          (fun (s, want) ->
+            checks s (show_atom want) (show_atom (Atom.of_string s));
+            List.iter
+              (fun pad -> checks (pad ^ "|" ^ s) (show_atom want) (show_atom (of_bytes_between ~pad s)))
+              [ ""; "9"; "x"; " "; "e5" ])
+          [
+            ("+5", Atom.Int 5);
+            ("007", Atom.Int 7);
+            ("-", Atom.String "-");
+            ("4611686018427387903", Atom.Int max_int);
+            ("4611686018427387904", Atom.Float 0x1p62);
+            ("-4611686018427387904", Atom.Int min_int);
+            ("-4611686018427387905", Atom.Float (-0x1p62));
+            ("99999999999999999999", Atom.Float 1e20);
+            (" 12", Atom.Float 12.);
+            ("1e5", Atom.Float 1e5);
+            ("0x10", Atom.String "0x10");
+            ("true", Atom.Bool true);
+            ("false", Atom.Bool false);
+            ("tru", Atom.String "tru");
+            ("", Atom.String "");
+            ("R&amp;D", Atom.String "R&amp;D");
+          ];
+        checkb "out of range" true
+          (match Atom.of_bytes (Bytes.of_string "12") 1 2 with
+           | exception Invalid_argument _ -> true
+           | _ -> false));
     Alcotest.test_case "to_string prints the shortest float that reads back" `Quick
       (fun () ->
         List.iter
@@ -392,9 +430,36 @@ let prop_canonical_reflexive =
   QCheck2.Test.make ~count:200 ~name:"equal_unordered is reflexive" gen_node
     (fun node -> Node.equal_unordered node node)
 
+(* Random bytes drawn mostly from the characters the numeric forms and
+   the booleans are made of, and a random slice of them. *)
+let gen_slice =
+  QCheck2.Gen.(
+    let piece =
+      oneof
+        [
+          oneofl [ "0"; "1"; "7"; "9"; "+"; "-"; "."; "e"; "E"; " "; "\t"; "\011"; "x"; "_" ];
+          oneofl [ "true"; "false"; "4611686018427387904"; "0x"; "nan"; "&"; "&#49;" ];
+          map (String.make 1) char;
+        ]
+    in
+    map (String.concat "") (list_size (0 -- 12) piece) >>= fun s ->
+    let n = String.length s in
+    int_bound n >>= fun off ->
+    int_bound (n - off) >>= fun len -> return (s, off, len))
+
+let prop_of_bytes =
+  QCheck2.Test.make ~count:5000 ~name:"of_bytes b off len = of_string (Bytes.sub_string b off len)"
+    ~print:(fun (s, off, len) -> Printf.sprintf "%S off %d len %d" s off len)
+    gen_slice
+    (fun (s, off, len) ->
+      let b = Bytes.of_string s in
+      String.equal
+        (show_atom (Atom.of_bytes b off len))
+        (show_atom (Atom.of_string (Bytes.sub_string b off len))))
+
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_pretty_roundtrip; prop_canonical_reflexive ]
+    [ prop_roundtrip; prop_pretty_roundtrip; prop_canonical_reflexive; prop_of_bytes ]
 
 (* --- Instance statistics ------------------------------------------------ *)
 

@@ -69,6 +69,22 @@ let parse_name st =
   done;
   String.sub st.src start (st.pos - start)
 
+let is_decimal c = c >= '0' && c <= '9'
+let is_hex c = is_decimal c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+(* [ent] is ["#..."]. XML spells a character reference only as [#]
+   then decimal digits or [#x] then hexadecimal digits; the digits are
+   checked before [int_of_string_opt] sees them, since it also reads
+   OCaml's signs, radix prefixes and [_] separators. *)
+let char_ref ent =
+  let n = String.length ent in
+  let prefix, digits, ok =
+    if ent.[1] = 'x' then ("0x", String.sub ent 2 (n - 2), is_hex)
+    else ("", String.sub ent 1 (n - 1), is_decimal)
+  in
+  if digits = "" || not (String.for_all ok digits) then None
+  else int_of_string_opt (prefix ^ digits)
+
 let decode_entities st s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -88,13 +104,8 @@ let decode_entities st s =
           | "apos" -> "'"
           | _ ->
             if String.length ent > 1 && ent.[0] = '#' then
-              let code =
-                if ent.[1] = 'x' || ent.[1] = 'X' then
-                  int_of_string_opt ("0x" ^ String.sub ent 2 (String.length ent - 2))
-                else int_of_string_opt (String.sub ent 1 (String.length ent - 1))
-              in
-              match code with
-              | Some c when c >= 0 && c < 128 -> String.make 1 (Char.chr c)
+              match char_ref ent with
+              | Some c when c < 128 -> String.make 1 (Char.chr c)
               | Some _ | None -> error st ("unsupported character reference &" ^ ent ^ ";")
             else error st ("unknown entity &" ^ ent ^ ";")
         in
