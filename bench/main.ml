@@ -20,6 +20,9 @@ let rule title =
 
 let subrule title = Printf.printf "\n--- %s\n" title
 
+(* The value of a run that must succeed; its diagnostics otherwise. *)
+let ok = function Ok v -> v | Error ds -> Clip_diag.fail_all ds
+
 (* --- Figures 3-9 (and the prose variants): expected vs measured ---------- *)
 
 let figure_experiment (sc : S.Figures.t) () =
@@ -52,7 +55,9 @@ let fig1_experiment () =
   rule "fig1 — the motivating example (Sec. I): Clio's defective output";
   let baseline = Clip_clio.Generate.generate S.Figures.fig1_values in
   let out =
-    Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" baseline
+    ok
+      (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance
+         ~target_root:"target" baseline)
   in
   print_endline (Clip_xml.Printer.to_tree_string out);
   Printf.printf
@@ -63,7 +68,9 @@ let fig1_experiment () =
   subrule "the Sec. V-B extension repairs it";
   let repaired = Clip_clio.Generate.generate ~extension:true S.Figures.fig1_values in
   let out =
-    Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" repaired
+    ok
+      (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance
+         ~target_root:"target" repaired)
   in
   print_endline (Clip_xml.Printer.to_tree_string out);
   Printf.printf "\nmatches the Sec. I desired output: %b\n"
@@ -413,17 +420,22 @@ let measure_sessions ~reps ~scales =
          have the most to amortise. *)
       let session = Engine.Session.create doc in
       let cold =
-        Engine.Session.run ~backend:`Xquery session scenario.S.Figures.mapping
+        ok
+          (Engine.Session.run_result ~backend:`Xquery session
+             scenario.S.Figures.mapping)
       in
       let warm = ref cold in
       (* cold = fresh session + first run (full analysis), every call *)
       let cold_f () =
-        Engine.Session.run ~backend:`Xquery (Engine.Session.create doc)
-          scenario.S.Figures.mapping
+        ok
+          (Engine.Session.run_result ~backend:`Xquery
+             (Engine.Session.create doc) scenario.S.Figures.mapping)
       in
       let warm_f () =
         warm :=
-          Engine.Session.run ~backend:`Xquery session scenario.S.Figures.mapping;
+          ok
+            (Engine.Session.run_result ~backend:`Xquery session
+               scenario.S.Figures.mapping);
         !warm
       in
       let tc, tw =
@@ -464,18 +476,25 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
        (if smoke then " (smoke)" else ""));
   let reps = if smoke then 3 else 9 in
   let limits = Clip_diag.Limits.unlimited in
-  let run_mode (sc : S.Figures.t) ~backend ~plan doc =
-    let steps = ref 0 in
+  let run_mode ?ctx (sc : S.Figures.t) ~backend ~plan doc =
     match
-      Engine.run_result ~limits ~backend
-        ~minimum_cardinality:sc.minimum_cardinality ~plan ~steps_out:steps
-        sc.mapping doc
+      Engine.run_result ?ctx ~limits ~backend
+        ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc
     with
-    | Ok out -> (out, !steps)
+    | Ok out -> out
     | Error ds ->
       List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
       Printf.eprintf "plan bench: %s failed\n" sc.name;
       exit 1
+  in
+  (* Step counts come from a counting context of their own, so the
+     timed runs below stay on the silent ambient one. *)
+  let counters = Clip_obs.Counters.create () in
+  let counting = Clip_run.create ~counters () in
+  let counted sc ~backend ~plan doc =
+    Clip_obs.Counters.reset counters;
+    let out = run_mode ~ctx:counting sc ~backend ~plan doc in
+    (out, counters.lim_ticks)
   in
   let measure (sc : S.Figures.t) ~(backend : Engine.backend) ~scale doc =
     let bname =
@@ -485,9 +504,9 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
       | `Xquery_text -> "xquery-text"
       | `Rel -> "rel"
     in
-    let out_n, steps_n = run_mode sc ~backend ~plan:`Naive doc in
-    let out_i, steps_i = run_mode sc ~backend ~plan:`Indexed doc in
-    let out_a, steps_a = run_mode sc ~backend ~plan:`Auto doc in
+    let out_n, steps_n = counted sc ~backend ~plan:`Naive doc in
+    let out_i, steps_i = counted sc ~backend ~plan:`Indexed doc in
+    let out_a, steps_a = counted sc ~backend ~plan:`Auto doc in
     let timed plan () = run_mode sc ~backend ~plan doc in
     (* Cheap rows still gate on per-row ratios; microsecond-scale
        documents get extra medians (they cost almost nothing, and the
@@ -748,7 +767,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
       (* The EXPLAIN claim for the same (mapping, backend, document):
          below the planning threshold [`Auto] runs the direct
          interpreter, and its work counters must say so too. *)
-      let txt = Engine.explain ~backend ~plan:`Auto sc.mapping doc in
+      let txt = ok (Engine.explain_result ~backend ~plan:`Auto sc.mapping doc) in
       let needle = "direct interpreter" in
       let n = String.length needle and l = String.length txt in
       let rec has i =
@@ -847,7 +866,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   subrule "trace spans (one cold fig6 run, xquery backend)";
   let tracer = Clip_obs.Trace.create ~now:Unix.gettimeofday () in
   ignore
-    (Engine.Session.run
+    (Engine.Session.run_result
        ~ctx:(Clip_run.create ~tracer ())
        ~backend:`Xquery
        (Engine.Session.create S.Deptdb.instance) S.Figures.fig6.mapping);
@@ -905,7 +924,9 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
       (fun ((name : string), (sc : S.Figures.t), (backend : Engine.backend)) ->
         let session = Engine.Session.create oh_doc in
         let run ?ctx () =
-          Engine.Session.run ?ctx ~backend ~plan:`Auto session sc.mapping
+          ok
+            (Engine.Session.run_result ?ctx ~backend ~plan:`Auto session
+               sc.mapping)
         in
         ignore (run ());
         let hooks =
@@ -1887,7 +1908,7 @@ let perf_experiment () =
         fun () -> ignore (Engine.run ~backend:`Xquery_text fig5 mid) );
       ( "fig5/run-traced",
         let fig5 = S.Figures.fig5.mapping in
-        fun () -> ignore (Engine.run_traced fig5 mid) );
+        fun () -> ignore (Engine.run_traced_result fig5 mid) );
       ( "matcher/suggest",
         let tgt = S.Deptdb.target_dp in
         fun () -> ignore (Clip_clio.Matcher.suggest source_schema tgt) );

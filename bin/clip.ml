@@ -312,32 +312,34 @@ let run_cmd =
         Buffer.add_string b (Clip_xml.Printer.to_tree_string out);
         Buffer.add_char b '\n')
       else Buffer.add_string b (Clip_xml.Printer.to_pretty_string out);
-      (match source with
-       | Some source when trace ->
-         (* The lineage re-run gets a throwaway context: it is
-            bookkeeping, not the measured evaluation, so it must not
-            inflate the run's counters (or spans). *)
-         let lineage_ctx = Clip_run.create () in
-         let _, entries =
-           Clip_core.Engine.run_traced ~ctx:lineage_ctx ~plan m source
-         in
-         Buffer.add_char b '\n';
-         List.iter
-           (fun (t : Clip_tgd.Eval.trace_entry) ->
-             if t.sources <> [] then
-               Buffer.add_string b
-                 (Printf.sprintf "/%s <- %s\n"
-                    (String.concat "/" (List.map string_of_int t.target_path))
-                    (String.concat ", "
-                       (List.map
-                          (fun n ->
-                            match n with
-                            | Clip_xml.Node.Element e -> "<" ^ e.tag ^ ">"
-                            | Clip_xml.Node.Text a -> Clip_xml.Atom.to_string a)
-                          t.sources))))
-           entries
-       | _ -> ());
-      Buffer.contents b
+      match source with
+      | Some source when trace -> (
+          (* The lineage re-run gets a throwaway context: it is
+             bookkeeping, not the measured evaluation, so it must not
+             inflate the run's counters (or spans). *)
+          let lineage_ctx = Clip_run.create () in
+          match
+            Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
+          with
+          | Error ds -> Error ds
+          | Ok (_, entries) ->
+            Buffer.add_char b '\n';
+            List.iter
+              (fun (t : Clip_tgd.Eval.trace_entry) ->
+                if t.sources <> [] then
+                  Buffer.add_string b
+                    (Printf.sprintf "/%s <- %s\n"
+                       (String.concat "/" (List.map string_of_int t.target_path))
+                       (String.concat ", "
+                          (List.map
+                             (fun n ->
+                               match n with
+                               | Clip_xml.Node.Element e -> "<" ^ e.tag ^ ">"
+                               | Clip_xml.Node.Text a -> Clip_xml.Atom.to_string a)
+                             t.sources))))
+              entries;
+            Ok (Buffer.contents b))
+      | _ -> Ok (Buffer.contents b)
     in
     let code =
       if stream then begin
@@ -367,7 +369,7 @@ let run_cmd =
                           ~mode ?shard_bytes ~jobs m st
                       with
                       | Error ds -> Error ds
-                      | Ok out -> Ok (render_out out))
+                      | Ok out -> render_out out)
               in
               (path, r))
             inputs
@@ -449,7 +451,7 @@ let run_cmd =
             (* Lineage re-runs the mapping over the source; a multi-stage
                chain has no single mapping to re-run, so --then suppresses
                the lineage section. *)
-            Ok (if thens = [] then render_out ~source out else render_out out)
+            if thens = [] then render_out ~source out else render_out out
         in
         let results =
           Clip_par.map_results ~jobs:cross_jobs ~retries ?obs:total evaluate

@@ -85,7 +85,11 @@ let () =
   print_endline "\n== 4. as an explicit Clip mapping, executed ==";
   let mapping = Clip_clio.Generate.to_clip couplings forest in
   print_string (Clip_core.Dsl.to_string mapping);
-  let out, trace = Clip_core.Engine.run_traced mapping instance in
+  let out, trace =
+    match Clip_core.Engine.run_traced_result mapping instance with
+    | Ok r -> r
+    | Error ds -> Clip_diag.fail_all ds
+  in
   print_endline "";
   print_endline (Clip_xml.Printer.to_tree_string out);
   (match Clip_schema.Validate.check target out with

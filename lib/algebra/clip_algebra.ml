@@ -1222,24 +1222,12 @@ module Pipeline = struct
       Printf.sprintf "fusion: staged (%s)" reason
 
   let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan:plan_mode
-      ?steps_out ?mode ?shard_bytes ?jobs ms source =
-    match ms with
-    | [] -> invalid_arg "Clip_algebra.Pipeline.run_result: empty chain"
-    | _ ->
-      (match plan ms with
-       | Fused m ->
-         Engine.run_result ?ctx ?limits ?backend ?minimum_cardinality
-           ?plan:plan_mode ?steps_out ?mode ?shard_bytes ?jobs m source
-       | Staged _ ->
-         Engine.run_staged_result ?ctx ?limits ?backend ?minimum_cardinality
-           ?plan:plan_mode ?steps_out ?mode ?shard_bytes ?jobs ms source)
-
-  let run ?ctx ?limits ?backend ?minimum_cardinality ?plan ?steps_out
       ?mode ?shard_bytes ?jobs ms source =
-    match
-      run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
-        ?steps_out ?mode ?shard_bytes ?jobs ms source
-    with
-    | Ok n -> n
-    | Error ds -> Clip_diag.fail_all ds
+    match plan ms with
+    | Fused m ->
+      Engine.run_result ?ctx ?limits ?backend ?minimum_cardinality
+        ?plan:plan_mode ?mode ?shard_bytes ?jobs m source
+    | Staged _ ->
+      Engine.run_staged_result ?ctx ?limits ?backend ?minimum_cardinality
+        ?plan:plan_mode ?mode ?shard_bytes ?jobs ms source
 end

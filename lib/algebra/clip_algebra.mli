@@ -112,26 +112,10 @@ module Pipeline : sig
     ?backend:Clip_core.Engine.backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
     ?mode:Clip_core.Engine.mode ->
     ?shard_bytes:int ->
     ?jobs:int ->
     Mapping.t list ->
     Clip_xml.Node.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
-
-  (** [run ms source] — {!run_result}, raising {!Clip_diag.Fail}. *)
-  val run :
-    ?ctx:Clip_run.t ->
-    ?limits:Clip_diag.Limits.t ->
-    ?backend:Clip_core.Engine.backend ->
-    ?minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
-    ?mode:Clip_core.Engine.mode ->
-    ?shard_bytes:int ->
-    ?jobs:int ->
-    Mapping.t list ->
-    Clip_xml.Node.t ->
-    Clip_xml.Node.t
 end

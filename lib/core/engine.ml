@@ -1,6 +1,9 @@
 type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
 type mode = [ `Whole | `Sharded | `Auto ]
 
+let ( let* ) = Result.bind
+let ( let+ ) r f = Result.map f r
+
 (* --- Single-document sharding ------------------------------------------ *)
 
 (* The sharded paths below cut one large source document at the unit
@@ -70,29 +73,22 @@ let create_session source =
   }
 
 (* Population is fault-safe by construction: the table gains its
-   entry only after [compute] returns, so a failure mid-population
+   entry only after [compute] succeeds, so a failure mid-population
    (e.g. an injected [session.populate] fault) leaves the cache
    exactly as it was — never a poisoned entry. *)
-let session_memo ?obs tbl key compute =
+let session_memo_result ?obs tbl key compute =
   match Hashtbl.find_opt tbl key with
   | Some v ->
     Clip_obs.session_hit obs;
-    v
+    Ok v
   | None ->
-    Clip_fault.hit ~obs Clip_fault.Site.session_populate;
-    let v = compute () in
+    let* () =
+      Clip_diag.guard (fun () ->
+          Clip_fault.hit ~obs Clip_fault.Site.session_populate)
+    in
+    let+ v = compute () in
     Hashtbl.add tbl key v;
     v
-
-let session_tgd ?obs s m =
-  match s.slast_tgd with
-  | Some (m', tgd) when m' == m ->
-    Clip_obs.session_hit obs;
-    tgd
-  | _ ->
-    let tgd = session_memo ?obs s.scompiled m (fun () -> Compile.to_tgd m) in
-    s.slast_tgd <- Some (m, tgd);
-    tgd
 
 let session_tgd_result ?obs s m =
   match s.slast_tgd with
@@ -100,37 +96,12 @@ let session_tgd_result ?obs s m =
     Clip_obs.session_hit obs;
     Ok tgd
   | _ ->
-    (match Hashtbl.find_opt s.scompiled m with
-     | Some tgd ->
-       Clip_obs.session_hit obs;
-       s.slast_tgd <- Some (m, tgd);
-       Ok tgd
-     | None ->
-       (match
-          Clip_diag.guard (fun () ->
-              Clip_fault.hit ~obs Clip_fault.Site.session_populate)
-        with
-        | Error _ as e -> e
-        | Ok () ->
-          (match Compile.to_tgd_result m with
-           | Error _ as e -> e
-           | Ok tgd ->
-             Hashtbl.add s.scompiled m tgd;
-             s.slast_tgd <- Some (m, tgd);
-             Ok tgd)))
-
-let session_xquery ?obs s ~target_root tgd =
-  match s.slast_xq with
-  | Some (r, tgd', q) when r = target_root && tgd' == tgd ->
-    Clip_obs.session_hit obs;
-    q
-  | _ ->
-    let q =
-      session_memo ?obs s.stranslated (target_root, tgd) (fun () ->
-        To_xquery.translate ~target_root tgd)
+    let+ tgd =
+      session_memo_result ?obs s.scompiled m (fun () ->
+          Compile.to_tgd_result m)
     in
-    s.slast_xq <- Some (target_root, tgd, q);
-    q
+    s.slast_tgd <- Some (m, tgd);
+    tgd
 
 let session_xquery_result ?obs s ~target_root tgd =
   match s.slast_xq with
@@ -138,34 +109,22 @@ let session_xquery_result ?obs s ~target_root tgd =
     Clip_obs.session_hit obs;
     Ok q
   | _ ->
-    (match Hashtbl.find_opt s.stranslated (target_root, tgd) with
-     | Some q ->
-       Clip_obs.session_hit obs;
-       s.slast_xq <- Some (target_root, tgd, q);
-       Ok q
-     | None ->
-       (match
-          Clip_diag.guard (fun () ->
-              Clip_fault.hit ~obs Clip_fault.Site.session_populate)
-        with
-        | Error _ as e -> e
-        | Ok () ->
-          (match To_xquery.translate_result ~target_root tgd with
-           | Error _ as e -> e
-           | Ok q ->
-             Hashtbl.add s.stranslated (target_root, tgd) q;
-             s.slast_xq <- Some (target_root, tgd, q);
-             Ok q)))
+    let+ q =
+      session_memo_result ?obs s.stranslated (target_root, tgd) (fun () ->
+          To_xquery.translate_result ~target_root tgd)
+    in
+    s.slast_xq <- Some (target_root, tgd, q);
+    q
 
 (* --- The backend contract ---------------------------------------------- *)
 
 (* What every execution backend must provide, made explicit: a
    shard-ready compiled form ([query]), whole-document evaluation
    through the session caches, per-shard evaluation against fresh
-   backend state, and a static EXPLAIN. Dispatch everywhere below is a
-   lookup in {!backends} — a table of first-class modules — so a new
-   backend is one module plus one table row, not another arm in every
-   match. *)
+   backend state, and a static EXPLAIN. Every failure is a diagnostic.
+   Dispatch everywhere below is a lookup in {!backends} — a table of
+   first-class modules — so a new backend is one module plus one table
+   row, not another arm in every match. *)
 module type BACKEND = sig
   (* Whatever per-run artifact shard evaluation needs beyond the shard
      document itself (the compiled tgd, a translated query, a compiled
@@ -182,14 +141,6 @@ module type BACKEND = sig
      and the [session.populate] fault site); without — the streaming
      path, where no document-pinned session exists yet — it translates
      directly. Phase spans are recorded against [ctx]. *)
-  val prepare :
-    ?obs:Clip_obs.Counters.t ->
-    ctx:Clip_run.t ->
-    ?session:session ->
-    mapping:Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    query
-
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
     ?obs:Clip_obs.Counters.t ->
@@ -201,25 +152,12 @@ module type BACKEND = sig
 
   (* Whole-document evaluation over the session's pinned source,
      reusing the session's backend state. Phase spans ("translate",
-     "parse", "execute") and counters flow through [ctx]. Raises the
-     backend's dynamic-error exceptions; [eval_result] reports them as
-     diagnostics instead. *)
-  val eval :
-    ctx:Clip_run.t ->
-    minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
-    session ->
-    Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    Clip_xml.Node.t
-
+     "parse", "execute") and counters flow through [ctx]. *)
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
     session ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
@@ -248,7 +186,7 @@ module type BACKEND = sig
     session ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
-    string
+    (string, Clip_diag.t list) result
 end
 
 module Tgd_backend : BACKEND = struct
@@ -260,28 +198,17 @@ module Tgd_backend : BACKEND = struct
   let name = "tgd"
   let doc = "direct evaluation of the compiled tgd"
 
-  let prepare ?obs:_ ~ctx:_ ?session:_ ~mapping:(m : Mapping.t) tgd =
-    (m.target.root.name, tgd)
-
   let prepare_result ?limits:_ ?obs:_ ~ctx:_ ?session:_
       ~mapping:(m : Mapping.t) tgd =
     Ok (m.target.root.name, tgd)
 
-  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan s (m : Mapping.t)
       tgd =
     let obs = Clip_run.counters ctx in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_tgd.Eval.run ~minimum_cardinality ?plan
-        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?steps_out ?obs
-        ~source:s.ssource ~target_root:m.target.root.name tgd)
-
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
-      (m : Mapping.t) tgd =
-    let obs = Clip_run.counters ctx in
-    Clip_run.span ctx "execute" (fun () ->
       Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan
-        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?steps_out ?obs
-        ~source:s.ssource ~target_root:m.target.root.name tgd)
+        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source:s.ssource
+        ~target_root:m.target.root.name tgd)
 
   let eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs ~steps_out
       (target_root, tgd) shard =
@@ -290,7 +217,8 @@ module Tgd_backend : BACKEND = struct
       ~source:shard ~target_root tgd
 
   let explain ?obs:_ ?plan s (_m : Mapping.t) tgd =
-    Clip_tgd.Eval.explain ?plan ~session:s.stgd ~source:s.ssource tgd
+    Clip_diag.guard (fun () ->
+        Clip_tgd.Eval.explain ?plan ~session:s.stgd ~source:s.ssource tgd)
 end
 
 (* The two XQuery backends differ only in the round-trip through the
@@ -308,70 +236,28 @@ end) : BACKEND = struct
   let name = C.name
   let doc = C.doc
 
-  let translated ?obs ~ctx ?session ~target_root tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        match session with
-        | Some s -> session_xquery ?obs s ~target_root tgd
-        | None -> To_xquery.translate ~target_root tgd)
-
-  let reparse ~ctx q =
-    if not C.text then q
-    else
-      Clip_run.span ctx "parse" (fun () ->
-          Clip_xquery.Parser.parse_string
-            (Clip_xquery.Pretty.query_to_string q))
-
-  let prepare ?obs ~ctx ?session ~mapping:(m : Mapping.t) tgd =
-    reparse ~ctx
-      (translated ?obs ~ctx ?session ~target_root:m.target.root.name tgd)
-
   let prepare_result ?limits ?obs ~ctx ?session ~mapping:(m : Mapping.t) tgd =
     let target_root = m.target.root.name in
-    match
+    let* q =
       Clip_run.span ctx "translate" (fun () ->
           match session with
           | Some s -> session_xquery_result ?obs s ~target_root tgd
           | None -> To_xquery.translate_result ~target_root tgd)
-    with
-    | Error ds -> Error ds
-    | Ok q ->
-      if not C.text then Ok q
-      else
-        Clip_run.span ctx "parse" (fun () ->
-            Clip_xquery.Parser.parse_string_result ?limits
-              (Clip_xquery.Pretty.query_to_string q))
-
-  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
-      tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run: the universal-solution ablation is only \
-         available on the tgd backend";
-    let obs = Clip_run.counters ctx in
-    let query =
-      reparse ~ctx
-        (translated ?obs ~ctx ~session:s ~target_root:m.target.root.name tgd)
     in
-    Clip_run.span ctx "execute" (fun () ->
-      Clip_xquery.Eval.run_document ?plan ~ctl:(Clip_run.control ctx)
-        ~session:s.sxq ?steps_out ?obs ~input:s.ssource query)
+    if not C.text then Ok q
+    else
+      Clip_run.span ctx "parse" (fun () ->
+          Clip_xquery.Parser.parse_string_result ?limits
+            (Clip_xquery.Pretty.query_to_string q))
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
-      (m : Mapping.t) tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run_result: the universal-solution ablation is \
-         only available on the tgd backend";
+  let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan s (m : Mapping.t)
+      tgd =
     let obs = Clip_run.counters ctx in
-    match
-      prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd
-    with
-    | Error ds -> Error ds
-    | Ok query ->
-      Clip_run.span ctx "execute" (fun () ->
-        Clip_xquery.Eval.run_document_result ?limits ?plan
-          ~ctl:(Clip_run.control ctx) ~session:s.sxq ?steps_out ?obs
-          ~input:s.ssource query)
+    let* query = prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd in
+    Clip_run.span ctx "execute" (fun () ->
+      Clip_xquery.Eval.run_document_result ?limits ?plan
+        ~ctl:(Clip_run.control ctx) ~session:s.sxq ?obs ~input:s.ssource
+        query)
 
   let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
@@ -380,10 +266,11 @@ end) : BACKEND = struct
       ~input:shard query
 
   let explain ?obs ?plan s (m : Mapping.t) tgd =
-    let query =
-      session_xquery ?obs s ~target_root:m.target.root.name tgd
+    let* query =
+      session_xquery_result ?obs s ~target_root:m.target.root.name tgd
     in
-    Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource query
+    Clip_diag.guard (fun () ->
+        Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource query)
 end
 
 (* The relational backend: for mappings whose source is
@@ -399,43 +286,19 @@ module Rel_backend : BACKEND = struct
   let name = "rel"
   let doc = "columnar relational-algebra execution of relational-shaped sources"
 
-  let prepare ?obs:_ ~ctx ?session:_ ~mapping:(m : Mapping.t) tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        Clip_rel.Program.compile ~source:m.source
-          ~target_root:m.target.root.name tgd)
+  let compile (m : Mapping.t) tgd =
+    Clip_rel.Program.compile_result ~source:m.source
+      ~target_root:m.target.root.name tgd
 
-  let prepare_result ?limits:_ ?obs:_ ~ctx ?session:_ ~mapping:(m : Mapping.t)
-      tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        Clip_rel.Program.compile_result ~source:m.source
-          ~target_root:m.target.root.name tgd)
+  let prepare_result ?limits:_ ?obs:_ ~ctx ?session:_ ~mapping tgd =
+    Clip_run.span ctx "translate" (fun () -> compile mapping tgd)
 
-  let eval ~ctx ~minimum_cardinality ?plan ?steps_out s (m : Mapping.t)
-      tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run: the universal-solution ablation is only \
-         available on the tgd backend";
+  let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan s m tgd =
     let obs = Clip_run.counters ctx in
-    let query = prepare ?obs ~ctx ~session:s ~mapping:m tgd in
+    let* query = prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd in
     Clip_run.span ctx "execute" (fun () ->
-      Clip_rel.Eval.run ?plan ~ctl:(Clip_run.control ctx)
-        ~session:s.srel ?steps_out ?obs ~source:s.ssource query)
-
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?steps_out s
-      (m : Mapping.t) tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run_result: the universal-solution ablation is \
-         only available on the tgd backend";
-    let obs = Clip_run.counters ctx in
-    match prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd with
-    | Error ds -> Error ds
-    | Ok query ->
-      Clip_run.span ctx "execute" (fun () ->
-        Clip_rel.Eval.run_result ?limits ?plan
-          ~ctl:(Clip_run.control ctx) ~session:s.srel ?steps_out ?obs
-          ~source:s.ssource query)
+      Clip_rel.Eval.run_result ?limits ?plan ~ctl:(Clip_run.control ctx)
+        ~session:s.srel ?obs ~source:s.ssource query)
 
   let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
@@ -443,12 +306,10 @@ module Rel_backend : BACKEND = struct
       ~session:(Clip_rel.Eval.Session.create shard) ~steps_out ?obs
       ~source:shard query
 
-  let explain ?obs:_ ?plan s (m : Mapping.t) tgd =
-    let query =
-      Clip_rel.Program.compile ~source:m.source
-        ~target_root:m.target.root.name tgd
-    in
-    Clip_rel.Eval.explain ?plan ~session:s.srel ~source:s.ssource query
+  let explain ?obs:_ ?plan s m tgd =
+    let* query = compile m tgd in
+    Clip_diag.guard (fun () ->
+        Clip_rel.Eval.explain ?plan ~session:s.srel ~source:s.ssource query)
 end
 
 module Xquery_backend = Make_xquery (struct
@@ -486,27 +347,34 @@ let backend_of_name name =
 let backend_names =
   List.map (fun (Backend (module B)) -> (B.name, B.id)) backends
 
+(* The universal-solution ablation ([~minimum_cardinality:false]) turns
+   completion generators into driven ones; only the tgd engine
+   implements it, so every run entry point rejects it up front on the
+   other backends. *)
+let check_ablation ~backend ~minimum_cardinality =
+  if minimum_cardinality || backend = `Tgd then Ok ()
+  else
+    match backend_module backend with
+    | Backend (module B) ->
+      Error
+        [
+          Clip_diag.errorf ~code:Clip_diag.Codes.ablation_backend
+            "the universal-solution ablation (minimum cardinality off) is \
+             only available on the tgd backend, not %s"
+            B.name;
+        ]
+
 (* --- Shard orchestration ------------------------------------------------ *)
 
-(* One shard through its backend module. Each shard runs under its own
-   full step budget — the budget bounds any single evaluation, not
-   their sum. *)
-let eval_shard (type q) (module B : BACKEND with type query = q) ?limits
-    ~minimum_cardinality ?plan ~ctl ~obs ~(query : q) shard =
-  let steps = ref 0 in
-  let r =
-    B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs
-      ~steps_out:steps query shard
-  in
-  Result.map (fun out -> (out, !steps)) r
-
 (* Cut a materialised document, evaluate the shards in parallel, merge.
-   [Clip_par.map_results] lands every result in its input slot, so the
-   error reported is the lowest shard index's — the one the sequential
-   whole-document run would have hit first. *)
+   Each shard runs under its own full step budget — the budget bounds
+   any single evaluation, not their sum. [Clip_par.map_results] lands
+   every result in its input slot, so the error reported is the lowest
+   shard index's — the one the sequential whole-document run would have
+   hit first. *)
 let sharded_run_result (type q) (module B : BACKEND with type query = q)
-    ?limits ~ctx ~minimum_cardinality ?plan ?steps_out ?jobs
-    ~shard_bytes ~cut ~(query : q) source =
+    ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
+    ~(query : q) source =
   let obs = Clip_run.counters ctx in
   let ctl = Clip_run.control ctx in
   let shards = Clip_shard.shards_of_node cut ~budget_bytes:shard_bytes source in
@@ -514,9 +382,8 @@ let sharded_run_result (type q) (module B : BACKEND with type query = q)
     Clip_run.span ctx "execute" (fun () ->
         Clip_par.map_results ?jobs ?obs
           (fun ~obs shard ->
-            eval_shard
-              (module B)
-              ?limits ~minimum_cardinality ?plan ~ctl ~obs ~query shard)
+            B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs
+              ~steps_out:(ref 0) query shard)
           shards)
   in
   let rec split outs = function
@@ -524,13 +391,8 @@ let sharded_run_result (type q) (module B : BACKEND with type query = q)
     | Ok o :: rest -> split (o :: outs) rest
     | Error ds :: _ -> Error ds
   in
-  match split [] rs with
-  | Error ds -> Error ds
-  | Ok outs ->
-      (match steps_out with
-       | Some r -> r := List.fold_left (fun a (_, s) -> a + s) 0 outs
-       | None -> ());
-      Clip_shard.merge ~unify:cut.Clip_shard.unify (List.map fst outs)
+  let* outs = split [] rs in
+  Clip_shard.merge ~unify:cut.Clip_shard.unify outs
 
 (* --- Sessions: the public handle --------------------------------------- *)
 
@@ -540,58 +402,28 @@ module Session = struct
   let create = create_session
   let source s = s.ssource
 
-  let run ?ctx ?(backend = `Tgd) ?(minimum_cardinality = true) ?plan
-      ?steps_out ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs s
+  let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
+      ?plan ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs s
       (m : Mapping.t) =
     let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
     let obs = Clip_run.counters ctx in
-    let tgd = Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m) in
+    let* () = check_ablation ~backend ~minimum_cardinality in
+    let* tgd =
+      Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
+    in
     match backend_module backend with
     | Backend (module B) -> (
-        match
-          decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource
-        with
+        match decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource with
         | Clip_shard.Whole _ ->
-          B.eval ~ctx ~minimum_cardinality ?plan ?steps_out s m tgd
+          B.eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd
         | Clip_shard.Sharded cut ->
-          let query = B.prepare ?obs ~ctx ~session:s ~mapping:m tgd in
-          (match
-             sharded_run_result
-               (module B)
-               ~ctx ~minimum_cardinality ?plan ?steps_out ?jobs
-               ~shard_bytes ~cut ~query s.ssource
-           with
-           | Ok out -> out
-           | Error ds -> raise (Clip_diag.Fail ds)))
-
-  let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
-      ?plan ?steps_out ?(mode = `Whole)
-      ?(shard_bytes = default_shard_bytes) ?jobs s (m : Mapping.t) =
-    let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
-    let obs = Clip_run.counters ctx in
-    match
-      Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
-    with
-    | Error ds -> Error ds
-    | Ok tgd -> (
-        match backend_module backend with
-        | Backend (module B) -> (
-            match
-              decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource
-            with
-            | Clip_shard.Whole _ ->
-              B.eval_result ?limits ~ctx ~minimum_cardinality ?plan
-                ?steps_out s m tgd
-            | Clip_shard.Sharded cut -> (
-                match
-                  B.prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd
-                with
-                | Error ds -> Error ds
-                | Ok query ->
-                  sharded_run_result
-                    (module B)
-                    ?limits ~ctx ~minimum_cardinality ?plan ?steps_out
-                    ?jobs ~shard_bytes ~cut ~query s.ssource)))
+          let* query =
+            B.prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd
+          in
+          sharded_run_result
+            (module B)
+            ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
+            ~query s.ssource)
 end
 
 (* --- One-shot entry points --------------------------------------------- *)
@@ -632,17 +464,19 @@ let session_for ctx source =
 
 let resolve_ctx = function Some c -> c | None -> Clip_run.ambient ()
 
-let run ?ctx ?backend ?minimum_cardinality ?plan ?steps_out ?mode
+let ok_or_fail = function Ok v -> v | Error ds -> Clip_diag.fail_all ds
+
+let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
     ?shard_bytes ?jobs (m : Mapping.t) source =
   let ctx = resolve_ctx ctx in
-  Session.run ~ctx ?backend ?minimum_cardinality ?plan ?steps_out ?mode
+  Session.run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
     ?shard_bytes ?jobs (session_for ctx source) m
 
-let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
-    ?steps_out ?mode ?shard_bytes ?jobs (m : Mapping.t) source =
-  let ctx = resolve_ctx ctx in
-  Session.run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan
-    ?steps_out ?mode ?shard_bytes ?jobs (session_for ctx source) m
+let run ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes ?jobs
+    (m : Mapping.t) source =
+  ok_or_fail
+    (run_result ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes
+       ?jobs m source)
 
 (* --- Staged pipelines -------------------------------------------------- *)
 
@@ -651,28 +485,16 @@ let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
    tracer, deadline and cancellation are shared, and each stage's
    session is memoised per intermediate document as usual. The first
    failing stage aborts the chain. *)
-let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
-    ?steps_out ?mode ?shard_bytes ?jobs (ms : Mapping.t list) source =
+let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
+    ?shard_bytes ?jobs (ms : Mapping.t list) source =
   if ms = [] then invalid_arg "Engine.run_staged_result: empty chain";
   let ctx = resolve_ctx ctx in
-  let total = ref 0 in
-  let stage_steps = ref 0 in
-  let rec go doc = function
-    | [] -> Ok doc
-    | m :: rest ->
-      stage_steps := 0;
-      (match
-         run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan
-           ~steps_out:stage_steps ?mode ?shard_bytes ?jobs m doc
-       with
-       | Ok out ->
-         total := !total + !stage_steps;
-         go out rest
-       | Error _ as e -> e)
-  in
-  let r = go source ms in
-  (match steps_out with Some out -> out := !total | None -> ());
-  r
+  List.fold_left
+    (fun doc m ->
+      let* doc = doc in
+      run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
+        ?shard_bytes ?jobs m doc)
+    (Ok source) ms
 
 (* --- Streaming ingestion ----------------------------------------------- *)
 
@@ -685,108 +507,82 @@ let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
    prologue-bearing shards need the whole prologue before the first
    unit can be cut loose). *)
 let run_stream_result ?ctx ?limits ?(backend = `Tgd)
-    ?(minimum_cardinality = true) ?plan ?steps_out ?(mode = `Auto)
+    ?(minimum_cardinality = true) ?plan ?(mode = `Auto)
     ?(shard_bytes = default_shard_bytes) ?jobs (m : Mapping.t) src =
   let ctx = resolve_ctx ctx in
   let obs = Clip_run.counters ctx in
   let materialise_then mode =
-    match
+    let* doc =
       Clip_run.span ctx "parse" (fun () -> Clip_xml.Stream.parse_result src)
-    with
-    | Error ds -> Error ds
-    | Ok doc ->
-      run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan
-        ?steps_out ~mode ~shard_bytes ?jobs m doc
+    in
+    run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
+      ~shard_bytes ?jobs m doc
   in
+  let* () = check_ablation ~backend ~minimum_cardinality in
   match mode with
   | `Whole -> materialise_then `Whole
   | (`Sharded | `Auto) as mode -> (
-      match Clip_run.span ctx "compile" (fun () -> Compile.to_tgd_result m) with
-      | Error ds -> Error ds
-      | Ok tgd -> (
-          match
-            Clip_shard.plan ~source:m.source ~target:m.target
-              ~minimum_cardinality tgd
-          with
-          | Clip_shard.Whole _ -> materialise_then `Whole
-          | Clip_shard.Sharded cut when cut.Clip_shard.needs_prologue ->
-            (* Every shard carries the prologue, which is only complete
-               once the whole document has been seen — materialise and
-               let the tree cutter share subtrees instead. *)
-            materialise_then (mode :> mode)
-          | Clip_shard.Sharded cut -> (
-              match backend_module backend with
-              | Backend (module B) -> (
-                  (* No document-pinned session exists yet, so the
-                     query is prepared sessionless — translation runs
-                     directly, emitting no session-hit counters. *)
-                  match B.prepare_result ?limits ~ctx ~mapping:m tgd with
-                  | Error ds -> Error ds
-                  | Ok query -> (
-                      let ctl = Clip_run.control ctx in
-                      let cutter =
-                        Clip_shard.cutter cut ~budget_bytes:shard_bytes src
-                      in
-                      (* The first pull decides between streaming and the
-                         root-mismatch fallback; [Fallback_doc] can only be
-                         the first result, and a cutter never starts with
-                         [Exhausted] — end of input without a root element
-                         is a parse error. *)
-                      match Clip_shard.next_shard cutter with
-                      | Error ds -> Error ds
-                      | Ok Clip_shard.Exhausted -> assert false
-                      | Ok (Clip_shard.Fallback_doc doc) ->
-                        run_result ~ctx ?limits ~backend ~minimum_cardinality
-                          ?plan ?steps_out ~mode:`Whole m doc
-                      | Ok (Clip_shard.Shard first) -> (
-                          let pending = ref (Some first) in
-                          let produce () =
-                            match !pending with
-                            | Some n ->
-                              pending := None;
-                              Ok (Some n)
-                            | None -> (
-                                match Clip_shard.next_shard cutter with
-                                | Error ds -> Error ds
-                                | Ok (Clip_shard.Shard n) -> Ok (Some n)
-                                | Ok Clip_shard.Exhausted -> Ok None
-                                | Ok (Clip_shard.Fallback_doc _) ->
-                                  assert false)
-                          in
-                          let merger =
-                            Clip_shard.merger ~unify:cut.Clip_shard.unify
-                          in
-                          let steps = ref 0 in
-                          let consume (out, s) =
-                            steps := !steps + s;
-                            Clip_shard.merge_into merger out
-                          in
-                          match
-                            Clip_run.span ctx "execute" (fun () ->
-                                Clip_par.stream_results ?jobs ?obs ~produce
-                                  ~consume (fun ~obs shard ->
-                                    eval_shard
-                                      (module B)
-                                      ?limits ~minimum_cardinality ?plan
-                                      ~ctl ~obs ~query shard))
-                          with
-                          | Error ds -> Error ds
-                          | Ok () -> (
-                              (match steps_out with
-                               | Some r -> r := !steps
-                               | None -> ());
-                              match Clip_shard.merged merger with
-                              | Some doc -> Ok doc
-                              | None -> assert false)))))))
-
-let run_stream ?ctx ?limits ?backend ?minimum_cardinality ?plan
-    ?steps_out ?mode ?shard_bytes ?jobs m src =
-  match
-    run_stream_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
-      ?steps_out ?mode ?shard_bytes ?jobs m src
-  with
-  | Ok doc -> doc
-  | Error ds -> raise (Clip_diag.Fail ds)
+      let* tgd =
+        Clip_run.span ctx "compile" (fun () -> Compile.to_tgd_result m)
+      in
+      match
+        Clip_shard.plan ~source:m.source ~target:m.target ~minimum_cardinality
+          tgd
+      with
+      | Clip_shard.Whole _ -> materialise_then `Whole
+      | Clip_shard.Sharded cut when cut.Clip_shard.needs_prologue ->
+        (* Every shard carries the prologue, which is only complete
+           once the whole document has been seen — materialise and
+           let the tree cutter share subtrees instead. *)
+        materialise_then (mode :> mode)
+      | Clip_shard.Sharded cut -> (
+          match backend_module backend with
+          | Backend (module B) -> (
+              (* No document-pinned session exists yet, so the query is
+                 prepared sessionless — translation runs directly,
+                 emitting no session-hit counters. *)
+              let* query = B.prepare_result ?limits ~ctx ~mapping:m tgd in
+              let ctl = Clip_run.control ctx in
+              let cutter =
+                Clip_shard.cutter cut ~budget_bytes:shard_bytes src
+              in
+              (* The first pull decides between streaming and the
+                 root-mismatch fallback; [Fallback_doc] can only be the
+                 first result, and a cutter never starts with
+                 [Exhausted] — end of input without a root element is a
+                 parse error. *)
+              let* first = Clip_shard.next_shard cutter in
+              match first with
+              | Clip_shard.Exhausted -> assert false
+              | Clip_shard.Fallback_doc doc ->
+                run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan
+                  ~mode:`Whole m doc
+              | Clip_shard.Shard first ->
+                let pending = ref (Some first) in
+                let produce () =
+                  match !pending with
+                  | Some n ->
+                    pending := None;
+                    Ok (Some n)
+                  | None -> (
+                      let+ next = Clip_shard.next_shard cutter in
+                      match next with
+                      | Clip_shard.Shard n -> Some n
+                      | Clip_shard.Exhausted -> None
+                      | Clip_shard.Fallback_doc _ -> assert false)
+                in
+                let merger = Clip_shard.merger ~unify:cut.Clip_shard.unify in
+                let* () =
+                  Clip_run.span ctx "execute" (fun () ->
+                      Clip_par.stream_results ?jobs ?obs ~produce
+                        ~consume:(Clip_shard.merge_into merger)
+                        (fun ~obs shard ->
+                          B.eval_shard ?limits ~minimum_cardinality ?plan
+                            ~ctl ~obs ~steps_out:(ref 0) query shard))
+                in
+                (match Clip_shard.merged merger with
+                 | Some doc -> Ok doc
+                 | None -> assert false))))
 
 (* Every diagnostic for a mapping, in one pass: all validity issues
    (warnings included), then — when validity allows compiling — any
@@ -805,27 +601,30 @@ let diagnose (m : Mapping.t) =
   in
   issues @ later
 
-let run_traced ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t) source =
+let run_traced_result ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t)
+    source =
   let ctx = resolve_ctx ctx in
   let s = session_for ctx source in
   let obs = Clip_run.counters ctx in
-  let tgd = Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m) in
+  let* tgd =
+    Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
+  in
   Clip_run.span ctx "execute" (fun () ->
-    Clip_tgd.Eval.run_traced ~minimum_cardinality ?plan
+    Clip_tgd.Eval.run_traced_result ~minimum_cardinality ?plan
       ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source
       ~target_root:m.target.root.name tgd)
 
 (* EXPLAIN: compile (or translate) like a run would, then hand off to
    the backend's static plan renderer. Uses the same one-shot session
-   memo as [run], so an explain right before or after a run over the
+   memo as [run_result], so an explain right before or after a run over the
    same document shares its statistics instead of re-walking it. *)
-let explain ?ctx ?(backend = `Tgd) ?plan ?mode
+let explain_result ?ctx ?(backend = `Tgd) ?plan ?mode
     ?(shard_bytes = default_shard_bytes) (m : Mapping.t) source =
   let ctx = resolve_ctx ctx in
   let s = session_for ctx source in
   let obs = Clip_run.counters ctx in
-  let tgd = session_tgd ?obs s m in
-  let base =
+  let* tgd = session_tgd_result ?obs s m in
+  let+ base =
     match backend_module backend with
     | Backend (module B) -> B.explain ?obs ?plan s m tgd
   in
@@ -843,14 +642,11 @@ let explain ?ctx ?(backend = `Tgd) ?plan ?mode
     in
     base ^ Clip_shard.decision_note d ^ "\n"
 
-let explain_result ?ctx ?backend ?plan ?mode ?shard_bytes (m : Mapping.t)
-    source =
-  Clip_diag.guard (fun () -> explain ?ctx ?backend ?plan ?mode ?shard_bytes m source)
-
 let xquery_text (m : Mapping.t) =
-  let tgd = Compile.to_tgd m in
-  Clip_xquery.Pretty.query_to_string
-    (To_xquery.translate ~target_root:m.target.root.name tgd)
+  ok_or_fail
+    (let* tgd = Compile.to_tgd_result m in
+     let+ q = To_xquery.translate_result ~target_root:m.target.root.name tgd in
+     Clip_xquery.Pretty.query_to_string q)
 
 let tgd_text ?unicode (m : Mapping.t) =
-  Clip_tgd.Pretty.to_string ?unicode (Compile.to_tgd m)
+  Clip_tgd.Pretty.to_string ?unicode (ok_or_fail (Compile.to_tgd_result m))

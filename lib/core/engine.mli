@@ -25,8 +25,14 @@
     [`Indexed] forces every eligible hash join and the index
     unconditionally; [`Naive] runs the original interpreters, kept as
     differential-testing oracles. All three produce identical target
-    instances. [?steps_out], when given, receives the number of
-    evaluation-budget steps consumed.
+    instances. The evaluation-budget steps a run consumes are counted
+    by the context's [lim_ticks] counter ({!Clip_obs.Counters}).
+
+    Every entry point reports failures as [CLIP-*] diagnostics in a
+    [result]: validity, compile, translation, dynamic, resource-limit
+    and injected-fault failures alike. {!run}, {!tgd_text} and
+    {!xquery_text} are the only raising wrappers, and they raise only
+    {!Clip_diag.Fail}.
 
     For repeated runs against one source instance, a {!Session}
     amortises the per-document and per-mapping analysis — compile,
@@ -46,7 +52,7 @@ type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
       backend executors (one backend session per shard, tgd and query
       compiled once), and merge the per-shard targets into exactly the
       whole-document output. Join-bearing and otherwise unsafe mappings
-      fall back to [`Whole] (EXPLAIN says why, see {!explain});
+      fall back to [`Whole] (EXPLAIN says why, see {!explain_result});
     - [`Auto] — [`Sharded], but only when the document overflows one
       [?shard_bytes] budget, so small documents keep the zero-overhead
       whole path.
@@ -92,32 +98,16 @@ module Session : sig
   val create : Clip_xml.Node.t -> t
   val source : t -> Clip_xml.Node.t
 
-  (** [run session mapping] — like {!val-run} over the session's
-      document, reusing every cached artifact. [?ctx] supplies the
-      execution context whose counter sink and tracer observe the run
-      (default: a fresh silent context). *)
-  val run :
-    ?ctx:Clip_run.t ->
-    ?backend:backend ->
-    ?minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
-    ?mode:mode ->
-    ?shard_bytes:int ->
-    ?jobs:int ->
-    t ->
-    Mapping.t ->
-    Clip_xml.Node.t
-
   (** [run_result session mapping] — like {!val-run_result} over the
-      session's document. *)
+      session's document, reusing every cached artifact. [?ctx]
+      supplies the execution context whose counter sink and tracer
+      observe the run (default: a fresh silent context). *)
   val run_result :
     ?ctx:Clip_run.t ->
     ?limits:Clip_diag.Limits.t ->
     ?backend:backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
     ?mode:mode ->
     ?shard_bytes:int ->
     ?jobs:int ->
@@ -130,10 +120,11 @@ end
     from an execution backend in one signature. A backend provides a
     shard-ready compiled form ([query], prepared once per run and
     shared by every shard), whole-document evaluation through the
-    {!Session} caches ([eval]/[eval_result] — phase spans, counters,
+    {!Session} caches ([eval_result] — phase spans, counters,
     cancellation and the step budget flow through the [ctx]), per-shard
     evaluation against fresh backend state ([eval_shard]), and the
-    static plan renderer behind [clip explain] ([explain]).
+    static plan renderer behind [clip explain] ([explain]). Every
+    operation reports failures as diagnostics.
 
     Engine dispatch is a lookup in the {!backends} table of first-class
     modules, so adding a backend means writing one module satisfying
@@ -150,14 +141,6 @@ module type BACKEND = sig
   (** One clause for the [--backend] option's documentation. *)
   val doc : string
 
-  val prepare :
-    ?obs:Clip_obs.Counters.t ->
-    ctx:Clip_run.t ->
-    ?session:Session.t ->
-    mapping:Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    query
-
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
     ?obs:Clip_obs.Counters.t ->
@@ -167,27 +150,17 @@ module type BACKEND = sig
     Clip_tgd.Tgd.t ->
     (query, Clip_diag.t list) result
 
-  val eval :
-    ctx:Clip_run.t ->
-    minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
-    Session.t ->
-    Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    Clip_xml.Node.t
-
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?steps_out:int ref ->
     Session.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
 
+  (** [steps_out] receives the budget steps the shard consumed. *)
   val eval_shard :
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
@@ -205,7 +178,7 @@ module type BACKEND = sig
     Session.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
-    string
+    (string, Clip_diag.t list) result
 end
 
 (** A backend packed with its (existential) query type — the row type
@@ -228,41 +201,27 @@ val backend_of_name : string -> packed option
     identifier — the alternatives of the [--backend] option. *)
 val backend_names : (string * backend) list
 
-(** [run ?backend ?minimum_cardinality mapping source] — the target
-    instance. Default backend [`Tgd]; default minimum-cardinality on;
-    default plan [`Auto]. [?ctx] supplies the execution context —
-    counter sink, tracer, and the one-shot session memo that lets
-    repeated runs over the same document under one context reuse its
-    analysis; without it, the per-domain {!Clip_run.ambient} shim is
-    used (silent, domain-local).
-    @raise Compile.Invalid when the mapping is invalid
-    @raise Clip_tgd.Eval.Error / Clip_xquery.Eval.Error on dynamic
-    failures. *)
-val run :
-  ?ctx:Clip_run.t ->
-  ?backend:backend ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?steps_out:int ref ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
-  Mapping.t ->
-  Clip_xml.Node.t ->
-  Clip_xml.Node.t
+(** [run_result mapping source] — the target instance. Default
+    backend [`Tgd]; default minimum-cardinality on; default plan
+    [`Auto]. [?ctx] supplies the execution context — counter sink,
+    tracer, and the one-shot session memo that lets repeated runs over
+    the same document under one context reuse its analysis; without it,
+    the per-domain {!Clip_run.ambient} shim is used (silent,
+    domain-local).
 
-(** [run_result mapping source] — like {!run}, reporting every failure
-    stage as diagnostics instead of exceptions: [CLIP-VAL-*] validity
-    errors, [CLIP-CMP-*] compile errors, [CLIP-XQG-001] translation
-    gaps, [CLIP-TGD-001]/[CLIP-XQ-*] dynamic errors and [CLIP-LIM-004]
-    exhausted step budgets. *)
+    Every failure stage is a diagnostic: [CLIP-VAL-*] validity errors,
+    [CLIP-CMP-*] compile errors, [CLIP-XQG-001] translation gaps,
+    [CLIP-REL-003] non-relational sources on [`Rel],
+    [CLIP-TGD-001]/[CLIP-XQ-*] dynamic errors, [CLIP-LIM-*] exhausted
+    budgets, deadlines and cancellation, and [CLIP-ENG-001] for the
+    universal-solution ablation ([~minimum_cardinality:false]) on any
+    backend but [`Tgd]. *)
 val run_result :
   ?ctx:Clip_run.t ->
   ?limits:Clip_diag.Limits.t ->
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
   ?jobs:int ->
@@ -270,13 +229,28 @@ val run_result :
   Clip_xml.Node.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
 
+(** [run mapping source] — {!run_result} under the default limits,
+    raising {!Clip_diag.Fail} with its diagnostics on failure. It
+    raises nothing else. *)
+val run :
+  ?ctx:Clip_run.t ->
+  ?backend:backend ->
+  ?minimum_cardinality:bool ->
+  ?plan:Clip_plan.mode ->
+  ?mode:mode ->
+  ?shard_bytes:int ->
+  ?jobs:int ->
+  Mapping.t ->
+  Clip_xml.Node.t ->
+  Clip_xml.Node.t
+
 (** [run_staged_result mappings source] — run a non-empty chain of
     mappings stage by stage, the output document of each stage feeding
     the next. All stages share one execution context (counters, tracer,
-    deadline, cancellation) and the same engine options; [?steps_out]
-    receives the total across stages. The first failing stage aborts
-    the chain with its diagnostics. This is the fallback execution
-    strategy of {!Clip_algebra.Pipeline} when composition is rejected.
+    deadline, cancellation) and the same engine options. The first
+    failing stage aborts the chain with its diagnostics. This is the
+    fallback execution strategy of {!Clip_algebra.Pipeline} when
+    composition is rejected.
     @raise Invalid_argument on an empty chain. *)
 val run_staged_result :
   ?ctx:Clip_run.t ->
@@ -284,7 +258,6 @@ val run_staged_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
   ?jobs:int ->
@@ -319,7 +292,6 @@ val run_stream_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?steps_out:int ref ->
   ?mode:mode ->
   ?shard_bytes:int ->
   ?jobs:int ->
@@ -327,28 +299,12 @@ val run_stream_result :
   Clip_xml.Stream.source ->
   (Clip_xml.Node.t, Clip_diag.t list) result
 
-(** [run_stream mapping stream] — {!run_stream_result}, raising
-    {!Clip_diag.Fail} on any failure. *)
-val run_stream :
-  ?ctx:Clip_run.t ->
-  ?limits:Clip_diag.Limits.t ->
-  ?backend:backend ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?steps_out:int ref ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
-  Mapping.t ->
-  Clip_xml.Stream.source ->
-  Clip_xml.Node.t
-
-(** [explain ?backend ?plan mapping source] — a static, deterministic
-    EXPLAIN of how a run with the same arguments would execute: the
-    resolved strategy (e.g. [`Auto] dropping to the direct interpreter
-    below the planning threshold), then per source clause the chosen
-    physical step (nested-loop scan, pushed-down filter, hash join)
-    with the cost-model inputs that justified it — estimated
+(** [explain_result ?backend ?plan mapping source] — a static,
+    deterministic EXPLAIN of how a run with the same arguments would
+    execute: the resolved strategy (e.g. [`Auto] dropping to the direct
+    interpreter below the planning threshold), then per source clause
+    the chosen physical step (nested-loop scan, pushed-down filter,
+    hash join) with the cost-model inputs that justified it — estimated
     outer/inner cardinalities, {!Clip_plan.join_pays} verdicts,
     threshold triggers. Nothing is executed and no timings appear, so
     output is golden-testable.
@@ -357,19 +313,10 @@ val run_stream :
     resolved sharding decision for this document — the designated cut,
     or the whole-document fallback with its reason. Without [?mode]
     the output is unchanged.
-    @raise Compile.Invalid when the mapping is invalid. *)
-val explain :
-  ?ctx:Clip_run.t ->
-  ?backend:backend ->
-  ?plan:Clip_plan.mode ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  Mapping.t ->
-  Clip_xml.Node.t ->
-  string
 
-(** [explain_result mapping source] — like {!explain}, reporting
-    failures as diagnostics. *)
+    A mapping {!run_result} would reject is reported with the same
+    compile-stage diagnostics ([CLIP-VAL-*], [CLIP-CMP-*],
+    [CLIP-XQG-001], [CLIP-REL-003]). *)
 val explain_result :
   ?ctx:Clip_run.t ->
   ?backend:backend ->
@@ -386,19 +333,22 @@ val explain_result :
     errors. Empty means clean. *)
 val diagnose : Mapping.t -> Clip_diag.t list
 
-(** [run_traced mapping source] — run on the tgd backend and also
-    return instance-level lineage: which source elements each created
-    target element came from (see {!Clip_tgd.Eval.run_traced}). *)
-val run_traced :
+(** [run_traced_result mapping source] — run on the tgd backend and
+    also return instance-level lineage: which source elements each
+    created target element came from (see
+    {!Clip_tgd.Eval.run_traced_result}). *)
+val run_traced_result :
   ?ctx:Clip_run.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
   Mapping.t ->
   Clip_xml.Node.t ->
-  Clip_xml.Node.t * Clip_tgd.Eval.trace_entry list
+  (Clip_xml.Node.t * Clip_tgd.Eval.trace_entry list, Clip_diag.t list) result
 
-(** The generated XQuery text for a mapping (Sec. VI output). *)
+(** The generated XQuery text for a mapping (Sec. VI output).
+    @raise Clip_diag.Fail with the compile or translation diagnostics. *)
 val xquery_text : Mapping.t -> string
 
-(** The compiled nested tgd in the paper's notation (Sec. IV output). *)
+(** The compiled nested tgd in the paper's notation (Sec. IV output).
+    @raise Clip_diag.Fail with the compile diagnostics. *)
 val tgd_text : ?unicode:bool -> Mapping.t -> string

@@ -385,7 +385,7 @@ and translate_grouped st (m : Tgd.t) (g : Tgd.target_gen) keys : Ast.expr =
      @ [ Ast.Let (group_var, group_flwor) ])
     return
 
-let translate_unguarded ~target_root (m : Tgd.t) =
+let translate ~target_root (m : Tgd.t) =
   let st = { counter = 0; var_tag = Hashtbl.create 16 } in
   let root_tpl = fresh_template () in
   (* The synthetic top mapping may carry whole-document assertions
@@ -404,9 +404,7 @@ let translate_unguarded ~target_root (m : Tgd.t) =
   Ast.elem target_root content
 
 let translate_result ~target_root m =
-  match translate_unguarded ~target_root m with
+  match translate ~target_root m with
   | q -> Ok q
   | exception Unsupported msg ->
     Error [ Clip_diag.error ~code:Clip_diag.Codes.xquery_gen_unsupported msg ]
-
-let translate ~target_root m = translate_unguarded ~target_root m

@@ -17,8 +17,6 @@
     Aggregates map to the native XQuery functions, their path argument
     rooted at the context variable (the context of aggregation). *)
 
-exception Unsupported of string
-
 (** [translate_result ~target_root tgd] — the full query: an element
     constructor for the target root enclosing the top mapping. Tgd
     shapes the fragment cannot express (e.g. non-equality target
@@ -27,7 +25,3 @@ val translate_result :
   target_root:string ->
   Clip_tgd.Tgd.t ->
   (Clip_xquery.Ast.expr, Clip_diag.t list) result
-
-(** [translate ~target_root tgd] — like {!translate_result}.
-    @raise Unsupported on tgd shapes the fragment cannot express. *)
-val translate : target_root:string -> Clip_tgd.Tgd.t -> Clip_xquery.Ast.expr

@@ -181,6 +181,7 @@ module Codes = struct
   let rel_fk_arity = "CLIP-REL-001"
   let rel_fk_unknown = "CLIP-REL-002"
   let rel_not_relational = "CLIP-REL-003"
+  let ablation_backend = "CLIP-ENG-001"
   let validity kind = "CLIP-VAL-" ^ kind
 end
 

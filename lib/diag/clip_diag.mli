@@ -2,10 +2,13 @@
 
     A diagnostic is a severity, a stable error code (e.g.
     [CLIP-XML-001]), a human message, an optional source span and
-    optional hints. Parsers, the compiler, the query generator and both
-    evaluation engines report structured diagnostics through the
-    [('a, t list) result] APIs of their modules; the legacy exceptions
-    remain as thin wrappers over these.
+    optional hints. Parsers, the compiler, the query generator and the
+    evaluators report structured diagnostics through the
+    [('a, t list) result] APIs of their modules. The run stack (the
+    engine, its backends, the evaluators, the translators and the
+    pipeline) has no other form: {!Clip_core.Engine.run} is its one
+    raising wrapper, and it raises only {!Fail}. The parsers and
+    [Compile.to_tgd] keep raising forms for callers that want them.
 
     Internally, library code raises {!Fail} and the public entry points
     convert it with {!guard}; [Fail] should never escape a [_result]
@@ -179,6 +182,10 @@ module Codes : sig
   val rel_not_relational : string
   (** [CLIP-REL-003] relational backend: the mapping's source is not
       relational-shaped *)
+
+  val ablation_backend : string
+  (** [CLIP-ENG-001] engine: the universal-solution ablation (minimum
+      cardinality off) asked of a backend other than tgd *)
 
   (** [CLIP-VAL-<kind>] for a validity issue kind (Sec. III), e.g.
       [CLIP-VAL-unanchored-source]. *)

@@ -45,7 +45,7 @@ module Counters : sig
         (** engine session-cache hits (compiled tgds, generated
             queries, reused sessions) *)
     mutable lim_ticks : int;
-        (** CLIP-LIM-004 budget ticks; equals the [?steps_out] count *)
+        (** CLIP-LIM-004 budget ticks: the step count of a run *)
     mutable ctl_checks : int;
         (** deadline/cancellation polls actually performed at tick
             sites (zero when the run carries no {!Clip_run.Control}) *)

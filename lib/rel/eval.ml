@@ -6,8 +6,6 @@ module Tgd = Clip_tgd.Tgd
 module Term = Clip_tgd.Term
 module Builder = Clip_tgd.Builder
 
-exception Error of string
-
 (* Evaluation context: the pinned source document, its converted
    columnar form and per-shape store (both memo slots, so a session
    amortises them across runs), and the per-run budget/observability
@@ -316,7 +314,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
   let store = force_store ctx prog.Program.shape in
   let target_root = prog.Program.target_root in
   (* Instance-level lineage is served by the tgd backend only
-     ([Eval.run_traced]), so this builder records none. *)
+     ([Eval.run_traced_result]), so this builder records none. *)
   let bld = Builder.create ~min_card:true ~target_root () in
   (* The naive nested-loop interpreter over the column store — the
      oracle for the plan path, mirroring the tgd backend's shape. *)
@@ -388,19 +386,10 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
    | `Auto -> eval_planned Env.empty (planned_for `Cost));
   Builder.root bld
 
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
 let run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
       (execute ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog))
-
-let run ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog =
-  match run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~source prog with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 

@@ -62,8 +62,3 @@ let compile_result ~source ~target_root (tgd : Tgd.t) =
      | Error _ as e -> e
      | Ok () ->
        Ok { source_root = shape.Shape.root; target_root; shape; tgd })
-
-let compile ~source ~target_root tgd =
-  match compile_result ~source ~target_root tgd with
-  | Ok p -> p
-  | Error ds -> Clip_diag.fail_all ds

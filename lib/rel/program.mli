@@ -17,8 +17,3 @@ val compile_result :
   target_root:string ->
   Clip_tgd.Tgd.t ->
   (t, Clip_diag.t list) result
-
-(** Like {!compile_result}.
-    @raise Clip_diag.Fail on rejection. *)
-val compile :
-  source:Clip_schema.Schema.t -> target_root:string -> Clip_tgd.Tgd.t -> t

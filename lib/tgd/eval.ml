@@ -2,8 +2,6 @@ module Xml = Clip_xml
 module Path = Clip_schema.Path
 module Value = Clip_xquery.Value
 
-exception Error of string
-
 let error fmt =
   Printf.ksprintf
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
@@ -772,25 +770,12 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      end);
   Builder.root bld
 
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
 let run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
     ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
       (execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
          ?obs ~source ~target_root m))
-
-let run ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out ?obs
-    ~source ~target_root m =
-  match
-    run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
-      ?obs ~source ~target_root m
-  with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
@@ -896,8 +881,9 @@ type trace_entry = {
    collects, each time a target generator creates or re-reaches an
    element, the source elements bound at that moment (deduplicated by
    identity). Untraced runs pass no recorder and pay nothing. *)
-let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
-    ?steps_out ?obs ~source ~target_root m =
+let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?obs
+    ~source ~target_root m =
+  Clip_diag.guard @@ fun () ->
   let lineage = Hashtbl.create 64 in
   let record (node : Builder.bnode) =
     let seen, sources =
@@ -915,8 +901,8 @@ let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
       end
   in
   let root =
-    execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out ?obs
-      ~record ~source ~target_root m
+    execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?obs ~record
+      ~source ~target_root m
   in
   let trace = ref [] in
   let rec walk path (b : Builder.bnode) =
@@ -930,18 +916,3 @@ let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
   in
   walk [] root;
   (Builder.bnode_to_node root, List.rev !trace)
-
-let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session
-    ?steps_out ?obs ~source ~target_root m =
-  Clip_diag.guard (fun () ->
-    run_traced_unguarded ?limits ?minimum_cardinality ?plan ?ctl ?session
-      ?steps_out ?obs ~source ~target_root m)
-
-let run_traced ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
-    ?obs ~source ~target_root m =
-  match
-    run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session
-      ?steps_out ?obs ~source ~target_root m
-  with
-  | Ok r -> r
-  | Error ds -> reraise_legacy ds

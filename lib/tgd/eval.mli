@@ -32,8 +32,9 @@
     the differential-testing oracle. All modes produce identical
     documents; only error behaviour may differ (pushdown can evaluate
     a failing condition the naive order would never reach, and vice
-    versa). [?steps_out], when given, receives the number of budget
-    steps consumed, even when evaluation fails. [?obs], when given,
+    versa). [?steps_out] (on {!run_result}, for per-shard
+    evaluation), when given, receives the number of budget steps
+    consumed, even when evaluation fails. [?obs], when given,
     collects execution counters for the run into the supplied sink —
     counters are explicit per-run state, never ambient. [?ctl], when
     given, is polled at the same budget tick sites (amortised, one
@@ -45,8 +46,6 @@
     artifacts — tag index, instance statistics, compiled plans —
     across runs, so repeated execution against the same source pays
     the analysis once. *)
-
-exception Error of string
 
 (** A per-document cache: evaluation context (memoised tag index +
     instance statistics) and compiled physical plans, reused by every
@@ -88,21 +87,6 @@ val run_result :
   Tgd.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
 
-(** [run ~source ~target_root m] — like {!run_result}.
-    @raise Error on any reported diagnostic. *)
-val run :
-  ?limits:Clip_diag.Limits.t ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  source:Clip_xml.Node.t ->
-  target_root:string ->
-  Tgd.t ->
-  Clip_xml.Node.t
-
 (** [explain ~source m] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would execute [m] over [source]: a
     header stating the resolved strategy (for [`Auto]: direct
@@ -138,24 +122,8 @@ val run_traced_result :
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
-  ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   source:Clip_xml.Node.t ->
   target_root:string ->
   Tgd.t ->
   (Clip_xml.Node.t * trace_entry list, Clip_diag.t list) result
-
-(** [run_traced ~source ~target_root m] — like {!run}, also returning
-    the lineage of every target element, preorder. *)
-val run_traced :
-  ?limits:Clip_diag.Limits.t ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  source:Clip_xml.Node.t ->
-  target_root:string ->
-  Tgd.t ->
-  Clip_xml.Node.t * trace_entry list

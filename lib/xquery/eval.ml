@@ -1,6 +1,5 @@
 module Xml = Clip_xml
 
-exception Error of string
 
 let error fmt =
   Printf.ksprintf
@@ -684,21 +683,10 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs plan limits steps_out
       f ctx)
 
 let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl
-    ?session ?steps_out ?obs ~input expr =
+    ?session ?obs ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?session ?obs plan limits steps_out input (fun ctx ->
+    with_ctx ?ctl ?session ?obs plan limits None input (fun ctx ->
         eval ctx Env.empty expr))
-
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
-let run ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr =
-  match
-    run_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr
-  with
-  | Ok v -> v
-  | Error ds -> reraise_legacy ds
 
 let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
     ?ctl ?session ?steps_out ?obs ~input expr =
@@ -709,11 +697,3 @@ let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
       | v ->
         error "query result is not a single element: %s"
           (Format.asprintf "%a" Value.pp v)))
-
-let run_document ?limits ?plan ?ctl ?session ?steps_out ?obs ~input expr =
-  match
-    run_document_result ?limits ?plan ?ctl ?session ?steps_out ?obs ~input
-      expr
-  with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds

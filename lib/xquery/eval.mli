@@ -16,9 +16,10 @@
     clause-by-clause recursion, kept as the differential-testing
     oracle. All modes produce identical values; only error behaviour
     may differ (pushdown can evaluate a failing conjunct the naive
-    order would never reach, and vice versa). [?steps_out], when
-    given, receives the number of budget steps consumed, even when
-    evaluation fails. [?obs], when given, collects execution counters
+    order would never reach, and vice versa). [?steps_out] (on
+    {!run_document_result}, for per-shard evaluation), when given,
+    receives the number of budget steps consumed, even when evaluation
+    fails. [?obs], when given, collects execution counters
     for the run into the supplied sink — counters are explicit per-run
     state, never ambient. [?ctl], when given, is polled at the same
     budget tick sites (amortised, one clock read per 64 steps, plus
@@ -28,8 +29,6 @@
     A {!Session} pins one input document and carries its per-document
     artifacts — tag index, instance statistics, compiled FLWOR plans —
     across runs. *)
-
-exception Error of string
 
 (** A per-document cache reused by every run handed the session
     together with the {e same} (physically equal) input document;
@@ -68,24 +67,10 @@ val run_result :
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
   ?session:Session.t ->
-  ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   input:Clip_xml.Node.t ->
   Ast.expr ->
   (Value.t, Clip_diag.t list) result
-
-(** [run ~input expr] — like {!run_result}.
-    @raise Error on any reported diagnostic. *)
-val run :
-  ?limits:Clip_diag.Limits.t ->
-  ?plan:Clip_plan.mode ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  input:Clip_xml.Node.t ->
-  Ast.expr ->
-  Value.t
 
 (** [run_document_result ~input expr] — like {!run_result} but expects
     the result to be exactly one element node (the constructed target
@@ -100,16 +85,3 @@ val run_document_result :
   input:Clip_xml.Node.t ->
   Ast.expr ->
   (Clip_xml.Node.t, Clip_diag.t list) result
-
-(** [run_document ~input expr] — like {!run_document_result}.
-    @raise Error on any reported diagnostic. *)
-val run_document :
-  ?limits:Clip_diag.Limits.t ->
-  ?plan:Clip_plan.mode ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  input:Clip_xml.Node.t ->
-  Ast.expr ->
-  Clip_xml.Node.t

@@ -195,15 +195,22 @@ let report_failure name input exn =
   Printf.eprintf "FAILURE [%s]: raised %s\n  input prefix: %S\n" name
     (Printexc.to_string exn) prefix
 
-(* Lineage must not depend on the plan: [run_traced] under [`Indexed]
-   and [`Auto] must record the [`Naive] lineage entry for entry, source
-   elements compared physically. Returns the first disagreeing plan;
-   a plan whose traced run fails is skipped. *)
+(* Lineage must not depend on the plan: [run_traced_result] under
+   [`Indexed] and [`Auto] must record the [`Naive] lineage entry for
+   entry, source elements compared physically. Returns the first
+   disagreeing plan; a plan whose traced run reports a tgd dynamic
+   error (CLIP-TGD-001) is skipped, and any other diagnostic escapes
+   as a failure. *)
 let lineage_disagreement m doc =
   let traced plan =
-    match Clip_core.Engine.run_traced ~plan m doc with
-    | _, trace -> Some trace
-    | exception Clip_tgd.Eval.Error _ -> None
+    match Clip_core.Engine.run_traced_result ~plan m doc with
+    | Ok (_, trace) -> Some trace
+    | Error ds
+      when List.exists
+             (fun d -> String.equal d.Clip_diag.code Clip_diag.Codes.tgd_eval)
+             ds ->
+      None
+    | Error ds -> Clip_diag.fail_all ds
   in
   let same_source x y =
     match (x, y) with

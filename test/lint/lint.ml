@@ -1,12 +1,21 @@
-(* Source lint: forbid [failwith], [Obj.magic] and ambient mutable
-   globals in [lib/].
+(* Source lint: forbid [failwith], unlisted [invalid_arg], [Obj.magic]
+   and ambient mutable globals in [lib/].
 
    Library code reports failures as [Clip_diag] diagnostics (or typed
    exceptions); [failwith] erases the code, span and hints. The only
-   permitted sites are the legacy-compat wrappers that reconstruct
-   [Failure] from the first diagnostic, listed in [allowlist] below
-   with the number of occurrences each may contain. [Obj.magic] is
-   never allowed.
+   permitted sites are the raising forms of [Compile.to_tgd_unchecked]
+   and of the Clio generator, which reconstruct [Failure] from the first
+   diagnostic; they are listed in [allowlist] below with the number of
+   occurrences each may contain. No run-stack entry point raises
+   [Failure]: the engine, its backends and the evaluators report
+   diagnostics, and [Engine.run] raises only [Clip_diag.Fail].
+   [Obj.magic] is never allowed.
+
+   [invalid_arg] is for programming errors only — a caller breaking a
+   documented precondition (an empty chain, an unknown symbol, an
+   out-of-range id) — never for input a user can supply: that must be a
+   diagnostic. The sites are listed in [invalid_arg_allowlist] with
+   per-file counts, so a new one is a reviewed decision.
 
    Top-level [ref] / [Hashtbl.create] value bindings are ambient
    mutable state: invisible to callers, shared across runs, and racy
@@ -36,6 +45,31 @@
    Run as [lint.exe LIBDIR]; wired into [dune runtest]. *)
 
 let allowlist = [ ("clio/generate.ml", 1); ("clio/enumerate.ml", 1); ("core/compile.ml", 1) ]
+
+(* Files allowed N occurrences of [invalid_arg]: constructor and
+   accessor preconditions (schema, path, cardinality, node, symbol,
+   atom and doc), the scenario fixtures' own path literals, empty
+   chains, an unknown fault site, and the rel evaluator's
+   shape-invariant guard. *)
+let invalid_arg_allowlist =
+  [
+    ("algebra/clip_algebra.ml", 2);
+    ("core/engine.ml", 1);
+    ("fault/clip_fault.ml", 1);
+    ("rel/eval.ml", 2);
+    ("scenarios/figures.ml", 1);
+    ("scenarios/generic.ml", 1);
+    ("scenarios/table1.ml", 1);
+    ("schema/cardinality.ml", 2);
+    ("schema/path.ml", 1);
+    ("schema/relational.ml", 4);
+    ("schema/schema.ml", 3);
+    ("xml/atom.ml", 1);
+    ("xml/doc.ml", 1);
+    ("xml/node.ml", 2);
+    ("xml/symbol.ml", 2);
+    ("xquery/value.ml", 1);
+  ]
 
 (* Files allowed N top-level mutable bindings. xml/symbol.ml's one is
    the empty initial intern table, published through an [Atomic]
@@ -268,6 +302,16 @@ let () =
           "lint: %s: %d use(s) of failwith, %d allowed — report a Clip_diag \
            diagnostic instead (see lib/diag)"
           rel fw allowed;
+      let ia = count_substring src "invalid_arg" in
+      let allowed =
+        match List.assoc_opt rel invalid_arg_allowlist with Some n -> n | None -> 0
+      in
+      if ia > allowed then
+        complain
+          "lint: %s: %d use(s) of invalid_arg, %d allowed — input a user can \
+           supply must be a Clip_diag diagnostic (see lib/diag); a genuine \
+           precondition goes in the allowlist"
+          rel ia allowed;
       if Filename.check_suffix path ".ml" && String.starts_with ~prefix:"xml/" rel then begin
         let code = strip_literals src in
         let calls = count_prefix code "int_of_string" + count_prefix code "float_of_string" in

@@ -15,6 +15,11 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checksl = Alcotest.(check (list string))
 
+(* The value of a run expected to succeed. *)
+let ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let path s =
   match Path.of_string s with
   | Ok p -> p
@@ -157,7 +162,7 @@ let skeleton_tests =
 (* --- Baseline generation: the Fig. 1 defect --------------------------------------- *)
 
 let run_tgd tgd =
-  Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+  ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" tgd)
 
 let baseline_tests =
   [
@@ -289,8 +294,9 @@ let wellformedness_tests =
           (fun (sc : S.Table1.scenario) ->
             let tgd = Generate.generate ~extension:true sc.mapping in
             let out =
-              Clip_tgd.Eval.run ~source:sc.instance
-                ~target_root:sc.mapping.target.root.name tgd
+              ok
+                (Clip_tgd.Eval.run_result ~source:sc.instance
+                   ~target_root:sc.mapping.target.root.name tgd)
             in
             let non_card =
               List.filter

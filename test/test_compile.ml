@@ -14,6 +14,11 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
+(* The value of a run expected to succeed. *)
+let ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let path s =
   match Path.of_string s with
   | Ok p -> p
@@ -174,7 +179,9 @@ let failure_tests =
         let tgd = Compile.to_tgd_unchecked m in
         checki "one assertion at the top" 1 (List.length tgd.assertions);
         let out =
-          Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+          ok
+            (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance
+               ~target_root:"target" tgd)
         in
         checkb "counted both depts" true
           (Clip_xml.Node.equal_unordered out

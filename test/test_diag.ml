@@ -175,6 +175,82 @@ let compile_tests =
         | Ok m -> checkb "no errors" false (D.has_errors (Clip_core.Engine.diagnose m)));
   ]
 
+(* --- Engine entry points ------------------------------------------------ *)
+
+let parse_mapping src =
+  match Clip_core.Dsl.parse_result src with
+  | Ok m -> m
+  | Error ds -> Alcotest.failf "fixture does not parse: %s" (D.render_list ds)
+
+let codes = function
+  | Ok _ -> Alcotest.fail "expected Error, got Ok"
+  | Error ds -> List.map (fun (d : D.t) -> d.code) ds
+
+let engine_tests =
+  let module Engine = Clip_core.Engine in
+  let module S = Clip_scenarios in
+  [
+    Alcotest.test_case "explain_result reports what run_result reports" `Quick
+      (fun () ->
+        (* A validity failure (no [b] under [s]) and Fig. 1's driverless
+           value mapping (CLIP-CMP-007): EXPLAIN compiles like a run, so
+           it must reject both with the run's diagnostics, on every
+           backend. *)
+        let invalid =
+          parse_mapping
+            "schema s { a [0..*] { x: string } }
+             schema t { c [0..*] { @x: string } }
+             mapping {
+            \  node n: s.b as $a -> t.c
+             }
+"
+        in
+        let small = Clip_xml.Parser.parse_string "<s><a><x>hi</x></a></s>" in
+        List.iter
+          (fun (m, doc, first) ->
+            List.iter
+              (fun backend ->
+                let run = codes (Engine.run_result ~backend m doc) in
+                let explain = codes (Engine.explain_result ~backend m doc) in
+                checks "first code" first (List.hd explain);
+                Alcotest.(check (list string)) "same codes as run" run explain)
+              [ `Tgd; `Xquery; `Rel ])
+          [
+            (invalid, small, D.Codes.validity "bad-input");
+            (S.Figures.fig1_values, S.Deptdb.instance, D.Codes.compile_no_driver);
+          ]);
+    Alcotest.test_case "the universal-solution ablation is CLIP-ENG-001 off tgd"
+      `Quick (fun () ->
+        let sc = S.Figures.fig3 in
+        let doc = S.Deptdb.instance in
+        let text = Clip_xml.Printer.to_string doc in
+        let minimum_cardinality = false in
+        checkb "tgd runs the ablation" true
+          (Result.is_ok (Engine.run_result ~minimum_cardinality sc.mapping doc));
+        List.iter
+          (fun backend ->
+            let expect how r =
+              ignore (expect_code ~msg:how D.Codes.ablation_backend r)
+            in
+            expect "whole"
+              (Engine.run_result ~backend ~minimum_cardinality sc.mapping doc);
+            expect "sharded"
+              (Engine.run_result ~backend ~minimum_cardinality ~mode:`Sharded
+                 ~shard_bytes:64 sc.mapping doc);
+            expect "run raises Fail"
+              (match Engine.run ~backend ~minimum_cardinality sc.mapping doc with
+               | _ -> Ok ()
+               | exception D.Fail ds -> Error ds);
+            List.iter
+              (fun mode ->
+                expect "stream"
+                  (Engine.run_stream_result ~backend ~minimum_cardinality ~mode
+                     ~shard_bytes:64 sc.mapping
+                     (Clip_xml.Stream.of_string text)))
+              [ `Whole; `Sharded; `Auto ])
+          [ `Xquery; `Xquery_text; `Rel ]);
+  ]
+
 (* --- Resource limits --------------------------------------------------- *)
 
 let deep_xml depth =
@@ -269,13 +345,15 @@ let limit_tests =
         let limits = { D.Limits.default with D.Limits.max_eval_steps = 10_000 } in
         List.iter
           (fun plan ->
-            let steps = ref 0 in
+            let c = Clip_obs.Counters.create () in
+            let ctx = Clip_run.create ~counters:c () in
             let d =
               expect_code D.Codes.limit_eval_steps
-                (Clip_core.Engine.run_result ~limits ~plan ~steps_out:steps m doc)
+                (Clip_core.Engine.run_result ~ctx ~limits ~plan m doc)
             in
             checkb "budget diagnostics carry a hint" true (d.D.hints <> []);
-            checkb "steps_out reports the enumerated bindings" true (!steps >= 10_000))
+            checkb "lim_ticks counts the enumerated bindings" true
+              (c.Clip_obs.Counters.lim_ticks >= 10_000))
           [ `Naive; `Indexed; `Auto ]);
     Alcotest.test_case "xquery eval step budget is CLIP-LIM-004" `Quick (fun () ->
         let q =
@@ -349,6 +427,7 @@ let () =
       ("mapping-errors", mapping_tests);
       ("xquery-errors", xquery_tests);
       ("compile-errors", compile_tests);
+      ("engine-errors", engine_tests);
       ("limits", limit_tests);
       ("render", render_tests);
     ]

@@ -10,6 +10,11 @@ module Atom = Clip_xml.Atom
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* The value of a run expected to succeed. *)
+let ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let path s =
   match Path.of_string s with
   | Ok p -> p
@@ -138,7 +143,7 @@ let xquery_parser_tests =
               let text = Clip_core.Engine.xquery_text sc.mapping in
               let q = Clip_xquery.Parser.parse_string text in
               let via_text =
-                Clip_xquery.Eval.run_document ~input:S.Deptdb.instance q
+                ok (Clip_xquery.Eval.run_document_result ~input:S.Deptdb.instance q)
               in
               let direct =
                 Clip_core.Engine.run ~backend:`Xquery sc.mapping S.Deptdb.instance
@@ -174,21 +179,21 @@ let xquery_parser_tests =
             let q' = Parser.parse_string (Pretty.query_to_string q) in
             checkb "same value" true
               (Value.equal
-                 (Eval.run ~input:S.Deptdb.instance q)
-                 (Eval.run ~input:S.Deptdb.instance q')))
+                 (ok (Eval.run_result ~input:S.Deptdb.instance q))
+                 (ok (Eval.run_result ~input:S.Deptdb.instance q'))))
           cases);
     Alcotest.test_case "paper-style unquoted attribute braces" `Quick (fun () ->
         let q =
           Clip_xquery.Parser.parse_string
             {|for $d in source/dept return <department name={$d/dname/text()} numProj={count($d/Proj)}/>|}
         in
-        let out = Clip_xquery.Eval.run ~input:S.Deptdb.instance q in
+        let out = ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) in
         checki "2 departments" 2 (List.length out));
     Alcotest.test_case "quoted attribute value templates" `Quick (fun () ->
         let q =
           Clip_xquery.Parser.parse_string {|<x a="{ 1 + 2 }" b="static"/>|}
         in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           let e = Node.as_element n in
           checkb "computed" true (Node.attr e "a" = Some (Atom.Int 3));
@@ -201,7 +206,7 @@ let xquery_parser_tests =
             {|(: outer (: nested :) comment :)
               <out>{ (1, 2, 3) }<inner/></out>|}
         in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           let e = Node.as_element n in
           checki "1 inner" 1 (List.length (Node.children_named e "inner"))
@@ -209,7 +214,7 @@ let xquery_parser_tests =
     Alcotest.test_case "dashed names parse; spaced minus is subtraction" `Quick
       (fun () ->
         let q = Clip_xquery.Parser.parse_string "<x avg-sal={ 5 - 2 }/>" in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           checkb "3" true (Node.attr (Node.as_element n) "avg-sal" = Some (Atom.Int 3))
         | _ -> Alcotest.fail "expected one node");
@@ -287,7 +292,9 @@ let matcher_tests =
         checkb "has couplings" true (m.values <> []);
         let tgd = Clip_clio.Generate.generate ~extension:true m in
         let out =
-          Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+          ok
+            (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance
+               ~target_root:"target" tgd)
         in
         checkb "produces departments" true (Node.count_elements out "department" > 0));
     Alcotest.test_case "a high threshold filters everything" `Quick (fun () ->
@@ -379,7 +386,9 @@ let provenance_tests =
   [
     Alcotest.test_case "fig4: each employee traces to its regEmp and dept" `Quick
       (fun () ->
-        let out, trace = Clip_core.Engine.run_traced S.Figures.fig4.mapping S.Deptdb.instance in
+        let out, trace =
+          ok (Clip_core.Engine.run_traced_result S.Figures.fig4.mapping S.Deptdb.instance)
+        in
         checkb "output unchanged" true
           (Node.equal out (Clip_core.Engine.run S.Figures.fig4.mapping S.Deptdb.instance));
         (* target_path [1; 0] = second department, first employee:
@@ -410,7 +419,9 @@ let provenance_tests =
         checkb "traced to Marketing" true has_marketing);
     Alcotest.test_case "fig7: a grouped project traces to every member Proj" `Quick
       (fun () ->
-        let _, trace = Clip_core.Engine.run_traced S.Figures.fig7.mapping S.Deptdb.instance in
+        let _, trace =
+          ok (Clip_core.Engine.run_traced_result S.Figures.fig7.mapping S.Deptdb.instance)
+        in
         (* target_path [0] = the Appliances project, grouped from two
            Projs (ICT pid 1 and Marketing pid 32). *)
         let entry =
@@ -425,14 +436,18 @@ let provenance_tests =
         in
         checki "two member Projs" 2 (List.length projs));
     Alcotest.test_case "the root element has no provenance" `Quick (fun () ->
-        let _, trace = Clip_core.Engine.run_traced S.Figures.fig3.mapping S.Deptdb.instance in
+        let _, trace =
+          ok (Clip_core.Engine.run_traced_result S.Figures.fig3.mapping S.Deptdb.instance)
+        in
         let root =
           List.find (fun (t : Clip_tgd.Eval.trace_entry) -> t.target_path = []) trace
         in
         checkb "empty" true (root.sources = []));
     Alcotest.test_case "a trace entry exists for every target element" `Quick
       (fun () ->
-        let out, trace = Clip_core.Engine.run_traced S.Figures.fig5.mapping S.Deptdb.instance in
+        let out, trace =
+          ok (Clip_core.Engine.run_traced_result S.Figures.fig5.mapping S.Deptdb.instance)
+        in
         let rec count_elems n =
           match n with
           | Node.Element e ->
@@ -454,7 +469,9 @@ let provenance_tests =
         in
         List.iter
           (fun (sc : S.Figures.t) ->
-            let traced plan = Clip_core.Engine.run_traced ~plan sc.mapping doc in
+            let traced plan =
+              ok (Clip_core.Engine.run_traced_result ~plan sc.mapping doc)
+            in
             let out, naive = traced `Naive in
             checki (sc.name ^ ": an entry per target element") (count_elems out)
               (List.length naive);
@@ -519,7 +536,9 @@ let provenance_tests =
         in
         List.iter
           (fun (name, tgd) ->
-            let traced plan = Clip_tgd.Eval.run_traced ~plan ~source:doc ~target_root:"t" tgd in
+            let traced plan =
+              ok (Clip_tgd.Eval.run_traced_result ~plan ~source:doc ~target_root:"t" tgd)
+            in
             let out, naive = traced `Naive in
             checki (name ^ ": an entry per target element") (count_elems out) (List.length naive);
             List.iter

@@ -39,11 +39,10 @@ let backend_of site =
    then an engine run under [`Indexed] (which forces both the planner
    and the tag-index build, so the plan.build and index.build sites
    fire regardless of document size). *)
-let engine ?ctx ?limits ?steps_out ~backend source =
+let engine ?ctx ?limits ~backend source =
   let ctx = match ctx with Some c -> c | None -> R.create () in
   Engine.run_result ~ctx ?limits ~backend ~plan:`Indexed
-    ~minimum_cardinality:sc.Fig.minimum_cardinality ?steps_out sc.Fig.mapping
-    source
+    ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping source
 
 let pipeline ~backend () =
   match Clip_xml.Parser.parse_string_result doc_text with
@@ -239,10 +238,9 @@ let test_arming () =
 
 (* Deadlines against an injected clock: deterministic expiry, all three
    plan modes, both backends, clean structured CLIP-LIM-005. *)
-let run_ctl ?steps_out ~plan ~backend ctx =
+let run_ctl ~plan ~backend ctx =
   Engine.run_result ~ctx ~backend ~plan
-    ~minimum_cardinality:sc.Fig.minimum_cardinality ?steps_out sc.Fig.mapping
-    doc
+    ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping doc
 
 let test_deadline_expired () =
   let expired () = R.deadline ~now:(fun () -> 1.0) ~until:0.5 in
@@ -271,13 +269,16 @@ let test_deadline_mid_run () =
         incr polls;
         float_of_int !polls
       in
-      let steps = ref 0 in
-      let ctx = R.create ~deadline:(R.deadline ~now ~until:3.0) () in
-      match run_ctl ~steps_out:steps ~plan ~backend:`Tgd ctx with
+      let c = Clip_obs.Counters.create () in
+      let ctx =
+        R.create ~counters:c ~deadline:(R.deadline ~now ~until:3.0) ()
+      in
+      match run_ctl ~plan ~backend:`Tgd ctx with
       | Error ds when has_code D.Codes.limit_deadline ds ->
-        if !steps < 64 then
+        let steps = c.Clip_obs.Counters.lim_ticks in
+        if steps < 64 then
           Alcotest.failf "expired before any evaluation progress (%d steps)"
-            !steps
+            steps
       | Error ds -> Alcotest.failf "expected CLIP-LIM-005, got [%s]" (codes ds)
       | Ok _ -> Alcotest.fail "mid-run deadline never observed")
     [ `Naive; `Indexed; `Auto ]

@@ -196,13 +196,13 @@ let robustness_tests =
       `Quick (fun () ->
         let wrong = Clip_xml.Parser.parse_string "<sauce><dept/></sauce>" in
         List.iter
-          (fun backend ->
-            checkb "raises" true
-              (match Engine.run ~backend S.Figures.fig4.mapping wrong with
-               | exception Clip_tgd.Eval.Error _ -> true
-               | exception Clip_xquery.Eval.Error _ -> true
-               | _ -> false))
-          [ `Tgd; `Xquery; `Xquery_text ]);
+          (fun (backend, code) ->
+            match Engine.run_result ~backend S.Figures.fig4.mapping wrong with
+            | Error (d :: _) -> Alcotest.(check string) "code" code d.Clip_diag.code
+            | Error [] -> Alcotest.fail "Error without diagnostics"
+            | Ok _ -> Alcotest.fail "a wrong document root ran")
+          Clip_diag.Codes.
+            [ (`Tgd, tgd_eval); (`Xquery, xquery_eval); (`Xquery_text, xquery_eval) ]);
     Alcotest.test_case "schema-invalid sources still transform (engines are lax)"
       `Quick (fun () ->
         (* a dept with no dname and a stray element: the engines copy

@@ -12,6 +12,11 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let checki = Alcotest.(check int)
 
+(* The value of a run expected to succeed. *)
+let ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 (* --- A toy planner environment ---------------------------------------- *)
 
 (* Environments are assoc lists of ints; generators enumerate integer
@@ -512,13 +517,14 @@ let fuzz_differential =
 (* --- [`Auto] picks the join where it matters --------------------------- *)
 
 let steps_of (sc : S.Figures.t) ~plan doc =
-  let steps = ref 0 in
+  let c = Clip_obs.Counters.create () in
   match
-    Engine.run_result ~limits:Clip_diag.Limits.unlimited
-      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan ~steps_out:steps
+    Engine.run_result ~ctx:(Clip_run.create ~counters:c ())
+      ~limits:Clip_diag.Limits.unlimited
+      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan
       sc.S.Figures.mapping doc
   with
-  | Ok _ -> !steps
+  | Ok _ -> c.Clip_obs.Counters.lim_ticks
   | Error ds ->
     Alcotest.failf "%s did not run: %s" sc.S.Figures.name (Clip_diag.render_list ds)
 
@@ -566,9 +572,10 @@ let contains hay needle =
 let counted_run (sc : S.Figures.t) ~backend ~plan doc =
   let session = Engine.Session.create doc in
   let run ?ctx () =
-    Engine.Session.run ?ctx ~backend
-      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan session
-      sc.S.Figures.mapping
+    ok
+      (Engine.Session.run_result ?ctx ~backend
+         ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan session
+         sc.S.Figures.mapping)
   in
   ignore (run ());
   let c = C.create () in
@@ -598,7 +605,9 @@ let counter_invariants (sc : S.Figures.t) ~backend doc =
      counters: a claimed direct interpreter does exactly the naive
      oracle's work, and a claimed plan without the tag index never
      probes it. *)
-  let txt = Engine.explain ~backend ~plan:`Auto sc.S.Figures.mapping doc in
+  let txt =
+    ok (Engine.explain_result ~backend ~plan:`Auto sc.S.Figures.mapping doc)
+  in
   if contains txt "direct interpreter" then
     checkb "auto claims direct: work counters equal naive's" true
       (C.work_assoc ca = C.work_assoc cn)
@@ -635,8 +644,9 @@ let counter_tests =
              invariants must keep holding on the planner path *)
           let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
           let txt =
-            Engine.explain ~backend:`Tgd ~plan:`Auto
-              S.Figures.fig6.S.Figures.mapping doc
+            ok
+              (Engine.explain_result ~backend:`Tgd ~plan:`Auto
+                 S.Figures.fig6.S.Figures.mapping doc)
           in
           checkb "no direct-interpreter claim" false
             (contains txt "direct interpreter");
@@ -647,8 +657,9 @@ let counter_tests =
           List.iter
             (fun plan ->
               let once () =
-                Engine.explain ~backend:`Tgd ~plan
-                  S.Figures.fig6.S.Figures.mapping S.Deptdb.instance
+                ok
+                  (Engine.explain_result ~backend:`Tgd ~plan
+                     S.Figures.fig6.S.Figures.mapping S.Deptdb.instance)
               in
               checks "two renders agree" (once ()) (once ()))
             [ `Naive; `Indexed; `Auto ]);
@@ -774,9 +785,10 @@ let session_tests =
             List.iter
               (fun label ->
                 let warm =
-                  Engine.Session.run
-                    ~minimum_cardinality:sc.S.Figures.minimum_cardinality
-                    ~plan:`Auto session sc.S.Figures.mapping
+                  ok
+                    (Engine.Session.run_result
+                       ~minimum_cardinality:sc.S.Figures.minimum_cardinality
+                       ~plan:`Auto session sc.S.Figures.mapping)
                 in
                 checkb
                   (Printf.sprintf "%s %s run" sc.S.Figures.name label)
@@ -793,8 +805,9 @@ let session_tests =
               (fun backend ->
                 let direct = run_mode S.Figures.fig6 ~backend ~plan doc in
                 let via =
-                  Engine.Session.run ~backend ~plan session
-                    S.Figures.fig6.S.Figures.mapping
+                  ok
+                    (Engine.Session.run_result ~backend ~plan session
+                       S.Figures.fig6.S.Figures.mapping)
                 in
                 checkb "session agrees with direct run" true (Node.equal direct via))
               [ `Tgd; `Xquery ])
@@ -810,12 +823,16 @@ let session_tests =
         let sc = S.Figures.fig6 in
         let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
         let direct =
-          Clip_tgd.Eval.run ~source:doc
-            ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd
+          ok
+            (Clip_tgd.Eval.run_result ~source:doc
+               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name
+               tgd)
         in
         let via =
-          Clip_tgd.Eval.run ~session:tgd_session ~source:doc
-            ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd
+          ok
+            (Clip_tgd.Eval.run_result ~session:tgd_session ~source:doc
+               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name
+               tgd)
         in
         checkb "identical" true (Node.equal direct via));
     Alcotest.test_case
@@ -834,7 +851,9 @@ let session_tests =
         let doc2 = S.Deptdb.synthetic_instance ~depts:7 ~projs:3 ~emps:5 in
         let out2 = Engine.run sc.S.Figures.mapping doc2 in
         let fresh =
-          Engine.Session.run (Engine.Session.create doc2) sc.S.Figures.mapping
+          ok
+            (Engine.Session.run_result (Engine.Session.create doc2)
+               sc.S.Figures.mapping)
         in
         checkb "recomputed for the new value" true (Node.equal out2 fresh);
         checkb "output reflects the new data" false
@@ -845,11 +864,15 @@ let session_tests =
         let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
         let s1 = Clip_tgd.Eval.Session.create doc1 in
         (* warm s1's statistics, index and plan memos on doc1 ... *)
-        ignore (Clip_tgd.Eval.run ~session:s1 ~source:doc1 ~target_root tgd);
+        ignore
+          (ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc1 ~target_root tgd));
         (* ... then run the changed document through the same session *)
-        let via = Clip_tgd.Eval.run ~session:s1 ~source:doc2 ~target_root tgd in
+        let via =
+          ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc2 ~target_root tgd)
+        in
         checkb "no stale statistics or plans" true
-          (Node.equal via (Clip_tgd.Eval.run ~source:doc2 ~target_root tgd)));
+          (Node.equal via
+             (ok (Clip_tgd.Eval.run_result ~source:doc2 ~target_root tgd))));
   ]
 
 (* --- Run-scoped tables ---------------------------------------------------- *)

@@ -416,11 +416,12 @@ let pipeline_prop =
         (Clip_schema.Validate.check m.target a)
       &&
       (* 4. the generated tgd is equivalent to the Clip mapping *)
-      let via_tgd =
-        Clip_tgd.Eval.run ~source:doc ~target_root:"tgt"
+      match
+        Clip_tgd.Eval.run_result ~source:doc ~target_root:"tgt"
           (Clip_clio.Generate.to_tgd m forest)
-      in
-      Node.equal_unordered via_tgd a)
+      with
+      | Ok via_tgd -> Node.equal_unordered via_tgd a
+      | Error _ -> false)
 
 let pipeline_dsl_prop =
   QCheck2.Test.make ~count:40

@@ -15,6 +15,11 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
+(* The value of a run expected to succeed. *)
+let ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 (* Table I scenarios carry only value mappings; route them through the
    Clio generator to obtain runnable mappings (same as the figures
    pipeline). *)
@@ -146,11 +151,11 @@ let differential_tests =
       (fun () ->
         let source = grants_instance 5 in
         let s = Engine.Session.create source in
-        let expected = Engine.Session.run ~backend:`Tgd s grants_mapping in
+        let expected = ok (Engine.Session.run_result ~backend:`Tgd s grants_mapping) in
         for _ = 1 to 3 do
           checkb "identical" true
             (Node.equal expected
-               (Engine.Session.run ~backend:`Rel s grants_mapping))
+               (ok (Engine.Session.run_result ~backend:`Rel s grants_mapping)))
         done);
   ]
 
@@ -193,13 +198,14 @@ let error_tests =
           checks "code" "CLIP-LIM-004" (List.hd ds).Clip_diag.code);
     Alcotest.test_case "the universal-solution ablation stays tgd-only" `Quick
       (fun () ->
-        checkb "raises" true
-          (match
-             Engine.run ~backend:`Rel ~minimum_cardinality:false grants_mapping
-               (grants_instance 2)
-           with
-           | exception Invalid_argument _ -> true
-           | _ -> false));
+        match
+          Engine.run_result ~backend:`Rel ~minimum_cardinality:false
+            grants_mapping (grants_instance 2)
+        with
+        | Ok _ -> Alcotest.fail "the ablation ran on rel"
+        | Error ds ->
+          checks "code" Clip_diag.Codes.ablation_backend
+            (List.hd ds).Clip_diag.code);
   ]
 
 let sql_tests =
@@ -208,7 +214,9 @@ let sql_tests =
         let m = grants_mapping in
         let tgd = Clip_core.Compile.to_tgd m in
         let prog =
-          Program.compile ~source:m.source ~target_root:m.target.root.name tgd
+          ok
+            (Program.compile_result ~source:m.source
+               ~target_root:m.target.root.name tgd)
         in
         let sql = Sql.of_program prog in
         let contains sub =
@@ -229,8 +237,8 @@ let sql_tests =
     Alcotest.test_case "explain is deterministic and names the backend" `Quick
       (fun () ->
         let source = grants_instance 3 in
-        let e1 = Engine.explain ~backend:`Rel grants_mapping source in
-        let e2 = Engine.explain ~backend:`Rel grants_mapping source in
+        let e1 = ok (Engine.explain_result ~backend:`Rel grants_mapping source) in
+        let e2 = ok (Engine.explain_result ~backend:`Rel grants_mapping source) in
         checks "stable" e1 e2;
         checkb "header" true
           (String.length e1 > 12 && String.equal (String.sub e1 0 12) "backend: rel"));
@@ -339,7 +347,10 @@ let run_table_tests =
         let s = Engine.Session.create source in
         List.iter
           (fun (backend, name) ->
-            let run () = counted (fun ctx -> Engine.Session.run ~ctx ~backend s grants_mapping) in
+            let run () =
+              counted (fun ctx ->
+                  ok (Engine.Session.run_result ~ctx ~backend s grants_mapping))
+            in
             let o1, c1 = run () in
             let o2, c2 = run () in
             checkb (name ^ ": identical") true (Node.equal o1 o2);
@@ -357,7 +368,9 @@ let run_table_tests =
             for _ = 1 to 2 do
               checks (name ^ ": sharded, 2 jobs") expected
                 (Clip_xml.Printer.to_string
-                   (Engine.Session.run ~backend ~mode:`Sharded ~jobs:2 s grants_mapping))
+                   (ok
+                      (Engine.Session.run_result ~backend ~mode:`Sharded ~jobs:2 s
+                         grants_mapping)))
             done)
           backends);
     Alcotest.test_case "the step budget meters the per-run build (CLIP-LIM-004)"

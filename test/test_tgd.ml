@@ -253,7 +253,20 @@ let source_doc =
         </dept>
       </source>|}
 
-let run ?minimum_cardinality m = Eval.run ?minimum_cardinality ~source:source_doc ~target_root:"target" m
+let run_result ?minimum_cardinality m =
+  Eval.run_result ?minimum_cardinality ~source:source_doc ~target_root:"target" m
+
+let run ?minimum_cardinality m =
+  match run_result ?minimum_cardinality m with
+  | Ok out -> out
+  | Error ds -> Alcotest.failf "run failed: %s" (Clip_diag.render_list ds)
+
+(* The code of the first diagnostic a failing run reports. *)
+let error_code m =
+  match run_result m with
+  | Error (d :: _) -> d.Clip_diag.code
+  | Error [] -> Alcotest.fail "Error without diagnostics"
+  | Ok _ -> Alcotest.fail "run succeeded"
 
 let eval_tests =
   [
@@ -306,8 +319,7 @@ let eval_tests =
               ]
             ()
         in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        checks "code" Clip_diag.Codes.tgd_eval (error_code m));
     Alcotest.test_case "equal re-assignments are fine" `Quick (fun () ->
         let m =
           Tgd.make
@@ -421,8 +433,7 @@ let eval_tests =
               ]
             ()
         in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        checks "code" Clip_diag.Codes.tgd_eval (error_code m));
     Alcotest.test_case "intermediate singleton elements materialise on demand" `Quick
       (fun () ->
         let m =
@@ -443,8 +454,7 @@ let eval_tests =
         checkb "x" true (Node.attr info "x" = Some (Atom.String "ICT")));
     Alcotest.test_case "wrong source root errors" `Quick (fun () ->
         let m = Tgd.make ~foralls:[ Tgd.source_gen "x" (Term.of_path (path "bogus.a")) ] () in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        checks "code" Clip_diag.Codes.tgd_eval (error_code m));
   ]
 
 let () =

@@ -24,7 +24,17 @@ let input =
         </dept>
       </source>|}
 
-let run e = Eval.run ~input e
+let run e =
+  match Eval.run_result ~input e with
+  | Ok v -> v
+  | Error ds -> Alcotest.failf "run failed: %s" (Clip_diag.render_list ds)
+
+(* The code of the first diagnostic a failing run reports. *)
+let error_code e =
+  match Eval.run_result ~input e with
+  | Error (d :: _) -> d.Clip_diag.code
+  | Error [] -> Alcotest.fail "Error without diagnostics"
+  | Ok _ -> Alcotest.fail "run succeeded"
 
 let atoms e = Value.atomize (run e)
 
@@ -73,10 +83,8 @@ let path_tests =
     Alcotest.test_case "missing step yields empty" `Quick (fun () ->
         checki "none" 0 (List.length (run (doc_path [ Ast.Child_step "bogus" ]))));
     Alcotest.test_case "wrong document root errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.Doc "other") with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        checks "code" Clip_diag.Codes.xquery_eval
+          (error_code (Ast.Doc "other")));
   ]
 
 (* --- FLWOR -------------------------------------------------------------------- *)
@@ -135,10 +143,8 @@ let flwor_tests =
         let q = Ast.If (Ast.Cmp (Ast.Lt, Ast.int 1, Ast.int 2), Ast.str "a", Ast.str "b") in
         checkb "a" true (atoms q = [ Atom.String "a" ]));
     Alcotest.test_case "unbound variable errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.var "nope") with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        checks "code" Clip_diag.Codes.xquery_eval
+          (error_code (Ast.var "nope")));
   ]
 
 (* --- Constructors ---------------------------------------------------------------- *)
@@ -213,18 +219,14 @@ let function_tests =
           (atoms (Ast.call "exists" [ doc_path [ Ast.Child_step "dept" ] ]) = [ Atom.Bool true ]);
         checkb "not" true (atoms (Ast.call "not" [ Ast.int 0 ]) = [ Atom.Bool true ]));
     Alcotest.test_case "unknown function errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.call "frobnicate" [ Ast.int 1 ]) with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        checks "code" Clip_diag.Codes.xquery_eval
+          (error_code (Ast.call "frobnicate" [ Ast.int 1 ])));
     Alcotest.test_case "arithmetic" `Quick (fun () ->
         checkb "int add" true (atoms (Ast.Arith (Ast.Add, Ast.int 2, Ast.int 3)) = [ Atom.Int 5 ]);
         checkb "division" true
           (atoms (Ast.Arith (Ast.Div, Ast.int 7, Ast.int 2)) = [ Atom.Float 3.5 ]);
-        checkb "div by zero raises" true
-          (match run (Ast.Arith (Ast.Div, Ast.int 1, Ast.int 0)) with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        checks "div by zero code" Clip_diag.Codes.xquery_eval
+          (error_code (Ast.Arith (Ast.Div, Ast.int 1, Ast.int 0))));
   ]
 
 (* --- Pretty printer ------------------------------------------------------------------- *)
