@@ -359,10 +359,11 @@ let compile_unchecked (m : Mapping.t) =
       target = m.target;
     }
   in
+  let drivers = List.map (fun vm -> (vm, Validity.driver_of m vm)) m.values in
   let vm_driver =
     List.filter_map
-      (fun vm ->
-        match Validity.driver_of m vm with
+      (fun (vm, driver) ->
+        match driver with
         | Some d -> Some (vm, d)
         | None ->
           (match vm.Mapping.vm_fn with
@@ -371,14 +372,15 @@ let compile_unchecked (m : Mapping.t) =
              cerror Clip_diag.Codes.compile_no_driver
                "value mapping to %s has no driver builder"
                (Path.to_string vm.Mapping.vm_target)))
-      m.values
+      drivers
   in
   let root_aggs =
-    List.filter
-      (fun (vm : Mapping.value_mapping) ->
-        (match vm.vm_fn with Mapping.Aggregate _ -> true | _ -> false)
-        && Option.is_none (Validity.driver_of m vm))
-      m.values
+    List.filter_map
+      (fun ((vm : Mapping.value_mapping), driver) ->
+        match vm.vm_fn, driver with
+        | Mapping.Aggregate _, None -> Some vm
+        | _ -> None)
+      drivers
   in
   let ctx =
     {

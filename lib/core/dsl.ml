@@ -19,9 +19,9 @@ let peek st =
 
 let next st =
   let t = peek st in
-  (match st.toks with
-   | _ :: rest when t.token <> Lexer.Eof -> st.toks <- rest
-   | _ -> ());
+  (match t.token, st.toks with
+   | Lexer.Eof, _ | _, [] -> ()
+   | _, _ :: rest -> st.toks <- rest);
   t
 
 let span_of_token (t : Lexer.spanned) =
@@ -74,10 +74,12 @@ let expect_ident st =
   | tok ->
     fail t (Printf.sprintf "expected an identifier, found %s" (Lexer.token_to_string tok))
 
-let skip_semis st =
-  while (peek st).token = Lexer.Sym ";" do
-    ignore (next st)
-  done
+let rec skip_semis st =
+  match (peek st).token with
+  | Lexer.Sym ";" ->
+    ignore (next st);
+    skip_semis st
+  | _ -> ()
 
 (* An absolute path: root.step.step... *)
 let parse_path st =
@@ -242,8 +244,9 @@ let rec parse_nodes st =
         parse_group_keys st
       | _ -> []
     in
-    if is_group && group_by = [] then
-      fail (peek st) "a group node needs a 'by' clause";
+    (match group_by with
+     | [] when is_group -> fail (peek st) "a group node needs a 'by' clause"
+     | _ -> ());
     let output =
       match (peek st).token with
       | Lexer.Sym "->" ->
@@ -419,7 +422,7 @@ let to_string (m : Mapping.t) =
   Buffer.add_string buf "\nmapping {\n";
   let rec node ind (n : Mapping.build_node) =
     let pad = String.make ind ' ' in
-    let kw = if n.bn_group_by = [] then "node" else "group" in
+    let kw = match n.bn_group_by with [] -> "node" | _ :: _ -> "group" in
     let inputs =
       String.concat ", "
         (List.map
@@ -458,12 +461,12 @@ let to_string (m : Mapping.t) =
                ps)
     in
     add "%s%s %s: %s%s%s%s" pad kw n.bn_id inputs by out where;
-    if n.bn_children = [] then add "\n"
-    else begin
+    match n.bn_children with
+    | [] -> add "\n"
+    | children ->
       add " {\n";
-      List.iter (node (ind + 2)) n.bn_children;
+      List.iter (node (ind + 2)) children;
       add "%s}\n" pad
-    end
   in
   List.iter (node 2) m.roots;
   List.iter

@@ -20,7 +20,7 @@ let expr_to_ast (e : Term.expr) : Ast.expr =
     | Term.Var x -> Ast.Var x
     | Term.Proj _ -> assert false
   in
-  if steps = [] then base else Ast.path base steps
+  match steps with [] -> base | _ :: _ -> Ast.path base steps
 
 (* Rewrite a source expression so that variable [v] reads from
    [replacement v] instead (used by the grouping template to reroot
@@ -81,11 +81,16 @@ type template = {
 
 let fresh_template () = { tattrs = []; ttext = None; tchildren = []; tcontent = [] }
 
+(* [List.assoc_opt] on names, without the polymorphic equality. *)
+let rec find_named name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then Some v else find_named name rest
+
 let rec template_at tpl = function
   | [] -> tpl
   | Path.Child tag :: rest ->
     let child =
-      match List.assoc_opt tag tpl.tchildren with
+      match find_named tag tpl.tchildren with
       | Some c -> c
       | None ->
         let c = fresh_template () in
@@ -149,7 +154,7 @@ let split_exists (m : Tgd.t) =
     | [] -> (List.rev completions, None)
     | ({ Tgd.mode = Tgd.Completion; _ } as g) :: rest -> go (g :: completions) rest
     | ({ Tgd.mode = Tgd.Driven | Tgd.Grouped _; _ } as g) :: rest ->
-      if rest <> [] then
+      if not (List.is_empty rest) then
         unsupported "a principal target generator is not last in its mapping";
       (List.rev completions, Some g)
   in
@@ -180,7 +185,7 @@ let distribute_assertions ?replace (m : Tgd.t) (templates : (string * template) 
       let tpl =
         match Term.head target_expr with
         | Term.Var x ->
-          (match List.assoc_opt x templates with
+          (match find_named x templates with
            | Some tpl -> tpl
            | None -> unsupported "assertion rooted at foreign target variable %s" x)
         | Term.Root _ ->
@@ -248,7 +253,7 @@ let rec translate_mapping st (m : Tgd.t) : (Path.step list * Ast.expr) list =
     let attrs, content = template_to_content tpl in
     let return = Ast.elem ~attrs (last_child_tag g) content in
     let expr =
-      if clauses = [] && m.cond = [] then return
+      if List.is_empty clauses && List.is_empty m.cond then return
       else Ast.flwor ?where:(where_of m.cond) clauses return
     in
     [ (comp_steps @ principal_prefix g, expr) ]
@@ -256,12 +261,12 @@ let rec translate_mapping st (m : Tgd.t) : (Path.step list * Ast.expr) list =
     (* No element of its own: bubble the children's placements upward,
        wrapping each in this mapping's iteration (the constant tags
        stay outside the FLWOR — they are shared singletons). *)
-    if m.assertions <> [] then
+    if not (List.is_empty m.assertions) then
       unsupported
         "assertions in a mapping without a principal target generator are only \
          supported at the top level";
     let child_placements = List.concat_map (translate_mapping st) m.children in
-    if clauses = [] && m.cond = [] then
+    if List.is_empty clauses && List.is_empty m.cond then
       List.map (fun (steps, expr) -> (comp_steps @ steps, expr)) child_placements
     else
       List.map
@@ -391,7 +396,7 @@ let translate ~target_root (m : Tgd.t) =
   (* The synthetic top mapping may carry whole-document assertions
      (driverless aggregates) rooted at the target root. *)
   let placements =
-    if m.foralls = [] && m.exists = [] then begin
+    if List.is_empty m.foralls && List.is_empty m.exists then begin
       distribute_assertions m [] ~root_template:(Some root_tpl);
       List.concat_map (translate_mapping st) m.children
     end
@@ -400,7 +405,7 @@ let translate ~target_root (m : Tgd.t) =
   in
   splice root_tpl placements;
   let attrs, content = template_to_content root_tpl in
-  if attrs <> [] then unsupported "attributes on the target root are not expressible";
+  if not (List.is_empty attrs) then unsupported "attributes on the target root are not expressible";
   Ast.elem target_root content
 
 let translate_result ~target_root m =

@@ -11,32 +11,6 @@ let issue_to_string i =
     (match i.severity with Error -> "error" | Warning -> "warning")
     i.code i.message
 
-(* --- CPT navigation --------------------------------------------------- *)
-
-let parent_chain (m : Mapping.t) (n : Mapping.build_node) =
-  let rec find chain (node : Mapping.build_node) =
-    if node == n then Some (List.rev chain)
-    else
-      List.fold_left
-        (fun acc c -> match acc with Some _ -> acc | None -> find (node :: chain) c)
-        None node.bn_children
-  in
-  match List.fold_left
-          (fun acc r -> match acc with Some _ -> acc | None -> find [] r)
-          None m.roots
-  with
-  | Some chain -> chain
-  | None -> []
-
-(* The nearest output-bearing ancestor of [n], if any. *)
-let nearest_output_ancestor m n =
-  let rec last_output acc = function
-    | [] -> acc
-    | (node : Mapping.build_node) :: rest ->
-      last_output (if Option.is_some node.bn_output then Some node else acc) rest
-  in
-  last_output None (parent_chain m n)
-
 (* --- Binding computation ---------------------------------------------- *)
 
 (* The deepest element path among [ctx] that prefixes [p]. [ctx] always
@@ -58,26 +32,68 @@ let implicit_chain schema ~anchor ~input =
   let reps = Schema.repeating_strictly_between schema ~above:anchor ~below:input in
   if List.exists (Path.equal input) reps then reps else reps @ [ input ]
 
-let binding_paths (m : Mapping.t) (n : Mapping.build_node) =
-  let schema = m.source in
-  let root = Schema.root_path schema in
-  let add_node acc (node : Mapping.build_node) =
-    List.fold_left
-      (fun acc (i : Mapping.input) ->
-        match deepest_prefix acc i.in_source with
-        | None -> acc @ [ i.in_source ]
-        | Some anchor ->
-          let chain = implicit_chain schema ~anchor ~input:i.in_source in
-          List.fold_left
-            (fun acc p -> if List.exists (Path.equal p) acc then acc else acc @ [ p ])
-            acc chain)
-      acc node.bn_inputs
+(* The binding paths [acc] extended with those [node]'s inputs bind. *)
+let add_bindings schema acc (node : Mapping.build_node) =
+  List.fold_left
+    (fun acc (i : Mapping.input) ->
+      match deepest_prefix acc i.in_source with
+      | None -> acc @ [ i.in_source ]
+      | Some anchor ->
+        let chain = implicit_chain schema ~anchor ~input:i.in_source in
+        List.fold_left
+          (fun acc p -> if List.exists (Path.equal p) acc then acc else acc @ [ p ])
+          acc chain)
+    acc node.bn_inputs
+
+(* --- CPT navigation --------------------------------------------------- *)
+
+(* Where a build node sits in its CPT: its ancestors, outermost first,
+   and the source binding paths in scope at its parent ([outer]) and at
+   the node itself ([inner]). *)
+type scope = {
+  node : Mapping.build_node;
+  chain : Mapping.build_node list;
+  outer : Path.t list;
+  inner : Path.t list;
+}
+
+(* The scope of every node of [m], in preorder, each binding list
+   extending its parent's. A node reachable twice keeps the scope of
+   its first occurrence, the one a search from the roots finds. *)
+let scopes (m : Mapping.t) =
+  let rec go rev_chain outer acc (node : Mapping.build_node) =
+    let inner = add_bindings m.source outer node in
+    let acc =
+      if List.exists (fun s -> s.node == node) acc then acc
+      else { node; chain = List.rev rev_chain; outer; inner } :: acc
+    in
+    List.fold_left (go (node :: rev_chain) inner) acc node.bn_children
   in
-  List.fold_left add_node [ root ] (parent_chain m n @ [ n ])
+  List.rev (List.fold_left (go [] [ Schema.root_path m.source ]) [] m.roots)
+
+let scope_in scopes n = List.find_opt (fun s -> s.node == n) scopes
+
+let parent_chain m n =
+  match scope_in (scopes m) n with Some s -> s.chain | None -> []
+
+let binding_paths (m : Mapping.t) (n : Mapping.build_node) =
+  match scope_in (scopes m) n with
+  | Some s -> s.inner
+  | None -> add_bindings m.source [ Schema.root_path m.source ] n
+
+(* The nearest output-bearing node of [chain], if any. *)
+let nearest_output chain =
+  List.fold_left
+    (fun acc (node : Mapping.build_node) ->
+      if Option.is_some node.bn_output then Some node else acc)
+    None chain
 
 let is_anchor schema ~binding ~leaf =
   Path.is_prefix binding (Path.element_of leaf)
-  && Schema.repeating_strictly_between schema ~above:binding ~below:leaf = []
+  &&
+  match Schema.repeating_strictly_between schema ~above:binding ~below:leaf with
+  | [] -> true
+  | _ :: _ -> false
 
 let anchor_for schema ~bindings ~leaf =
   List.fold_left
@@ -91,20 +107,23 @@ let anchor_for schema ~bindings ~leaf =
 
 (* --- Driver computation ----------------------------------------------- *)
 
-let driver_of (m : Mapping.t) (vm : Mapping.value_mapping) =
-  let target_elem = Path.element_of vm.vm_target in
-  let prefixes = List.rev (Path.element_prefixes target_elem) in
-  (* deepest first *)
-  let nodes = Mapping.all_nodes m in
-  List.find_map
-    (fun prefix ->
-      List.find_opt
-        (fun (n : Mapping.build_node) ->
-          match n.bn_output with
-          | Some out -> Path.equal out prefix
-          | None -> false)
-        nodes)
-    prefixes
+(* The driver among [nodes]: the node whose output is the deepest
+   element prefix of the target leaf, the first such node on a tie. *)
+let driver_among nodes (vm : Mapping.value_mapping) =
+  let target_elem = Path.element_of (Path.element_of vm.vm_target) in
+  let depth (n : Mapping.build_node) =
+    match n.bn_output with Some out -> List.length out.steps | None -> -1
+  in
+  List.fold_left
+    (fun best (n : Mapping.build_node) ->
+      match n.bn_output, best with
+      | Some out, _ when not (Path.is_prefix out target_elem) -> best
+      | None, _ -> best
+      | Some _, Some b when depth b >= depth n -> best
+      | Some _, (Some _ | None) -> Some n)
+    None nodes
+
+let driver_of (m : Mapping.t) vm = driver_among (Mapping.all_nodes m) vm
 
 (* --- The checks -------------------------------------------------------- *)
 
@@ -114,19 +133,22 @@ let check (m : Mapping.t) =
     Printf.ksprintf (fun message -> issues := { severity; code; message } :: !issues) fmt
   in
   let nodes = Mapping.all_nodes m in
+  let scopes = scopes m in
+  let chain_of n = match scope_in scopes n with Some s -> s.chain | None -> [] in
 
   (* Unique node labels. *)
-  let ids = List.map (fun (n : Mapping.build_node) -> n.bn_id) nodes in
-  List.iteri
-    (fun i id ->
-      if List.exists (String.equal id) (List.filteri (fun j _ -> j < i) ids) then
-        add Error "duplicate-node" "two build nodes share the label %S" id)
-    ids;
+  ignore
+    (List.fold_left
+       (fun seen (n : Mapping.build_node) ->
+         if List.exists (String.equal n.bn_id) seen then
+           add Error "duplicate-node" "two build nodes share the label %S" n.bn_id;
+         n.bn_id :: seen)
+       [] nodes);
 
   (* Per-node structural checks. *)
   List.iter
     (fun (n : Mapping.build_node) ->
-      if n.bn_inputs = [] then
+      if List.is_empty n.bn_inputs then
         add Error "no-input" "build node %s has no incoming builder" n.bn_id;
       List.iter
         (fun (i : Mapping.input) ->
@@ -148,7 +170,7 @@ let check (m : Mapping.t) =
       (* Variables usable in this node's label: its own inputs plus
          ancestors' inputs. *)
       let in_scope =
-        List.concat_map Mapping.node_variables (parent_chain m n)
+        List.concat_map Mapping.node_variables (chain_of n)
         @ Mapping.node_variables n
       in
       let check_var where v =
@@ -178,20 +200,18 @@ let check (m : Mapping.t) =
          | None -> () (* already reported *)
          | Some telem ->
            let ctx =
-             match parent_chain m n with
-             | [] -> [ Schema.root_path m.source ]
-             | chain ->
-               (match List.rev chain with
-                | parent :: _ -> binding_paths m parent
-                | [] -> [ Schema.root_path m.source ])
+             match scope_in scopes n with
+             | Some s -> s.outer
+             | None -> [ Schema.root_path m.source ]
            in
            let input_multiple (i : Mapping.input) =
              match deepest_prefix ctx i.in_source with
              | None -> true
              | Some anchor ->
-               Schema.repeating_strictly_between m.source ~above:anchor
-                 ~below:i.in_source
-               <> []
+               not
+                 (List.is_empty
+                    (Schema.repeating_strictly_between m.source ~above:anchor
+                       ~below:i.in_source))
            in
            let many =
              List.length n.bn_inputs > 1 || List.exists input_multiple n.bn_inputs
@@ -206,7 +226,7 @@ let check (m : Mapping.t) =
   (* CPT alignment with the target schema. *)
   List.iter
     (fun (n : Mapping.build_node) ->
-      match n.bn_output, nearest_output_ancestor m n with
+      match n.bn_output, nearest_output (chain_of n) with
       | Some out, Some anc ->
         let anc_out = Option.get anc.bn_output in
         if not (Path.is_prefix anc_out out && not (Path.equal anc_out out)) then
@@ -241,14 +261,13 @@ let check (m : Mapping.t) =
   (* Value mappings. *)
   List.iter
     (fun (vm : Mapping.value_mapping) ->
-      let vm_name =
-        Printf.sprintf "value mapping to %s" (Path.to_string vm.vm_target)
-      in
+      (* Named only when an issue is reported. *)
+      let vm_name () = "value mapping to " ^ Path.to_string vm.vm_target in
       (match Schema.find m.target vm.vm_target with
        | Some (Schema.Attr_ref _ | Schema.Value_ref _) -> ()
        | Some (Schema.Element_ref _) | None ->
          add Error "bad-vm-target" "%s: the target is not a leaf of the target schema"
-           vm_name);
+           (vm_name ()));
       let source_ok (p : Path.t) =
         match Schema.find m.source p, vm.vm_fn with
         | Some (Schema.Attr_ref _ | Schema.Value_ref _), _ -> true
@@ -259,17 +278,18 @@ let check (m : Mapping.t) =
         (fun p ->
           if not (source_ok p) then
             add Error "bad-vm-source" "%s: source %s does not resolve to a leaf"
-              vm_name (Path.to_string p))
+              (vm_name ()) (Path.to_string p))
         vm.vm_sources;
       (match vm.vm_fn with
        | Mapping.Identity when List.length vm.vm_sources <> 1 ->
          add Error "bad-vm-arity" "%s: an identity value mapping needs exactly one source"
-           vm_name
-       | Mapping.Constant _ when vm.vm_sources <> [] ->
-         add Error "bad-vm-arity" "%s: a constant value mapping takes no sources" vm_name
+           (vm_name ())
+       | Mapping.Constant _ when not (List.is_empty vm.vm_sources) ->
+         add Error "bad-vm-arity" "%s: a constant value mapping takes no sources"
+           (vm_name ())
        | Mapping.Aggregate _ when List.length vm.vm_sources <> 1 ->
          add Error "bad-vm-arity" "%s: an aggregate value mapping needs exactly one source"
-           vm_name
+           (vm_name ())
        | Mapping.Identity | Mapping.Constant _ | Mapping.Scalar _ | Mapping.Aggregate _
          -> ());
       (* Type compatibility for identity copies. *)
@@ -279,7 +299,7 @@ let check (m : Mapping.t) =
           | Some st, Some tt
             when not (Clip_schema.Atomic_type.accepts tt (Clip_schema.Atomic_type.default_atom st)) ->
             add Warning "vm-type"
-              "%s: copying a %s value into a %s leaf may not validate" vm_name
+              "%s: copying a %s value into a %s leaf may not validate" (vm_name ())
               (Clip_schema.Atomic_type.to_string st) (Clip_schema.Atomic_type.to_string tt)
           | _ -> ())
        | _ -> ());
@@ -287,18 +307,20 @@ let check (m : Mapping.t) =
       match vm.vm_fn with
       | Mapping.Aggregate _ -> ()
       | Mapping.Identity | Mapping.Constant _ | Mapping.Scalar _ ->
-        (match driver_of m vm with
+        (match driver_among nodes vm with
          | None ->
-           if m.roots <> [] then
+           if not (List.is_empty m.roots) then
              add Error "no-driver"
                "%s: no builder output lies on the path from the target leaf to the root"
-               vm_name
+               (vm_name ())
            else
              add Warning "no-driver"
                "%s: the mapping has no builders; use the generator to infer them"
-               vm_name
+               (vm_name ())
          | Some driver ->
-           let bindings = binding_paths m driver in
+           let bindings =
+             match scope_in scopes driver with Some s -> s.inner | None -> []
+           in
            List.iter
              (fun sv ->
                if Schema.mem m.source sv then
@@ -307,7 +329,7 @@ let check (m : Mapping.t) =
                  | None ->
                    add Error "unanchored-source"
                      "%s: source %s sits inside a repeating element not bounded by a builder"
-                     vm_name (Path.to_string sv))
+                     (vm_name ()) (Path.to_string sv))
              vm.vm_sources))
     m.values;
 

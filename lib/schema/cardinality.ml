@@ -37,5 +37,11 @@ let to_string c =
   let max = match c.max with Unbounded -> "*" | Bounded m -> string_of_int m in
   Printf.sprintf "[%d..%s]" c.min max
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  Int.equal a.min b.min
+  &&
+  match a.max, b.max with
+  | Unbounded, Unbounded -> true
+  | Bounded x, Bounded y -> Int.equal x y
+  | (Unbounded | Bounded _), _ -> false
 let pp fmt c = Format.pp_print_string fmt (to_string c)

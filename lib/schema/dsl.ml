@@ -16,7 +16,9 @@ let peek st =
 
 let next st =
   let t = peek st in
-  (match st.toks with _ :: rest when t.token <> Lexer.Eof -> st.toks <- rest | _ -> ());
+  (match t.token, st.toks with
+   | Lexer.Eof, _ | _, [] -> ()
+   | _, _ :: rest -> st.toks <- rest);
   t
 
 let span_of_token (t : Lexer.spanned) =
@@ -283,7 +285,7 @@ let to_string (s : Schema.t) =
   let rec element ind (e : Schema.element) =
     let pad = String.make ind ' ' in
     let card =
-      if e.card = Cardinality.required then ""
+      if Cardinality.equal e.card Cardinality.required then ""
       else " " ^ Cardinality.to_string e.card
     in
     let value =
@@ -291,8 +293,9 @@ let to_string (s : Schema.t) =
       | Some ty -> ": " ^ Atomic_type.to_string ty
       | None -> ""
     in
-    if e.attrs = [] && e.children = [] then add "%s%s%s%s\n" pad e.name card value
-    else begin
+    match e.attrs, e.children with
+    | [], [] -> add "%s%s%s%s\n" pad e.name card value
+    | _ ->
       add "%s%s%s%s {\n" pad e.name card value;
       List.iter
         (fun (a : Schema.attribute) ->
@@ -302,7 +305,6 @@ let to_string (s : Schema.t) =
         e.attrs;
       List.iter (element (ind + 2)) e.children;
       add "%s}\n" pad
-    end
   in
   add "schema %s {\n" s.root.name;
   List.iter

@@ -18,15 +18,62 @@ let token_to_string = function
   | Sym s -> s
   | Eof -> "<eof>"
 
-(* Multi-character symbols, longest first. *)
-let symbols2 = [ "->"; ".."; "<="; ">="; "<>"; "!="; "==" ]
+(* Character classes, one byte per character code, so each step of the
+   lexer dispatches on one table load. *)
+let c_other = '\000'
+let c_ident = 'i' (* [A-Za-z_]: starts an identifier *)
+let c_digit = 'd'
+let c_blank = 'b' (* space, tab, carriage return *)
+let c_symbol = 's' (* a one-character symbol *)
+
 let symbols1 = "{}[]()<>=*?+@.:,;$|/-"
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let classes =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> c_ident
+      | '0' .. '9' -> c_digit
+      | ' ' | '\t' | '\r' -> c_blank
+      | c when String.contains symbols1 c -> c_symbol
+      | _ -> c_other)
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
-let is_digit c = c >= '0' && c <= '9'
+let class_of c = String.unsafe_get classes (Char.code c)
+let is_ident_char c =
+  let k = class_of c in
+  k == c_ident || k == c_digit
+
+(* One shared token per symbol: the lexer allocates no symbol string.
+   [Eof] marks the characters that are not one-character symbols. *)
+let sym1 =
+  Array.init 256 (fun i ->
+      let c = Char.chr i in
+      if String.contains symbols1 c then Sym (String.make 1 c) else Eof)
+
+(* The two-character symbols ([->], [..], [<=], [>=], [<>], [!=],
+   [==]), which take precedence over their first character; [Eof] when
+   [c d] is none of them. *)
+let sym_arrow = Sym "->"
+let sym_range = Sym ".."
+let sym_le = Sym "<="
+let sym_ge = Sym ">="
+let sym_ne = Sym "<>"
+let sym_bang_eq = Sym "!="
+let sym_eq_eq = Sym "=="
+
+let sym2 c d =
+  match c, d with
+  | '-', '>' -> sym_arrow
+  | '.', '.' -> sym_range
+  | '<', '=' -> sym_le
+  | '>', '=' -> sym_ge
+  | '<', '>' -> sym_ne
+  | '!', '=' -> sym_bang_eq
+  | '=', '=' -> sym_eq_eq
+  | _ -> Eof
+
+(* A run of at most 18 decimal digits is below [max_int] (about
+   4.6e18), so it is read without an overflow check. *)
+let max_safe_digits = 18
 
 let tokenize_result src =
   let n = String.length src in
@@ -42,20 +89,13 @@ let tokenize_result src =
   let emit pos token =
     tokens := { token; line = !line; column = pos - !bol + 1 } :: !tokens
   in
+  let is_digit_at j = j < n && class_of src.[j] == c_digit in
   let i = ref 0 in
   while !i < n do
     let c = src.[!i] in
-    if c = '\n' then begin
-      incr line;
-      incr i;
-      bol := !i
-    end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '#' then
-      while !i < n && src.[!i] <> '\n' do
-        incr i
-      done
-    else if is_ident_start c then begin
+    let k = class_of c in
+    if k == c_blank then incr i
+    else if k == c_ident then begin
       let start = !i in
       let continue = ref true in
       while !continue && !i < n do
@@ -66,26 +106,55 @@ let tokenize_result src =
       done;
       emit start (Ident (String.sub src start (!i - start)))
     end
-    else if is_digit c then begin
+    else if k == c_symbol || c = '!' then begin
+      let two = if !i + 1 < n then sym2 c src.[!i + 1] else Eof in
+      match two with
+      | Eof ->
+        (match sym1.(Char.code c) with
+         | Eof -> error !i (Printf.sprintf "unexpected character %C" c)
+         | tok ->
+           emit !i tok;
+           incr i)
+      | tok ->
+        emit !i tok;
+        i := !i + 2
+    end
+    else if k == c_digit then begin
       let start = !i in
-      while !i < n && is_digit src.[!i] do
+      while is_digit_at !i do
         incr i
       done;
       (* A fractional part — but not the ".." range symbol. *)
-      if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
+      if !i < n && src.[!i] = '.' && is_digit_at (!i + 1) then begin
         incr i;
-        while !i < n && is_digit src.[!i] do
+        while is_digit_at !i do
           incr i
         done;
         match float_of_string_opt (String.sub src start (!i - start)) with
         | Some f -> emit start (Float_lit f)
         | None -> error start "malformed number literal"
       end
+      else if !i - start <= max_safe_digits then begin
+        let v = ref 0 in
+        for j = start to !i - 1 do
+          v := (!v * 10) + (Char.code src.[j] - Char.code '0')
+        done;
+        emit start (Int_lit !v)
+      end
       else
         match int_of_string_opt (String.sub src start (!i - start)) with
         | Some v -> emit start (Int_lit v)
         | None -> error start "integer literal out of range"
     end
+    else if c = '\n' then begin
+      incr line;
+      incr i;
+      bol := !i
+    end
+    else if c = '#' then
+      while !i < n && src.[!i] <> '\n' do
+        incr i
+      done
     else if c = '"' then begin
       let start = !i in
       incr i;
@@ -98,11 +167,29 @@ let tokenize_result src =
           incr i
         end
         else if c = '\\' && !i + 1 < n then begin
-          (match src.[!i + 1] with
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | c -> Buffer.add_char buf c);
-          i := !i + 2
+          (* Exactly the escapes [String.escaped] writes, so a string
+             printed with [%S] reads back unchanged. *)
+          let width =
+            match src.[!i + 1] with
+            | 'n' -> Buffer.add_char buf '\n'; 2
+            | 't' -> Buffer.add_char buf '\t'; 2
+            | 'r' -> Buffer.add_char buf '\r'; 2
+            | 'b' -> Buffer.add_char buf '\b'; 2
+            | ('\\' | '"') as e -> Buffer.add_char buf e; 2
+            | '0' .. '9' when is_digit_at (!i + 2) && is_digit_at (!i + 3) ->
+              let digit j = Char.code src.[!i + j] - Char.code '0' in
+              let code = (100 * digit 1) + (10 * digit 2) + digit 3 in
+              if code > 255 then
+                error !i
+                  (Printf.sprintf "invalid escape in string literal: \\%d is above 255"
+                     code);
+              Buffer.add_char buf (Char.chr code);
+              4
+            | e ->
+              error !i
+                (Printf.sprintf "invalid escape in string literal: \\ followed by %C" e)
+          in
+          i := !i + width
         end
         else begin
           Buffer.add_char buf c;
@@ -112,18 +199,7 @@ let tokenize_result src =
       if not !closed then error start "unterminated string literal";
       emit start (String_lit (Buffer.contents buf))
     end
-    else begin
-      let two = if !i + 2 <= n then String.sub src !i 2 else "" in
-      if List.mem two symbols2 then begin
-        emit !i (Sym two);
-        i := !i + 2
-      end
-      else if String.contains symbols1 c then begin
-        emit !i (Sym (String.make 1 c));
-        incr i
-      end
-      else error !i (Printf.sprintf "unexpected character %C" c)
-    end
+    else error !i (Printf.sprintf "unexpected character %C" c)
   done;
   emit n Eof;
   List.rev !tokens

@@ -6,7 +6,10 @@
     ([project-emp], [avg-sal]) — a dash is part of an identifier only
     when followed by an identifier character, so [->] still lexes as an
     arrow; numbers lex as int or float literals; strings are
-    double-quoted with [\\] escapes. *)
+    double-quoted, with exactly the escapes [String.escaped] writes: a
+    backslash followed by a backslash, a double quote, [n], [t], [r],
+    [b], or three decimal digits naming a byte up to 255. Any other
+    escape is a [CLIP-SCH-001] error at its backslash. *)
 
 type token =
   | Ident of string

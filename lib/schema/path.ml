@@ -8,55 +8,85 @@ type t = { root : string; steps : step list }
 let make root steps = { root; steps }
 let root name = { root = name; steps = [] }
 
-let ends_on_leaf p =
-  match List.rev p.steps with
-  | (Attr _ | Value) :: _ -> true
-  | Child _ :: _ | [] -> false
+(* Step equality and order, spelled out so that no step comparison
+   goes through the polymorphic primitives. [compare_step] keeps
+   [Stdlib.compare]'s order: the constant [Value] first, then [Child]
+   before [Attr] (constructor order), then the names. *)
+let equal_step a b =
+  match a, b with
+  | Child x, Child y | Attr x, Attr y -> String.equal x y
+  | Value, Value -> true
+  | (Child _ | Attr _ | Value), _ -> false
+
+let compare_step a b =
+  match a, b with
+  | Value, Value -> 0
+  | Value, (Child _ | Attr _) -> -1
+  | (Child _ | Attr _), Value -> 1
+  | Child x, Child y | Attr x, Attr y -> String.compare x y
+  | Child _, Attr _ -> -1
+  | Attr _, Child _ -> 1
+
+let rec ends_on_leaf_steps = function
+  | [] | [ Child _ ] -> false
+  | [ (Attr _ | Value) ] -> true
+  | _ :: rest -> ends_on_leaf_steps rest
+
+let ends_on_leaf p = ends_on_leaf_steps p.steps
+
+let past_leaf () =
+  invalid_arg "Path: cannot extend a path past an attribute or value step"
 
 let extend p step =
-  if ends_on_leaf p then
-    invalid_arg "Path: cannot extend a path past an attribute or value step";
-  { p with steps = p.steps @ [ step ] }
+  let rec go = function
+    | [] -> [ step ]
+    | [ (Attr _ | Value) ] -> past_leaf ()
+    | s :: rest -> s :: go rest
+  in
+  { p with steps = go p.steps }
 
 let child p name = extend p (Child name)
 let attr p name = extend p (Attr name)
 let value p = extend p Value
 
+let rec drop_last = function [] | [ _ ] -> [] | s :: rest -> s :: drop_last rest
+
 let parent p =
-  match p.steps with
-  | [] -> None
-  | _ ->
-    let steps = List.filteri (fun i _ -> i < List.length p.steps - 1) p.steps in
-    Some { p with steps }
+  match p.steps with [] -> None | steps -> Some { p with steps = drop_last steps }
 
 let is_leaf = ends_on_leaf
 
-let last_step p =
-  match List.rev p.steps with [] -> None | s :: _ -> Some s
+let rec last = function [] -> None | [ s ] -> Some s | _ :: rest -> last rest
+let last_step p = last p.steps
+
+(* The steps without a final leaf step; physically [steps] itself when
+   they end on an element, so [element_of] allocates only for leaves. *)
+let rec element_steps steps =
+  match steps with
+  | [] | [ Child _ ] -> steps
+  | [ (Attr _ | Value) ] -> []
+  | s :: rest ->
+    let rest' = element_steps rest in
+    if rest' == rest then steps else s :: rest'
 
 let element_of p =
-  if ends_on_leaf p then
-    match parent p with
-    | Some q -> q
-    | None -> assert false (* a leaf step implies a non-empty step list *)
-  else p
+  let steps = element_steps p.steps in
+  if steps == p.steps then p else { p with steps }
 
 let element_prefixes p =
-  let e = element_of p in
-  let rec go acc steps =
-    match steps with
-    | [] -> List.rev acc
+  let rec go rev_prefix acc = function
+    | [] | [ (Attr _ | Value) ] -> List.rev acc
     | s :: rest ->
-      let prev = match acc with q :: _ -> q | [] -> assert false in
-      go ({ prev with steps = prev.steps @ [ s ] } :: acc) rest
+      let rev_prefix = s :: rev_prefix in
+      go rev_prefix ({ p with steps = List.rev rev_prefix } :: acc) rest
   in
-  go [ { e with steps = [] } ] e.steps
+  go [] [ { p with steps = [] } ] p.steps
 
 let rec steps_prefix a b =
   match a, b with
   | [], _ -> true
   | _, [] -> false
-  | x :: a, y :: b -> x = y && steps_prefix a b
+  | x :: a, y :: b -> equal_step x y && steps_prefix a b
 
 let is_prefix a b = String.equal a.root b.root && steps_prefix a.steps b.steps
 
@@ -66,12 +96,22 @@ let strip_prefix ~prefix p =
     let rec go pre steps =
       match pre, steps with
       | [], rest -> Some rest
-      | x :: pre, y :: steps when x = y -> go pre steps
+      | x :: pre, y :: steps when equal_step x y -> go pre steps
       | _ :: _, _ -> None
     in
     go prefix.steps p.steps
 
-let append p steps = List.fold_left extend p steps
+let rec leaf_before_last = function
+  | [] | [ _ ] -> false
+  | (Attr _ | Value) :: _ :: _ -> true
+  | Child _ :: rest -> leaf_before_last rest
+
+let append p steps =
+  match steps with
+  | [] -> p
+  | _ :: _ ->
+    if ends_on_leaf p || leaf_before_last steps then past_leaf ();
+    { p with steps = p.steps @ steps }
 
 let step_to_string = function
   | Child n -> n
@@ -109,10 +149,25 @@ let of_string s =
       with Bad m -> Error m
     end
 
-let equal a b = String.equal a.root b.root && a.steps = b.steps
+let rec equal_steps a b =
+  match a, b with
+  | [], [] -> true
+  | x :: a, y :: b -> equal_step x y && equal_steps a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+let equal a b = String.equal a.root b.root && equal_steps a.steps b.steps
+
+let rec compare_steps a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b ->
+    let r = compare_step x y in
+    if r <> 0 then r else compare_steps a b
 
 let compare a b =
   let r = String.compare a.root b.root in
-  if r <> 0 then r else Stdlib.compare a.steps b.steps
+  if r <> 0 then r else compare_steps a.steps b.steps
 
 let pp fmt p = Format.pp_print_string fmt (to_string p)

@@ -47,17 +47,25 @@ type node_ref =
   | Attr_ref of element * attribute
   | Value_ref of element * Atomic_type.t
 
+let rec child_named n = function
+  | [] -> None
+  | c :: rest -> if String.equal c.name n then Some c else child_named n rest
+
+let rec attr_named n = function
+  | [] -> None
+  | a :: rest -> if String.equal a.attr_name n then Some a else attr_named n rest
+
 let find t (p : Path.t) =
   if not (String.equal p.root t.root.name) then None
   else
     let rec go e = function
       | [] -> Some (Element_ref e)
       | Path.Child n :: rest ->
-        (match List.find_opt (fun c -> String.equal c.name n) e.children with
+        (match child_named n e.children with
          | Some c -> go c rest
          | None -> None)
       | [ Path.Attr n ] ->
-        (match List.find_opt (fun a -> String.equal a.attr_name n) e.attrs with
+        (match attr_named n e.attrs with
          | Some a -> Some (Attr_ref (e, a))
          | None -> None)
       | [ Path.Value ] ->
@@ -83,20 +91,18 @@ let leaf_type t p =
 
 let root_path t = Path.root t.root.name
 
-(* Structural equality. Schemas are pure data (no functions, no
-   cycles), so the polymorphic comparison is exact; spelled out per
-   constituent so a future non-structural field turns this into a
-   compile error rather than a silent wrong answer. *)
+(* Structural equality, spelled out per constituent so a future field
+   turns this into a compile error rather than a silent wrong answer. *)
 let equal_attribute (a : attribute) (b : attribute) =
   String.equal a.attr_name b.attr_name
-  && a.attr_type = b.attr_type
+  && Atomic_type.equal a.attr_type b.attr_type
   && Bool.equal a.attr_required b.attr_required
 
 let rec equal_element (a : element) (b : element) =
   String.equal a.name b.name
-  && a.card = b.card
+  && Cardinality.equal a.card b.card
   && List.equal equal_attribute a.attrs b.attrs
-  && a.value = b.value
+  && Option.equal Atomic_type.equal a.value b.value
   && List.equal equal_element a.children b.children
 
 let equal_reference (a : reference) (b : reference) =
@@ -146,23 +152,50 @@ let leaf_paths t =
   in
   List.rev (go [] (root_path t) t.root)
 
-let is_repeating t p =
-  match find_element t p with
-  | Some e -> p.Path.steps <> [] && Cardinality.is_repeating e.card
-  | None -> false
+(* The queries below walk the schema once along the path, element step
+   by element step; a step that does not resolve, or an attribute or
+   value step, ends the walk. *)
+
+let is_repeating t (p : Path.t) =
+  let rec go e = function
+    | [] -> Cardinality.is_repeating e.card
+    | Path.Child n :: rest ->
+      (match child_named n e.children with Some c -> go c rest | None -> false)
+    | (Path.Attr _ | Path.Value) :: _ -> false
+  in
+  match p.steps with
+  | [] -> false (* the root is never repeating *)
+  | steps -> String.equal p.root t.root.name && go t.root steps
 
 let repeating_paths t =
   List.filter (is_repeating t) (element_paths t)
 
-let repeating_ancestors t p =
-  List.filter (is_repeating t) (Path.element_prefixes p)
+(* The repeating element prefixes of [p], root first, skipping those
+   that are also prefixes of the step list [shared]. *)
+let repeating_prefixes t (p : Path.t) ~shared =
+  let rec go e rev_steps shared = function
+    | Path.Child n :: rest ->
+      (match child_named n e.children with
+       | None -> []
+       | Some c ->
+         let rev_steps = Path.Child n :: rev_steps in
+         let on_shared, shared =
+           match shared with
+           | Path.Child m :: shared when String.equal m n -> (true, shared)
+           | _ -> (false, [])
+         in
+         let below = go c rev_steps shared rest in
+         if on_shared || not (Cardinality.is_repeating c.card) then below
+         else { p with steps = List.rev rev_steps } :: below)
+    | [] | (Path.Attr _ | Path.Value) :: _ -> []
+  in
+  if String.equal p.root t.root.name then go t.root [] shared p.steps else []
 
-let repeating_strictly_between t ~above ~below =
-  let above_chain = Path.element_prefixes above in
-  let on_above q = List.exists (Path.equal q) above_chain in
-  List.filter
-    (fun q -> not (on_above q))
-    (repeating_ancestors t below)
+let repeating_ancestors t p = repeating_prefixes t p ~shared:[]
+
+let repeating_strictly_between t ~(above : Path.t) ~(below : Path.t) =
+  let shared = if String.equal above.root below.root then above.steps else [] in
+  repeating_prefixes t below ~shared
 
 let reference_between t a b =
   let under ctx leaf = Path.is_prefix ctx (Path.element_of leaf) in
@@ -179,7 +212,7 @@ let to_tree_string t =
   let rec go indent e =
     let pad = String.make indent ' ' in
     let card =
-      if e.card = Cardinality.required && indent = 0 then ""
+      if Cardinality.equal e.card Cardinality.required && indent = 0 then ""
       else " " ^ Cardinality.to_string e.card
     in
     Buffer.add_string buf (Printf.sprintf "%s%s%s\n" pad e.name card);

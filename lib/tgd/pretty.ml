@@ -16,84 +16,115 @@ let unicode_syms =
 let ascii_syms =
   { forall = "forall"; exists = "exists"; arrow = "->"; member = "in"; bottom = "_|_" }
 
-let comparison_to_string (c : Tgd.comparison) =
-  Printf.sprintf "%s %s %s"
-    (Term.scalar_to_string c.left)
-    (Tgd.cmp_op_to_string c.op)
-    (Term.scalar_to_string c.right)
-
 let render sy (m : Tgd.t) =
   let buf = Buffer.create 256 in
+  let str = Buffer.add_string buf in
+  let pad ind =
+    for _ = 1 to ind do
+      Buffer.add_char buf ' '
+    done
+  in
+  let sep_list sep f xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then str sep;
+        f x)
+      xs
+  in
+  let generator var expr =
+    str var;
+    Buffer.add_char buf ' ';
+    str sy.member;
+    Buffer.add_char buf ' ';
+    str (Term.expr_to_string expr)
+  in
+  let comparison (c : Tgd.comparison) =
+    str (Term.scalar_to_string c.left);
+    Buffer.add_char buf ' ';
+    str (Tgd.cmp_op_to_string c.op);
+    Buffer.add_char buf ' ';
+    str (Term.scalar_to_string c.right)
+  in
+  (* Body lines: group-by Skolems, then assertions. *)
+  let skolem (g : Tgd.target_gen) keys () =
+    str g.tvar;
+    str " = group-by(";
+    str sy.bottom;
+    str ", [";
+    sep_list ", " (fun k -> str (Term.scalar_to_string k)) keys;
+    str "])"
+  in
+  let assertion (a : Tgd.assertion) () =
+    match a with
+    | Tgd.St_eq (e, s) ->
+      str (Term.expr_to_string e);
+      str " = ";
+      str (Term.scalar_to_string s)
+    | Tgd.Target_cond (e, op, atom) ->
+      str (Term.expr_to_string e);
+      Buffer.add_char buf ' ';
+      str (Tgd.cmp_op_to_string op);
+      Buffer.add_char buf ' ';
+      str (Clip_xml.Atom.to_string atom)
+    | Tgd.Agg (e, kind, arg) ->
+      str (Term.expr_to_string e);
+      str " = ";
+      str (Tgd.agg_kind_to_string kind);
+      Buffer.add_char buf '(';
+      str (Term.expr_to_string arg);
+      Buffer.add_char buf ')'
+  in
   let rec go ind (m : Tgd.t) =
-    let pad = String.make ind ' ' in
-    let foralls =
-      String.concat ", "
-        (List.map
-           (fun (g : Tgd.source_gen) ->
-             Printf.sprintf "%s %s %s" g.svar sy.member (Term.expr_to_string g.sexpr))
-           m.foralls)
+    pad ind;
+    (match m.foralls with
+     | [] -> str sy.arrow
+     | foralls ->
+       str sy.forall;
+       Buffer.add_char buf ' ';
+       sep_list ", " (fun (g : Tgd.source_gen) -> generator g.svar g.sexpr) foralls;
+       (match m.cond with
+        | [] -> ()
+        | cs ->
+          str " | ";
+          sep_list ", " comparison cs);
+       Buffer.add_char buf ' ';
+       str sy.arrow);
+    (match m.exists with
+     | [] -> ()
+     | exists ->
+       Buffer.add_char buf ' ';
+       str sy.exists;
+       Buffer.add_char buf ' ';
+       sep_list ", " (fun (g : Tgd.target_gen) -> generator g.tvar g.texpr) exists);
+    let body =
+      List.filter_map
+        (fun (g : Tgd.target_gen) ->
+          match g.mode with
+          | Tgd.Grouped { keys } -> Some (skolem g keys)
+          | Tgd.Driven | Tgd.Completion -> None)
+        m.exists
+      @ List.map assertion m.assertions
     in
-    let cond =
-      match m.cond with
-      | [] -> ""
-      | cs -> " | " ^ String.concat ", " (List.map comparison_to_string cs)
-    in
-    if m.foralls <> [] then
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s %s%s %s" pad sy.forall foralls cond sy.arrow)
-    else Buffer.add_string buf (Printf.sprintf "%s%s" pad sy.arrow);
-    let exists =
-      String.concat ", "
-        (List.map
-           (fun (g : Tgd.target_gen) ->
-             Printf.sprintf "%s %s %s" g.tvar sy.member (Term.expr_to_string g.texpr))
-           m.exists)
-    in
-    if m.exists <> [] then
-      Buffer.add_string buf (Printf.sprintf " %s %s" sy.exists exists);
-    (* Body: group-by Skolems, then assertions, then submappings. *)
-    let body = ref [] in
-    List.iter
-      (fun (g : Tgd.target_gen) ->
-        match g.mode with
-        | Tgd.Grouped { keys } ->
-          body :=
-            Printf.sprintf "%s = group-by(%s, [%s])" g.tvar sy.bottom
-              (String.concat ", " (List.map Term.scalar_to_string keys))
-            :: !body
-        | Tgd.Driven | Tgd.Completion -> ())
-      m.exists;
-    List.iter
-      (fun (a : Tgd.assertion) ->
-        let line =
-          match a with
-          | Tgd.St_eq (e, s) ->
-            Printf.sprintf "%s = %s" (Term.expr_to_string e) (Term.scalar_to_string s)
-          | Tgd.Target_cond (e, op, atom) ->
-            Printf.sprintf "%s %s %s" (Term.expr_to_string e)
-              (Tgd.cmp_op_to_string op)
-              (Clip_xml.Atom.to_string atom)
-          | Tgd.Agg (e, kind, arg) ->
-            Printf.sprintf "%s = %s(%s)" (Term.expr_to_string e)
-              (Tgd.agg_kind_to_string kind)
-              (Term.expr_to_string arg)
-        in
-        body := line :: !body)
-      m.assertions;
-    let body = List.rev !body in
-    if body <> [] || m.children <> [] then Buffer.add_string buf " |";
+    let has_children = not (List.is_empty m.children) in
+    if has_children || not (List.is_empty body) then str " |";
+    let last = List.length body - 1 in
     List.iteri
       (fun i line ->
-        let sep = if i < List.length body - 1 || m.children <> [] then "," else "" in
-        Buffer.add_string buf (Printf.sprintf "\n%s  %s%s" pad line sep))
+        Buffer.add_char buf '\n';
+        pad ind;
+        str "  ";
+        line ();
+        if i < last || has_children then Buffer.add_char buf ',')
       body;
+    let last = List.length m.children - 1 in
     List.iteri
       (fun i child ->
-        Buffer.add_string buf (Printf.sprintf "\n%s  [" pad);
         Buffer.add_char buf '\n';
+        pad ind;
+        str "  [\n";
         go (ind + 3) child;
-        Buffer.add_string buf
-          (Printf.sprintf "]%s" (if i < List.length m.children - 1 then "," else "")))
+        Buffer.add_char buf ']';
+        if i < last then Buffer.add_char buf ',')
       m.children
   in
   let fns =
@@ -101,12 +132,15 @@ let render sy (m : Tgd.t) =
       (fun f -> String.equal f "group-by" || Option.is_some (Tgd.agg_kind_of_string f))
       (Tgd.function_symbols m)
   in
-  if fns <> [] then begin
-    Buffer.add_string buf (Printf.sprintf "%s %s (\n" sy.exists (String.concat ", " fns));
-    go 0 m;
-    Buffer.add_string buf ")"
-  end
-  else go 0 m;
+  (match fns with
+   | [] -> go 0 m
+   | fns ->
+     str sy.exists;
+     Buffer.add_char buf ' ';
+     sep_list ", " str fns;
+     str " (\n";
+     go 0 m;
+     Buffer.add_char buf ')');
   Buffer.contents buf
 
 let to_string ?(unicode = true) m =

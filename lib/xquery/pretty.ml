@@ -17,78 +17,158 @@ let step_to_string = function
   | Ast.Attr_step name -> "@" ^ name
   | Ast.Text_step -> "text()"
 
-let atom_literal (a : Clip_xml.Atom.t) =
-  match a with
-  | Clip_xml.Atom.String s -> Printf.sprintf "\"%s\"" s
-  | a -> Clip_xml.Atom.to_string a
+(* Indented rendering into one buffer: every construct knows its own
+   indentation level. *)
+let pad b ind =
+  for _ = 1 to ind do
+    Buffer.add_char b ' '
+  done
 
-(* Indented rendering: every construct knows its own indentation level. *)
-let rec render ind (e : Ast.expr) : string =
-  let pad = String.make ind ' ' in
+(* [f] over [xs], with [sep] between. *)
+let sep_list b sep f xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b sep;
+      f x)
+    xs
+
+let rec add b ind (e : Ast.expr) =
   match e with
-  | Ast.Var x -> "$" ^ x
-  | Ast.Doc tag -> tag
-  | Ast.Literal a -> atom_literal a
+  | Ast.Var x ->
+    Buffer.add_char b '$';
+    Buffer.add_string b x
+  | Ast.Doc tag -> Buffer.add_string b tag
+  | Ast.Literal (Clip_xml.Atom.String s) ->
+    Buffer.add_char b '"';
+    Buffer.add_string b s;
+    Buffer.add_char b '"'
+  | Ast.Literal a -> Buffer.add_string b (Clip_xml.Atom.to_string a)
   | Ast.Path (base, steps) ->
-    render ind base ^ "/" ^ String.concat "/" (List.map step_to_string steps)
-  | Ast.Seq [] -> "()"
-  | Ast.Seq es -> "(" ^ String.concat ", " (List.map (render ind) es) ^ ")"
+    add b ind base;
+    Buffer.add_char b '/';
+    sep_list b "/" (fun s -> Buffer.add_string b (step_to_string s)) steps
+  | Ast.Seq [] -> Buffer.add_string b "()"
+  | Ast.Seq es ->
+    Buffer.add_char b '(';
+    sep_list b ", " (add b ind) es;
+    Buffer.add_char b ')'
   | Ast.Elem { tag; attrs; content } ->
-    let attrs_s =
-      String.concat ""
-        (List.map
-           (fun (name, e) ->
-             match e with
-             | Ast.Literal (Clip_xml.Atom.String s) ->
-               Printf.sprintf " %s=\"%s\"" name s
-             | e -> Printf.sprintf " %s={ %s }" name (render (ind + 2) e))
-           attrs)
-    in
-    if content = [] then Printf.sprintf "<%s%s/>" tag attrs_s
-    else
-      let body =
-        String.concat ("\n" ^ pad ^ "  ")
-          (List.map (fun e -> "{ " ^ render (ind + 2) e ^ " }") content)
-      in
-      Printf.sprintf "<%s%s>\n%s  %s\n%s</%s>" tag attrs_s pad body pad tag
+    Buffer.add_char b '<';
+    Buffer.add_string b tag;
+    List.iter
+      (fun (name, e) ->
+        Buffer.add_char b ' ';
+        Buffer.add_string b name;
+        match e with
+        | Ast.Literal (Clip_xml.Atom.String s) ->
+          Buffer.add_string b "=\"";
+          Buffer.add_string b s;
+          Buffer.add_char b '"'
+        | e ->
+          Buffer.add_string b "={ ";
+          add b (ind + 2) e;
+          Buffer.add_string b " }")
+      attrs;
+    (match content with
+     | [] -> Buffer.add_string b "/>"
+     | content ->
+       Buffer.add_string b ">\n";
+       pad b ind;
+       Buffer.add_string b "  ";
+       List.iteri
+         (fun i e ->
+           if i > 0 then begin
+             Buffer.add_char b '\n';
+             pad b ind;
+             Buffer.add_string b "  "
+           end;
+           Buffer.add_string b "{ ";
+           add b (ind + 2) e;
+           Buffer.add_string b " }")
+         content;
+       Buffer.add_char b '\n';
+       pad b ind;
+       Buffer.add_string b "</";
+       Buffer.add_string b tag;
+       Buffer.add_char b '>')
   | Ast.Flwor { clauses; where; return } ->
-    let buf = Buffer.create 128 in
+    Buffer.add_char b '\n';
     List.iter
       (fun c ->
-        match c with
-        | Ast.For (x, e) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sfor $%s in %s\n" pad x (render (ind + 2) e))
-        | Ast.Let (x, e) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%slet $%s := %s\n" pad x (render (ind + 2) e)))
+        pad b ind;
+        (match c with
+         | Ast.For (x, e) ->
+           Buffer.add_string b "for $";
+           Buffer.add_string b x;
+           Buffer.add_string b " in ";
+           add b (ind + 2) e
+         | Ast.Let (x, e) ->
+           Buffer.add_string b "let $";
+           Buffer.add_string b x;
+           Buffer.add_string b " := ";
+           add b (ind + 2) e);
+        Buffer.add_char b '\n')
       clauses;
     (match where with
      | Some w ->
-       Buffer.add_string buf (Printf.sprintf "%swhere %s\n" pad (render (ind + 2) w))
+       pad b ind;
+       Buffer.add_string b "where ";
+       add b (ind + 2) w;
+       Buffer.add_char b '\n'
      | None -> ());
-    Buffer.add_string buf
-      (Printf.sprintf "%sreturn %s" pad (render (ind + 2) return));
-    "\n" ^ Buffer.contents buf
+    pad b ind;
+    Buffer.add_string b "return ";
+    add b (ind + 2) return
   | Ast.If (c, t, e) ->
-    Printf.sprintf "if (%s) then %s else %s" (render ind c) (render ind t)
-      (render ind e)
+    Buffer.add_string b "if (";
+    add b ind c;
+    Buffer.add_string b ") then ";
+    add b ind t;
+    Buffer.add_string b " else ";
+    add b ind e
   | Ast.Cmp (op, l, r) ->
-    Printf.sprintf "%s %s %s" (render ind l) (cmp_to_string op) (render ind r)
+    add b ind l;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (cmp_to_string op);
+    Buffer.add_char b ' ';
+    add b ind r
   | Ast.And (l, r) ->
-    Printf.sprintf "%s and %s" (render_guarded ind l) (render_guarded ind r)
+    add_guarded b ind l;
+    Buffer.add_string b " and ";
+    add_guarded b ind r
   | Ast.Or (l, r) ->
-    Printf.sprintf "(%s or %s)" (render ind l) (render ind r)
+    Buffer.add_char b '(';
+    add b ind l;
+    Buffer.add_string b " or ";
+    add b ind r;
+    Buffer.add_char b ')'
   | Ast.Arith (op, l, r) ->
-    Printf.sprintf "(%s %s %s)" (render ind l) (arith_to_string op) (render ind r)
+    Buffer.add_char b '(';
+    add b ind l;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (arith_to_string op);
+    Buffer.add_char b ' ';
+    add b ind r;
+    Buffer.add_char b ')'
   | Ast.Call (name, args) ->
-    Printf.sprintf "%s(%s)" name (String.concat ", " (List.map (render ind) args))
+    Buffer.add_string b name;
+    Buffer.add_char b '(';
+    sep_list b ", " (add b ind) args;
+    Buffer.add_char b ')'
 
-and render_guarded ind e =
+and add_guarded b ind e =
   match e with
-  | Ast.Or _ | Ast.And _ -> "(" ^ render ind e ^ ")"
-  | e -> render ind e
+  | Ast.Or _ | Ast.And _ ->
+    Buffer.add_char b '(';
+    add b ind e;
+    Buffer.add_char b ')'
+  | e -> add b ind e
 
-let expr_to_string e = render 0 e
+let render e ~newline =
+  let b = Buffer.create 512 in
+  add b 0 e;
+  if newline then Buffer.add_char b '\n';
+  Buffer.contents b
 
-let query_to_string e = expr_to_string e ^ "\n"
+let expr_to_string e = render e ~newline:false
+let query_to_string e = render e ~newline:true

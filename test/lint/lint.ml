@@ -30,6 +30,18 @@
    that way. Only the sites in [number_allowlist] may call them, each
    on text it has already checked.
 
+   The compile front end ([schema/lexer.ml], [schema/path.ml],
+   [schema/schema.ml], [schema/dsl.ml], [core/dsl.ml],
+   [core/validity.ml], [core/compile.ml]) runs several times per
+   authored mapping, and polymorphic comparison was most of its cost.
+   There, [List.mem], [List.assoc], [List.assoc_opt], [List.mem_assoc]
+   and [Stdlib.compare] (all polymorphic compares) are allowed only at
+   the sites in [poly_allowlist], with per-file counts; compare with
+   [String.equal], [Path.equal] or a pattern match instead. Polymorphic
+   [=] / [<>] / [compare] cannot be caught textually (the same
+   operators compare ints everywhere, only the types tell them apart),
+   so those stay a review matter.
+
    Every [.ml] under [lib/] must have a matching [.mli]: the interface
    is where invariants live (Doc's array layout, the index's
    memoisation contract, symbol interning), and an uninterfaced
@@ -81,6 +93,22 @@ let mutable_allowlist = [ ("xml/symbol.ml", 1) ]
    its own scanner has read as an XML decimal or double form, and on
    the float printer's own output. *)
 let number_allowlist = [ ("xml/atom.ml", 3) ]
+
+(* The compile-front-end files, and the N polymorphic list lookups or
+   [Stdlib.compare] calls each may contain (none today). *)
+let poly_files =
+  [
+    "schema/lexer.ml";
+    "schema/path.ml";
+    "schema/schema.ml";
+    "schema/dsl.ml";
+    "core/dsl.ml";
+    "core/validity.ml";
+    "core/compile.ml";
+  ]
+
+let poly_allowlist : (string * int) list = []
+let poly_calls = [ "List.mem"; "List.assoc"; "List.assoc_opt"; "List.mem_assoc"; "Stdlib.compare" ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -323,6 +351,21 @@ let () =
             "lint: %s: %d use(s) of int_of_string*/float_of_string*, %d allowed \
              — they read OCaml literal syntax; scan the XML form instead (see \
              Atom.of_bytes)"
+            rel calls allowed
+      end;
+      if List.exists (String.equal rel) poly_files then begin
+        let code = strip_literals src in
+        let calls =
+          List.fold_left (fun n call -> n + count_token code call) 0 poly_calls
+        in
+        let allowed =
+          match List.assoc_opt rel poly_allowlist with Some n -> n | None -> 0
+        in
+        if calls > allowed then
+          complain
+            "lint: %s: %d polymorphic lookup(s) (List.mem, List.assoc, \
+             List.assoc_opt, List.mem_assoc, Stdlib.compare), %d allowed — \
+             compare with String.equal, Path.equal or a match"
             rel calls allowed
       end;
       if Filename.check_suffix path ".ml" then begin

@@ -162,34 +162,60 @@ let fig8_inversion =
             got = expected)
         projects)
 
+(* fig9's counts and averages, recomputed. The mean is the same left
+   fold over the salaries in document order, so [avg-sal] must equal it
+   to the last bit. *)
+let fig9_holds doc =
+  let out = Engine.run S.Figures.fig9.mapping doc in
+  let out_depts = Node.children_named (Node.as_element out) "department" in
+  List.length out_depts = List.length (depts doc)
+  && List.for_all2
+       (fun d od ->
+         let projs = List.length (Node.children_named d "Proj") in
+         let emps = Node.children_named d "regEmp" in
+         let ok_counts =
+           Node.attr od "numProj" = Some (Atom.Int projs)
+           && Node.attr od "numEmps" = Some (Atom.Int (List.length emps))
+         in
+         let sals = List.filter_map (fun r -> Option.bind (sal r) Atom.to_float) emps in
+         let ok_avg =
+           match sals, Node.attr od "avg-sal" with
+           | [], None -> true
+           | [], Some _ -> false
+           | _, None -> false
+           | _, Some got ->
+             let avg = List.fold_left ( +. ) 0. sals /. float_of_int (List.length sals) in
+             (match Atom.to_float got with
+              | Some f -> Float.equal f avg
+              | None -> false)
+         in
+         ok_counts && ok_avg)
+       (depts doc) out_depts
+
 let fig9_aggregates =
   QCheck2.Test.make ~count:40 ~name:"fig9: counts and averages recomputed" gen_instance
-    (fun doc ->
+    fig9_holds
+
+(* A mean of 10/3 = 3.3333333333333335 needs all 17 significant digits. *)
+let fig9_full_precision =
+  Alcotest.test_case "fig9: avg-sal keeps all 17 significant digits" `Quick (fun () ->
+      let doc =
+        Clip_xml.Parser.parse_string
+          {|<source><dept><dname>D</dname>
+              <regEmp pid="1"><ename>a</ename><sal>10</sal></regEmp>
+              <regEmp pid="1"><ename>b</ename><sal>0</sal></regEmp>
+              <regEmp pid="1"><ename>c</ename><sal>0</sal></regEmp>
+            </dept></source>|}
+      in
       let out = Engine.run S.Figures.fig9.mapping doc in
-      let out_depts = Node.children_named (Node.as_element out) "department" in
-      List.length out_depts = List.length (depts doc)
-      && List.for_all2
-           (fun d od ->
-             let projs = List.length (Node.children_named d "Proj") in
-             let emps = Node.children_named d "regEmp" in
-             let ok_counts =
-               Node.attr od "numProj" = Some (Atom.Int projs)
-               && Node.attr od "numEmps" = Some (Atom.Int (List.length emps))
-             in
-             let sals = List.filter_map (fun r -> Option.bind (sal r) Atom.to_float) emps in
-             let ok_avg =
-               match sals, Node.attr od "avg-sal" with
-               | [], None -> true
-               | [], Some _ -> false
-               | _, None -> false
-               | _, Some got ->
-                 let avg = List.fold_left ( +. ) 0. sals /. float_of_int (List.length sals) in
-                 (match Atom.to_float got with
-                  | Some f -> Float.abs (f -. avg) < 1e-6
-                  | None -> false)
-             in
-             ok_counts && ok_avg)
-           (depts doc) out_depts)
+      let got =
+        match Node.children_named (Node.as_element out) "department" with
+        | [ d ] -> Node.attr d "avg-sal"
+        | _ -> None
+      in
+      Alcotest.(check (option (float 0.))) "avg-sal" (Some 3.3333333333333335)
+        (Option.bind got Atom.to_float);
+      Alcotest.(check bool) "recomputed" true (fig9_holds doc))
 
 (* fig5 containment: every output department mirrors its source dept. *)
 let fig5_containment =
@@ -584,7 +610,8 @@ let () =
             fig8_inversion;
             fig9_aggregates;
             fig5_containment;
-          ] );
+          ]
+        @ [ fig9_full_precision ] );
       ("columnar", to_alcotest (doc_roundtrip :: repr_agreement));
       ("conformance", to_alcotest conformance);
       ("clio", to_alcotest [ clio_extension_never_worse; compiled_alpha_reflexive ]);
