@@ -1681,190 +1681,6 @@ let compose_experiment ?(smoke = false) ?(check = false) () =
     print_endline "compose bench check passed"
   end
 
-(* --- Relational backend: columnar execution vs tree-walks --------------------------- *)
-
-let rel_experiment ?(smoke = false) ?(check = false) () =
-  rule
-    (Printf.sprintf "Relational backend — columnar execution vs tree-walks%s"
-       (if smoke then " (smoke)" else ""));
-  subrule "byte-identity: rel vs tgd across plans on relational-shaped mappings";
-  (* The join workload: company ⋈ grant with both attribute and
-     value-child columns, scaled below. A selective join (20% of the
-     grants resolve) keeps the run scan-bound rather than
-     output-bound. *)
-  let grants_dsl =
-    {|schema db {
-  company [0..*] {
-    @cid: int
-    cname: string
-  }
-  grant [0..*] {
-    @gid: int
-    @recipient: int
-    amount: int
-  }
-  ref grant.@recipient -> company.@cid
-}
-schema web {
-  organization [0..*] {
-    @name: string
-    funding [0..*] {
-      @fid: int
-      @amount: int
-    }
-  }
-}
-mapping {
-  node n2: db.company as $c -> web.organization {
-    node n1: db.grant as $g -> web.organization.funding where $c.@cid = $g.@recipient
-  }
-  value db.company.cname.value -> web.organization.@name
-  value db.grant.@gid -> web.organization.funding.@fid
-  value db.grant.amount.value -> web.organization.funding.@amount
-}|}
-  in
-  let grants_mapping =
-    match Clip_core.Dsl.parse_result grants_dsl with
-    | Ok m -> m
-    | Error _ -> failwith "rel bench: join mapping does not parse"
-  in
-  let grants_instance n =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "<db>";
-    for i = 1 to n do
-      Printf.bprintf b "<company cid=\"%d\"><cname>C%d</cname></company>" i i
-    done;
-    for j = 1 to 10 * n do
-      Printf.bprintf b
-        "<grant gid=\"%d\" recipient=\"%d\"><amount>%d</amount></grant>" j
-        ((j mod (5 * n)) + 1)
-        (j * 10)
-    done;
-    Buffer.add_string b "</db>";
-    Clip_xml.Parser.parse_string (Buffer.contents b)
-  in
-  let fig1 = S.Table1.translating_fig1 in
-  let fig1_mapping =
-    let m = fig1.S.Table1.mapping in
-    Clip_clio.Generate.to_clip m (Clip_clio.Generate.forest ~extension:true m)
-  in
-  let workloads =
-    [
-      ("translating_fig1", fig1_mapping, fig1.S.Table1.instance);
-      ("company-grant join", grants_mapping, grants_instance 10);
-    ]
-  in
-  let identity_rows =
-    List.concat_map
-      (fun (name, m, doc) ->
-        let expected = Engine.run ~backend:`Tgd m doc in
-        List.map
-          (fun (plan, pname) ->
-            let identical =
-              Clip_xml.Node.equal expected (Engine.run ~backend:`Rel ~plan m doc)
-            in
-            Printf.printf "%-18s | %-7s | identical %b\n" name pname identical;
-            (name, pname, identical))
-          [ (`Naive, "naive"); (`Indexed, "indexed"); (`Auto, "auto") ])
-      workloads
-  in
-  let all_identical = List.for_all (fun (_, _, i) -> i) identity_rows in
-  Printf.printf "\nall outputs byte-identical: %b\n" all_identical;
-  (* The gated row is the scale-100 join even under --smoke (constant
-     costs dominate at smaller scales and the ratio loses meaning);
-     smoke only trims repetitions. *)
-  let scale = 100 in
-  subrule
-    (Printf.sprintf
-       "wall-clock: columnar rel vs tgd tree-walk on the scale-%d join" scale);
-  (* The gate compares the columnar executor under [`Auto] against the
-     tgd backend's naive tree-walk — the nested-loop enumeration the
-     paper's operational semantics describes. The tgd backend under
-     [`Auto] shares the physical planner with rel, so that pair
-     isolates the columnar-store advantage alone and is recorded
-     ungated. *)
-  let doc = grants_instance scale in
-  let run backend plan () =
-    Clip_xml.Printer.to_pretty_string
-      (Engine.run ~backend ~plan grants_mapping doc)
-  in
-  let join_identical =
-    String.equal (run `Tgd `Naive ()) (run `Rel `Auto ())
-  in
-  let reps = if smoke then 5 else 9 in
-  let t_tgd_naive, t_tgd_auto, t_rel_auto =
-    match
-      interleaved_reps reps [ run `Tgd `Naive; run `Tgd `Auto; run `Rel `Auto ]
-    with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
-  let speedup_of base =
-    Float.max (paired_speedup base t_rel_auto)
-      (min_of base /. Float.max (min_of t_rel_auto) 1e-9)
-  in
-  let speedup = speedup_of t_tgd_naive in
-  let speedup_auto = speedup_of t_tgd_auto in
-  let speedup_target = 1.5 in
-  Printf.printf
-    "scale-%d join (%d companies, %d grants): tgd naive %.3f ms | tgd auto \
-     %.3f ms | rel auto %.3f ms\n"
-    scale scale (10 * scale) (median_of t_tgd_naive) (median_of t_tgd_auto)
-    (median_of t_rel_auto);
-  Printf.printf
-    "rel auto vs tgd naive: %.2fx (gate >= %.1fx) | vs tgd auto: %.2fx \
-     (recorded) | identical %b\n"
-    speedup speedup_target speedup_auto join_identical;
-  let commit = git_commit () in
-  let row_json (name, plan, identical) =
-    Printf.sprintf "{\"workload\": %s, \"plan\": %s, \"identical\": %b}"
-      (json_string name) (json_string plan) identical
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"commit\": %s,\n" (json_string commit));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"join\": {\"scale\": %d, \"companies\": %d, \"grants\": %d, \
-        \"reps\": %d, \"tgd_naive_ms\": %.3f, \"tgd_auto_ms\": %.3f, \
-        \"rel_auto_ms\": %.3f, \"speedup_vs_naive\": %.3f, \
-        \"speedup_vs_auto\": %.3f, \"speedup_target\": %.1f, \"identical\": \
-        %b},\n"
-       scale scale (10 * scale) reps (median_of t_tgd_naive)
-       (median_of t_tgd_auto) (median_of t_rel_auto) speedup speedup_auto
-       speedup_target join_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"all_identical\": %b,\n" all_identical);
-  Buffer.add_string buf "  \"identity\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) identity_rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_rel.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_rel.json (%d identity rows, commit %s)\n"
-    (List.length identity_rows) commit;
-  (* Byte-identity is the correctness oracle: enforced on every run,
-     not only under --check. *)
-  if not (all_identical && join_identical) then begin
-    Printf.eprintf
-      "rel bench FAILED: rel output differs from tgd (figures %b, scale join \
-       %b)\n"
-      all_identical join_identical;
-    exit 1
-  end;
-  if check then begin
-    if speedup < speedup_target then begin
-      Printf.eprintf
-        "rel bench check FAILED: rel auto %.2fx over tgd naive < %.1fx target\n"
-        speedup speedup_target;
-      exit 1
-    end;
-    print_endline "rel bench check passed"
-  end
-
 (* --- Bechamel micro-benchmarks ------------------------------------------------------ *)
 
 let perf_experiment () =
@@ -1985,7 +1801,6 @@ let experiments =
     ("obs", obs_experiment ?smoke:None ?check:None ~metrics_json:true);
     ("par", par_experiment ?smoke:None ?check:None);
     ("compose", compose_experiment ?smoke:None ?check:None);
-    ("rel", rel_experiment ?smoke:None ?check:None);
     ("session", session_experiment);
     ("perf", perf_experiment);
   ]
@@ -2014,13 +1829,6 @@ let () =
       ~smoke:(List.mem "--smoke" flags)
       ~check:(List.mem "--check" flags)
       ()
-  | _ :: "rel" :: flags
-    when flags <> []
-         && List.for_all (fun f -> f = "--smoke" || f = "--check") flags ->
-    rel_experiment
-      ~smoke:(List.mem "--smoke" flags)
-      ~check:(List.mem "--check" flags)
-      ()
   | _ :: "obs" :: flags
     when flags <> []
          && List.for_all
@@ -2042,5 +1850,5 @@ let () =
     prerr_endline
       "usage: main.exe [experiment] | plan [--smoke] [--check] | obs [--smoke] \
        [--check] [--metrics-json] | par [--smoke] [--check] | compose \
-       [--smoke] [--check] | rel [--smoke] [--check]";
+       [--smoke] [--check]";
     exit 1

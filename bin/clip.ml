@@ -129,9 +129,9 @@ let sql_cmd =
     (Cmd.info "sql"
        ~doc:
          "Generate SQL for a mapping over a relational-shaped source: one \
-          SELECT per flattened tgd rule (the form the rel backend executes \
-          as columnar relational algebra). Nested sources are rejected with \
-          CLIP-REL-003.")
+          SELECT per flattened tgd rule. The text is for inspection; nothing \
+          executes it. Nested sources are rejected with CLIP-REL-003, as by \
+          --backend rel.")
     Term.(const run $ mapping_file)
 
 (* --- run ---------------------------------------------------------------- *)
@@ -214,9 +214,9 @@ let run_cmd =
   in
   let jobs_arg =
     let doc =
-      "Evaluate the inputs on N parallel domains. Deterministic: stdout is \
-       byte-identical to --jobs 1 for any N (results keep input order; \
-       execution counters are merged)."
+      "Evaluate the inputs on N parallel domains, at most one per core. \
+       Deterministic: stdout is byte-identical to --jobs 1 for any N \
+       (results keep input order; execution counters are merged)."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in

@@ -50,7 +50,6 @@ type session = {
   ssource : Clip_xml.Node.t;
   stgd : Clip_tgd.Eval.Session.t;
   sxq : Clip_xquery.Eval.Session.t;
-  srel : Clip_rel.Eval.Session.t;
   scompiled : (Mapping.t, Clip_tgd.Tgd.t) Hashtbl.t;
   stranslated : (string * Clip_tgd.Tgd.t, Clip_xquery.Ast.expr) Hashtbl.t;
   (* One-slot physical-identity fast paths in front of the structural
@@ -65,7 +64,6 @@ let create_session source =
     ssource = source;
     stgd = Clip_tgd.Eval.Session.create source;
     sxq = Clip_xquery.Eval.Session.create source;
-    srel = Clip_rel.Eval.Session.create source;
     scompiled = Hashtbl.create 8;
     stranslated = Hashtbl.create 8;
     slast_tgd = None;
@@ -127,9 +125,8 @@ let session_xquery_result ?obs s ~target_root tgd =
    row, not another arm in every match. *)
 module type BACKEND = sig
   (* Whatever per-run artifact shard evaluation needs beyond the shard
-     document itself (the compiled tgd, a translated query, a compiled
-     relational program). Prepared once per run, shared by every
-     shard. *)
+     document itself (the compiled tgd, a translated query). Prepared
+     once per run, shared by every shard. *)
   type query
 
   val id : backend
@@ -189,12 +186,14 @@ module type BACKEND = sig
     (string, Clip_diag.t list) result
 end
 
-module Tgd_backend : BACKEND = struct
+(* Left unsealed so {!Rel_backend} can reuse it; the registry below
+   checks it against [BACKEND]. *)
+module Tgd_backend = struct
   (* The tgd engine evaluates the compiled tgd directly; its
      shard-ready form is just the tgd plus the target root. *)
   type query = string * Clip_tgd.Tgd.t
 
-  let id = `Tgd
+  let id : backend = `Tgd
   let name = "tgd"
   let doc = "direct evaluation of the compiled tgd"
 
@@ -273,43 +272,49 @@ end) : BACKEND = struct
         Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource query)
 end
 
-(* The relational backend: for mappings whose source is
-   relational-shaped, the shared tgd compiles to a static {!Clip_rel}
-   program (a CLIP-REL-003 rejection otherwise) evaluated over an
-   in-memory column store. Compilation is a schema walk — cheap enough
-   not to need the session caches; the expensive per-document state
-   (the store, compiled physical plans) lives in the rel session. *)
+(* The relational backend: a relational-shape gate in front of the tgd
+   engine. A relational source is the flat special case of the nested
+   tgd semantics (Sec. IV), so an accepted mapping runs exactly the tgd
+   path; a source that is not relational-shaped is rejected statically
+   with CLIP-REL-003 by {!Clip_rel.Program.compile_result}, the same
+   check that stands in front of [clip sql]. *)
 module Rel_backend : BACKEND = struct
-  type query = Clip_rel.Program.t
+  include Tgd_backend
 
   let id = `Rel
   let name = "rel"
-  let doc = "columnar relational-algebra execution of relational-shaped sources"
+  let doc = "the tgd engine behind a relational-shape gate (CLIP-REL-003)"
 
   let compile (m : Mapping.t) tgd =
     Clip_rel.Program.compile_result ~source:m.source
       ~target_root:m.target.root.name tgd
 
-  let prepare_result ?limits:_ ?obs:_ ~ctx ?session:_ ~mapping tgd =
-    Clip_run.span ctx "translate" (fun () -> compile mapping tgd)
+  let gate ~ctx m tgd =
+    Clip_run.span ctx "translate" (fun () -> Result.map ignore (compile m tgd))
 
-  let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan s m tgd =
-    let obs = Clip_run.counters ctx in
-    let* query = prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd in
-    Clip_run.span ctx "execute" (fun () ->
-      Clip_rel.Eval.run_result ?limits ?plan ~ctl:(Clip_run.control ctx)
-        ~session:s.srel ?obs ~source:s.ssource query)
+  let prepare_result ?limits ?obs ~ctx ?session ~mapping tgd =
+    let* () = gate ~ctx mapping tgd in
+    Tgd_backend.prepare_result ?limits ?obs ~ctx ?session ~mapping tgd
 
-  let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
-      ~steps_out query shard =
-    Clip_rel.Eval.run_result ?limits ?plan ~ctl
-      ~session:(Clip_rel.Eval.Session.create shard) ~steps_out ?obs
-      ~source:shard query
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd =
+    let* () = gate ~ctx m tgd in
+    Tgd_backend.eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd
 
-  let explain ?obs:_ ?plan s m tgd =
-    let* query = compile m tgd in
-    Clip_diag.guard (fun () ->
-        Clip_rel.Eval.explain ?plan ~session:s.srel ~source:s.ssource query)
+  (* The tgd plan, under this backend's header and a line naming the
+     tables the gate found. *)
+  let explain ?obs ?plan s m tgd =
+    let* prog = compile m tgd in
+    let+ text = Tgd_backend.explain ?obs ?plan s m tgd in
+    let body =
+      match String.index_opt text '\n' with
+      | Some i -> String.sub text (i + 1) (String.length text - i - 1)
+      | None -> ""
+    in
+    let shape = prog.Clip_rel.Program.shape in
+    Printf.sprintf "backend: rel\nsource: relational, %d table(s) (%s)\n%s"
+      (List.length shape.Clip_rel.Shape.tables)
+      (String.concat ", " (Clip_rel.Shape.table_names shape))
+      body
 end
 
 module Xquery_backend = Make_xquery (struct

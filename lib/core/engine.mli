@@ -3,11 +3,11 @@
     Four backends implement the same semantics:
     - [`Tgd] — compile to a nested tgd and run the {!Clip_tgd.Eval}
       data-exchange engine directly;
-    - [`Rel] — when the mapping's source schema is relational-shaped
-      (the {!Clip_schema.Relational} encoding: tables under a bare
-      root), compile the same tgd to a {!Clip_rel} program and run it
-      over an in-memory column store with hash joins; rejects nested
-      sources statically with [CLIP-REL-003];
+    - [`Rel] — a relational-shape gate over [`Tgd]: a mapping whose
+      source schema is relational-shaped (the
+      {!Clip_schema.Relational} encoding: tables under a bare root)
+      runs exactly the [`Tgd] path, and any other source is rejected
+      statically with [CLIP-REL-003] ({!Clip_rel.Program});
     - [`Xquery] — compile to a tgd, generate the XQuery of Sec. VI with
       {!To_xquery}, and evaluate it with {!Clip_xquery.Eval};
     - [`Xquery_text] — like [`Xquery], but round-tripping the query

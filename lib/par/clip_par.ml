@@ -34,6 +34,11 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* More domains than cores only adds spawn cost and contention. *)
+let clamp_jobs ~cores jobs =
+  let cores = max 1 cores in
+  match jobs with None -> cores | Some j -> max 1 (min j cores)
+
 type 'b slot =
   | Done of ('b, Clip_diag.t list) result
   | Raised of exn * Printexc.raw_backtrace
@@ -75,8 +80,7 @@ let attempt ~retries ~into f x =
 let map_results ?jobs ?(retries = 0) ?obs f items =
   let tasks = Array.of_list items in
   let n = Array.length tasks in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let jobs = min jobs n in
+  let jobs = min (clamp_jobs ~cores:(default_jobs ()) jobs) n in
   if jobs <= 1 then
     (* Sequential degenerate case: same attempt machinery (scratch
        sinks, retries, fault point), caller's sink as the merge
@@ -140,7 +144,7 @@ type 'b stream_slot =
   | Sraised of exn * Printexc.raw_backtrace
 
 let stream_results ?jobs ?window ?(retries = 0) ?obs ~produce ~consume f =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let jobs = clamp_jobs ~cores:(default_jobs ()) jobs in
   if jobs <= 1 then
     (* Sequential degenerate case: produce, evaluate, consume, repeat —
        the reference order the parallel pipeline must reproduce. *)

@@ -22,12 +22,20 @@
     even the partial work of its failed attempts.
 
     Edge cases (pinned by test/test_par.ml): an empty batch returns
-    [[]] without spawning a domain; [jobs] larger than the task count
-    is clamped to the task count; [jobs <= 0] is clamped to [1]; and
-    one job (or one task) runs sequentially on the calling domain. *)
+    [[]] without spawning a domain; [jobs] is clamped to the core count
+    ({!clamp_jobs}) and, in {!map_results}, to the task count;
+    [jobs <= 0] is clamped to [1]; and one job (or one task) runs
+    sequentially on the calling domain. *)
 
 (** [Domain.recommended_domain_count ()] — the default worker count. *)
 val default_jobs : unit -> int
+
+(** [clamp_jobs ~cores jobs] — the worker count for a [?jobs] request
+    on a machine with [cores] recommended domains: [jobs] (default
+    [cores]) bounded to [1 .. cores]. {!map_results} and
+    {!stream_results} call it with {!default_jobs}[ ()], so no call
+    spawns more domains than there are cores. *)
+val clamp_jobs : cores:int -> int option -> int
 
 (** [map_results ?jobs ?retries ?obs f items] — graceful batch
     degradation: evaluate [f ~obs:sink item] for every item, on [jobs]

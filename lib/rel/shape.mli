@@ -5,8 +5,10 @@
     relational → XML encoding: a bare root element whose children are
     all repeating {e table} elements, each table carrying attribute
     columns and at most flat, non-repeating leaf child elements (value
-    columns read through their text node). Exactly these schemas admit
-    the columnar store of {!Store} and the relational backend. *)
+    columns read through their text node). Exactly these schemas pass
+    the [--backend rel] gate ({!Program.compile_result}) and print as
+    SQL ({!Sql}). The benchmark's traced [rel.store] probe also calls
+    {!of_schema} to build its {!Store}. *)
 
 type table = {
   t_name : string;  (** the table element's tag *)

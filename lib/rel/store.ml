@@ -24,12 +24,6 @@ type t = {
   tables : (string * table) list;
 }
 
-let atom t i = t.doc.Doc.atoms.(i)
-
-let row_node (tbl : table) t i = t.doc.Doc.nodes.(tbl.t_rows.(i))
-
-let table t name = List.assoc_opt name t.tables
-
 (* Attribute slot lookup straight off the flat attribute-range arrays:
    the atom index, not the boxed atom, is what columns store. *)
 let attr_index (doc : Doc.t) id name =
@@ -105,6 +99,3 @@ let build (shape : Shape.t) (doc : Doc.t) : t =
       shape.Shape.tables
   in
   { doc; root_tag; tables }
-
-let row_count t =
-  List.fold_left (fun acc (_, tbl) -> acc + Array.length tbl.t_rows) 0 t.tables

@@ -1,15 +1,13 @@
-(** The in-memory columnar store behind the relational backend.
+(** A columnar copy of a relational-shaped document, built from the
+    struct-of-arrays {!Clip_xml.Doc.t}: each table of the {!Shape}
+    becomes a row vector of node ids in document order plus one int
+    column per attribute and per value child, every cell an index into
+    the document's deduplicated atom table.
 
-    Built once per document from the struct-of-arrays
-    {!Clip_xml.Doc.t}: each table of the {!Shape} becomes a row vector
-    of node ids (document order — exactly the order the tree-walk
-    backend enumerates) plus one int column per attribute and per value
-    child, every cell an index into the document's deduplicated atom
-    table. Scalar reads and join-key extraction are then single array
-    loads instead of tree walks, while {!row_node} still hands back the
-    {e physically identical} boxed source element, so target
-    construction and provenance agree byte-for-byte with the tgd
-    backend. *)
+    No backend reads it: [--backend rel] runs on the tgd engine. It
+    stays only because the benchmark's traced [rel.store] probe links
+    {!build} (and {!Clip_xml.Doc.of_node}); it leaves with that probe
+    when the benchmark changes. *)
 
 (** Cell sentinel: the projection is empty (missing attribute, missing
     child, child without text). *)
@@ -34,11 +32,3 @@ type t = {
 }
 
 val build : Shape.t -> Clip_xml.Doc.t -> t
-val table : t -> string -> table option
-val atom : t -> int -> Clip_xml.Atom.t
-
-(** [row_node tbl t i] — the original boxed element of row [i]. *)
-val row_node : table -> t -> int -> Clip_xml.Node.t
-
-(** Total rows across all tables (the EXPLAIN header statistic). *)
-val row_count : t -> int

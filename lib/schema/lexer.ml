@@ -156,7 +156,10 @@ let tokenize_result src =
         incr i
       done
     else if c = '"' then begin
-      let start = !i in
+      (* The literal reports the position of its opening quote; a raw
+         newline inside it still moves [line] and [bol] for the tokens
+         that follow. *)
+      let start = !i and start_line = !line and start_bol = !bol in
       incr i;
       let buf = Buffer.create 16 in
       let closed = ref false in
@@ -192,12 +195,20 @@ let tokenize_result src =
           i := !i + width
         end
         else begin
+          if c = '\n' then begin incr line; bol := !i + 1 end;
           Buffer.add_char buf c;
           incr i
         end
       done;
-      if not !closed then error start "unterminated string literal";
-      emit start (String_lit (Buffer.contents buf))
+      if not !closed then begin
+        line := start_line;
+        bol := start_bol;
+        error start "unterminated string literal"
+      end;
+      tokens :=
+        { token = String_lit (Buffer.contents buf); line = start_line;
+          column = start - start_bol + 1 }
+        :: !tokens
     end
     else error !i (Printf.sprintf "unexpected character %C" c)
   done;

@@ -1,17 +1,17 @@
 (** The shared target-construction core of the tgd semantics.
 
-    Every executor of a nested tgd — the {!Eval} tree-walk (planned and
-    naive) and the relational backend ([Clip_rel]) — builds the target
-    instance the same way: a mutable build tree rooted at the target
-    root, with three creation disciplines per target generator
-    ([Driven] — one fresh element per binding; [Completion] — memoised
-    once per parent context under minimum cardinality; [Grouped] —
-    memoised per normalised grouping key), completion singletons
-    materialised along intermediate target-path steps, and leaf
-    assignments that reject conflicting values. This module owns that
-    construction state plus the scalar kernel (functions, comparisons,
-    aggregates), so every executor produces byte-identical targets and
-    identical dynamic error messages ([CLIP-TGD-001]).
+    Both executors of a nested tgd — the {!Eval} tree-walk, planned and
+    naive — build the target instance the same way: a mutable build
+    tree rooted at the target root, with three creation disciplines per
+    target generator ([Driven] — one fresh element per binding;
+    [Completion] — memoised once per parent context under minimum
+    cardinality; [Grouped] — memoised per normalised grouping key),
+    completion singletons materialised along intermediate target-path
+    steps, and leaf assignments that reject conflicting values. This
+    module owns that construction state plus the scalar kernel
+    (functions, comparisons, aggregates), so both executors produce
+    byte-identical targets and identical dynamic error messages
+    ([CLIP-TGD-001]).
 
     The per-binding work of a rule is compiled once ({!compile},
     {!compile_tree}): target paths are split and their heads resolved

@@ -1,5 +1,10 @@
-(** A struct-of-arrays (columnar) copy of a document: the loader the
-    relational backend's column store ({!Clip_rel.Store}) reads.
+(** A struct-of-arrays (columnar) copy of a document.
+
+    No backend executes over it: [--backend rel] runs on the tgd
+    engine. It stays because the benchmark's traced [rel.store] probe
+    converts its document with {!of_node} to build a
+    [Clip_rel.Store]; it can leave with that probe when the benchmark
+    changes.
 
     Nodes carry preorder ids (the root is 0; every parent precedes its
     descendants; sibling ids increase in document order). Per-node

@@ -15,15 +15,11 @@
    document (and equally deep schema DSL, mapping DSL and XQuery
    nestings) must come back as CLIP-LIM-* diagnostics, never a crash.
 
-   Three optional seeded sweeps ride along: [--faults N] replays the
-   engine under injected faults, [--algebra N] draws random
+   Two optional seeded sweeps ride along: [--faults N] replays the
+   engine under injected faults, and [--algebra N] draws random
    compose chains over the Table-I figures and checks the mapping
    algebra's differential oracle — pipeline (fused or degraded) vs
-   manual staged execution, with CLIP-ALG-* codes on every rejection —
-   and [--rel N] draws random relational databases and checks the
-   relational backend against the tgd backend: byte-identical outputs
-   when both succeed (and plan-independent tgd lineage), identical
-   diagnostic codes when both fail.
+   manual staged execution, with CLIP-ALG-* codes on every rejection.
 
    Runs are reproducible: the PRNG is our own (no [Random]), seeded
    from [--seed], so a failing input can be replayed by seed +
@@ -619,196 +615,6 @@ let algebra_sweep () =
       !algebra_iterations
   end
 
-(* --- Relational backend differential sweep (--rel N) ------------------ *)
-
-let rel_iterations = ref 0
-
-(* The fixed join workload: a proper company ⋈ grant join with both
-   attribute and value-child columns, scaled with random (and
-   deliberately colliding or dangling) keys per iteration. *)
-let rel_join_dsl =
-  {|schema db {
-  company [0..*] {
-    @cid: int
-    cname: string
-  }
-  grant [0..*] {
-    @gid: int
-    @recipient: int
-    amount: int
-  }
-  ref grant.@recipient -> company.@cid
-}
-schema web {
-  organization [0..*] {
-    @name: string
-    funding [0..*] {
-      @fid: int
-      @amount: int
-    }
-  }
-}
-mapping {
-  node n2: db.company as $c -> web.organization {
-    node n1: db.grant as $g -> web.organization.funding where $c.@cid = $g.@recipient
-  }
-  value db.company.cname.value -> web.organization.@name
-  value db.grant.@gid -> web.organization.funding.@fid
-  value db.grant.amount.value -> web.organization.funding.@amount
-}|}
-
-(* Each iteration draws a random relational database (1-3 tables, 1-4
-   columns, an optional foreign key), random row contents with
-   deliberately colliding keys, and runs the identity mapping over the
-   canonical XML encoding on both the [`Tgd] and [`Rel] backends under
-   a random plan mode. Every third
-   iteration instead scales the fixed join mapping above with random
-   row counts and dangling references, exercising the hash-join path
-   and the value-child columns. Oracle: the relational backend must be
-   byte-identical to the tgd backend whenever both succeed, must carry
-   the same diagnostic codes whenever both fail, and both must be
-   total. The canonical encoding itself must round-trip:
-   [Relational.to_schema_result] is [Ok] on every generated database
-   and [Clip_rel.Shape.of_schema] accepts the result. *)
-let rel_sweep () =
-  if !rel_iterations > 0 then begin
-    let module R = Clip_schema.Relational in
-    let join_mapping =
-      match Clip_core.Dsl.parse_result rel_join_dsl with
-      | Ok m -> m
-      | Error _ -> failwith "rel sweep: fixture mapping does not parse"
-    in
-    let random_db () =
-      let ntab = 1 + rand 3 in
-      let tables =
-        List.init ntab (fun i ->
-            let ncol = 1 + rand 3 in
-            R.table
-              (Printf.sprintf "t%d" i)
-              (List.init ncol (fun j ->
-                   R.column
-                     (Printf.sprintf "c%d_%d" i j)
-                     (if j = 0 || rand 2 = 0 then Clip_schema.Atomic_type.T_int
-                      else Clip_schema.Atomic_type.T_string))))
-      in
-      let foreign_keys =
-        if ntab >= 2 && rand 2 = 0 then
-          [
-            {
-              R.fk_table = "t1";
-              fk_columns = [ "c1_0" ];
-              pk_table = "t0";
-              pk_columns = [ "c0_0" ];
-            };
-          ]
-        else []
-      in
-      R.database ~foreign_keys "db" tables
-    in
-    let random_rows (db : R.database) =
-      List.map
-        (fun (t : R.table) ->
-          ( t.R.table_name,
-            List.init (rand 6) (fun _ ->
-                List.map
-                  (fun (c : R.column) ->
-                    match c.R.col_type with
-                    | Clip_schema.Atomic_type.T_int ->
-                      Clip_xml.Atom.Int (rand 9)
-                    | _ -> Clip_xml.Atom.String (pick [ "a"; "b"; "cd"; "" ]))
-                  t.R.columns) ))
-        db.R.tables
-    in
-    let random_join_instance () =
-      let n = 1 + rand 6 in
-      let b = Buffer.create 512 in
-      Buffer.add_string b "<db>";
-      for _ = 1 to n do
-        Printf.bprintf b "<company cid=\"%d\"><cname>%s</cname></company>"
-          (rand (n + 2))
-          (pick [ "Acme"; "Globex"; "Initech" ])
-      done;
-      for j = 1 to rand ((3 * n) + 1) do
-        Printf.bprintf b
-          "<grant gid=\"%d\" recipient=\"%d\"><amount>%d</amount></grant>" j
-          (rand (n + 3))
-          (j * 10)
-      done;
-      Buffer.add_string b "</db>";
-      Clip_xml.Parser.parse_string (Buffer.contents b)
-    in
-    let codes ds = List.map (fun d -> d.Clip_diag.code) ds in
-    let show ds = String.concat "," (codes ds) in
-    let differential i label m doc =
-      let plan = pick [ `Naive; `Indexed; `Auto ] in
-      let run backend =
-        match Clip_core.Engine.run_result ~limits ~backend ~plan m doc with
-        | r -> Ok r
-        | exception e -> Error e
-      in
-      match (run `Tgd, run `Rel) with
-      | Error e, _ | _, Error e ->
-        incr failures;
-        Printf.eprintf "FAILURE [rel]: iter %d (%s): raised %s\n" i label
-          (Printexc.to_string e)
-      | Ok (Ok a), Ok (Ok b) ->
-        if not (Clip_xml.Node.equal a b) then begin
-          incr failures;
-          Printf.eprintf
-            "FAILURE [rel]: iter %d (%s): backend outputs differ\n" i label
-        end;
-        Option.iter
-          (fun name ->
-            incr failures;
-            Printf.eprintf "FAILURE [rel]: iter %d (%s): naive and %s lineage disagree\n"
-              i label name)
-          (lineage_disagreement m doc)
-      | Ok (Error da), Ok (Error db) ->
-        if codes da <> codes db then begin
-          incr failures;
-          Printf.eprintf
-            "FAILURE [rel]: iter %d (%s): diagnostics differ: tgd [%s] vs rel \
-             [%s]\n"
-            i label (show da) (show db)
-        end
-      | Ok (Ok _), Ok (Error ds) | Ok (Error ds), Ok (Ok _) ->
-        incr failures;
-        Printf.eprintf "FAILURE [rel]: iter %d (%s): one backend failed [%s]\n"
-          i label (show ds)
-    in
-    for i = 1 to !rel_iterations do
-      if i mod 3 = 0 then begin
-        if !verbose then Printf.eprintf "rel iter %d: join workload\n" i;
-        differential i "join" join_mapping (random_join_instance ())
-      end
-      else begin
-        let db = random_db () in
-        if !verbose then
-          Printf.eprintf "rel iter %d: %d random table(s)\n" i
-            (List.length db.R.tables);
-        match R.to_schema_result db with
-        | Error ds ->
-          incr failures;
-          Printf.eprintf
-            "FAILURE [rel]: iter %d: canonical encoding rejected [%s]\n" i
-            (show ds)
-        | Ok s ->
-          (match Clip_rel.Shape.of_schema s with
-           | Error reason ->
-             incr failures;
-             Printf.eprintf
-               "FAILURE [rel]: iter %d: encoded schema not relational-shaped: \
-                %s\n"
-               i reason
-           | Ok _ ->
-             differential i "identity" (identity_mapping s)
-               (R.instance db (random_rows db)))
-      end
-    done;
-    Printf.printf "rel sweep: %d backend differential iterations\n%!"
-      !rel_iterations
-  end
-
 (* --- Main loop -------------------------------------------------------- *)
 
 let () =
@@ -823,9 +629,6 @@ let () =
       ( "--algebra",
         Arg.Set_int algebra_iterations,
         "N  random compose-chain differential sweep iterations (default: 0)" );
-      ( "--rel",
-        Arg.Set_int rel_iterations,
-        "N  rel-vs-tgd backend differential sweep iterations (default: 0)" );
       ("--verbose", Arg.Set verbose, "  print each iteration");
     ]
   in
@@ -852,7 +655,6 @@ let () =
   done;
   fault_sweep ();
   algebra_sweep ();
-  rel_sweep ();
   if !failures > 0 then begin
     Printf.eprintf "fuzz: %d failure(s) after %d iterations\n" !failures !iterations;
     exit 1

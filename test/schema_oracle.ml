@@ -202,7 +202,10 @@ let tokenize_result src =
         | None -> error start "integer literal out of range"
     end
     else if c = '"' then begin
-      let start = !i in
+      (* The literal reports the position of its opening quote; a raw
+         newline inside it still moves [line] and [bol] for the tokens
+         that follow. *)
+      let start = !i and start_line = !line and start_bol = !bol in
       incr i;
       let buf = Buffer.create 16 in
       let closed = ref false in
@@ -220,12 +223,20 @@ let tokenize_result src =
           i := !i + 2
         end
         else begin
+          if c = '\n' then begin incr line; bol := !i + 1 end;
           Buffer.add_char buf c;
           incr i
         end
       done;
-      if not !closed then error start "unterminated string literal";
-      emit start (Lexer.String_lit (Buffer.contents buf))
+      if not !closed then begin
+        line := start_line;
+        bol := start_bol;
+        error start "unterminated string literal"
+      end;
+      tokens :=
+        { Lexer.token = Lexer.String_lit (Buffer.contents buf); line = start_line;
+          column = start - start_bol + 1 }
+        :: !tokens
     end
     else begin
       let two = if !i + 2 <= n then String.sub src !i 2 else "" in

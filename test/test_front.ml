@@ -150,6 +150,17 @@ let escape_tests =
         check_lex {|"x\12"|} (Error "CLIP-SCH-001 at column 3");
         check_lex {|"\1a2"|} (Error "CLIP-SCH-001 at column 2");
         check_lex {|"\ "|} (Error "CLIP-SCH-001 at column 2"));
+    Alcotest.test_case "a token after a two-line literal reports its own line" `Quick
+      (fun () ->
+        let src = "value \"a\nb\" x\n  y" in
+        let positions =
+          match Lexer.tokenize_result src with
+          | Ok toks -> List.map (fun (t : Lexer.spanned) -> (t.line, t.column)) toks
+          | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+        in
+        Alcotest.(check (list (pair int int)))
+          "value, literal, x, y, eof" [ (1, 1); (1, 7); (2, 4); (3, 3); (3, 4) ] positions;
+        checkb "the oracle agrees" true (same_lexing src));
     Alcotest.test_case "a constant with non-ASCII bytes prints and reads back" `Quick
       (fun () ->
         let m = S.Figures.fig3.mapping in

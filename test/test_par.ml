@@ -154,6 +154,22 @@ let test_edge_cases () =
       | _ -> Alcotest.failf "jobs=%d: slots misplaced" jobs)
     [ -1; 1; 64 ]
 
+(* The core-count clamp, checked as a pure function: no domain is
+   spawned, however large the request. *)
+let test_clamp_jobs () =
+  List.iter
+    (fun (cores, jobs, expected) ->
+      checki
+        (Printf.sprintf "cores=%d jobs=%s" cores
+           (match jobs with None -> "default" | Some j -> string_of_int j))
+        expected
+        (Clip_par.clamp_jobs ~cores jobs))
+    [
+      (2, None, 2); (1, None, 1); (2, Some 1, 1); (2, Some 2, 2);
+      (2, Some 4, 2); (1, Some 64, 1); (8, Some 3, 3); (4, Some max_int, 4);
+      (4, Some 0, 1); (4, Some min_int, 1); (0, None, 1); (0, Some 5, 1);
+    ]
+
 (* --- Symbol interning under concurrent domains ---------------------- *)
 
 let test_symbol_concurrent () =
@@ -381,7 +397,10 @@ let () =
             test_exception_determinism;
         ] );
       ( "edges",
-        [ Alcotest.test_case "clamping and empty batches" `Quick test_edge_cases ] );
+        [
+          Alcotest.test_case "clamping and empty batches" `Quick test_edge_cases;
+          Alcotest.test_case "jobs clamp to the core count" `Quick test_clamp_jobs;
+        ] );
       ( "symbol",
         [
           Alcotest.test_case "concurrent interning" `Quick

@@ -1,8 +1,8 @@
-(* The relational backend, differentially tested against the tgd
-   backend: on every relational-shaped mapping the two must produce
-   byte-identical targets under every plan mode, and byte-identical
-   dynamic error diagnostics.
-   Nested sources must be rejected statically with CLIP-REL-003. *)
+(* The relational backend: a relational-shape gate over the tgd
+   engine. On every relational-shaped mapping it must produce the tgd
+   backend's targets, work counters and dynamic error diagnostics under
+   every plan mode; nested sources must be rejected statically with
+   CLIP-REL-003 by run, explain and the SQL printer alike. *)
 
 module S = Clip_scenarios
 module Node = Clip_xml.Node
@@ -82,6 +82,11 @@ let grants_instance n =
   Buffer.add_string b "</db>";
   Clip_xml.Parser.parse_string (Buffer.contents b)
 
+let counted f =
+  let c = Clip_obs.Counters.create () in
+  let r = f (Clip_run.create ~counters:c ()) in
+  (r, c)
+
 let differential name mapping source =
   Alcotest.test_case name `Quick (fun () ->
       let expected = Engine.run ~backend:`Tgd mapping source in
@@ -147,16 +152,22 @@ let differential_tests =
               (Node.equal expected
                  (Engine.run ~backend:`Rel ~mode ~jobs:2 grants_mapping source)))
           [ `Whole; `Sharded; `Auto ]);
-    Alcotest.test_case "engine sessions reuse rel state across runs" `Quick
-      (fun () ->
-        let source = grants_instance 5 in
-        let s = Engine.Session.create source in
-        let expected = ok (Engine.Session.run_result ~backend:`Tgd s grants_mapping) in
-        for _ = 1 to 3 do
-          checkb "identical" true
-            (Node.equal expected
-               (ok (Engine.Session.run_result ~backend:`Rel s grants_mapping)))
-        done);
+    Alcotest.test_case "grants join: rel output and work counters == tgd"
+      `Quick (fun () ->
+        let source = grants_instance 20 in
+        let run backend =
+          counted (fun ctx ->
+              ok (Engine.run_result ~ctx ~backend grants_mapping source))
+        in
+        let out_tgd, c_tgd = run `Tgd in
+        let out_rel, c_rel = run `Rel in
+        checks "output"
+          (Clip_xml.Printer.to_string out_tgd)
+          (Clip_xml.Printer.to_string out_rel);
+        Alcotest.(check (list (pair string int)))
+          "work counters"
+          (Clip_obs.Counters.work_assoc c_tgd)
+          (Clip_obs.Counters.work_assoc c_rel));
   ]
 
 let error_tests =
@@ -164,12 +175,15 @@ let error_tests =
     Alcotest.test_case "run_result reports CLIP-REL-003 on nested sources"
       `Quick (fun () ->
         let sc = S.Table1.nested_fig1 in
-        match
-          Engine.run_result ~backend:`Rel (runnable sc) sc.S.Table1.instance
-        with
-        | Ok _ -> Alcotest.fail "expected rejection"
-        | Error ds ->
-          checks "code" "CLIP-REL-003" (List.hd ds).Clip_diag.code);
+        let code = function
+          | Ok _ -> Alcotest.fail "expected rejection"
+          | Error ds -> (List.hd ds).Clip_diag.code
+        in
+        checks "run" "CLIP-REL-003"
+          (code (Engine.run_result ~backend:`Rel (runnable sc) sc.S.Table1.instance));
+        checks "explain" "CLIP-REL-003"
+          (code
+             (Engine.explain_result ~backend:`Rel (runnable sc) sc.S.Table1.instance)));
     Alcotest.test_case "dynamic errors are byte-identical to the tgd backend"
       `Quick (fun () ->
         (* a wrong-rooted document: both backends must fail with the
@@ -316,7 +330,9 @@ let grants_db_gen =
   in
   return (render_db companies grants)
 
-let backends = [ (`Rel, "rel"); (`Tgd, "tgd"); (`Xquery, "xquery") ]
+(* [`Rel] runs the tgd path, so these per-run table cases cover the
+   two executors. *)
+let backends = [ (`Tgd, "tgd"); (`Xquery, "xquery") ]
 
 let join_differential =
   QCheck2.Test.make ~count:40 ~print:Fun.id
@@ -332,11 +348,6 @@ let join_differential =
           List.for_all (fun plan -> String.equal expected (out backend plan))
             [ `Naive; `Indexed; `Auto ])
         backends)
-
-let counted f =
-  let c = Clip_obs.Counters.create () in
-  let r = f (Clip_run.create ~counters:c ()) in
-  (r, c)
 
 let run_table_tests =
   [
