@@ -394,81 +394,27 @@ let auto_speedup r = r.r_auto_speedup
    CI. *)
 let auto_speedup_min r = r.r_auto_speedup_min
 
-type session_row = {
-  s_figure : string;
-  s_backend : string;
-  s_scale : int;
-  s_cold_ms : float; (* fresh session, first run: full analysis *)
-  s_warm_ms : float; (* median warm run on the same session *)
-  s_warm_min_ms : float;
-  s_speedup : float; (* cold vs warm, paired median *)
-  s_identical : bool; (* warm output = cold output, byte-identical *)
-}
+(* The backend evaluator alone, over a tgd compiled (and, on xquery, a
+   query translated) once, here: what a timed loop runs when the
+   per-call compile would swamp what it measures. Statistics, physical
+   plans and the tag index are still built on every call. *)
+let evaluator ~limits ~(backend : [ `Tgd | `Xquery ]) (sc : S.Figures.t) doc =
+  let m = sc.mapping in
+  let target_root = m.target.root.name in
+  let tgd = ok (Clip_core.Compile.to_tgd_result m) in
+  match backend with
+  | `Tgd ->
+    fun ~obs ~plan ->
+      ok
+        (Clip_tgd.Eval.run_result ~limits
+           ~minimum_cardinality:sc.minimum_cardinality ~plan ?obs ~source:doc
+           ~target_root tgd)
+  | `Xquery ->
+    let q = ok (Clip_core.To_xquery.translate_result ~target_root tgd) in
+    fun ~obs ~plan ->
+      ok (Clip_xquery.Eval.run_document_result ~limits ~plan ?obs ~input:doc q)
 
-let session_speedup s = s.s_speedup
-
-let measure_sessions ~reps ~scales =
-  let scenario = S.Figures.fig6_join_global in
-  List.map
-    (fun scale ->
-      let doc =
-        if scale = 0 then S.Deptdb.instance
-        else S.Deptdb.synthetic_instance ~depts:(2 * scale) ~projs:5 ~emps:10
-      in
-      (* The xquery backend has the longest per-mapping analysis
-         pipeline (compile, then translation), so it is where sessions
-         have the most to amortise. *)
-      let session = Engine.Session.create doc in
-      let cold =
-        ok
-          (Engine.Session.run_result ~backend:`Xquery session
-             scenario.S.Figures.mapping)
-      in
-      let warm = ref cold in
-      (* cold = fresh session + first run (full analysis), every call *)
-      let cold_f () =
-        ok
-          (Engine.Session.run_result ~backend:`Xquery
-             (Engine.Session.create doc) scenario.S.Figures.mapping)
-      in
-      let warm_f () =
-        warm :=
-          ok
-            (Engine.Session.run_result ~backend:`Xquery session
-               scenario.S.Figures.mapping);
-        !warm
-      in
-      let tc, tw =
-        match interleaved_reps reps [ cold_f; warm_f ] with
-        | [ c; w ] -> (c, w)
-        | _ -> assert false
-      in
-      {
-        s_figure = scenario.S.Figures.name;
-        s_backend = "xquery";
-        s_scale = scale;
-        s_cold_ms = median_of tc;
-        s_warm_ms = median_of tw;
-        s_warm_min_ms = min_of tw;
-        s_speedup = paired_speedup tc tw;
-        s_identical = Node.equal cold !warm;
-      })
-    scales
-
-let session_experiment () =
-  rule "Sessions — warm vs cold runs over one source document";
-  let rows = measure_sessions ~reps:5 ~scales:[ 0; 1; 10 ] in
-  Printf.printf "%-18s | %-7s | %-6s | %-10s | %-10s | %-11s | %s\n" "figure"
-    "backend" "scale" "cold ms" "warm ms" "warm min ms" "speedup";
-  print_endline (String.make 84 '-');
-  List.iter
-    (fun s ->
-      Printf.printf "%-18s | %-7s | %-6d | %10.3f | %10.3f | %11.3f | %6.1fx\n"
-        s.s_figure s.s_backend s.s_scale s.s_cold_ms s.s_warm_ms s.s_warm_min_ms
-        (session_speedup s))
-    rows;
-  Printf.printf "\nwarm outputs identical to cold: %b\n"
-    (List.for_all (fun s -> s.s_identical) rows)
+let backend_name = function `Tgd -> "tgd" | `Xquery -> "xquery"
 
 let plan_experiment ?(smoke = false) ?(check = false) () =
   rule
@@ -487,8 +433,8 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
       Printf.eprintf "plan bench: %s failed\n" sc.name;
       exit 1
   in
-  (* Step counts come from a counting context of their own, so the
-     timed runs below stay on the silent ambient one. *)
+  (* Outputs and step counts come from whole engine runs under a
+     counting context; the timed loop below runs the evaluator only. *)
   let counters = Clip_obs.Counters.create () in
   let counting = Clip_run.create ~counters () in
   let counted sc ~backend ~plan doc =
@@ -496,18 +442,14 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
     let out = run_mode ~ctx:counting sc ~backend ~plan doc in
     (out, counters.lim_ticks)
   in
-  let measure (sc : S.Figures.t) ~(backend : Engine.backend) ~scale doc =
-    let bname =
-      match backend with
-      | `Tgd -> "tgd"
-      | `Xquery -> "xquery"
-      | `Xquery_text -> "xquery-text"
-      | `Rel -> "rel"
-    in
-    let out_n, steps_n = counted sc ~backend ~plan:`Naive doc in
-    let out_i, steps_i = counted sc ~backend ~plan:`Indexed doc in
-    let out_a, steps_a = counted sc ~backend ~plan:`Auto doc in
-    let timed plan () = run_mode sc ~backend ~plan doc in
+  let measure (sc : S.Figures.t) ~backend ~scale doc =
+    let bname = backend_name backend in
+    let engine_backend = (backend :> Engine.backend) in
+    let out_n, steps_n = counted sc ~backend:engine_backend ~plan:`Naive doc in
+    let out_i, steps_i = counted sc ~backend:engine_backend ~plan:`Indexed doc in
+    let out_a, steps_a = counted sc ~backend:engine_backend ~plan:`Auto doc in
+    let eval = evaluator ~limits ~backend sc doc in
+    let timed plan () = eval ~obs:None ~plan in
     (* Cheap rows still gate on per-row ratios; microsecond-scale
        documents get extra medians (they cost almost nothing, and the
        smoke rep count alone is too fragile there). *)
@@ -605,18 +547,8 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
         r.r_figure r.r_backend r.r_scale r.r_naive_ms r.r_indexed_ms r.r_auto_ms
         (speedup r) (auto_speedup r) r.r_auto_vs_best r.r_auto_steps)
     scaling_rows;
-  subrule "sessions (warm vs cold, repeated fig6-join-global)";
-  let session_rows = measure_sessions ~reps ~scales:[ 0 ] in
-  List.iter
-    (fun s ->
-      Printf.printf
-        "%-18s | scale %-4d | cold %8.3f ms | warm %8.3f ms | %6.1fx | identical %b\n"
-        s.s_figure s.s_scale s.s_cold_ms s.s_warm_ms (session_speedup s)
-        s.s_identical)
-    session_rows;
   let all_agree =
     List.for_all (fun r -> r.r_agree) (figure_rows @ scaling_rows)
-    && List.for_all (fun s -> s.s_identical) session_rows
   in
   let best =
     List.fold_left
@@ -641,14 +573,6 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
       (auto_speedup r) (auto_speedup_min r) r.r_auto_vs_best r.r_naive_steps
       r.r_indexed_steps r.r_auto_steps
   in
-  let session_json s =
-    Printf.sprintf
-      "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \"cold_ms\": %.3f, \
-       \"warm_ms\": %.3f, \"warm_min_ms\": %.3f, \"warm_speedup\": %.2f, \
-       \"identical\": %b}"
-      (json_string s.s_figure) (json_string s.s_backend) s.s_scale s.s_cold_ms
-      s.s_warm_ms s.s_warm_min_ms (session_speedup s) s.s_identical
-  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
@@ -661,15 +585,12 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
   Buffer.add_string buf "\n  ],\n  \"scaling\": [\n";
   Buffer.add_string buf
     (String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) scaling_rows));
-  Buffer.add_string buf "\n  ],\n  \"session\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun s -> "    " ^ session_json s) session_rows));
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_plan.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_plan.json (%d rows, commit %s)\n"
-    (List.length figure_rows + List.length scaling_rows + List.length session_rows)
+    (List.length figure_rows + List.length scaling_rows)
     commit;
   if check then begin
     (* The CI regression guard: every output must agree across modes,
@@ -700,9 +621,7 @@ let plan_experiment ?(smoke = false) ?(check = false) () =
 (* --- Observability: counters, invariants, disabled-path overhead (ours) ------------- *)
 
 (* One scenario's counters under every plan mode, plus the invariant
-   verdicts CI gates on. Counters come from a measured run on a warm
-   session (one warm-up run first), so memo effects do not leak into
-   the work counters. *)
+   verdicts CI gates on. Counters come from one engine run each. *)
 type obs_row = {
   o_figure : string;
   o_backend : string;
@@ -735,31 +654,20 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
        (if smoke then " (smoke)" else ""));
   let limits = Clip_diag.Limits.unlimited in
   let run_counted (sc : S.Figures.t) ~backend ~plan doc =
-    let session = Engine.Session.create doc in
-    let run ?ctx () =
-      match
-        Engine.Session.run_result ?ctx ~limits ~backend
-          ~minimum_cardinality:sc.minimum_cardinality ~plan session sc.mapping
-      with
-      | Ok out -> out
-      | Error ds ->
-        List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
-        Printf.eprintf "obs bench: %s failed\n" sc.name;
-        exit 1
-    in
-    ignore (run ());
     let c = Clip_obs.Counters.create () in
-    let out = run ~ctx:(Clip_run.create ~counters:c ()) () in
-    (out, c)
+    match
+      Engine.run_result ~ctx:(Clip_run.create ~counters:c ()) ~limits ~backend
+        ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc
+    with
+    | Ok out -> (out, c)
+    | Error ds ->
+      List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
+      Printf.eprintf "obs bench: %s failed\n" sc.name;
+      exit 1
   in
-  let measure_row (sc : S.Figures.t) ~(backend : Engine.backend) ~scale doc =
-    let bname =
-      match backend with
-      | `Tgd -> "tgd"
-      | `Xquery -> "xquery"
-      | `Xquery_text -> "xquery-text"
-      | `Rel -> "rel"
-    in
+  let measure_row (sc : S.Figures.t) ~backend ~scale doc =
+    let bname = backend_name backend in
+    let backend = (backend :> Engine.backend) in
     let out_n, cn = run_counted sc ~backend ~plan:`Naive doc in
     let out_i, ci = run_counted sc ~backend ~plan:`Indexed doc in
     let out_a, ca = run_counted sc ~backend ~plan:`Auto doc in
@@ -866,10 +774,9 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   subrule "trace spans (one cold fig6 run, xquery backend)";
   let tracer = Clip_obs.Trace.create ~now:Unix.gettimeofday () in
   ignore
-    (Engine.Session.run_result
+    (Engine.run_result
        ~ctx:(Clip_run.create ~tracer ())
-       ~backend:`Xquery
-       (Engine.Session.create S.Deptdb.instance) S.Figures.fig6.mapping);
+       ~backend:`Xquery S.Figures.fig6.mapping S.Deptdb.instance);
   print_string (Clip_obs.Trace.render tracer);
   subrule "disabled-path overhead (per-hook cost x hook count, bounded)";
   (* The true no-instrumentation build no longer exists in this tree,
@@ -921,17 +828,17 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   in
   let overhead_rows =
     List.map
-      (fun ((name : string), (sc : S.Figures.t), (backend : Engine.backend)) ->
-        let session = Engine.Session.create oh_doc in
-        let run ?ctx () =
-          ok
-            (Engine.Session.run_result ?ctx ~backend ~plan:`Auto session
-               sc.mapping)
+      (fun ((name : string), (sc : S.Figures.t), backend) ->
+        (* The evaluator alone, as in the plan bench: the hooks fire
+           during evaluation, so that is the time they are set
+           against. *)
+        let eval =
+          evaluator ~limits:Clip_diag.Limits.default ~backend sc oh_doc
         in
-        ignore (run ());
+        let run ?obs () = eval ~obs ~plan:`Auto in
         let hooks =
           let c = Clip_obs.Counters.create () in
-          ignore (run ~ctx:(Clip_run.create ~counters:c ()) ());
+          ignore (run ~obs:c ());
           (* Upper bound on hook executions: every counter unit as one
              call (actually fewer — [scanned] adds a whole batch per
              call), plus one [enabled] guard per child step and index
@@ -944,7 +851,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
           + c.Clip_obs.Counters.index_probes
         in
         let c = Clip_obs.Counters.create () in
-        let enabled_f () = run ~ctx:(Clip_run.create ~counters:c ()) () in
+        let enabled_f () = run ~obs:c () in
         let td, te =
           match interleaved_reps reps [ (fun () -> run ()); enabled_f ] with
           | [ d; e ] -> (d, e)
@@ -1065,7 +972,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let jobs = 4 in
   Printf.printf "recommended domains on this machine: %d (pool: %d workers)\n"
     cores jobs;
-  (* One task = one document: its own context, session and plan memos.
+  (* One task = one document, with its own context.
      Rendering inside the task is what the CLI does, so "byte-identical
      stdout" is literally what the string comparison below checks. *)
   let eval (sc : S.Figures.t) ~backend ~plan ~obs doc =
@@ -1801,7 +1708,6 @@ let experiments =
     ("obs", obs_experiment ?smoke:None ?check:None ~metrics_json:true);
     ("par", par_experiment ?smoke:None ?check:None);
     ("compose", compose_experiment ?smoke:None ?check:None);
-    ("session", session_experiment);
     ("perf", perf_experiment);
   ]
 

@@ -306,18 +306,20 @@ let run_cmd =
           (Clip_run.deadline_after ~now:Unix.gettimeofday
              ~seconds:(float_of_int ms /. 1000.))
     in
-    let render_out ?source out =
+    let render_out ?lineage out =
       let b = Buffer.create 1024 in
       if tree then (
         Buffer.add_string b (Clip_xml.Printer.to_tree_string out);
         Buffer.add_char b '\n')
       else Buffer.add_string b (Clip_xml.Printer.to_pretty_string out);
-      match source with
-      | Some source when trace -> (
-          (* The lineage re-run gets a throwaway context: it is
-             bookkeeping, not the measured evaluation, so it must not
-             inflate the run's counters (or spans). *)
-          let lineage_ctx = Clip_run.create () in
+      match lineage with
+      | Some (source, deadline) when trace -> (
+          (* The lineage re-run is bookkeeping, not the measured
+             evaluation, so its context has no counters or tracer and
+             cannot inflate the run's. It does share the input's
+             deadline and the SIGINT flag: it is still part of that
+             input's evaluation. *)
+          let lineage_ctx = Clip_run.create ?deadline ~cancel () in
           match
             Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
           with
@@ -428,13 +430,13 @@ let run_cmd =
               | Ok source -> Some (path, source))
             inputs
         in
-        (* One task per document: its own context, hence its own session
-           and plan memos — nothing shared across domains. Rendering to a
-           string inside the task keeps stdout in input order. *)
+        (* One task per document, with its own context — nothing shared
+           across domains but the cancel flag. Rendering to a string
+           inside the task keeps stdout in input order. *)
         let evaluate ~obs (_path, source) =
+          let deadline = deadline_for () in
           let ctx =
-            Clip_run.create ?counters:obs ?tracer ?deadline:(deadline_for ())
-              ~cancel ()
+            Clip_run.create ?counters:obs ?tracer ?deadline ~cancel ()
           in
           let r =
             match chain with
@@ -451,7 +453,8 @@ let run_cmd =
             (* Lineage re-runs the mapping over the source; a multi-stage
                chain has no single mapping to re-run, so --then suppresses
                the lineage section. *)
-            if thens = [] then render_out ~source out else render_out out
+            if thens = [] then render_out ~lineage:(source, deadline) out
+            else render_out out
         in
         let results =
           Clip_par.map_results ~jobs:cross_jobs ~retries ?obs:total evaluate

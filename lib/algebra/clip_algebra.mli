@@ -103,8 +103,8 @@ module Pipeline : sig
       fused mapping through {!Clip_core.Engine.run_result} when the
       chain composes, otherwise stage by stage through
       {!Clip_core.Engine.run_staged_result}. Both paths share the
-      execution context's session cache, counters, tracer, deadline and
-      cancellation hooks.
+      execution context's counters, tracer, deadline and cancellation
+      hooks.
       @raise Invalid_argument on an empty chain. *)
   val run_result :
     ?ctx:Clip_run.t ->

@@ -8,11 +8,10 @@ let ( let+ ) r f = Result.map f r
 
 (* The sharded paths below cut one large source document at the unit
    designated by {!Clip_shard.plan}, evaluate the shard documents
-   through the unchanged per-backend executors — one fresh backend
-   session per shard, the compiled tgd (and translated query) shared —
-   and merge the per-shard targets into exactly the whole-document
-   output. The whole-document path stays the oracle: [`Whole] touches
-   none of this. *)
+   through the unchanged per-backend executors — the compiled tgd (and
+   translated query) shared — and merge the per-shard targets into
+   exactly the whole-document output. The whole-document path stays the
+   oracle: [`Whole] touches none of this. *)
 
 let default_shard_bytes = 1 lsl 20
 
@@ -37,89 +36,15 @@ let decide ~mode ~minimum_cardinality ~shard_bytes (m : Mapping.t) tgd source =
           then Clip_shard.Whole "the document fits within one shard budget"
           else d)
 
-(* --- Sessions: the per-document cache state ---------------------------- *)
-
-(* A session pins one source document and amortises everything that is
-   per-document or per-mapping rather than per-run: the backends'
-   sessions (tag index, instance statistics, compiled physical plans)
-   and this layer's own compile caches (mapping -> tgd, tgd -> XQuery).
-   Mapping and tgd values are pure data, so structural hashing is
-   sound; a NaN-bearing mapping never hits its cache entry and is
-   simply recompiled. *)
-type session = {
-  ssource : Clip_xml.Node.t;
-  stgd : Clip_tgd.Eval.Session.t;
-  sxq : Clip_xquery.Eval.Session.t;
-  scompiled : (Mapping.t, Clip_tgd.Tgd.t) Hashtbl.t;
-  stranslated : (string * Clip_tgd.Tgd.t, Clip_xquery.Ast.expr) Hashtbl.t;
-  (* One-slot physical-identity fast paths in front of the structural
-     tables: re-running the same mapping value skips the deep hash and
-     equality, which on small documents costs as much as the run. *)
-  mutable slast_tgd : (Mapping.t * Clip_tgd.Tgd.t) option;
-  mutable slast_xq : (string * Clip_tgd.Tgd.t * Clip_xquery.Ast.expr) option;
-}
-
-let create_session source =
-  {
-    ssource = source;
-    stgd = Clip_tgd.Eval.Session.create source;
-    sxq = Clip_xquery.Eval.Session.create source;
-    scompiled = Hashtbl.create 8;
-    stranslated = Hashtbl.create 8;
-    slast_tgd = None;
-    slast_xq = None;
-  }
-
-(* Population is fault-safe by construction: the table gains its
-   entry only after [compute] succeeds, so a failure mid-population
-   (e.g. an injected [session.populate] fault) leaves the cache
-   exactly as it was — never a poisoned entry. *)
-let session_memo_result ?obs tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-    Clip_obs.session_hit obs;
-    Ok v
-  | None ->
-    let* () =
-      Clip_diag.guard (fun () ->
-          Clip_fault.hit ~obs Clip_fault.Site.session_populate)
-    in
-    let+ v = compute () in
-    Hashtbl.add tbl key v;
-    v
-
-let session_tgd_result ?obs s m =
-  match s.slast_tgd with
-  | Some (m', tgd) when m' == m ->
-    Clip_obs.session_hit obs;
-    Ok tgd
-  | _ ->
-    let+ tgd =
-      session_memo_result ?obs s.scompiled m (fun () ->
-          Compile.to_tgd_result m)
-    in
-    s.slast_tgd <- Some (m, tgd);
-    tgd
-
-let session_xquery_result ?obs s ~target_root tgd =
-  match s.slast_xq with
-  | Some (r, tgd', q) when r = target_root && tgd' == tgd ->
-    Clip_obs.session_hit obs;
-    Ok q
-  | _ ->
-    let+ q =
-      session_memo_result ?obs s.stranslated (target_root, tgd) (fun () ->
-          To_xquery.translate_result ~target_root tgd)
-    in
-    s.slast_xq <- Some (target_root, tgd, q);
-    q
+(* Every run compiles its mapping; nothing is kept for the next run. *)
+let compile_result ~ctx m =
+  Clip_run.span ctx "compile" (fun () -> Compile.to_tgd_result m)
 
 (* --- The backend contract ---------------------------------------------- *)
 
 (* What every execution backend must provide, made explicit: a
-   shard-ready compiled form ([query]), whole-document evaluation
-   through the session caches, per-shard evaluation against fresh
-   backend state, and a static EXPLAIN. Every failure is a diagnostic.
+   shard-ready compiled form ([query]), whole-document evaluation,
+   per-shard evaluation, and a static EXPLAIN. Every failure is a diagnostic.
    Dispatch everywhere below is a lookup in {!backends} — a table of
    first-class modules — so a new backend is one module plus one table
    row, not another arm in every match. *)
@@ -133,38 +58,32 @@ module type BACKEND = sig
   val name : string
   val doc : string
 
-  (* Compile the shard-ready [query]. With [?session] the translation
-     goes through the session caches (emitting session-hit counters
-     and the [session.populate] fault site); without — the streaming
-     path, where no document-pinned session exists yet — it translates
-     directly. Phase spans are recorded against [ctx]. *)
+  (* Compile the shard-ready [query]. Phase spans are recorded against
+     [ctx]. *)
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
-    ?obs:Clip_obs.Counters.t ->
     ctx:Clip_run.t ->
-    ?session:session ->
     mapping:Mapping.t ->
     Clip_tgd.Tgd.t ->
     (query, Clip_diag.t list) result
 
-  (* Whole-document evaluation over the session's pinned source,
-     reusing the session's backend state. Phase spans ("translate",
-     "parse", "execute") and counters flow through [ctx]. *)
+  (* Whole-document evaluation of the source document. Phase spans
+     ("translate", "parse", "execute") and counters flow through
+     [ctx]. *)
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    session ->
+    Clip_xml.Node.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
 
-  (* One shard through the backend executor, against fresh per-shard
-     backend state (sessions are single-domain values, so every shard
-     gets its own); cancellation and the deadline clock flow through
-     the parent context's domain-safe [ctl]; the scratch sink [obs] is
-     supplied by {!Clip_par}, which merges it so totals are exact. *)
+  (* One shard through the backend executor; cancellation and the
+     deadline clock flow through the parent context's domain-safe
+     [ctl]; the scratch sink [obs] is supplied by {!Clip_par}, which
+     merges it so totals are exact. *)
   val eval_shard :
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
@@ -178,9 +97,8 @@ module type BACKEND = sig
 
   (* The static, deterministic plan renderer behind [clip explain]. *)
   val explain :
-    ?obs:Clip_obs.Counters.t ->
     ?plan:Clip_plan.mode ->
-    session ->
+    Clip_xml.Node.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
     (string, Clip_diag.t list) result
@@ -197,32 +115,28 @@ module Tgd_backend = struct
   let name = "tgd"
   let doc = "direct evaluation of the compiled tgd"
 
-  let prepare_result ?limits:_ ?obs:_ ~ctx:_ ?session:_
-      ~mapping:(m : Mapping.t) tgd =
+  let prepare_result ?limits:_ ~ctx:_ ~mapping:(m : Mapping.t) tgd =
     Ok (m.target.root.name, tgd)
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan s (m : Mapping.t)
-      tgd =
-    let obs = Clip_run.counters ctx in
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan source
+      (m : Mapping.t) tgd =
     Clip_run.span ctx "execute" (fun () ->
       Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan
-        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source:s.ssource
+        ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx) ~source
         ~target_root:m.target.root.name tgd)
 
   let eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs ~steps_out
       (target_root, tgd) shard =
     Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ~ctl
-      ~session:(Clip_tgd.Eval.Session.create shard) ~steps_out ?obs
-      ~source:shard ~target_root tgd
+      ~steps_out ?obs ~source:shard ~target_root tgd
 
-  let explain ?obs:_ ?plan s (_m : Mapping.t) tgd =
-    Clip_diag.guard (fun () ->
-        Clip_tgd.Eval.explain ?plan ~session:s.stgd ~source:s.ssource tgd)
+  let explain ?plan source (_m : Mapping.t) tgd =
+    Clip_diag.guard (fun () -> Clip_tgd.Eval.explain ?plan ~source tgd)
 end
 
 (* The two XQuery backends differ only in the round-trip through the
-   concrete syntax — parsing is deliberately not cached; it stands in
-   for what an external processor would do per request. *)
+   concrete syntax, which stands in for what an external processor
+   would do per request. *)
 module Make_xquery (C : sig
   val id : backend
   val name : string
@@ -235,13 +149,10 @@ end) : BACKEND = struct
   let name = C.name
   let doc = C.doc
 
-  let prepare_result ?limits ?obs ~ctx ?session ~mapping:(m : Mapping.t) tgd =
-    let target_root = m.target.root.name in
+  let prepare_result ?limits ~ctx ~mapping:(m : Mapping.t) tgd =
     let* q =
       Clip_run.span ctx "translate" (fun () ->
-          match session with
-          | Some s -> session_xquery_result ?obs s ~target_root tgd
-          | None -> To_xquery.translate_result ~target_root tgd)
+          To_xquery.translate_result ~target_root:m.target.root.name tgd)
     in
     if not C.text then Ok q
     else
@@ -249,27 +160,25 @@ end) : BACKEND = struct
           Clip_xquery.Parser.parse_string_result ?limits
             (Clip_xquery.Pretty.query_to_string q))
 
-  let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan s (m : Mapping.t)
-      tgd =
-    let obs = Clip_run.counters ctx in
-    let* query = prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd in
+  let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan source
+      (m : Mapping.t) tgd =
+    let* query = prepare_result ?limits ~ctx ~mapping:m tgd in
     Clip_run.span ctx "execute" (fun () ->
       Clip_xquery.Eval.run_document_result ?limits ?plan
-        ~ctl:(Clip_run.control ctx) ~session:s.sxq ?obs ~input:s.ssource
-        query)
+        ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx)
+        ~input:source query)
 
   let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
-    Clip_xquery.Eval.run_document_result ?limits ?plan ~ctl
-      ~session:(Clip_xquery.Eval.Session.create shard) ~steps_out ?obs
+    Clip_xquery.Eval.run_document_result ?limits ?plan ~ctl ~steps_out ?obs
       ~input:shard query
 
-  let explain ?obs ?plan s (m : Mapping.t) tgd =
+  let explain ?plan source (m : Mapping.t) tgd =
     let* query =
-      session_xquery_result ?obs s ~target_root:m.target.root.name tgd
+      To_xquery.translate_result ~target_root:m.target.root.name tgd
     in
     Clip_diag.guard (fun () ->
-        Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource query)
+        Clip_xquery.Eval.explain ?plan ~input:source query)
 end
 
 (* The relational backend: a relational-shape gate in front of the tgd
@@ -292,19 +201,20 @@ module Rel_backend : BACKEND = struct
   let gate ~ctx m tgd =
     Clip_run.span ctx "translate" (fun () -> Result.map ignore (compile m tgd))
 
-  let prepare_result ?limits ?obs ~ctx ?session ~mapping tgd =
+  let prepare_result ?limits ~ctx ~mapping tgd =
     let* () = gate ~ctx mapping tgd in
-    Tgd_backend.prepare_result ?limits ?obs ~ctx ?session ~mapping tgd
+    Tgd_backend.prepare_result ?limits ~ctx ~mapping tgd
 
-  let eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd =
+  let eval_result ?limits ~ctx ~minimum_cardinality ?plan source m tgd =
     let* () = gate ~ctx m tgd in
-    Tgd_backend.eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd
+    Tgd_backend.eval_result ?limits ~ctx ~minimum_cardinality ?plan source m
+      tgd
 
   (* The tgd plan, under this backend's header and a line naming the
      tables the gate found. *)
-  let explain ?obs ?plan s m tgd =
+  let explain ?plan source m tgd =
     let* prog = compile m tgd in
-    let+ text = Tgd_backend.explain ?obs ?plan s m tgd in
+    let+ text = Tgd_backend.explain ?plan source m tgd in
     let body =
       match String.index_opt text '\n' with
       | Some i -> String.sub text (i + 1) (String.length text - i - 1)
@@ -399,83 +309,35 @@ let sharded_run_result (type q) (module B : BACKEND with type query = q)
   let* outs = split [] rs in
   Clip_shard.merge ~unify:cut.Clip_shard.unify outs
 
-(* --- Sessions: the public handle --------------------------------------- *)
-
-module Session = struct
-  type t = session
-
-  let create = create_session
-  let source s = s.ssource
-
-  let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
-      ?plan ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs s
-      (m : Mapping.t) =
-    let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
-    let obs = Clip_run.counters ctx in
-    let* () = check_ablation ~backend ~minimum_cardinality in
-    let* tgd =
-      Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
-    in
-    match backend_module backend with
-    | Backend (module B) -> (
-        match decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource with
-        | Clip_shard.Whole _ ->
-          B.eval_result ?limits ~ctx ~minimum_cardinality ?plan s m tgd
-        | Clip_shard.Sharded cut ->
-          let* query =
-            B.prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd
-          in
-          sharded_run_result
-            (module B)
-            ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
-            ~query s.ssource)
-end
-
 (* --- One-shot entry points --------------------------------------------- *)
 
-(* A one-slot weak memo holding the most recent source document's
-   session, scoped per execution context (stored in the context's memo
-   slot through the extensible {!Clip_run.memo}). Repeated one-shot
-   runs over the same document under one context — the common CLI and
-   benchmark pattern — reuse its statistics, tag index, compiled tgds
-   and physical plans without the caller managing a {!Session}. Keyed
-   by physical identity; the ephemeron lets the document (and with it
-   the session) be collected once the caller drops it, even though the
-   session itself retains the document.
-
-   Per-context scoping (rather than the former process-global slot)
-   removes two hazards at once: domains running with their own
-   contexts cannot race on the slot, and two callers alternating
-   different documents cannot evict each other's session every run —
-   each context keeps its own last document. Callers without a context
-   fall back to the per-domain {!Clip_run.ambient} shim and so keep
-   the old single-slot behaviour, now domain-local. *)
-type Clip_run.memo += Session_memo of (Clip_xml.Node.t, session) Ephemeron.K1.t
-
-let session_for ctx source =
-  let hit =
-    match Clip_run.memo ctx with
-    | Some (Session_memo e) -> Ephemeron.K1.query e source
-    | _ -> None
-  in
-  match hit with
-  | Some s ->
-    Clip_obs.session_hit (Clip_run.counters ctx);
-    s
-  | None ->
-    let s = Session.create source in
-    Clip_run.set_memo ctx (Session_memo (Ephemeron.K1.make source s));
-    s
-
-let resolve_ctx = function Some c -> c | None -> Clip_run.ambient ()
+let fresh_ctx = function Some c -> c | None -> Clip_run.create ()
 
 let ok_or_fail = function Ok v -> v | Error ds -> Clip_diag.fail_all ds
 
-let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
-    ?shard_bytes ?jobs (m : Mapping.t) source =
-  let ctx = resolve_ctx ctx in
-  Session.run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
-    ?shard_bytes ?jobs (session_for ctx source) m
+(* Run an already compiled mapping over a materialised document. *)
+let run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
+    ~shard_bytes ?jobs (m : Mapping.t) tgd source =
+  match backend_module backend with
+  | Backend (module B) -> (
+      match decide ~mode ~minimum_cardinality ~shard_bytes m tgd source with
+      | Clip_shard.Whole _ ->
+        B.eval_result ?limits ~ctx ~minimum_cardinality ?plan source m tgd
+      | Clip_shard.Sharded cut ->
+        let* query = B.prepare_result ?limits ~ctx ~mapping:m tgd in
+        sharded_run_result
+          (module B)
+          ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
+          ~query source)
+
+let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
+    ?plan ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs
+    (m : Mapping.t) source =
+  let ctx = fresh_ctx ctx in
+  let* () = check_ablation ~backend ~minimum_cardinality in
+  let* tgd = compile_result ~ctx m in
+  run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
+    ~shard_bytes ?jobs m tgd source
 
 let run ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes ?jobs
     (m : Mapping.t) source =
@@ -487,13 +349,12 @@ let run ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes ?jobs
 
 (* Run a chain of mappings stage by stage, the output document of each
    stage feeding the next, under one execution context — counters,
-   tracer, deadline and cancellation are shared, and each stage's
-   session is memoised per intermediate document as usual. The first
-   failing stage aborts the chain. *)
+   tracer, deadline and cancellation are shared. The first failing
+   stage aborts the chain. *)
 let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
     ?shard_bytes ?jobs (ms : Mapping.t list) source =
   if ms = [] then invalid_arg "Engine.run_staged_result: empty chain";
-  let ctx = resolve_ctx ctx in
+  let ctx = fresh_ctx ctx in
   List.fold_left
     (fun doc m ->
       let* doc = doc in
@@ -514,21 +375,23 @@ let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
 let run_stream_result ?ctx ?limits ?(backend = `Tgd)
     ?(minimum_cardinality = true) ?plan ?(mode = `Auto)
     ?(shard_bytes = default_shard_bytes) ?jobs (m : Mapping.t) src =
-  let ctx = resolve_ctx ctx in
+  let ctx = fresh_ctx ctx in
   let obs = Clip_run.counters ctx in
-  let materialise_then mode =
-    let* doc =
-      Clip_run.span ctx "parse" (fun () -> Clip_xml.Stream.parse_result src)
-    in
-    run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
-      ~shard_bytes ?jobs m doc
+  let parse () =
+    Clip_run.span ctx "parse" (fun () -> Clip_xml.Stream.parse_result src)
   in
   let* () = check_ablation ~backend ~minimum_cardinality in
   match mode with
-  | `Whole -> materialise_then `Whole
+  | `Whole ->
+    let* doc = parse () in
+    run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode:`Whole
+      ~shard_bytes ?jobs m doc
   | (`Sharded | `Auto) as mode -> (
-      let* tgd =
-        Clip_run.span ctx "compile" (fun () -> Compile.to_tgd_result m)
+      let* tgd = compile_result ~ctx m in
+      let materialise_then mode =
+        let* doc = parse () in
+        run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
+          ~shard_bytes ?jobs m tgd doc
       in
       match
         Clip_shard.plan ~source:m.source ~target:m.target ~minimum_cardinality
@@ -543,9 +406,6 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
       | Clip_shard.Sharded cut -> (
           match backend_module backend with
           | Backend (module B) -> (
-              (* No document-pinned session exists yet, so the query is
-                 prepared sessionless — translation runs directly,
-                 emitting no session-hit counters. *)
               let* query = B.prepare_result ?limits ~ctx ~mapping:m tgd in
               let ctl = Clip_run.control ctx in
               let cutter =
@@ -560,8 +420,8 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
               match first with
               | Clip_shard.Exhausted -> assert false
               | Clip_shard.Fallback_doc doc ->
-                run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan
-                  ~mode:`Whole m doc
+                run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan
+                  ~mode:`Whole ~shard_bytes m tgd doc
               | Clip_shard.Shard first ->
                 let pending = ref (Some first) in
                 let produce () =
@@ -608,30 +468,21 @@ let diagnose (m : Mapping.t) =
 
 let run_traced_result ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t)
     source =
-  let ctx = resolve_ctx ctx in
-  let s = session_for ctx source in
-  let obs = Clip_run.counters ctx in
-  let* tgd =
-    Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
-  in
+  let ctx = fresh_ctx ctx in
+  let* tgd = compile_result ~ctx m in
   Clip_run.span ctx "execute" (fun () ->
     Clip_tgd.Eval.run_traced_result ~minimum_cardinality ?plan
-      ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source
+      ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx) ~source
       ~target_root:m.target.root.name tgd)
 
 (* EXPLAIN: compile (or translate) like a run would, then hand off to
-   the backend's static plan renderer. Uses the same one-shot session
-   memo as [run_result], so an explain right before or after a run over the
-   same document shares its statistics instead of re-walking it. *)
-let explain_result ?ctx ?(backend = `Tgd) ?plan ?mode
+   the backend's static plan renderer. *)
+let explain_result ?(backend = `Tgd) ?plan ?mode
     ?(shard_bytes = default_shard_bytes) (m : Mapping.t) source =
-  let ctx = resolve_ctx ctx in
-  let s = session_for ctx source in
-  let obs = Clip_run.counters ctx in
-  let* tgd = session_tgd_result ?obs s m in
+  let* tgd = Compile.to_tgd_result m in
   let+ base =
     match backend_module backend with
-    | Backend (module B) -> B.explain ?obs ?plan s m tgd
+    | Backend (module B) -> B.explain ?plan source m tgd
   in
   (* The sharding note only appears when a mode was asked for, keeping
      the default EXPLAIN output (and its goldens) untouched. *)

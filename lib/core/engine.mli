@@ -34,10 +34,11 @@
     {!xquery_text} are the only raising wrappers, and they raise only
     {!Clip_diag.Fail}.
 
-    For repeated runs against one source instance, a {!Session}
-    amortises the per-document and per-mapping analysis — compile,
-    translation, statistics, tag index, physical plans — across
-    runs. *)
+    Every call compiles the mapping, translates it where the backend
+    needs a query, and analyses the source (statistics, tag index,
+    physical plans) afresh, and keeps none of it: nothing carries over
+    from one call to the next, so a run's output and work counters
+    depend only on its arguments. *)
 
 type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
 
@@ -49,8 +50,8 @@ type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
       the document holds at least two shard units, cut the document at
       the topmost repeated element the mapping quantifies over,
       evaluate the shards on [?jobs] domains through the unchanged
-      backend executors (one backend session per shard, tgd and query
-      compiled once), and merge the per-shard targets into exactly the
+      backend executors (tgd and query compiled once per run), and
+      merge the per-shard targets into exactly the
       whole-document output. Join-bearing and otherwise unsafe mappings
       fall back to [`Whole] (EXPLAIN says why, see {!explain_result});
     - [`Auto] — [`Sharded], but only when the document overflows one
@@ -67,63 +68,14 @@ type mode = [ `Whole | `Sharded | `Auto ]
     per shard). *)
 val default_shard_bytes : int
 
-(** A per-source-document cache: the backends' sessions (tag index,
-    instance statistics, compiled physical plans) plus this layer's
-    compile caches (mapping to tgd, tgd to XQuery). Create one per
-    document and hand every run to it; repeated runs of the same
-    mapping pay analysis once and only re-execute. Sessions are not
-    thread-safe.
-
-    {b Document identity and mutation.} A session pins the exact
-    document {e value} passed to {!create}: every cached artifact
-    (statistics, tag index, plan cardinality estimates) describes that
-    value, and reuse is keyed by {e physical} identity ([==]).
-    {!Clip_xml.Node.t} values are immutable, so a document can never
-    change under a live session — "mutating" a document means building
-    a new [Node.t], and the correct move is a {b new session} for it.
-    Both safety nets are automatic: a session handed a run against a
-    different (even structurally equal) document simply bypasses its
-    per-document caches, and a rebuilt document is a new allocation,
-    so it can never be mistaken for the pinned one and served stale
-    statistics or plans. What a session does {e not} do is notice that
-    the new document is "the same file, edited" — cross-document cache
-    reuse is deliberately out of scope.
-
-    Sessions are single-domain values: for parallel evaluation give
-    each task its own session (see {!Clip_par}); never share one
-    across domains. *)
-module Session : sig
-  type t
-
-  val create : Clip_xml.Node.t -> t
-  val source : t -> Clip_xml.Node.t
-
-  (** [run_result session mapping] — like {!val-run_result} over the
-      session's document, reusing every cached artifact. [?ctx]
-      supplies the execution context whose counter sink and tracer
-      observe the run (default: a fresh silent context). *)
-  val run_result :
-    ?ctx:Clip_run.t ->
-    ?limits:Clip_diag.Limits.t ->
-    ?backend:backend ->
-    ?minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?mode:mode ->
-    ?shard_bytes:int ->
-    ?jobs:int ->
-    t ->
-    Mapping.t ->
-    (Clip_xml.Node.t, Clip_diag.t list) result
-end
-
 (** The backend contract, made explicit: everything the engine needs
     from an execution backend in one signature. A backend provides a
     shard-ready compiled form ([query], prepared once per run and
-    shared by every shard), whole-document evaluation through the
-    {!Session} caches ([eval_result] — phase spans, counters,
-    cancellation and the step budget flow through the [ctx]), per-shard
-    evaluation against fresh backend state ([eval_shard]), and the
-    static plan renderer behind [clip explain] ([explain]). Every
+    shared by every shard), whole-document evaluation of a source
+    document ([eval_result] — phase spans, counters, cancellation and
+    the step budget flow through the [ctx]), per-shard evaluation
+    ([eval_shard]), and the static plan renderer behind [clip explain]
+    ([explain]). Every
     operation reports failures as diagnostics.
 
     Engine dispatch is a lookup in the {!backends} table of first-class
@@ -143,9 +95,7 @@ module type BACKEND = sig
 
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
-    ?obs:Clip_obs.Counters.t ->
     ctx:Clip_run.t ->
-    ?session:Session.t ->
     mapping:Mapping.t ->
     Clip_tgd.Tgd.t ->
     (query, Clip_diag.t list) result
@@ -155,7 +105,7 @@ module type BACKEND = sig
     ctx:Clip_run.t ->
     minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    Session.t ->
+    Clip_xml.Node.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
@@ -173,9 +123,8 @@ module type BACKEND = sig
     (Clip_xml.Node.t, Clip_diag.t list) result
 
   val explain :
-    ?obs:Clip_obs.Counters.t ->
     ?plan:Clip_plan.mode ->
-    Session.t ->
+    Clip_xml.Node.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
     (string, Clip_diag.t list) result
@@ -204,10 +153,11 @@ val backend_names : (string * backend) list
 (** [run_result mapping source] — the target instance. Default
     backend [`Tgd]; default minimum-cardinality on; default plan
     [`Auto]. [?ctx] supplies the execution context — counter sink,
-    tracer, and the one-shot session memo that lets repeated runs over
-    the same document under one context reuse its analysis; without it,
-    the per-domain {!Clip_run.ambient} shim is used (silent,
-    domain-local).
+    tracer, deadline and cancellation flag; without it the run gets a
+    fresh silent {!Clip_run.create} context. The run compiles the
+    mapping and analyses [source] itself; two runs with the same
+    arguments give the same bytes and the same work counters, whether
+    or not they share a context.
 
     Every failure stage is a diagnostic: [CLIP-VAL-*] validity errors,
     [CLIP-CMP-*] compile errors, [CLIP-XQG-001] translation gaps,
@@ -318,7 +268,6 @@ val run_stream_result :
     compile-stage diagnostics ([CLIP-VAL-*], [CLIP-CMP-*],
     [CLIP-XQG-001], [CLIP-REL-003]). *)
 val explain_result :
-  ?ctx:Clip_run.t ->
   ?backend:backend ->
   ?plan:Clip_plan.mode ->
   ?mode:mode ->

@@ -1,9 +1,8 @@
 (* Deterministic fault injection.
 
    A fixed registry of site-named failure points is compiled into the
-   stack at its trust boundaries (parser entry, planner, session
-   population, index build, both executors, the parallel pool's task
-   wrapper). In production nothing is armed and every [hit] is one
+   stack at its trust boundaries (parser entry, planner, index build,
+   both executors, the parallel pool's task wrapper). In production nothing is armed and every [hit] is one
    atomic load and a branch. A test harness arms exactly one fault —
    site, first firing hit, firing count, transient/permanent class —
    and the chosen hit raises a [Clip_diag.Fail] carrying a stable
@@ -34,7 +33,6 @@ module Site = struct
   let xml_parse = "xml.parse"
   let plan_build = "plan.build"
   let index_build = "index.build"
-  let session_populate = "session.populate"
   let tgd_execute = "tgd.execute"
   let xquery_execute = "xquery.execute"
   let par_task = "par.task"
@@ -47,7 +45,6 @@ let all_sites =
     Site.xml_parse;
     Site.plan_build;
     Site.index_build;
-    Site.session_populate;
     Site.tgd_execute;
     Site.xquery_execute;
     Site.par_task;

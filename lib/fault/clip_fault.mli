@@ -1,8 +1,8 @@
 (** Deterministic, site-named fault injection.
 
     Failure points ({!hit}) are compiled into the stack at its trust
-    boundaries — parser entry, planner, session population, tag-index
-    build, both executors, the {!Clip_par} task wrapper — and are
+    boundaries — parser entry, planner, tag-index build, both
+    executors, the {!Clip_par} task wrapper — and are
     inert (one atomic load, one branch) until a harness {!arm}s
     exactly one of them. The armed hit raises through
     {!Clip_diag.Fail} with a stable code — [CLIP-FLT-001] for
@@ -33,8 +33,6 @@ module Site : sig
   val plan_build : string (** {!Clip_plan.plan} compilation *)
 
   val index_build : string (** {!Clip_xml.Index.build} *)
-
-  val session_populate : string (** {!Clip_core.Engine.Session} cache population *)
 
   val tgd_execute : string (** tgd backend run entry *)
 

@@ -140,11 +140,6 @@ let memo_hit (s : sink) =
   | None -> ()
   | Some c -> c.Counters.memo_hits <- c.Counters.memo_hits + 1
 
-let session_hit (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.session_hits <- c.Counters.session_hits + 1
-
 let lim_tick (s : sink) =
   match s with
   | None -> ()

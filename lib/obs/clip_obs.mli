@@ -1,8 +1,7 @@
 (** Zero-dependency observability: execution counters and trace spans.
 
     Every execution layer — the tgd engine, the XQuery evaluator, the
-    shared physical-plan executor, the tag index and the engine's
-    session caches — reports cheap monotonic counters through an
+    shared physical-plan executor and the tag index — reports cheap monotonic counters through an
     explicit {e sink} ([Counters.t option]) threaded down from the
     execution context ({!Clip_run}). There is no ambient global slot:
     a sink is owned by exactly one run, so concurrent runs — including
@@ -40,10 +39,13 @@ module Counters : sig
     mutable batches_executed : int;
         (** always 0: no executor batches frontiers. Kept so readers of
             the field (perfbench's [plan.batches]) still compile. *)
-    mutable memo_hits : int;  (** compiled-plan memo hits (per-document) *)
+    mutable memo_hits : int;
+        (** hits in the XQuery evaluator's per-run FLWOR plan memo: a
+            FLWOR block re-entered once per outer binding reuses the
+            plan compiled on its first entry in the same run *)
     mutable session_hits : int;
-        (** engine session-cache hits (compiled tgds, generated
-            queries, reused sessions) *)
+        (** always 0: runs share no cache. Kept so readers of the
+            field (perfbench's [engine.session_hits]) still compile. *)
     mutable lim_ticks : int;
         (** CLIP-LIM-004 budget ticks: the step count of a run *)
     mutable ctl_checks : int;
@@ -69,7 +71,7 @@ module Counters : sig
   val to_assoc : t -> (string * int) list
 
   (** The counters that describe {e execution work} (everything except
-      the cache-warming [memo_hits]/[session_hits]) — the subset two
+      the cache counters [memo_hits]/[session_hits]) — the subset two
       runs must agree on to be "the same physical execution". *)
   val work_assoc : t -> (string * int) list
 
@@ -101,7 +103,6 @@ val hash_join_build : sink -> unit
 val hash_join_probe : sink -> unit
 
 val memo_hit : sink -> unit
-val session_hit : sink -> unit
 val lim_tick : sink -> unit
 val ctl_check : sink -> unit
 val fault_injected : sink -> unit

@@ -7,7 +7,7 @@
     order — for any [jobs]. Tasks are claimed dynamically from an
     atomic counter but results land in their input slots; and because
     every layer below carries its state explicitly ({!Clip_run}
-    contexts, per-task sessions, explicit counter sinks, the
+    contexts, explicit counter sinks, the
     domain-safe {!Clip_xml.Symbol} table), a task computes the same
     value whichever domain runs it.
 
@@ -16,7 +16,7 @@
     sink only on success, and the per-domain sinks fold into [?obs]
     with {!Clip_obs.Counters.add} after the join. Counters that are
     deterministic per task (the {!Clip_obs.Counters.work_assoc}
-    classes, given per-task sessions) therefore sum to exactly the
+    classes) therefore sum to exactly the
     sequential totals of the {e successful} tasks, independent of the
     task-to-domain partition — a failing task contributes nothing, not
     even the partial work of its failed attempts.
@@ -58,7 +58,7 @@ val clamp_jobs : cores:int -> int option -> int
     data faults: they are re-raised in the caller (with backtrace,
     lowest failing input index first, after every task has run), never
     converted into an [Error] slot. [f] must be self-contained per
-    task {e and} per attempt: create sessions/contexts inside it,
+    task {e and} per attempt: create contexts inside it,
     never capture another task's. *)
 val map_results :
   ?jobs:int ->

@@ -109,8 +109,8 @@ type 'env cond =
     {!Per_run} probes. A backend creates one per evaluation run and
     passes it to every {!execute} of that run, so a nested plan run
     once per parent binding builds such a table once. It is never
-    stored in a plan: plans are cached by sessions and shared across
-    shards and domains, while a run's tables die with the run. *)
+    stored in a plan, so a plan holds no data of the run that
+    executes it. *)
 module Run : sig
   type 'item t
 

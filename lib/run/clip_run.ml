@@ -1,21 +1,12 @@
 (* Explicit execution contexts.
 
-   A context owns every piece of run-scoped mutable state that used to
-   live in ambient globals: the observability counter sink, the trace
-   tracer, and a memo slot for engine-level caches (the one-shot
-   session memo). Threading the context as a value is what makes the
-   stack domain-safe — two contexts never share state, so two domains
-   evaluating with their own contexts cannot race or poison each
-   other's caches.
-
-   The memo slot is an extensible variant so this library does not
-   depend on the engine's session type; {!Clip_core.Engine} declares
-   its own constructor and stores its weak session memo here.
-
-   [ambient] is the one deliberate compatibility shim: a per-domain
-   default context (held in domain-local storage) used by entry points
-   called without an explicit context — the CLI and legacy callers.
-   Domain-local means even the shim cannot race across domains. *)
+   A context owns every piece of run-scoped mutable state: the
+   observability counter sink, the trace tracer and the fault-tolerance
+   control. Threading the context as a value is what makes the stack
+   domain-safe — two contexts never share state, so two domains
+   evaluating with their own contexts cannot race. A context carries no
+   cache: every run compiles and analyses its own input, so nothing a
+   run leaves behind can change the next one. *)
 
 (* --- Cooperative cancellation ----------------------------------------- *)
 
@@ -75,13 +66,10 @@ module Control = struct
       | Some _ | None -> None
 end
 
-type memo = ..
-
 type t = {
   counters : Clip_obs.Counters.t option;
   tracer : Clip_obs.Trace.t option;
   control : Control.t;
-  mutable memo : memo option;
 }
 
 (* Every context owns a fresh control (unless handed a shared cancel
@@ -89,7 +77,7 @@ type t = {
    constant, which is only the default for evaluator entry points
    called without any control at all. *)
 let create ?counters ?tracer ?deadline ?cancel () =
-  { counters; tracer; control = Control.make ?deadline ?cancel (); memo = None }
+  { counters; tracer; control = Control.make ?deadline ?cancel () }
 
 let counters ctx = ctx.counters
 let tracer ctx = ctx.tracer
@@ -97,8 +85,3 @@ let span ctx name f = Clip_obs.Trace.span ctx.tracer name f
 let control ctx = ctx.control
 let cancel ctx = Cancel.set ctx.control.Control.cancel
 let cancelled ctx = Control.cancelled ctx.control
-let memo ctx = ctx.memo
-let set_memo ctx m = ctx.memo <- Some m
-
-let ambient_key = Domain.DLS.new_key (fun () -> create ())
-let ambient () = Domain.DLS.get ambient_key

@@ -2,9 +2,10 @@
 
     A context carries every piece of run-scoped mutable state the
     engine stack needs — the {!Clip_obs} counter sink, the trace
-    tracer, the fault-tolerance {!Control} (deadline + cooperative
-    cancellation), and a memo slot for engine-level caches — as one
-    explicit value. Nothing in the evaluation stack reaches for
+    tracer and the fault-tolerance {!Control} (deadline + cooperative
+    cancellation) — as one explicit value. It holds no cache: every
+    run compiles and analyses its own input, so running twice under
+    one context gives what two fresh contexts give. Nothing in the evaluation stack reaches for
     ambient globals: state is owned by whoever created the context,
     which is what makes concurrent evaluation ({!Clip_par}) sound —
     contexts on different domains share nothing.
@@ -25,7 +26,7 @@
     CLIP-LIM-004 tick sites) stops with a [CLIP-LIM-006] diagnostic at
     its next poll. Cancellation is cooperative — nothing is killed;
     the evaluator unwinds through the ordinary [*_result] error path,
-    leaving sessions and caches in a reusable state. *)
+    leaving the context reusable. *)
 module Cancel : sig
   type t
 
@@ -77,11 +78,6 @@ module Control : sig
   val check : t -> Clip_diag.t option
 end
 
-(** Extensible engine-cache slot: layers above declare their own
-    constructor (e.g. the engine's weak one-shot session memo) so this
-    library stays independent of their types. *)
-type memo = ..
-
 type t
 
 (** [create ?counters ?tracer ?deadline ?cancel ()] — a fresh context.
@@ -114,13 +110,3 @@ val control : t -> Control.t
 val cancel : t -> unit
 
 val cancelled : t -> bool
-val memo : t -> memo option
-val set_memo : t -> memo -> unit
-
-(** The per-domain default context — the single deliberate ambient
-    shim, for entry points called without an explicit context (the CLI
-    boundary, legacy callers). Held in domain-local storage, so even
-    this shim is domain-safe: each domain gets its own. Its counters
-    and tracer are off; its memo slot gives no-context callers the
-    cross-run session reuse they had before contexts existed. *)
-val ambient : unit -> t

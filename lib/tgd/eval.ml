@@ -7,63 +7,39 @@ let error fmt =
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
     fmt
 
-(* Evaluation context: the source document plus the step budget that
-   bounds runaway mappings (CLIP-LIM-004); each source-expression or
-   scalar evaluation counts one step, so deep cross products hit the
-   budget instead of hanging.
-
-   The context outlives a single run when held by a {!Session}: the
-   memoised tag index and instance statistics are per-document, so
-   reusing the context lets repeated runs pay the index groupings and
-   the stats walk once. [index] is the per-run view — set at run start to
-   the shared index ([`Indexed], or [`Auto] when indexing is judged to
-   pay) or to [None] — while [xindex] owns the index itself. [steps]
-   and [max_steps] are reset per run. *)
+(* Evaluation context of one run: the source document, its instance
+   statistics and tag index (each built on first use), and the step
+   budget that bounds runaway mappings (CLIP-LIM-004); each
+   source-expression or scalar evaluation counts one step, so deep
+   cross products hit the budget instead of hanging. [index] is the
+   run's view of the tag index: set at run start to the index
+   ([`Indexed], or [`Auto] when indexing is judged to pay) or left
+   [None]. *)
 type ctx = {
   source : Xml.Node.t;
   mutable index : Xml.Index.t option;
-  mutable xindex : Xml.Index.t option; (* resettable memo, see [force_index] *)
-  mutable stats : Xml.Stats.t option; (* resettable memo, see [force_stats] *)
+  xindex : Xml.Index.t Lazy.t;
+  stats : Xml.Stats.t Lazy.t;
   steps : int ref;
-  mutable max_steps : int;
-  mutable obs : Clip_obs.sink;
-      (* per-run counter sink, set by [execute]; explicit state — the
-         evaluator never reaches for an ambient sink *)
-  mutable ctl : Clip_run.Control.t;
-      (* per-run deadline/cancellation view, polled by [tick] *)
+  max_steps : int;
+  obs : Clip_obs.sink;
+  ctl : Clip_run.Control.t; (* deadline/cancellation view, polled by [tick] *)
 }
 
-let make_ctx source =
+let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none) source =
   {
     source;
     index = None;
-    xindex = None;
-    stats = None;
+    xindex = lazy (Xml.Index.build source);
+    stats = lazy (Xml.Stats.collect source);
     steps = ref 0;
-    max_steps = max_int;
-    obs = Clip_obs.none;
-    ctl = Clip_run.Control.none;
+    max_steps;
+    obs;
+    ctl;
   }
 
-(* Memo slots rather than lazies: a lazy that raises re-raises forever,
-   so one injected fault (or an expiring deadline) during the build
-   would poison a session-held context for every later run. With the
-   slot, a failed build leaves [None] and the next run simply rebuilds. *)
-let force_index ctx =
-  match ctx.xindex with
-  | Some i -> i
-  | None ->
-    let i = Xml.Index.build ctx.source in
-    ctx.xindex <- Some i;
-    i
-
-let force_stats ctx =
-  match ctx.stats with
-  | Some s -> s
-  | None ->
-    let s = Xml.Stats.collect ctx.source in
-    ctx.stats <- Some s;
-    s
+let force_index ctx = Lazy.force ctx.xindex
+let force_stats ctx = Lazy.force ctx.stats
 
 let check_control ctx =
   Clip_obs.ctl_check ctx.obs;
@@ -150,7 +126,7 @@ let record_lineage (record : recorder) node sources (item : 'k -> Value.item opt
    (condition pushdown + hash joins, see {!Clip_plan}) and each node's
    per-binding work compiled to a {!Builder.rule}. Planning only needs
    the statically known outer scope, so the tree is compiled once per
-   [execute], or once per session. *)
+   [execute]. *)
 type planned = {
   pm : Tgd.t;
   pplan : (frame, Value.item) Clip_plan.t;
@@ -529,10 +505,9 @@ let cond_of ctx scope (c : Tgd.comparison) =
 
 (* Compile a mapping tree to physical plans. Planning needs only the
    statically known outer scope (and, under [`Cost], the instance
-   statistics), so a compiled tree is a per-(policy, mapping) artifact:
-   its closures — plans and rule bodies — capture the context and slot
-   numbers but none of a run's state, which is what lets a {!Session}
-   cache it across runs. [scope] threads through the generators, the
+   statistics); the closures — plans and rule bodies — capture the
+   context and slot numbers, and a frame is allocated per run of the
+   tree. [scope] threads through the generators, the
    target generators and the children in lexical order, each binding
    site taking a fresh slot of [layout]. [runs] estimates how often the
    plan runs per evaluation (its ancestors' chain estimates), for
@@ -622,46 +597,12 @@ let index_threshold = 256
    of nodes, so [`Auto] runs the direct interpreter outright. *)
 let naive_threshold = 128
 
-(* --- Sessions ---------------------------------------------------------- *)
-
-(* A session pins one source document and keeps everything that is
-   per-document rather than per-run: the evaluation context (whose
-   lazy index and statistics then survive across runs) and the
-   compiled plan trees, keyed by (policy, mapping). Mapping values are
-   pure data, so structural hashing is sound; a mapping containing a
-   NaN constant never hits the cache (NaN <> NaN) and is simply
-   re-planned. *)
-type session = {
-  sctx : ctx;
-  splans : (bool * Tgd.t, compiled) Hashtbl.t; (* key: (cost-policy?, mapping) *)
-  (* One-slot physical-identity fast path in front of [splans]: a
-     caller re-running the same mapping value skips the structural
-     hash and deep equality, which on small documents costs as much as
-     the run itself. *)
-  mutable slast : (bool * Tgd.t * compiled) option;
-}
-
-module Session = struct
-  type t = session
-
-  let create source =
-    { sctx = make_ctx source; splans = Hashtbl.create 8; slast = None }
-  let source s = s.sctx.source
-  let stats s = force_stats s.sctx
-end
-
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     ?(plan = `Auto) ?(ctl = Clip_run.Control.none)
-    ?session ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
+    ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
   let ctx =
-    match session with
-    | Some s when s.sctx.source == source -> s.sctx
-    | _ -> make_ctx source
+    make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ~ctl source
   in
-  ctx.steps := 0;
-  ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
-  ctx.obs <- obs;
-  ctx.ctl <- ctl;
   let record_steps () =
     match steps_out with Some r -> r := !(ctx.steps) | None -> ()
   in
@@ -695,34 +636,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   (* The plan-based path: compile each mapping's universal part once
      (conditions pushed down, equality conditions turned into hash
      joins where profitable), then stream bindings into the same
-     per-binding body the naive interpreter runs. With a session the
-     compiled tree is fetched from (or added to) the per-document
-     cache instead of recompiled. *)
-  let planned_for policy =
-    let build () = plan_tree ctx policy m in
-    match session with
-    | Some s when s.sctx == ctx ->
-      let cost = match policy with `Cost -> true | `Force -> false in
-      (match s.slast with
-       | Some (c, m', p) when c = cost && m' == m ->
-         Clip_obs.memo_hit ctx.obs;
-         p
-       | _ ->
-         let p =
-           let key = (cost, m) in
-           match Hashtbl.find_opt s.splans key with
-           | Some p ->
-             Clip_obs.memo_hit ctx.obs;
-             p
-           | None ->
-             let p = build () in
-             Hashtbl.add s.splans key p;
-             p
-         in
-         s.slast <- Some (cost, m, p);
-         p)
-    | _ -> build ()
-  in
+     per-binding body the naive interpreter runs. *)
   (* The run-scoped hash tables: a nested mapping joined to its parent
      builds its table once here, not once per parent binding. *)
   let run = Clip_plan.Run.create () in
@@ -750,14 +664,14 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      naive ()
    | `Indexed ->
      ctx.index <- Some (force_index ctx);
-     run_planned (planned_for `Force)
+     run_planned (plan_tree ctx `Force m)
    | `Auto ->
-     if Xml.Stats.node_count (force_stats ctx) < naive_threshold then begin
+     if Xml.Node.size_below naive_threshold source then begin
        ctx.index <- None;
        naive ()
      end
      else begin
-       let p = planned_for `Cost in
+       let p = plan_tree ctx `Cost m in
        (* The tag index pays only when some element's children are
           listed twice and the document is big enough to amortise the
           groupings; otherwise leave it off and scan. *)
@@ -770,12 +684,12 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      end);
   Builder.root bld
 
-let run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
-    ?obs ~source ~target_root m =
+let run_result ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
+    ~source ~target_root m =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
-      (execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
-         ?obs ~source ~target_root m))
+      (execute ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
+         ~source ~target_root m))
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
@@ -783,12 +697,8 @@ let run_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?steps_out
    [execute] — same thresholds, same policies, same planner — but only
    plans, never evaluates, so the output is deterministic and free of
    timings (golden-testable). *)
-let explain ?(plan = `Auto) ?session ~source (m : Tgd.t) : string =
-  let ctx =
-    match session with
-    | Some s when s.sctx.source == source -> s.sctx
-    | _ -> make_ctx source
-  in
+let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
+  let ctx = make_ctx source in
   let b = Buffer.create 512 in
   let nodes = Xml.Stats.node_count (force_stats ctx) in
   Printf.bprintf b "backend: tgd\nplan: %s\ndocument: %d nodes\n"
@@ -881,8 +791,8 @@ type trace_entry = {
    collects, each time a target generator creates or re-reaches an
    element, the source elements bound at that moment (deduplicated by
    identity). Untraced runs pass no recorder and pay nothing. *)
-let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?obs
-    ~source ~target_root m =
+let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?obs ~source
+    ~target_root m =
   Clip_diag.guard @@ fun () ->
   let lineage = Hashtbl.create 64 in
   let record (node : Builder.bnode) =
@@ -901,8 +811,8 @@ let run_traced_result ?limits ?minimum_cardinality ?plan ?ctl ?session ?obs
       end
   in
   let root =
-    execute ?limits ?minimum_cardinality ?plan ?ctl ?session ?obs ~record
-      ~source ~target_root m
+    execute ?limits ?minimum_cardinality ?plan ?ctl ?obs ~record ~source
+      ~target_root m
   in
   let trace = ref [] in
   let rec walk path (b : Builder.bnode) =

@@ -42,26 +42,9 @@
     deadline reports [CLIP-LIM-005], a set cancellation flag
     [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    A {!Session} pins one source document and carries its per-document
-    artifacts — tag index, instance statistics, compiled plans —
-    across runs, so repeated execution against the same source pays
-    the analysis once. *)
-
-(** A per-document cache: evaluation context (memoised tag index +
-    instance statistics) and compiled physical plans, reused by every
-    run handed the session together with the {e same} (physically
-    equal) source document. Passing a session with a different source
-    is safe — it is simply ignored. Sessions are not thread-safe. *)
-module Session : sig
-  type t
-
-  val create : Clip_xml.Node.t -> t
-  val source : t -> Clip_xml.Node.t
-
-  (** Instance statistics of the session's document (collected on
-      first use, then cached). *)
-  val stats : t -> Clip_xml.Stats.t
-end
+    Every run analyses its source afresh — instance statistics, tag
+    index, physical plans — and keeps none of it, so two runs over the
+    same arguments do the same work. *)
 
 (** Scalar function symbols known to the engine (usable in
     [Term.Fn]): [concat], [add], [sub], [mul], [div], [upper],
@@ -79,7 +62,6 @@ val run_result :
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
   ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   source:Clip_xml.Node.t ->
@@ -98,7 +80,6 @@ val run_result :
     golden tests. *)
 val explain :
   ?plan:Clip_plan.mode ->
-  ?session:Session.t ->
   source:Clip_xml.Node.t ->
   Tgd.t ->
   string
@@ -121,7 +102,6 @@ val run_traced_result :
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
   ?obs:Clip_obs.Counters.t ->
   source:Clip_xml.Node.t ->
   target_root:string ->

@@ -9,8 +9,7 @@
 
    The index is entirely lazy: creation is O(1), and an element's
    children are grouped the first time it is probed. Laziness matters
-   because the index lives for one engine run — or, held in a session,
-   for many runs — and many runs (pure value mappings, small
+   because the index lives for one engine run, and many runs (pure value mappings, small
    documents) never probe the same element twice; an eager
    whole-document build would cost more than it saves. It also means
    the index answers for {e any} element — nodes of the source

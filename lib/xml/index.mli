@@ -9,10 +9,7 @@
     revisit an element pay (almost) nothing. It answers for any
     element, including nodes constructed during evaluation;
     memoisation is sound because nodes are immutable, allocation ids
-    are never reused, and symbols never change meaning — which also
-    makes it sound for one index to serve {e many} runs over the same
-    document (a session holds one and amortises the grouping across
-    requests). *)
+    are never reused, and symbols never change meaning. *)
 
 type t
 

@@ -113,6 +113,18 @@ let rec size = function
   | Text _ -> 1
   | Element e -> 1 + List.length e.attrs + List.fold_left (fun n c -> n + size c) 0 e.children
 
+let size_below limit n =
+  (* Counts the budget down and stops descending once it is spent, so
+     the walk (and its recursion depth) is bounded by [limit]. *)
+  let rec go budget = function
+    | [] -> budget
+    | _ when budget <= 0 -> budget
+    | Text _ :: rest -> go (budget - 1) rest
+    | Element e :: rest ->
+      go (go (budget - 1 - List.length e.attrs) e.children) rest
+  in
+  go limit [ n ] > 0
+
 let rec depth = function
   | Text _ -> 1
   | Element e -> 1 + List.fold_left (fun d c -> max d (depth c)) 0 e.children

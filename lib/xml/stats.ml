@@ -4,8 +4,7 @@
    generator chains with per-tag cardinalities: the estimated size of
    [source.dept.Proj] is the Proj count, the estimated per-department
    fan-out of [d.Proj] is Proj count / dept count, and so on. One
-   preorder walk collects everything; with a session cache the walk
-   runs once per document, not once per run. *)
+   preorder walk collects everything, once per run. *)
 
 type t = {
   nodes : int; (* elements + attributes + texts, like Node.size *)

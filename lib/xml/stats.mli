@@ -3,8 +3,8 @@
 
     The adaptive planner prices generator chains with these numbers —
     the estimated cardinality of a [Child] step is the step tag's
-    count divided by its parent tag's count. Collect once per document
-    (a session caches the result across runs). *)
+    count divided by its parent tag's count. The engine collects them
+    once per run. *)
 
 type t
 

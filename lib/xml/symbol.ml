@@ -5,13 +5,13 @@
    compare tags with an int equality instead of hashing or walking a
    string. Interning is append-only: a symbol, once assigned, never
    changes meaning, which is what makes it sound to store symbols
-   inside immutable nodes ({!Node.element.sym}) and inside caches that
-   outlive a single run ({!Index}, {!Stats}, session plan caches).
+   inside immutable nodes ({!Node.element.sym}), in per-run structures
+   ({!Index}, {!Stats}, plans) and in values shared across domains.
 
    The table is global and grows monotonically. That is deliberate:
    tag vocabularies are schema-sized (dozens of names, not millions),
    so a process-wide table costs nothing and lets symbols flow between
-   documents, sessions, plans and worker domains without translation.
+   documents, plans and worker domains without translation.
 
    Concurrency design: the whole table is one immutable snapshot
    ({!state}: a frozen id→name array and a frozen name→id hashtable)

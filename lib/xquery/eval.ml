@@ -8,26 +8,25 @@ let error fmt =
 
 module Env = Map.Make (String)
 
-(* Evaluation context: the input document plus the step budget that
-   bounds runaway queries (CLIP-LIM-004). Under [`Indexed] and [`Auto]
-   FLWOR blocks run through {!Clip_plan} instead of the naive
-   recursion.
+(* Evaluation context of one run: the input document, its instance
+   statistics and tag index (each built on first use), and the step
+   budget that bounds runaway queries (CLIP-LIM-004). Under [`Indexed]
+   and [`Auto] FLWOR blocks run through {!Clip_plan} instead of the
+   naive recursion.
 
-   The context outlives one run when held by a {!Session}: the
-   memoised tag index, the instance statistics and the FLWOR plan memo
-   are per-document, so a session pays them once. [index] is the per-run
-   (for [`Auto]: adaptive, see [eval_flwor_planned]) view; [xindex]
-   owns the index itself. [plans] memoises compiled FLWOR plans keyed
-   by the physical identity of the clause list — the same FLWOR block
-   re-entered once per outer binding (the hot path of nested queries)
-   then replans zero times — plus the outer-variable set, policy and
-   run estimate, which all affect planning. *)
+   [index] is the run's (for [`Auto]: adaptive, see
+   [eval_flwor_planned]) view of the tag index. [plans] memoises
+   compiled FLWOR plans for the run, keyed by the physical identity of
+   the clause list — the same FLWOR block re-entered once per outer
+   binding (the hot path of nested queries) then replans zero times —
+   plus the outer-variable set, policy and run estimate, which all
+   affect planning. *)
 type ctx = {
   input : Xml.Node.t;
   mutable index : Xml.Index.t option;
-  mutable xindex : Xml.Index.t option; (* resettable memo, see [force_index] *)
-  mutable stats : Xml.Stats.t option; (* resettable memo, see [force_stats] *)
-  mutable plan : Clip_plan.mode;
+  xindex : Xml.Index.t Lazy.t;
+  stats : Xml.Stats.t Lazy.t;
+  mutable plan : Clip_plan.mode; (* the mode the run resolved to *)
   plans :
     (Ast.clause list
     * string list
@@ -36,40 +35,19 @@ type ctx = {
     * (Value.t Env.t, Value.t) Clip_plan.t)
     list
     ref;
-  mutable run : Value.t Clip_plan.Run.t;
-      (* per-run hash tables of run-scoped probes, set by [with_ctx]
-         and dropped when the run ends *)
+  run : Value.t Clip_plan.Run.t;
+      (* the hash tables of run-scoped probes *)
   mutable runs : int option;
       (* estimated runs of the FLWOR block being entered: 1 at the top,
          times each enclosing block's chain estimate *)
   steps : int ref;
-  mutable max_steps : int;
-  mutable obs : Clip_obs.sink;
-      (* per-run counter sink, set by [with_ctx]; explicit state — the
-         evaluator never reaches for an ambient sink *)
-  mutable ctl : Clip_run.Control.t;
-      (* per-run deadline/cancellation view, polled by [tick] *)
+  max_steps : int;
+  obs : Clip_obs.sink;
+  ctl : Clip_run.Control.t; (* deadline/cancellation view, polled by [tick] *)
 }
 
-(* Memo slots rather than lazies: a lazy that raises re-raises forever,
-   so one injected fault (or an expiring deadline) during the build
-   would poison a session-held context for every later run. With the
-   slot, a failed build leaves [None] and the next run simply rebuilds. *)
-let force_index ctx =
-  match ctx.xindex with
-  | Some i -> i
-  | None ->
-    let i = Xml.Index.build ctx.input in
-    ctx.xindex <- Some i;
-    i
-
-let force_stats ctx =
-  match ctx.stats with
-  | Some s -> s
-  | None ->
-    let s = Xml.Stats.collect ctx.input in
-    ctx.stats <- Some s;
-    s
+let force_index ctx = Lazy.force ctx.xindex
+let force_stats ctx = Lazy.force ctx.stats
 
 let check_control ctx =
   Clip_obs.ctl_check ctx.obs;
@@ -520,45 +498,28 @@ and eval_call ctx env name args =
     Value.of_atom (Xml.Atom.Bool (not (ebool (arg 0))))
   | name -> error "unknown function %s#%d" name (List.length args)
 
-let make_ctx input =
+let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none) input =
   {
     input;
     index = None;
-    xindex = None;
-    stats = None;
+    xindex = lazy (Xml.Index.build input);
+    stats = lazy (Xml.Stats.collect input);
     plan = `Auto;
     plans = ref [];
     run = Clip_plan.Run.create ();
     runs = Some 1;
     steps = ref 0;
-    max_steps = max_int;
-    obs = Clip_obs.none;
-    ctl = Clip_run.Control.none;
+    max_steps;
+    obs;
+    ctl;
   }
-
-(* A session pins one input document and keeps its per-document
-   artifacts — memoised tag index, instance statistics, FLWOR plan memo —
-   alive across runs. Ignored (a fresh context is made) when handed a
-   different document. *)
-type session = { sctx : ctx }
-
-module Session = struct
-  type t = session
-
-  let create input = { sctx = make_ctx input }
-  let input s = s.sctx.input
-end
 
 (* Static plan rendering for every FLWOR block of a query, numbered in
    preorder. Mirrors the dispatch of [with_ctx]/[eval_flwor] — same
    thresholds, same policies, same planner — but never evaluates, so
    the output is deterministic (golden-testable). *)
-let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
-  let ctx =
-    match session with
-    | Some s when s.sctx.input == input -> s.sctx
-    | _ -> make_ctx input
-  in
+let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
+  let ctx = make_ctx input in
   let b = Buffer.create 512 in
   let nodes = Xml.Stats.node_count (force_stats ctx) in
   Printf.bprintf b "backend: xquery\nplan: %s\ndocument: %d nodes\n"
@@ -644,20 +605,14 @@ let explain ?(plan = `Auto) ?session ~input (expr : Ast.expr) : string =
      walk (Some 1) [] expr);
   Buffer.contents b
 
-let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs plan limits steps_out
-    input f =
+let with_ctx ?ctl ?obs plan limits steps_out input f =
   let ctx =
-    match session with
-    | Some s when s.sctx.input == input -> s.sctx
-    | _ -> make_ctx input
+    make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl input
   in
-  ctx.obs <- obs;
-  ctx.ctl <- ctl;
   (* Tiny documents don't repay planning: run [`Auto] as [`Naive]. *)
   let plan =
     match plan with
-    | `Auto when Xml.Stats.node_count (force_stats ctx) < naive_threshold
-      -> `Naive
+    | `Auto when Xml.Node.size_below naive_threshold input -> `Naive
     | p -> p
   in
   ctx.plan <- plan;
@@ -665,14 +620,8 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs plan limits steps_out
     (match plan with
      | `Indexed -> Some (force_index ctx)
      | _ -> None (* [`Auto] switches it on adaptively *));
-  ctx.steps := 0;
-  ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
-  ctx.run <- Clip_plan.Run.create ();
-  ctx.runs <- Some 1;
   let finish () =
-    (match steps_out with Some r -> r := !(ctx.steps) | None -> ());
-    (* A session keeps [ctx]; the run's tables must not outlive it. *)
-    ctx.run <- Clip_plan.Run.create ()
+    match steps_out with Some r -> r := !(ctx.steps) | None -> ()
   in
   Fun.protect ~finally:finish (fun () ->
       (* One unconditional control poll before any work makes an
@@ -682,16 +631,16 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs plan limits steps_out
       Clip_fault.hit ~obs:ctx.obs Clip_fault.Site.xquery_execute;
       f ctx)
 
-let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl
-    ?session ?obs ~input expr =
+let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl ?obs
+    ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?session ?obs plan limits None input (fun ctx ->
+    with_ctx ?ctl ?obs plan limits None input (fun ctx ->
         eval ctx Env.empty expr))
 
 let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
-    ?ctl ?session ?steps_out ?obs ~input expr =
+    ?ctl ?steps_out ?obs ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?session ?obs plan limits steps_out input (fun ctx ->
+    with_ctx ?ctl ?obs plan limits steps_out input (fun ctx ->
       match eval ctx Env.empty expr with
       | [ Value.Node (Xml.Node.Element _ as n) ] -> n
       | v ->

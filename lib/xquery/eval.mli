@@ -26,20 +26,10 @@
     once at run start): an expired deadline reports [CLIP-LIM-005], a
     set cancellation flag [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    A {!Session} pins one input document and carries its per-document
-    artifacts — tag index, instance statistics, compiled FLWOR plans —
-    across runs. *)
-
-(** A per-document cache reused by every run handed the session
-    together with the {e same} (physically equal) input document;
-    with a different document the session is simply ignored. Sessions
-    are not thread-safe. *)
-module Session : sig
-  type t
-
-  val create : Clip_xml.Node.t -> t
-  val input : t -> Clip_xml.Node.t
-end
+    Every run analyses its input afresh — instance statistics, tag
+    index, FLWOR plans — and keeps none of it. Within a run, a FLWOR
+    block re-entered once per outer binding reuses the plan compiled on
+    its first entry (counted as [memo_hits]). *)
 
 (** [explain ~input expr] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would evaluate [expr] over [input]: a
@@ -51,7 +41,6 @@ end
     in the output, so it is stable for golden tests. *)
 val explain :
   ?plan:Clip_plan.mode ->
-  ?session:Session.t ->
   input:Clip_xml.Node.t ->
   Ast.expr ->
   string
@@ -66,7 +55,6 @@ val run_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
   ?obs:Clip_obs.Counters.t ->
   input:Clip_xml.Node.t ->
   Ast.expr ->
@@ -79,7 +67,6 @@ val run_document_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
   ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   input:Clip_xml.Node.t ->

@@ -400,7 +400,7 @@ let fault_iterations = ref 0
    drives a fixed, valid end-to-end pipeline that crosses every
    registered site: re-parsing the printed instance (xml.parse), an
    [`Indexed] engine run on both backends (plan.build, index.build,
-   session.populate, tgd.execute, xquery.execute) under the
+   tgd.execute, xquery.execute) under the
    {!Clip_par.map_results} wrapper (par.task). Totality plus fault
    hygiene: a fired fault must surface as [Error] carrying a CLIP-FLT-*
    code — never an exception, never a silent [Ok] — and after

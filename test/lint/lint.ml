@@ -20,8 +20,16 @@
    Top-level [ref] / [Hashtbl.create] value bindings are ambient
    mutable state: invisible to callers, shared across runs, and racy
    across domains. Run-scoped state belongs in a [Clip_run] context
-   (counters, tracers, session memos); cross-domain state must be
+   (counters, tracers, deadlines); cross-domain state must be
    [Atomic] or mutex-guarded with an explicit allowlist entry.
+
+   [Ephemeron] and [Domain.DLS] are the tools of a cache that outlives
+   a run: a weak table keyed by a document, or a per-domain default
+   context that quietly carries one run's analysis into the next. Every
+   run compiles and analyses its own input, so a run's output and
+   counters depend only on its arguments; both names are forbidden in
+   code under [lib/] unless listed in [cache_allowlist] (empty), so
+   such a cache cannot come back without a review.
 
    Under [lib/xml/], the lexer and the atoms type every value of a
    parsed document, and [int_of_string*] / [float_of_string*] read
@@ -68,7 +76,6 @@ let invalid_arg_allowlist =
     ("algebra/clip_algebra.ml", 2);
     ("core/engine.ml", 1);
     ("fault/clip_fault.ml", 1);
-    ("rel/eval.ml", 2);
     ("scenarios/figures.ml", 1);
     ("scenarios/generic.ml", 1);
     ("scenarios/table1.ml", 1);
@@ -108,6 +115,10 @@ let poly_files =
   ]
 
 let poly_allowlist : (string * int) list = []
+
+(* Files allowed N uses of [Ephemeron] or [Domain.DLS] (none). *)
+let cache_allowlist : (string * int) list = []
+let cache_names = [ "Ephemeron"; "Domain.DLS" ]
 let poly_calls = [ "List.mem"; "List.assoc"; "List.assoc_opt"; "List.mem_assoc"; "Stdlib.compare" ]
 
 let read_file path =
@@ -368,6 +379,18 @@ let () =
              compare with String.equal, Path.equal or a match"
             rel calls allowed
       end;
+      (let code = strip_literals src in
+       let uses =
+         List.fold_left (fun n name -> n + count_substring code name) 0 cache_names
+       in
+       let allowed =
+         match List.assoc_opt rel cache_allowlist with Some n -> n | None -> 0
+       in
+       if uses > allowed then
+         complain
+           "lint: %s: %d use(s) of Ephemeron/Domain.DLS, %d allowed — runs \
+            share no cache: keep per-run state in the evaluator's context"
+           rel uses allowed);
       if Filename.check_suffix path ".ml" then begin
         let globals = count_mutable_globals src in
         let allowed =

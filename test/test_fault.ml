@@ -6,9 +6,9 @@
    planted failure point is covered here automatically. For every site
    it asserts the three contract clauses: (a) the injected fault
    escapes the exception-free [*_result] entry points as a structured
-   [Error] carrying the stable CLIP-FLT-* code; (b) no session or
-   context memo is left poisoned — re-running with the same context
-   after disarming yields exactly the fault-free output; (c) under
+   [Error] carrying the stable CLIP-FLT-* code; (b) nothing is left
+   poisoned — re-running with the same context after disarming yields
+   exactly the fault-free output; (c) under
    {!Clip_par.map_results} a fault is isolated to its input slot and
    the survivors' merged counters equal the fault-free totals. *)
 
@@ -81,10 +81,9 @@ let test_site_walk () =
           (codes ds))
     F.all_sites
 
-(* (b) no poisoning: a fault mid-population must not leave the context's
-   session memo (or the backends' index/stats memos) holding a partial
-   artifact — the same context re-runs cleanly and agrees with a fresh
-   one. *)
+(* (b) no poisoning: a fault mid-run must leave nothing behind that a
+   later run could pick up — the same context re-runs cleanly and
+   agrees with a fresh one. *)
 let test_no_poisoning () =
   let engine_sites =
     List.filter

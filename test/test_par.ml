@@ -1,7 +1,7 @@
 (* The parallel batch layer: Clip_par.map must be a deterministic
    drop-in for List.map — byte-identical, order-identical output and
    exactly-merged counters for any job count — and the layers below
-   must be domain-safe (Symbol interning, per-context session memos).
+   must be domain-safe (Symbol interning, per-task contexts).
 
    These tests exercise real domains; keep batch sizes small so the
    suite stays fast on single-core machines. *)
@@ -195,15 +195,13 @@ let test_symbol_concurrent () =
       checkb ("re-intern " ^ s) true (Clip_xml.Symbol.intern s = id))
     all
 
-(* --- Per-context session memo (no cross-document poisoning) --------- *)
+(* --- One context, alternating documents ----------------------------- *)
 
-let test_session_memo_per_ctx () =
+let test_ctx_alternating_docs () =
   let sc = S.Figures.fig6 in
   let doc_a = S.Deptdb.instance in
   let doc_b = S.Deptdb.synthetic_instance ~depts:3 ~projs:2 ~emps:2 in
-  (* Alternating documents through one context must stay correct: the
-     memo is keyed on the document, re-created on change, never reused
-     across documents. *)
+  (* Alternating documents through one context must stay correct. *)
   let ctx = Clip_run.create () in
   let direct doc = Engine.run ~backend:`Tgd sc.mapping doc in
   let via_ctx doc = Engine.run ~ctx ~backend:`Tgd sc.mapping doc in
@@ -211,25 +209,7 @@ let test_session_memo_per_ctx () =
     (fun doc ->
       checkb "alternating docs through one ctx stays correct" true
         (Node.equal (direct doc) (via_ctx doc)))
-    [ doc_a; doc_b; doc_a; doc_b; doc_a ];
-  (* Re-running the same document in the same context hits the session
-     memo; a fresh context starts cold. *)
-  let c = C.create () in
-  let counting = Clip_run.create ~counters:c () in
-  ignore (Engine.run ~ctx:counting ~backend:`Tgd sc.mapping doc_a);
-  let cold_hits = c.C.session_hits in
-  ignore (Engine.run ~ctx:counting ~backend:`Tgd sc.mapping doc_a);
-  let warm_hits = c.C.session_hits - cold_hits in
-  checkb
-    (Printf.sprintf "warm ctx re-run hits the session memo (%d > %d)" warm_hits
-       cold_hits)
-    true (warm_hits > cold_hits);
-  (* Contexts are isolated: warming one context never warms another. *)
-  let c2 = C.create () in
-  ignore
-    (Engine.run ~ctx:(Clip_run.create ~counters:c2 ()) ~backend:`Tgd sc.mapping
-       doc_a);
-  checki "fresh ctx starts cold" cold_hits c2.C.session_hits
+    [ doc_a; doc_b; doc_a; doc_b; doc_a ]
 
 (* --- Ordered streaming pipeline (stream_results) -------------------- *)
 
@@ -406,10 +386,10 @@ let () =
           Alcotest.test_case "concurrent interning" `Quick
             test_symbol_concurrent;
         ] );
-      ( "sessions",
+      ( "contexts",
         [
-          Alcotest.test_case "per-context memo" `Quick
-            test_session_memo_per_ctx;
+          Alcotest.test_case "one context, alternating documents" `Quick
+            test_ctx_alternating_docs;
         ] );
       ( "streaming",
         [

@@ -566,20 +566,16 @@ let contains hay needle =
   let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* Counters of one run on a warm session: the warm-up run outside the
-   sink pays compile/plan once, so the measured run's work counters
-   describe execution alone and are deterministic. *)
+(* The output and counters of one run. Runs share no state, so these
+   are deterministic. *)
 let counted_run (sc : S.Figures.t) ~backend ~plan doc =
-  let session = Engine.Session.create doc in
-  let run ?ctx () =
-    ok
-      (Engine.Session.run_result ?ctx ~backend
-         ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan session
-         sc.S.Figures.mapping)
-  in
-  ignore (run ());
   let c = C.create () in
-  let out = run ~ctx:(Clip_run.create ~counters:c ()) () in
+  let out =
+    ok
+      (Engine.run_result ~ctx:(Clip_run.create ~counters:c ()) ~backend
+         ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan
+         sc.S.Figures.mapping doc)
+  in
   (out, c)
 
 let counter_invariants (sc : S.Figures.t) ~backend doc =
@@ -665,7 +661,7 @@ let counter_tests =
             [ `Naive; `Indexed; `Auto ]);
     ]
 
-(* Exact work counters per figure × plan on one fixed instance above
+(* Exact work counters of one run per figure × plan on one fixed instance above
    the planning threshold, recorded from the interpreted evaluator the
    compiled rule bodies replaced: compiling must tick and count at the
    same sites, in the same order. Columns: lim_ticks, child_steps,
@@ -674,40 +670,40 @@ let counter_tests =
 let pinned_counters =
   [
     ("fig3", "naive", (694, 138, 394, 0, 0, 0, 0));
-    ("fig3", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig3", "indexed", (702, 138, 217, 138, 0, 0, 0));
     ("fig3", "auto", (702, 138, 394, 0, 0, 0, 0));
     ("fig3-universal", "naive", (694, 138, 394, 0, 0, 0, 0));
-    ("fig3-universal", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig3-universal", "indexed", (702, 138, 217, 138, 0, 0, 0));
     ("fig3-universal", "auto", (702, 138, 394, 0, 0, 0, 0));
     ("fig4", "naive", (702, 138, 394, 0, 0, 0, 0));
-    ("fig4", "indexed", (702, 138, 217, 138, 9, 0, 0));
+    ("fig4", "indexed", (702, 138, 217, 138, 0, 0, 0));
     ("fig4", "auto", (702, 138, 394, 0, 0, 0, 0));
     ("fig4-nocontext", "naive", (5562, 1105, 3160, 0, 0, 0, 0));
-    ("fig4-nocontext", "indexed", (5626, 1105, 1744, 1105, 73, 0, 0));
-    ("fig4-nocontext", "auto", (5626, 1105, 1744, 1105, 73, 0, 0));
+    ("fig4-nocontext", "indexed", (5626, 1105, 1744, 1105, 64, 0, 0));
+    ("fig4-nocontext", "auto", (5626, 1105, 1744, 1105, 64, 0, 0));
     ("fig5", "naive", (642, 137, 464, 0, 0, 0, 0));
-    ("fig5", "indexed", (642, 137, 248, 137, 17, 0, 0));
+    ("fig5", "indexed", (642, 137, 248, 137, 8, 0, 0));
     ("fig5", "auto", (642, 137, 464, 0, 0, 0, 0));
     ("fig6", "naive", (3546, 209, 1016, 0, 0, 0, 0));
-    ("fig6", "indexed", (1642, 177, 288, 177, 17, 8, 40));
-    ("fig6", "auto", (1642, 177, 288, 177, 17, 8, 40));
+    ("fig6", "indexed", (1642, 177, 288, 177, 8, 8, 40));
+    ("fig6", "auto", (1642, 177, 288, 177, 8, 8, 40));
     ("fig6-cartesian", "naive", (3706, 849, 1976, 0, 0, 0, 0));
-    ("fig6-cartesian", "indexed", (3746, 849, 1248, 849, 49, 0, 0));
-    ("fig6-cartesian", "auto", (3746, 849, 1248, 849, 49, 0, 0));
+    ("fig6-cartesian", "indexed", (3746, 849, 1248, 849, 40, 0, 0));
+    ("fig6-cartesian", "auto", (3746, 849, 1248, 849, 40, 0, 0));
     ("fig6-global", "naive", (29538, 6769, 15176, 0, 0, 0, 0));
-    ("fig6-global", "indexed", (29906, 6769, 9968, 6769, 369, 0, 0));
-    ("fig6-global", "auto", (29906, 6769, 9968, 6769, 369, 0, 0));
+    ("fig6-global", "indexed", (29906, 6769, 9968, 6769, 360, 0, 0));
+    ("fig6-global", "auto", (29906, 6769, 9968, 6769, 360, 0, 0));
     ("fig6-join-global", "naive", (23778, 529, 5816, 0, 0, 0, 0));
-    ("fig6-join-global", "indexed", (1644, 178, 296, 178, 18, 1, 40));
-    ("fig6-join-global", "auto", (1644, 178, 296, 178, 18, 1, 40));
+    ("fig6-join-global", "indexed", (1644, 178, 296, 178, 9, 1, 40));
+    ("fig6-join-global", "auto", (1644, 178, 296, 178, 9, 1, 40));
     ("fig7", "naive", (3618, 209, 1016, 0, 0, 0, 0));
-    ("fig7", "indexed", (2746, 209, 608, 209, 49, 40, 40));
-    ("fig7", "auto", (3666, 209, 608, 209, 49, 0, 0));
+    ("fig7", "indexed", (2746, 209, 608, 209, 40, 40, 40));
+    ("fig7", "auto", (3666, 209, 608, 209, 40, 0, 0));
     ("fig8", "naive", (618, 129, 856, 0, 0, 0, 0));
-    ("fig8", "indexed", (626, 129, 168, 129, 49, 0, 0));
-    ("fig8", "auto", (626, 129, 168, 129, 49, 0, 0));
+    ("fig8", "indexed", (626, 129, 168, 129, 40, 0, 0));
+    ("fig8", "auto", (626, 129, 168, 129, 40, 0, 0));
     ("fig9", "naive", (106, 113, 680, 0, 0, 0, 0));
-    ("fig9", "indexed", (106, 113, 296, 113, 33, 0, 0));
+    ("fig9", "indexed", (106, 113, 296, 113, 24, 0, 0));
     ("fig9", "auto", (106, 113, 680, 0, 0, 0, 0));
   ]
 
@@ -741,6 +737,40 @@ let pinned_counter_tests =
             in
             checks (Printf.sprintf "%s/%s" name pname) (show expected) (show got))
           pinned_counters);
+    Alcotest.test_case "no state crosses runs: one context twice = a fresh one"
+      `Quick (fun () ->
+        (* A context carries no cache: the second run through it must do
+           exactly the first run's work, and a fresh context the same. *)
+        let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
+        List.iter
+          (fun (sc : S.Figures.t) ->
+            let run ctx c =
+              C.reset c;
+              let out =
+                ok
+                  (Engine.run_result ~ctx ~plan:`Indexed
+                     ~minimum_cardinality:sc.S.Figures.minimum_cardinality
+                     sc.S.Figures.mapping doc)
+              in
+              (Printer.to_string out, C.to_assoc c)
+            in
+            let c = C.create () in
+            let shared = Clip_run.create ~counters:c () in
+            let first = run shared c in
+            let second = run shared c in
+            let c' = C.create () in
+            let fresh = run (Clip_run.create ~counters:c' ()) c' in
+            let show (text, counts) =
+              Digest.to_hex (Digest.string text)
+              ^ " "
+              ^ String.concat " "
+                  (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) counts)
+            in
+            let name = sc.S.Figures.name in
+            checks (name ^ ": second run through one context") (show first)
+              (show second);
+            checks (name ^ ": fresh context") (show first) (show fresh))
+          S.Figures.all);
   ]
 
 (* --- Counters on the columnar copy ---------------------------------------- *)
@@ -768,111 +798,6 @@ let repr_counter_tests =
               (if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ]
                else [ `Tgd ]))
           S.Figures.all);
-  ]
-
-(* --- Sessions ----------------------------------------------------------- *)
-
-let session_tests =
-  [
-    Alcotest.test_case "warm session runs are identical to cold runs" `Quick
-      (fun () ->
-        let doc = S.Deptdb.synthetic_instance ~depts:6 ~projs:3 ~emps:5 in
-        let session = Engine.Session.create doc in
-        List.iter
-          (fun (sc : S.Figures.t) ->
-            let cold = run_mode sc ~backend:`Tgd ~plan:`Auto doc in
-            (* twice: the second run exercises every cache hit *)
-            List.iter
-              (fun label ->
-                let warm =
-                  ok
-                    (Engine.Session.run_result
-                       ~minimum_cardinality:sc.S.Figures.minimum_cardinality
-                       ~plan:`Auto session sc.S.Figures.mapping)
-                in
-                checkb
-                  (Printf.sprintf "%s %s run" sc.S.Figures.name label)
-                  true (Node.equal cold warm))
-              [ "first"; "second" ])
-          S.Figures.[ fig5; fig6; fig6_join_global ]);
-    Alcotest.test_case "sessions serve every backend and plan mode" `Quick
-      (fun () ->
-        let doc = S.Deptdb.instance in
-        let session = Engine.Session.create doc in
-        List.iter
-          (fun plan ->
-            List.iter
-              (fun backend ->
-                let direct = run_mode S.Figures.fig6 ~backend ~plan doc in
-                let via =
-                  ok
-                    (Engine.Session.run_result ~backend ~plan session
-                       S.Figures.fig6.S.Figures.mapping)
-                in
-                checkb "session agrees with direct run" true (Node.equal direct via))
-              [ `Tgd; `Xquery ])
-          [ `Naive; `Indexed; `Auto ]);
-    Alcotest.test_case "a session ignores a foreign document safely" `Quick
-      (fun () ->
-        (* the backend sessions key on physical equality; handing the
-           session's caches a different document must not corrupt
-           results (they are simply bypassed) *)
-        let doc = S.Deptdb.instance in
-        let other = S.Deptdb.synthetic_instance ~depts:2 ~projs:1 ~emps:1 in
-        let tgd_session = Clip_tgd.Eval.Session.create other in
-        let sc = S.Figures.fig6 in
-        let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
-        let direct =
-          ok
-            (Clip_tgd.Eval.run_result ~source:doc
-               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name
-               tgd)
-        in
-        let via =
-          ok
-            (Clip_tgd.Eval.run_result ~session:tgd_session ~source:doc
-               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name
-               tgd)
-        in
-        checkb "identical" true (Node.equal direct via));
-    Alcotest.test_case
-      "a structurally-changed document never sees stale caches" `Quick
-      (fun () ->
-        (* Nodes are immutable, so "mutating" a document means building
-           a new [Node.t] value. Every cache layer keys on physical
-           identity: the engine's one-shot memo allocates a fresh
-           session for the new value, and a backend session explicitly
-           reused across documents bypasses its statistics and plans
-           rather than serving the old document's. *)
-        let sc = S.Figures.fig6 in
-        let doc1 = S.Deptdb.synthetic_instance ~depts:6 ~projs:3 ~emps:5 in
-        let out1 = Engine.run sc.S.Figures.mapping doc1 in
-        (* the "edited" document: one more department *)
-        let doc2 = S.Deptdb.synthetic_instance ~depts:7 ~projs:3 ~emps:5 in
-        let out2 = Engine.run sc.S.Figures.mapping doc2 in
-        let fresh =
-          ok
-            (Engine.Session.run_result (Engine.Session.create doc2)
-               sc.S.Figures.mapping)
-        in
-        checkb "recomputed for the new value" true (Node.equal out2 fresh);
-        checkb "output reflects the new data" false
-          (Node.equal_unordered out1 out2);
-        let target_root =
-          sc.S.Figures.mapping.Clip_core.Mapping.target.root.name
-        in
-        let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
-        let s1 = Clip_tgd.Eval.Session.create doc1 in
-        (* warm s1's statistics, index and plan memos on doc1 ... *)
-        ignore
-          (ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc1 ~target_root tgd));
-        (* ... then run the changed document through the same session *)
-        let via =
-          ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc2 ~target_root tgd)
-        in
-        checkb "no stale statistics or plans" true
-          (Node.equal via
-             (ok (Clip_tgd.Eval.run_result ~source:doc2 ~target_root tgd))));
   ]
 
 (* --- Run-scoped tables ---------------------------------------------------- *)
@@ -1045,10 +970,11 @@ let dept_gen x = Tgd.source_gen x (src [ Path.Child "dept" ])
 (* The outcome of one run: output bytes or error text, and the work
    counters as "lim_ticks child_steps nodes_scanned index_probes
    index_hits hash_join_builds hash_join_probes". *)
-let scoped_run ?session ?(source = Lazy.force scoping_doc) ~plan tgd =
+let scoped_run ~plan tgd =
+  let source = Lazy.force scoping_doc in
   let c = C.create () in
   let text =
-    match Clip_tgd.Eval.run_result ?session ~plan ~obs:c ~source ~target_root:"t" tgd with
+    match Clip_tgd.Eval.run_result ~plan ~obs:c ~source ~target_root:"t" tgd with
     | Ok out -> Printer.to_string out
     | Error ds -> "error: " ^ String.concat "; " (List.map (fun d -> d.Clip_diag.message) ds)
   in
@@ -1178,41 +1104,6 @@ let scoping_tests =
                 counts)
             scoping_plans))
     scoping_cases
-  @ [
-      Alcotest.test_case "one session runs the same plan twice" `Quick (fun () ->
-          let doc = Lazy.force scoping_doc in
-          List.iter
-            (fun (name, tgd, _) ->
-              List.iter
-                (fun (pname, plan) ->
-                  let cold = scoped_run ~plan tgd in
-                  let session = Clip_tgd.Eval.Session.create doc in
-                  let first = scoped_run ~session ~plan tgd in
-                  let second = scoped_run ~session ~plan tgd in
-                  let third = scoped_run ~session ~plan tgd in
-                  checks (name ^ "/" ^ pname ^ ": first run") (fst cold) (fst first);
-                  checks (name ^ "/" ^ pname ^ ": second run") (fst cold) (fst second);
-                  (* The first run fills the session's index memo; the
-                     warm runs after it do the same work. *)
-                  checks (name ^ "/" ^ pname ^ ": same warm work") (snd second) (snd third))
-                scoping_plans)
-            scoping_cases);
-      Alcotest.test_case "two sessions run interleaved" `Quick (fun () ->
-          let doc = Lazy.force scoping_doc in
-          let other = S.Deptdb.synthetic_instance ~depts:9 ~projs:4 ~emps:9 in
-          let run ?session source tgd = fst (scoped_run ?session ~source ~plan:`Auto tgd) in
-          let s1 = Clip_tgd.Eval.Session.create doc
-          and s2 = Clip_tgd.Eval.Session.create other in
-          List.iter
-            (fun (name, tgd, _) ->
-              let cold1 = run doc tgd and cold2 = run other tgd in
-              for round = 1 to 2 do
-                let tag = Printf.sprintf "%s, round %d" name round in
-                checks (tag ^ ": first session") cold1 (run ~session:s1 doc tgd);
-                checks (tag ^ ": second session") cold2 (run ~session:s2 other tgd)
-              done)
-            scoping_cases);
-    ]
 
 let () =
   Alcotest.run "plan"
@@ -1228,7 +1119,6 @@ let () =
       ("auto-steps", auto_steps_tests);
       ("counters", counter_tests @ pinned_counter_tests);
       ("repr-counters", repr_counter_tests);
-      ("sessions", session_tests);
       ("fuzz-differential", [ QCheck_alcotest.to_alcotest fuzz_differential ]);
       ("run-tables", run_table_tests);
       ("frame-scoping", scoping_tests);

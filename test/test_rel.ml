@@ -352,15 +352,14 @@ let join_differential =
 let run_table_tests =
   [
     QCheck_alcotest.to_alcotest join_differential;
-    Alcotest.test_case "two session runs build one table each, same output" `Quick
+    Alcotest.test_case "two runs build one table each, same output" `Quick
       (fun () ->
         let source = grants_instance 30 in
-        let s = Engine.Session.create source in
         List.iter
           (fun (backend, name) ->
             let run () =
               counted (fun ctx ->
-                  ok (Engine.Session.run_result ~ctx ~backend s grants_mapping))
+                  ok (Engine.run_result ~ctx ~backend grants_mapping source))
             in
             let o1, c1 = run () in
             let o2, c2 = run () in
@@ -369,19 +368,18 @@ let run_table_tests =
             checki (name ^ ": same builds") c1.Clip_obs.Counters.hash_join_builds
               c2.Clip_obs.Counters.hash_join_builds)
           backends);
-    Alcotest.test_case "sharded runs over session-cached plans stay identical" `Quick
+    Alcotest.test_case "sharded runs on two jobs stay identical" `Quick
       (fun () ->
         let source = grants_instance 30 in
         let expected = Clip_xml.Printer.to_string (Engine.run ~backend:`Tgd ~plan:`Naive grants_mapping source) in
-        let s = Engine.Session.create source in
         List.iter
           (fun (backend, name) ->
             for _ = 1 to 2 do
               checks (name ^ ": sharded, 2 jobs") expected
                 (Clip_xml.Printer.to_string
                    (ok
-                      (Engine.Session.run_result ~backend ~mode:`Sharded ~jobs:2 s
-                         grants_mapping)))
+                      (Engine.run_result ~backend ~mode:`Sharded ~jobs:2
+                         grants_mapping source)))
             done)
           backends);
     Alcotest.test_case "the step budget meters the per-run build (CLIP-LIM-004)"

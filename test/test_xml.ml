@@ -426,6 +426,11 @@ let prop_pretty_roundtrip =
       | Some node' -> Node.equal_unordered node node'
       | None -> false)
 
+let prop_size_below =
+  QCheck2.Test.make ~count:200 ~name:"size_below l n is size n < l"
+    QCheck2.Gen.(pair (0 -- 40) gen_node)
+    (fun (limit, node) -> Node.size_below limit node = (Node.size node < limit))
+
 let prop_canonical_reflexive =
   QCheck2.Test.make ~count:200 ~name:"equal_unordered is reflexive" gen_node
     (fun node -> Node.equal_unordered node node)
@@ -459,7 +464,13 @@ let prop_of_bytes =
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_pretty_roundtrip; prop_canonical_reflexive; prop_of_bytes ]
+    [
+      prop_roundtrip;
+      prop_pretty_roundtrip;
+      prop_canonical_reflexive;
+      prop_size_below;
+      prop_of_bytes;
+    ]
 
 (* --- Instance statistics ------------------------------------------------ *)
 
