@@ -251,7 +251,7 @@ let scaling_experiment () =
       Printf.printf "%-8d | %-10d | %9.3f ms\n" depts (Node.size doc) (t *. 1000.))
     [ 10; 50; 100; 500 ]
 
-(* --- Plan layer: naive vs indexed (ours) -------------------------------------------- *)
+(* --- Timing and report helpers ------------------------------------------------------ *)
 
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
@@ -269,7 +269,7 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-(* The current git commit, so BENCH_plan.json is traceable to the tree
+(* The current git commit, so each BENCH_*.json is traceable to the tree
    that produced it. Read straight from [.git] — the harness must not
    depend on a [git] binary being present. *)
 let git_commit () =
@@ -362,38 +362,6 @@ let interleaved_reps n fs =
   Array.to_list (Array.map List.rev times)
 
 
-(* One measured row: a scenario run on one backend in all three plan
-   modes, [reps] times each; times are medians with the min kept. *)
-type plan_row = {
-  r_figure : string;
-  r_backend : string;
-  r_scale : int; (* 0 = the paper instance *)
-  r_src_nodes : int;
-  r_identical : bool; (* Node.equal across all three modes *)
-  r_agree : bool; (* Node.equal_unordered *)
-  r_naive_ms : float;
-  r_indexed_ms : float;
-  r_auto_ms : float;
-  r_naive_min_ms : float;
-  r_indexed_min_ms : float;
-  r_auto_min_ms : float;
-  r_naive_steps : int;
-  r_indexed_steps : int;
-  r_auto_steps : int;
-  r_speedup : float; (* naive vs forced-index, paired median *)
-  r_auto_speedup : float; (* naive vs auto, paired median *)
-  r_auto_speedup_min : float; (* naive vs auto, ratio of minima *)
-  r_auto_vs_best : float; (* per-rep best forced mode vs auto, paired *)
-}
-
-let speedup r = r.r_speedup
-let auto_speedup r = r.r_auto_speedup
-
-(* The regression guard takes the better of the paired-median and
-   min-based estimates, so a single noisy outlier rep cannot fail
-   CI. *)
-let auto_speedup_min r = r.r_auto_speedup_min
-
 (* The backend evaluator alone, over a tgd compiled (and, on xquery, a
    query translated) once, here: what a timed loop runs when the
    per-call compile would swamp what it measures. Statistics, physical
@@ -416,220 +384,17 @@ let evaluator ~limits ~(backend : [ `Tgd | `Xquery ]) (sc : S.Figures.t) doc =
 
 let backend_name = function `Tgd -> "tgd" | `Xquery -> "xquery"
 
-let plan_experiment ?(smoke = false) ?(check = false) () =
-  rule
-    (Printf.sprintf "Plan layer — naive vs indexed vs auto execution%s"
-       (if smoke then " (smoke)" else ""));
-  let reps = if smoke then 3 else 9 in
-  let limits = Clip_diag.Limits.unlimited in
-  let run_mode ?ctx (sc : S.Figures.t) ~backend ~plan doc =
-    match
-      Engine.run_result ?ctx ~limits ~backend
-        ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc
-    with
-    | Ok out -> out
-    | Error ds ->
-      List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
-      Printf.eprintf "plan bench: %s failed\n" sc.name;
-      exit 1
-  in
-  (* Outputs and step counts come from whole engine runs under a
-     counting context; the timed loop below runs the evaluator only. *)
-  let counters = Clip_obs.Counters.create () in
-  let counting = Clip_run.create ~counters () in
-  let counted sc ~backend ~plan doc =
-    Clip_obs.Counters.reset counters;
-    let out = run_mode ~ctx:counting sc ~backend ~plan doc in
-    (out, counters.lim_ticks)
-  in
-  let measure (sc : S.Figures.t) ~backend ~scale doc =
-    let bname = backend_name backend in
-    let engine_backend = (backend :> Engine.backend) in
-    let out_n, steps_n = counted sc ~backend:engine_backend ~plan:`Naive doc in
-    let out_i, steps_i = counted sc ~backend:engine_backend ~plan:`Indexed doc in
-    let out_a, steps_a = counted sc ~backend:engine_backend ~plan:`Auto doc in
-    let eval = evaluator ~limits ~backend sc doc in
-    let timed plan () = eval ~obs:None ~plan in
-    (* Cheap rows still gate on per-row ratios; microsecond-scale
-       documents get extra medians (they cost almost nothing, and the
-       smoke rep count alone is too fragile there). *)
-    let reps = if Node.size doc < 1000 then max reps 7 else reps in
-    let tn, ti, ta =
-      match interleaved_reps reps [ timed `Naive; timed `Indexed; timed `Auto ] with
-      | [ n; i; a ] -> (n, i, a)
-      | _ -> assert false
-    in
-    {
-      r_figure = sc.name;
-      r_backend = bname;
-      r_scale = scale;
-      r_src_nodes = Node.size doc;
-      r_identical = Node.equal out_n out_i && Node.equal out_n out_a;
-      r_agree =
-        Node.equal_unordered out_n out_i && Node.equal_unordered out_n out_a;
-      r_naive_ms = median_of tn;
-      r_indexed_ms = median_of ti;
-      r_auto_ms = median_of ta;
-      r_naive_min_ms = min_of tn;
-      r_indexed_min_ms = min_of ti;
-      r_auto_min_ms = min_of ta;
-      r_naive_steps = steps_n;
-      r_indexed_steps = steps_i;
-      r_auto_steps = steps_a;
-      r_speedup = paired_speedup tn ti;
-      r_auto_speedup = paired_speedup tn ta;
-      r_auto_speedup_min = min_of tn /. Float.max (min_of ta) 1e-9;
-      (* Pick the better forced mode first (by median), then compare
-         against that mode only. A per-rep min of the two forced modes
-         would bias the baseline low — the minimum of two noisy
-         measurements systematically underestimates. Interference on
-         this machine only ever adds time, so alongside the paired
-         median we take each side's min rep (its least-contaminated
-         measurement) and keep the better of the two estimates. *)
-      r_auto_vs_best =
-        (let best = if median_of tn <= median_of ti then tn else ti in
-         Float.max (paired_speedup best ta)
-           (min_of best /. Float.max (min_of ta) 1e-9));
-    }
-  in
-  subrule "figure scenarios on the paper instance (output agreement)";
-  let figure_rows =
-    List.concat_map
-      (fun (sc : S.Figures.t) ->
-        let backends =
-          if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
-        in
-        List.map
-          (fun backend -> measure sc ~backend ~scale:0 S.Deptdb.instance)
-          backends)
-      S.Figures.all
-  in
-  Printf.printf "%-18s | %-7s | %-9s | %-11s | %-13s | %-10s | %s\n" "figure"
-    "backend" "identical" "naive steps" "indexed steps" "auto steps"
-    "auto speedup";
-  print_endline (String.make 100 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s | %-7s | %-9b | %-11d | %-13d | %-10d | %6.2fx\n"
-        r.r_figure r.r_backend r.r_identical r.r_naive_steps r.r_indexed_steps
-        r.r_auto_steps
-        (Float.max (auto_speedup r) (auto_speedup_min r)))
-    figure_rows;
-  subrule "scaled synthetic deptdb (medians of wall-clock, step counts)";
-  let scales = if smoke then [ 1; 10 ] else [ 1; 10; 100 ] in
-  let scaling_rows =
-    List.concat_map
-      (fun ((sc : S.Figures.t), backends) ->
-        List.concat_map
-          (fun scale ->
-            let doc =
-              S.Deptdb.synthetic_instance ~depts:(2 * scale) ~projs:5 ~emps:10
-            in
-            List.map (fun backend -> measure sc ~backend ~scale doc) backends)
-          scales)
-      [
-        (S.Figures.fig5, [ `Tgd ]);
-        (S.Figures.fig6, [ `Tgd; `Xquery ]);
-        (S.Figures.fig6_join_global, [ `Tgd; `Xquery ]);
-        (S.Figures.fig7, [ `Tgd ]);
-      ]
-  in
-  Printf.printf
-    "%-8s | %-7s | %-6s | %-10s | %-10s | %-10s | %-9s | %-9s | %-9s | %s\n"
-    "figure" "backend" "scale" "naive ms" "indexed ms" "auto ms" "idx spdup"
-    "auto spdup" "vs best" "auto steps";
-  print_endline (String.make 112 '-');
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-8s | %-7s | %-6d | %10.3f | %10.3f | %10.3f | %8.1fx | %8.1fx | \
-         %8.2fx | %d\n"
-        r.r_figure r.r_backend r.r_scale r.r_naive_ms r.r_indexed_ms r.r_auto_ms
-        (speedup r) (auto_speedup r) r.r_auto_vs_best r.r_auto_steps)
-    scaling_rows;
-  let all_agree =
-    List.for_all (fun r -> r.r_agree) (figure_rows @ scaling_rows)
-  in
-  let best =
-    List.fold_left
-      (fun acc r -> if auto_speedup r > auto_speedup acc then r else acc)
-      (List.hd scaling_rows) scaling_rows
-  in
-  let commit = git_commit () in
-  Printf.printf "\nall outputs agree (order-insensitive): %b\n" all_agree;
-  Printf.printf "best auto speedup: %.1fx (%s/%s at scale %dx)\n"
-    (auto_speedup best) best.r_figure best.r_backend best.r_scale;
-  let row_json r =
-    Printf.sprintf
-      "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \"src_nodes\": %d, \
-       \"identical\": %b, \"agree\": %b, \"naive_ms\": %.3f, \"indexed_ms\": \
-       %.3f, \"auto_ms\": %.3f, \"naive_min_ms\": %.3f, \"indexed_min_ms\": \
-       %.3f, \"auto_min_ms\": %.3f, \"speedup\": %.2f, \"auto_speedup\": %.2f, \
-       \"auto_speedup_min\": %.2f, \"auto_vs_best\": %.2f, \"naive_steps\": \
-       %d, \"indexed_steps\": %d, \"auto_steps\": %d}"
-      (json_string r.r_figure) (json_string r.r_backend) r.r_scale r.r_src_nodes
-      r.r_identical r.r_agree r.r_naive_ms r.r_indexed_ms r.r_auto_ms
-      r.r_naive_min_ms r.r_indexed_min_ms r.r_auto_min_ms (speedup r)
-      (auto_speedup r) (auto_speedup_min r) r.r_auto_vs_best r.r_naive_steps
-      r.r_indexed_steps r.r_auto_steps
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf (Printf.sprintf "  \"commit\": %s,\n" (json_string commit));
-  Buffer.add_string buf (Printf.sprintf "  \"reps\": %d,\n" reps);
-  Buffer.add_string buf (Printf.sprintf "  \"all_agree\": %b,\n" all_agree);
-  Buffer.add_string buf "  \"figures\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) figure_rows));
-  Buffer.add_string buf "\n  ],\n  \"scaling\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) scaling_rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_plan.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_plan.json (%d rows, commit %s)\n"
-    (List.length figure_rows + List.length scaling_rows)
-    commit;
-  if check then begin
-    (* The CI regression guard: every output must agree across modes,
-       and [`Auto] must stay within 0.8x of naive on every paper-scale
-       figure row (the better of median- and min-based speedups, so
-       one preempted run cannot flake the build). *)
-    let slow =
-      List.filter
-        (fun r -> Float.max (auto_speedup r) (auto_speedup_min r) < 0.8)
-        figure_rows
-    in
-    if not all_agree then begin
-      prerr_endline "plan bench check FAILED: outputs disagree across plan modes";
-      exit 1
-    end;
-    if slow <> [] then begin
-      List.iter
-        (fun r ->
-          Printf.eprintf
-            "plan bench check FAILED: %s/%s auto %.2fx (min-based %.2fx) < 0.8x of naive\n"
-            r.r_figure r.r_backend (auto_speedup r) (auto_speedup_min r))
-        slow;
-      exit 1
-    end;
-    print_endline "plan bench check passed"
-  end
-
 (* --- Observability: counters, invariants, disabled-path overhead (ours) ------------- *)
 
-(* One scenario's counters under every plan mode, plus the invariant
-   verdicts CI gates on. Counters come from one engine run each. *)
+(* One scenario's counters under both plan modes, plus the invariant
+   verdicts CI gates on. Counters come from one engine run each. The
+   bounds against the reference interpreter live in test/test_plan.ml. *)
 type obs_row = {
   o_figure : string;
   o_backend : string;
   o_scale : int;
-  o_naive : Clip_obs.Counters.t;
   o_indexed : Clip_obs.Counters.t;
   o_auto : Clip_obs.Counters.t;
-  o_auto_direct : bool; (* the Auto EXPLAIN claims the direct interpreter *)
   o_violations : string list;
 }
 
@@ -668,56 +433,23 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   let measure_row (sc : S.Figures.t) ~backend ~scale doc =
     let bname = backend_name backend in
     let backend = (backend :> Engine.backend) in
-    let out_n, cn = run_counted sc ~backend ~plan:`Naive doc in
     let out_i, ci = run_counted sc ~backend ~plan:`Indexed doc in
     let out_a, ca = run_counted sc ~backend ~plan:`Auto doc in
-    let auto_direct =
-      (* The EXPLAIN claim for the same (mapping, backend, document):
-         below the planning threshold [`Auto] runs the direct
-         interpreter, and its work counters must say so too. *)
-      let txt = ok (Engine.explain_result ~backend ~plan:`Auto sc.mapping doc) in
-      let needle = "direct interpreter" in
-      let n = String.length needle and l = String.length txt in
-      let rec has i =
-        i + n <= l && (String.sub txt i n = needle || has (i + 1))
-      in
-      has 0
-    in
     let violations = ref [] in
     let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-    if not (Node.equal_unordered out_n out_i && Node.equal_unordered out_n out_a)
-    then bad "outputs disagree across plan modes";
-    if ci.Clip_obs.Counters.nodes_scanned > cn.Clip_obs.Counters.nodes_scanned
-    then
-      bad "indexed scans %d nodes > naive's %d"
-        ci.Clip_obs.Counters.nodes_scanned cn.Clip_obs.Counters.nodes_scanned;
-    if cn.Clip_obs.Counters.index_probes <> 0
-       || cn.Clip_obs.Counters.index_hits <> 0
-    then
-      bad "naive mode touched the index (%d probes, %d hits)"
-        cn.Clip_obs.Counters.index_probes cn.Clip_obs.Counters.index_hits;
+    if not (Node.equal_unordered out_i out_a) then
+      bad "outputs disagree across plan modes";
     List.iter
       (fun (mode, (c : Clip_obs.Counters.t)) ->
         if c.index_hits > c.index_probes then
           bad "%s: index hits %d > probes %d" mode c.index_hits c.index_probes)
-      [ ("naive", cn); ("indexed", ci); ("auto", ca) ];
-    if auto_direct then begin
-      if Clip_obs.Counters.work_assoc ca <> Clip_obs.Counters.work_assoc cn then
-        bad "auto claims the direct interpreter but its work counters differ \
-             from naive's"
-    end
-    else if ca.Clip_obs.Counters.nodes_scanned > cn.Clip_obs.Counters.nodes_scanned
-    then
-      bad "auto (planned) scans %d nodes > naive's %d"
-        ca.Clip_obs.Counters.nodes_scanned cn.Clip_obs.Counters.nodes_scanned;
+      [ ("indexed", ci); ("auto", ca) ];
     {
       o_figure = sc.name;
       o_backend = bname;
       o_scale = scale;
-      o_naive = cn;
       o_indexed = ci;
       o_auto = ca;
-      o_auto_direct = auto_direct;
       o_violations = List.rev !violations;
     }
   in
@@ -744,20 +476,19 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
         (S.Figures.fig7, [ `Tgd ]);
       ]
   in
-  Printf.printf "%-18s | %-7s | %-5s | %-17s | %-13s | %-11s | %-6s | %s\n"
-    "figure" "backend" "scale" "scans n/i/a" "probes i/a" "hits i/a" "direct"
-    "violations";
-  print_endline (String.make 104 '-');
+  Printf.printf "%-18s | %-7s | %-5s | %-11s | %-13s | %-11s | %s\n"
+    "figure" "backend" "scale" "scans i/a" "probes i/a" "hits i/a" "violations";
+  print_endline (String.make 89 '-');
   List.iter
     (fun r ->
-      Printf.printf "%-18s | %-7s | %-5d | %5d/%5d/%5d | %6d/%6d | %5d/%5d | %-6b | %d\n"
-        r.o_figure r.o_backend r.o_scale r.o_naive.Clip_obs.Counters.nodes_scanned
+      Printf.printf "%-18s | %-7s | %-5d | %5d/%5d | %6d/%6d | %5d/%5d | %d\n"
+        r.o_figure r.o_backend r.o_scale
         r.o_indexed.Clip_obs.Counters.nodes_scanned
         r.o_auto.Clip_obs.Counters.nodes_scanned
         r.o_indexed.Clip_obs.Counters.index_probes
         r.o_auto.Clip_obs.Counters.index_probes
         r.o_indexed.Clip_obs.Counters.index_hits
-        r.o_auto.Clip_obs.Counters.index_hits r.o_auto_direct
+        r.o_auto.Clip_obs.Counters.index_hits
         (List.length r.o_violations))
     rows;
   let all_violations =
@@ -829,9 +560,8 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   let overhead_rows =
     List.map
       (fun ((name : string), (sc : S.Figures.t), backend) ->
-        (* The evaluator alone, as in the plan bench: the hooks fire
-           during evaluation, so that is the time they are set
-           against. *)
+        (* The evaluator alone: the hooks fire during evaluation, so
+           that is the time they are set against. *)
         let eval =
           evaluator ~limits:Clip_diag.Limits.default ~backend sc oh_doc
         in
@@ -897,13 +627,11 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
     let counters_json c = Clip_obs.Counters.to_json c in
     let row_json r =
       Printf.sprintf
-        "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \"auto_direct\": %b, \
-         \"violations\": [%s], \"naive\": %s, \"indexed\": %s, \"auto\": %s}"
+        "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \
+         \"violations\": [%s], \"indexed\": %s, \"auto\": %s}"
         (json_string r.o_figure) (json_string r.o_backend) r.o_scale
-        r.o_auto_direct
         (String.concat ", " (List.map json_string r.o_violations))
-        (counters_json r.o_naive) (counters_json r.o_indexed)
-        (counters_json r.o_auto)
+        (counters_json r.o_indexed) (counters_json r.o_auto)
     in
     let overhead_json v =
       Printf.sprintf
@@ -1704,7 +1432,6 @@ let experiments =
     ("xquery", xquery_experiment);
     ("ablations", ablation_experiment);
     ("scaling", scaling_experiment);
-    ("plan", plan_experiment ?smoke:None ?check:None);
     ("obs", obs_experiment ?smoke:None ?check:None ~metrics_json:true);
     ("par", par_experiment ?smoke:None ?check:None);
     ("compose", compose_experiment ?smoke:None ?check:None);
@@ -1714,13 +1441,6 @@ let experiments =
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] -> List.iter (fun (_, f) -> f ()) experiments
-  | _ :: "plan" :: flags
-    when flags <> []
-         && List.for_all (fun f -> f = "--smoke" || f = "--check") flags ->
-    plan_experiment
-      ~smoke:(List.mem "--smoke" flags)
-      ~check:(List.mem "--check" flags)
-      ()
   | _ :: "par" :: flags
     when flags <> []
          && List.for_all (fun f -> f = "--smoke" || f = "--check") flags ->
@@ -1754,7 +1474,7 @@ let () =
        exit 1)
   | _ ->
     prerr_endline
-      "usage: main.exe [experiment] | plan [--smoke] [--check] | obs [--smoke] \
-       [--check] [--metrics-json] | par [--smoke] [--check] | compose \
-       [--smoke] [--check]";
+      "usage: main.exe [experiment] | obs [--smoke] [--check] \
+       [--metrics-json] | par [--smoke] [--check] | compose [--smoke] \
+       [--check]";
     exit 1

@@ -161,12 +161,11 @@ let backend_arg =
 
 let plan_arg =
   let doc =
-    "Physical evaluation strategy: auto (cost-based, the default), indexed \
-     (force hash joins and the tag index), or naive (the legacy \
-     interpreters)."
+    "Physical evaluation strategy: auto (cost-based joins and tag index, \
+     the default) or indexed (force hash joins and the tag index)."
   in
   Arg.(value
-       & opt (enum [ ("auto", `Auto); ("indexed", `Indexed); ("naive", `Naive) ]) `Auto
+       & opt (enum [ ("auto", `Auto); ("indexed", `Indexed) ]) `Auto
        & info [ "plan" ] ~docv:"PLAN" ~doc)
 
 let stream_flag =

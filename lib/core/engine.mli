@@ -18,14 +18,12 @@
     The test suite asserts all backends agree on every scenario; the
     benchmark harness compares their cost.
 
-    Orthogonally to the backend, [?plan] selects the physical
-    evaluation strategy: [`Auto] (the default) runs through the shared
-    {!Clip_plan} layer with cost-based join selection (from
-    {!Clip_xml.Stats} cardinalities) and adaptive tag indexing;
-    [`Indexed] forces every eligible hash join and the index
-    unconditionally; [`Naive] runs the original interpreters, kept as
-    differential-testing oracles. All three produce identical target
-    instances. The evaluation-budget steps a run consumes are counted
+    Every backend executes through the shared {!Clip_plan} layer.
+    Orthogonally to the backend, [?plan] selects its join and index
+    policy: [`Auto] (the default) picks joins by cost (from
+    {!Clip_xml.Stats} cardinalities) and turns the tag index on where
+    it pays; [`Indexed] forces every eligible hash join and the index
+    unconditionally. Both produce identical target instances. The evaluation-budget steps a run consumes are counted
     by the context's [lim_ticks] counter ({!Clip_obs.Counters}).
 
     Every entry point reports failures as [CLIP-*] diagnostics in a

@@ -19,8 +19,8 @@
     Nothing here affects semantics: the same bindings flow whether or
     not a sink is supplied — which is exactly what makes the counters
     usable as a cross-backend test oracle (e.g. an [`Indexed] run must
-    never scan more nodes than the [`Naive] oracle on the same
-    input). *)
+    never scan more nodes than the tests' reference interpreter on the
+    same input). *)
 
 (** {1 Counters} *)
 
@@ -29,7 +29,7 @@ module Counters : sig
       per-sink: supply a fresh value to each measured run. *)
   type t = {
     mutable nodes_scanned : int;
-        (** child nodes visited (naive [Child] steps) or matches
+        (** child nodes visited (scanned [Child] steps) or matches
             enumerated (indexed steps and probe hits) *)
     mutable child_steps : int;  (** [Child]-step evaluations, both backends *)
     mutable index_probes : int;  (** {!Clip_xml.Index} lookups *)

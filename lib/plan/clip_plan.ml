@@ -3,8 +3,8 @@
    Both execution backends (the nested-tgd engine and the XQuery
    evaluator) share the same inner loop: a chain of generators binding
    variables to items, a conjunction of filter conditions, and a
-   per-binding action. The naive interpreters enumerate the full
-   Cartesian product of the generators and only then filter; this
+   per-binding action. Read literally, that shape enumerates the full
+   Cartesian product of the generators and only then filters; this
    module separates that logical shape from a physical evaluation plan:
 
    - condition pushdown: each condition is checked at the earliest
@@ -26,10 +26,11 @@
    backend's expression language. Enumeration order is preserved
    exactly: pushdown never reorders generators, and a hash probe
    yields its matches in build-side (document) order, so a plan-based
-   run is byte-identical to the naive interpreter on every input whose
-   evaluation does not raise. (Error behaviour may differ: pushdown
-   can evaluate a failing condition that the naive interpreter would
-   never reach because a later generator is empty, and vice versa.) *)
+   run is byte-identical to that nested-loop reading on every input
+   whose evaluation does not raise. (Error behaviour may differ:
+   pushdown can evaluate a failing condition that the nested loops
+   would never reach because a later generator is empty, and vice
+   versa.) *)
 
 module Key = struct
   (* Hashable join/dedup keys over atoms. The per-atom normalisation —
@@ -47,7 +48,7 @@ module Key = struct
   let hash (k : t) = Hashtbl.hash k
 end
 
-type mode = [ `Naive | `Indexed | `Auto ]
+type mode = [ `Indexed | `Auto ]
 type policy = [ `Force | `Cost ]
 
 (* --- Planner input ----------------------------------------------------- *)
@@ -249,7 +250,7 @@ let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
   (* Pushdown and joins rely on each variable having exactly one
      binding site; if a generator shadows an outer variable or a
      sibling generator, fall back to checking every condition at the
-     innermost position, exactly like the naive interpreters. *)
+     innermost position, exactly like nested-loop evaluation. *)
   let shadowed =
     let seen = Hashtbl.create 8 in
     List.iter (fun v -> Hashtbl.replace seen v ()) bound;

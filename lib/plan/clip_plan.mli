@@ -27,7 +27,7 @@
     sets and evaluation closures, so both backends plug their own
     expression evaluators in. Enumeration order is preserved exactly
     (probes yield matches in build-side document order), so plan-based
-    runs are output-identical to the naive interpreters. *)
+    runs are output-identical to nested-loop evaluation. *)
 
 (** Hashable join/dedup keys over XML atoms: composite (tuple) keys
     over the per-atom normalisation {!Clip_xml.Atom.key}, the single
@@ -53,16 +53,15 @@ module Key : sig
   val hash : t -> int
 end
 
-(** The engine switch threaded from {!Clip_core.Engine.run} down to
-    both backends: [`Naive] runs the legacy interpreters (kept as
-    differential-testing oracles), [`Indexed] forces the plan layer —
-    every eligible equality becomes a hash join and the
-    {!Clip_xml.Index} tag index is always on, [`Auto] (the default)
-    also runs through the plan layer but lets the cost model decide
-    per chain, from {!Clip_xml.Stats} cardinalities, whether each join
-    and the tag index pay for themselves. All three modes are
-    output-identical on every input whose evaluation does not raise. *)
-type mode = [ `Naive | `Indexed | `Auto ]
+(** The join and index policy threaded from {!Clip_core.Engine.run}
+    down to both backends, which always execute through this plan
+    layer: [`Indexed] makes every eligible equality a hash join and
+    turns the {!Clip_xml.Index} tag index on unconditionally; [`Auto]
+    (the default) lets the cost model decide per chain, from
+    {!Clip_xml.Stats} cardinalities, whether each join and the tag
+    index pay for themselves. Both modes are output-identical on every
+    input whose evaluation does not raise. *)
+type mode = [ `Indexed | `Auto ]
 
 (** Join policy given to {!val-plan}: [`Force] turns every eligible
     equality into a hash join (the [`Indexed] behaviour, and the

@@ -381,12 +381,3 @@ let emit bld rule children env =
   let env = List.fold_left (fun env g -> g bld env) env rule.gens in
   List.iter (fun a -> a bld env) rule.asserts;
   children env
-
-type 'env tree = { tm : Tgd.t; trule : 'env rule; tchildren : 'env tree list }
-
-let rec compile_tree ops ~bind_src scope (m : Tgd.t) =
-  let inner =
-    List.fold_left (fun scope (g : Tgd.source_gen) -> bind_src scope g.svar) scope m.foralls
-  in
-  let trule, scope' = compile ops ~outer:scope inner m in
-  { tm = m; trule; tchildren = List.map (compile_tree ops ~bind_src scope') m.children }

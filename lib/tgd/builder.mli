@@ -1,7 +1,8 @@
 (** The shared target-construction core of the tgd semantics.
 
-    Both executors of a nested tgd — the {!Eval} tree-walk, planned and
-    naive — build the target instance the same way: a mutable build
+    Every executor of a nested tgd — the planned {!Eval} and the
+    reference interpreter the tests check it against — builds the
+    target instance the same way: a mutable build
     tree rooted at the target root, with three creation disciplines per
     target generator ([Driven] — one fresh element per binding;
     [Completion] — memoised once per parent context under minimum
@@ -9,12 +10,12 @@
     completion singletons materialised along intermediate target-path
     steps, and leaf assignments that reject conflicting values. This
     module owns that construction state plus the scalar kernel
-    (functions, comparisons, aggregates), so both executors produce
+    (functions, comparisons, aggregates), so every executor produces
     byte-identical targets and identical dynamic error messages
     ([CLIP-TGD-001]).
 
-    The per-binding work of a rule is compiled once ({!compile},
-    {!compile_tree}): target paths are split and their heads resolved
+    The per-binding work of a rule is compiled once ({!compile}):
+    target paths are split and their heads resolved
     statically, and scalar and item evaluation come from the
     executor's own compiler through an {!type-ops} record. The compiled
     {!type-rule} is run by {!pre_instantiate} and {!emit}, generic over
@@ -121,12 +122,3 @@ val pre_instantiate : t -> 'env rule -> 'env -> unit
     apply its assertions, then hand the extended environment to the
     continuation. *)
 val emit : t -> 'env rule -> ('env -> unit) -> 'env -> unit
-
-(** A mapping tree with every node's rule compiled, for executors that
-    walk the tree directly. *)
-type 'env tree = { tm : Tgd.t; trule : 'env rule; tchildren : 'env tree list }
-
-(** [compile_tree ops ~bind_src scope m] — [bind_src] extends a scope
-    with one universal variable of a rule. *)
-val compile_tree :
-  ('env, 'scope) ops -> bind_src:('scope -> string -> 'scope) -> 'scope -> Tgd.t -> 'env tree

@@ -61,65 +61,52 @@ let tick ctx =
   if !(ctx.steps) land 63 = 0 && not (Clip_run.Control.is_none ctx.ctl) then
     check_control ctx
 
-(* The naive interpreter's environments bind source variables to items
-   and target variables to build nodes (the shared {!Builder}
-   target-construction core). *)
-type binding = Src of Value.item | Tgt of Builder.bnode
-
-module Env = Map.Make (String)
-
 (* Lineage: [record node] adds source elements to the lineage of
    target element [node]. *)
 type recorder = Builder.bnode -> Xml.Node.element -> unit
 
-(* The planned path's environment: one slot per binding site of the
-   mapping tree, source and target slots in separate arrays.
-   [plan_mapping] resolves every variable occurrence to its slot at
-   plan time, so a binding is an array write and a lookup an array
-   read. A frame is allocated per [execute]; cached plans hold slot
-   numbers, never a frame. Every binding site has its own slot, so a
-   name re-bound by a child rule or a later generator shadows the
-   outer binding without overwriting it. *)
+(* A run's environment: one slot per binding site of the mapping tree,
+   source and target slots in separate arrays. [plan_mapping] resolves
+   every variable occurrence to its slot at plan time, so a binding is
+   an array write and a lookup an array read. A frame is allocated per
+   [execute]; plans hold slot numbers, never a frame. Every binding
+   site has its own slot, so a name re-bound by a child rule or a later
+   generator shadows the outer binding without overwriting it. *)
 type frame = {
   src : Value.item array;
   tgt : Builder.bnode array;
   record : recorder option;
 }
 
-(* A compile-time scope: the names in scope with what each binding
-   resolves to, innermost first, so lookup finds the innermost binding
-   as [Env.add] would. The planned path resolves names to slots, which
-   [layout] numbers per plan tree; the naive path, which looks names up
-   per binding, keeps only whether each is a source or target
-   variable. *)
-type 'a scope = (string * 'a) list
+(* A compile-time scope: the names in scope with the slot each binding
+   resolves to, innermost first, so lookup finds the innermost binding.
+   [layout] numbers the slots per plan tree. *)
 type slot = S of int | T of int
+type scope = (string * slot) list
 type layout = { mutable nsrc : int; mutable ntgt : int }
 
-let rec resolve x = function
+let rec resolve x : scope -> slot option = function
   | [] -> None
   | (y, slot) :: rest -> if String.equal x y then Some slot else resolve x rest
 
 (* Lineage: each time a target generator binds, the source elements
    bound in its scope are recorded — every name once, at its innermost
-   binding, in [String.compare] order (the order [Env.iter] visits a
-   naive environment), skipping names whose innermost binding is a
-   target variable. Both executors list those bindings once, at compile
-   time, with [lineage_sources] ([source x b] is what to read for name
-   [x] when its binding [b] is a source), and record them with
-   [record_lineage] ([item k] reads one). *)
-let lineage_sources (scope : 'a scope) (source : string -> 'a -> 'k option) : 'k list =
+   binding, in [String.compare] order, skipping names whose innermost
+   binding is a target variable. [lineage_sources] lists those source
+   slots once, at compile time, and [record_lineage] reads them per
+   binding. *)
+let lineage_sources (scope : scope) : int list =
   List.filter_map
-    (fun x -> Option.bind (resolve x scope) (source x))
+    (fun x -> match resolve x scope with Some (S k) -> Some k | Some (T _) | None -> None)
     (List.sort_uniq String.compare (List.map fst scope))
 
-let record_lineage (record : recorder) node sources (item : 'k -> Value.item option) =
+let record_lineage (record : recorder) node sources (src : Value.item array) =
   let add = record node in
   List.iter
     (fun k ->
-      match item k with
-      | Some (Value.Node (Xml.Node.Element e)) -> add e
-      | Some (Value.Node (Xml.Node.Text _) | Value.Atomic _) | None -> ())
+      match src.(k) with
+      | Value.Node (Xml.Node.Element e) -> add e
+      | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> ())
     sources
 
 (* A mapping tree with each universal part compiled to a physical plan
@@ -139,9 +126,9 @@ type compiled = { tree : planned; slots : layout }
 
 (* --- Source-side evaluation ------------------------------------------ *)
 
-(* Naive child scan over the boxed tree: visits every child; the
-   [nodes_scanned] counter records exactly that, so indexed runs can
-   never report more scanned nodes than this oracle. *)
+(* Child scan over the boxed tree: visits every child, and the
+   [nodes_scanned] counter records exactly that, so an indexed step
+   never reports more scanned nodes than a scan of the same element. *)
 let scan_child_step ctx (e : Xml.Node.element) sym =
   if Clip_obs.enabled ctx.obs then
     Clip_obs.scanned ctx.obs (List.length e.children);
@@ -153,7 +140,7 @@ let scan_child_step ctx (e : Xml.Node.element) sym =
     e.children
 
 (* A child step over the boxed tree: an index probe when the run uses
-   the tag index, else the naive scan. *)
+   the tag index, else a scan. *)
 let tree_child_step ctx (e : Xml.Node.element) sym =
   match ctx.index with
   | None -> scan_child_step ctx e sym
@@ -163,69 +150,17 @@ let tree_child_step ctx (e : Xml.Node.element) sym =
       Clip_obs.scanned ctx.obs (List.length matches);
     List.map (fun n -> Value.Node n) matches
 
-let step_items ctx (item : Value.item) (step : Path.step) : Value.item list =
-  match item, step with
-  | Value.Node (Xml.Node.Element e), Path.Child tag ->
-    (* Intern once per step evaluation; per-child comparisons are then
-       int compares instead of string equality. *)
-    let sym = Xml.Symbol.intern tag in
-    Clip_obs.child_step ctx.obs;
-    tree_child_step ctx e sym
-  | Value.Node (Xml.Node.Element e), Path.Attr name ->
-    (match Xml.Node.attr e name with Some a -> [ Value.Atomic a ] | None -> [])
-  | Value.Node (Xml.Node.Element e), Path.Value ->
-    (match Xml.Node.text_value e with Some a -> [ Value.Atomic a ] | None -> [])
-  | (Value.Node (Xml.Node.Text _) | Value.Atomic _), _ -> []
-
-let rec eval_src ctx env (e : Term.expr) : Value.item list =
-  tick ctx;
-  match e with
-  | Term.Root s ->
-    (match ctx.source with
-     | Xml.Node.Element root when String.equal root.tag s -> [ Value.Node ctx.source ]
-     | Xml.Node.Element root ->
-       error "source root is <%s>, the mapping expects <%s>" root.tag s
-     | Xml.Node.Text _ -> error "source document root is a text node")
-  | Term.Var x ->
-    (match Env.find_opt x env with
-     | Some (Src item) -> [ item ]
-     | Some (Tgt _) -> error "variable %s is a target variable in a source position" x
-     | None -> error "unbound source variable %s" x)
-  | Term.Proj (inner, step) ->
-    List.concat_map (fun item -> step_items ctx item step) (eval_src ctx env inner)
-
 let scalar_functions = Builder.scalar_functions
-
-let rec eval_scalar ctx env (s : Term.scalar) : Xml.Atom.t list =
-  tick ctx;
-  match s with
-  | Term.E e -> Builder.atomize_items (eval_src ctx env e)
-  | Term.Const a -> [ a ]
-  | Term.Fn (name, args) ->
-    let arg_atoms =
-      List.map
-        (fun arg ->
-          match eval_scalar ctx env arg with
-          | [ a ] -> a
-          | [] -> error "%s: an argument evaluates to the empty sequence" name
-          | _ -> error "%s: an argument evaluates to multiple values" name)
-        args
-    in
-    [ Builder.scalar_fn name arg_atoms ]
-
-let holds ctx env (c : Tgd.comparison) =
-  let ls = eval_scalar ctx env c.left in
-  let rs = eval_scalar ctx env c.right in
-  List.exists (fun a -> List.exists (Builder.compare_atoms c.op a) rs) ls
 
 (* --- Compiled evaluation ----------------------------------------------- *)
 
 (* [compile_src]/[compile_scalar] turn an expression into a closure
    over frames once per plan: variables are resolved to slots, tags
    interned and every step dispatched at compile time. The closures
-   tick, count and fail exactly where [eval_src]/[eval_scalar] do, in
-   the same order, so budgets, deadline polls and counters cannot tell
-   the two apart. *)
+   tick once per source expression or scalar evaluated, count every
+   child step and fail with the interpreter's messages, in the order
+   an expression-by-expression walk meets them; the reference
+   interpreter in test/tgd_oracle.ml pins those sites. *)
 
 (* The one item a root or a variable denotes. *)
 let compile_root ctx s : frame -> Value.item =
@@ -380,7 +315,7 @@ let compile_holds ctx scope (c : Tgd.comparison) : frame -> bool =
 
 (* The operations of the planned path's rule bodies: target variables
    get their slots here, in the order [Builder.compile] binds them. *)
-let frame_ops ctx layout : (frame, slot scope) Builder.ops =
+let frame_ops ctx layout : (frame, scope) Builder.ops =
   {
     Builder.lookup_tgt =
       (fun scope x ->
@@ -392,60 +327,17 @@ let frame_ops ctx layout : (frame, slot scope) Builder.ops =
       (fun scope x ->
         let i = layout.ntgt in
         layout.ntgt <- i + 1;
-        let sources =
-          lineage_sources scope (fun _ -> function S k -> Some k | T _ -> None)
-        in
+        let sources = lineage_sources scope in
         ( (x, T i) :: scope,
           fun fr node ->
             (match fr.record with
-             | Some record -> record_lineage record node sources (fun k -> Some fr.src.(k))
+             | Some record -> record_lineage record node sources fr.src
              | None -> ());
             fr.tgt.(i) <- node;
             fr ));
     compile_scalar = compile_scalar ctx;
     compile_items = compile_src ctx;
   }
-
-(* The naive interpreter's rule-body operations: every name is looked
-   up in the environment per binding; the scope only lists lineage. *)
-let env_ops ctx (record : recorder option) :
-    (binding Env.t, [ `Src | `Tgt ] scope) Builder.ops =
-  {
-    Builder.lookup_tgt =
-      (fun _ x env ->
-        match Env.find_opt x env with
-        | Some (Tgt b) -> b
-        | Some (Src _) -> error "variable %s is a source variable in a target position" x
-        | None -> error "unbound target variable %s" x);
-    bind_tgt =
-      (fun scope x ->
-        let sources = lineage_sources scope (fun x -> function `Src -> Some x | `Tgt -> None) in
-        ( (x, `Tgt) :: scope,
-          fun env node ->
-            (match record with
-             | Some record ->
-               record_lineage record node sources (fun x ->
-                   match Env.find_opt x env with
-                   | Some (Src item) -> Some item
-                   | Some (Tgt _) | None -> None)
-             | None -> ());
-            Env.add x (Tgt node) env ));
-    compile_scalar = (fun _ s -> Builder.Many (fun env -> eval_scalar ctx env s));
-    compile_items = (fun _ e env -> eval_src ctx env e);
-  }
-
-(* --- The engine ------------------------------------------------------- *)
-
-let cartesian_bindings ctx env (gens : Tgd.source_gen list) =
-  (* Enumerate environments extending [env] with one item per generator,
-     left to right (later generators may reference earlier variables). *)
-  let rec go env = function
-    | [] -> [ env ]
-    | (g : Tgd.source_gen) :: rest ->
-      let items = eval_src ctx env g.sexpr in
-      List.concat_map (fun item -> go (Env.add g.svar (Src item) env) rest) items
-  in
-  go env gens
 
 (* --- Planning ---------------------------------------------------------- *)
 
@@ -592,11 +484,6 @@ let rec tree_revisits ~outer_last (p : planned) =
    plans. *)
 let index_threshold = 256
 
-(* Documents smaller than this don't repay even the plan layer itself:
-   every join the cost model could pick is over segments of a handful
-   of nodes, so [`Auto] runs the direct interpreter outright. *)
-let naive_threshold = 128
-
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     ?(plan = `Auto) ?(ctl = Clip_run.Control.none)
     ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
@@ -613,30 +500,25 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   if not (Clip_run.Control.is_none ctx.ctl) then check_control ctx;
   Clip_fault.hit ~obs Clip_fault.Site.tgd_execute;
   let bld = Builder.create ~min_card:minimum_cardinality ~target_root () in
-  (* The naive interpreter, kept as the differential-testing oracle for
-     the plan-based path below: source generators, conditions and the
-     rule bodies' scalars all run through the interpreted
-     [eval_src]/[eval_scalar]. *)
-  let rec eval_mapping env (t : binding Env.t Builder.tree) =
-    Builder.pre_instantiate bld t.trule env;
-    let bindings = cartesian_bindings ctx env t.tm.foralls in
-    List.iter
-      (fun env ->
-        tick ctx;
-        if List.for_all (holds ctx env) t.tm.cond then
-          Builder.emit bld t.trule (fun env -> List.iter (eval_mapping env) t.tchildren) env)
-      bindings
+  (* Compile each mapping's universal part once (conditions pushed
+     down, equality conditions turned into hash joins where they pay),
+     then stream bindings into the rule's compiled per-binding body. *)
+  let c =
+    match plan with
+    | `Indexed ->
+      ctx.index <- Some (force_index ctx);
+      plan_tree ctx `Force m
+    | `Auto ->
+      let c = plan_tree ctx `Cost m in
+      (* The tag index pays only when some element's children are
+         listed twice and the document is big enough to amortise the
+         groupings; otherwise leave it off and scan. *)
+      if
+        tree_revisits ~outer_last:None c.tree
+        && Xml.Stats.node_count (force_stats ctx) >= index_threshold
+      then ctx.index <- Some (force_index ctx);
+      c
   in
-  let naive () =
-    eval_mapping Env.empty
-      (Builder.compile_tree (env_ops ctx record)
-         ~bind_src:(fun scope x -> (x, `Src) :: scope)
-         [] m)
-  in
-  (* The plan-based path: compile each mapping's universal part once
-     (conditions pushed down, equality conditions turned into hash
-     joins where profitable), then stream bindings into the same
-     per-binding body the naive interpreter runs. *)
   (* The run-scoped hash tables: a nested mapping joined to its parent
      builds its table once here, not once per parent binding. *)
   let run = Clip_plan.Run.create () in
@@ -649,39 +531,13 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
         (Builder.emit bld p.pbody (fun fr ->
              List.iter (eval_planned fr) p.pchildren))
   in
-  let run_planned (c : compiled) =
-    eval_planned
-      {
-        src = Array.make c.slots.nsrc (Value.Node source);
-        tgt = Array.make c.slots.ntgt (Builder.root bld);
-        record;
-      }
-      c.tree
-  in
-  (match plan with
-   | `Naive ->
-     ctx.index <- None;
-     naive ()
-   | `Indexed ->
-     ctx.index <- Some (force_index ctx);
-     run_planned (plan_tree ctx `Force m)
-   | `Auto ->
-     if Xml.Node.size_below naive_threshold source then begin
-       ctx.index <- None;
-       naive ()
-     end
-     else begin
-       let p = plan_tree ctx `Cost m in
-       (* The tag index pays only when some element's children are
-          listed twice and the document is big enough to amortise the
-          groupings; otherwise leave it off and scan. *)
-       let use_index =
-         tree_revisits ~outer_last:None p.tree
-         && Xml.Stats.node_count (force_stats ctx) >= index_threshold
-       in
-       ctx.index <- (if use_index then Some (force_index ctx) else None);
-       run_planned p
-     end);
+  eval_planned
+    {
+      src = Array.make c.slots.nsrc (Value.Node source);
+      tgt = Array.make c.slots.ntgt (Builder.root bld);
+      record;
+    }
+    c.tree;
   Builder.root bld
 
 let run_result ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
@@ -694,7 +550,7 @@ let run_result ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
 (* Static plan rendering: everything here mirrors the dispatch in
-   [execute] — same thresholds, same policies, same planner — but only
+   [execute] — same index threshold, same policies, same planner — but only
    plans, never evaluates, so the output is deterministic and free of
    timings (golden-testable). *)
 let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
@@ -702,7 +558,7 @@ let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
   let b = Buffer.create 512 in
   let nodes = Xml.Stats.node_count (force_stats ctx) in
   Printf.bprintf b "backend: tgd\nplan: %s\ndocument: %d nodes\n"
-    (match plan with `Naive -> "naive" | `Indexed -> "indexed" | `Auto -> "auto")
+    (match plan with `Indexed -> "indexed" | `Auto -> "auto")
     nodes;
   let chain (m : Tgd.t) =
     match m.foralls with
@@ -734,15 +590,6 @@ let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
       (if String.equal path "" then "/" else path)
       (chain m) (conds m)
   in
-  let rec naive_rules path (m : Tgd.t) =
-    rule_header path m;
-    if m.foralls <> [] then
-      Buffer.add_string b
-        "  every generator: nested-loop scan; conditions checked innermost\n";
-    List.iteri
-      (fun i c -> naive_rules (Printf.sprintf "%s/%d" path i) c)
-      m.children
-  in
   let rec planned_rules path (p : planned) =
     rule_header path p.pm;
     if p.pm.foralls <> [] then
@@ -753,33 +600,22 @@ let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
       p.pchildren
   in
   (match plan with
-   | `Naive ->
-     Buffer.add_string b "strategy: naive interpreter (forced)\n";
-     naive_rules "" m
    | `Indexed ->
      Buffer.add_string b
        "strategy: physical plans, forced hash joins, tag index on\n";
      planned_rules "" (plan_tree ctx `Force m).tree
    | `Auto ->
-     if nodes < naive_threshold then begin
-       Printf.bprintf b
-         "strategy: direct interpreter (%d nodes, below the %d-node planning threshold)\n"
-         nodes naive_threshold;
-       naive_rules "" m
-     end
-     else begin
-       let p = (plan_tree ctx `Cost m).tree in
-       let revisits = tree_revisits ~outer_last:None p in
-       let use_index = revisits && nodes >= index_threshold in
-       Printf.bprintf b
-         "strategy: physical plans, cost-based joins; tag index %s\n"
-         (if use_index then "on (revisit-prone plan)"
-          else if revisits then
-            Printf.sprintf "off (document below the %d-node index threshold)"
-              index_threshold
-          else "off (straight-line plan, no element revisits)");
-       planned_rules "" p
-     end);
+     let p = (plan_tree ctx `Cost m).tree in
+     let revisits = tree_revisits ~outer_last:None p in
+     let use_index = revisits && nodes >= index_threshold in
+     Printf.bprintf b
+       "strategy: physical plans, cost-based joins; tag index %s\n"
+       (if use_index then "on (revisit-prone plan)"
+        else if revisits then
+          Printf.sprintf "off (document below the %d-node index threshold)"
+            index_threshold
+        else "off (straight-line plan, no element revisits)");
+     planned_rules "" p);
   Buffer.contents b
 
 type trace_entry = {

@@ -21,18 +21,17 @@
     the paper contrasts against (one [department] per mapped value in
     the Fig. 3 discussion).
 
-    Every entry point takes [?plan]: [`Auto] (the default) compiles
-    each mapping's universal part to a {!Clip_plan} physical plan —
-    conditions pushed to their earliest position, equality conditions
-    executed as hash joins {e when the cost model says the table pays
-    for itself}, bindings streamed — and turns the {!Clip_xml.Index}
-    tag index on only for revisit-prone plans over large-enough
-    documents. [`Indexed] forces every eligible join and the index
-    unconditionally; [`Naive] runs the original interpreter, kept as
-    the differential-testing oracle. All modes produce identical
+    Every run compiles each mapping's universal part to a {!Clip_plan}
+    physical plan — conditions pushed to their earliest position,
+    equality conditions executed as hash joins, bindings streamed.
+    [?plan] picks the join and index policy: [`Auto] (the default) lets
+    the cost model decide whether each hash join pays for itself, and
+    turns the {!Clip_xml.Index} tag index on only for revisit-prone
+    plans over large-enough documents; [`Indexed] forces every eligible
+    join and the index unconditionally. Both modes produce identical
     documents; only error behaviour may differ (pushdown can evaluate
-    a failing condition the naive order would never reach, and vice
-    versa). [?steps_out] (on {!run_result}, for per-shard
+    a failing condition a nested-loop order would never reach, and
+    vice versa). [?steps_out] (on {!run_result}, for per-shard
     evaluation), when given, receives the number of budget steps
     consumed, even when evaluation fails. [?obs], when given,
     collects execution counters for the run into the supplied sink —
@@ -71,9 +70,8 @@ val run_result :
 
 (** [explain ~source m] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would execute [m] over [source]: a
-    header stating the resolved strategy (for [`Auto]: direct
-    interpreter below the planning threshold, else cost-based plans
-    with the tag-index decision), then one block per mapping rule with
+    header stating the strategy (for [`Auto]: cost-based plans with
+    the tag-index decision), then one block per mapping rule with
     its physical stages, cardinality estimates and the planner's
     per-equality decision notes (see {!Clip_plan.explain}). Nothing is
     evaluated and no timing appears in the output, so it is stable for

@@ -79,11 +79,6 @@ val compare : t -> t -> int
 (** [size n] is the number of nodes (elements + attributes + texts). *)
 val size : t -> int
 
-(** [size_below limit n] is [size n < limit], visiting at most about
-    [limit] nodes: the evaluators' small-document check, cheaper than
-    collecting statistics. *)
-val size_below : int -> t -> bool
-
 val depth : t -> int
 
 (** [count_elements n tagname] counts descendant-or-self elements with

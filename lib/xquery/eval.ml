@@ -10,23 +10,21 @@ module Env = Map.Make (String)
 
 (* Evaluation context of one run: the input document, its instance
    statistics and tag index (each built on first use), and the step
-   budget that bounds runaway queries (CLIP-LIM-004). Under [`Indexed]
-   and [`Auto] FLWOR blocks run through {!Clip_plan} instead of the
-   naive recursion.
+   budget that bounds runaway queries (CLIP-LIM-004). FLWOR blocks run
+   through {!Clip_plan}.
 
-   [index] is the run's (for [`Auto]: adaptive, see
-   [eval_flwor_planned]) view of the tag index. [plans] memoises
-   compiled FLWOR plans for the run, keyed by the physical identity of
-   the clause list — the same FLWOR block re-entered once per outer
-   binding (the hot path of nested queries) then replans zero times —
-   plus the outer-variable set, policy and run estimate, which all
-   affect planning. *)
+   [index] is the run's (for [`Auto]: adaptive, see [eval_flwor]) view
+   of the tag index. [plans] memoises compiled FLWOR plans for the run,
+   keyed by the physical identity of the clause list — the same FLWOR
+   block re-entered once per outer binding (the hot path of nested
+   queries) then replans zero times — plus the outer-variable set,
+   policy and run estimate, which all affect planning. *)
 type ctx = {
   input : Xml.Node.t;
   mutable index : Xml.Index.t option;
   xindex : Xml.Index.t Lazy.t;
   stats : Xml.Stats.t Lazy.t;
-  mutable plan : Clip_plan.mode; (* the mode the run resolved to *)
+  plan : Clip_plan.mode;
   plans :
     (Ast.clause list
     * string list
@@ -75,9 +73,9 @@ let ebool v =
   | b -> b
   | exception Invalid_argument m -> error "%s" m
 
-(* Naive child scan over the boxed tree: visits every child —
-   [nodes_scanned] records exactly that asymmetry against the indexed
-   paths (indexed can never exceed naive). *)
+(* Child scan over the boxed tree: visits every child, and
+   [nodes_scanned] records exactly that, so an indexed step never
+   reports more scanned nodes than a scan of the same element. *)
 let scan_child_step ctx (e : Xml.Node.element) sym =
   if Clip_obs.enabled ctx.obs then
     Clip_obs.scanned ctx.obs (List.length e.children);
@@ -183,11 +181,6 @@ let est_flwor_expr ctx var_tags (e : Ast.expr) : int option * Xml.Symbol.t optio
    leaves the tag index off below the threshold. *)
 let index_threshold = 256
 
-(* Documents smaller than this don't repay even the plan layer itself:
-   every join the cost model could pick is over segments of a handful
-   of nodes, so [`Auto] downgrades to the direct interpreter. *)
-let naive_threshold = 128
-
 let rec eval ctx env (e : Ast.expr) : Value.t =
   tick ctx;
   match e with
@@ -273,43 +266,13 @@ let rec eval ctx env (e : Ast.expr) : Value.t =
     Value.of_atom result
   | Ast.Call (name, args) -> eval_call ctx env name args
 
-and eval_flwor ctx env clauses where return =
-  match ctx.plan with
-  | `Naive -> eval_flwor_naive ctx env clauses where return
-  | `Indexed | `Auto -> eval_flwor_planned ctx env clauses where return
-
-(* The original clause-by-clause recursion, kept as the
-   differential-testing oracle for the plan-based path below. *)
-and eval_flwor_naive ctx env clauses where return =
-  match clauses with
-  | [] ->
-    let keep =
-      match where with
-      | None -> true
-      | Some w -> ebool (eval ctx env w)
-    in
-    if keep then eval ctx env return else Value.empty
-  | Ast.Let (x, e) :: rest ->
-    let v = eval ctx env e in
-    eval_flwor_naive ctx (Env.add x v env) rest where return
-  | Ast.For (x, e) :: rest ->
-    let v = eval ctx env e in
-    List.concat_map
-      (fun item -> eval_flwor_naive ctx (Env.add x [ item ] env) rest where return)
-      v
-
-(* Plan-based FLWOR evaluation: the clause chain becomes a generator
-   chain ([for] enumerates the items of its sequence, [let] a single
-   whole-sequence item), the [where] splits into conjuncts pushed to
-   their earliest position ([ebool (And (a, b)) = ebool a && ebool b],
-   so the split is exact), and equality conjuncts become hash joins.
-   Bindings stream into the [return] in the naive enumeration order. *)
 (* Compile one FLWOR block to a physical plan: the clause chain
    becomes a generator chain ([for] enumerates the items of its
    sequence, [let] a single whole-sequence item), the [where] splits
-   into conjuncts pushed to their earliest position and equality
-   conjuncts become hash-join candidates. Purely static — the
-   closures capture [ctx] but nothing is evaluated here — which is
+   into conjuncts pushed to their earliest position
+   ([ebool (And (a, b)) = ebool a && ebool b], so the split is exact)
+   and equality conjuncts become hash-join candidates. Purely static —
+   the closures capture [ctx] but nothing is evaluated here — which is
    what lets [explain] below reuse it without running the query. *)
 and flwor_plan ctx ~policy ?runs ~bound clauses where =
   let cost = match policy with `Cost -> true | `Force -> false in
@@ -374,10 +337,10 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
   in
   Clip_plan.plan ~policy ?runs ~bound ~gens:(List.rev gens_rev) ~conds ()
 
-and eval_flwor_planned ctx env clauses where return =
-  let policy =
-    match ctx.plan with `Auto -> `Cost | `Naive | `Indexed -> `Force
-  in
+(* Plan-based FLWOR evaluation: bindings stream into the [return] in
+   the clause-by-clause enumeration order. *)
+and eval_flwor ctx env clauses where return =
+  let policy = match ctx.plan with `Auto -> `Cost | `Indexed -> `Force in
   let cost = match policy with `Cost -> true | `Force -> false in
   (* [Env.fold] lists keys in increasing order, so [bound] is
      deterministic for a given environment domain and usable as part
@@ -498,13 +461,14 @@ and eval_call ctx env name args =
     Value.of_atom (Xml.Atom.Bool (not (ebool (arg 0))))
   | name -> error "unknown function %s#%d" name (List.length args)
 
-let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none) input =
+let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none)
+    ?(plan = `Auto) input =
   {
     input;
     index = None;
     xindex = lazy (Xml.Index.build input);
     stats = lazy (Xml.Stats.collect input);
-    plan = `Auto;
+    plan;
     plans = ref [];
     run = Clip_plan.Run.create ();
     runs = Some 1;
@@ -515,111 +479,90 @@ let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none) input =
   }
 
 (* Static plan rendering for every FLWOR block of a query, numbered in
-   preorder. Mirrors the dispatch of [with_ctx]/[eval_flwor] — same
-   thresholds, same policies, same planner — but never evaluates, so
-   the output is deterministic (golden-testable). *)
+   preorder. Mirrors [with_ctx]/[eval_flwor] — same index threshold,
+   same policies, same planner — but never evaluates, so the output is
+   deterministic (golden-testable). *)
 let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
   let ctx = make_ctx input in
   let b = Buffer.create 512 in
   let nodes = Xml.Stats.node_count (force_stats ctx) in
   Printf.bprintf b "backend: xquery\nplan: %s\ndocument: %d nodes\n"
-    (match plan with `Naive -> "naive" | `Indexed -> "indexed" | `Auto -> "auto")
+    (match plan with `Indexed -> "indexed" | `Auto -> "auto")
     nodes;
-  let resolved =
+  let policy =
     match plan with
-    | `Auto when nodes < naive_threshold -> `Naive
-    | p -> p
+    | `Indexed ->
+      Buffer.add_string b
+        "strategy: physical plans, forced hash joins, tag index on\n";
+      `Force
+    | `Auto ->
+      Printf.bprintf b
+        "strategy: physical plans, cost-based joins; tag index adaptive (on at the first revisit-prone plan over >= %d nodes)\n"
+        index_threshold;
+      `Cost
   in
-  (match plan, resolved with
-   | `Auto, `Naive ->
-     Printf.bprintf b
-       "strategy: direct interpreter (%d nodes, below the %d-node planning threshold)\n"
-       nodes naive_threshold
-   | _, `Naive ->
-     Buffer.add_string b "strategy: naive interpreter (forced)\n"
-   | _, `Indexed ->
-     Buffer.add_string b
-       "strategy: physical plans, forced hash joins, tag index on\n"
-   | _, `Auto ->
-     Printf.bprintf b
-       "strategy: physical plans, cost-based joins; tag index adaptive (on at the first revisit-prone plan over >= %d nodes)\n"
-       index_threshold);
-  (match resolved with
-   | `Naive ->
-     Buffer.add_string b
-       "every FLWOR block: clause-by-clause recursion, conditions checked innermost\n"
-   | (`Indexed | `Auto) as r ->
-     let policy = match r with `Auto -> `Cost | `Indexed -> `Force in
-     let counter = ref 0 in
-     (* [runs] mirrors [ctx.runs] during evaluation: a block nested
-        anywhere in another runs once per binding of the outer chain. *)
-     let rec walk runs bound (e : Ast.expr) =
-       let walk' = walk runs in
-       match e with
-       | Ast.Var _ | Ast.Doc _ | Ast.Literal _ -> ()
-       | Ast.Path (base, _) -> walk' bound base
-       | Ast.Seq es -> List.iter (walk' bound) es
-       | Ast.Elem { attrs; content; _ } ->
-         List.iter (fun (_, e) -> walk' bound e) attrs;
-         List.iter (walk' bound) content
-       | Ast.If (c, t, e) ->
-         walk' bound c;
-         walk' bound t;
-         walk' bound e
-       | Ast.Cmp (_, l, r) | Ast.And (l, r) | Ast.Or (l, r) | Ast.Arith (_, l, r) ->
-         walk' bound l;
-         walk' bound r
-       | Ast.Call (_, args) -> List.iter (walk' bound) args
-       | Ast.Flwor { clauses; where; return } ->
-         incr counter;
-         let header =
-           String.concat ", "
-             (List.map
-                (function
-                  | Ast.For (x, e) ->
-                    Printf.sprintf "for $%s in %s" x (Pretty.expr_to_string e)
-                  | Ast.Let (x, e) ->
-                    Printf.sprintf "let $%s := %s" x (Pretty.expr_to_string e))
-                clauses)
-         in
-         Printf.bprintf b "flwor #%d: %s%s\n" !counter header
-           (match where with
-            | None -> ""
-            | Some w -> " where " ^ Pretty.expr_to_string w);
-         let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
-         Printf.bprintf b "  plan: %s\n" (Clip_plan.describe p);
-         Buffer.add_string b (Clip_plan.explain p);
-         let walk = walk (Clip_plan.inner_runs ~runs p) in
-         let bound' =
-           List.fold_left
-             (fun bd clause ->
-               match (clause : Ast.clause) with
-               | Ast.For (x, e) | Ast.Let (x, e) ->
-                 walk bd e;
-                 x :: bd)
-             bound clauses
-         in
-         (match where with Some w -> walk bound' w | None -> ());
-         walk bound' return
-     in
-     walk (Some 1) [] expr);
+  let counter = ref 0 in
+  (* [runs] mirrors [ctx.runs] during evaluation: a block nested
+     anywhere in another runs once per binding of the outer chain. *)
+  let rec walk runs bound (e : Ast.expr) =
+    let walk' = walk runs in
+    match e with
+    | Ast.Var _ | Ast.Doc _ | Ast.Literal _ -> ()
+    | Ast.Path (base, _) -> walk' bound base
+    | Ast.Seq es -> List.iter (walk' bound) es
+    | Ast.Elem { attrs; content; _ } ->
+      List.iter (fun (_, e) -> walk' bound e) attrs;
+      List.iter (walk' bound) content
+    | Ast.If (c, t, e) ->
+      walk' bound c;
+      walk' bound t;
+      walk' bound e
+    | Ast.Cmp (_, l, r) | Ast.And (l, r) | Ast.Or (l, r) | Ast.Arith (_, l, r) ->
+      walk' bound l;
+      walk' bound r
+    | Ast.Call (_, args) -> List.iter (walk' bound) args
+    | Ast.Flwor { clauses; where; return } ->
+      incr counter;
+      let header =
+        String.concat ", "
+          (List.map
+             (function
+               | Ast.For (x, e) ->
+                 Printf.sprintf "for $%s in %s" x (Pretty.expr_to_string e)
+               | Ast.Let (x, e) ->
+                 Printf.sprintf "let $%s := %s" x (Pretty.expr_to_string e))
+             clauses)
+      in
+      Printf.bprintf b "flwor #%d: %s%s\n" !counter header
+        (match where with
+         | None -> ""
+         | Some w -> " where " ^ Pretty.expr_to_string w);
+      let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
+      Printf.bprintf b "  plan: %s\n" (Clip_plan.describe p);
+      Buffer.add_string b (Clip_plan.explain p);
+      let walk = walk (Clip_plan.inner_runs ~runs p) in
+      let bound' =
+        List.fold_left
+          (fun bd clause ->
+            match (clause : Ast.clause) with
+            | Ast.For (x, e) | Ast.Let (x, e) ->
+              walk bd e;
+              x :: bd)
+          bound clauses
+      in
+      (match where with Some w -> walk bound' w | None -> ());
+      walk bound' return
+  in
+  walk (Some 1) [] expr;
   Buffer.contents b
 
 let with_ctx ?ctl ?obs plan limits steps_out input f =
   let ctx =
-    make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl input
+    make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl ~plan
+      input
   in
-  (* Tiny documents don't repay planning: run [`Auto] as [`Naive]. *)
-  let plan =
-    match plan with
-    | `Auto when Xml.Node.size_below naive_threshold input -> `Naive
-    | p -> p
-  in
-  ctx.plan <- plan;
-  ctx.index <-
-    (match plan with
-     | `Indexed -> Some (force_index ctx)
-     | _ -> None (* [`Auto] switches it on adaptively *));
+  (* [`Auto] switches the tag index on adaptively, in [eval_flwor]. *)
+  if plan = `Indexed then ctx.index <- Some (force_index ctx);
   let finish () =
     match steps_out with Some r -> r := !(ctx.steps) | None -> ()
   in

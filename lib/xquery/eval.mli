@@ -5,18 +5,18 @@
     fuzzed FLWOR over a large cross product) reports [CLIP-LIM-004]
     instead of hanging.
 
-    Every entry point takes [?plan]: [`Auto] (the default) runs FLWOR
-    blocks through the shared {!Clip_plan} physical-plan layer —
-    [where] conjuncts pushed to their earliest clause, equality
-    conjuncts executed as hash joins {e when the cost model says the
-    table pays for itself} — and switches the {!Clip_xml.Index} tag
-    index on adaptively, the moment a revisit-prone plan appears over
-    a large-enough document. [`Indexed] forces every eligible join and
-    the index unconditionally; [`Naive] is the original
-    clause-by-clause recursion, kept as the differential-testing
-    oracle. All modes produce identical values; only error behaviour
-    may differ (pushdown can evaluate a failing conjunct the naive
-    order would never reach, and vice versa). [?steps_out] (on
+    FLWOR blocks run through the shared {!Clip_plan} physical-plan
+    layer: [where] conjuncts pushed to their earliest clause, equality
+    conjuncts executed as hash joins. [?plan] picks the join and index
+    policy: [`Auto] (the default) builds a hash table only {e when the
+    cost model says it pays for itself}, and switches the
+    {!Clip_xml.Index} tag index on adaptively, the moment a
+    revisit-prone plan appears over a large-enough document;
+    [`Indexed] forces every eligible join and the index
+    unconditionally. Both modes produce identical values; only error
+    behaviour may differ (pushdown can evaluate a failing conjunct a
+    clause-by-clause order would never reach, and vice versa).
+    [?steps_out] (on
     {!run_document_result}, for per-shard evaluation), when given,
     receives the number of budget steps consumed, even when evaluation
     fails. [?obs], when given, collects execution counters
@@ -33,8 +33,7 @@
 
 (** [explain ~input expr] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would evaluate [expr] over [input]: a
-    header stating the resolved strategy (for [`Auto]: direct
-    interpreter below the planning threshold), then one block per
+    header stating the strategy, then one block per
     FLWOR (preorder-numbered) with its physical stages, cardinality
     estimates and the planner's per-equality decision notes (see
     {!Clip_plan.explain}). Nothing is evaluated and no timing appears

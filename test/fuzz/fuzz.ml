@@ -7,9 +7,10 @@
    bug and fails the run. The xml target is additionally
    DIFFERENTIAL: the tree parser and a randomly chunked lexer feed must
    reach the reference parser's outcome (test/xml_oracle.ml). So is
-   the engine target: every mapping that runs is evaluated under both the
-   [`Naive] and [`Indexed] physical plans on a random valid instance
-   of its own source schema, and the outputs and the recorded lineage
+   the engine target: every mapping that runs is evaluated by the
+   reference tgd interpreter (test/tgd_oracle.ml) and by the engine
+   under the [`Indexed] and [`Auto] plans on a random valid instance of
+   its own source schema, and the outputs and the recorded lineage
    must agree. A fixed
    pre-pass additionally checks the resource guards: a 100k-deep XML
    document (and equally deep schema DSL, mapping DSL and XQuery
@@ -192,14 +193,14 @@ let report_failure name input exn =
     (Printexc.to_string exn) prefix
 
 (* Lineage must not depend on the plan: [run_traced_result] under
-   [`Indexed] and [`Auto] must record the [`Naive] lineage entry for
-   entry, source elements compared physically. Returns the first
-   disagreeing plan; a plan whose traced run reports a tgd dynamic
-   error (CLIP-TGD-001) is skipped, and any other diagnostic escapes
-   as a failure. *)
+   [`Indexed] and [`Auto] must record the reference interpreter's
+   lineage entry for entry, source elements compared physically.
+   Returns the first disagreeing plan; a run that reports a tgd dynamic
+   error (CLIP-TGD-001) is skipped, and any other diagnostic escapes as
+   a failure. *)
 let lineage_disagreement m doc =
-  let traced plan =
-    match Clip_core.Engine.run_traced_result ~plan m doc with
+  let traced_by run =
+    match run () with
     | Ok (_, trace) -> Some trace
     | Error ds
       when List.exists
@@ -207,6 +208,9 @@ let lineage_disagreement m doc =
              ds ->
       None
     | Error ds -> Clip_diag.fail_all ds
+  in
+  let traced plan =
+    traced_by (fun () -> Clip_core.Engine.run_traced_result ~plan m doc)
   in
   let same_source x y =
     match (x, y) with
@@ -218,14 +222,14 @@ let lineage_disagreement m doc =
     && List.length x.sources = List.length y.sources
     && List.for_all2 same_source x.sources y.sources
   in
-  match traced `Naive with
+  match traced_by (fun () -> Tgd_oracle.run_mapping_traced m doc) with
   | None -> None
-  | Some naive ->
+  | Some expected ->
     List.find_map
       (fun (name, plan) ->
         match traced plan with
         | Some t
-          when not (List.length t = List.length naive && List.for_all2 same_entry t naive)
+          when not (List.length t = List.length expected && List.for_all2 same_entry t expected)
           -> Some name
         | Some _ | None -> None)
       [ ("indexed", `Indexed); ("auto", `Auto) ]
@@ -272,11 +276,11 @@ let targets : (string * (string -> unit)) list =
     ("mapping-dsl", fun s -> ignore (Clip_core.Dsl.parse_result ~limits s));
     ("xquery", fun s -> ignore (Clip_xquery.Parser.parse_string_result ~limits s));
     ( "engine",
-      (* Beyond totality, the engine target is differential across
-         plans: the same run under [`Naive], [`Indexed] and [`Auto]
-         must agree (unordered node equality — target sibling order is
-         pinned separately by the plan test suite) whenever both
-         succeed, and then record the same lineage. The source
+      (* Beyond totality, the engine target is differential: the
+         reference interpreter and the engine under [`Indexed] and
+         [`Auto] must agree (unordered node equality — target sibling
+         order is pinned separately by the plan test suite) whenever
+         both succeed, and then record the same lineage. The source
          document is a random valid instance of the parsed mapping's
          own source schema, so generators actually enumerate. *)
       fun s ->
@@ -293,12 +297,14 @@ let targets : (string * (string -> unit)) list =
             | exception _ -> Clip_xml.Node.elem m.source.root.name []
           in
           let run plan = Clip_core.Engine.run_result ~limits ~plan m doc in
+          (* The engine's default, minimum cardinality on. *)
+          let oracle = Tgd_oracle.run_mapping ~limits m doc in
           let fail what =
             incr failures;
             Printf.eprintf "FAILURE [engine]: %s\n  mapping prefix: %S\n" what
               (String.sub s 0 (min 160 (String.length s)))
           in
-          (match run `Naive with
+          (match oracle with
            | Error _ -> ()
            | Ok a ->
              List.iter
@@ -307,10 +313,11 @@ let targets : (string * (string -> unit)) list =
                  | Error _ -> ()
                  | Ok b ->
                    if not (Clip_xml.Node.equal_unordered a b) then
-                     fail (Printf.sprintf "naive and %s plans disagree" name)
+                     fail (Printf.sprintf "the oracle and the %s plan disagree" name)
                    else if plan = `Auto then
                      Option.iter
-                       (fun name -> fail ("naive and " ^ name ^ " lineage disagree"))
+                       (fun name ->
+                         fail ("the oracle and the " ^ name ^ " plan disagree on lineage"))
                        (lineage_disagreement m doc))
                [ ("indexed", `Indexed); ("auto", `Auto) ]) );
   ]
@@ -552,7 +559,7 @@ let algebra_sweep () =
         | 3 -> [ m; id_t ]
         | _ -> [ id_s; m; id_t ]
       in
-      let plan = pick [ `Naive; `Indexed; `Auto ] in
+      let plan = pick [ `Indexed; `Auto ] in
       let mc = sc.SF.minimum_cardinality in
       if !verbose then
         Printf.eprintf "algebra iter %d: %s, %d stages\n" i sc.SF.name

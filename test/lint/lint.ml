@@ -50,6 +50,14 @@
    operators compare ints everywhere, only the types tell them apart),
    so those stay a review matter.
 
+   Every backend has one executor, the planned one, and [`Auto] always
+   plans; the unplanned interpreter lives in [test/tgd_oracle.ml], the
+   oracle the differential suites compare against. The [`Naive] plan
+   tag and a [naive_threshold] that switches between two executors are
+   forbidden in [lib/] and [bin/] unless listed in [naive_allowlist]
+   (empty), so a second executor cannot return to the public API
+   without a review.
+
    Every [.ml] under [lib/] must have a matching [.mli]: the interface
    is where invariants live (Doc's array layout, the index's
    memoisation contract, symbol interning), and an uninterfaced
@@ -62,7 +70,7 @@
    [--instrument-with bisect_ppx] — a library missing the stanza
    silently vanishes from the coverage report.
 
-   Run as [lint.exe LIBDIR]; wired into [dune runtest]. *)
+   Run as [lint.exe LIBDIR BINDIR]; wired into [dune runtest]. *)
 
 let allowlist = [ ("clio/generate.ml", 1); ("clio/enumerate.ml", 1); ("core/compile.ml", 1) ]
 
@@ -119,6 +127,11 @@ let poly_allowlist : (string * int) list = []
 (* Files allowed N uses of [Ephemeron] or [Domain.DLS] (none). *)
 let cache_allowlist : (string * int) list = []
 let cache_names = [ "Ephemeron"; "Domain.DLS" ]
+
+(* Files allowed N mentions of the [`Naive] plan tag or
+   [naive_threshold] (none), in [lib/] and [bin/]. *)
+let naive_allowlist : (string * int) list = []
+let naive_names = [ "`Naive"; "naive_threshold" ]
 let poly_calls = [ "List.mem"; "List.assoc"; "List.assoc_opt"; "List.mem_assoc"; "Stdlib.compare" ]
 
 let read_file path =
@@ -312,8 +325,25 @@ let rec dune_files dir =
 
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "lib" in
+  let bin = if Array.length Sys.argv > 2 then Sys.argv.(2) else "bin" in
   let errors = ref 0 in
   let complain fmt = Printf.ksprintf (fun s -> incr errors; prerr_endline s) fmt in
+  List.iter
+    (fun path ->
+      let uses =
+        let src = read_file path in
+        List.fold_left (fun n name -> n + count_substring src name) 0 naive_names
+      in
+      let allowed =
+        match List.assoc_opt path naive_allowlist with Some n -> n | None -> 0
+      in
+      if uses > allowed then
+        complain
+          "lint: %s: %d mention(s) of `Naive/naive_threshold, %d allowed — \
+           every run plans; the unplanned interpreter is the test oracle \
+           (test/tgd_oracle.ml)"
+          path uses allowed)
+    (ml_files root @ ml_files bin);
   List.iter
     (fun path ->
       let src = read_file path in
@@ -418,4 +448,4 @@ let () =
            bisect_ppx)) — the coverage job cannot see this library"
           path)
     (dune_files root);
-  if !errors > 0 then exit 1 else print_endline "lint: lib/ is clean"
+  if !errors > 0 then exit 1 else print_endline "lint: lib/ and bin/ are clean"

@@ -1,7 +1,8 @@
 (* Differential-oracle harness for the mapping algebra: composition is
    held to staged execution on every figure of the paper — compose-then-
    run must produce a [Node.equal]-identical instance to run-then-run,
-   across every backend and plan mode; chains
+   and both to the reference tgd interpreter run stage by stage
+   ({!Tgd_oracle}), across every backend and plan mode; chains
    outside the composable fragment must degrade to staged execution
    byte-identically. Metamorphic laws pin the algebra itself. *)
 
@@ -53,7 +54,7 @@ let identity (s : Schema.t) : Mapping.t =
   Mapping.make ~source:s ~target:s ~roots values
 
 let backends = [ `Tgd; `Xquery; `Xquery_text ]
-let plans = [ `Naive; `Indexed; `Auto ]
+let plans = [ `Indexed; `Auto ]
 
 let backend_name = function
   | `Tgd -> "tgd"
@@ -61,7 +62,7 @@ let backend_name = function
   | `Xquery_text -> "xquery-text"
   | `Rel -> "rel"
 
-let plan_name = function `Naive -> "naive" | `Indexed -> "indexed" | `Auto -> "auto"
+let plan_name = function `Indexed -> "indexed" | `Auto -> "auto"
 
 let combos ~mc =
   List.concat_map
@@ -87,6 +88,12 @@ let run_staged ~backend ~plan ~mc ms doc =
     Alcotest.failf "staged run failed: %s"
       (String.concat "; " (List.map Clip_diag.to_string ds))
 
+(* The chain run stage by stage through the reference interpreter. *)
+let oracle_staged ~mc ms doc =
+  List.fold_left
+    (fun doc m -> Result.bind doc (Tgd_oracle.run_mapping ~minimum_cardinality:mc m))
+    (Ok doc) ms
+
 let diag_codes ds = List.map (fun d -> d.Clip_diag.code) ds
 
 let is_alg_code c = String.length c >= 8 && String.sub c 0 8 = "CLIP-ALG"
@@ -110,6 +117,13 @@ let differential_tests =
                 (String.concat "; " (diag_codes ds))
           in
           let mc = sc.minimum_cardinality in
+          let expected =
+            match oracle_staged ~mc [ id_s; sc.mapping ] S.Deptdb.instance with
+            | Ok out -> out
+            | Error ds ->
+              Alcotest.failf "%s: the oracle failed: %s" sc.name
+                (String.concat "; " (diag_codes ds))
+          in
           List.iter
             (fun (backend, plan) ->
               let fused =
@@ -123,6 +137,9 @@ let differential_tests =
               in
               if not (Node.equal fused staged) then
                 Alcotest.failf "%s/%s/%s: fused and staged disagree"
+                  sc.name (backend_name backend) (plan_name plan);
+              if not (Node.equal staged expected) then
+                Alcotest.failf "%s/%s/%s: staged and the oracle disagree"
                   sc.name (backend_name backend) (plan_name plan))
             (combos ~mc)))
     S.Figures.all
@@ -243,7 +260,8 @@ let chain_of (sc : S.Figures.t) shape =
 
 let gen_case =
   QCheck2.Gen.(
-    triple (int_bound (Array.length figure_pool - 1)) (int_bound 3) (int_bound 2))
+    triple (int_bound (Array.length figure_pool - 1)) (int_bound 3)
+      (int_bound (List.length plans - 1)))
 
 let prop_chain_differential =
   QCheck2.Test.make ~count:200
@@ -266,7 +284,11 @@ let prop_chain_differential =
           S.Deptdb.instance
       in
       match a, b with
-      | Ok a, Ok b -> Node.equal a b
+      | Ok a, Ok b ->
+        Node.equal a b
+        && (match oracle_staged ~mc chain S.Deptdb.instance with
+            | Ok c -> Node.equal b c
+            | Error _ -> false)
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false)
 

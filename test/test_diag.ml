@@ -322,10 +322,10 @@ let limit_tests =
         checkb "is_resource_limit recognises it" true (D.is_resource_limit d));
     Alcotest.test_case "step budget meters both plan modes (CLIP-LIM-004)" `Quick
       (fun () ->
-        (* The indexed streaming executor must keep ticking the step
-           budget per enumerated binding, exactly like the naive
-           interpreter — a hash join may *lower* the count (skipped
-           bindings are never enumerated), never disable metering. *)
+        (* The streaming executor must keep ticking the step budget per
+           enumerated binding under both plans — a hash join may *lower*
+           the count (skipped bindings are never enumerated), never
+           disable metering. *)
         let src =
           "schema source { a [0..*] { v: int } }\n\
            schema target { t [0..*] { u [0..*] { @x: int } } }\n\
@@ -354,7 +354,7 @@ let limit_tests =
             checkb "budget diagnostics carry a hint" true (d.D.hints <> []);
             checkb "lim_ticks counts the enumerated bindings" true
               (c.Clip_obs.Counters.lim_ticks >= 10_000))
-          [ `Naive; `Indexed; `Auto ]);
+          [ `Indexed; `Auto ]);
     Alcotest.test_case "xquery eval step budget is CLIP-LIM-004" `Quick (fun () ->
         let q =
           "for $a in d/x for $b in d/x for $c in d/x for $e in d/x return 1"

@@ -229,7 +229,7 @@ let xquery_parser_tests =
         List.iter
           (fun (sc : S.Figures.t) ->
             if sc.minimum_cardinality then begin
-              let a = Clip_core.Engine.run ~backend:`Tgd sc.mapping S.Deptdb.instance in
+              let a = Tgd_oracle.expect sc.mapping S.Deptdb.instance in
               let c =
                 Clip_core.Engine.run ~backend:`Xquery_text sc.mapping S.Deptdb.instance
               in
@@ -457,10 +457,12 @@ let provenance_tests =
         checki "counts agree" (count_elems out) (List.length trace));
     Alcotest.test_case "planned runs trace exactly like the naive interpreter"
       `Quick (fun () ->
-        (* above the 128-node planning threshold, so `Auto and `Indexed
-           record lineage on the plan path *)
+        (* above the 256-node index threshold, so `Auto and `Indexed
+           both record lineage with the tag index on where it pays; the
+           expected lineage is the reference interpreter's, read from
+           its own environments *)
         let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
-        checkb "above the planning threshold" true (Node.size doc >= 128);
+        checkb "above the index threshold" true (Node.size doc >= 256);
         let rec count_elems n =
           match n with
           | Node.Element e ->
@@ -472,7 +474,7 @@ let provenance_tests =
             let traced plan =
               ok (Clip_core.Engine.run_traced_result ~plan sc.mapping doc)
             in
-            let out, naive = traced `Naive in
+            let out, naive = ok (Tgd_oracle.run_mapping_traced sc.mapping doc) in
             checki (sc.name ^ ": an entry per target element") (count_elems out)
               (List.length naive);
             checkb (sc.name ^ ": some lineage recorded") true
@@ -539,7 +541,7 @@ let provenance_tests =
             let traced plan =
               ok (Clip_tgd.Eval.run_traced_result ~plan ~source:doc ~target_root:"t" tgd)
             in
-            let out, naive = traced `Naive in
+            let out, naive = ok (Tgd_oracle.run_traced ~source:doc ~target_root:"t" tgd) in
             checki (name ^ ": an entry per target element") (count_elems out) (List.length naive);
             List.iter
               (fun plan ->
@@ -576,6 +578,7 @@ let combination_tests =
             ]
         in
         let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m S.Deptdb.instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
         (* distinct (pname, pid) pairs: (Appliances,1) (Robotics,2)
            (Brand promotion,1) (Appliances,32) *)
@@ -606,6 +609,7 @@ let combination_tests =
             ]
         in
         let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m S.Deptdb.instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
         let c = Clip_core.Engine.run ~backend:`Xquery_text m S.Deptdb.instance in
         checkb "tgd = xq" true (Node.equal a b);
@@ -635,6 +639,7 @@ let combination_tests =
             ]
         in
         let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m S.Deptdb.instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
         checkb "agree" true (Node.equal a b);
         let ict = List.hd (Node.children_named (Node.as_element a) "department") in
@@ -677,6 +682,7 @@ let deeper_combination_tests =
         in
         checkb "valid" true (Clip_core.Validity.is_valid m);
         let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m S.Deptdb.instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
         checkb "backends agree" true (Node.equal a b);
         let d = List.hd (Node.children_named (Node.as_element a) "D") in
@@ -717,6 +723,7 @@ let deeper_combination_tests =
             ]
         in
         let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m S.Deptdb.instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
         checkb "backends agree" true (Node.equal a b);
         (* per-dept distinct names: ICT {Appliances, Robotics},
@@ -777,6 +784,7 @@ let deeper_combination_tests =
               </source>|}
         in
         let a = Clip_core.Engine.run ~backend:`Tgd m instance in
+        checkb "tgd = oracle" true (Node.equal a (Tgd_oracle.expect m instance));
         let b = Clip_core.Engine.run ~backend:`Xquery m instance in
         checkb "backends agree" true (Node.equal_unordered a b);
         checki "1 project" 1 (Node.count_elements a "project");

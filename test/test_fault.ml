@@ -36,9 +36,8 @@ let backend_of site =
   if String.equal site F.Site.xquery_execute then `Xquery else `Tgd
 
 (* The whole stack through exception-free entry points only: parse,
-   then an engine run under [`Indexed] (which forces both the planner
-   and the tag-index build, so the plan.build and index.build sites
-   fire regardless of document size). *)
+   then an engine run under [`Indexed] (which forces the tag-index
+   build, so the index.build site fires regardless of document size). *)
 let engine ?ctx ?limits ~backend source =
   let ctx = match ctx with Some c -> c | None -> R.create () in
   Engine.run_result ~ctx ?limits ~backend ~plan:`Indexed
@@ -113,6 +112,24 @@ let test_no_poisoning () =
         if not (Node.equal expected n) then
           Alcotest.failf "site %s: post-fault rerun differs from baseline" site)
     engine_sites
+
+(* Every run plans, whatever the document's size: on the default plan
+   and the paper instance (65 nodes), an armed plan.build fault still
+   fires, on both backends. *)
+let test_plan_build_default () =
+  List.iter
+    (fun backend ->
+      match
+        with_armed ~kind:F.Permanent F.Site.plan_build (fun () ->
+            Engine.run_result ~backend
+              ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping
+              Dept.instance)
+      with
+      | Error ds when has_code D.Codes.fault_permanent ds -> ()
+      | Error ds ->
+        Alcotest.failf "expected %s, got [%s]" D.Codes.fault_permanent (codes ds)
+      | Ok _ -> Alcotest.fail "plan.build did not fire on the default plan")
+    [ `Tgd; `Xquery ]
 
 (* (c) slot isolation + exact counter merge. All tasks are identical,
    so each contributes the same counter increments; survivors of a
@@ -235,8 +252,8 @@ let test_arming () =
     F.disarm ();
     Alcotest.fail "malformed ordinal accepted"
 
-(* Deadlines against an injected clock: deterministic expiry, all three
-   plan modes, both backends, clean structured CLIP-LIM-005. *)
+(* Deadlines against an injected clock: deterministic expiry, both plan
+   modes, both backends, clean structured CLIP-LIM-005. *)
 let run_ctl ~plan ~backend ctx =
   Engine.run_result ~ctx ~backend ~plan
     ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping doc
@@ -250,7 +267,7 @@ let test_deadline_expired () =
       | Error ds when has_code D.Codes.limit_deadline ds -> ()
       | Error ds -> Alcotest.failf "expected CLIP-LIM-005, got [%s]" (codes ds)
       | Ok _ -> Alcotest.fail "expired deadline: run succeeded")
-    [ `Naive; `Indexed; `Auto ];
+    [ `Indexed; `Auto ];
   let ctx = R.create ~deadline:(expired ()) () in
   match run_ctl ~plan:`Auto ~backend:`Xquery ctx with
   | Error ds when has_code D.Codes.limit_deadline ds -> ()
@@ -280,7 +297,7 @@ let test_deadline_mid_run () =
             steps
       | Error ds -> Alcotest.failf "expected CLIP-LIM-005, got [%s]" (codes ds)
       | Ok _ -> Alcotest.fail "mid-run deadline never observed")
-    [ `Naive; `Indexed; `Auto ]
+    [ `Indexed; `Auto ]
 
 let test_cancellation () =
   (* pre-set flag: reported at the entry check, before any work *)
@@ -325,7 +342,7 @@ let test_runaway_join () =
   let ctx = R.create ~deadline () in
   let t0 = Unix.gettimeofday () in
   let r =
-    Engine.run_result ~ctx ~limits ~backend:`Tgd ~plan:`Naive
+    Engine.run_result ~ctx ~limits ~backend:`Tgd ~plan:`Auto
       ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping big
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -347,6 +364,8 @@ let () =
             test_no_poisoning;
           Alcotest.test_case "arming: seeded + CLIP_FAULT spec" `Quick
             test_arming;
+          Alcotest.test_case "plan.build fires on the default plan, tiny input"
+            `Quick test_plan_build_default;
         ] );
       ( "degradation",
         [
@@ -356,7 +375,7 @@ let () =
         ] );
       ( "control",
         [
-          Alcotest.test_case "deadline expired at entry (3 plans, 2 backends)"
+          Alcotest.test_case "deadline expired at entry (2 plans, 2 backends)"
             `Quick test_deadline_expired;
           Alcotest.test_case "deadline expires mid-run (injected clock)" `Quick
             test_deadline_mid_run;

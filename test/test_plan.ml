@@ -1,7 +1,8 @@
 (* The physical-plan layer: planner decisions (pushdown, hash joins,
    segment joins), key normalisation, the lazy tag index, and the
-   differential guarantee that `Indexed runs are output-identical to
-   the `Naive oracles on every figure scenario. *)
+   differential guarantee that `Indexed and `Auto runs on every backend
+   are output-identical to the reference tgd interpreter
+   ({!Tgd_oracle}) on every figure scenario. *)
 
 module P = Clip_plan
 module Node = Clip_xml.Node
@@ -391,10 +392,16 @@ let docidx_tests =
           (preorder node));
   ]
 
-(* --- Differential: `Indexed against the `Naive oracles ----------------- *)
+(* --- Differential: every backend and plan against the oracle ----------- *)
 
 module S = Clip_scenarios
 module Engine = Clip_core.Engine
+
+let backend_name = function
+  | `Tgd -> "tgd"
+  | `Xquery -> "xquery"
+  | `Xquery_text -> "xquery-text"
+  | `Rel -> "rel"
 
 let run_mode sc ~backend ~plan doc =
   match
@@ -404,28 +411,34 @@ let run_mode sc ~backend ~plan doc =
   with
   | Ok d -> d
   | Error ds ->
-    Alcotest.failf "%s/%s did not run: %s" sc.S.Figures.name
-      (match backend with `Tgd -> "tgd" | _ -> "xquery")
+    Alcotest.failf "%s/%s did not run: %s" sc.S.Figures.name (backend_name backend)
       (Clip_diag.render_list ds)
 
-(* Large enough that [`Auto] plans (128 nodes) and turns the tag index
-   on (256 nodes): the paper instance stays below both thresholds. *)
+(* The reference interpreter's target: the expected output of every
+   backend and plan. *)
+let naive (sc : S.Figures.t) doc =
+  Tgd_oracle.expect ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc
+
+(* Large enough that [`Auto] turns the tag index on (256 nodes): the
+   paper instance stays below that threshold. *)
 let scaled_instance = lazy (S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10)
 
+(* The universal-solution ablation runs on tgd only. *)
+let all_backends (sc : S.Figures.t) =
+  if sc.minimum_cardinality then [ `Tgd; `Xquery; `Xquery_text ] else [ `Tgd ]
+
 let differential_tests =
-  let backends sc = if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ] in
   List.concat_map
     (fun (sc : S.Figures.t) ->
       List.map
         (fun backend ->
-          let bname = match backend with `Tgd -> "tgd" | _ -> "xquery" in
           Alcotest.test_case
-            (Printf.sprintf "%s/%s: indexed ≡ naive" sc.S.Figures.name bname)
+            (Printf.sprintf "%s/%s: indexed ≡ naive" sc.S.Figures.name (backend_name backend))
             `Quick
             (fun () ->
               List.iter
                 (fun (iname, doc) ->
-                  let naive = Printer.to_string (run_mode sc ~backend ~plan:`Naive doc) in
+                  let naive = Printer.to_string (naive sc doc) in
                   (* byte-identical, not just unordered-equal: the plan
                      layer promises exact enumeration order *)
                   List.iter
@@ -436,7 +449,7 @@ let differential_tests =
                         (Printer.to_string (run_mode sc ~backend ~plan doc)))
                     [ ("indexed", `Indexed); ("auto", `Auto) ])
                 [ ("paper", S.Deptdb.instance); ("scaled", Lazy.force scaled_instance) ]))
-        (backends sc))
+        (all_backends sc))
     S.Figures.all
 
 let scaled_differential_tests =
@@ -448,15 +461,14 @@ let scaled_differential_tests =
           (fun (sc : S.Figures.t) ->
             List.iter
               (fun backend ->
-                let naive = run_mode sc ~backend ~plan:`Naive doc in
                 List.iter
                   (fun plan ->
                     checkb
                       (Printf.sprintf "%s identical" sc.S.Figures.name)
                       true
-                      (Node.equal naive (run_mode sc ~backend ~plan doc)))
+                      (Node.equal (naive sc doc) (run_mode sc ~backend ~plan doc)))
                   [ `Indexed; `Auto ])
-              [ `Tgd; `Xquery ])
+              [ `Tgd; `Xquery; `Xquery_text ])
           S.Figures.[ fig5; fig6; fig6_join_global; fig7 ]);
   ]
 
@@ -466,7 +478,7 @@ let scaled_differential_tests =
    store loads. Rebuilt back into a tree, it must run exactly like the
    document it came from — same bytes under every backend and plan
    mode — even though every rebuilt element carries a fresh allocation
-   id for the tag index and the session caches to key on. *)
+   id for the tag index to key on. *)
 let rebuilt doc = Clip_xml.Doc.rebuild (Clip_xml.Doc.of_node doc) 0
 
 let repr_differential_tests =
@@ -489,7 +501,7 @@ let repr_differential_tests =
                   checks pname
                     (Printer.to_string (run_mode sc ~backend ~plan doc))
                     (Printer.to_string (run_mode sc ~backend ~plan copy)))
-                [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ]))
+                [ ("indexed", `Indexed); ("auto", `Auto) ]))
         (backends sc))
     S.Figures.all
 
@@ -505,16 +517,28 @@ let fuzz_differential =
       let doc = S.Deptdb.synthetic_instance ~depts ~projs ~emps in
       List.for_all
         (fun (sc : S.Figures.t) ->
+          let naive = Printer.to_string (naive sc doc) in
           List.for_all
             (fun backend ->
-              let naive = run_mode sc ~backend ~plan:`Naive doc in
               List.for_all
-                (fun plan -> Node.equal naive (run_mode sc ~backend ~plan doc))
+                (fun plan ->
+                  String.equal naive (Printer.to_string (run_mode sc ~backend ~plan doc)))
                 [ `Indexed; `Auto ])
-            [ `Tgd; `Xquery ])
-        S.Figures.[ fig6; fig6_join_global; fig7 ])
+            (all_backends sc))
+        S.Figures.all)
 
 (* --- [`Auto] picks the join where it matters --------------------------- *)
+
+(* The work counters of the reference interpreter's run. *)
+let naive_counters (sc : S.Figures.t) doc =
+  let c = Clip_obs.Counters.create () in
+  ignore
+    (ok
+       (Tgd_oracle.run_mapping ~limits:Clip_diag.Limits.unlimited ~obs:c
+          ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc));
+  c
+
+let naive_steps sc doc = (naive_counters sc doc).Clip_obs.Counters.lim_ticks
 
 let steps_of (sc : S.Figures.t) ~plan doc =
   let c = Clip_obs.Counters.create () in
@@ -532,7 +556,7 @@ let auto_steps_tests =
   [
     Alcotest.test_case "`Auto hash-joins the scaled global join" `Quick (fun () ->
         let doc = S.Deptdb.synthetic_instance ~depts:40 ~projs:5 ~emps:10 in
-        let naive = steps_of S.Figures.fig6_join_global ~plan:`Naive doc in
+        let naive = naive_steps S.Figures.fig6_join_global doc in
         let auto = steps_of S.Figures.fig6_join_global ~plan:`Auto doc in
         (* the probe enumerates only matches, so the quadratic naive
            step count collapses; a generous factor keeps this stable *)
@@ -542,13 +566,14 @@ let auto_steps_tests =
           (auto < naive / 2));
     Alcotest.test_case "`Auto never enumerates more than the forced join" `Quick
       (fun () ->
-        (* on the paper instances every figure is small — `Auto scans,
-           and its step count stays within the naive oracle's ballpark
-           (streaming adds at most one tick per stage item) *)
+        (* on the paper instances every figure is small — `Auto's cost
+           model keeps scans, and its step count stays within the
+           oracle's ballpark (streaming adds at most one tick per stage
+           item) *)
         let doc = S.Deptdb.instance in
         List.iter
           (fun (sc : S.Figures.t) ->
-            let naive = steps_of sc ~plan:`Naive doc in
+            let naive = naive_steps sc doc in
             let auto = steps_of sc ~plan:`Auto doc in
             checkb
               (Printf.sprintf "%s: auto %d <= 2 * naive %d" sc.S.Figures.name auto naive)
@@ -578,17 +603,28 @@ let counted_run (sc : S.Figures.t) ~backend ~plan doc =
   in
   (out, c)
 
+(* On tgd, both plans scan no more nodes than the reference
+   interpreter, which scans every child of every element it steps
+   through. The generated XQuery walks the source its own way (fig7's
+   and fig8's groupings re-read it), so on xquery the bound is the one
+   the index itself promises: the forced plan, index on, scans no more
+   than the cost-based plan. *)
 let counter_invariants (sc : S.Figures.t) ~backend doc =
-  let _, cn = counted_run sc ~backend ~plan:`Naive doc in
   let _, ci = counted_run sc ~backend ~plan:`Indexed doc in
   let _, ca = counted_run sc ~backend ~plan:`Auto doc in
-  checkb
-    (Printf.sprintf "indexed scans %d <= naive scans %d" ci.C.nodes_scanned
-       cn.C.nodes_scanned)
-    true
-    (ci.C.nodes_scanned <= cn.C.nodes_scanned);
-  checki "naive never probes the index" 0 cn.C.index_probes;
-  checki "naive never hits the index" 0 cn.C.index_hits;
+  let bound, bname, plans =
+    match backend with
+    | `Tgd ->
+      ((naive_counters sc doc).C.nodes_scanned, "naive", [ ("indexed", ci); ("auto", ca) ])
+    | _ -> (ca.C.nodes_scanned, "auto", [ ("indexed", ci) ])
+  in
+  List.iter
+    (fun (mode, (c : C.t)) ->
+      checkb
+        (Printf.sprintf "%s scans %d <= %s scans %d" mode c.C.nodes_scanned bname bound)
+        true
+        (c.C.nodes_scanned <= bound))
+    plans;
   List.iter
     (fun (mode, (c : C.t)) ->
       checkb
@@ -596,23 +632,14 @@ let counter_invariants (sc : S.Figures.t) ~backend doc =
            c.C.index_probes)
         true
         (c.C.index_hits <= c.C.index_probes))
-    [ ("naive", cn); ("indexed", ci); ("auto", ca) ];
+    [ ("indexed", ci); ("auto", ca) ];
   (* The EXPLAIN claim for the same arguments must match the measured
-     counters: a claimed direct interpreter does exactly the naive
-     oracle's work, and a claimed plan without the tag index never
-     probes it. *)
+     counters: a claimed plan without the tag index never probes it. *)
   let txt =
     ok (Engine.explain_result ~backend ~plan:`Auto sc.S.Figures.mapping doc)
   in
-  if contains txt "direct interpreter" then
-    checkb "auto claims direct: work counters equal naive's" true
-      (C.work_assoc ca = C.work_assoc cn)
-  else begin
-    checkb "auto (planned) scans no more than naive" true
-      (ca.C.nodes_scanned <= cn.C.nodes_scanned);
-    if contains txt "tag index off" then
-      checki "tag index off: no probes" 0 ca.C.index_probes
-  end
+  if contains txt "tag index off" then
+    checki "tag index off: no probes" 0 ca.C.index_probes
 
 let counter_tests =
   let backends (sc : S.Figures.t) =
@@ -633,19 +660,18 @@ let counter_tests =
         (backends sc))
     S.Figures.all
   @ [
-      Alcotest.test_case "scaled join: auto leaves the direct interpreter"
+      Alcotest.test_case "scaled join: auto turns the tag index on"
         `Quick
         (fun () ->
-          (* above the planning threshold the claim flips, and the
-             invariants must keep holding on the planner path *)
+          (* above the index threshold the claim flips, and the
+             invariants must keep holding with the index on *)
           let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
           let txt =
             ok
               (Engine.explain_result ~backend:`Tgd ~plan:`Auto
                  S.Figures.fig6.S.Figures.mapping doc)
           in
-          checkb "no direct-interpreter claim" false
-            (contains txt "direct interpreter");
+          checkb "tag index claimed on" true (contains txt "tag index on");
           List.iter
             (fun backend -> counter_invariants S.Figures.fig6 ~backend doc)
             [ `Tgd; `Xquery ]);
@@ -658,15 +684,16 @@ let counter_tests =
                      S.Figures.fig6.S.Figures.mapping S.Deptdb.instance)
               in
               checks "two renders agree" (once ()) (once ()))
-            [ `Naive; `Indexed; `Auto ]);
+            [ `Indexed; `Auto ]);
     ]
 
-(* Exact work counters of one run per figure × plan on one fixed instance above
-   the planning threshold, recorded from the interpreted evaluator the
-   compiled rule bodies replaced: compiling must tick and count at the
-   same sites, in the same order. Columns: lim_ticks, child_steps,
-   nodes_scanned, index_probes, index_hits, hash_join_builds,
-   hash_join_probes. *)
+(* Exact work counters of one run per figure × plan on one fixed
+   instance above the index threshold, recorded from the interpreted
+   evaluator the compiled rule bodies replaced: compiling must tick and
+   count at the same sites, in the same order. The naive rows are the
+   reference interpreter's, the others the engine's. Columns:
+   lim_ticks, child_steps, nodes_scanned, index_probes, index_hits,
+   hash_join_builds, hash_join_probes. *)
 let pinned_counters =
   [
     ("fig3", "naive", (694, 138, 394, 0, 0, 0, 0));
@@ -712,7 +739,14 @@ let pinned_counter_tests =
     Alcotest.test_case "work counters per figure × plan equal the pinned values"
       `Quick (fun () ->
         let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
-        let plans = [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ] in
+        let counters sc = function
+          | "naive" -> naive_counters sc doc
+          | pname ->
+            snd
+              (counted_run sc ~backend:`Tgd
+                 ~plan:(if pname = "indexed" then `Indexed else `Auto)
+                 doc)
+        in
         checki "one pinned row per figure × plan"
           (3 * List.length S.Figures.all)
           (List.length pinned_counters);
@@ -721,7 +755,7 @@ let pinned_counter_tests =
             let sc =
               List.find (fun (sc : S.Figures.t) -> sc.S.Figures.name = name) S.Figures.all
             in
-            let _, c = counted_run sc ~backend:`Tgd ~plan:(List.assoc pname plans) doc in
+            let c = counters sc pname in
             let got =
               C.
                 ( c.lim_ticks,
@@ -794,7 +828,7 @@ let repr_counter_tests =
                       (Printf.sprintf "%s work counters agree" sc.S.Figures.name)
                       true
                       (C.work_assoc ct = C.work_assoc cc))
-                  [ `Naive; `Indexed; `Auto ])
+                  [ `Indexed; `Auto ])
               (if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ]
                else [ `Tgd ]))
           S.Figures.all);
@@ -951,12 +985,12 @@ let run_table_tests =
 
 (* Planned runs bind variables in slots resolved at plan time. These
    tgds re-bind names, bind a source and a target variable under one
-   name, and leave names unbound, on a document above the planning
-   threshold; every plan mode must give the same bytes or error text.
-   The work counters of each mode are pinned to the values the
-   name-keyed environments gave before slots, so a slot that resolves
-   to the wrong binding, or a tick moved or dropped, shows as a
-   changed count. *)
+   name, and leave names unbound, on a document above the index
+   threshold; every plan mode must give the reference interpreter's
+   bytes or error text. The work counters of each mode are pinned to
+   the values the name-keyed environments gave before slots, so a slot
+   that resolves to the wrong binding, or a tick moved or dropped,
+   shows as a changed count. *)
 module Tgd = Clip_tgd.Tgd
 module Term = Clip_tgd.Term
 module Path = Clip_schema.Path
@@ -967,14 +1001,21 @@ let src steps = Term.proj (Term.root "source") steps
 let tgt steps = Term.proj (Term.root "t") steps
 let dept_gen x = Tgd.source_gen x (src [ Path.Child "dept" ])
 
-(* The outcome of one run: output bytes or error text, and the work
+(* The outcome of one run — the engine's under [Some plan], the
+   reference interpreter's under [None]: output bytes or error text, and the work
    counters as "lim_ticks child_steps nodes_scanned index_probes
    index_hits hash_join_builds hash_join_probes". *)
-let scoped_run ~plan tgd =
+let scoped_run plan tgd =
   let source = Lazy.force scoping_doc in
   let c = C.create () in
+  let result =
+    match plan with
+    | None -> Tgd_oracle.run ~obs:c ~source ~target_root:"t" tgd
+    | Some plan ->
+      Clip_tgd.Eval.run_result ~plan ~obs:c ~source ~target_root:"t" tgd
+  in
   let text =
-    match Clip_tgd.Eval.run_result ~plan ~obs:c ~source ~target_root:"t" tgd with
+    match result with
     | Ok out -> Printer.to_string out
     | Error ds -> "error: " ^ String.concat "; " (List.map (fun d -> d.Clip_diag.message) ds)
   in
@@ -1063,7 +1104,7 @@ let scoping_cases =
       Some "unbound source variable z" );
   ]
 
-let scoping_plans = [ ("naive", `Naive); ("indexed", `Indexed); ("auto", `Auto) ]
+let scoping_plans = [ ("indexed", `Indexed); ("auto", `Auto) ]
 
 (* Per case and mode, as the name-keyed environments counted them. *)
 let pinned_scoping_counters =
@@ -1089,15 +1130,18 @@ let scoping_tests =
   List.map
     (fun (name, tgd, error) ->
       Alcotest.test_case name `Quick (fun () ->
-          checkb "above the planning threshold" true
-            (Node.size (Lazy.force scoping_doc) >= 128);
-          let naive, _ = scoped_run ~plan:`Naive tgd in
+          checkb "above the index threshold" true
+            (Node.size (Lazy.force scoping_doc) >= 256);
+          let naive, naive_counts = scoped_run None tgd in
           Option.iter
             (fun e -> checkb ("reports: " ^ e) true (contains naive ("error: " ^ e)))
             error;
+          checks "naive: pinned counters"
+            (List.assoc (name, "naive") pinned_scoping_counters)
+            naive_counts;
           List.iter
             (fun (pname, plan) ->
-              let text, counts = scoped_run ~plan tgd in
+              let text, counts = scoped_run (Some plan) tgd in
               checks (pname ^ ": same bytes or error") naive text;
               checks (pname ^ ": pinned counters")
                 (List.assoc (name, pname) pinned_scoping_counters)

@@ -133,7 +133,7 @@ let cutting_tests =
 (* --- Differential: sharded == whole, everywhere -------------------------- *)
 
 let backends = [ (`Tgd, "tgd"); (`Xquery, "xquery"); (`Xquery_text, "xquery-text") ]
-let plans = [ (`Auto, "auto"); (`Indexed, "indexed"); (`Naive, "naive") ]
+let plans = [ (`Auto, "auto"); (`Indexed, "indexed") ]
 
 let run_string ?ctx ?mode ?shard_bytes ?jobs ~backend ~plan
     (sc : Clip_scenarios.Figures.t) doc =
@@ -162,6 +162,11 @@ let differential_tests =
                  backend. *)
               if sc.minimum_cardinality then backends else [ (`Tgd, "tgd") ]
             in
+            let expected =
+              Clip_xml.Printer.to_string
+                (Tgd_oracle.expect ~minimum_cardinality:sc.minimum_cardinality
+                   sc.mapping doc)
+            in
             List.iter
               (fun (backend, bname) ->
                 List.iter
@@ -169,12 +174,11 @@ let differential_tests =
                     let label =
                       Printf.sprintf "%s/%s/%s" sc.name bname pname
                     in
-                    let whole = run_string ~backend ~plan sc doc in
-                    let sharded =
-                      run_string ~mode:`Sharded ~shard_bytes:256 ~jobs:3
-                        ~backend ~plan sc doc
-                    in
-                    checks label whole sharded)
+                    checks (label ^ ", whole") expected
+                      (run_string ~backend ~plan sc doc);
+                    checks (label ^ ", sharded") expected
+                      (run_string ~mode:`Sharded ~shard_bytes:256 ~jobs:3
+                         ~backend ~plan sc doc))
                   plans)
               backends)
           Clip_scenarios.Figures.all);
