@@ -372,136 +372,34 @@ let evaluator ~limits ~(backend : [ `Tgd | `Xquery ]) (sc : S.Figures.t) doc =
   let tgd = ok (Clip_core.Compile.to_tgd_result m) in
   match backend with
   | `Tgd ->
-    fun ~obs ~plan ->
+    fun ?obs ~plan () ->
       ok
         (Clip_tgd.Eval.run_result ~limits
            ~minimum_cardinality:sc.minimum_cardinality ~plan ?obs ~source:doc
            ~target_root tgd)
   | `Xquery ->
     let q = ok (Clip_core.To_xquery.translate_result ~target_root tgd) in
-    fun ~obs ~plan ->
+    fun ?obs ~plan () ->
       ok (Clip_xquery.Eval.run_document_result ~limits ~plan ?obs ~input:doc q)
 
-let backend_name = function `Tgd -> "tgd" | `Xquery -> "xquery"
+(* --- Observability: trace spans and the cost of counting (ours) ---------------------- *)
 
-(* --- Observability: counters, invariants, disabled-path overhead (ours) ------------- *)
-
-(* One scenario's counters under both plan modes, plus the invariant
-   verdicts CI gates on. Counters come from one engine run each. The
-   bounds against the reference interpreter live in test/test_plan.ml. *)
-type obs_row = {
-  o_figure : string;
-  o_backend : string;
-  o_scale : int;
-  o_indexed : Clip_obs.Counters.t;
-  o_auto : Clip_obs.Counters.t;
-  o_violations : string list;
-}
-
+(* The counter invariants (same output across plans, index hits never
+   above probes, scan bounds against the reference interpreter) are
+   asserted by test/test_plan.ml's counters suite; this experiment
+   prints a trace and gates what counting costs a run. *)
 type overhead_row = {
   v_name : string;
-  v_disabled_ms : float;
-  v_enabled_ms : float;
-  v_disabled_min_ms : float;
-  v_enabled_min_ms : float;
-  v_enabled_ratio : float;
-      (* enabled/disabled: better of paired median and minima.
-         Informational — the enabled path does real extra work (the
-         guarded increment arguments), so it is not the gated number. *)
-  v_hooks : int; (* instrumentation hook executions in one run (upper bound) *)
-  v_bound_pct : float; (* gated: hooks * per-hook disabled cost / run time *)
+  v_run_ms : float;
+  v_run_min_ms : float;
+  v_writes : int; (* counter writes in one run, lim_ticks aside (upper bound) *)
+  v_bound_pct : float; (* gated: writes * per-write cost / run time *)
 }
 
 let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () =
   rule
-    (Printf.sprintf
-       "Observability — counters, invariants, disabled-path overhead%s"
+    (Printf.sprintf "Observability — trace spans, cost of counting%s"
        (if smoke then " (smoke)" else ""));
-  let limits = Clip_diag.Limits.unlimited in
-  let run_counted (sc : S.Figures.t) ~backend ~plan doc =
-    let c = Clip_obs.Counters.create () in
-    match
-      Engine.run_result ~ctx:(Clip_run.create ~counters:c ()) ~limits ~backend
-        ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc
-    with
-    | Ok out -> (out, c)
-    | Error ds ->
-      List.iter (fun d -> prerr_endline (Clip_diag.to_string d)) ds;
-      Printf.eprintf "obs bench: %s failed\n" sc.name;
-      exit 1
-  in
-  let measure_row (sc : S.Figures.t) ~backend ~scale doc =
-    let bname = backend_name backend in
-    let backend = (backend :> Engine.backend) in
-    let out_i, ci = run_counted sc ~backend ~plan:`Indexed doc in
-    let out_a, ca = run_counted sc ~backend ~plan:`Auto doc in
-    let violations = ref [] in
-    let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-    if not (Node.equal_unordered out_i out_a) then
-      bad "outputs disagree across plan modes";
-    List.iter
-      (fun (mode, (c : Clip_obs.Counters.t)) ->
-        if c.index_hits > c.index_probes then
-          bad "%s: index hits %d > probes %d" mode c.index_hits c.index_probes)
-      [ ("indexed", ci); ("auto", ca) ];
-    {
-      o_figure = sc.name;
-      o_backend = bname;
-      o_scale = scale;
-      o_indexed = ci;
-      o_auto = ca;
-      o_violations = List.rev !violations;
-    }
-  in
-  subrule "counters per figure and backend (paper instance and scaled)";
-  let rows =
-    List.concat_map
-      (fun (sc : S.Figures.t) ->
-        let backends =
-          if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
-        in
-        List.map
-          (fun backend -> measure_row sc ~backend ~scale:0 S.Deptdb.instance)
-          backends)
-      S.Figures.all
-    @
-    let scale = if smoke then 4 else 10 in
-    let doc = S.Deptdb.synthetic_instance ~depts:(2 * scale) ~projs:5 ~emps:10 in
-    List.concat_map
-      (fun ((sc : S.Figures.t), backends) ->
-        List.map (fun backend -> measure_row sc ~backend ~scale doc) backends)
-      [
-        (S.Figures.fig5, [ `Tgd ]);
-        (S.Figures.fig6, [ `Tgd; `Xquery ]);
-        (S.Figures.fig7, [ `Tgd ]);
-      ]
-  in
-  Printf.printf "%-18s | %-7s | %-5s | %-11s | %-13s | %-11s | %s\n"
-    "figure" "backend" "scale" "scans i/a" "probes i/a" "hits i/a" "violations";
-  print_endline (String.make 89 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s | %-7s | %-5d | %5d/%5d | %6d/%6d | %5d/%5d | %d\n"
-        r.o_figure r.o_backend r.o_scale
-        r.o_indexed.Clip_obs.Counters.nodes_scanned
-        r.o_auto.Clip_obs.Counters.nodes_scanned
-        r.o_indexed.Clip_obs.Counters.index_probes
-        r.o_auto.Clip_obs.Counters.index_probes
-        r.o_indexed.Clip_obs.Counters.index_hits
-        r.o_auto.Clip_obs.Counters.index_hits
-        (List.length r.o_violations))
-    rows;
-  let all_violations =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun v -> Printf.sprintf "%s/%s: %s" r.o_figure r.o_backend v)
-          r.o_violations)
-      rows
-  in
-  List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) all_violations;
-  Printf.printf "\ncounter invariants hold on all %d rows: %b\n" (List.length rows)
-    (all_violations = []);
   subrule "trace spans (one cold fig6 run, xquery backend)";
   let tracer = Clip_obs.Trace.create ~now:Unix.gettimeofday () in
   ignore
@@ -509,31 +407,31 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
        ~ctx:(Clip_run.create ~tracer ())
        ~backend:`Xquery S.Figures.fig6.mapping S.Deptdb.instance);
   print_string (Clip_obs.Trace.render tracer);
-  subrule "disabled-path overhead (per-hook cost x hook count, bounded)";
-  (* The true no-instrumentation build no longer exists in this tree,
-     and a wall-clock A/B of sub-millisecond runs cannot resolve a
-     sub-percent effect, so the gate is computed, not raced: measure
-     the per-call cost of one disabled hook (a ref load plus a branch)
-     in a tight loop, count how many hooks one run executes (from the
-     counters themselves, rounded up), and bound the disabled-path
-     overhead by their product over the run's fastest observed time.
-     Every term is conservative: the hook loop pays full call overhead,
-     [nodes_scanned] counts nodes where the code makes one call, and
-     the fastest run minimises the denominator. The enabled/disabled
-     wall-clock ratio is still reported for context, but the enabled
-     path does real extra work (guarded increment arguments), so it is
-     not the gated number. *)
-  let hook_ns =
+  subrule "counting overhead (per-write cost x write count, bounded)";
+  (* Every run counts: each counting site increments a field of the
+     run's counter record, reached through the run's meter. A build
+     without counting does not exist, and a wall-clock A/B of
+     sub-millisecond runs cannot resolve a sub-percent effect, so the
+     gate is computed, not raced: measure the cost of one such
+     increment in a tight loop, count how many one run makes (from the
+     counters themselves), and bound the overhead by their product over
+     the run's fastest observed time. [lim_ticks] is left out: its one
+     increment is the budget step the run takes anyway. Every other
+     term is conservative: each counter unit counts as one write (a
+     hash-join probe or a memo hit is one; so is each scanned node),
+     and the fastest run minimises the denominator. *)
+  let write_ns =
     let n = 2_000_000 in
     let once f =
       let t0 = Unix.gettimeofday () in
       f ();
       (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
     in
-    let hook_loop () =
-      let sink = Sys.opaque_identity Clip_obs.none in
+    let meter = Clip_xquery.Meter.create ~what:"query" S.Deptdb.instance in
+    let write_loop () =
       for _ = 1 to n do
-        Clip_obs.child_step sink
+        let c = (Sys.opaque_identity meter).Clip_xquery.Meter.counters in
+        c.child_steps <- c.child_steps + 1
       done
     in
     let base_loop () =
@@ -549,9 +447,9 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
       done;
       !m
     in
-    Float.max 0. (best hook_loop -. best base_loop)
+    Float.max 0. (best write_loop -. best base_loop)
   in
-  Printf.printf "per-hook disabled cost: %.2f ns\n" hook_ns;
+  Printf.printf "per-write cost: %.2f ns\n" write_ns;
   let reps = if smoke then 9 else 15 in
   let oh_scale = if smoke then 4 else 10 in
   let oh_doc =
@@ -560,47 +458,31 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   let overhead_rows =
     List.map
       (fun ((name : string), (sc : S.Figures.t), backend) ->
-        (* The evaluator alone: the hooks fire during evaluation, so
-           that is the time they are set against. *)
-        let eval =
-          evaluator ~limits:Clip_diag.Limits.default ~backend sc oh_doc
-        in
-        let run ?obs () = eval ~obs ~plan:`Auto in
-        let hooks =
+        (* The evaluator alone: the counting happens during evaluation,
+           so that is the time it is set against. *)
+        let run = evaluator ~limits:Clip_diag.Limits.default ~backend sc oh_doc in
+        let writes =
           let c = Clip_obs.Counters.create () in
-          ignore (run ~obs:c ());
-          (* Upper bound on hook executions: every counter unit as one
-             call (actually fewer — [scanned] adds a whole batch per
-             call), plus one [enabled] guard per child step and index
-             probe. *)
+          ignore (run ~obs:c ~plan:`Auto ());
           List.fold_left
-            (fun acc (_, v) -> acc + v)
+            (fun acc (name, v) -> if name = "lim_ticks" then acc else acc + v)
             0
             (Clip_obs.Counters.to_assoc c)
-          + c.Clip_obs.Counters.child_steps
-          + c.Clip_obs.Counters.index_probes
         in
-        let c = Clip_obs.Counters.create () in
-        let enabled_f () = run ~obs:c () in
-        let td, te =
-          match interleaved_reps reps [ (fun () -> run ()); enabled_f ] with
-          | [ d; e ] -> (d, e)
+        let times =
+          match interleaved_reps reps [ (fun () -> run ~plan:`Auto ()) ] with
+          | [ t ] -> t
           | _ -> assert false
         in
-        let disabled_min = min_of td in
+        let run_min = min_of times in
         {
           v_name = name;
-          v_disabled_ms = median_of td;
-          v_enabled_ms = median_of te;
-          v_disabled_min_ms = disabled_min;
-          v_enabled_min_ms = min_of te;
-          v_enabled_ratio =
-            Float.min (paired_speedup te td)
-              (min_of te /. Float.max disabled_min 1e-9);
-          v_hooks = hooks;
+          v_run_ms = median_of times;
+          v_run_min_ms = run_min;
+          v_writes = writes;
           v_bound_pct =
-            float_of_int hooks *. hook_ns
-            /. Float.max (disabled_min *. 1e6) 1e-9
+            float_of_int writes *. write_ns
+            /. Float.max (run_min *. 1e6) 1e-9
             *. 100.;
         })
       [
@@ -609,39 +491,25 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
         ("fig7/tgd", S.Figures.fig7, `Tgd);
       ]
   in
-  Printf.printf "%-14s | %-11s | %-11s | %-13s | %-6s | %s\n" "scenario"
-    "disabled ms" "enabled ms" "enabled ratio" "hooks" "disabled bound";
-  print_endline (String.make 80 '-');
+  Printf.printf "%-14s | %-9s | %-9s | %-6s | %s\n" "scenario" "median ms"
+    "min ms" "writes" "counting bound";
+  print_endline (String.make 60 '-');
   List.iter
     (fun v ->
-      Printf.printf "%-14s | %11.3f | %11.3f | %+11.1f%% | %-6d | %5.2f%%\n"
-        v.v_name v.v_disabled_ms v.v_enabled_ms
-        ((v.v_enabled_ratio -. 1.) *. 100.)
-        v.v_hooks v.v_bound_pct)
+      Printf.printf "%-14s | %9.3f | %9.3f | %-6d | %5.2f%%\n" v.v_name
+        v.v_run_ms v.v_run_min_ms v.v_writes v.v_bound_pct)
     overhead_rows;
   let threshold_pct = 5.0 in
   let slow = List.filter (fun v -> v.v_bound_pct > threshold_pct) overhead_rows in
-  Printf.printf "\nall scenarios within the %.0f%% disabled-overhead budget: %b\n"
+  Printf.printf "\nall scenarios within the %.0f%% counting-overhead budget: %b\n"
     threshold_pct (slow = []);
   if metrics_json then begin
-    let counters_json c = Clip_obs.Counters.to_json c in
-    let row_json r =
-      Printf.sprintf
-        "{\"figure\": %s, \"backend\": %s, \"scale\": %d, \
-         \"violations\": [%s], \"indexed\": %s, \"auto\": %s}"
-        (json_string r.o_figure) (json_string r.o_backend) r.o_scale
-        (String.concat ", " (List.map json_string r.o_violations))
-        (counters_json r.o_indexed) (counters_json r.o_auto)
-    in
     let overhead_json v =
       Printf.sprintf
-        "{\"scenario\": %s, \"disabled_ms\": %.4f, \"enabled_ms\": %.4f, \
-         \"disabled_min_ms\": %.4f, \"enabled_min_ms\": %.4f, \
-         \"enabled_ratio\": %.4f, \"hooks\": %d, \"hook_ns\": %.2f, \
-         \"disabled_bound_pct\": %.4f}"
-        (json_string v.v_name) v.v_disabled_ms v.v_enabled_ms
-        v.v_disabled_min_ms v.v_enabled_min_ms v.v_enabled_ratio v.v_hooks
-        hook_ns v.v_bound_pct
+        "{\"scenario\": %s, \"run_ms\": %.4f, \"run_min_ms\": %.4f, \
+         \"writes\": %d, \"write_ns\": %.2f, \"bound_pct\": %.4f}"
+        (json_string v.v_name) v.v_run_ms v.v_run_min_ms v.v_writes write_ns
+        v.v_bound_pct
     in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
@@ -651,12 +519,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
     Buffer.add_string buf (Printf.sprintf "  \"reps\": %d,\n" reps);
     Buffer.add_string buf
       (Printf.sprintf "  \"overhead_threshold_pct\": %.2f,\n" threshold_pct);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"invariants_hold\": %b,\n" (all_violations = []));
-    Buffer.add_string buf "  \"rows\": [\n";
-    Buffer.add_string buf
-      (String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) rows));
-    Buffer.add_string buf "\n  ],\n  \"overhead\": [\n";
+    Buffer.add_string buf "  \"overhead\": [\n";
     Buffer.add_string buf
       (String.concat ",\n"
          (List.map (fun v -> "    " ^ overhead_json v) overhead_rows));
@@ -666,24 +529,18 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
     let oc = open_out "BENCH_obs.json" in
     output_string oc (Buffer.contents buf);
     close_out oc;
-    Printf.printf "wrote BENCH_obs.json (%d counter rows, %d overhead rows)\n"
-      (List.length rows) (List.length overhead_rows)
+    Printf.printf "wrote BENCH_obs.json (%d overhead rows)\n"
+      (List.length overhead_rows)
   end;
   if check then begin
-    if all_violations <> [] then begin
-      List.iter
-        (fun v -> Printf.eprintf "obs bench check FAILED: %s\n" v)
-        all_violations;
-      exit 1
-    end;
     if slow <> [] then begin
       List.iter
         (fun v ->
           Printf.eprintf
-            "obs bench check FAILED: %s disabled-path overhead bound %.2f%% > \
-             %.0f%% (%d hooks at %.2f ns over %.3f ms)\n"
-            v.v_name v.v_bound_pct threshold_pct v.v_hooks hook_ns
-            v.v_disabled_min_ms)
+            "obs bench check FAILED: %s counting overhead bound %.2f%% > %.0f%% \
+             (%d writes at %.2f ns over %.3f ms)\n"
+            v.v_name v.v_bound_pct threshold_pct v.v_writes write_ns
+            v.v_run_min_ms)
         slow;
       exit 1
     end;
@@ -703,7 +560,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   (* One task = one document, with its own context.
      Rendering inside the task is what the CLI does, so "byte-identical
      stdout" is literally what the string comparison below checks. *)
-  let eval (sc : S.Figures.t) ~backend ~plan ~obs doc =
+  let eval (sc : S.Figures.t) ~backend ~plan ?obs doc =
     let ctx = Clip_run.create ?counters:obs () in
     Clip_xml.Printer.to_pretty_string
       (Engine.run ~ctx ~backend
@@ -779,7 +636,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     Clip_diag.guard (fun () -> eval dsc ~backend:`Tgd ~plan:`Auto ~obs doc)
   in
   let full =
-    List.map (fun doc -> eval dsc ~backend:`Tgd ~plan:`Auto ~obs:None doc) dg_docs
+    List.map (fun doc -> eval dsc ~backend:`Tgd ~plan:`Auto doc) dg_docs
   in
   let cs = Clip_obs.Counters.create () in
   ignore

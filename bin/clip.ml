@@ -286,10 +286,11 @@ let run_cmd =
        Sys.set_signal Sys.sigint
          (Sys.Signal_handle (fun _ -> Clip_run.Cancel.set cancel))
      with Invalid_argument _ | Sys_error _ -> ());
-    (* Under --trace, counters from every task merge into [total]; the
-       span tracer is single-domain state, so phases are reported only
-       on the sequential path (where the one worker is this domain). *)
-    let total = if trace then Some (Clip_obs.Counters.create ()) else None in
+    (* Counters from every task merge into [total], printed under
+       --trace; the span tracer is single-domain state, so phases are
+       reported only on the sequential path (where the one worker is
+       this domain). *)
+    let total = Clip_obs.Counters.create () in
     let tracer =
       if trace && jobs <= 1 then
         Some (Clip_obs.Trace.create ~now:Unix.gettimeofday ())
@@ -311,36 +312,25 @@ let run_cmd =
         Buffer.add_string b (Clip_xml.Printer.to_tree_string out);
         Buffer.add_char b '\n')
       else Buffer.add_string b (Clip_xml.Printer.to_pretty_string out);
-      match lineage with
-      | Some (source, deadline) when trace -> (
-          (* The lineage re-run is bookkeeping, not the measured
-             evaluation, so its context has no counters or tracer and
-             cannot inflate the run's. It does share the input's
-             deadline and the SIGINT flag: it is still part of that
-             input's evaluation. *)
-          let lineage_ctx = Clip_run.create ?deadline ~cancel () in
-          match
-            Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
-          with
-          | Error ds -> Error ds
-          | Ok (_, entries) ->
-            Buffer.add_char b '\n';
-            List.iter
-              (fun (t : Clip_tgd.Eval.trace_entry) ->
-                if t.sources <> [] then
-                  Buffer.add_string b
-                    (Printf.sprintf "/%s <- %s\n"
-                       (String.concat "/" (List.map string_of_int t.target_path))
-                       (String.concat ", "
-                          (List.map
-                             (fun n ->
-                               match n with
-                               | Clip_xml.Node.Element e -> "<" ^ e.tag ^ ">"
-                               | Clip_xml.Node.Text a -> Clip_xml.Atom.to_string a)
-                             t.sources))))
-              entries;
-            Ok (Buffer.contents b))
-      | _ -> Ok (Buffer.contents b)
+      (match lineage with
+       | Some entries ->
+         Buffer.add_char b '\n';
+         List.iter
+           (fun (t : Clip_tgd.Eval.trace_entry) ->
+             if t.sources <> [] then
+               Buffer.add_string b
+                 (Printf.sprintf "/%s <- %s\n"
+                    (String.concat "/" (List.map string_of_int t.target_path))
+                    (String.concat ", "
+                       (List.map
+                          (fun n ->
+                            match n with
+                            | Clip_xml.Node.Element e -> "<" ^ e.tag ^ ">"
+                            | Clip_xml.Node.Text a -> Clip_xml.Atom.to_string a)
+                          t.sources))))
+           entries
+       | None -> ());
+      Buffer.contents b
     in
     let code =
       if stream then begin
@@ -362,15 +352,12 @@ let run_cmd =
                     (fun () ->
                       let st = Clip_xml.Stream.of_channel ic in
                       let ctx =
-                        Clip_run.create ?counters:total ?tracer
+                        Clip_run.create ~counters:total ?tracer
                           ?deadline:(deadline_for ()) ~cancel ()
                       in
-                      match
-                        Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
-                          ~mode ?shard_bytes ~jobs m st
-                      with
-                      | Error ds -> Error ds
-                      | Ok out -> render_out out)
+                      Result.map render_out
+                        (Clip_core.Engine.run_stream_result ~ctx ~backend
+                           ~plan ~mode ?shard_bytes ~jobs m st))
               in
               (path, r))
             inputs
@@ -435,28 +422,41 @@ let run_cmd =
         let evaluate ~obs (_path, source) =
           let deadline = deadline_for () in
           let ctx =
-            Clip_run.create ?counters:obs ?tracer ?deadline ~cancel ()
+            Clip_run.create ~counters:obs ?tracer ?deadline ~cancel ()
           in
-          let r =
-            match chain with
-            | [ m ] ->
+          let traced ctx m =
+            Clip_core.Engine.run_traced_result ~ctx ~plan m source
+          in
+          match chain, backend, mode with
+          | [ m ], `Tgd, `Whole when trace ->
+            (* The measured run records the lineage itself. *)
+            Result.map
+              (fun (out, entries) -> render_out ~lineage:entries out)
+              (traced ctx m)
+          | [ m ], _, _ -> (
+            match
               Clip_core.Engine.run_result ~ctx ~backend ~plan ~mode
                 ?shard_bytes ~jobs m source
-            | ms ->
-              Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ~mode
-                ?shard_bytes ~jobs ms source
-          in
-          match r with
-          | Error ds -> Error ds
-          | Ok out ->
-            (* Lineage re-runs the mapping over the source; a multi-stage
-               chain has no single mapping to re-run, so --then suppresses
-               the lineage section. *)
-            if thens = [] then render_out ~lineage:(source, deadline) out
-            else render_out out
+            with
+            | Ok out when trace ->
+              (* Only the tgd engine's whole-document run records
+                 lineage, so here a separate tgd run recovers it. That
+                 run is bookkeeping, not the measured evaluation: its
+                 context has no counters or tracer of the run's, but it
+                 shares the input's deadline and the SIGINT flag. *)
+              Result.map
+                (fun (_, entries) -> render_out ~lineage:entries out)
+                (traced (Clip_run.create ?deadline ~cancel ()) m)
+            | r -> Result.map render_out r)
+          | ms, _, _ ->
+            (* A multi-stage chain has no single mapping to trace, so
+               --then suppresses the lineage section. *)
+            Result.map render_out
+              (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ~mode
+                 ?shard_bytes ~jobs ms source)
         in
         let results =
-          Clip_par.map_results ~jobs:cross_jobs ~retries ?obs:total evaluate
+          Clip_par.map_results ~jobs:cross_jobs ~retries ~obs:total evaluate
             sources
         in
         if keep_going then begin
@@ -500,9 +500,7 @@ let run_cmd =
       (match tracer with
        | Some t -> prerr_string ("phases:\n" ^ Clip_obs.Trace.render t)
        | None -> ());
-      match total with
-      | Some c -> prerr_string ("counters:\n" ^ Clip_obs.Counters.to_string c)
-      | None -> ()
+      prerr_string ("counters:\n" ^ Clip_obs.Counters.to_string total)
     end;
     code
   in

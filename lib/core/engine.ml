@@ -82,8 +82,9 @@ module type BACKEND = sig
 
   (* One shard through the backend executor; cancellation and the
      deadline clock flow through the parent context's domain-safe
-     [ctl]; the scratch sink [obs] is supplied by {!Clip_par}, which
-     merges it so totals are exact. *)
+     [ctl]; the scratch record [obs] is supplied by {!Clip_par}, which
+     merges it so totals are exact. [steps_out] receives the shard's
+     budget steps, its increase of [lim_ticks]. *)
   val eval_shard :
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
@@ -104,6 +105,16 @@ module type BACKEND = sig
     (string, Clip_diag.t list) result
 end
 
+(* A shard run counts into [obs] (a fresh record when [None]) and
+   reports its budget steps, the increase of [lim_ticks], in
+   [steps_out], even when it fails. *)
+let counted_shard ~obs ~steps_out run =
+  let obs = match obs with Some c -> c | None -> Clip_obs.Counters.create () in
+  let start = obs.Clip_obs.Counters.lim_ticks in
+  Fun.protect
+    ~finally:(fun () -> steps_out := obs.lim_ticks - start)
+    (fun () -> run obs)
+
 (* Left unsealed so {!Rel_backend} can reuse it; the registry below
    checks it against [BACKEND]. *)
 module Tgd_backend = struct
@@ -122,13 +133,14 @@ module Tgd_backend = struct
       (m : Mapping.t) tgd =
     Clip_run.span ctx "execute" (fun () ->
       Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan
-        ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx) ~source
+        ~ctl:(Clip_run.control ctx) ~obs:(Clip_run.counters ctx) ~source
         ~target_root:m.target.root.name tgd)
 
   let eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs ~steps_out
       (target_root, tgd) shard =
-    Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ~ctl
-      ~steps_out ?obs ~source:shard ~target_root tgd
+    counted_shard ~obs ~steps_out (fun obs ->
+        Clip_tgd.Eval.run_result ?limits ~minimum_cardinality ?plan ~ctl ~obs
+          ~source:shard ~target_root tgd)
 
   let explain ?plan source (_m : Mapping.t) tgd =
     Clip_diag.guard (fun () -> Clip_tgd.Eval.explain ?plan ~source tgd)
@@ -165,13 +177,14 @@ end) : BACKEND = struct
     let* query = prepare_result ?limits ~ctx ~mapping:m tgd in
     Clip_run.span ctx "execute" (fun () ->
       Clip_xquery.Eval.run_document_result ?limits ?plan
-        ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx)
+        ~ctl:(Clip_run.control ctx) ~obs:(Clip_run.counters ctx)
         ~input:source query)
 
   let eval_shard ?limits ~minimum_cardinality:_ ?plan ~ctl ~obs
       ~steps_out query shard =
-    Clip_xquery.Eval.run_document_result ?limits ?plan ~ctl ~steps_out ?obs
-      ~input:shard query
+    counted_shard ~obs ~steps_out (fun obs ->
+        Clip_xquery.Eval.run_document_result ?limits ?plan ~ctl ~obs
+          ~input:shard query)
 
   let explain ?plan source (m : Mapping.t) tgd =
     let* query =
@@ -295,10 +308,10 @@ let sharded_run_result (type q) (module B : BACKEND with type query = q)
   let shards = Clip_shard.shards_of_node cut ~budget_bytes:shard_bytes source in
   let rs =
     Clip_run.span ctx "execute" (fun () ->
-        Clip_par.map_results ?jobs ?obs
+        Clip_par.map_results ?jobs ~obs
           (fun ~obs shard ->
-            B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl ~obs
-              ~steps_out:(ref 0) query shard)
+            B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl
+              ~obs:(Some obs) ~steps_out:(ref 0) query shard)
           shards)
   in
   let rec split outs = function
@@ -439,11 +452,12 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
                 let merger = Clip_shard.merger ~unify:cut.Clip_shard.unify in
                 let* () =
                   Clip_run.span ctx "execute" (fun () ->
-                      Clip_par.stream_results ?jobs ?obs ~produce
+                      Clip_par.stream_results ?jobs ~obs ~produce
                         ~consume:(Clip_shard.merge_into merger)
                         (fun ~obs shard ->
                           B.eval_shard ?limits ~minimum_cardinality ?plan
-                            ~ctl ~obs ~steps_out:(ref 0) query shard))
+                            ~ctl ~obs:(Some obs) ~steps_out:(ref 0) query
+                            shard))
                 in
                 (match Clip_shard.merged merger with
                  | Some doc -> Ok doc
@@ -472,7 +486,7 @@ let run_traced_result ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t)
   let* tgd = compile_result ~ctx m in
   Clip_run.span ctx "execute" (fun () ->
     Clip_tgd.Eval.run_traced_result ~minimum_cardinality ?plan
-      ~ctl:(Clip_run.control ctx) ?obs:(Clip_run.counters ctx) ~source
+      ~ctl:(Clip_run.control ctx) ~obs:(Clip_run.counters ctx) ~source
       ~target_root:m.target.root.name tgd)
 
 (* EXPLAIN: compile (or translate) like a run would, then hand off to

@@ -108,7 +108,9 @@ module type BACKEND = sig
     Clip_tgd.Tgd.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
 
-  (** [steps_out] receives the budget steps the shard consumed. *)
+  (** The shard counts into [obs] (a fresh record when [None]);
+      [steps_out] receives the budget steps it consumed, the increase
+      of the record's [lim_ticks], even when it fails. *)
   val eval_shard :
     ?limits:Clip_diag.Limits.t ->
     minimum_cardinality:bool ->
@@ -150,9 +152,9 @@ val backend_names : (string * backend) list
 
 (** [run_result mapping source] — the target instance. Default
     backend [`Tgd]; default minimum-cardinality on; default plan
-    [`Auto]. [?ctx] supplies the execution context — counter sink,
+    [`Auto]. [?ctx] supplies the execution context — counter record,
     tracer, deadline and cancellation flag; without it the run gets a
-    fresh silent {!Clip_run.create} context. The run compiles the
+    fresh {!Clip_run.create} context. The run compiles the
     mapping and analyses [source] itself; two runs with the same
     arguments give the same bytes and the same work counters, whether
     or not they share a context.
@@ -249,8 +251,8 @@ val run_stream_result :
 
 (** [explain_result ?backend ?plan mapping source] — a static,
     deterministic EXPLAIN of how a run with the same arguments would
-    execute: the resolved strategy (e.g. [`Auto] dropping to the direct
-    interpreter below the planning threshold), then per source clause
+    execute: the resolved strategy (for [`Auto]: cost-based joins, and
+    whether the tag index is on, with the reason), then per source clause
     the chosen physical step (nested-loop scan, pushed-down filter,
     hash join) with the cost-model inputs that justified it — estimated
     outer/inner cardinalities, {!Clip_plan.join_pays} verdicts,

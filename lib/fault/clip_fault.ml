@@ -20,8 +20,7 @@
    injection is to perturb deep call sites without threading a config
    value through every API — and is a single [Atomic] so arming from
    one domain is visible to workers on others. This is test-only
-   tooling: library semantics are unchanged while disarmed, which the
-   obs bench's disabled-path overhead gate (< 5%) covers. *)
+   tooling: library semantics are unchanged while disarmed. *)
 
 type kind = Transient | Permanent
 
@@ -98,9 +97,11 @@ let active () = Atomic.get state <> None
 let fired () =
   match Atomic.get state with None -> 0 | Some a -> Atomic.get a.afired
 
-let fire ?(obs = Clip_obs.none) a site hit =
+let fire ?obs a site hit =
   Atomic.incr a.afired;
-  Clip_obs.fault_injected obs;
+  (match obs with
+   | Some (c : Clip_obs.Counters.t) -> c.faults_injected <- c.faults_injected + 1
+   | None -> ());
   Clip_diag.fail
     (Clip_diag.error ~code:(code a.akind)
        ~hints:

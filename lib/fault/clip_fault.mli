@@ -70,7 +70,7 @@ val fired : unit -> int
     this is a firing hit, in which case it raises {!Clip_diag.Fail}
     with the armed kind's code (and counts into [?obs] as
     [faults_injected]). *)
-val hit : ?obs:Clip_obs.sink -> string -> unit
+val hit : ?obs:Clip_obs.Counters.t -> string -> unit
 
 (** [arm_spec "site[:FROM[:KIND[:TIMES]]]"] — parse and arm the CLI's
     [CLIP_FAULT] environment format (e.g. ["tgd.execute:2:transient"]).

@@ -1,9 +1,8 @@
-(* Explicit observability sinks. A sink is a plain value threaded
-   through every layer as part of the execution context — there is no
-   ambient global slot, so independent runs (including runs on
-   different domains) never share or clobber each other's counters.
-   The disabled path is a [None] match and a branch: no closure, no
-   allocation, nothing the GC ever sees. *)
+(* Execution counters and trace spans. Every run owns one counter
+   record, reached through its execution state, and each counting site
+   is a direct field increment whether or not anyone reads the counts.
+   No record is ambient, so independent runs (including runs on
+   different domains) never share or clobber each other's counters. *)
 
 module Counters = struct
   type t = {
@@ -36,21 +35,6 @@ module Counters = struct
       ctl_checks = 0;
       faults_injected = 0;
     }
-
-  let reset c =
-    c.nodes_scanned <- 0;
-    c.child_steps <- 0;
-    c.index_probes <- 0;
-    c.index_hits <- 0;
-    c.hash_join_builds <- 0;
-    c.hash_join_probes <- 0;
-    c.memo_hits <- 0;
-    c.session_hits <- 0;
-    c.lim_ticks <- 0;
-    c.ctl_checks <- 0;
-    c.faults_injected <- 0
-
-  let copy c = { c with nodes_scanned = c.nodes_scanned }
 
   let add ~into c =
     into.nodes_scanned <- into.nodes_scanned + c.nodes_scanned;
@@ -99,61 +83,6 @@ module Counters = struct
             (fun (name, v) -> Printf.sprintf "\"%s\": %d" name v)
             (to_assoc c)))
 end
-
-type sink = Counters.t option
-
-let none : sink = None
-let enabled (s : sink) = match s with Some _ -> true | None -> false
-
-let scanned (s : sink) n =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.nodes_scanned <- c.Counters.nodes_scanned + n
-
-let child_step (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.child_steps <- c.Counters.child_steps + 1
-
-let index_probe (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.index_probes <- c.Counters.index_probes + 1
-
-let index_hit (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.index_hits <- c.Counters.index_hits + 1
-
-let hash_join_build (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.hash_join_builds <- c.Counters.hash_join_builds + 1
-
-let hash_join_probe (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.hash_join_probes <- c.Counters.hash_join_probes + 1
-
-let memo_hit (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.memo_hits <- c.Counters.memo_hits + 1
-
-let lim_tick (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.lim_ticks <- c.Counters.lim_ticks + 1
-
-let ctl_check (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.ctl_checks <- c.Counters.ctl_checks + 1
-
-let fault_injected (s : sink) =
-  match s with
-  | None -> ()
-  | Some c -> c.Counters.faults_injected <- c.Counters.faults_injected + 1
 
 module Trace = struct
   type span = { sname : string; sstart : float; sdur : float; sdepth : int }

@@ -1,32 +1,35 @@
 (** Zero-dependency observability: execution counters and trace spans.
 
-    Every execution layer — the tgd engine, the XQuery evaluator, the
-    shared physical-plan executor and the tag index — reports cheap monotonic counters through an
-    explicit {e sink} ([Counters.t option]) threaded down from the
-    execution context ({!Clip_run}). There is no ambient global slot:
-    a sink is owned by exactly one run, so concurrent runs — including
-    runs on different domains ({!Clip_par}) — can never share or
-    clobber each other's counters. The disabled path ([None]) is a
-    match and a branch and allocates nothing; call {!enabled} before
-    computing an expensive increment argument such as a list length.
+    Every run counts into one {!Counters.t} that it always has: the
+    caller's record, or a fresh one (see {!Clip_run.create}). The
+    execution layers — the tgd engine, the XQuery evaluator, the shared
+    physical-plan executor and the tag index — reach that record
+    through the run's state and increment its fields directly, so a
+    counting site costs one load and one store whether or not anyone
+    reads the counts. There is no ambient global slot: a record is
+    owned by exactly one run, so concurrent runs — including runs on
+    different domains ({!Clip_par}) — never share or clobber each
+    other's counters. The step budget (CLIP-LIM-004) is itself a
+    counter: [lim_ticks] is the run's step count.
 
     Trace spans time coarse phases (compile / translate / parse /
     execute) against an injected wall clock, so this library needs
-    neither [unix] nor any other dependency. Like sinks, a tracer is
-    passed explicitly ([Trace.t option]); {!Trace.span} with [None]
-    calls the thunk directly.
+    neither [unix] nor any other dependency. A tracer is passed
+    explicitly ([Trace.t option]); {!Trace.span} with [None] calls the
+    thunk directly.
 
-    Nothing here affects semantics: the same bindings flow whether or
-    not a sink is supplied — which is exactly what makes the counters
-    usable as a cross-backend test oracle (e.g. an [`Indexed] run must
-    never scan more nodes than the tests' reference interpreter on the
-    same input). *)
+    Nothing here affects semantics: the same bindings flow whatever
+    the record holds — which is what makes the counters usable as a
+    cross-backend test oracle (e.g. an [`Indexed] run must never scan
+    more nodes than the tests' reference interpreter on the same
+    input). *)
 
 (** {1 Counters} *)
 
 module Counters : sig
-  (** One set of monotonic execution counters. All counts are
-      per-sink: supply a fresh value to each measured run. *)
+  (** One set of monotonic execution counters. A run adds its work to
+      whatever the record already holds: supply a fresh record to each
+      measured run. *)
   type t = {
     mutable nodes_scanned : int;
         (** child nodes visited (scanned [Child] steps) or matches
@@ -47,7 +50,9 @@ module Counters : sig
         (** always 0: runs share no cache. Kept so readers of the
             field (perfbench's [engine.session_hits]) still compile. *)
     mutable lim_ticks : int;
-        (** CLIP-LIM-004 budget ticks: the step count of a run *)
+        (** CLIP-LIM-004 budget ticks: the step count of a run. The
+            budget compares a run's increase of this field with
+            [limits.max_eval_steps]. *)
     mutable ctl_checks : int;
         (** deadline/cancellation polls actually performed at tick
             sites (zero when the run carries no {!Clip_run.Control}) *)
@@ -57,12 +62,10 @@ module Counters : sig
   }
 
   val create : unit -> t
-  val reset : t -> unit
-  val copy : t -> t
 
   (** [add ~into c] — add every counter of [c] into [into]. This is
-      the parallel merge: {!Clip_par} gives each worker domain a fresh
-      sink and folds them into the parent's sink with [add]. Every
+      the parallel merge: {!Clip_par} gives each task a fresh record
+      and folds it into the parent's record with [add]. Every
       counter is a sum over per-task increments, so the merged totals
       are independent of how tasks were partitioned across domains. *)
   val add : into:t -> t -> unit
@@ -81,31 +84,6 @@ module Counters : sig
   (** A flat JSON object with every counter. *)
   val to_json : t -> string
 end
-
-(** A counter sink: [Some c] collects into [c], [None] is off. *)
-type sink = Counters.t option
-
-(** The disabled sink. *)
-val none : sink
-
-(** [enabled s] — is [s] collecting? Check before computing a
-    non-constant increment (keeps the disabled path allocation- and
-    traversal-free). *)
-val enabled : sink -> bool
-
-(** {2 Increment points} (no-ops on [None]) *)
-
-val scanned : sink -> int -> unit
-val child_step : sink -> unit
-val index_probe : sink -> unit
-val index_hit : sink -> unit
-val hash_join_build : sink -> unit
-val hash_join_probe : sink -> unit
-
-val memo_hit : sink -> unit
-val lim_tick : sink -> unit
-val ctl_check : sink -> unit
-val fault_injected : sink -> unit
 
 (** {1 Trace spans} *)
 

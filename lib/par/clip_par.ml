@@ -7,9 +7,9 @@
      that would let one slow task idle a domain) while results land in
      their input slot — output order is input order, always;
    - every attempt at a task runs against a fresh scratch counter
-     sink, merged into the worker's per-domain sink only when the
-     attempt succeeds; the per-domain sinks are merged into the
-     caller's sink with {!Clip_obs.Counters.add} after the join. Every
+     record, merged into the worker's per-domain record only when the
+     attempt succeeds; the per-domain records are merged into the
+     caller's record with {!Clip_obs.Counters.add} after the join. Every
      counter is thus a sum of per-successful-task increments, so the
      merged totals are independent of the task-to-domain partition
      {e and} of how many tasks failed — survivors always sum to
@@ -19,7 +19,7 @@
      its input position and the rest of the batch completes; a bounded
      retry policy ([?retries]) re-attempts {e transient} failures
      ({!Clip_diag.is_transient}) immediately on the same worker, each
-     attempt from a fresh scratch sink, so retried-then-successful
+     attempt from a fresh scratch record, so retried-then-successful
      tasks also count exactly once;
    - {!map} keeps the strict contract as a thin wrapper: any
      [Error ds] slot re-raises {!Clip_diag.Fail} for the lowest
@@ -44,18 +44,15 @@ type 'b slot =
   | Raised of exn * Printexc.raw_backtrace
   | Pending
 
-(* One task under the retry policy. [into] is the sink the successful
-   attempt's scratch counters merge into (the worker's per-domain sink,
-   or the caller's own in sequential mode). The [par.task] fault point
-   sits inside the attempt, so an injected task fault is subject to
-   exactly the retry/isolation treatment a real one gets. *)
+(* One task under the retry policy. [into] is the record the
+   successful attempt's scratch counters merge into (the worker's
+   per-domain record, or the caller's own in sequential mode). The
+   [par.task] fault point sits inside the attempt, so an injected task
+   fault is subject to exactly the retry/isolation treatment a real one
+   gets. *)
 let attempt ~retries ~into f x =
   let once () =
-    let scratch =
-      match into with
-      | None -> None
-      | Some _ -> Some (Clip_obs.Counters.create ())
-    in
+    let scratch = Clip_obs.Counters.create () in
     let r =
       match
         Clip_fault.hit ~obs:scratch Clip_fault.Site.par_task;
@@ -64,9 +61,9 @@ let attempt ~retries ~into f x =
       | r -> r
       | exception Clip_diag.Fail ds -> Error ds
     in
-    (match r, into, scratch with
-     | Ok _, Some into, Some c -> Clip_obs.Counters.add ~into c
-     | (Ok _ | Error _), _, _ -> ());
+    (match r with
+     | Ok _ -> Clip_obs.Counters.add ~into scratch
+     | Error _ -> ());
     r
   in
   let rec go left =
@@ -77,13 +74,14 @@ let attempt ~retries ~into f x =
   in
   go (max 0 retries)
 
-let map_results ?jobs ?(retries = 0) ?obs f items =
+let map_results ?jobs ?(retries = 0) ?(obs = Clip_obs.Counters.create ()) f
+    items =
   let tasks = Array.of_list items in
   let n = Array.length tasks in
   let jobs = min (clamp_jobs ~cores:(default_jobs ()) jobs) n in
   if jobs <= 1 then
     (* Sequential degenerate case: same attempt machinery (scratch
-       sinks, retries, fault point), caller's sink as the merge
+       records, retries, fault point), caller's record as the merge
        target, tasks in order on the calling domain. *)
     List.map (fun x -> attempt ~retries ~into:obs f x) items
   else begin
@@ -91,12 +89,11 @@ let map_results ?jobs ?(retries = 0) ?obs f items =
     let next = Atomic.make 0 in
     let worker () =
       let c = Clip_obs.Counters.create () in
-      let sink = match obs with None -> None | Some _ -> Some c in
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (results.(i) <-
-             (match attempt ~retries ~into:sink f tasks.(i) with
+             (match attempt ~retries ~into:c f tasks.(i) with
               | r -> Done r
               | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
           loop ()
@@ -109,9 +106,7 @@ let map_results ?jobs ?(retries = 0) ?obs f items =
     (* The calling domain is worker number [jobs]. *)
     let mine = worker () in
     let per_domain = mine :: List.map Domain.join helpers in
-    (match obs with
-     | Some into -> List.iter (fun c -> Clip_obs.Counters.add ~into c) per_domain
-     | None -> ());
+    List.iter (fun c -> Clip_obs.Counters.add ~into:obs c) per_domain;
     (* [Array.iter] is specified left-to-right, so a captured
        exception re-raises for the lowest failing input index,
        independent of scheduling. *)
@@ -140,10 +135,11 @@ let map_results ?jobs ?(retries = 0) ?obs f items =
    sequential pipeline's. *)
 
 type 'b stream_slot =
-  | Sdone of ('b, Clip_diag.t list) result * Clip_obs.Counters.t option
+  | Sdone of ('b, Clip_diag.t list) result * Clip_obs.Counters.t
   | Sraised of exn * Printexc.raw_backtrace
 
-let stream_results ?jobs ?window ?(retries = 0) ?obs ~produce ~consume f =
+let stream_results ?jobs ?window ?(retries = 0)
+    ?(obs = Clip_obs.Counters.create ()) ~produce ~consume f =
   let jobs = clamp_jobs ~cores:(default_jobs ()) jobs in
   if jobs <= 1 then
     (* Sequential degenerate case: produce, evaluate, consume, repeat —
@@ -153,17 +149,11 @@ let stream_results ?jobs ?window ?(retries = 0) ?obs ~produce ~consume f =
       | Error _ as e -> e
       | Ok None -> Ok ()
       | Ok (Some x) -> (
-          let scratch =
-            match obs with
-            | None -> None
-            | Some _ -> Some (Clip_obs.Counters.create ())
-          in
+          let scratch = Clip_obs.Counters.create () in
           match attempt ~retries ~into:scratch f x with
           | Error _ as e -> e
           | Ok v -> (
-              (match obs, scratch with
-               | Some into, Some c -> Clip_obs.Counters.add ~into c
-               | _ -> ());
+              Clip_obs.Counters.add ~into:obs scratch;
               match consume v with
               | () -> loop ()
               | exception Clip_diag.Fail ds -> Error ds))
@@ -215,11 +205,7 @@ let stream_results ?jobs ?window ?(retries = 0) ?obs ~produce ~consume f =
                 let i = !next in
                 incr next;
                 Mutex.unlock m;
-                let scratch =
-                  match obs with
-                  | None -> None
-                  | Some _ -> Some (Clip_obs.Counters.create ())
-                in
+                let scratch = Clip_obs.Counters.create () in
                 let slot =
                   match attempt ~retries ~into:scratch f x with
                   | r -> Sdone (r, scratch)
@@ -273,9 +259,7 @@ let stream_results ?jobs ?window ?(retries = 0) ?obs ~produce ~consume f =
           | Sraised (e, bt) -> finish (`Raise (e, bt))
           | Sdone (Error ds, _) -> finish (`Err ds)
           | Sdone (Ok v, scratch) -> (
-              (match obs, scratch with
-               | Some into, Some c -> Clip_obs.Counters.add ~into c
-               | _ -> ());
+              Clip_obs.Counters.add ~into:obs scratch;
               match consume v with
               | () -> consume_loop ()
               | exception Clip_diag.Fail ds -> finish (`Err ds)

@@ -7,14 +7,15 @@
     order — for any [jobs]. Tasks are claimed dynamically from an
     atomic counter but results land in their input slots; and because
     every layer below carries its state explicitly ({!Clip_run}
-    contexts, explicit counter sinks, the
+    contexts, explicit counter records, the
     domain-safe {!Clip_xml.Symbol} table), a task computes the same
     value whichever domain runs it.
 
     Counters merge, they are never shared: every attempt at a task
-    runs against a fresh scratch sink, merged into its worker domain's
-    sink only on success, and the per-domain sinks fold into [?obs]
-    with {!Clip_obs.Counters.add} after the join. Counters that are
+    runs against a fresh scratch record, merged into its worker
+    domain's record only on success, and the per-domain records fold
+    into [?obs] (a fresh record when omitted) with
+    {!Clip_obs.Counters.add} after the join. Counters that are
     deterministic per task (the {!Clip_obs.Counters.work_assoc}
     classes) therefore sum to exactly the
     sequential totals of the {e successful} tasks, independent of the
@@ -38,7 +39,7 @@ val default_jobs : unit -> int
 val clamp_jobs : cores:int -> int option -> int
 
 (** [map_results ?jobs ?retries ?obs f items] — graceful batch
-    degradation: evaluate [f ~obs:sink item] for every item, on [jobs]
+    degradation: evaluate [f ~obs:scratch item] for every item, on [jobs]
     domains, each result landing in its input slot. A task that
     returns [Error ds] or raises {!Clip_diag.Fail} yields [Error ds]
     in its slot and the rest of the batch completes normally — one
@@ -49,7 +50,7 @@ val clamp_jobs : cores:int -> int option -> int
     ({!Clip_diag.is_transient} — [CLIP-FLT-001], [CLIP-IO-001]) is
     re-attempted up to [retries] more times, immediately and on the
     same worker (so the schedule stays deterministic), each attempt
-    from a fresh scratch sink and fresh per-task state. Deterministic
+    from a fresh scratch record and fresh per-task state. Deterministic
     failures — parse errors, budget and deadline exhaustion, permanent
     faults — are never retried: the input that failed once fails
     identically every time, so retrying only doubles the bill.
@@ -64,7 +65,7 @@ val map_results :
   ?jobs:int ->
   ?retries:int ->
   ?obs:Clip_obs.Counters.t ->
-  (obs:Clip_obs.Counters.t option -> 'a -> ('b, Clip_diag.t list) result) ->
+  (obs:Clip_obs.Counters.t -> 'a -> ('b, Clip_diag.t list) result) ->
   'a list ->
   ('b, Clip_diag.t list) result list
 
@@ -105,7 +106,7 @@ val stream_results :
   ?obs:Clip_obs.Counters.t ->
   produce:(unit -> ('a option, Clip_diag.t list) result) ->
   consume:('b -> unit) ->
-  (obs:Clip_obs.Counters.t option -> 'a -> ('b, Clip_diag.t list) result) ->
+  (obs:Clip_obs.Counters.t -> 'a -> ('b, Clip_diag.t list) result) ->
   (unit, Clip_diag.t list) result
 
 (** [map ?jobs ?obs f items] — the strict contract, a thin wrapper
@@ -117,6 +118,6 @@ val stream_results :
 val map :
   ?jobs:int ->
   ?obs:Clip_obs.Counters.t ->
-  (obs:Clip_obs.Counters.t option -> 'a -> 'b) ->
+  (obs:Clip_obs.Counters.t -> 'a -> 'b) ->
   'a list ->
   'b list

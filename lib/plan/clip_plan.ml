@@ -528,9 +528,9 @@ let key_hashes = function
    item and one per tuple — the common single-key tuple records just
    its hash, the others a [-1] marker and their hash list aside
    ([Key.hash] is never negative). *)
-let build_table ?obs (gens : ('env, 'item) gen array) build_keys (env : 'env) :
-    'item table =
-  Clip_obs.hash_join_build obs;
+let build_table ~(obs : Clip_obs.Counters.t) (gens : ('env, 'item) gen array)
+    build_keys (env : 'env) : 'item table =
+  obs.hash_join_builds <- obs.hash_join_builds + 1;
   let width = Array.length gens in
   let items_rev = ref [] and hash_rev = ref [] and multi_rev = ref [] in
   let ntuples = ref 0 and nent = ref 0 in
@@ -628,11 +628,11 @@ let bind_tuple gens tbl k env =
 
 (* Build step-scoped probe [k]'s table into [tables], under the
    environment the build runs in. *)
-let build_into ?obs (t : ('env, 'item) t) (tables : 'item table option array)
+let build_into ~obs (t : ('env, 'item) t) (tables : 'item table option array)
     ~(env : 'env) k =
   match t.stages.(k) with
   | Probe { gens; scope = At_step { slot; _ }; build_keys; _ } ->
-    tables.(slot) <- Some (build_table ?obs gens build_keys env)
+    tables.(slot) <- Some (build_table ~obs gens build_keys env)
   | Probe { scope = Per_run _; _ } | Scan _ -> ()
 
 (* [List.for_all] with no closure per call: this runs per candidate. *)
@@ -640,14 +640,14 @@ let rec holds_all env = function
   | [] -> true
   | p :: preds -> p.test env && holds_all env preds
 
-let execute ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
+let execute ~(obs : Clip_obs.Counters.t) ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
     ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
   let tables = Array.make (max 1 t.nslots) None in
   let rec go i env =
     if i = n then emit env
     else begin
-      List.iter (build_into ?obs t tables ~env) t.builds.(i);
+      List.iter (build_into ~obs t tables ~env) t.builds.(i);
       match t.stages.(i) with
       | Scan { gen; preds } ->
         List.iter
@@ -667,11 +667,11 @@ let execute ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
             match List.assq_opt id run.Run.tables with
             | Some tbl -> tbl
             | None ->
-              let tbl = build_table ?obs gens build_keys env in
+              let tbl = build_table ~obs gens build_keys env in
               run.Run.tables <- (id, tbl) :: run.Run.tables;
               tbl)
         in
-        Clip_obs.hash_join_probe obs;
+        obs.hash_join_probes <- obs.hash_join_probes + 1;
         iter_hits tbl (probe_keys env) (fun k ->
             tick ();
             let env' = bind_tuple gens tbl k env in

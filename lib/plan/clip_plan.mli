@@ -224,17 +224,17 @@ val plan :
     reuse a grouping. *)
 val revisit_prone : ('env, 'item) t -> bool
 
-(** [execute ?obs ~run t ~tick ~env ~emit] streams every surviving
+(** [execute ~obs ~run t ~tick ~env ~emit] streams every surviving
     binding of the chain into [emit], in exactly the naive enumeration
     order. [tick] is called once per item enumerated at every stage, so
     step budgets keep metering enumerated bindings (CLIP-LIM-004); a
     table build is metered by the backend's own generator and key
     closures. [run] holds the run-scoped tables: a {!Per_run} table is
     built on the first probe that reaches it under [run] and reused by
-    every later call with the same [run]. [?obs] counts hash-join
-    builds and probes. *)
+    every later call with the same [run]. Hash-join builds and probes
+    count into [obs], the run's record. *)
 val execute :
-  ?obs:Clip_obs.Counters.t ->
+  obs:Clip_obs.Counters.t ->
   run:'item Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->

@@ -1,7 +1,7 @@
 (* Explicit execution contexts.
 
    A context owns every piece of run-scoped mutable state: the
-   observability counter sink, the trace tracer and the fault-tolerance
+   counter record its runs count into, the trace tracer and the fault-tolerance
    control. Threading the context as a value is what makes the stack
    domain-safe — two contexts never share state, so two domains
    evaluating with their own contexts cannot race. A context carries no
@@ -67,7 +67,7 @@ module Control = struct
 end
 
 type t = {
-  counters : Clip_obs.Counters.t option;
+  counters : Clip_obs.Counters.t;
   tracer : Clip_obs.Trace.t option;
   control : Control.t;
 }
@@ -76,7 +76,8 @@ type t = {
    flag): [cancel ctx] must never mutate the shared [Control.none]
    constant, which is only the default for evaluator entry points
    called without any control at all. *)
-let create ?counters ?tracer ?deadline ?cancel () =
+let create ?(counters = Clip_obs.Counters.create ()) ?tracer ?deadline ?cancel
+    () =
   { counters; tracer; control = Control.make ?deadline ?cancel () }
 
 let counters ctx = ctx.counters

@@ -1,7 +1,7 @@
 (** Explicit execution contexts.
 
     A context carries every piece of run-scoped mutable state the
-    engine stack needs — the {!Clip_obs} counter sink, the trace
+    engine stack needs — the {!Clip_obs} counter record, the trace
     tracer and the fault-tolerance {!Control} (deadline + cooperative
     cancellation) — as one explicit value. It holds no cache: every
     run compiles and analyses its own input, so running twice under
@@ -10,10 +10,10 @@
     which is what makes concurrent evaluation ({!Clip_par}) sound —
     contexts on different domains share nothing.
 
-    {b Ownership rules.} A context (and any counter sink or tracer
+    {b Ownership rules.} A context (and the counter record or tracer
     inside it) belongs to a single domain at a time; create one
     context per concurrent evaluation. Cross-domain aggregation is by
-    {e merging}, not sharing: give each worker its own sink and fold
+    {e merging}, not sharing: give each worker its own record and fold
     the results with {!Clip_obs.Counters.add}. The one deliberately
     cross-domain piece is the {!Cancel} flag: it is an atomic set-only
     bit, made to be shared (a signal handler or admission controller
@@ -81,10 +81,11 @@ end
 type t
 
 (** [create ?counters ?tracer ?deadline ?cancel ()] — a fresh context.
-    Omitted counters or tracer mean that facility is off (zero-cost
-    increments). The context always owns a fresh {!Control} built from
-    [?deadline]/[?cancel]; pass a shared {!Cancel.t} to let an outside
-    holder cancel this context's evaluations. *)
+    Every run under it counts into [counters], a fresh record when
+    omitted; an omitted tracer means spans are off. The context always
+    owns a fresh {!Control} built from [?deadline]/[?cancel]; pass a
+    shared {!Cancel.t} to let an outside holder cancel this context's
+    evaluations. *)
 val create :
   ?counters:Clip_obs.Counters.t ->
   ?tracer:Clip_obs.Trace.t ->
@@ -93,8 +94,9 @@ val create :
   unit ->
   t
 
-(** The context's counter sink (to pass to [?obs] parameters). *)
-val counters : t -> Clip_obs.Counters.t option
+(** The record the context's runs count into (to pass to [?obs]
+    parameters). *)
+val counters : t -> Clip_obs.Counters.t
 
 val tracer : t -> Clip_obs.Trace.t option
 

@@ -7,59 +7,18 @@ let error fmt =
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
     fmt
 
-(* Evaluation context of one run: the source document, its instance
-   statistics and tag index (each built on first use), and the step
-   budget that bounds runaway mappings (CLIP-LIM-004); each
-   source-expression or scalar evaluation counts one step, so deep
-   cross products hit the budget instead of hanging. [index] is the
-   run's view of the tag index: set at run start to the index
-   ([`Indexed], or [`Auto] when indexing is judged to pay) or left
-   [None]. *)
-type ctx = {
-  source : Xml.Node.t;
-  mutable index : Xml.Index.t option;
-  xindex : Xml.Index.t Lazy.t;
-  stats : Xml.Stats.t Lazy.t;
-  steps : int ref;
-  max_steps : int;
-  obs : Clip_obs.sink;
-  ctl : Clip_run.Control.t; (* deadline/cancellation view, polled by [tick] *)
-}
+(* The state of one run is its {!Meter}: the source document, its
+   instance statistics and tag index (each built on first use), the
+   counter record and the step budget that bounds runaway mappings
+   (CLIP-LIM-004); each source-expression or scalar evaluation ticks
+   one step, so deep cross products hit the budget instead of hanging.
+   The meter's [index] is set at run start to the index ([`Indexed],
+   or [`Auto] when indexing is judged to pay) or left [None]. *)
+module Meter = Clip_xquery.Meter
 
-let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none) source =
-  {
-    source;
-    index = None;
-    xindex = lazy (Xml.Index.build source);
-    stats = lazy (Xml.Stats.collect source);
-    steps = ref 0;
-    max_steps;
-    obs;
-    ctl;
-  }
+type ctx = Meter.t
 
-let force_index ctx = Lazy.force ctx.xindex
-let force_stats ctx = Lazy.force ctx.stats
-
-let check_control ctx =
-  Clip_obs.ctl_check ctx.obs;
-  match Clip_run.Control.check ctx.ctl with
-  | None -> ()
-  | Some d -> Clip_diag.fail d
-
-let tick ctx =
-  incr ctx.steps;
-  Clip_obs.lim_tick ctx.obs;
-  if !(ctx.steps) > ctx.max_steps then
-    Clip_diag.fail
-      (Clip_diag.error ~code:Clip_diag.Codes.limit_eval_steps
-         ~hints:
-           [ "raise [limits.max_eval_steps] if the mapping is expected to be this large" ]
-         (Printf.sprintf "evaluation exceeded the budget of %d steps" ctx.max_steps));
-  (* Deadline/cancellation poll, amortised to one clock read per 64
-     steps so uncontrolled runs pay one branch per tick. *)
-  if !(ctx.steps) land 63 = 0 && not (Clip_run.Control.is_none ctx.ctl) then
-    check_control ctx
+let tick = Meter.tick
 
 (* Lineage: [record node] adds source elements to the lineage of
    target element [node]. *)
@@ -124,32 +83,6 @@ type planned = {
 (* A planned tree with the slots of its frames. *)
 type compiled = { tree : planned; slots : layout }
 
-(* --- Source-side evaluation ------------------------------------------ *)
-
-(* Child scan over the boxed tree: visits every child, and the
-   [nodes_scanned] counter records exactly that, so an indexed step
-   never reports more scanned nodes than a scan of the same element. *)
-let scan_child_step ctx (e : Xml.Node.element) sym =
-  if Clip_obs.enabled ctx.obs then
-    Clip_obs.scanned ctx.obs (List.length e.children);
-  List.filter_map
-    (function
-      | Xml.Node.Element c when Xml.Symbol.equal c.sym sym ->
-        Some (Value.Node (Xml.Node.Element c))
-      | Xml.Node.Element _ | Xml.Node.Text _ -> None)
-    e.children
-
-(* A child step over the boxed tree: an index probe when the run uses
-   the tag index, else a scan. *)
-let tree_child_step ctx (e : Xml.Node.element) sym =
-  match ctx.index with
-  | None -> scan_child_step ctx e sym
-  | Some idx ->
-    let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
-    if Clip_obs.enabled ctx.obs then
-      Clip_obs.scanned ctx.obs (List.length matches);
-    List.map (fun n -> Value.Node n) matches
-
 let scalar_functions = Builder.scalar_functions
 
 (* --- Compiled evaluation ----------------------------------------------- *)
@@ -163,7 +96,7 @@ let scalar_functions = Builder.scalar_functions
    interpreter in test/tgd_oracle.ml pins those sites. *)
 
 (* The one item a root or a variable denotes. *)
-let compile_root ctx s : frame -> Value.item =
+let compile_root (ctx : ctx) s : frame -> Value.item =
   let item = Value.Node ctx.source in
   fun _ ->
     tick ctx;
@@ -197,9 +130,7 @@ let compile_step ctx : Path.step -> Value.item -> Value.item list = function
   | Path.Child tag ->
     let sym = Xml.Symbol.intern tag in
     (function
-      | Value.Node (Xml.Node.Element e) ->
-        Clip_obs.child_step ctx.obs;
-        tree_child_step ctx e sym
+      | Value.Node (Xml.Node.Element e) -> Meter.child_step ctx e sym
       | Value.Node (Xml.Node.Text _) | Value.Atomic _ -> [])
   | Path.Attr name ->
     (function
@@ -342,39 +273,18 @@ let frame_ops ctx layout : (frame, scope) Builder.ops =
 (* --- Planning ---------------------------------------------------------- *)
 
 (* Estimated items of one evaluation of [e] under the [`Cost] policy,
-   from per-tag cardinalities: a [Child t] step under a parent tagged
-   [p] yields ~count(t)/count(p) items (ceil; at least 1 when [t]
-   occurs at all, exactly 0 when it never does), attribute and value
+   from per-tag cardinalities ({!Meter.est_child}); attribute and value
    steps yield at most one. [var_tags] maps chain variables to the tag
-   of the element they range over; a [Child t] under a variable of
-   unknown tag falls back to the global count of [t] — an upper bound.
-   Returns the estimate and the result's tag (for threading through
-   [var_tags]). *)
+   of the element they range over. Returns the estimate and the
+   result's tag (for threading through [var_tags]). *)
 let est_expr ctx var_tags (e : Term.expr) : int option * Xml.Symbol.t option =
-  let stats = force_stats ctx in
-  let cap = Clip_plan.est_cap in
   let rec go = function
     | Term.Root s -> (Some 1, Some (Xml.Symbol.intern s))
     | Term.Var x -> (Some 1, Option.join (List.assoc_opt x var_tags))
     | Term.Proj (e, step) ->
-      let est, ptag = go e in
       (match (step : Path.step) with
-       | Path.Attr _ | Path.Value -> (est, None)
-       | Path.Child t ->
-         let sym = Xml.Symbol.intern t in
-         let ct = Xml.Stats.tag_count stats sym in
-         let est' =
-           if ct = 0 then Some 0
-           else
-             match est, ptag with
-             | Some e0, Some p when Xml.Stats.tag_count stats p > 0 ->
-               let cp = Xml.Stats.tag_count stats p in
-               let fan = max 1 ((ct + cp - 1) / cp) in
-               Some (min cap (e0 * fan))
-             | Some e0, _ -> Some (min cap (max e0 1 * ct))
-             | None, _ -> Some ct
-         in
-         (est', Some sym))
+       | Path.Attr _ | Path.Value -> (fst (go e), None)
+       | Path.Child t -> Meter.est_child ctx (go e) t)
   in
   go e
 
@@ -479,26 +389,13 @@ let rec tree_revisits ~outer_last (p : planned) =
   || Clip_plan.revisit_prone p.pplan
   || List.exists (tree_revisits ~outer_last:last) p.pchildren
 
-(* Documents smaller than this never amortise index groupings; [`Auto]
-   leaves the index off below the threshold even for revisit-prone
-   plans. *)
-let index_threshold = 256
-
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
-    ?(plan = `Auto) ?(ctl = Clip_run.Control.none)
-    ?steps_out ?obs ?record ~source ~target_root (m : Tgd.t) =
+    ?(plan = `Auto) ?ctl ?obs ?record ~source ~target_root (m : Tgd.t) =
   let ctx =
-    make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ~ctl source
+    Meter.create ~max_steps:limits.Clip_diag.Limits.max_eval_steps
+      ?counters:obs ?ctl ~what:"mapping" source
   in
-  let record_steps () =
-    match steps_out with Some r -> r := !(ctx.steps) | None -> ()
-  in
-  Fun.protect ~finally:record_steps @@ fun () ->
-  (* One unconditional control poll before any work makes an
-     already-lapsed deadline (clip run --timeout-ms 0) or a pre-set
-     cancel flag deterministic regardless of the 64-step amortisation. *)
-  if not (Clip_run.Control.is_none ctx.ctl) then check_control ctx;
-  Clip_fault.hit ~obs Clip_fault.Site.tgd_execute;
+  Meter.enter ctx Clip_fault.Site.tgd_execute;
   let bld = Builder.create ~min_card:minimum_cardinality ~target_root () in
   (* Compile each mapping's universal part once (conditions pushed
      down, equality conditions turned into hash joins where they pay),
@@ -506,7 +403,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   let c =
     match plan with
     | `Indexed ->
-      ctx.index <- Some (force_index ctx);
+      ctx.index <- Some (Meter.force_index ctx);
       plan_tree ctx `Force m
     | `Auto ->
       let c = plan_tree ctx `Cost m in
@@ -515,8 +412,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
          groupings; otherwise leave it off and scan. *)
       if
         tree_revisits ~outer_last:None c.tree
-        && Xml.Stats.node_count (force_stats ctx) >= index_threshold
-      then ctx.index <- Some (force_index ctx);
+        && Xml.Stats.node_count (Meter.force_stats ctx) >= Meter.index_threshold
+      then ctx.index <- Some (Meter.force_index ctx);
       c
   in
   (* The run-scoped hash tables: a nested mapping joined to its parent
@@ -524,7 +421,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   let run = Clip_plan.Run.create () in
   let rec eval_planned fr (p : planned) =
     Builder.pre_instantiate bld p.pbody fr;
-    Clip_plan.execute ?obs:ctx.obs ~run p.pplan
+    Clip_plan.execute ~obs:ctx.counters ~run p.pplan
       ~tick:(fun () -> tick ctx)
       ~env:fr
       ~emit:
@@ -540,12 +437,12 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     c.tree;
   Builder.root bld
 
-let run_result ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
-    ~source ~target_root m =
+let run_result ?limits ?minimum_cardinality ?plan ?ctl ?obs ~source
+    ~target_root m =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
-      (execute ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
-         ~source ~target_root m))
+      (execute ?limits ?minimum_cardinality ?plan ?ctl ?obs ~source
+         ~target_root m))
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
@@ -554,9 +451,9 @@ let run_result ?limits ?minimum_cardinality ?plan ?ctl ?steps_out ?obs
    plans, never evaluates, so the output is deterministic and free of
    timings (golden-testable). *)
 let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
-  let ctx = make_ctx source in
+  let ctx = Meter.create ~what:"mapping" source in
   let b = Buffer.create 512 in
-  let nodes = Xml.Stats.node_count (force_stats ctx) in
+  let nodes = Xml.Stats.node_count (Meter.force_stats ctx) in
   Printf.bprintf b "backend: tgd\nplan: %s\ndocument: %d nodes\n"
     (match plan with `Indexed -> "indexed" | `Auto -> "auto")
     nodes;
@@ -607,13 +504,13 @@ let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
    | `Auto ->
      let p = (plan_tree ctx `Cost m).tree in
      let revisits = tree_revisits ~outer_last:None p in
-     let use_index = revisits && nodes >= index_threshold in
+     let use_index = revisits && nodes >= Meter.index_threshold in
      Printf.bprintf b
        "strategy: physical plans, cost-based joins; tag index %s\n"
        (if use_index then "on (revisit-prone plan)"
         else if revisits then
           Printf.sprintf "off (document below the %d-node index threshold)"
-            index_threshold
+            Meter.index_threshold
         else "off (straight-line plan, no element revisits)");
      planned_rules "" p);
   Buffer.contents b

@@ -31,11 +31,9 @@
     join and the index unconditionally. Both modes produce identical
     documents; only error behaviour may differ (pushdown can evaluate
     a failing condition a nested-loop order would never reach, and
-    vice versa). [?steps_out] (on {!run_result}, for per-shard
-    evaluation), when given, receives the number of budget steps
-    consumed, even when evaluation fails. [?obs], when given,
-    collects execution counters for the run into the supplied sink —
-    counters are explicit per-run state, never ambient. [?ctl], when
+    vice versa). The run counts into [?obs] (a fresh record when
+    omitted) — counters are explicit per-run state, never ambient; its
+    step count is the increase of the record's [lim_ticks]. [?ctl], when
     given, is polled at the same budget tick sites (amortised, one
     clock read per 64 steps, plus once at run start): an expired
     deadline reports [CLIP-LIM-005], a set cancellation flag
@@ -61,7 +59,6 @@ val run_result :
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   source:Clip_xml.Node.t ->
   target_root:string ->

@@ -28,13 +28,17 @@ end)
 type t = {
   children : (Symbol.t * Node.t list) list Tbl.t; (* document order per tag *)
   descendants : (int * Symbol.t, Node.t list) Hashtbl.t;
+  obs : Clip_obs.Counters.t; (* the run's record: probes and hits *)
 }
 
-let build _doc =
+let build ?(obs = Clip_obs.Counters.create ()) _doc =
   (* Fault boundary: callers hold the index in resettable memo slots,
      so a failed build is retried cleanly (never a poisoned lazy). *)
   Clip_fault.hit Clip_fault.Site.index_build;
-  { children = Tbl.create 256; descendants = Hashtbl.create 16 }
+  { children = Tbl.create 256; descendants = Hashtbl.create 16; obs }
+
+let probe t = t.obs.index_probes <- t.obs.index_probes + 1
+let hit t = t.obs.index_hits <- t.obs.index_hits + 1
 
 (* Elements with few children are scanned directly, unmemoised: the
    scan is bounded by the threshold, and skipping the grouping keeps
@@ -59,11 +63,11 @@ let rec assq_opt sym = function
   | [] -> None
   | (s, nodes) :: rest -> if Symbol.equal s sym then Some nodes else assq_opt sym rest
 
-let children_by_tag ?obs t e sym =
-  Clip_obs.index_probe obs;
+let children_by_tag t e sym =
+  probe t;
   match Tbl.find_opt t.children e with
   | Some groups ->
-    Clip_obs.index_hit obs;
+    hit t;
     (match assq_opt sym groups with Some nodes -> nodes | None -> [])
   | None when shorter_than e.Node.children small -> scan_children e sym
   | None ->
@@ -84,11 +88,11 @@ let children_by_tag ?obs t e sym =
     Tbl.add t.children e groups;
     (match assq_opt sym groups with Some nodes -> nodes | None -> [])
 
-let descendants_by_tag ?obs t e sym =
-  Clip_obs.index_probe obs;
+let descendants_by_tag t e sym =
+  probe t;
   match Hashtbl.find_opt t.descendants (e.Node.id, sym) with
   | Some nodes ->
-    Clip_obs.index_hit obs;
+    hit t;
     nodes
   | None ->
     let acc = ref [] in

@@ -17,18 +17,17 @@ type t
     id) — also used for provenance seen-sets. *)
 module Tbl : Hashtbl.S with type key = Node.element
 
-(** [build doc] — a fresh (empty, lazy) index for a run over [doc].
-    O(1); the argument documents intent and keeps room for eager
-    pre-indexing later. *)
-val build : Node.t -> t
+(** [build ?obs doc] — a fresh (empty, lazy) index for a run over
+    [doc], counting every probe (and every hit, a probe answered from
+    a memoised grouping) into [obs] — the run's record, a fresh one
+    when omitted. O(1); the argument documents intent and keeps room
+    for eager pre-indexing later. *)
+val build : ?obs:Clip_obs.Counters.t -> Node.t -> t
 
-(** [children_by_tag ?obs t e sym] — the child elements of [e] tagged
-    [sym], in document order; memoised per element. [?obs] counts the
-    probe (and hit, when answered from a memoised grouping). *)
-val children_by_tag :
-  ?obs:Clip_obs.Counters.t -> t -> Node.element -> Symbol.t -> Node.t list
+(** [children_by_tag t e sym] — the child elements of [e] tagged
+    [sym], in document order; memoised per element. *)
+val children_by_tag : t -> Node.element -> Symbol.t -> Node.t list
 
-(** [descendants_by_tag ?obs t e sym] — proper descendant elements of
+(** [descendants_by_tag t e sym] — proper descendant elements of
     [e] tagged [sym], preorder; memoised per [(element, tag)]. *)
-val descendants_by_tag :
-  ?obs:Clip_obs.Counters.t -> t -> Node.element -> Symbol.t -> Node.t list
+val descendants_by_tag : t -> Node.element -> Symbol.t -> Node.t list

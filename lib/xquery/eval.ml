@@ -8,22 +8,20 @@ let error fmt =
 
 module Env = Map.Make (String)
 
-(* Evaluation context of one run: the input document, its instance
-   statistics and tag index (each built on first use), and the step
-   budget that bounds runaway queries (CLIP-LIM-004). FLWOR blocks run
-   through {!Clip_plan}.
+(* Evaluation context of one run: its {!Meter} (the input document,
+   its instance statistics and tag index, each built on first use, the
+   counter record and the step budget that bounds runaway queries,
+   CLIP-LIM-004) and the FLWOR plan state. FLWOR blocks run through
+   {!Clip_plan}; for [`Auto] the meter's tag-index view is adaptive,
+   see [eval_flwor].
 
-   [index] is the run's (for [`Auto]: adaptive, see [eval_flwor]) view
-   of the tag index. [plans] memoises compiled FLWOR plans for the run,
+   [plans] memoises compiled FLWOR plans for the run,
    keyed by the physical identity of the clause list — the same FLWOR
    block re-entered once per outer binding (the hot path of nested
    queries) then replans zero times — plus the outer-variable set,
    policy and run estimate, which all affect planning. *)
 type ctx = {
-  input : Xml.Node.t;
-  mutable index : Xml.Index.t option;
-  xindex : Xml.Index.t Lazy.t;
-  stats : Xml.Stats.t Lazy.t;
+  meter : Meter.t;
   plan : Clip_plan.mode;
   plans :
     (Ast.clause list
@@ -38,33 +36,7 @@ type ctx = {
   mutable runs : int option;
       (* estimated runs of the FLWOR block being entered: 1 at the top,
          times each enclosing block's chain estimate *)
-  steps : int ref;
-  max_steps : int;
-  obs : Clip_obs.sink;
-  ctl : Clip_run.Control.t; (* deadline/cancellation view, polled by [tick] *)
 }
-
-let force_index ctx = Lazy.force ctx.xindex
-let force_stats ctx = Lazy.force ctx.stats
-
-let check_control ctx =
-  Clip_obs.ctl_check ctx.obs;
-  match Clip_run.Control.check ctx.ctl with
-  | None -> ()
-  | Some d -> Clip_diag.fail d
-
-let tick ctx =
-  incr ctx.steps;
-  Clip_obs.lim_tick ctx.obs;
-  if !(ctx.steps) > ctx.max_steps then
-    Clip_diag.fail
-      (Clip_diag.error ~code:Clip_diag.Codes.limit_eval_steps
-         ~hints:[ "raise [limits.max_eval_steps] if the query is expected to be this large" ]
-         (Printf.sprintf "evaluation exceeded the budget of %d steps" ctx.max_steps));
-  (* Deadline/cancellation poll, amortised to one clock read per 64
-     steps so uncontrolled runs pay one branch per tick. *)
-  if !(ctx.steps) land 63 = 0 && not (Clip_run.Control.is_none ctx.ctl) then
-    check_control ctx
 
 (* Effective boolean value, with the multi-item case reported as a
    dynamic error instead of [Invalid_argument]. *)
@@ -73,33 +45,12 @@ let ebool v =
   | b -> b
   | exception Invalid_argument m -> error "%s" m
 
-(* Child scan over the boxed tree: visits every child, and
-   [nodes_scanned] records exactly that, so an indexed step never
-   reports more scanned nodes than a scan of the same element. *)
-let scan_child_step ctx (e : Xml.Node.element) sym =
-  if Clip_obs.enabled ctx.obs then
-    Clip_obs.scanned ctx.obs (List.length e.children);
-  List.filter_map
-    (function
-      | Xml.Node.Element c when Xml.Symbol.equal c.sym sym ->
-        Some (Value.Node (Xml.Node.Element c))
-      | Xml.Node.Element _ | Xml.Node.Text _ -> None)
-    e.children
-
 let step_nodes ctx (item : Value.item) (step : Ast.step) : Value.t =
   match item, step with
   | Value.Node (Xml.Node.Element e), Ast.Child_step tag ->
     (* Intern once per step evaluation; per-child comparisons are then
        int compares instead of string equality. *)
-    let sym = Xml.Symbol.intern tag in
-    Clip_obs.child_step ctx.obs;
-    (match ctx.index with
-     | None -> scan_child_step ctx e sym
-     | Some idx ->
-       let matches = Xml.Index.children_by_tag ?obs:ctx.obs idx e sym in
-       if Clip_obs.enabled ctx.obs then
-         Clip_obs.scanned ctx.obs (List.length matches);
-       List.map (fun n -> Value.Node n) matches)
+    Meter.child_step ctx.meter e (Xml.Symbol.intern tag)
   | Value.Node (Xml.Node.Element e), Ast.Attr_step name ->
     (match Xml.Node.attr e name with
      | Some a -> [ Value.Atomic a ]
@@ -134,18 +85,12 @@ let numeric name v =
   | None -> error "%s: non-numeric value %S" name (Xml.Atom.to_string v)
 
 (* Estimated items of one evaluation of [e] under the [`Cost] policy,
-   from per-tag cardinalities (see {!Clip_xml.Stats}): a [Child_step t]
-   under a parent tagged [p] yields ~count(t)/count(p) items (ceil; at
-   least 1 when [t] occurs, exactly 0 when it never does); attribute
-   and text steps yield at most one value. [var_tags] maps chain-local
+   from per-tag cardinalities ({!Meter.est_child}); attribute and text
+   steps yield at most one value. [var_tags] maps chain-local
    variables to (estimated items when enumerated, element tag);
    variables bound outside the chain are priced as single items of
-   unknown tag, and a child step under an unknown tag falls back to
-   the global count of its tag — an upper bound. Returns the estimate
-   and the result tag. *)
+   unknown tag. Returns the estimate and the result tag. *)
 let est_flwor_expr ctx var_tags (e : Ast.expr) : int option * Xml.Symbol.t option =
-  let stats = force_stats ctx in
-  let cap = Clip_plan.est_cap in
   let rec go = function
     | Ast.Doc tag -> (Some 1, Some (Xml.Symbol.intern tag))
     | Ast.Var x ->
@@ -157,40 +102,22 @@ let est_flwor_expr ctx var_tags (e : Ast.expr) : int option * Xml.Symbol.t optio
         (fun (est, ptag) step ->
           match (step : Ast.step) with
           | Ast.Attr_step _ | Ast.Text_step -> (est, None)
-          | Ast.Child_step t ->
-            let sym = Xml.Symbol.intern t in
-            let ct = Xml.Stats.tag_count stats sym in
-            let est' =
-              if ct = 0 then Some 0
-              else
-                match est, ptag with
-                | Some e0, Some p when Xml.Stats.tag_count stats p > 0 ->
-                  let cp = Xml.Stats.tag_count stats p in
-                  let fan = max 1 ((ct + cp - 1) / cp) in
-                  Some (min cap (e0 * fan))
-                | Some e0, _ -> Some (min cap (max e0 1 * ct))
-                | None, _ -> Some ct
-            in
-            (est', Some sym))
+          | Ast.Child_step t -> Meter.est_child ctx.meter (est, ptag) t)
         (go base) steps
     | _ -> (None, None)
   in
   go e
 
-(* Documents smaller than this never amortise index groupings; [`Auto]
-   leaves the tag index off below the threshold. *)
-let index_threshold = 256
-
 let rec eval ctx env (e : Ast.expr) : Value.t =
-  tick ctx;
+  Meter.tick ctx.meter;
   match e with
   | Ast.Var x ->
     (match Env.find_opt x env with
      | Some v -> v
      | None -> error "unbound variable $%s" x)
   | Ast.Doc tag ->
-    (match ctx.input with
-     | Xml.Node.Element e when String.equal e.tag tag -> Value.of_node ctx.input
+    (match ctx.meter.source with
+     | Xml.Node.Element e when String.equal e.tag tag -> Value.of_node ctx.meter.source
      | Xml.Node.Element e ->
        error "input document root is <%s>, query expects <%s>" e.tag tag
      | Xml.Node.Text _ -> error "input document root is a text node")
@@ -357,7 +284,7 @@ and eval_flwor ctx env clauses where return =
     in
     match find !(ctx.plans) with
     | Some p ->
-      Clip_obs.memo_hit ctx.obs;
+      ctx.meter.counters.memo_hits <- ctx.meter.counters.memo_hits + 1;
       p
     | None ->
       let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
@@ -369,17 +296,18 @@ and eval_flwor ctx env clauses where return =
      revisit-prone plan shows up over a large-enough document (the
      index's memoised groupings stay sound mid-run — nodes are
      immutable). Straight-line queries never pay for it. *)
-  (match ctx.plan, ctx.index with
+  let m = ctx.meter in
+  (match ctx.plan, m.index with
    | `Auto, None ->
      if
        Clip_plan.revisit_prone p
-       && Xml.Stats.node_count (force_stats ctx) >= index_threshold
-     then ctx.index <- Some (force_index ctx)
+       && Xml.Stats.node_count (Meter.force_stats m) >= Meter.index_threshold
+     then m.index <- Some (Meter.force_index m)
    | _ -> ());
   let acc = ref [] in
   ctx.runs <- Clip_plan.inner_runs ~runs p;
-  Clip_plan.execute ?obs:ctx.obs ~run:ctx.run p
-    ~tick:(fun () -> tick ctx)
+  Clip_plan.execute ~obs:m.counters ~run:ctx.run p
+    ~tick:(fun () -> Meter.tick m)
     ~env
     ~emit:(fun env -> acc := eval ctx env return :: !acc);
   ctx.runs <- runs;
@@ -461,21 +389,13 @@ and eval_call ctx env name args =
     Value.of_atom (Xml.Atom.Bool (not (ebool (arg 0))))
   | name -> error "unknown function %s#%d" name (List.length args)
 
-let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none)
-    ?(plan = `Auto) input =
+let make_ctx ?max_steps ?obs ?ctl ?(plan = `Auto) input =
   {
-    input;
-    index = None;
-    xindex = lazy (Xml.Index.build input);
-    stats = lazy (Xml.Stats.collect input);
+    meter = Meter.create ?max_steps ?counters:obs ?ctl ~what:"query" input;
     plan;
     plans = ref [];
     run = Clip_plan.Run.create ();
     runs = Some 1;
-    steps = ref 0;
-    max_steps;
-    obs;
-    ctl;
   }
 
 (* Static plan rendering for every FLWOR block of a query, numbered in
@@ -485,7 +405,7 @@ let make_ctx ?(max_steps = max_int) ?obs ?(ctl = Clip_run.Control.none)
 let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
   let ctx = make_ctx input in
   let b = Buffer.create 512 in
-  let nodes = Xml.Stats.node_count (force_stats ctx) in
+  let nodes = Xml.Stats.node_count (Meter.force_stats ctx.meter) in
   Printf.bprintf b "backend: xquery\nplan: %s\ndocument: %d nodes\n"
     (match plan with `Indexed -> "indexed" | `Auto -> "auto")
     nodes;
@@ -498,7 +418,7 @@ let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
     | `Auto ->
       Printf.bprintf b
         "strategy: physical plans, cost-based joins; tag index adaptive (on at the first revisit-prone plan over >= %d nodes)\n"
-        index_threshold;
+        Meter.index_threshold;
       `Cost
   in
   let counter = ref 0 in
@@ -556,34 +476,25 @@ let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
   walk (Some 1) [] expr;
   Buffer.contents b
 
-let with_ctx ?ctl ?obs plan limits steps_out input f =
+let with_ctx ?ctl ?obs plan limits input f =
   let ctx =
     make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl ~plan
       input
   in
   (* [`Auto] switches the tag index on adaptively, in [eval_flwor]. *)
-  if plan = `Indexed then ctx.index <- Some (force_index ctx);
-  let finish () =
-    match steps_out with Some r -> r := !(ctx.steps) | None -> ()
-  in
-  Fun.protect ~finally:finish (fun () ->
-      (* One unconditional control poll before any work makes an
-         already-lapsed deadline or a pre-set cancel flag deterministic
-         regardless of the 64-step amortisation. *)
-      if not (Clip_run.Control.is_none ctx.ctl) then check_control ctx;
-      Clip_fault.hit ~obs:ctx.obs Clip_fault.Site.xquery_execute;
-      f ctx)
+  if plan = `Indexed then ctx.meter.index <- Some (Meter.force_index ctx.meter);
+  Meter.enter ctx.meter Clip_fault.Site.xquery_execute;
+  f ctx
 
 let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl ?obs
     ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?obs plan limits None input (fun ctx ->
-        eval ctx Env.empty expr))
+    with_ctx ?ctl ?obs plan limits input (fun ctx -> eval ctx Env.empty expr))
 
 let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
-    ?ctl ?steps_out ?obs ~input expr =
+    ?ctl ?obs ~input expr =
   Clip_diag.guard (fun () ->
-    with_ctx ?ctl ?obs plan limits steps_out input (fun ctx ->
+    with_ctx ?ctl ?obs plan limits input (fun ctx ->
       match eval ctx Env.empty expr with
       | [ Value.Node (Xml.Node.Element _ as n) ] -> n
       | v ->

@@ -16,12 +16,10 @@
     unconditionally. Both modes produce identical values; only error
     behaviour may differ (pushdown can evaluate a failing conjunct a
     clause-by-clause order would never reach, and vice versa).
-    [?steps_out] (on
-    {!run_document_result}, for per-shard evaluation), when given,
-    receives the number of budget steps consumed, even when evaluation
-    fails. [?obs], when given, collects execution counters
-    for the run into the supplied sink — counters are explicit per-run
-    state, never ambient. [?ctl], when given, is polled at the same
+    The run counts into [?obs] (a fresh record when omitted) —
+    counters are explicit per-run state, never ambient; its step count
+    is the increase of the record's [lim_ticks] (see {!Meter}). [?ctl],
+    when given, is polled at the same
     budget tick sites (amortised, one clock read per 64 steps, plus
     once at run start): an expired deadline reports [CLIP-LIM-005], a
     set cancellation flag [CLIP-LIM-006] — see {!Clip_run.Control}.
@@ -66,7 +64,6 @@ val run_document_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
   ?ctl:Clip_run.Control.t ->
-  ?steps_out:int ref ->
   ?obs:Clip_obs.Counters.t ->
   input:Clip_xml.Node.t ->
   Ast.expr ->

@@ -355,6 +355,46 @@ let limit_tests =
             checkb "lim_ticks counts the enumerated bindings" true
               (c.Clip_obs.Counters.lim_ticks >= 10_000))
           [ `Indexed; `Auto ]);
+    Alcotest.test_case "lim_ticks is the step budget, on every figure" `Quick
+      (fun () ->
+        (* A run that ticks n times with no limit succeeds under a
+           budget of exactly n steps and fails one step short. *)
+        let module S = Clip_scenarios in
+        let run (sc : S.Figures.t) ~backend ~plan limits =
+          let c = Clip_obs.Counters.create () in
+          let r =
+            Clip_core.Engine.run_result ~ctx:(Clip_run.create ~counters:c ())
+              ~limits ~backend ~plan
+              ~minimum_cardinality:sc.S.Figures.minimum_cardinality
+              sc.S.Figures.mapping S.Deptdb.instance
+          in
+          (r, c.Clip_obs.Counters.lim_ticks)
+        in
+        List.iter
+          (fun (sc : S.Figures.t) ->
+            List.iter
+              (fun (bname, backend) ->
+                List.iter
+                  (fun (pname, plan) ->
+                    let what = Printf.sprintf "%s/%s/%s" sc.S.Figures.name bname pname in
+                    let budget n = { D.Limits.unlimited with D.Limits.max_eval_steps = n } in
+                    let n =
+                      match run sc ~backend ~plan D.Limits.unlimited with
+                      | Ok _, n -> n
+                      | Error ds, _ -> Alcotest.failf "%s: %s" what (D.render_list ds)
+                    in
+                    (match run sc ~backend ~plan (budget n) with
+                     | Ok _, ticks -> checki (what ^ ": ticks under a budget of n") n ticks
+                     | Error ds, _ ->
+                       Alcotest.failf "%s fails under a budget of its %d ticks: %s" what n
+                         (D.render_list ds));
+                    ignore
+                      (expect_code ~msg:(what ^ ": budget n - 1") D.Codes.limit_eval_steps
+                         (fst (run sc ~backend ~plan (budget (n - 1))))))
+                  [ ("indexed", `Indexed); ("auto", `Auto) ])
+              (if sc.S.Figures.minimum_cardinality then [ ("tgd", `Tgd); ("xquery", `Xquery) ]
+               else [ ("tgd", `Tgd) ]))
+          S.Figures.all);
     Alcotest.test_case "xquery eval step budget is CLIP-LIM-004" `Quick (fun () ->
         let q =
           "for $a in d/x for $b in d/x for $c in d/x for $e in d/x return 1"

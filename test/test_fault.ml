@@ -136,7 +136,7 @@ let test_plan_build_default () =
    1-in-6 fault must sum to exactly the fault-free totals of 5 tasks,
    whatever the task-to-domain partition. *)
 let eval_task ~obs () =
-  let ctx = R.create ?counters:obs () in
+  let ctx = R.create ~counters:obs () in
   Result.map ignore (engine ~ctx ~backend:`Tgd doc)
 
 let assoc c = C.to_assoc c

@@ -27,7 +27,7 @@ let batch seeds =
 
 (* Render inside the task, as the CLI does: "byte-identical stdout" is
    literally what comparing these strings checks. *)
-let eval (sc : S.Figures.t) ~backend ~obs doc =
+let eval (sc : S.Figures.t) ~backend ?obs doc =
   let ctx = Clip_run.create ?counters:obs () in
   Clip_xml.Printer.to_pretty_string
     (Engine.run ~ctx ~backend
@@ -65,7 +65,7 @@ let prop_differential =
     (fun (seeds, jobs) ->
       let docs = batch seeds in
       let sc = S.Figures.fig6 in
-      let seq = List.map (fun doc -> eval sc ~backend:`Tgd ~obs:None doc) docs in
+      let seq = List.map (fun doc -> eval sc ~backend:`Tgd doc) docs in
       let par =
         Clip_par.map ~jobs (fun ~obs doc -> eval sc ~backend:`Tgd ~obs doc) docs
       in
@@ -253,13 +253,9 @@ let test_stream_counters () =
       Clip_par.stream_results ~jobs ~obs:c
         ~produce:(counter_producer 12)
         ~consume:ignore
-        (fun ~obs i ->
-          Clip_obs.Counters.(
-            match obs with
-            | Some o ->
-              o.nodes_scanned <- o.nodes_scanned + i;
-              o.child_steps <- o.child_steps + 1
-            | None -> ());
+        (fun ~(obs : C.t) i ->
+          obs.nodes_scanned <- obs.nodes_scanned + i;
+          obs.child_steps <- obs.child_steps + 1;
           Ok i)
     in
     checkb "ok" true (r = Ok ());

@@ -49,7 +49,7 @@ let key1 x env = P.Key.of_atom (Atom.Int (lookup env x))
 let run_plan p =
   let acc = ref [] in
   let ticks = ref 0 in
-  P.execute ~run:(P.Run.create ()) p
+  P.execute ~obs:(Clip_obs.Counters.create ()) ~run:(P.Run.create ()) p
     ~tick:(fun () -> incr ticks)
     ~env:[]
     ~emit:(fun env -> acc := env :: !acc);
@@ -610,8 +610,10 @@ let counted_run (sc : S.Figures.t) ~backend ~plan doc =
    the index itself promises: the forced plan, index on, scans no more
    than the cost-based plan. *)
 let counter_invariants (sc : S.Figures.t) ~backend doc =
-  let _, ci = counted_run sc ~backend ~plan:`Indexed doc in
-  let _, ca = counted_run sc ~backend ~plan:`Auto doc in
+  let out_i, ci = counted_run sc ~backend ~plan:`Indexed doc in
+  let out_a, ca = counted_run sc ~backend ~plan:`Auto doc in
+  checks "indexed and auto outputs agree" (Printer.to_string out_i)
+    (Printer.to_string out_a);
   let bound, bname, plans =
     match backend with
     | `Tgd ->
@@ -641,6 +643,9 @@ let counter_invariants (sc : S.Figures.t) ~backend doc =
   if contains txt "tag index off" then
     checki "tag index off: no probes" 0 ca.C.index_probes
 
+(* The instance the counting-overhead benchmark runs on (scale 10). *)
+let scale10_instance = lazy (S.Deptdb.synthetic_instance ~depts:20 ~projs:5 ~emps:10)
+
 let counter_tests =
   let backends (sc : S.Figures.t) =
     if sc.S.Figures.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
@@ -656,7 +661,11 @@ let counter_tests =
             (fun () ->
               List.iter
                 (counter_invariants sc ~backend)
-                [ S.Deptdb.instance; Lazy.force scaled_instance ]))
+                [
+                  S.Deptdb.instance;
+                  Lazy.force scaled_instance;
+                  Lazy.force scale10_instance;
+                ]))
         (backends sc))
     S.Figures.all
   @ [
@@ -774,19 +783,21 @@ let pinned_counter_tests =
     Alcotest.test_case "no state crosses runs: one context twice = a fresh one"
       `Quick (fun () ->
         (* A context carries no cache: the second run through it must do
-           exactly the first run's work, and a fresh context the same. *)
+           exactly the first run's work, and a fresh context the same. A
+           run's work is what it adds to the context's record. *)
         let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
         List.iter
           (fun (sc : S.Figures.t) ->
             let run ctx c =
-              C.reset c;
+              let before = C.to_assoc c in
               let out =
                 ok
                   (Engine.run_result ~ctx ~plan:`Indexed
                      ~minimum_cardinality:sc.S.Figures.minimum_cardinality
                      sc.S.Figures.mapping doc)
               in
-              (Printer.to_string out, C.to_assoc c)
+              ( Printer.to_string out,
+                List.map2 (fun (k, n0) (_, n) -> (k, n - n0)) before (C.to_assoc c) )
             in
             let c = C.create () in
             let shared = Clip_run.create ~counters:c () in
@@ -847,11 +858,11 @@ let nested_join ?(policy = `Force) ?runs ?(deps = []) ?(eval = fun _ -> [ 3; 1; 
 
 (* Execute [p] once per parent value under one [run]; the [g]s each
    execution emits. *)
-let per_parent ?obs ~run p parents =
+let per_parent ?(obs = Clip_obs.Counters.create ()) ~run p parents =
   List.map
     (fun c ->
       let acc = ref [] in
-      P.execute ?obs ~run p ~tick:ignore ~env:[ ("c", c) ]
+      P.execute ~obs ~run p ~tick:ignore ~env:[ ("c", c) ]
         ~emit:(fun env -> acc := lookup env "g" :: !acc);
       List.rev !acc)
     parents

@@ -11,8 +11,8 @@
    The differential suites (plan, rel, shard, algebra, figures,
    extensions and the fuzz engine target) take their expected bytes
    from here. The interpreter ticks the step budget and counts
-   [lim_ticks], [child_steps] and [nodes_scanned] into an optional
-   sink at the sites the executors meter: one tick per source
+   [lim_ticks], [child_steps] and [nodes_scanned] into a counter
+   record (the caller's, or a fresh one) at the sites the executors meter: one tick per source
    expression, scalar and enumerated binding, every child step a scan
    of all children. Lineage is read from the environment itself, so
    the lineage checks share no helper with the executor they check.
@@ -35,12 +35,12 @@ type ctx = {
   source : Xml.Node.t;
   steps : int ref;
   max_steps : int;
-  obs : Clip_obs.sink;
+  obs : Clip_obs.Counters.t;
 }
 
 let tick ctx =
   incr ctx.steps;
-  Clip_obs.lim_tick ctx.obs;
+  ctx.obs.lim_ticks <- ctx.obs.lim_ticks + 1;
   if !(ctx.steps) > ctx.max_steps then
     Clip_diag.fail
       (Clip_diag.error ~code:Clip_diag.Codes.limit_eval_steps
@@ -53,8 +53,8 @@ let tick ctx =
 let step_items ctx (item : Value.item) (step : Path.step) : Value.item list =
   match item, step with
   | Value.Node (Xml.Node.Element e), Path.Child tag ->
-    Clip_obs.child_step ctx.obs;
-    Clip_obs.scanned ctx.obs (List.length e.children);
+    ctx.obs.child_steps <- ctx.obs.child_steps + 1;
+    ctx.obs.nodes_scanned <- ctx.obs.nodes_scanned + List.length e.children;
     List.filter_map
       (function
         | Xml.Node.Element c when String.equal c.tag tag ->
@@ -160,7 +160,8 @@ let rec compile ops (m : Tgd.t) =
     children = List.map (compile ops) m.children;
   }
 
-let execute ~limits ~minimum_cardinality ?obs ?record ~source ~target_root m =
+let execute ~limits ~minimum_cardinality ?(obs = Clip_obs.Counters.create ())
+    ?record ~source ~target_root m =
   let ctx =
     { source; steps = ref 0; max_steps = limits.Clip_diag.Limits.max_eval_steps; obs }
   in
