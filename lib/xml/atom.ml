@@ -175,4 +175,20 @@ let key = function
        interpreter emits. *)
     KNum (Int64.bits_of_float (if Float.is_nan f then Float.nan else f +. 0.))
 
+(* A hash of [key a] with no key built: the IEEE bits stay unboxed and
+   are mixed in place (a multiply, then the high bits folded onto the
+   low ones a bucket index reads), so a hash join hashes a number
+   without allocating or calling out. Atoms with one key get one
+   hash. *)
+let mix bits =
+  let h = bits * 0x3f4a7c15b2e6d3a9 in
+  (h lxor (h lsr 29) lxor (h lsr 47)) land max_int
+
+let key_hash = function
+  | String s -> Hashtbl.hash s
+  | Bool b -> Hashtbl.hash b
+  | Int i -> mix (Int64.to_int (Int64.bits_of_float (float_of_int i)))
+  | Float f ->
+    mix (Int64.to_int (Int64.bits_of_float (if Float.is_nan f then Float.nan else f +. 0.)))
+
 let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -63,4 +63,9 @@ type key =
 
 val key : t -> key
 
+(** [key_hash a] — a hash of [key a], computed without building the
+    key: atoms with the same key have the same hash, and no hash is
+    negative. *)
+val key_hash : t -> int
+
 val pp : Format.formatter -> t -> unit

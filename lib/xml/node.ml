@@ -37,6 +37,15 @@ let tag = function
   | Element e -> e.tag
   | Text _ -> invalid_arg "Node.tag: text node"
 
+let rec push_tagged sym f x = function
+  | [] -> ()
+  | (Element c as n) :: rest ->
+    if Symbol.equal c.sym sym then f x n;
+    push_tagged sym f x rest
+  | Text _ :: rest -> push_tagged sym f x rest
+
+let iter_children_tagged e sym f x = push_tagged sym f x e.children
+
 let child_elements e =
   List.filter_map (function Element c -> Some c | Text _ -> None) e.children
 
@@ -52,6 +61,12 @@ let rec assoc name = function
 
 let attr e name = assoc name e.attrs
 
+let rec assoc_or name default = function
+  | [] -> default
+  | (k, v) :: rest -> if String.equal k name then v else assoc_or name default rest
+
+let attr_or e name default = assoc_or name default e.attrs
+
 let text_value e =
   match e.children with
   | [] | [ Element _ ] -> None
@@ -61,6 +76,14 @@ let text_value e =
      | [] -> None
      | [ a ] -> Some a
      | many -> Some (Atom.String (String.concat "" (List.map Atom.to_string many))))
+
+(* The one-text-child shape of a leaf answers without an option; mixed
+   content takes the general path. *)
+let text_value_or e default =
+  match e.children with
+  | [] | [ Element _ ] -> default
+  | [ Text a ] -> a
+  | _ -> (match text_value e with Some a -> a | None -> default)
 
 let rec compare a b =
   match a, b with

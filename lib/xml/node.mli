@@ -54,8 +54,17 @@ val children_named : element -> string -> element list
 
 val child_elements : element -> element list
 
+(** [iter_children_tagged e sym f x] — [f x c] for every child element
+    [c] of [e] tagged [sym], in document order, with no list built. *)
+val iter_children_tagged : element -> Symbol.t -> ('a -> t -> unit) -> 'a -> unit
+
 (** [attr e name] is the value of attribute [name], if present. *)
 val attr : element -> string -> Atom.t option
+
+(** [attr_or e name default] — {!attr} without the option: the value
+    of attribute [name], or [default] itself when there is none. A hot
+    path passes a sentinel atom and tests the result with [==]. *)
+val attr_or : element -> string -> Atom.t -> Atom.t
 
 (** [assoc name l] — [List.assoc_opt name l] for string keys, comparing
     with [String.equal]. *)
@@ -64,6 +73,10 @@ val assoc : string -> (string * 'a) list -> 'a option
 (** [text_value e] is the concatenated text content directly under [e],
     or [None] when [e] has no text child. *)
 val text_value : element -> Atom.t option
+
+(** [text_value_or e default] — {!text_value} without the option, like
+    {!attr_or}. *)
+val text_value_or : element -> Atom.t -> Atom.t
 
 (** {1 Comparison} *)
 

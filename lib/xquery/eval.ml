@@ -50,7 +50,7 @@ let step_nodes ctx (item : Value.item) (step : Ast.step) : Value.t =
   | Value.Node (Xml.Node.Element e), Ast.Child_step tag ->
     (* Intern once per step evaluation; per-child comparisons are then
        int compares instead of string equality. *)
-    Meter.child_step ctx.meter e (Xml.Symbol.intern tag)
+    Meter.child_items ctx.meter e (Xml.Symbol.intern tag)
   | Value.Node (Xml.Node.Element e), Ast.Attr_step name ->
     (match Xml.Node.attr e name with
      | Some a -> [ Value.Atomic a ]
@@ -216,7 +216,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
               Clip_plan.var = x;
               deps = Ast.free_vars e;
               est;
-              eval = (fun env -> List.map (fun it -> [ it ]) (eval ctx env e));
+              eval = (fun env f -> List.iter (fun it -> f [ it ]) (eval ctx env e));
               bind = (fun env v -> Env.add x v env);
             }
           in
@@ -231,7 +231,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
               Clip_plan.var = x;
               deps = Ast.free_vars e;
               est = Some 1 (* binds the whole sequence as one item *);
-              eval = (fun env -> [ eval ctx env e ]);
+              eval = (fun env f -> f (eval ctx env e));
               bind = (fun env v -> Env.add x v env);
             }
           in
@@ -251,9 +251,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
       let keyed e =
         {
           Clip_plan.kvars = Ast.free_vars e;
-          keys =
-            (fun env ->
-              List.map Clip_plan.Key.of_atom (Value.atomize (eval ctx env e)));
+          keys = (fun env f -> List.iter f (Value.atomize (eval ctx env e)));
         }
       in
       Clip_plan.Eq { left = keyed l; right = keyed r; orig }

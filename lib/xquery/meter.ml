@@ -61,26 +61,36 @@ let tick m =
   if steps land 63 = 0 && not (Clip_run.Control.is_none m.ctl) then
     check_control m
 
-(* Each visited child or returned match is counted in the pass that
-   already walks the list. *)
-let child_step m (e : Xml.Node.element) sym =
+(* A run of [n] ticks is one counter write while the budget holds and
+   no control poll falls due inside it; otherwise it ticks one by one,
+   so a failure leaves the record exactly as [n] calls would. *)
+let ticks m n =
+  let c = m.counters in
+  let steps = c.lim_ticks - m.start in
+  let steps' = steps + n in
+  if steps' <= m.max_steps && (steps' lsr 6 = steps lsr 6 || Clip_run.Control.is_none m.ctl)
+  then c.lim_ticks <- c.lim_ticks + n
+  else
+    for _ = 1 to n do
+      tick m
+    done
+
+(* Each visited child or returned match is counted before the first
+   match is pushed, as when the step returned a list: a consumer that
+   fails midway sees the step's whole count. *)
+let child_step m (e : Xml.Node.element) sym f x =
   let c = m.counters in
   c.child_steps <- c.child_steps + 1;
   match m.index with
   | None ->
-    List.filter_map
-      (fun n ->
-        c.nodes_scanned <- c.nodes_scanned + 1;
-        match n with
-        | Xml.Node.Element ce when Xml.Symbol.equal ce.sym sym -> Some (Value.Node n)
-        | Xml.Node.Element _ | Xml.Node.Text _ -> None)
-      e.children
-  | Some idx ->
-    List.map
-      (fun n ->
-        c.nodes_scanned <- c.nodes_scanned + 1;
-        Value.Node n)
-      (Xml.Index.children_by_tag idx e sym)
+    c.nodes_scanned <- c.nodes_scanned + List.length e.children;
+    Xml.Node.iter_children_tagged e sym f x
+  | Some idx -> Xml.Index.iter_children_by_tag idx e sym f x
+
+let child_items m e sym =
+  let acc = ref [] in
+  child_step m e sym (fun acc n -> acc := Value.Node n :: !acc) acc;
+  List.rev !acc
 
 let est_child m (est, ptag) tag =
   let stats = force_stats m in

@@ -52,13 +52,23 @@ val enter : t -> string -> unit
     budget; polls [ctl] every 64 steps of the run. *)
 val tick : t -> unit
 
-(** [child_step m e sym] — the child elements of [e] tagged [sym], in
-    document order: an index probe when the run uses the tag index,
-    else a scan. Counts one child step, and as scanned nodes every
-    child a scan visits or every match a probe returns, so an indexed
-    step never reports more scanned nodes than a scan of the same
-    element. *)
-val child_step : t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> Value.item list
+(** [ticks m n] — [n] {!tick}s in a row, in one counter write when no
+    budget failure or control poll falls among them. *)
+val ticks : t -> int -> unit
+
+(** [child_step m e sym f x] — [f x c] for every child element [c] of
+    [e] tagged [sym], in document order, with no list built: an index
+    probe when the run uses the tag index, else a scan. Counts one
+    child step, and as scanned nodes every child a scan visits or every
+    match a probe returns, so an indexed step never reports more
+    scanned nodes than a scan of the same element. The step is counted
+    in full before the first match is pushed. *)
+val child_step :
+  t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> ('a -> Clip_xml.Node.t -> unit) -> 'a -> unit
+
+(** [child_items m e sym] — the matches of {!child_step} as a list of
+    items, for the XQuery evaluator. *)
+val child_items : t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> Value.item list
 
 (** [est_child m (est, parent) tag] — the planner's estimate for a
     [Child tag] step from per-tag cardinalities: applied to [est] items

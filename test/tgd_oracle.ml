@@ -147,8 +147,12 @@ let ops ctx (record : recorder option) : (binding Env.t, unit) Builder.ops =
                   env)
               record;
             Env.add x (Tgt node) env ));
-    compile_scalar = (fun () s -> Builder.Many (fun env -> eval_scalar ctx env s));
-    compile_items = (fun () e env -> eval_src ctx env e);
+    compile_scalar = (fun () s -> Builder.Many (fun env k -> List.iter k (eval_scalar ctx env s)));
+    compile_items =
+      (fun () e env k ->
+        List.iter
+          (function Value.Node n -> k n | Value.Atomic a -> k (Xml.Node.Text a))
+          (eval_src ctx env e));
   }
 
 type tree = { tm : Tgd.t; rule : binding Env.t Builder.rule; children : tree list }
