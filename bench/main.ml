@@ -621,7 +621,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   subrule
     "degraded batch: one injected par.task fault — survivors intact, counters \
      exact";
-  (* One injected permanent fault in an N-task batch must cost exactly
+  (* One injected fault in an N-task batch must cost exactly
      that slot: the other N-1 outputs byte-identical to the fault-free
      run, and the merged counters equal to the fault-free totals of the
      survivors alone (failed attempts merge nothing). Sequential run
@@ -643,8 +643,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     (Clip_par.map_results ~jobs:1 ~obs:cs task
        (List.filteri (fun i _ -> i <> dg_fail) dg_docs));
   let cf = Clip_obs.Counters.create () in
-  Clip_fault.arm ~kind:Clip_fault.Permanent ~from:(dg_fail + 1)
-    Clip_fault.Site.par_task;
+  Clip_fault.arm ~from:(dg_fail + 1) Clip_fault.Site.par_task;
   let rs = Clip_par.map_results ~jobs:1 ~obs:cf task dg_docs in
   Clip_fault.disarm ();
   let slot_ok i r =
@@ -660,7 +659,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let degraded_counters =
     Clip_obs.Counters.to_assoc cs = Clip_obs.Counters.to_assoc cf
   in
-  Clip_fault.arm ~kind:Clip_fault.Permanent ~from:1 Clip_fault.Site.par_task;
+  Clip_fault.arm ~from:1 Clip_fault.Site.par_task;
   let rsp = Clip_par.map_results ~jobs task dg_docs in
   Clip_fault.disarm ();
   let degraded_par_isolated =

@@ -251,17 +251,8 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "k"; "keep-going" ] ~doc)
   in
-  let retries_arg =
-    let doc =
-      "Re-attempt an input whose evaluation failed transiently (codes \
-       CLIP-FLT-001, CLIP-IO-001) up to $(docv) more times, with fresh \
-       per-task state. Deterministic failures (syntax, limits, deadlines) \
-       are never retried."
-    in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-  in
   let run file inputs backend plan tree trace jobs timeout_ms keep_going
-      retries stream shard_bytes thens =
+      stream shard_bytes thens =
     let m = load_mapping file in
     if thens <> [] && stream then begin
       prerr_endline "clip: --then cannot be combined with --stream";
@@ -332,66 +323,36 @@ let run_cmd =
        | None -> ());
       Buffer.contents b
     in
-    let code =
+    (* [failed] counts inputs already reported as failed (parse
+       failures); [outcomes] holds the rest, in input order. *)
+    let failed, outcomes =
       if stream then begin
         (* Streaming ingestion: the document is never loaded whole here —
            bytes flow chunkwise from the channel into the engine (and,
            when the mapping shards, straight into the shard cutter).
            Lineage needs the materialised tree, so --trace prints
            counters and phases but no lineage on this path. *)
-        let outcomes =
+        ( 0,
           List.map
             (fun path ->
-              let r =
-                match open_in_bin path with
-                | exception Sys_error msg ->
-                  Error [ Clip_diag.error ~code:Clip_diag.Codes.io_error msg ]
-                | ic ->
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () ->
-                      let st = Clip_xml.Stream.of_channel ic in
-                      let ctx =
-                        Clip_run.create ~counters:total ?tracer
-                          ?deadline:(deadline_for ()) ~cancel ()
-                      in
-                      Result.map render_out
-                        (Clip_core.Engine.run_stream_result ~ctx ~backend
-                           ~plan ~mode ?shard_bytes ~jobs m st))
-              in
-              (path, r))
-            inputs
-        in
-        if keep_going then begin
-          let failed = ref 0 in
-          List.iter
-            (fun (path, r) ->
-              match r with
-              | Ok s -> print_string s
-              | Error ds ->
-                incr failed;
-                Printf.eprintf "clip: input %s: failed\n" path;
-                report ds)
-            outcomes;
-          if !failed > 0 then begin
-            Printf.eprintf "clip: %d of %d input(s) failed\n" !failed
-              (List.length inputs);
-            1
-          end
-          else 0
-        end
-        else begin
-          let rec emit = function
-            | [] -> 0
-            | (_, Ok s) :: rest ->
-              print_string s;
-              emit rest
-            | (_, Error ds) :: _ ->
-              report ds;
-              1
-          in
-          emit outcomes
-        end
+              (* Opening and reading both raise [Sys_error] (a directory
+                 opens, then fails on the first read). *)
+              match
+                In_channel.with_open_bin path (fun ic ->
+                    let st = Clip_xml.Stream.of_channel ic in
+                    let ctx =
+                      Clip_run.create ~counters:total ?tracer
+                        ?deadline:(deadline_for ()) ~cancel ()
+                    in
+                    Result.map render_out
+                      (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
+                         ~mode ?shard_bytes ~jobs m st))
+              with
+              | r -> (path, r)
+              | exception Sys_error msg ->
+                let d = Clip_diag.error ~code:Clip_diag.Codes.io_error msg in
+                (path, Error [ d ]))
+            inputs )
       end
       else begin
         (* Parse sequentially: parse diagnostics want the source text for
@@ -456,45 +417,50 @@ let run_cmd =
                  ?shard_bytes ~jobs ms source)
         in
         let results =
-          Clip_par.map_results ~jobs:cross_jobs ~retries ~obs:total evaluate
+          Clip_par.map_results ~jobs:cross_jobs ~obs:total evaluate
             sources
         in
-        if keep_going then begin
-          (* Graceful degradation: every input's outcome, in input order;
-             successes on stdout, failures under a per-input header on
-             stderr, then a one-line summary. *)
-          let failed = ref !parse_failures in
-          List.iter2
-            (fun (path, _) r ->
+        ( !parse_failures,
+          List.map2 (fun (path, _) r -> (path, r)) sources results )
+      end
+    in
+    let code =
+      if keep_going then begin
+        (* Graceful degradation: successes on stdout, each failure under
+           a per-input header on stderr, then a one-line tally. *)
+        let failed =
+          List.fold_left
+            (fun failed (path, r) ->
               match r with
-              | Ok s -> print_string s
+              | Ok s ->
+                print_string s;
+                failed
               | Error ds ->
-                incr failed;
                 Printf.eprintf "clip: input %s: failed\n" path;
-                report ds)
-            sources results;
-          if !failed > 0 then begin
-            Printf.eprintf "clip: %d of %d input(s) failed\n" !failed
-              (List.length inputs);
-            1
-          end
-          else 0
-        end
+                report ds;
+                failed + 1)
+            failed outcomes
+        in
+        if failed = 0 then 0
         else begin
-          (* Fail fast: outputs up to the first failing input, then that
-             failure's diagnostics and nothing after it. *)
-          let rec emit = function
-            | [] -> 0
-            | Ok s :: rest ->
-              print_string s;
-              emit rest
-            | Error ds :: _ ->
-              report ds;
-              1
-          in
-          emit results
+          Printf.eprintf "clip: %d of %d input(s) failed\n" failed
+            (List.length inputs);
+          1
         end
       end
+      else
+        (* Fail fast: outputs up to the first failing input, then that
+           failure's diagnostics and nothing after it. *)
+        let rec emit = function
+          | [] -> 0
+          | (_, Ok s) :: rest ->
+            print_string s;
+            emit rest
+          | (_, Error ds) :: _ ->
+            report ds;
+            1
+        in
+        emit outcomes
     in
     if trace && code = 0 then begin
       (match tracer with
@@ -508,7 +474,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Transform a source instance into a target instance")
     Term.(const run $ mapping_file $ input_files $ backend_arg $ plan_arg
           $ tree_flag $ trace_flag $ jobs_arg $ timeout_arg
-          $ keep_going_flag $ retries_arg $ stream_flag $ shard_bytes_arg
+          $ keep_going_flag $ stream_flag $ shard_bytes_arg
           $ then_arg)
 
 (* --- explain ------------------------------------------------------------ *)
@@ -895,7 +861,7 @@ let main =
       lineage_cmd;
     ]
 
-(* CLIP_FAULT=site[:FROM[:KIND[:TIMES]]] arms one deterministic fault
+(* CLIP_FAULT=site[:FROM] arms one deterministic fault
    before the command runs — the test harness's hook for exercising
    error paths through the real binary (see Clip_fault). A malformed
    spec is a usage error, same class as a bad flag. *)

@@ -171,7 +171,6 @@ module Codes = struct
   let limit_eval_steps = "CLIP-LIM-004"
   let limit_deadline = "CLIP-LIM-005"
   let cancelled = "CLIP-LIM-006"
-  let fault_transient = "CLIP-FLT-001"
   let fault_permanent = "CLIP-FLT-002"
   let algebra_schema_mismatch = "CLIP-ALG-001"
   let algebra_grouping = "CLIP-ALG-002"
@@ -184,19 +183,6 @@ module Codes = struct
   let ablation_backend = "CLIP-ENG-001"
   let validity kind = "CLIP-VAL-" ^ kind
 end
-
-(* Retry classification. Deterministic failures — syntax errors, type
-   errors, exceeded limits, cancellation — will fail identically on a
-   fresh attempt, so retrying them is wasted work (and, for deadlines,
-   actively harmful: it doubles the latency of an already-late
-   request). Only faults that stem from the environment rather than
-   the input are worth a retry: I/O errors and injected transient
-   faults ({!Codes.fault_transient}, the class {!Clip_fault} uses to
-   model recoverable infrastructure hiccups). *)
-let is_transient d =
-  String.equal d.code Codes.fault_transient || String.equal d.code Codes.io_error
-
-let has_transient ds = List.exists is_transient ds
 
 module Limits = struct
   type t = {

@@ -68,17 +68,6 @@ val has_errors : t list -> bool
 (** True for resource-guard diagnostics (codes [CLIP-LIM-*]). *)
 val is_resource_limit : t -> bool
 
-(** True for diagnostics a {e fresh attempt} could plausibly clear:
-    I/O errors and injected transient faults ([CLIP-FLT-001]).
-    Deterministic failures (syntax, dynamic errors, exceeded limits,
-    cancellation) are never transient — retrying them is wasted work.
-    {!Clip_par.map_results} consults this for its bounded-retry
-    policy. *)
-val is_transient : t -> bool
-
-(** [has_transient ds] — any diagnostic in [ds] {!is_transient}. *)
-val has_transient : t list -> bool
-
 (** The internal carrier. Raise through {!fail}; catch with {!guard}. *)
 exception Fail of t list
 
@@ -148,9 +137,7 @@ module Codes : sig
 
   val cancelled : string (** [CLIP-LIM-006] evaluation cancelled cooperatively *)
 
-  val fault_transient : string (** [CLIP-FLT-001] injected transient fault ({!Clip_fault}) *)
-
-  val fault_permanent : string (** [CLIP-FLT-002] injected permanent fault ({!Clip_fault}) *)
+  val fault_permanent : string (** [CLIP-FLT-002] injected fault ({!Clip_fault}) *)
 
   val algebra_schema_mismatch : string
   (** [CLIP-ALG-001] composition: m1's target is not m2's source *)

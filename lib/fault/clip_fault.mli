@@ -5,25 +5,15 @@
     executors, the {!Clip_par} task wrapper — and are
     inert (one atomic load, one branch) until a harness {!arm}s
     exactly one of them. The armed hit raises through
-    {!Clip_diag.Fail} with a stable code — [CLIP-FLT-001] for
-    {!Transient} faults (retryable, see {!Clip_diag.is_transient}),
-    [CLIP-FLT-002] for {!Permanent} ones — so an injected fault
-    travels the same error path a real failure would and escapes every
-    [*_result] entry point as a structured [Error].
+    {!Clip_diag.Fail} with the stable code [CLIP-FLT-002], so an
+    injected fault travels the same error path a real failure would
+    and escapes every [*_result] entry point as a structured [Error].
 
     The armed state is process-wide and test-only: production code
     never arms anything, and the obs bench gates the disarmed
     overhead. Arming is deterministic (explicit site + hit ordinal, or
     {!arm_seeded} from a seed); with a single domain, which invocation
     fails replays exactly. See DESIGN.md "Fault tolerance". *)
-
-(** Transient faults model recoverable environment hiccups and are the
-    class {!Clip_par.map_results}' retry policy re-attempts; permanent
-    faults are never retried. *)
-type kind = Transient | Permanent
-
-(** The stable diagnostic code of each kind. *)
-val code : kind -> string
 
 (** The registered site names (compile-time constants, one per planted
     boundary). *)
@@ -46,16 +36,15 @@ end
 val all_sites : string list
 
 (** [arm site] — arm one fault: the [from]-th hit of [site] (1-based,
-    default 1) and the [times - 1] hits after it (default [times = 1])
-    raise; every other hit is a no-op. Replaces any previously armed
-    fault and resets hit counting.
+    default 1) raises; every other hit is a no-op. Replaces any
+    previously armed fault and resets hit counting.
     @raise Invalid_argument on an unregistered site. *)
-val arm : ?kind:kind -> ?from:int -> ?times:int -> string -> unit
+val arm : ?from:int -> string -> unit
 
-(** [arm_seeded ~seed] — derive (site, firing hit, kind)
-    deterministically from [seed] and arm it; returns the choice. For
-    seed-sweep harnesses (test/fuzz). *)
-val arm_seeded : seed:int -> string * int * kind
+(** [arm_seeded ~seed] — derive (site, firing hit) deterministically
+    from [seed] and arm it; returns the choice. For seed-sweep
+    harnesses (test/fuzz). *)
+val arm_seeded : seed:int -> string * int
 
 (** Disarm whatever is armed (idempotent). *)
 val disarm : unit -> unit
@@ -67,12 +56,12 @@ val armed_site : unit -> string option
 val fired : unit -> int
 
 (** [hit site] — the failure point. No-op unless [site] is armed and
-    this is a firing hit, in which case it raises {!Clip_diag.Fail}
-    with the armed kind's code (and counts into [?obs] as
+    this is the firing hit, in which case it raises {!Clip_diag.Fail}
+    with code [CLIP-FLT-002] (and counts into [?obs] as
     [faults_injected]). *)
 val hit : ?obs:Clip_obs.Counters.t -> string -> unit
 
-(** [arm_spec "site[:FROM[:KIND[:TIMES]]]"] — parse and arm the CLI's
-    [CLIP_FAULT] environment format (e.g. ["tgd.execute:2:transient"]).
+(** [arm_spec "site[:FROM]"] — parse and arm the CLI's [CLIP_FAULT]
+    environment format (e.g. ["tgd.execute:2"]).
     [Error reason] on a malformed spec or unknown site. *)
 val arm_spec : string -> (unit, string) result

@@ -6,21 +6,19 @@
      one atomic counter, so scheduling is dynamic (no static striping
      that would let one slow task idle a domain) while results land in
      their input slot — output order is input order, always;
-   - every attempt at a task runs against a fresh scratch counter
-     record, merged into the worker's per-domain record only when the
-     attempt succeeds; the per-domain records are merged into the
-     caller's record with {!Clip_obs.Counters.add} after the join. Every
-     counter is thus a sum of per-successful-task increments, so the
-     merged totals are independent of the task-to-domain partition
-     {e and} of how many tasks failed — survivors always sum to
-     exactly the fault-free sequential totals;
+   - every task runs against a fresh scratch counter record, merged
+     into the worker's per-domain record only when the task succeeds;
+     the per-domain records are merged into the caller's record with
+     {!Clip_obs.Counters.add} after the join. Every counter is thus a
+     sum of per-successful-task increments, so the merged totals are
+     independent of the task-to-domain partition {e and} of how many
+     tasks failed — survivors always sum to exactly the fault-free
+     sequential totals;
    - {!map_results} isolates failure to its slot: a task that reports
      diagnostics (or raises {!Clip_diag.Fail}) yields [Error ds] in
-     its input position and the rest of the batch completes; a bounded
-     retry policy ([?retries]) re-attempts {e transient} failures
-     ({!Clip_diag.is_transient}) immediately on the same worker, each
-     attempt from a fresh scratch record, so retried-then-successful
-     tasks also count exactly once;
+     its input position and the rest of the batch completes. Nothing
+     is retried: evaluation is a deterministic function of its input,
+     so a task that failed once fails the same way again;
    - {!map} keeps the strict contract as a thin wrapper: any
      [Error ds] slot re-raises {!Clip_diag.Fail} for the lowest
      failing input index after every task has run. Exceptions other
@@ -44,46 +42,33 @@ type 'b slot =
   | Raised of exn * Printexc.raw_backtrace
   | Pending
 
-(* One task under the retry policy. [into] is the record the
-   successful attempt's scratch counters merge into (the worker's
-   per-domain record, or the caller's own in sequential mode). The
-   [par.task] fault point sits inside the attempt, so an injected task
-   fault is subject to exactly the retry/isolation treatment a real one
+(* One task. [into] is the record its scratch counters merge into on
+   success (the worker's per-domain record, or the caller's own in
+   sequential mode). The [par.task] fault point sits inside the task,
+   so an injected task fault gets exactly the isolation a real one
    gets. *)
-let attempt ~retries ~into f x =
-  let once () =
-    let scratch = Clip_obs.Counters.create () in
-    let r =
-      match
-        Clip_fault.hit ~obs:scratch Clip_fault.Site.par_task;
-        f ~obs:scratch x
-      with
-      | r -> r
-      | exception Clip_diag.Fail ds -> Error ds
-    in
-    (match r with
-     | Ok _ -> Clip_obs.Counters.add ~into scratch
-     | Error _ -> ());
-    r
+let attempt ~into f x =
+  let scratch = Clip_obs.Counters.create () in
+  let r =
+    match
+      Clip_fault.hit ~obs:scratch Clip_fault.Site.par_task;
+      f ~obs:scratch x
+    with
+    | r -> r
+    | exception Clip_diag.Fail ds -> Error ds
   in
-  let rec go left =
-    match once () with
-    | Ok _ as ok -> ok
-    | Error ds when left > 0 && Clip_diag.has_transient ds -> go (left - 1)
-    | Error _ as e -> e
-  in
-  go (max 0 retries)
+  (match r with Ok _ -> Clip_obs.Counters.add ~into scratch | Error _ -> ());
+  r
 
-let map_results ?jobs ?(retries = 0) ?(obs = Clip_obs.Counters.create ()) f
-    items =
+let map_results ?jobs ?(obs = Clip_obs.Counters.create ()) f items =
   let tasks = Array.of_list items in
   let n = Array.length tasks in
   let jobs = min (clamp_jobs ~cores:(default_jobs ()) jobs) n in
   if jobs <= 1 then
-    (* Sequential degenerate case: same attempt machinery (scratch
-       records, retries, fault point), caller's record as the merge
-       target, tasks in order on the calling domain. *)
-    List.map (fun x -> attempt ~retries ~into:obs f x) items
+    (* Sequential degenerate case: same task machinery (scratch
+       records, fault point), caller's record as the merge target,
+       tasks in order on the calling domain. *)
+    List.map (fun x -> attempt ~into:obs f x) items
   else begin
     let results = Array.make n Pending in
     let next = Atomic.make 0 in
@@ -93,7 +78,7 @@ let map_results ?jobs ?(retries = 0) ?(obs = Clip_obs.Counters.create ()) f
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (results.(i) <-
-             (match attempt ~retries ~into:c f tasks.(i) with
+             (match attempt ~into:c f tasks.(i) with
               | r -> Done r
               | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
           loop ()
@@ -138,8 +123,8 @@ type 'b stream_slot =
   | Sdone of ('b, Clip_diag.t list) result * Clip_obs.Counters.t
   | Sraised of exn * Printexc.raw_backtrace
 
-let stream_results ?jobs ?window ?(retries = 0)
-    ?(obs = Clip_obs.Counters.create ()) ~produce ~consume f =
+let stream_results ?jobs ?(obs = Clip_obs.Counters.create ()) ~produce ~consume
+    f =
   let jobs = clamp_jobs ~cores:(default_jobs ()) jobs in
   if jobs <= 1 then
     (* Sequential degenerate case: produce, evaluate, consume, repeat —
@@ -150,7 +135,7 @@ let stream_results ?jobs ?window ?(retries = 0)
       | Ok None -> Ok ()
       | Ok (Some x) -> (
           let scratch = Clip_obs.Counters.create () in
-          match attempt ~retries ~into:scratch f x with
+          match attempt ~into:scratch f x with
           | Error _ as e -> e
           | Ok v -> (
               Clip_obs.Counters.add ~into:obs scratch;
@@ -160,7 +145,9 @@ let stream_results ?jobs ?window ?(retries = 0)
     in
     loop ()
   else begin
-    let window = match window with Some w -> max jobs w | None -> 2 * jobs in
+    (* Items in flight (assigned but unconsumed): enough to keep every
+       worker busy while one slow shard holds up the consumer. *)
+    let window = 2 * jobs in
     let m = Mutex.create () in
     let cv = Condition.create () in
     let buffer : (int, 'b stream_slot) Hashtbl.t = Hashtbl.create 16 in
@@ -207,7 +194,7 @@ let stream_results ?jobs ?window ?(retries = 0)
                 Mutex.unlock m;
                 let scratch = Clip_obs.Counters.create () in
                 let slot =
-                  match attempt ~retries ~into:scratch f x with
+                  match attempt ~into:scratch f x with
                   | r -> Sdone (r, scratch)
                   | exception e -> Sraised (e, Printexc.get_raw_backtrace ())
                 in

@@ -24,8 +24,8 @@ module Node = Clip_xml.Node
 let codes ds = String.concat "," (List.map (fun d -> d.D.code) ds)
 let has_code code ds = List.exists (fun d -> String.equal d.D.code code) ds
 
-let with_armed ?kind ?from ?times site f =
-  F.arm ?kind ?from ?times site;
+let with_armed ?from site f =
+  F.arm ?from site;
   Fun.protect ~finally:F.disarm f
 
 let sc = Fig.fig6
@@ -61,7 +61,7 @@ let test_site_walk () =
   List.iter
     (fun site ->
       let r, nfired =
-        with_armed ~kind:F.Permanent site (fun () ->
+        with_armed site (fun () ->
             let r = driver site in
             (r, F.fired ()))
       in
@@ -100,7 +100,7 @@ let test_no_poisoning () =
         | Error ds -> Alcotest.failf "fault-free baseline failed: %s" (codes ds)
       in
       let ctx = R.create () in
-      with_armed ~kind:F.Permanent site (fun () ->
+      with_armed site (fun () ->
           match engine ~ctx ~backend doc with
           | Ok _ -> Alcotest.failf "site %s: armed fault did not fire" site
           | Error _ -> ());
@@ -120,7 +120,7 @@ let test_plan_build_default () =
   List.iter
     (fun backend ->
       match
-        with_armed ~kind:F.Permanent F.Site.plan_build (fun () ->
+        with_armed F.Site.plan_build (fun () ->
             Engine.run_result ~backend
               ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping
               Dept.instance)
@@ -156,7 +156,7 @@ let test_batch_degradation () =
   let check_run ~jobs ~from =
     let cf = C.create () in
     let rs =
-      with_armed ~kind:F.Permanent ~from F.Site.par_task (fun () ->
+      with_armed ~from F.Site.par_task (fun () ->
           Clip_par.map_results ~jobs ~obs:cf eval_task units)
     in
     let failed =
@@ -180,7 +180,7 @@ let test_batch_degradation () =
   (* sequential: hit ordinal 4 is task index 3, deterministically *)
   check_run ~jobs:1 ~from:4;
   let rs =
-    with_armed ~kind:F.Permanent ~from:4 F.Site.par_task (fun () ->
+    with_armed ~from:4 F.Site.par_task (fun () ->
         Clip_par.map_results ~jobs:1 eval_task units)
   in
   List.iteri
@@ -196,34 +196,6 @@ let test_batch_degradation () =
      but slot isolation and counter exactness must hold regardless *)
   check_run ~jobs:4 ~from:1
 
-(* Retry policy: transient faults are re-attempted (fresh attempt, same
-   worker), permanent and exhausted ones are not. *)
-let test_retry_policy () =
-  let ok_task ~obs:_ () = Ok () in
-  let run ?times ?(retries = 0) kind =
-    with_armed ~kind ?times ~from:1 F.Site.par_task (fun () ->
-        let rs = Clip_par.map_results ~jobs:1 ~retries ok_task [ () ] in
-        (List.hd rs, F.fired ()))
-  in
-  (match run ~retries:1 F.Transient with
-  | Ok (), 1 -> ()
-  | Ok (), n -> Alcotest.failf "transient+retry: fired %d times" n
-  | Error ds, _ -> Alcotest.failf "transient+retry: [%s]" (codes ds));
-  (match run ~retries:0 F.Transient with
-  | Error ds, 1 when has_code D.Codes.fault_transient ds -> ()
-  | Error ds, _ -> Alcotest.failf "transient+no-retry: [%s]" (codes ds)
-  | Ok (), _ -> Alcotest.fail "transient+no-retry: expected Error");
-  (* retries exhausted: both attempts fire *)
-  (match run ~times:3 ~retries:1 F.Transient with
-  | Error ds, 2 when has_code D.Codes.fault_transient ds -> ()
-  | Error ds, n -> Alcotest.failf "exhausted: fired %d, [%s]" n (codes ds)
-  | Ok (), _ -> Alcotest.fail "exhausted: expected Error");
-  (* permanent: never retried, fires exactly once despite retries *)
-  match run ~times:3 ~retries:3 F.Permanent with
-  | Error ds, 1 when has_code D.Codes.fault_permanent ds -> ()
-  | Error ds, n -> Alcotest.failf "permanent: fired %d, [%s]" n (codes ds)
-  | Ok (), _ -> Alcotest.fail "permanent: expected Error"
-
 (* Seeded arming and the CLI spec parser. *)
 let test_arming () =
   let a = F.arm_seeded ~seed:42 in
@@ -231,11 +203,11 @@ let test_arming () =
   let b = F.arm_seeded ~seed:42 in
   F.disarm ();
   if a <> b then Alcotest.fail "arm_seeded not deterministic";
-  let site, from, _ = a in
+  let site, from = a in
   if not (List.mem site F.all_sites) then
     Alcotest.failf "arm_seeded picked unregistered site %s" site;
   if from < 1 then Alcotest.failf "arm_seeded picked hit ordinal %d" from;
-  (match F.arm_spec "tgd.execute:2:transient:3" with
+  (match F.arm_spec "tgd.execute:2" with
   | Ok () ->
     Alcotest.(check (option string)) "spec arms site" (Some F.Site.tgd_execute)
       (F.armed_site ());
@@ -246,11 +218,17 @@ let test_arming () =
   | Ok () ->
     F.disarm ();
     Alcotest.fail "unknown site accepted");
-  match F.arm_spec "tgd.execute:zero" with
+  (match F.arm_spec "tgd.execute:zero" with
   | Error _ -> ()
   | Ok () ->
     F.disarm ();
-    Alcotest.fail "malformed ordinal accepted"
+    Alcotest.fail "malformed ordinal accepted");
+  (* a fault spec has no class field *)
+  match F.arm_spec "tgd.execute:2:permanent" with
+  | Error _ -> ()
+  | Ok () ->
+    F.disarm ();
+    Alcotest.fail "spec with a third field accepted"
 
 (* Deadlines against an injected clock: deterministic expiry, both plan
    modes, both backends, clean structured CLIP-LIM-005. *)
@@ -371,7 +349,6 @@ let () =
         [
           Alcotest.test_case "map_results: slot isolation, exact counters"
             `Quick test_batch_degradation;
-          Alcotest.test_case "retry policy" `Quick test_retry_policy;
         ] );
       ( "control",
         [
