@@ -364,8 +364,8 @@ let interleaved_reps n fs =
 
 (* The backend evaluator alone, over a tgd compiled (and, on xquery, a
    query translated) once, here: what a timed loop runs when the
-   per-call compile would swamp what it measures. Statistics, physical
-   plans and the tag index are still built on every call. *)
+   per-call compile would swamp what it measures. Statistics and
+   physical plans are still built on every call. *)
 let evaluator ~limits ~(backend : [ `Tgd | `Xquery ]) (sc : S.Figures.t) doc =
   let m = sc.mapping in
   let target_root = m.target.root.name in
@@ -384,8 +384,8 @@ let evaluator ~limits ~(backend : [ `Tgd | `Xquery ]) (sc : S.Figures.t) doc =
 
 (* --- Observability: trace spans and the cost of counting (ours) ---------------------- *)
 
-(* The counter invariants (same output across plans, index hits never
-   above probes, scan bounds against the reference interpreter) are
+(* The counter invariants (same output across plans, scan bounds
+   against the reference interpreter) are
    asserted by test/test_plan.ml's counters suite; this experiment
    prints a trace and gates what counting costs a run. *)
 type overhead_row = {

@@ -12,21 +12,26 @@ open Cmdliner
    source line with a caret marker. *)
 let report ?src ds = prerr_string (Clip_diag.render_list ?src ds)
 
-let io_fail msg =
-  report [ Clip_diag.error ~code:Clip_diag.Codes.io_error msg ];
-  exit 1
+(* CLIP-IO-001 for [path], as "PATH: cause". A failed open already
+   names the path in its message; a failed read does not. *)
+let io_error path msg =
+  let prefix = path ^ ": " in
+  Clip_diag.error ~code:Clip_diag.Codes.io_error
+    (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
+(* The bytes of [path], read until end of file rather than trusting
+   the file's length, so a directory fails as "Is a directory". *)
+let read_result path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error msg -> Error [ io_error path msg ]
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> s
-  | exception Sys_error msg -> io_fail msg
-  | exception End_of_file ->
-    io_fail (Printf.sprintf "%s: file truncated while reading" path)
+  match read_result path with
+  | Ok s -> s
+  | Error ds ->
+    report ds;
+    exit 1
 
 let load_mapping path =
   let src = read_file path in
@@ -161,8 +166,8 @@ let backend_arg =
 
 let plan_arg =
   let doc =
-    "Physical evaluation strategy: auto (cost-based joins and tag index, \
-     the default) or indexed (force hash joins and the tag index)."
+    "Physical evaluation strategy: auto (cost-based joins, the default) \
+     or indexed (force every eligible hash join)."
   in
   Arg.(value
        & opt (enum [ ("auto", `Auto); ("indexed", `Indexed) ]) `Auto
@@ -323,8 +328,8 @@ let run_cmd =
        | None -> ());
       Buffer.contents b
     in
-    (* [failed] counts inputs already reported as failed (parse
-       failures); [outcomes] holds the rest, in input order. *)
+    (* [failed] counts inputs already reported as failed (unreadable
+       or unparsable); [outcomes] holds the rest, in input order. *)
     let failed, outcomes =
       if stream then begin
         (* Streaming ingestion: the document is never loaded whole here —
@@ -349,30 +354,36 @@ let run_cmd =
                          ~mode ?shard_bytes ~jobs m st))
               with
               | r -> (path, r)
-              | exception Sys_error msg ->
-                let d = Clip_diag.error ~code:Clip_diag.Codes.io_error msg in
-                (path, Error [ d ]))
+              | exception Sys_error msg -> (path, Error [ io_error path msg ]))
             inputs )
       end
       else begin
-        (* Parse sequentially: parse diagnostics want the source text for
-           caret rendering, and parsing is cheap next to evaluation. Without
-           --keep-going the first parse failure aborts the whole run; with
-           it, a bad document is just one failed input in the summary. *)
+        (* Read and parse sequentially: parse diagnostics want the source
+           text for caret rendering, and parsing is cheap next to
+           evaluation. Without --keep-going the first unreadable or
+           unparsable input aborts the whole run; with it, a bad input is
+           just one failed input in the summary. *)
         let parse_failures = ref 0 in
         let sources =
           List.filter_map
             (fun path ->
-              let xml_src = read_file path in
-              match Clip_xml.Parser.parse_string_result xml_src with
-              | Error ds ->
+              let parsed =
+                match read_result path with
+                | Error ds -> Error (None, ds)
+                | Ok src ->
+                  Result.map_error
+                    (fun ds -> (Some src, ds))
+                    (Clip_xml.Parser.parse_string_result src)
+              in
+              match parsed with
+              | Error (src, ds) ->
                 if not keep_going then begin
-                  report ~src:xml_src ds;
+                  report ?src ds;
                   exit 1
                 end;
                 incr parse_failures;
                 Printf.eprintf "clip: input %s: failed\n" path;
-                report ~src:xml_src ds;
+                report ?src ds;
                 None
               | Ok source -> Some (path, source))
             inputs

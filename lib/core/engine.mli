@@ -19,12 +19,13 @@
     benchmark harness compares their cost.
 
     Every backend executes through the shared {!Clip_plan} layer.
-    Orthogonally to the backend, [?plan] selects its join and index
-    policy: [`Auto] (the default) picks joins by cost (from
-    {!Clip_xml.Stats} cardinalities) and turns the tag index on where
-    it pays; [`Indexed] forces every eligible hash join and the index
-    unconditionally. Both produce identical target instances. The evaluation-budget steps a run consumes are counted
-    by the context's [lim_ticks] counter ({!Clip_obs.Counters}).
+    Orthogonally to the backend, [?plan] selects its join policy:
+    [`Auto] (the default) picks joins by cost (from {!Clip_xml.Stats}
+    cardinalities); [`Indexed] forces every eligible hash join. Both
+    produce identical target instances. Every [Child] step scans the
+    children of the element it reads. The evaluation-budget steps a
+    run consumes are counted by the context's [lim_ticks] counter
+    ({!Clip_obs.Counters}).
 
     Every entry point reports failures as [CLIP-*] diagnostics in a
     [result]: validity, compile, translation, dynamic, resource-limit
@@ -33,8 +34,8 @@
     {!Clip_diag.Fail}.
 
     Every call compiles the mapping, translates it where the backend
-    needs a query, and analyses the source (statistics, tag index,
-    physical plans) afresh, and keeps none of it: nothing carries over
+    needs a query, and analyses the source (statistics, physical plans)
+    afresh, and keeps none of it: nothing carries over
     from one call to the next, so a run's output and work counters
     depend only on its arguments. *)
 
@@ -251,8 +252,8 @@ val run_stream_result :
 
 (** [explain_result ?backend ?plan mapping source] — a static,
     deterministic EXPLAIN of how a run with the same arguments would
-    execute: the resolved strategy (for [`Auto]: cost-based joins, and
-    whether the tag index is on, with the reason), then per source clause
+    execute: the resolved join strategy ({!Clip_plan.strategy}), then
+    per source clause
     the chosen physical step (nested-loop scan, pushed-down filter,
     hash join) with the cost-model inputs that justified it — estimated
     outer/inner cardinalities, {!Clip_plan.join_pays} verdicts,

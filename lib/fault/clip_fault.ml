@@ -1,8 +1,8 @@
 (* Deterministic fault injection.
 
    A fixed registry of site-named failure points is compiled into the
-   stack at its trust boundaries (parser entry, planner, index build,
-   both executors, the parallel pool's task wrapper). In production
+   stack at its trust boundaries (parser entry, planner, both
+   executors, the parallel pool's task wrapper). In production
    nothing is armed and every [hit] is one atomic load and a branch. A
    test harness arms exactly one fault — site and firing hit — and
    that hit raises a [Clip_diag.Fail] carrying the stable
@@ -26,7 +26,6 @@
 module Site = struct
   let xml_parse = "xml.parse"
   let plan_build = "plan.build"
-  let index_build = "index.build"
   let tgd_execute = "tgd.execute"
   let xquery_execute = "xquery.execute"
   let par_task = "par.task"
@@ -38,7 +37,6 @@ let all_sites =
   [
     Site.xml_parse;
     Site.plan_build;
-    Site.index_build;
     Site.tgd_execute;
     Site.xquery_execute;
     Site.par_task;

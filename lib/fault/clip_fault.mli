@@ -1,8 +1,8 @@
 (** Deterministic, site-named fault injection.
 
     Failure points ({!hit}) are compiled into the stack at its trust
-    boundaries — parser entry, planner, tag-index build, both
-    executors, the {!Clip_par} task wrapper — and are
+    boundaries — parser entry, planner, both executors, the
+    {!Clip_par} task wrapper — and are
     inert (one atomic load, one branch) until a harness {!arm}s
     exactly one of them. The armed hit raises through
     {!Clip_diag.Fail} with the stable code [CLIP-FLT-002], so an
@@ -21,8 +21,6 @@ module Site : sig
   val xml_parse : string (** {!Clip_xml.Parser} document entry *)
 
   val plan_build : string (** {!Clip_plan.plan} compilation *)
-
-  val index_build : string (** {!Clip_xml.Index.build} *)
 
   val tgd_execute : string (** tgd backend run entry *)
 

@@ -8,8 +8,8 @@ module Counters = struct
   type t = {
     mutable nodes_scanned : int;
     mutable child_steps : int;
-    mutable index_probes : int;
-    mutable index_hits : int;
+    mutable index_probes : int; (* never written: always 0 *)
+    mutable index_hits : int; (* never written: always 0 *)
     mutable hash_join_builds : int;
     mutable hash_join_probes : int;
     mutable batches_executed : int; (* never written: always 0 *)
@@ -39,8 +39,6 @@ module Counters = struct
   let add ~into c =
     into.nodes_scanned <- into.nodes_scanned + c.nodes_scanned;
     into.child_steps <- into.child_steps + c.child_steps;
-    into.index_probes <- into.index_probes + c.index_probes;
-    into.index_hits <- into.index_hits + c.index_hits;
     into.hash_join_builds <- into.hash_join_builds + c.hash_join_builds;
     into.hash_join_probes <- into.hash_join_probes + c.hash_join_probes;
     into.memo_hits <- into.memo_hits + c.memo_hits;
@@ -53,8 +51,6 @@ module Counters = struct
     [
       ("nodes_scanned", c.nodes_scanned);
       ("child_steps", c.child_steps);
-      ("index_probes", c.index_probes);
-      ("index_hits", c.index_hits);
       ("hash_join_builds", c.hash_join_builds);
       ("hash_join_probes", c.hash_join_probes);
       ("lim_ticks", c.lim_ticks);

@@ -2,8 +2,8 @@
 
     Every run counts into one {!Counters.t} that it always has: the
     caller's record, or a fresh one (see {!Clip_run.create}). The
-    execution layers — the tgd engine, the XQuery evaluator, the shared
-    physical-plan executor and the tag index — reach that record
+    execution layers — the tgd engine, the XQuery evaluator and the
+    shared physical-plan executor — reach that record
     through the run's state and increment its fields directly, so a
     counting site costs one load and one store whether or not anyone
     reads the counts. There is no ambient global slot: a record is
@@ -20,8 +20,8 @@
 
     Nothing here affects semantics: the same bindings flow whatever
     the record holds — which is what makes the counters usable as a
-    cross-backend test oracle (e.g. an [`Indexed] run must never scan
-    more nodes than the tests' reference interpreter on the same
+    cross-backend test oracle (e.g. a tgd run must never scan more
+    nodes than the tests' reference interpreter on the same
     input). *)
 
 (** {1 Counters} *)
@@ -32,11 +32,15 @@ module Counters : sig
       measured run. *)
   type t = {
     mutable nodes_scanned : int;
-        (** child nodes visited (scanned [Child] steps) or matches
-            enumerated (indexed steps and probe hits) *)
+        (** child nodes visited by [Child] steps: every child of
+            each element a step reads *)
     mutable child_steps : int;  (** [Child]-step evaluations, both backends *)
-    mutable index_probes : int;  (** {!Clip_xml.Index} lookups *)
-    mutable index_hits : int;  (** lookups answered by a memoised grouping *)
+    mutable index_probes : int;
+        (** always 0: no run uses a tag index. Kept so readers of the
+            field (perfbench's [plan.index_probes]) still compile. *)
+    mutable index_hits : int;
+        (** always 0, like [index_probes] (perfbench's
+            [plan.index_hits]). *)
     mutable hash_join_builds : int;  (** hash-join tables built *)
     mutable hash_join_probes : int;  (** hash-join table lookups *)
     mutable batches_executed : int;
@@ -74,7 +78,7 @@ module Counters : sig
   val to_assoc : t -> (string * int) list
 
   (** The counters that describe {e execution work} (everything except
-      the cache counters [memo_hits]/[session_hits]) — the subset two
+      the cache counters and the always-0 fields) — the subset two
       runs must agree on to be "the same physical execution". *)
   val work_assoc : t -> (string * int) list
 

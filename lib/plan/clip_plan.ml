@@ -85,6 +85,12 @@ end
 type mode = [ `Indexed | `Auto ]
 type policy = [ `Force | `Cost ]
 
+let policy_of : mode -> policy = function `Indexed -> `Force | `Auto -> `Cost
+
+let strategy = function
+  | `Indexed -> "strategy: physical plans, forced hash joins\n"
+  | `Auto -> "strategy: physical plans, cost-based joins\n"
+
 (* --- Planner input ----------------------------------------------------- *)
 
 type ('env, 'item) gen = {
@@ -519,34 +525,6 @@ let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
     stages;
   Array.iteri (fun idx l -> builds.(idx) <- List.rev l) builds;
   { pre = List.rev preds_at.(0); stages; builds; nslots = !nslots; notes = List.rev !notes }
-
-(* [revisit_prone t] — can executing [t] enumerate the same parent
-   element more than once? This is what decides whether the lazy tag
-   index ({!Clip_xml.Index}) can pay for itself: a grouping is only
-   reused when some element's children are listed at least twice.
-   That happens when a step-scoped probe table is rebuilt per outer
-   binding (a run-scoped one enumerates its segment once per run), or
-   when a scan at stage [i >= 1] does not depend on the variable bound
-   immediately before it — its expression then re-enumerates the same
-   elements once per binding of that variable. A straight-line chain
-   (every scan reads the previous stage's variable) never revisits, so
-   indexing it only adds memoisation overhead. *)
-let revisit_prone t =
-  let n = Array.length t.stages in
-  let last_var i =
-    let gens = stage_gens t.stages.(i) in
-    gens.(Array.length gens - 1).var
-  in
-  let rec go i =
-    i < n
-    &&
-    match t.stages.(i) with
-    | Probe { scope = At_step _; _ } -> true
-    | Probe { scope = Per_run _; _ } -> go (i + 1)
-    | Scan { gen; _ } ->
-      (i >= 1 && not (List.mem (last_var (i - 1)) gen.deps)) || go (i + 1)
-  in
-  go 0
 
 (* --- Execution --------------------------------------------------------- *)
 

@@ -79,14 +79,12 @@ module Sink : sig
   val atoms : t -> Clip_xml.Atom.t list
 end
 
-(** The join and index policy threaded from {!Clip_core.Engine.run}
-    down to both backends, which always execute through this plan
-    layer: [`Indexed] makes every eligible equality a hash join and
-    turns the {!Clip_xml.Index} tag index on unconditionally; [`Auto]
-    (the default) lets the cost model decide per chain, from
-    {!Clip_xml.Stats} cardinalities, whether each join and the tag
-    index pay for themselves. Both modes are output-identical on every
-    input whose evaluation does not raise. *)
+(** The join policy threaded from {!Clip_core.Engine.run} down to both
+    backends, which always execute through this plan layer: [`Indexed]
+    makes every eligible equality a hash join; [`Auto] (the default)
+    lets the cost model decide per chain, from {!Clip_xml.Stats}
+    cardinalities, whether each join pays for itself. Both modes are
+    output-identical on every input whose evaluation does not raise. *)
 type mode = [ `Indexed | `Auto ]
 
 (** Join policy given to {!val-plan}: [`Force] turns every eligible
@@ -94,6 +92,13 @@ type mode = [ `Indexed | `Auto ]
     strongest differential oracle); [`Cost] builds a table only when
     {!join_pays} says the estimated work saved beats the build. *)
 type policy = [ `Force | `Cost ]
+
+(** [policy_of mode] — [`Force] under [`Indexed], [`Cost] under [`Auto]. *)
+val policy_of : mode -> policy
+
+(** [strategy mode] — the EXPLAIN line, newline included, that names
+    the join policy of [mode] on either backend. *)
+val strategy : mode -> string
 
 (** {1 Planner input} *)
 
@@ -182,8 +187,6 @@ type ('env, 'item) t = {
           cardinalities, {!join_pays} verdict, structural guards) *)
 }
 
-val stage_gens : ('env, 'item) stage -> ('env, 'item) gen array
-
 (** One-line plan rendering, e.g. ["scan(p) probe(d.e@0)"], or
     ["probe(g@run)"] for a run-scoped probe — for tests and debugging. *)
 val describe : ('env, 'item) t -> string
@@ -243,14 +246,6 @@ val plan :
   conds:'env cond list ->
   unit ->
   ('env, 'item) t
-
-(** [revisit_prone t] — can executing [t] enumerate the same parent
-    element more than once? True when some stage is an [At_step] probe
-    (its table may be rebuilt per outer binding) or some later scan is
-    independent of the variable bound immediately before it. The lazy
-    tag index only pays on such plans; straight-line chains never
-    reuse a grouping. *)
-val revisit_prone : ('env, 'item) t -> bool
 
 (** [executor ~obs ~run t ~tick ~emit] — the loop of plan [t], built
     once: applied to a binding [env], it streams every surviving

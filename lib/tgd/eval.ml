@@ -7,12 +7,10 @@ let error fmt =
     fmt
 
 (* The state of one run is its {!Meter}: the source document, its
-   instance statistics and tag index (each built on first use), the
-   counter record and the step budget that bounds runaway mappings
-   (CLIP-LIM-004); each source-expression or scalar evaluation ticks
-   one step, so deep cross products hit the budget instead of hanging.
-   The meter's [index] is set at run start to the index ([`Indexed],
-   or [`Auto] when indexing is judged to pay) or left [None]. *)
+   instance statistics (built on first use), the counter record and
+   the step budget that bounds runaway mappings (CLIP-LIM-004); each
+   source-expression or scalar evaluation ticks one step, so deep
+   cross products hit the budget instead of hanging. *)
 module Meter = Clip_xquery.Meter
 
 type ctx = Meter.t
@@ -187,11 +185,11 @@ let node_of head fr = match head with Slot i -> fr.src.(i) | Head f -> f fr
 
 (* [compile_walk ctx steps ~node ~atom] — a function [walk k n] that
    follows [steps] from node [n] with no list built: a child step
-   pushes each match on to the next step as the scan or the index
-   meets it, and the results go to [node k] (a node after the last
-   step) or [atom k] (the atom of a final attribute or value step).
-   Steps after an attribute or value step have no node to start from
-   and yield nothing. *)
+   pushes each match on to the next step as the scan meets it, and
+   the results go to [node k] (a node after the last step) or [atom k]
+   (the atom of a final attribute or value step). Steps after an
+   attribute or value step have no node to start from and yield
+   nothing. *)
 let compile_walk ctx steps ~(node : 'k -> Xml.Node.t -> unit) ~(atom : 'k -> Xml.Atom.t -> unit)
     : 'k -> Xml.Node.t -> unit =
   let rec go : Path.step list -> 'k -> Xml.Node.t -> unit = function
@@ -449,37 +447,6 @@ let plan_tree ctx policy m =
   let tree = plan_mapping ctx layout policy ~runs:1 [] [] m in
   { tree; slots = layout }
 
-(* Can evaluating this tree list some element's children twice? Within
-   a chain {!Clip_plan.revisit_prone} answers; across nesting, a child
-   chain runs once per parent binding, so its first generator
-   re-enumerates the same elements whenever it does not read the
-   parent chain's innermost variable — unless it opens a run-scoped
-   probe, whose segment is enumerated once per run. Only then can the
-   lazy tag index's memoised groupings ever be reused. *)
-let rec tree_revisits ~outer_last (p : planned) =
-  let stages = (p.pplan : (_, _) Clip_plan.t).stages in
-  let nst = Array.length stages in
-  let first_indep =
-    nst > 0
-    &&
-    match outer_last with
-    | None -> false
-    | Some v ->
-      (match stages.(0) with
-       | Clip_plan.Probe { scope = Clip_plan.Per_run _; _ } -> false
-       | st -> not (List.mem v (Clip_plan.stage_gens st).(0).Clip_plan.deps))
-  in
-  let last =
-    if nst = 0 then outer_last
-    else begin
-      let gens = Clip_plan.stage_gens stages.(nst - 1) in
-      Some gens.(Array.length gens - 1).Clip_plan.var
-    end
-  in
-  first_indep
-  || Clip_plan.revisit_prone p.pplan
-  || List.exists (tree_revisits ~outer_last:last) p.pchildren
-
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     ?(plan = `Auto) ?ctl ?obs ?lineage ~source ~target_root (m : Tgd.t) =
   let ctx =
@@ -491,22 +458,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   (* Compile each mapping's universal part once (conditions pushed
      down, equality conditions turned into hash joins where they pay),
      then stream bindings into the rule's compiled per-binding body. *)
-  let c =
-    match plan with
-    | `Indexed ->
-      ctx.index <- Some (Meter.force_index ctx);
-      plan_tree ctx `Force m
-    | `Auto ->
-      let c = plan_tree ctx `Cost m in
-      (* The tag index pays only when some element's children are
-         listed twice and the document is big enough to amortise the
-         groupings; otherwise leave it off and scan. *)
-      if
-        tree_revisits ~outer_last:None c.tree
-        && Xml.Stats.node_count (Meter.force_stats ctx) >= Meter.index_threshold
-      then ctx.index <- Some (Meter.force_index ctx);
-      c
-  in
+  let c = plan_tree ctx (Clip_plan.policy_of plan) m in
   (* The run-scoped hash tables: a nested mapping joined to its parent
      builds its table once here, not once per parent binding. Each
      node's loop — its executor, its emit and its children's loops —
@@ -545,9 +497,9 @@ let run_result ?limits ?minimum_cardinality ?plan ?ctl ?obs ~source
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
 (* Static plan rendering: everything here mirrors the dispatch in
-   [execute] — same index threshold, same policies, same planner — but only
-   plans, never evaluates, so the output is deterministic and free of
-   timings (golden-testable). *)
+   [execute] — same policies, same planner — but only plans, never
+   evaluates, so the output is deterministic and free of timings
+   (golden-testable). *)
 let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
   let ctx = Meter.create ~what:"mapping" source in
   let b = Buffer.create 512 in
@@ -594,23 +546,8 @@ let explain ?(plan = `Auto) ~source (m : Tgd.t) : string =
       (fun i c -> planned_rules (Printf.sprintf "%s/%d" path i) c)
       p.pchildren
   in
-  (match plan with
-   | `Indexed ->
-     Buffer.add_string b
-       "strategy: physical plans, forced hash joins, tag index on\n";
-     planned_rules "" (plan_tree ctx `Force m).tree
-   | `Auto ->
-     let p = (plan_tree ctx `Cost m).tree in
-     let revisits = tree_revisits ~outer_last:None p in
-     let use_index = revisits && nodes >= Meter.index_threshold in
-     Printf.bprintf b
-       "strategy: physical plans, cost-based joins; tag index %s\n"
-       (if use_index then "on (revisit-prone plan)"
-        else if revisits then
-          Printf.sprintf "off (document below the %d-node index threshold)"
-            Meter.index_threshold
-        else "off (straight-line plan, no element revisits)");
-     planned_rules "" p);
+  Buffer.add_string b (Clip_plan.strategy plan);
+  planned_rules "" (plan_tree ctx (Clip_plan.policy_of plan) m).tree;
   Buffer.contents b
 
 type trace_entry = {

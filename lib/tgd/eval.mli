@@ -24,11 +24,9 @@
     Every run compiles each mapping's universal part to a {!Clip_plan}
     physical plan — conditions pushed to their earliest position,
     equality conditions executed as hash joins, bindings streamed.
-    [?plan] picks the join and index policy: [`Auto] (the default) lets
-    the cost model decide whether each hash join pays for itself, and
-    turns the {!Clip_xml.Index} tag index on only for revisit-prone
-    plans over large-enough documents; [`Indexed] forces every eligible
-    join and the index unconditionally. Both modes produce identical
+    [?plan] picks the join policy: [`Auto] (the default) lets the cost
+    model decide whether each hash join pays for itself; [`Indexed]
+    forces every eligible join. Both modes produce identical
     documents; only error behaviour may differ (pushdown can evaluate
     a failing condition a nested-loop order would never reach, and
     vice versa). The run counts into [?obs] (a fresh record when
@@ -39,8 +37,8 @@
     deadline reports [CLIP-LIM-005], a set cancellation flag
     [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    Every run analyses its source afresh — instance statistics, tag
-    index, physical plans — and keeps none of it, so two runs over the
+    Every run analyses its source afresh — instance statistics,
+    physical plans — and keeps none of it, so two runs over the
     same arguments do the same work. *)
 
 (** Scalar function symbols known to the engine (usable in
@@ -67,12 +65,11 @@ val run_result :
 
 (** [explain ~source m] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would execute [m] over [source]: a
-    header stating the strategy (for [`Auto]: cost-based plans with
-    the tag-index decision), then one block per mapping rule with
-    its physical stages, cardinality estimates and the planner's
-    per-equality decision notes (see {!Clip_plan.explain}). Nothing is
-    evaluated and no timing appears in the output, so it is stable for
-    golden tests. *)
+    header stating the strategy ({!Clip_plan.strategy}), then one
+    block per mapping rule with its physical stages, cardinality
+    estimates and the planner's per-equality decision notes (see
+    {!Clip_plan.explain}). Nothing is evaluated and no timing appears
+    in the output, so it is stable for golden tests. *)
 val explain :
   ?plan:Clip_plan.mode ->
   source:Clip_xml.Node.t ->

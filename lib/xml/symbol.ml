@@ -1,12 +1,12 @@
 (* A global element-tag symbol table, safe under Domain.spawn.
 
    Tags are interned into dense non-negative ints so that the hot
-   paths of both backends — child scans, the tag index, statistics —
+   paths of both backends — child scans, statistics —
    compare tags with an int equality instead of hashing or walking a
    string. Interning is append-only: a symbol, once assigned, never
    changes meaning, which is what makes it sound to store symbols
    inside immutable nodes ({!Node.element.sym}), in per-run structures
-   ({!Index}, {!Stats}, plans) and in values shared across domains.
+   ({!Stats}, plans) and in values shared across domains.
 
    The table is global and grows monotonically. That is deliberate:
    tag vocabularies are schema-sized (dozens of names, not millions),

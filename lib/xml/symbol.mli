@@ -1,6 +1,6 @@
 (** A global element-tag symbol table: tags interned into dense ints.
 
-    Hot paths (child scans, the tag index, statistics, plan keys)
+    Hot paths (child scans, statistics, plan keys)
     compare interned symbols with an int equality instead of hashing
     or walking strings. The table is process-wide and append-only — a
     symbol never changes meaning — so symbols may be stored inside

@@ -9,11 +9,9 @@ let error fmt =
 module Env = Map.Make (String)
 
 (* Evaluation context of one run: its {!Meter} (the input document,
-   its instance statistics and tag index, each built on first use, the
-   counter record and the step budget that bounds runaway queries,
-   CLIP-LIM-004) and the FLWOR plan state. FLWOR blocks run through
-   {!Clip_plan}; for [`Auto] the meter's tag-index view is adaptive,
-   see [eval_flwor].
+   its instance statistics, built on first use, the counter record and
+   the step budget that bounds runaway queries, CLIP-LIM-004) and the
+   FLWOR plan state. FLWOR blocks run through {!Clip_plan}.
 
    [plans] memoises compiled FLWOR plans for the run,
    keyed by the physical identity of the clause list — the same FLWOR
@@ -265,7 +263,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
 (* Plan-based FLWOR evaluation: bindings stream into the [return] in
    the clause-by-clause enumeration order. *)
 and eval_flwor ctx env clauses where return =
-  let policy = match ctx.plan with `Auto -> `Cost | `Indexed -> `Force in
+  let policy = Clip_plan.policy_of ctx.plan in
   let cost = match policy with `Cost -> true | `Force -> false in
   (* [Env.fold] lists keys in increasing order, so [bound] is
      deterministic for a given environment domain and usable as part
@@ -289,19 +287,7 @@ and eval_flwor ctx env clauses where return =
       ctx.plans := (clauses, bound, cost, runs, p) :: !(ctx.plans);
       p
   in
-  (* Adaptive indexing: FLWOR plans materialise lazily during
-     evaluation, so [`Auto] turns the tag index on the moment a
-     revisit-prone plan shows up over a large-enough document (the
-     index's memoised groupings stay sound mid-run — nodes are
-     immutable). Straight-line queries never pay for it. *)
   let m = ctx.meter in
-  (match ctx.plan, m.index with
-   | `Auto, None ->
-     if
-       Clip_plan.revisit_prone p
-       && Xml.Stats.node_count (Meter.force_stats m) >= Meter.index_threshold
-     then m.index <- Some (Meter.force_index m)
-   | _ -> ());
   let acc = ref [] in
   ctx.runs <- Clip_plan.inner_runs ~runs p;
   Clip_plan.execute ~obs:m.counters ~run:ctx.run p
@@ -397,9 +383,8 @@ let make_ctx ?max_steps ?obs ?ctl ?(plan = `Auto) input =
   }
 
 (* Static plan rendering for every FLWOR block of a query, numbered in
-   preorder. Mirrors [with_ctx]/[eval_flwor] — same index threshold,
-   same policies, same planner — but never evaluates, so the output is
-   deterministic (golden-testable). *)
+   preorder. Mirrors [eval_flwor] — same policies, same planner — but
+   never evaluates, so the output is deterministic (golden-testable). *)
 let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
   let ctx = make_ctx input in
   let b = Buffer.create 512 in
@@ -407,18 +392,8 @@ let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
   Printf.bprintf b "backend: xquery\nplan: %s\ndocument: %d nodes\n"
     (match plan with `Indexed -> "indexed" | `Auto -> "auto")
     nodes;
-  let policy =
-    match plan with
-    | `Indexed ->
-      Buffer.add_string b
-        "strategy: physical plans, forced hash joins, tag index on\n";
-      `Force
-    | `Auto ->
-      Printf.bprintf b
-        "strategy: physical plans, cost-based joins; tag index adaptive (on at the first revisit-prone plan over >= %d nodes)\n"
-        Meter.index_threshold;
-      `Cost
-  in
+  Buffer.add_string b (Clip_plan.strategy plan);
+  let policy = Clip_plan.policy_of plan in
   let counter = ref 0 in
   (* [runs] mirrors [ctx.runs] during evaluation: a block nested
      anywhere in another runs once per binding of the outer chain. *)
@@ -479,8 +454,6 @@ let with_ctx ?ctl ?obs plan limits input f =
     make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl ~plan
       input
   in
-  (* [`Auto] switches the tag index on adaptively, in [eval_flwor]. *)
-  if plan = `Indexed then ctx.meter.index <- Some (Meter.force_index ctx.meter);
   Meter.enter ctx.meter Clip_fault.Site.xquery_execute;
   f ctx
 

@@ -7,13 +7,10 @@
 
     FLWOR blocks run through the shared {!Clip_plan} physical-plan
     layer: [where] conjuncts pushed to their earliest clause, equality
-    conjuncts executed as hash joins. [?plan] picks the join and index
-    policy: [`Auto] (the default) builds a hash table only {e when the
-    cost model says it pays for itself}, and switches the
-    {!Clip_xml.Index} tag index on adaptively, the moment a
-    revisit-prone plan appears over a large-enough document;
-    [`Indexed] forces every eligible join and the index
-    unconditionally. Both modes produce identical values; only error
+    conjuncts executed as hash joins. [?plan] picks the join policy:
+    [`Auto] (the default) builds a hash table only {e when the cost
+    model says it pays for itself}; [`Indexed] forces every eligible
+    join. Both modes produce identical values; only error
     behaviour may differ (pushdown can evaluate a failing conjunct a
     clause-by-clause order would never reach, and vice versa).
     The run counts into [?obs] (a fresh record when omitted) —
@@ -24,8 +21,8 @@
     once at run start): an expired deadline reports [CLIP-LIM-005], a
     set cancellation flag [CLIP-LIM-006] — see {!Clip_run.Control}.
 
-    Every run analyses its input afresh — instance statistics, tag
-    index, FLWOR plans — and keeps none of it. Within a run, a FLWOR
+    Every run analyses its input afresh — instance statistics, FLWOR
+    plans — and keeps none of it. Within a run, a FLWOR
     block re-entered once per outer binding reuses the plan compiled on
     its first entry (counted as [memo_hits]). *)
 

@@ -2,8 +2,6 @@ module Xml = Clip_xml
 
 type t = {
   source : Xml.Node.t;
-  mutable index : Xml.Index.t option;
-  xindex : Xml.Index.t Lazy.t;
   stats : Xml.Stats.t Lazy.t;
   counters : Clip_obs.Counters.t;
   start : int;
@@ -16,8 +14,6 @@ let create ?(max_steps = max_int) ?(counters = Clip_obs.Counters.create ())
     ?(ctl = Clip_run.Control.none) ~what source =
   {
     source;
-    index = None;
-    xindex = lazy (Xml.Index.build ~obs:counters source);
     stats = lazy (Xml.Stats.collect source);
     counters;
     start = counters.lim_ticks;
@@ -26,9 +22,7 @@ let create ?(max_steps = max_int) ?(counters = Clip_obs.Counters.create ())
     ctl;
   }
 
-let force_index m = Lazy.force m.xindex
 let force_stats m = Lazy.force m.stats
-let index_threshold = 256
 
 let check_control m =
   m.counters.ctl_checks <- m.counters.ctl_checks + 1;
@@ -75,17 +69,14 @@ let ticks m n =
       tick m
     done
 
-(* Each visited child or returned match is counted before the first
-   match is pushed, as when the step returned a list: a consumer that
-   fails midway sees the step's whole count. *)
+(* Each visited child is counted before the first match is pushed, as
+   when the step returned a list: a consumer that fails midway sees the
+   step's whole count. *)
 let child_step m (e : Xml.Node.element) sym f x =
   let c = m.counters in
   c.child_steps <- c.child_steps + 1;
-  match m.index with
-  | None ->
-    c.nodes_scanned <- c.nodes_scanned + List.length e.children;
-    Xml.Node.iter_children_tagged e sym f x
-  | Some idx -> Xml.Index.iter_children_by_tag idx e sym f x
+  c.nodes_scanned <- c.nodes_scanned + List.length e.children;
+  Xml.Node.iter_children_tagged e sym f x
 
 let child_items m e sym =
   let acc = ref [] in

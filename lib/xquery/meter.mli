@@ -11,10 +11,6 @@
 
 type t = {
   source : Clip_xml.Node.t;  (** the document the run reads *)
-  mutable index : Clip_xml.Index.t option;
-      (** the run's view of the tag index: set by the executor when
-          the run uses it, [None] while child steps scan *)
-  xindex : Clip_xml.Index.t Lazy.t;  (** counting into [counters] *)
   stats : Clip_xml.Stats.t Lazy.t;
   counters : Clip_obs.Counters.t;
   start : int;  (** [counters.lim_ticks] when the run started *)
@@ -24,8 +20,8 @@ type t = {
 }
 
 (** [create ?max_steps ?counters ?ctl ~what source] — the meter of one
-    run over [source]. The index and the statistics are built on first
-    use. [counters] defaults to a fresh record, [ctl] to
+    run over [source]. The statistics are built on first use.
+    [counters] defaults to a fresh record, [ctl] to
     {!Clip_run.Control.none}, [max_steps] to no bound. *)
 val create :
   ?max_steps:int ->
@@ -35,12 +31,7 @@ val create :
   Clip_xml.Node.t ->
   t
 
-val force_index : t -> Clip_xml.Index.t
 val force_stats : t -> Clip_xml.Stats.t
-
-(** Documents smaller than this never amortise index groupings: [`Auto]
-    leaves the tag index off below it. *)
-val index_threshold : int
 
 (** [enter m site] — run entry: one unconditional control poll (so an
     already-lapsed deadline or a pre-set cancel flag fails the run
@@ -57,12 +48,9 @@ val tick : t -> unit
 val ticks : t -> int -> unit
 
 (** [child_step m e sym f x] — [f x c] for every child element [c] of
-    [e] tagged [sym], in document order, with no list built: an index
-    probe when the run uses the tag index, else a scan. Counts one
-    child step, and as scanned nodes every child a scan visits or every
-    match a probe returns, so an indexed step never reports more
-    scanned nodes than a scan of the same element. The step is counted
-    in full before the first match is pushed. *)
+    [e] tagged [sym], in document order, with no list built. Counts one
+    child step, and every child of [e] as a scanned node, all before
+    the first match is pushed. *)
 val child_step :
   t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> ('a -> Clip_xml.Node.t -> unit) -> 'a -> unit
 

@@ -412,11 +412,11 @@ let guard_checks () =
 
 let fault_iterations = ref 0
 
-(* Each iteration arms one seeded (site, hit ordinal, kind) fault and
+(* Each iteration arms one seeded (site, hit ordinal) fault and
    drives a fixed, valid end-to-end pipeline that crosses every
    registered site: re-parsing the printed instance (xml.parse), an
-   [`Indexed] engine run on both backends (plan.build, index.build,
-   tgd.execute, xquery.execute) under the
+   [`Indexed] engine run on both backends (plan.build, tgd.execute,
+   xquery.execute) under the
    {!Clip_par.map_results} wrapper (par.task). Totality plus fault
    hygiene: a fired fault must surface as [Error] carrying a CLIP-FLT-*
    code — never an exception, never a silent [Ok] — and after

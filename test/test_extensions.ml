@@ -457,12 +457,12 @@ let provenance_tests =
         checki "counts agree" (count_elems out) (List.length trace));
     Alcotest.test_case "planned runs trace exactly like the naive interpreter"
       `Quick (fun () ->
-        (* above the 256-node index threshold, so `Auto and `Indexed
-           both record lineage with the tag index on where it pays; the
-           expected lineage is the reference interpreter's, read from
-           its own environments *)
+        (* a document of over 256 nodes, where `Auto's cost model and
+           `Indexed's forced joins plan differently; the expected
+           lineage is the reference interpreter's, read from its own
+           environments *)
         let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
-        checkb "above the index threshold" true (Node.size doc >= 256);
+        checkb "over 256 nodes" true (Node.size doc >= 256);
         let rec count_elems n =
           match n with
           | Node.Element e ->

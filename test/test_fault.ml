@@ -36,11 +36,10 @@ let backend_of site =
   if String.equal site F.Site.xquery_execute then `Xquery else `Tgd
 
 (* The whole stack through exception-free entry points only: parse,
-   then an engine run under [`Indexed] (which forces the tag-index
-   build, so the index.build site fires regardless of document size). *)
+   then an engine run. *)
 let engine ?ctx ?limits ~backend source =
   let ctx = match ctx with Some c -> c | None -> R.create () in
-  Engine.run_result ~ctx ?limits ~backend ~plan:`Indexed
+  Engine.run_result ~ctx ?limits ~backend
     ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping source
 
 let pipeline ~backend () =

@@ -1,5 +1,6 @@
 (* The physical-plan layer: planner decisions (pushdown, hash joins,
-   segment joins), key normalisation, the lazy tag index, and the
+   segment joins), key normalisation, the tag index the benchmark
+   probes, and the
    differential guarantee that `Indexed and `Auto runs on every backend
    are output-identical to the reference tgd interpreter
    ({!Tgd_oracle}) on every figure scenario. *)
@@ -209,25 +210,6 @@ let cost_tests =
             let got, _ = run_plan p in
             checkb "same bindings as naive" true (got = run_naive gens conds))
           [ `Force; `Cost ]);
-    Alcotest.test_case "revisit_prone: probes and independent rescans only" `Quick
-      (fun () ->
-        let straight =
-          P.plan ~bound:[]
-            ~gens:
-              [ const "x" [ 1 ]; gen ~deps:[ "x" ] "y" (fun env -> [ lookup env "x" ]) ]
-            ~conds:[] ()
-        in
-        checkb "straight-line chain" false (P.revisit_prone straight);
-        let rescan =
-          P.plan ~bound:[] ~gens:[ const "x" [ 1; 2 ]; const "y" [ 3 ] ] ~conds:[] ()
-        in
-        checkb "independent rescan" true (P.revisit_prone rescan);
-        let joined =
-          P.plan ~bound:[]
-            ~gens:[ const "x" [ 1 ]; const "y" [ 1 ] ]
-            ~conds:join_conds ()
-        in
-        checkb "probe" true (P.revisit_prone joined));
   ]
 
 (* --- Key normalisation ------------------------------------------------- *)
@@ -275,7 +257,7 @@ let key_tests =
           (P.Key.equal (P.Key.of_atoms [ Atom.Int 1 ]) (P.Key.of_atoms [ Atom.Int 1; Atom.Int 1 ])));
   ]
 
-(* --- The lazy tag index ------------------------------------------------ *)
+(* --- The tag index --------------------------------------------------------- *)
 
 let index_tests =
   let wide n tag =
@@ -316,20 +298,6 @@ let index_tests =
         let foreign = Node.elem "f" [ Node.elem "kid" []; Node.elem "kid" [] ] in
         checki "foreign children" 2
           (List.length (Clip_xml.Index.children_by_tag idx (elem_of foreign) (Clip_xml.Symbol.intern "kid"))));
-    Alcotest.test_case "descendants_by_tag is preorder and memoised" `Quick (fun () ->
-        let doc =
-          Node.elem "r"
-            [
-              Node.elem "a" [ Node.elem "x" []; Node.elem "a" [ Node.elem "x" [] ] ];
-              Node.elem "x" [];
-            ]
-        in
-        let idx = Clip_xml.Index.build doc in
-        let e = elem_of doc in
-        checki "count" 3 (List.length (Clip_xml.Index.descendants_by_tag idx e (Clip_xml.Symbol.intern "x")));
-        checkb "memoised" true
-          (Clip_xml.Index.descendants_by_tag idx e (Clip_xml.Symbol.intern "x")
-          == Clip_xml.Index.descendants_by_tag idx e (Clip_xml.Symbol.intern "x")));
   ]
 
 (* --- The columnar document the rel store loads ---------------------------- *)
@@ -426,8 +394,7 @@ let run_mode sc ~backend ~plan doc =
 let naive (sc : S.Figures.t) doc =
   Tgd_oracle.expect ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc
 
-(* Large enough that [`Auto] turns the tag index on (256 nodes): the
-   paper instance stays below that threshold. *)
+(* Over 256 nodes, where the paper instance has under 100. *)
 let scaled_instance = lazy (S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10)
 
 (* The universal-solution ablation runs on tgd only. *)
@@ -485,7 +452,7 @@ let scaled_differential_tests =
    store loads. Rebuilt back into a tree, it must run exactly like the
    document it came from — same bytes under every backend and plan
    mode — even though every rebuilt element carries a fresh allocation
-   id for the tag index to key on. *)
+   id. *)
 let rebuilt doc = Clip_xml.Doc.rebuild (Clip_xml.Doc.of_node doc) 0
 
 let repr_differential_tests =
@@ -613,9 +580,9 @@ let counted_run (sc : S.Figures.t) ~backend ~plan doc =
 (* On tgd, both plans scan no more nodes than the reference
    interpreter, which scans every child of every element it steps
    through. The generated XQuery walks the source its own way (fig7's
-   and fig8's groupings re-read it), so on xquery the bound is the one
-   the index itself promises: the forced plan, index on, scans no more
-   than the cost-based plan. *)
+   and fig8's groupings re-read it), so on xquery the bound is the
+   cost-based plan's: the forced hash joins read each joined side once
+   per table build, and so scan no more. *)
 let counter_invariants (sc : S.Figures.t) ~backend doc =
   let out_i, ci = counted_run sc ~backend ~plan:`Indexed doc in
   let out_a, ca = counted_run sc ~backend ~plan:`Auto doc in
@@ -633,22 +600,7 @@ let counter_invariants (sc : S.Figures.t) ~backend doc =
         (Printf.sprintf "%s scans %d <= %s scans %d" mode c.C.nodes_scanned bname bound)
         true
         (c.C.nodes_scanned <= bound))
-    plans;
-  List.iter
-    (fun (mode, (c : C.t)) ->
-      checkb
-        (Printf.sprintf "%s: hits %d <= probes %d" mode c.C.index_hits
-           c.C.index_probes)
-        true
-        (c.C.index_hits <= c.C.index_probes))
-    [ ("indexed", ci); ("auto", ca) ];
-  (* The EXPLAIN claim for the same arguments must match the measured
-     counters: a claimed plan without the tag index never probes it. *)
-  let txt =
-    ok (Engine.explain_result ~backend ~plan:`Auto sc.S.Figures.mapping doc)
-  in
-  if contains txt "tag index off" then
-    checki "tag index off: no probes" 0 ca.C.index_probes
+    plans
 
 (* The instance the counting-overhead benchmark runs on (scale 10). *)
 let scale10_instance = lazy (S.Deptdb.synthetic_instance ~depts:20 ~projs:5 ~emps:10)
@@ -676,18 +628,10 @@ let counter_tests =
         (backends sc))
     S.Figures.all
   @ [
-      Alcotest.test_case "scaled join: auto turns the tag index on"
+      Alcotest.test_case "scaled join: counter invariants over 256 nodes"
         `Quick
         (fun () ->
-          (* above the index threshold the claim flips, and the
-             invariants must keep holding with the index on *)
           let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
-          let txt =
-            ok
-              (Engine.explain_result ~backend:`Tgd ~plan:`Auto
-                 S.Figures.fig6.S.Figures.mapping doc)
-          in
-          checkb "tag index claimed on" true (contains txt "tag index on");
           List.iter
             (fun backend -> counter_invariants S.Figures.fig6 ~backend doc)
             [ `Tgd; `Xquery ]);
@@ -704,50 +648,49 @@ let counter_tests =
     ]
 
 (* Exact work counters of one run per figure × plan on one fixed
-   instance above the index threshold, recorded from the interpreted
-   evaluator the compiled rule bodies replaced: compiling must tick and
-   count at the same sites, in the same order. The naive rows are the
-   reference interpreter's, the others the engine's. Columns:
-   lim_ticks, child_steps, nodes_scanned, index_probes, index_hits,
-   hash_join_builds, hash_join_probes. *)
+   instance of over 256 nodes, recorded from the interpreted evaluator
+   the compiled rule bodies replaced: compiling must tick and count at
+   the same sites, in the same order. The naive rows are the reference
+   interpreter's, the others the engine's. Columns: lim_ticks,
+   child_steps, nodes_scanned, hash_join_builds, hash_join_probes. *)
 let pinned_counters =
   [
-    ("fig3", "naive", (694, 138, 394, 0, 0, 0, 0));
-    ("fig3", "indexed", (702, 138, 217, 138, 0, 0, 0));
-    ("fig3", "auto", (702, 138, 394, 0, 0, 0, 0));
-    ("fig3-universal", "naive", (694, 138, 394, 0, 0, 0, 0));
-    ("fig3-universal", "indexed", (702, 138, 217, 138, 0, 0, 0));
-    ("fig3-universal", "auto", (702, 138, 394, 0, 0, 0, 0));
-    ("fig4", "naive", (702, 138, 394, 0, 0, 0, 0));
-    ("fig4", "indexed", (702, 138, 217, 138, 0, 0, 0));
-    ("fig4", "auto", (702, 138, 394, 0, 0, 0, 0));
-    ("fig4-nocontext", "naive", (5562, 1105, 3160, 0, 0, 0, 0));
-    ("fig4-nocontext", "indexed", (5626, 1105, 1744, 1105, 64, 0, 0));
-    ("fig4-nocontext", "auto", (5626, 1105, 1744, 1105, 64, 0, 0));
-    ("fig5", "naive", (642, 137, 464, 0, 0, 0, 0));
-    ("fig5", "indexed", (642, 137, 248, 137, 8, 0, 0));
-    ("fig5", "auto", (642, 137, 464, 0, 0, 0, 0));
-    ("fig6", "naive", (3546, 209, 1016, 0, 0, 0, 0));
-    ("fig6", "indexed", (1642, 177, 288, 177, 8, 8, 40));
-    ("fig6", "auto", (1642, 177, 288, 177, 8, 8, 40));
-    ("fig6-cartesian", "naive", (3706, 849, 1976, 0, 0, 0, 0));
-    ("fig6-cartesian", "indexed", (3746, 849, 1248, 849, 40, 0, 0));
-    ("fig6-cartesian", "auto", (3746, 849, 1248, 849, 40, 0, 0));
-    ("fig6-global", "naive", (29538, 6769, 15176, 0, 0, 0, 0));
-    ("fig6-global", "indexed", (29906, 6769, 9968, 6769, 360, 0, 0));
-    ("fig6-global", "auto", (29906, 6769, 9968, 6769, 360, 0, 0));
-    ("fig6-join-global", "naive", (23778, 529, 5816, 0, 0, 0, 0));
-    ("fig6-join-global", "indexed", (1644, 178, 296, 178, 9, 1, 40));
-    ("fig6-join-global", "auto", (1644, 178, 296, 178, 9, 1, 40));
-    ("fig7", "naive", (3618, 209, 1016, 0, 0, 0, 0));
-    ("fig7", "indexed", (2746, 209, 608, 209, 40, 40, 40));
-    ("fig7", "auto", (3666, 209, 608, 209, 40, 0, 0));
-    ("fig8", "naive", (618, 129, 856, 0, 0, 0, 0));
-    ("fig8", "indexed", (626, 129, 168, 129, 40, 0, 0));
-    ("fig8", "auto", (626, 129, 168, 129, 40, 0, 0));
-    ("fig9", "naive", (106, 113, 680, 0, 0, 0, 0));
-    ("fig9", "indexed", (106, 113, 296, 113, 24, 0, 0));
-    ("fig9", "auto", (106, 113, 680, 0, 0, 0, 0));
+    ("fig3", "naive", (694, 138, 394, 0, 0));
+    ("fig3", "indexed", (702, 138, 394, 0, 0));
+    ("fig3", "auto", (702, 138, 394, 0, 0));
+    ("fig3-universal", "naive", (694, 138, 394, 0, 0));
+    ("fig3-universal", "indexed", (702, 138, 394, 0, 0));
+    ("fig3-universal", "auto", (702, 138, 394, 0, 0));
+    ("fig4", "naive", (702, 138, 394, 0, 0));
+    ("fig4", "indexed", (702, 138, 394, 0, 0));
+    ("fig4", "auto", (702, 138, 394, 0, 0));
+    ("fig4-nocontext", "naive", (5562, 1105, 3160, 0, 0));
+    ("fig4-nocontext", "indexed", (5626, 1105, 3160, 0, 0));
+    ("fig4-nocontext", "auto", (5626, 1105, 3160, 0, 0));
+    ("fig5", "naive", (642, 137, 464, 0, 0));
+    ("fig5", "indexed", (642, 137, 464, 0, 0));
+    ("fig5", "auto", (642, 137, 464, 0, 0));
+    ("fig6", "naive", (3546, 209, 1016, 0, 0));
+    ("fig6", "indexed", (1642, 177, 504, 8, 40));
+    ("fig6", "auto", (1642, 177, 504, 8, 40));
+    ("fig6-cartesian", "naive", (3706, 849, 1976, 0, 0));
+    ("fig6-cartesian", "indexed", (3746, 849, 1976, 0, 0));
+    ("fig6-cartesian", "auto", (3746, 849, 1976, 0, 0));
+    ("fig6-global", "naive", (29538, 6769, 15176, 0, 0));
+    ("fig6-global", "indexed", (29906, 6769, 15176, 0, 0));
+    ("fig6-global", "auto", (29906, 6769, 15176, 0, 0));
+    ("fig6-join-global", "naive", (23778, 529, 5816, 0, 0));
+    ("fig6-join-global", "indexed", (1644, 178, 512, 1, 40));
+    ("fig6-join-global", "auto", (1644, 178, 512, 1, 40));
+    ("fig7", "naive", (3618, 209, 1016, 0, 0));
+    ("fig7", "indexed", (2746, 209, 1016, 40, 40));
+    ("fig7", "auto", (3666, 209, 1016, 0, 0));
+    ("fig8", "naive", (618, 129, 856, 0, 0));
+    ("fig8", "indexed", (626, 129, 856, 0, 0));
+    ("fig8", "auto", (626, 129, 856, 0, 0));
+    ("fig9", "naive", (106, 113, 680, 0, 0));
+    ("fig9", "indexed", (106, 113, 680, 0, 0));
+    ("fig9", "auto", (106, 113, 680, 0, 0));
   ]
 
 let pinned_counter_tests =
@@ -777,14 +720,10 @@ let pinned_counter_tests =
                 ( c.lim_ticks,
                   c.child_steps,
                   c.nodes_scanned,
-                  c.index_probes,
-                  c.index_hits,
                   c.hash_join_builds,
                   c.hash_join_probes )
             in
-            let show (a, b, c, d, e, f, g) =
-              Printf.sprintf "(%d, %d, %d, %d, %d, %d, %d)" a b c d e f g
-            in
+            let show (a, b, c, d, e) = Printf.sprintf "(%d, %d, %d, %d, %d)" a b c d e in
             checks (Printf.sprintf "%s/%s" name pname) (show expected) (show got))
           pinned_counters);
     Alcotest.test_case "no state crosses runs: one context twice = a fresh one"
@@ -1003,9 +942,9 @@ let run_table_tests =
 
 (* Planned runs bind variables in slots resolved at plan time. These
    tgds re-bind names, bind a source and a target variable under one
-   name, and leave names unbound, on a document above the index
-   threshold; every plan mode must give the reference interpreter's
-   bytes or error text. The work counters of each mode are pinned to
+   name, and leave names unbound, on a document of over 256 nodes;
+   every plan mode must give the reference interpreter's bytes or
+   error text. The work counters of each mode are pinned to
    the values the name-keyed environments gave before slots, so a slot
    that resolves to the wrong binding, or a tick moved or dropped,
    shows as a changed count. *)
@@ -1021,8 +960,8 @@ let dept_gen x = Tgd.source_gen x (src [ Path.Child "dept" ])
 
 (* The outcome of one run — the engine's under [Some plan], the
    reference interpreter's under [None]: output bytes or error text, and the work
-   counters as "lim_ticks child_steps nodes_scanned index_probes
-   index_hits hash_join_builds hash_join_probes". *)
+   counters as "lim_ticks child_steps nodes_scanned hash_join_builds
+   hash_join_probes". *)
 let scoped_run plan tgd =
   let source = Lazy.force scoping_doc in
   let c = C.create () in
@@ -1043,8 +982,6 @@ let scoped_run plan tgd =
         c.lim_ticks;
         c.child_steps;
         c.nodes_scanned;
-        c.index_probes;
-        c.index_hits;
         c.hash_join_builds;
         c.hash_join_probes;
       ]
@@ -1127,29 +1064,27 @@ let scoping_plans = [ ("indexed", `Indexed); ("auto", `Auto) ]
 (* Per case and mode, as the name-keyed environments counted them. *)
 let pinned_scoping_counters =
   [
-    (("a child rule re-binds a parent's source name", "naive"), "1614 265 3112 0 0 0 0");
-    (("a child rule re-binds a parent's source name", "indexed"), "1614 265 696 265 176 0 0");
-    (("a child rule re-binds a parent's source name", "auto"), "1614 265 3112 0 0 0 0");
-    (("a chain re-binds its own earlier name", "naive"), "670 132 382 0 0 0 0");
-    (("a chain re-binds its own earlier name", "indexed"), "678 132 211 132 0 0 0");
-    (("a chain re-binds its own earlier name", "auto"), "678 132 382 0 0 0 0");
-    (("an exists variable shares a forall name", "naive"), "7 1 8 0 0 0 0");
-    (("an exists variable shares a forall name", "indexed"), "7 1 8 1 0 0 0");
-    (("an exists variable shares a forall name", "auto"), "7 1 8 0 0 0 0");
-    (("an unbound name in a generator", "naive"), "4 1 8 0 0 0 0");
-    (("an unbound name in a generator", "indexed"), "5 1 8 1 0 0 0");
-    (("an unbound name in a generator", "auto"), "5 1 8 1 0 0 0");
-    (("an unbound name in a condition", "naive"), "25 9 136 0 0 0 0");
-    (("an unbound name in a condition", "indexed"), "12 2 13 2 0 0 0");
-    (("an unbound name in a condition", "auto"), "12 2 24 0 0 0 0");
+    (("a child rule re-binds a parent's source name", "naive"), "1614 265 3112 0 0");
+    (("a child rule re-binds a parent's source name", "indexed"), "1614 265 3112 0 0");
+    (("a child rule re-binds a parent's source name", "auto"), "1614 265 3112 0 0");
+    (("a chain re-binds its own earlier name", "naive"), "670 132 382 0 0");
+    (("a chain re-binds its own earlier name", "indexed"), "678 132 382 0 0");
+    (("a chain re-binds its own earlier name", "auto"), "678 132 382 0 0");
+    (("an exists variable shares a forall name", "naive"), "7 1 8 0 0");
+    (("an exists variable shares a forall name", "indexed"), "7 1 8 0 0");
+    (("an exists variable shares a forall name", "auto"), "7 1 8 0 0");
+    (("an unbound name in a generator", "naive"), "4 1 8 0 0");
+    (("an unbound name in a generator", "indexed"), "5 1 8 0 0");
+    (("an unbound name in a generator", "auto"), "5 1 8 0 0");
+    (("an unbound name in a condition", "naive"), "25 9 136 0 0");
+    (("an unbound name in a condition", "indexed"), "12 2 24 0 0");
+    (("an unbound name in a condition", "auto"), "12 2 24 0 0");
   ]
 
 let scoping_tests =
   List.map
     (fun (name, tgd, error) ->
       Alcotest.test_case name `Quick (fun () ->
-          checkb "above the index threshold" true
-            (Node.size (Lazy.force scoping_doc) >= 256);
           let naive, naive_counts = scoped_run None tgd in
           Option.iter
             (fun e -> checkb ("reports: " ^ e) true (contains naive ("error: " ^ e)))
@@ -1175,12 +1110,9 @@ let scoping_tests =
    interpreter, on departments whose [name] child is missing, single,
    repeated or of mixed text, whose attributes are present or not, and
    whose salaries are absent, numeric or not. Every rule but the last
-   case's binds one generator, over documents below the index
-   threshold, so [`Auto] does the interpreter's exact work: its bytes
-   or diagnostics (code and message) and its whole counter record must
-   equal the interpreter's. [`Indexed] must give the same bytes or
-   diagnostics and the same counts, except that each child step is an
-   index probe counting the matches it returns as scanned nodes. *)
+   case's binds one generator, so both plans do the interpreter's
+   exact work: their bytes or diagnostics (code and message) and their
+   whole counter records must equal the interpreter's. *)
 
 let kernel_dept = function
   | `One ->
@@ -1378,7 +1310,6 @@ let kernel_tests =
     (fun (name, depts, tgd, expect) ->
       Alcotest.test_case name `Quick (fun () ->
           let source = kernel_doc depts in
-          checkb "below the index threshold" true (Node.size source < 256);
           let text, counts = kernel_run None tgd source in
           List.iter (fun e -> checkb ("reports: " ^ e) true (contains text e)) expect;
           let auto_text, auto_counts = kernel_run (Some `Auto) tgd source in
@@ -1386,13 +1317,7 @@ let kernel_tests =
           checks "auto: same counters" (show_counts counts) (show_counts auto_counts);
           let idx_text, idx_counts = kernel_run (Some `Indexed) tgd source in
           checks "indexed: same bytes or diagnostics" text idx_text;
-          let unindexed = List.filter (fun (k, _) -> not (List.mem k [ "nodes_scanned"; "index_probes"; "index_hits" ])) in
-          checks "indexed: same counters off the index" (show_counts (unindexed counts))
-            (show_counts (unindexed idx_counts));
-          checki "indexed: a probe per child step" (List.assoc "child_steps" idx_counts)
-            (List.assoc "index_probes" idx_counts);
-          checkb "indexed: no more scanned nodes" true
-            (List.assoc "nodes_scanned" idx_counts <= List.assoc "nodes_scanned" counts)))
+          checks "indexed: same counters" (show_counts counts) (show_counts idx_counts)))
     kernel_cases
   @ [
       Alcotest.test_case "a join on multi-valued sides" `Quick (fun () ->
