@@ -1210,9 +1210,6 @@ let perf_experiment () =
       ( "schema/validate-instance",
         fun () ->
           ignore (Clip_schema.Validate.check ~check_refs:false source_schema mid) );
-      ( "fig5/run-xquery-text",
-        let fig5 = S.Figures.fig5.mapping in
-        fun () -> ignore (Engine.run ~backend:`Xquery_text fig5 mid) );
       ( "fig5/run-traced",
         let fig5 = S.Figures.fig5.mapping in
         fun () -> ignore (Engine.run_traced_result fig5 mid) );

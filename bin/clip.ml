@@ -186,6 +186,18 @@ let stream_flag =
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
+(* An integer option whose values below [min] are a usage error (exit
+   124), not a value the library silently clamps or misreads. *)
+let int_at_least min =
+  let parse arg =
+    match Arg.conv_parser Arg.int arg with
+    | Ok n when n < min ->
+      Error
+        (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" arg min))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let shard_bytes_arg =
   let doc =
     "Shard each document at the mapping's repeated source element into \
@@ -194,7 +206,7 @@ let shard_bytes_arg =
      without a safe cut fall back to whole-document evaluation — 'clip \
      explain' shows the decision and its reason."
   in
-  Arg.(value & opt (some int) None & info [ "shard-bytes" ] ~docv:"BYTES" ~doc)
+  Arg.(value & opt (some (int_at_least 1)) None & info [ "shard-bytes" ] ~docv:"BYTES" ~doc)
 
 let then_arg =
   let doc =
@@ -206,6 +218,14 @@ let then_arg =
      Incompatible with --stream."
   in
   Arg.(value & opt_all file [] & info [ "then" ] ~docv:"MAPPING" ~doc)
+
+(* --then chains materialised documents, which --stream never builds;
+   run and explain reject the pair alike. *)
+let check_then_stream ~stream thens =
+  if thens <> [] && stream then begin
+    prerr_endline "clip: --then cannot be combined with --stream";
+    exit 124
+  end
 
 let run_cmd =
   let input_files =
@@ -222,7 +242,7 @@ let run_cmd =
        Deterministic: stdout is byte-identical to --jobs 1 for any N \
        (results keep input order; execution counters are merged)."
     in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let tree_flag =
     let doc = "Print the paper's ASCII-tree rendering instead of XML." in
@@ -243,7 +263,7 @@ let run_cmd =
        gets its own), checked cooperatively at the evaluators' step-budget \
        tick sites, so even a runaway cross product terminates cleanly."
     in
-    Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt (some (int_at_least 0)) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
   in
   let keep_going_flag =
     let doc =
@@ -259,10 +279,7 @@ let run_cmd =
   let run file inputs backend plan tree trace jobs timeout_ms keep_going
       stream shard_bytes thens =
     let m = load_mapping file in
-    if thens <> [] && stream then begin
-      prerr_endline "clip: --then cannot be combined with --stream";
-      exit 124
-    end;
+    check_then_stream ~stream thens;
     (* The pipeline stages, first mapping included. A singleton chain
        takes the plain engine path below; longer chains go through the
        mapping algebra (fused when composable, staged otherwise). *)
@@ -493,6 +510,7 @@ let run_cmd =
 let explain_cmd =
   let run file input backend plan stream shard_bytes thens =
     let m = load_mapping file in
+    check_then_stream ~stream thens;
     let chain = m :: List.map load_mapping thens in
     let xml_src = read_file input in
     (* --stream / --shard-bytes ask for the sharding decision a run

@@ -1,4 +1,4 @@
-type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
+type backend = [ `Tgd | `Xquery | `Rel ]
 type mode = [ `Whole | `Sharded | `Auto ]
 
 let ( let* ) = Result.bind
@@ -68,8 +68,7 @@ module type BACKEND = sig
     (query, Clip_diag.t list) result
 
   (* Whole-document evaluation of the source document. Phase spans
-     ("translate", "parse", "execute") and counters flow through
-     [ctx]. *)
+     ("translate", "execute") and counters flow through [ctx]. *)
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
     ctx:Clip_run.t ->
@@ -146,31 +145,18 @@ module Tgd_backend = struct
     Clip_diag.guard (fun () -> Clip_tgd.Eval.explain ?plan ~source tgd)
 end
 
-(* The two XQuery backends differ only in the round-trip through the
-   concrete syntax, which stands in for what an external processor
-   would do per request. *)
-module Make_xquery (C : sig
-  val id : backend
-  val name : string
-  val doc : string
-  val text : bool
-end) : BACKEND = struct
+(* The XQuery backend: the tgd translated to the query of Sec. VI,
+   evaluated as an AST. *)
+module Xquery_backend : BACKEND = struct
   type query = Clip_xquery.Ast.expr
 
-  let id = C.id
-  let name = C.name
-  let doc = C.doc
+  let id = `Xquery
+  let name = "xquery"
+  let doc = "generated query (Sec. VI), evaluated as an AST"
 
-  let prepare_result ?limits ~ctx ~mapping:(m : Mapping.t) tgd =
-    let* q =
-      Clip_run.span ctx "translate" (fun () ->
-          To_xquery.translate_result ~target_root:m.target.root.name tgd)
-    in
-    if not C.text then Ok q
-    else
-      Clip_run.span ctx "parse" (fun () ->
-          Clip_xquery.Parser.parse_string_result ?limits
-            (Clip_xquery.Pretty.query_to_string q))
+  let prepare_result ?limits:_ ~ctx ~mapping:(m : Mapping.t) tgd =
+    Clip_run.span ctx "translate" (fun () ->
+        To_xquery.translate_result ~target_root:m.target.root.name tgd)
 
   let eval_result ?limits ~ctx ~minimum_cardinality:_ ?plan source
       (m : Mapping.t) tgd =
@@ -240,20 +226,6 @@ module Rel_backend : BACKEND = struct
       body
 end
 
-module Xquery_backend = Make_xquery (struct
-  let id = `Xquery
-  let name = "xquery"
-  let doc = "generated query (Sec. VI), evaluated as an AST"
-  let text = false
-end)
-
-module Xquery_text_backend = Make_xquery (struct
-  let id = `Xquery_text
-  let name = "xquery-text"
-  let doc = "generated query round-tripped through its concrete syntax"
-  let text = true
-end)
-
 (* --- The backend registry ---------------------------------------------- *)
 
 type packed = Backend : (module BACKEND with type query = 'q) -> packed
@@ -263,7 +235,6 @@ let backends =
     Backend (module Tgd_backend);
     Backend (module Rel_backend);
     Backend (module Xquery_backend);
-    Backend (module Xquery_text_backend);
   ]
 
 let backend_module (id : backend) =

@@ -1,6 +1,6 @@
 (** End-to-end execution of a Clip mapping over a source instance.
 
-    Four backends implement the same semantics:
+    Three backends implement the same semantics:
     - [`Tgd] — compile to a nested tgd and run the {!Clip_tgd.Eval}
       data-exchange engine directly;
     - [`Rel] — a relational-shape gate over [`Tgd]: a mapping whose
@@ -9,11 +9,9 @@
       runs exactly the [`Tgd] path, and any other source is rejected
       statically with [CLIP-REL-003] ({!Clip_rel.Program});
     - [`Xquery] — compile to a tgd, generate the XQuery of Sec. VI with
-      {!To_xquery}, and evaluate it with {!Clip_xquery.Eval};
-    - [`Xquery_text] — like [`Xquery], but round-tripping the query
-      through its concrete syntax ({!Clip_xquery.Pretty} then
-      {!Clip_xquery.Parser}): exactly what an external XQuery processor
-      would receive.
+      {!To_xquery}, and evaluate it as an AST with {!Clip_xquery.Eval}.
+      Its concrete syntax ({!xquery_text}) is checked by the test
+      suite, which parses the printed query back to an equal AST.
 
     The test suite asserts all backends agree on every scenario; the
     benchmark harness compares their cost.
@@ -39,7 +37,7 @@
     from one call to the next, so a run's output and work counters
     depend only on its arguments. *)
 
-type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
+type backend = [ `Tgd | `Xquery | `Rel ]
 
 (** How one (large) source document is executed:
     - [`Whole] (the default everywhere except {!run_stream_result}) —
@@ -79,10 +77,7 @@ val default_shard_bytes : int
 
     Engine dispatch is a lookup in the {!backends} table of first-class
     modules, so adding a backend means writing one module satisfying
-    this signature and appending one row — no new match arms. The
-    existing differential suites pin that the tgd and XQuery backends
-    behave byte-identically through this interface to the former
-    hard-wired dispatch. *)
+    this signature and appending one row — no new match arms. *)
 module type BACKEND = sig
   type query
 

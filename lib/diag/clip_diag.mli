@@ -95,7 +95,10 @@ module Codes : sig
 
   val mapping_syntax : string (** [CLIP-MAP-001] mapping DSL syntax error *)
 
-  val xquery_syntax : string (** [CLIP-XQ-001] XQuery syntax error *)
+  val xquery_syntax : string
+  (** [CLIP-XQ-001] XQuery syntax error. No run parses XQuery text;
+      only the test suite's reference reader for the Sec. VI text
+      raises it. *)
 
   val xquery_eval : string (** [CLIP-XQ-002] XQuery dynamic error *)
 

@@ -1,7 +1,8 @@
 (** Render {!Ast} expressions as XQuery source text, in the style of the
     queries printed in Sec. VI of the paper (FLWOR keywords at the left
-    of their clause, enclosed expressions in braces). The output of the
-    generator round-trips through any standard XQuery processor. *)
+    of their clause, enclosed expressions in braces). The test suite
+    parses the printed query of every figure and Table I mapping back
+    to an AST equal to the one printed. *)
 
 val expr_to_string : Ast.expr -> string
 

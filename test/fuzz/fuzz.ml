@@ -280,7 +280,7 @@ let targets : (string * (string -> unit)) list =
     ("schema-dsl", fun s -> ignore (Clip_schema.Dsl.parse_result ~limits s));
     ("xsd", fun s -> ignore (Clip_schema.Xsd.of_string_result ~limits s));
     ("mapping-dsl", fun s -> ignore (Clip_core.Dsl.parse_result ~limits s));
-    ("xquery", fun s -> ignore (Clip_xquery.Parser.parse_string_result ~limits s));
+    ("xquery", fun s -> ignore (Xquery_parser.parse_string_result ~limits s));
     ( "engine",
       (* Beyond totality, the engine target is differential: the
          reference interpreter and the engine under [`Indexed] and
@@ -378,7 +378,7 @@ let guard_checks () =
    | exception e -> report_failure "deep-schema" "schema s { a { a ..." e);
   (* 100k-deep XQuery parentheses. *)
   let q = String.concat "" [ String.make n '('; "1"; String.make n ')' ] in
-  (match Clip_xquery.Parser.parse_string_result q with
+  (match Xquery_parser.parse_string_result q with
    | r -> expect_limit "deep-xquery" Clip_diag.Codes.limit_recursion r
    | exception e -> report_failure "deep-xquery" "(((..." e);
   (* Step budget: a mapping whose cross product exceeds max_eval_steps. *)

@@ -53,13 +53,12 @@ let identity (s : Schema.t) : Mapping.t =
   in
   Mapping.make ~source:s ~target:s ~roots values
 
-let backends = [ `Tgd; `Xquery; `Xquery_text ]
+let backends = [ `Tgd; `Xquery ]
 let plans = [ `Indexed; `Auto ]
 
 let backend_name = function
   | `Tgd -> "tgd"
   | `Xquery -> "xquery"
-  | `Xquery_text -> "xquery-text"
   | `Rel -> "rel"
 
 let plan_name = function `Indexed -> "indexed" | `Auto -> "auto"
@@ -270,7 +269,7 @@ let prop_chain_differential =
     (fun (fi, shape, pi) ->
       let sc = figure_pool.(fi) in
       let mc = sc.minimum_cardinality in
-      let backend = if mc then List.nth backends (fi mod 3) else `Tgd in
+      let backend = if mc then List.nth backends (fi mod List.length backends) else `Tgd in
       let plan = List.nth plans pi in
       let chain = chain_of sc shape in
       (* totality: compose_chain_result never raises *)

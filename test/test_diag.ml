@@ -98,7 +98,7 @@ let xquery_tests =
     Alcotest.test_case "syntax error is CLIP-XQ-001 with a span" `Quick (fun () ->
         let d =
           expect_code D.Codes.xquery_syntax
-            (Clip_xquery.Parser.parse_string_result "for $x in")
+            (Xquery_parser.parse_string_result "for $x in")
         in
         (match d.D.span with
          | Some _ -> ()
@@ -106,9 +106,9 @@ let xquery_tests =
     Alcotest.test_case "huge integer literal is rejected, not crashed" `Quick (fun () ->
         ignore
           (expect_code D.Codes.xquery_syntax
-             (Clip_xquery.Parser.parse_string_result "99999999999999999999999999")));
+             (Xquery_parser.parse_string_result "99999999999999999999999999")));
     Alcotest.test_case "unbound variable at eval is CLIP-XQ-002" `Quick (fun () ->
-        match Clip_xquery.Parser.parse_string_result "$nope" with
+        match Xquery_parser.parse_string_result "$nope" with
         | Error ds -> Alcotest.failf "parse failed: %s" (D.render_list ds)
         | Ok e ->
           ignore
@@ -248,7 +248,7 @@ let engine_tests =
                      ~shard_bytes:64 sc.mapping
                      (Clip_xml.Stream.of_string text)))
               [ `Whole; `Sharded; `Auto ])
-          [ `Xquery; `Xquery_text; `Rel ]);
+          [ `Xquery; `Rel ]);
   ]
 
 (* --- Resource limits --------------------------------------------------- *)
@@ -282,7 +282,7 @@ let limit_tests =
     Alcotest.test_case "deep XQuery parens are CLIP-LIM-003" `Quick (fun () ->
         let q = String.make 100_000 '(' ^ "1" ^ String.make 100_000 ')' in
         ignore
-          (expect_code D.Codes.limit_recursion (Clip_xquery.Parser.parse_string_result q)));
+          (expect_code D.Codes.limit_recursion (Xquery_parser.parse_string_result q)));
     Alcotest.test_case "deep schema nesting is CLIP-LIM-003" `Quick (fun () ->
         let buf = Buffer.create (1 lsl 20) in
         Buffer.add_string buf "schema s ";
@@ -400,7 +400,7 @@ let limit_tests =
           "for $a in d/x for $b in d/x for $c in d/x for $e in d/x return 1"
         in
         let e =
-          match Clip_xquery.Parser.parse_string_result q with
+          match Xquery_parser.parse_string_result q with
           | Ok e -> e
           | Error ds -> Alcotest.failf "fixture does not parse: %s" (D.render_list ds)
         in

@@ -45,7 +45,7 @@ let backend_agreement_tests =
                List.iter
                  (fun (name, backend) ->
                    Alcotest.(check string) (name ^ " = oracle") expected (show (run ~backend sc)))
-                 [ ("tgd", `Tgd); ("xquery", `Xquery); ("xquery-text", `Xquery_text) ])))
+                 [ ("tgd", `Tgd); ("xquery", `Xquery) ])))
     S.Figures.all
 
 (* Outputs conform to the target schemas (referential constraints do
@@ -203,7 +203,7 @@ let robustness_tests =
             | Error [] -> Alcotest.fail "Error without diagnostics"
             | Ok _ -> Alcotest.fail "a wrong document root ran")
           Clip_diag.Codes.
-            [ (`Tgd, tgd_eval); (`Xquery, xquery_eval); (`Xquery_text, xquery_eval) ]);
+            [ (`Tgd, tgd_eval); (`Xquery, xquery_eval) ]);
     Alcotest.test_case "schema-invalid sources still transform (engines are lax)"
       `Quick (fun () ->
         (* a dept with no dname and a stray element: the engines copy

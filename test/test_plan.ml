@@ -375,7 +375,6 @@ module Engine = Clip_core.Engine
 let backend_name = function
   | `Tgd -> "tgd"
   | `Xquery -> "xquery"
-  | `Xquery_text -> "xquery-text"
   | `Rel -> "rel"
 
 let run_mode sc ~backend ~plan doc =
@@ -399,7 +398,7 @@ let scaled_instance = lazy (S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:
 
 (* The universal-solution ablation runs on tgd only. *)
 let all_backends (sc : S.Figures.t) =
-  if sc.minimum_cardinality then [ `Tgd; `Xquery; `Xquery_text ] else [ `Tgd ]
+  if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ]
 
 let differential_tests =
   List.concat_map
@@ -442,7 +441,7 @@ let scaled_differential_tests =
                       true
                       (Node.equal (naive sc doc) (run_mode sc ~backend ~plan doc)))
                   [ `Indexed; `Auto ])
-              [ `Tgd; `Xquery; `Xquery_text ])
+              [ `Tgd; `Xquery ])
           S.Figures.[ fig5; fig6; fig6_join_global; fig7 ]);
   ]
 

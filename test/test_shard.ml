@@ -132,7 +132,7 @@ let cutting_tests =
 
 (* --- Differential: sharded == whole, everywhere -------------------------- *)
 
-let backends = [ (`Tgd, "tgd"); (`Xquery, "xquery"); (`Xquery_text, "xquery-text") ]
+let backends = [ (`Tgd, "tgd"); (`Xquery, "xquery") ]
 let plans = [ (`Auto, "auto"); (`Indexed, "indexed") ]
 
 let run_string ?ctx ?mode ?shard_bytes ?jobs ~backend ~plan
