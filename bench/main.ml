@@ -714,18 +714,16 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     (if speedup_enforced then "enforced"
      else Printf.sprintf "not enforced (%d core%s available)" cores
             (if cores = 1 then "" else "s"));
-  subrule
-    "single-document sharding: byte-identity, exact counter merge, \
-     intra-document speedup (scale 100)";
-  (* One large document instead of many small ones: the shard planner
-     cuts it at the mapping's shard unit and [?jobs] domains evaluate
-     the shards. Whole-document sequential output is the oracle. *)
+  (* One large document instead of many small ones: the streaming
+     pipeline cuts it at the mapping's shard unit. Whole-document
+     sequential output is the oracle. *)
   let shard_sc = S.Figures.fig6 in
   let shard_scale = 100 in
   let shard_doc =
     S.Deptdb.synthetic_instance ~depts:shard_scale ~projs:5 ~emps:10
   in
-  let shard_budget = max 1 (Clip_shard.approx_bytes shard_doc / 16) in
+  let shard_bytes_src = Clip_xml.Printer.to_string shard_doc in
+  let shard_budget = max 1 (String.length shard_bytes_src / 16) in
   let shard_cut =
     let m = shard_sc.S.Figures.mapping in
     match
@@ -740,25 +738,12 @@ let par_experiment ?(smoke = false) ?(check = false) () =
         shard_sc.name reason;
       exit 1
   in
-  let shard_count =
-    List.length (Clip_shard.shards_of_node shard_cut ~budget_bytes:shard_budget shard_doc)
-  in
-  let run_sharded ~mode ~jobs ~obs () =
-    let ctx = Clip_run.create ?counters:obs () in
+  let whole_out =
     Clip_xml.Printer.to_pretty_string
-      (Engine.run ~ctx ~backend:`Tgd
-         ~minimum_cardinality:shard_sc.minimum_cardinality ~mode
-         ~shard_bytes:shard_budget ~jobs shard_sc.mapping shard_doc)
+      (Engine.run ~backend:`Tgd
+         ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
+         shard_doc)
   in
-  let c_whole = Clip_obs.Counters.create () in
-  let whole_out = run_sharded ~mode:`Whole ~jobs:1 ~obs:(Some c_whole) () in
-  let c_sseq = Clip_obs.Counters.create () in
-  let sharded_seq = run_sharded ~mode:`Sharded ~jobs:1 ~obs:(Some c_sseq) () in
-  let c_spar = Clip_obs.Counters.create () in
-  let sharded_par =
-    run_sharded ~mode:`Sharded ~jobs ~obs:(Some c_spar) ()
-  in
-  let shard_bytes_src = Clip_xml.Printer.to_string shard_doc in
   let streamed_out =
     match
       Engine.run_stream_result ~backend:`Tgd
@@ -770,47 +755,10 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     | Error ds ->
       "streamed run failed: " ^ String.concat "; " (List.map Clip_diag.render ds)
   in
-  let shard_identical =
-    String.equal whole_out sharded_seq && String.equal whole_out sharded_par
-  in
   let shard_stream_identical = String.equal whole_out streamed_out in
-  (* Parallel shard evaluation must merge counters to exactly the
-     sequential-shard totals. (Whole-document counters are not the
-     oracle here: per-shard plan selection legitimately differs.) *)
-  let shard_counters_exact =
-    Clip_obs.Counters.work_assoc c_sseq = Clip_obs.Counters.work_assoc c_spar
-  in
-  Printf.printf
-    "fig6/tgd, %d depts, %d shards: sharded output byte-identical %b | \
-     streamed identical %b | par counters = seq counters %b\n"
-    shard_scale shard_count shard_identical shard_stream_identical
-    shard_counters_exact;
-  let shard_run j () = run_sharded ~mode:`Sharded ~jobs:j ~obs:None () in
-  let t_s1, t_s2, t_s4 =
-    match interleaved_reps reps [ shard_run 1; shard_run 2; shard_run jobs ] with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
-  let best_speedup num den =
-    Float.max (paired_speedup num den)
-      (min_of num /. Float.max (min_of den) 1e-9)
-  in
-  let shard_speedup = best_speedup t_s1 t_s4 in
-  let shard_speedup_2 = best_speedup t_s1 t_s2 in
-  let shard_speedup_enforced = cores >= 4 in
-  let shard_speedup_2_enforced = cores >= 2 in
-  let shard_speedup_target = 2.0 in
-  let shard_speedup_2_target = 1.2 in
-  Printf.printf
-    "one document: shards seq %.3f ms | 2 domains %.3f ms (%.2fx, gate >= \
-     %.1fx %s) | %d domains %.3f ms (%.2fx, gate >= %.1fx %s)\n"
-    (median_of t_s1) (median_of t_s2) shard_speedup_2 shard_speedup_2_target
-    (if shard_speedup_2_enforced then "enforced" else "off: <2 cores")
-    jobs (median_of t_s4) shard_speedup shard_speedup_target
-    (if shard_speedup_enforced then "enforced"
-     else Printf.sprintf "off: %d cores" cores);
   subrule
-    "bounded memory: streaming sharded pipeline vs whole-document parse+run";
+    "single-document streaming: byte-identity and bounded memory vs \
+     whole-document parse+run (scale 100)";
   (* Peak live words, sampled with Gc.full_major between pipeline
      steps. The whole path holds source tree + target at once; the
      streaming pipeline holds one shard + the accumulating target. The
@@ -834,6 +782,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
       ignore (Sys.opaque_identity (doc, out));
       peak
   in
+  let shard_count = ref 0 in
   let sharded_peak, merged_identical =
     let cutter =
       Clip_shard.cutter shard_cut ~budget_bytes:shard_budget
@@ -852,6 +801,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
         in
         (peak, ok)
       | Ok (Clip_shard.Shard shard) ->
+        incr shard_count;
         let out =
           Engine.run ~backend:`Tgd
             ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
@@ -869,9 +819,11 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   in
   let mem_target = 0.5 in
   Printf.printf
-    "peak live words: whole %d | sharded streaming %d | ratio %.3f (gate <= \
+    "fig6/tgd, %d depts, %d shards of %d bytes: streamed output identical %b\n\
+     peak live words: whole %d | sharded streaming %d | ratio %.3f (gate <= \
      %.2f) | merged output identical %b\n"
-    whole_peak sharded_peak mem_ratio mem_target merged_identical;
+    shard_scale !shard_count shard_budget shard_stream_identical whole_peak
+    sharded_peak mem_ratio mem_target merged_identical;
   let commit = git_commit () in
   let row_json (figure, backend, identical, counters_match) =
     Printf.sprintf
@@ -899,17 +851,12 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   Buffer.add_string buf
     (Printf.sprintf
        "  \"shard\": {\"figure\": %s, \"scale\": %d, \"budget_bytes\": %d, \
-        \"shards\": %d, \"identical\": %b, \"stream_identical\": %b, \
-        \"counters_exact\": %b, \"seq_ms\": %.3f, \"par2_ms\": %.3f, \
-        \"par%d_ms\": %.3f, \"shard_speedup\": %.3f, \"shard_speedup_2\": \
-        %.3f, \"shard_speedup_enforced\": %b, \"shard_speedup_2_enforced\": \
-        %b, \"whole_peak_live_words\": %d, \"sharded_peak_live_words\": %d, \
+        \"shards\": %d, \"stream_identical\": %b, \
+        \"whole_peak_live_words\": %d, \"sharded_peak_live_words\": %d, \
         \"mem_ratio\": %.4f, \"merged_identical\": %b},\n"
-       (json_string shard_sc.name) shard_scale shard_budget shard_count
-       shard_identical shard_stream_identical shard_counters_exact
-       (median_of t_s1) (median_of t_s2) jobs (median_of t_s4) shard_speedup
-       shard_speedup_2 shard_speedup_enforced shard_speedup_2_enforced
-       whole_peak sharded_peak mem_ratio merged_identical);
+       (json_string shard_sc.name) shard_scale shard_budget !shard_count
+       shard_stream_identical whole_peak sharded_peak mem_ratio
+       merged_identical);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"degraded\": {\"tasks\": %d, \"failed_slot\": %d, \"intact\": %b, \
@@ -949,34 +896,11 @@ let par_experiment ?(smoke = false) ?(check = false) () =
         speedup jobs speedup_target cores;
       exit 1
     end;
-    if not (shard_identical && shard_stream_identical && merged_identical)
-    then begin
+    if not (shard_stream_identical && merged_identical) then begin
       Printf.eprintf
         "par bench check FAILED: sharded output differs from whole-document \
-         (tree %b, streamed %b, manual pipeline %b)\n"
-        shard_identical shard_stream_identical merged_identical;
-      exit 1
-    end;
-    if not shard_counters_exact then begin
-      Printf.eprintf
-        "par bench check FAILED: parallel shard counters differ from \
-         sequential shard counters\n";
-      exit 1
-    end;
-    if shard_speedup_enforced && shard_speedup < shard_speedup_target
-    then begin
-      Printf.eprintf
-        "par bench check FAILED: %.2fx shard speedup at %d domains < %.1fx \
-         target (%d cores)\n"
-        shard_speedup jobs shard_speedup_target cores;
-      exit 1
-    end;
-    if shard_speedup_2_enforced && shard_speedup_2 < shard_speedup_2_target
-    then begin
-      Printf.eprintf
-        "par bench check FAILED: %.2fx shard speedup at 2 domains < %.1fx \
-         target (%d cores)\n"
-        shard_speedup_2 shard_speedup_2_target cores;
+         (streamed %b, manual pipeline %b)\n"
+        shard_stream_identical merged_identical;
       exit 1
     end;
     if mem_ratio > mem_target then begin

@@ -177,12 +177,15 @@ let stream_flag =
   let doc =
     "Read each input incrementally (chunked) instead of loading it whole. \
      When the mapping admits a safe shard cut, evaluation is fully \
-     streaming: shard documents are cut straight off the byte feed, \
-     evaluated on --jobs domains and merged in document order, so peak \
-     memory is bounded by the in-flight shard window, not the document. \
-     Output is byte-identical to a non-streaming run. Inputs are processed \
-     one at a time (--jobs parallelises within each document); syntax \
-     errors are reported without the source-line caret."
+     streaming: shard documents are cut straight off the byte feed \
+     (see --shard-bytes), evaluated on --jobs domains and merged in \
+     document order, so peak memory is bounded by the in-flight shard \
+     window, not the document. Other mappings are evaluated over the \
+     whole document ('clip explain --stream' shows the decision and its \
+     reason). Output is byte-identical to a non-streaming run. Inputs \
+     are processed one at a time (--jobs parallelises within each \
+     document); syntax errors are reported without the source-line \
+     caret."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
@@ -200,11 +203,8 @@ let int_at_least min =
 
 let shard_bytes_arg =
   let doc =
-    "Shard each document at the mapping's repeated source element into \
-     pieces of about $(docv) serialised bytes and evaluate them on --jobs \
-     domains (implies sharded mode; default budget 1 MiB). Mappings \
-     without a safe cut fall back to whole-document evaluation — 'clip \
-     explain' shows the decision and its reason."
+    "Close each streamed shard once its units reach $(docv) source bytes \
+     (default 1 MiB). Requires --stream."
   in
   Arg.(value & opt (some (int_at_least 1)) None & info [ "shard-bytes" ] ~docv:"BYTES" ~doc)
 
@@ -219,13 +219,17 @@ let then_arg =
   in
   Arg.(value & opt_all file [] & info [ "then" ] ~docv:"MAPPING" ~doc)
 
-(* --then chains materialised documents, which --stream never builds;
-   run and explain reject the pair alike. *)
-let check_then_stream ~stream thens =
-  if thens <> [] && stream then begin
-    prerr_endline "clip: --then cannot be combined with --stream";
+(* --then chains materialised documents, which --stream never builds,
+   and only a byte stream is cut into shards; run and explain reject
+   both misuses alike. *)
+let check_stream_flags ~stream ~shard_bytes thens =
+  let usage msg =
+    prerr_endline ("clip: " ^ msg);
     exit 124
-  end
+  in
+  if thens <> [] && stream then usage "--then cannot be combined with --stream";
+  if shard_bytes <> None && not stream then
+    usage "--shard-bytes requires --stream"
 
 let run_cmd =
   let input_files =
@@ -238,7 +242,8 @@ let run_cmd =
   in
   let jobs_arg =
     let doc =
-      "Evaluate the inputs on N parallel domains, at most one per core. \
+      "Evaluate the inputs on N parallel domains, at most one per core; \
+       with --stream, evaluate each input's shards on N domains instead. \
        Deterministic: stdout is byte-identical to --jobs 1 for any N \
        (results keep input order; execution counters are merged)."
     in
@@ -279,17 +284,11 @@ let run_cmd =
   let run file inputs backend plan tree trace jobs timeout_ms keep_going
       stream shard_bytes thens =
     let m = load_mapping file in
-    check_then_stream ~stream thens;
+    check_stream_flags ~stream ~shard_bytes thens;
     (* The pipeline stages, first mapping included. A singleton chain
        takes the plain engine path below; longer chains go through the
        mapping algebra (fused when composable, staged otherwise). *)
     let chain = m :: List.map load_mapping thens in
-    (* --shard-bytes (and --stream) opt into single-document sharding;
-       --jobs then parallelises within each document, and inputs run
-       one at a time — without them, --jobs parallelises across
-       inputs exactly as before. *)
-    let mode = if stream || shard_bytes <> None then `Sharded else `Whole in
-    let cross_jobs = if mode = `Whole then jobs else 1 in
     (* SIGINT flips a cooperative cancellation flag shared by every
        task; workers notice at their next control poll and unwind with
        CLIP-LIM-006, so an interrupted batch still reports per-input
@@ -368,7 +367,7 @@ let run_cmd =
                     in
                     Result.map render_out
                       (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
-                         ~mode ?shard_bytes ~jobs m st))
+                         ?shard_bytes ~jobs m st))
               with
               | r -> (path, r)
               | exception Sys_error msg -> (path, Error [ io_error path msg ]))
@@ -416,17 +415,14 @@ let run_cmd =
           let traced ctx m =
             Clip_core.Engine.run_traced_result ~ctx ~plan m source
           in
-          match chain, backend, mode with
-          | [ m ], `Tgd, `Whole when trace ->
+          match chain, backend with
+          | [ m ], `Tgd when trace ->
             (* The measured run records the lineage itself. *)
             Result.map
               (fun (out, entries) -> render_out ~lineage:entries out)
               (traced ctx m)
-          | [ m ], _, _ -> (
-            match
-              Clip_core.Engine.run_result ~ctx ~backend ~plan ~mode
-                ?shard_bytes ~jobs m source
-            with
+          | [ m ], _ -> (
+            match Clip_core.Engine.run_result ~ctx ~backend ~plan m source with
             | Ok out when trace ->
               (* Only the tgd engine's whole-document run records
                  lineage, so here a separate tgd run recovers it. That
@@ -437,16 +433,14 @@ let run_cmd =
                 (fun (_, entries) -> render_out ~lineage:entries out)
                 (traced (Clip_run.create ?deadline ~cancel ()) m)
             | r -> Result.map render_out r)
-          | ms, _, _ ->
+          | ms, _ ->
             (* A multi-stage chain has no single mapping to trace, so
                --then suppresses the lineage section. *)
             Result.map render_out
-              (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ~mode
-                 ?shard_bytes ~jobs ms source)
+              (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ms source)
         in
         let results =
-          Clip_par.map_results ~jobs:cross_jobs ~obs:total evaluate
-            sources
+          Clip_par.map_results ~jobs ~obs:total evaluate sources
         in
         ( !parse_failures,
           List.map2 (fun (path, _) r -> (path, r)) sources results )
@@ -510,24 +504,20 @@ let run_cmd =
 let explain_cmd =
   let run file input backend plan stream shard_bytes thens =
     let m = load_mapping file in
-    check_then_stream ~stream thens;
+    check_stream_flags ~stream ~shard_bytes thens;
     let chain = m :: List.map load_mapping thens in
     let xml_src = read_file input in
-    (* --stream / --shard-bytes ask for the sharding decision a run
-       with the same flags would take: EXPLAIN then ends with a
-       'sharding:' line naming the cut, or the whole-document fallback
-       and its reason. *)
-    let mode =
-      if stream || shard_bytes <> None then Some `Sharded else None
-    in
+    (* --stream asks for the sharding decision a streamed run would
+       take: EXPLAIN then ends with a 'sharding:' line naming the cut,
+       or the whole-document fallback and its reason. *)
+    let mode = if stream then Some `Sharded else None in
     match Clip_xml.Parser.parse_string_result xml_src with
     | Error ds ->
       report ~src:xml_src ds;
       1
     | Ok source ->
       (match
-         Clip_core.Engine.explain_result ~backend ~plan ?mode ?shard_bytes m
-           source
+         Clip_core.Engine.explain_result ~backend ~plan ?mode m source
        with
        | Error ds ->
          report ds;
@@ -549,7 +539,7 @@ let explain_cmd =
          "Show the physical plan for running the mapping over an instance: \
           per source clause the chosen strategy (scan, pushed-down filter, \
           hash join) and the cost-model inputs that justified it — plus, \
-          with --stream or --shard-bytes, the sharding decision, and with \
+          with --stream, the sharding decision, and with \
           --then, the pipeline-fusion decision")
     Term.(const run $ mapping_file $ input_file $ backend_arg $ plan_arg
           $ stream_flag $ shard_bytes_arg $ then_arg)

@@ -1222,12 +1222,12 @@ module Pipeline = struct
       Printf.sprintf "fusion: staged (%s)" reason
 
   let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan:plan_mode
-      ?mode ?shard_bytes ?jobs ms source =
+      ms source =
     match plan ms with
     | Fused m ->
       Engine.run_result ?ctx ?limits ?backend ?minimum_cardinality
-        ?plan:plan_mode ?mode ?shard_bytes ?jobs m source
+        ?plan:plan_mode m source
     | Staged _ ->
       Engine.run_staged_result ?ctx ?limits ?backend ?minimum_cardinality
-        ?plan:plan_mode ?mode ?shard_bytes ?jobs ms source
+        ?plan:plan_mode ms source
 end

@@ -112,9 +112,6 @@ module Pipeline : sig
     ?backend:Clip_core.Engine.backend ->
     ?minimum_cardinality:bool ->
     ?plan:Clip_plan.mode ->
-    ?mode:Clip_core.Engine.mode ->
-    ?shard_bytes:int ->
-    ?jobs:int ->
     Mapping.t list ->
     Clip_xml.Node.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result

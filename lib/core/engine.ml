@@ -1,40 +1,10 @@
 type backend = [ `Tgd | `Xquery | `Rel ]
-type mode = [ `Whole | `Sharded | `Auto ]
+type mode = [ `Whole | `Sharded ]
 
 let ( let* ) = Result.bind
 let ( let+ ) r f = Result.map f r
 
-(* --- Single-document sharding ------------------------------------------ *)
-
-(* The sharded paths below cut one large source document at the unit
-   designated by {!Clip_shard.plan}, evaluate the shard documents
-   through the unchanged per-backend executors — the compiled tgd (and
-   translated query) shared — and merge the per-shard targets into
-   exactly the whole-document output. The whole-document path stays the
-   oracle: [`Whole] touches none of this. *)
-
 let default_shard_bytes = 1 lsl 20
-
-(* Resolve the three-way mode against the static analysis and the
-   concrete document. [`Sharded] shards whenever the analysis
-   designates a safe cut and the document holds at least two units;
-   [`Auto] additionally requires the document to overflow one shard
-   budget, so small documents keep the zero-overhead whole path. *)
-let decide ~mode ~minimum_cardinality ~shard_bytes (m : Mapping.t) tgd source =
-  match mode with
-  | `Whole -> Clip_shard.Whole "disabled, whole-document evaluation"
-  | (`Sharded | `Auto) as mode -> (
-      match
-        Clip_shard.plan ~source:m.source ~target:m.target ~minimum_cardinality
-          tgd
-      with
-      | Clip_shard.Whole _ as w -> w
-      | Clip_shard.Sharded cut as d ->
-          if Clip_shard.count_units cut source < 2 then
-            Clip_shard.Whole "the document holds fewer than two shard units"
-          else if mode = `Auto && Clip_shard.approx_bytes source <= shard_bytes
-          then Clip_shard.Whole "the document fits within one shard budget"
-          else d)
 
 (* Every run compiles its mapping; nothing is kept for the next run. *)
 let compile_result ~ctx m =
@@ -263,36 +233,6 @@ let check_ablation ~backend ~minimum_cardinality =
             B.name;
         ]
 
-(* --- Shard orchestration ------------------------------------------------ *)
-
-(* Cut a materialised document, evaluate the shards in parallel, merge.
-   Each shard runs under its own full step budget — the budget bounds
-   any single evaluation, not their sum. [Clip_par.map_results] lands
-   every result in its input slot, so the error reported is the lowest
-   shard index's — the one the sequential whole-document run would have
-   hit first. *)
-let sharded_run_result (type q) (module B : BACKEND with type query = q)
-    ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
-    ~(query : q) source =
-  let obs = Clip_run.counters ctx in
-  let ctl = Clip_run.control ctx in
-  let shards = Clip_shard.shards_of_node cut ~budget_bytes:shard_bytes source in
-  let rs =
-    Clip_run.span ctx "execute" (fun () ->
-        Clip_par.map_results ?jobs ~obs
-          (fun ~obs shard ->
-            B.eval_shard ?limits ~minimum_cardinality ?plan ~ctl
-              ~obs:(Some obs) ~steps_out:(ref 0) query shard)
-          shards)
-  in
-  let rec split outs = function
-    | [] -> Ok (List.rev outs)
-    | Ok o :: rest -> split (o :: outs) rest
-    | Error ds :: _ -> Error ds
-  in
-  let* outs = split [] rs in
-  Clip_shard.merge ~unify:cut.Clip_shard.unify outs
-
 (* --- One-shot entry points --------------------------------------------- *)
 
 let fresh_ctx = function Some c -> c | None -> Clip_run.create ()
@@ -300,34 +240,21 @@ let fresh_ctx = function Some c -> c | None -> Clip_run.create ()
 let ok_or_fail = function Ok v -> v | Error ds -> Clip_diag.fail_all ds
 
 (* Run an already compiled mapping over a materialised document. *)
-let run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
-    ~shard_bytes ?jobs (m : Mapping.t) tgd source =
+let run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan
+    (m : Mapping.t) tgd source =
   match backend_module backend with
-  | Backend (module B) -> (
-      match decide ~mode ~minimum_cardinality ~shard_bytes m tgd source with
-      | Clip_shard.Whole _ ->
-        B.eval_result ?limits ~ctx ~minimum_cardinality ?plan source m tgd
-      | Clip_shard.Sharded cut ->
-        let* query = B.prepare_result ?limits ~ctx ~mapping:m tgd in
-        sharded_run_result
-          (module B)
-          ?limits ~ctx ~minimum_cardinality ?plan ?jobs ~shard_bytes ~cut
-          ~query source)
+  | Backend (module B) ->
+    B.eval_result ?limits ~ctx ~minimum_cardinality ?plan source m tgd
 
 let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
-    ?plan ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs
-    (m : Mapping.t) source =
+    ?plan (m : Mapping.t) source =
   let ctx = fresh_ctx ctx in
   let* () = check_ablation ~backend ~minimum_cardinality in
   let* tgd = compile_result ~ctx m in
-  run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
-    ~shard_bytes ?jobs m tgd source
+  run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan m tgd source
 
-let run ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes ?jobs
-    (m : Mapping.t) source =
-  ok_or_fail
-    (run_result ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes
-       ?jobs m source)
+let run ?ctx ?backend ?minimum_cardinality ?plan (m : Mapping.t) source =
+  ok_or_fail (run_result ?ctx ?backend ?minimum_cardinality ?plan m source)
 
 (* --- Staged pipelines -------------------------------------------------- *)
 
@@ -335,29 +262,41 @@ let run ?ctx ?backend ?minimum_cardinality ?plan ?mode ?shard_bytes ?jobs
    stage feeding the next, under one execution context — counters,
    tracer, deadline and cancellation are shared. The first failing
    stage aborts the chain. *)
-let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
-    ?shard_bytes ?jobs (ms : Mapping.t list) source =
+let run_staged_result ?ctx ?limits ?backend ?minimum_cardinality ?plan
+    (ms : Mapping.t list) source =
   if ms = [] then invalid_arg "Engine.run_staged_result: empty chain";
   let ctx = fresh_ctx ctx in
   List.fold_left
     (fun doc m ->
       let* doc = doc in
-      run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan ?mode
-        ?shard_bytes ?jobs m doc)
+      run_result ~ctx ?limits ?backend ?minimum_cardinality ?plan m doc)
     (Ok source) ms
 
 (* --- Streaming ingestion ----------------------------------------------- *)
 
-(* Run a mapping over a byte stream. The fully streaming path — cutter
-   feeding the ordered {!Clip_par.stream_results} pipeline feeding the
-   merger — engages when sharding is designated and the shards carry no
-   prologue, so only one in-flight window of shard documents is ever
-   resident; every other case materialises the document first (the
-   memory win is impossible anyway: the whole path needs the tree, and
-   prologue-bearing shards need the whole prologue before the first
-   unit can be cut loose). *)
+(* Where a [`Sharded] stream run cuts, decided from the mapping alone:
+   the cut {!Clip_shard.plan} designates, unless its shards would need
+   the document prologue — that is only complete once the whole
+   document has been read, so such a run materialises and evaluates
+   the whole document instead. *)
+let stream_decision ~minimum_cardinality (m : Mapping.t) tgd =
+  match
+    Clip_shard.plan ~source:m.source ~target:m.target ~minimum_cardinality tgd
+  with
+  | Clip_shard.Sharded { needs_prologue = true; _ } ->
+    Clip_shard.Whole
+      "the mapping reads source paths outside the shard unit (the \
+       document prologue), which is complete only once the whole document \
+       is read"
+  | d -> d
+
+(* Run a mapping over a byte stream. On a designated cut the cutter
+   feeds the ordered {!Clip_par.stream_results} pipeline, which feeds
+   the merger, so only one in-flight window of shard documents is ever
+   resident; every other case materialises the document and evaluates
+   it whole. *)
 let run_stream_result ?ctx ?limits ?(backend = `Tgd)
-    ?(minimum_cardinality = true) ?plan ?(mode = `Auto)
+    ?(minimum_cardinality = true) ?plan ?(mode = `Sharded)
     ?(shard_bytes = default_shard_bytes) ?jobs (m : Mapping.t) src =
   let ctx = fresh_ctx ctx in
   let obs = Clip_run.counters ctx in
@@ -368,25 +307,16 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
   match mode with
   | `Whole ->
     let* doc = parse () in
-    run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode:`Whole
-      ~shard_bytes ?jobs m doc
-  | (`Sharded | `Auto) as mode -> (
+    run_result ~ctx ?limits ~backend ~minimum_cardinality ?plan m doc
+  | `Sharded -> (
       let* tgd = compile_result ~ctx m in
-      let materialise_then mode =
-        let* doc = parse () in
-        run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan ~mode
-          ~shard_bytes ?jobs m tgd doc
+      let whole doc =
+        run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan m tgd doc
       in
-      match
-        Clip_shard.plan ~source:m.source ~target:m.target ~minimum_cardinality
-          tgd
-      with
-      | Clip_shard.Whole _ -> materialise_then `Whole
-      | Clip_shard.Sharded cut when cut.Clip_shard.needs_prologue ->
-        (* Every shard carries the prologue, which is only complete
-           once the whole document has been seen — materialise and
-           let the tree cutter share subtrees instead. *)
-        materialise_then (mode :> mode)
+      match stream_decision ~minimum_cardinality m tgd with
+      | Clip_shard.Whole _ ->
+        let* doc = parse () in
+        whole doc
       | Clip_shard.Sharded cut -> (
           match backend_module backend with
           | Backend (module B) -> (
@@ -403,9 +333,7 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
               let* first = Clip_shard.next_shard cutter in
               match first with
               | Clip_shard.Exhausted -> assert false
-              | Clip_shard.Fallback_doc doc ->
-                run_compiled ~ctx ?limits ~backend ~minimum_cardinality ?plan
-                  ~mode:`Whole ~shard_bytes m tgd doc
+              | Clip_shard.Fallback_doc doc -> whole doc
               | Clip_shard.Shard first ->
                 let pending = ref (Some first) in
                 let produce () =
@@ -462,20 +390,29 @@ let run_traced_result ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t)
 
 (* EXPLAIN: compile (or translate) like a run would, then hand off to
    the backend's static plan renderer. *)
-let explain_result ?(backend = `Tgd) ?plan ?mode
-    ?(shard_bytes = default_shard_bytes) (m : Mapping.t) source =
+let explain_result ?(backend = `Tgd) ?plan ?mode (m : Mapping.t) source =
   let* tgd = Compile.to_tgd_result m in
   let+ base =
     match backend_module backend with
     | Backend (module B) -> B.explain ?plan source m tgd
   in
   (* The sharding note only appears when a mode was asked for, keeping
-     the default EXPLAIN output (and its goldens) untouched. *)
+     the default EXPLAIN output (and its goldens) untouched. It names
+     what {!run_stream_result} does with the same mode and document:
+     the root check is the cutter's first pull. *)
   match mode with
   | None -> base
   | Some mode ->
     let d =
-      decide ~mode ~minimum_cardinality:true ~shard_bytes m tgd source
+      match mode with
+      | `Whole -> Clip_shard.Whole "disabled, whole-document evaluation"
+      | `Sharded -> (
+          match stream_decision ~minimum_cardinality:true m tgd, source with
+          | Clip_shard.Sharded { containers = c0 :: _; _ }, Clip_xml.Node.Element e
+            when not (String.equal e.tag c0) ->
+            Clip_shard.Whole
+              (Printf.sprintf "the document root <%s> is not <%s>" e.tag c0)
+          | d, _ -> d)
     in
     let base =
       if base = "" || base.[String.length base - 1] = '\n' then base

@@ -35,34 +35,36 @@
     needs a query, and analyses the source (statistics, physical plans)
     afresh, and keeps none of it: nothing carries over
     from one call to the next, so a run's output and work counters
-    depend only on its arguments. *)
+    depend only on its arguments.
+
+    {!run_result} evaluates a materialised document whole. Single-document
+    sharding is a property of the byte stream: only {!run_stream_result}
+    cuts, and it cuts the bytes as they arrive ({!Clip_shard.cutter}),
+    never a built tree. *)
 
 type backend = [ `Tgd | `Xquery | `Rel ]
 
-(** How one (large) source document is executed:
-    - [`Whole] (the default everywhere except {!run_stream_result}) —
-      the sequential whole-document evaluation, unchanged; the oracle
-      every other mode must match byte for byte;
-    - [`Sharded] — when {!Clip_shard.plan} designates a safe cut and
-      the document holds at least two shard units, cut the document at
-      the topmost repeated element the mapping quantifies over,
+(** How {!run_stream_result} executes one source document:
+    - [`Whole] — materialise the document and evaluate it whole, as
+      {!run_result} does; the oracle every sharded run must match byte
+      for byte;
+    - [`Sharded] (the default) — when {!Clip_shard.plan} designates a
+      cut whose shards need no document prologue, cut the byte stream
+      at the topmost repeated element the mapping quantifies over,
       evaluate the shards on [?jobs] domains through the unchanged
       backend executors (tgd and query compiled once per run), and
-      merge the per-shard targets into exactly the
-      whole-document output. Join-bearing and otherwise unsafe mappings
-      fall back to [`Whole] (EXPLAIN says why, see {!explain_result});
-    - [`Auto] — [`Sharded], but only when the document overflows one
-      [?shard_bytes] budget, so small documents keep the zero-overhead
-      whole path.
+      merge the per-shard targets into exactly the whole-document
+      output. Every other mapping, and a document whose root does not
+      open the cut's container chain, is materialised and evaluated
+      whole (EXPLAIN says why, see {!explain_result}).
 
     Sharded runs preserve outputs, diagnostics (the lowest shard's
     failure, i.e. the first the sequential run would hit) and counter
-    totals; only the per-shard step budget differs ([?limits] bounds
-    each shard evaluation, not their sum). *)
-type mode = [ `Whole | `Sharded | `Auto ]
+    totals across [?jobs]; only the per-shard step budget differs
+    ([?limits] bounds each shard evaluation, not their sum). *)
+type mode = [ `Whole | `Sharded ]
 
-(** The default shard byte budget (1 MiB of estimated serialisation
-    per shard). *)
+(** The default shard byte budget (1 MiB of source bytes per shard). *)
 val default_shard_bytes : int
 
 (** The backend contract, made explicit: everything the engine needs
@@ -168,9 +170,6 @@ val run_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
   Mapping.t ->
   Clip_xml.Node.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
@@ -183,9 +182,6 @@ val run :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
   Mapping.t ->
   Clip_xml.Node.t ->
   Clip_xml.Node.t
@@ -204,9 +200,6 @@ val run_staged_result :
   ?backend:backend ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
   Mapping.t list ->
   Clip_xml.Node.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
@@ -215,23 +208,22 @@ val run_staged_result :
     stream ({!Clip_xml.Stream.source}, e.g. {!Clip_xml.Stream.of_channel})
     instead of a materialised document.
 
-    Default [?mode] is [`Auto]. When the resolved decision is a safe
-    cut whose shards need no document prologue, the run is {e fully
-    streaming}: the {!Clip_shard.cutter} materialises one shard at a
-    time straight off the byte feed, [?jobs] domains evaluate shards
-    through {!Clip_par.stream_results}, and the merger folds outputs
-    strictly in document order — peak residency is the in-flight
-    window of shards plus the merged target, never the source tree.
-    Every other case (mode [`Whole], unsafe mapping, prologue-bearing
-    shards, a root that does not open the expected container chain)
-    materialises the document first and proceeds exactly as
+    Default [?mode] is [`Sharded]. On a cut (see {!mode}) the run is
+    {e fully streaming}: the {!Clip_shard.cutter} materialises one
+    shard of about [?shard_bytes] source bytes at a time straight off
+    the byte feed, [?jobs] domains evaluate shards through
+    {!Clip_par.stream_results}, and the merger folds outputs strictly
+    in document order — peak residency is the in-flight window of
+    shards plus the merged target, never the source tree. Every other
+    case materialises the document first and proceeds exactly as
     {!run_result} on it.
 
-    Output, diagnostics and counters are identical to parsing the same
-    bytes and calling {!run_result} — the input-size limit included:
-    as documented in {!Clip_xml.Stream}, an oversized feed reports
+    Output and diagnostics are identical to parsing the same bytes and
+    calling {!run_result} — the input-size limit included: as
+    documented in {!Clip_xml.Stream}, an oversized feed reports
     [CLIP-LIM-001] even when an early chunk is syntactically broken,
-    exactly as the up-front check of the whole-string parse would. *)
+    exactly as the up-front check of the whole-string parse would.
+    Counters are the sum over the shards, the same for every [?jobs]. *)
 val run_stream_result :
   ?ctx:Clip_run.t ->
   ?limits:Clip_diag.Limits.t ->
@@ -255,10 +247,10 @@ val run_stream_result :
     threshold triggers. Nothing is executed and no timings appear, so
     output is golden-testable.
 
-    When [?mode] is given, a final [sharding: ...] line states the
-    resolved sharding decision for this document — the designated cut,
-    or the whole-document fallback with its reason. Without [?mode]
-    the output is unchanged.
+    When [?mode] is given, a final [sharding: ...] line states what
+    {!run_stream_result} with that mode does with this mapping and
+    document — the cut it streams, or the whole-document fallback with
+    its reason. Without [?mode] the output is unchanged.
 
     A mapping {!run_result} would reject is reported with the same
     compile-stage diagnostics ([CLIP-VAL-*], [CLIP-CMP-*],
@@ -267,7 +259,6 @@ val explain_result :
   ?backend:backend ->
   ?plan:Clip_plan.mode ->
   ?mode:mode ->
-  ?shard_bytes:int ->
   Mapping.t ->
   Clip_xml.Node.t ->
   (string, Clip_diag.t list) result

@@ -1,8 +1,8 @@
 (* Single-document sharding: decide from the compiled tgd and the two
    schemas where a source instance may be cut into independently
-   evaluable shard documents, cut it (from a materialised tree or
-   straight off a byte stream), and merge the per-shard target
-   instances back into exactly the whole-document result.
+   evaluable shard documents, cut it straight off a byte stream, and
+   merge the per-shard target instances back into exactly the
+   whole-document result.
 
    The analysis is deliberately conservative: {!plan} returns
    [Sharded] only when it can prove, from static structure alone, that
@@ -22,10 +22,11 @@
    - every other source-side path is either rooted in a bound variable
      (evaluated inside one binding, hence inside one shard) or a
      root-rooted path that stays outside the cut subtree — {e
-     prologue} context, which every shard carries a copy of, so it
-     evaluates identically everywhere. A root-rooted path that
-     re-enters the cut subtree anywhere else would see only the
-     shard's slice, so it forces [Whole];
+     prologue} context, flagged [needs_prologue]: a shard cut off the
+     byte stream does not carry it, so the engine evaluates such a
+     mapping whole. A root-rooted path that re-enters the cut subtree
+     anywhere else would see only the shard's slice, so it forces
+     [Whole];
    - on the target side, elements created per binding ([Driven] mode)
      are disjoint across shards and concatenate in binding order,
      while completion-created elements (one per parent context) are
@@ -143,8 +144,8 @@ let plan ~source ~target ?(minimum_cardinality = true) (tgd : Tgd.t) =
         fallback "the outermost source loop is not rooted at the source schema"
     in
     (* 3. Source-side scan: no other path may enter the cut subtree;
-       any surviving root-rooted path is prologue the shards must
-       carry. *)
+       any surviving root-rooted path is prologue, which only the
+       whole document carries. *)
     let needs_prologue = ref false in
     let check_source ~allow_cut e =
       match expr_path e with
@@ -304,111 +305,9 @@ let decision_note = function
   | Sharded c ->
     Printf.sprintf "sharding: cut at %s (unit <%s>%s)"
       (Path.to_string c.cut_path) c.unit_tag
-      (if c.needs_prologue then ", shards carry the document prologue"
+      (if c.needs_prologue then ", the mapping reads the document prologue"
        else ", shards carry the container spine only")
   | Whole reason -> Printf.sprintf "sharding: whole-document fallback - %s" reason
-
-(* --- Cutting a materialised tree --------------------------------------- *)
-
-(* A crude serialised-size estimate (bytes per node) used only to pick
-   how many units land in each shard; correctness never depends on it. *)
-let approx_bytes n = 16 * Node.size n
-
-(* The active container chain is the *first* child matching each
-   container tag, root first — the shape schema-valid documents have
-   (the chain above the topmost repeating element is all singleton
-   cardinalities). *)
-let rec chain_units unit_tag (e : Node.element) = function
-  | [] ->
-    List.filter_map
-      (function
-        | Node.Element u when String.equal u.Node.tag unit_tag -> Some u
-        | Node.Element _ | Node.Text _ -> None)
-      e.Node.children
-  | next :: rest ->
-    (match
-       List.find_opt
-         (function
-           | Node.Element c -> String.equal c.Node.tag next
-           | Node.Text _ -> false)
-         e.Node.children
-     with
-     | Some (Node.Element c) -> chain_units unit_tag c rest
-     | Some (Node.Text _) | None -> [])
-
-let units_of_node cut (root : Node.t) =
-  match root, cut.containers with
-  | Node.Element e, c0 :: rest when String.equal e.Node.tag c0 ->
-    chain_units cut.unit_tag e rest
-  | _ -> []
-
-let count_units cut root = List.length (units_of_node cut root)
-
-let group_units ~budget_bytes units =
-  let budget = max 1 budget_bytes in
-  let close groups cur =
-    match cur with [] -> groups | _ -> List.rev cur :: groups
-  in
-  let groups, cur, _ =
-    List.fold_left
-      (fun (groups, cur, bytes) u ->
-        let b = approx_bytes (Node.Element u) in
-        if cur <> [] && bytes + b > budget then (close groups cur, [ u ], b)
-        else (groups, u :: cur, bytes + b))
-      ([], [], 0) units
-  in
-  List.rev (close groups cur)
-
-(* Rebuild the container spine around one unit group. With
-   [needs_prologue] every non-unit subtree is kept (shared, not
-   copied); otherwise only container attributes survive — nothing else
-   of the document is read by the mapping. *)
-let build_shard cut ~group (root : Node.t) =
-  let in_group =
-    let tbl = Hashtbl.create (List.length group * 2) in
-    List.iter (fun (u : Node.element) -> Hashtbl.replace tbl u.Node.id ()) group;
-    fun (u : Node.element) -> Hashtbl.mem tbl u.Node.id
-  in
-  let rec rebuild (e : Node.element) chain =
-    match chain with
-    | [] ->
-      let children =
-        List.filter
-          (function
-            | Node.Element u when String.equal u.Node.tag cut.unit_tag ->
-              in_group u
-            | Node.Element _ | Node.Text _ -> cut.needs_prologue)
-          e.Node.children
-      in
-      Node.elem_sym ~attrs:e.Node.attrs e.Node.sym children
-    | next :: rest ->
-      let descended = ref false in
-      let children =
-        List.filter_map
-          (fun c ->
-            match c with
-            | Node.Element ce
-              when (not !descended) && String.equal ce.Node.tag next ->
-              descended := true;
-              Some (rebuild ce rest)
-            | Node.Element _ | Node.Text _ ->
-              if cut.needs_prologue then Some c else None)
-          e.Node.children
-      in
-      Node.elem_sym ~attrs:e.Node.attrs e.Node.sym children
-  in
-  match root, cut.containers with
-  | Node.Element e, _ :: below -> rebuild e below
-  | (Node.Element _ | Node.Text _), _ -> root
-
-let shards_of_node cut ~budget_bytes (root : Node.t) =
-  let units = units_of_node cut root in
-  match units with
-  | [] | [ _ ] -> [ root ]
-  | _ ->
-    List.map
-      (fun group -> build_shard cut ~group root)
-      (group_units ~budget_bytes units)
 
 (* --- Cutting a byte stream --------------------------------------------- *)
 
@@ -664,11 +563,3 @@ let rec mnode_to_node (m : mnode) =
   Node.elem ~attrs:(List.rev m.mattrs) m.mtag kids
 
 let merged mg = Option.map mnode_to_node mg.mroot
-
-let merge ~unify outputs =
-  Clip_diag.guard (fun () ->
-      let mg = merger ~unify in
-      List.iter (merge_into mg) outputs;
-      match merged mg with
-      | Some n -> n
-      | None -> merge_error "no shard produced an output")

@@ -1,16 +1,17 @@
-(** Single-document sharding: cut one large source instance at the
+(** Single-document sharding: cut one large source byte stream at the
     topmost repeated element the mapping actually quantifies over,
     evaluate the resulting shard documents independently (in parallel,
-    with bounded memory when cutting a byte stream), and merge the
-    per-shard targets back into {e exactly} the sequential
-    whole-document output.
+    with bounded memory), and merge the per-shard targets back into
+    {e exactly} the sequential whole-document output. The engine's
+    [Clip_core.Engine.run_stream_result] is the one caller that runs
+    this; no materialised tree is ever cut.
 
     {!plan} is the static safety analysis over the compiled tgd and
     the two schemas; it either designates a cut — with everything the
     cutter and merger need — or falls back to whole-document
     evaluation with a reason (surfaced by EXPLAIN). The analysis is
     conservative: [Sharded] is returned only when shard evaluation
-    plus {!merge} provably reproduces the whole-document result byte
+    plus the merger provably reproduces the whole-document result byte
     for byte (see DESIGN.md "Streaming ingestion and sharding" for the
     argument; test/test_shard.ml pins the equivalence differentially
     on every figure, backend and plan mode). *)
@@ -23,11 +24,10 @@
     (document root first) and [unit_tag] the unit's own tag.
 
     [needs_prologue] is true when the mapping reads any root-rooted
-    source path outside the cut subtree: each shard must then carry
-    the full document prologue (everything but the other shards'
-    units), and streaming cutting degrades to materialise-then-cut.
-    When false, shards carry only the container spine (attributes
-    included) around their units.
+    source path outside the cut subtree. A shard cut off the byte
+    stream carries only the container spine (attributes included)
+    around its units, never that prologue, so the engine evaluates such
+    a mapping over the whole document instead of cutting.
 
     [unify] is the set of absolute target element paths (["a/b"] tag
     chains below the target root) that completion semantics creates
@@ -58,27 +58,6 @@ val plan :
 (** One EXPLAIN-able line describing the decision. *)
 val decision_note : decision -> string
 
-(** {1 Cutting a materialised tree} *)
-
-(** [approx_bytes doc] — the serialisation-size estimate the cutter
-    sizes tree shards by ([16 * Node.size]); exposed so callers (the
-    engine's [`Auto] mode) can compare documents against a shard
-    budget on the same scale. *)
-val approx_bytes : Clip_xml.Node.t -> int
-
-(** [count_units cut doc] — occurrences of the unit element under the
-    container chain (the first matching chain, as in a schema-valid
-    document). *)
-val count_units : cut -> Clip_xml.Node.t -> int
-
-(** [shards_of_node cut ~budget_bytes doc] — shard documents, each the
-    container spine around a run of consecutive units sized (by a
-    serialisation estimate) to [budget_bytes]. Unit subtrees are
-    shared with [doc], never copied. Fewer than two units yield
-    [[doc]] itself. *)
-val shards_of_node :
-  cut -> budget_bytes:int -> Clip_xml.Node.t -> Clip_xml.Node.t list
-
 (** {1 Cutting a byte stream} *)
 
 type cutter
@@ -94,10 +73,10 @@ type step =
 
 (** [cutter cut ~budget_bytes src] — an incremental cutter over a
     byte stream. Only one unit group plus the container spine is ever
-    resident; non-unit content is skipped without being built (callers
-    should only stream-cut when [cut.needs_prologue] is false —
-    otherwise materialise and use {!shards_of_node}). Shard byte sizes
-    use true stream offsets ({!Clip_xml.Stream.pos} deltas). *)
+    resident; non-unit content is skipped without being built, so
+    callers should only cut when [cut.needs_prologue] is false. A shard
+    closes once its units reach [budget_bytes] source bytes, measured
+    by true stream offsets ({!Clip_xml.Stream.pos} deltas). *)
 val cutter : cut -> budget_bytes:int -> Clip_xml.Stream.source -> cutter
 
 (** Pull the next shard. After [Error] or [Exhausted] every further
@@ -109,9 +88,8 @@ val next_shard : cutter -> (step, Clip_diag.t list) result
 
 type merger
 
-(** [merger ~unify] — an incremental left-fold merger (used by the
-    streaming pipeline, which consumes shard outputs strictly in shard
-    order). *)
+(** [merger ~unify] — an incremental left-fold merger: the streaming
+    pipeline folds shard outputs into it strictly in shard order. *)
 val merger : unify:string list -> merger
 
 (** [merge_into m output] — fold one shard output (in shard order)
@@ -123,9 +101,3 @@ val merge_into : merger -> Clip_xml.Node.t -> unit
 
 (** The merged document; [None] when nothing was folded in. *)
 val merged : merger -> Clip_xml.Node.t option
-
-(** [merge ~unify outputs] — fold all outputs, exception-free. *)
-val merge :
-  unify:string list ->
-  Clip_xml.Node.t list ->
-  (Clip_xml.Node.t, Clip_diag.t list) result

@@ -32,16 +32,31 @@ let sep_list b sep f xs =
       f x)
     xs
 
+(* The text of a quoted literal: a quote is doubled and [&], which
+   would start an entity reference, is written [&amp;]. A direct
+   attribute value ([~attr]) also doubles braces, which would open an
+   enclosed expression, and writes [<] as [&lt;]. *)
+let add_quoted ?(attr = false) b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\"\""
+      | '&' -> Buffer.add_string b "&amp;"
+      | '<' when attr -> Buffer.add_string b "&lt;"
+      | ('{' | '}') as c when attr ->
+        Buffer.add_char b c;
+        Buffer.add_char b c
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
 let rec add b ind (e : Ast.expr) =
   match e with
   | Ast.Var x ->
     Buffer.add_char b '$';
     Buffer.add_string b x
   | Ast.Doc tag -> Buffer.add_string b tag
-  | Ast.Literal (Clip_xml.Atom.String s) ->
-    Buffer.add_char b '"';
-    Buffer.add_string b s;
-    Buffer.add_char b '"'
+  | Ast.Literal (Clip_xml.Atom.String s) -> add_quoted b s
   | Ast.Literal a -> Buffer.add_string b (Clip_xml.Atom.to_string a)
   | Ast.Path (base, steps) ->
     add b ind base;
@@ -61,9 +76,8 @@ let rec add b ind (e : Ast.expr) =
         Buffer.add_string b name;
         match e with
         | Ast.Literal (Clip_xml.Atom.String s) ->
-          Buffer.add_string b "=\"";
-          Buffer.add_string b s;
-          Buffer.add_char b '"'
+          Buffer.add_char b '=';
+          add_quoted ~attr:true b s
         | e ->
           Buffer.add_string b "={ ";
           add b (ind + 2) e;

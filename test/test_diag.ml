@@ -234,9 +234,6 @@ let engine_tests =
             in
             expect "whole"
               (Engine.run_result ~backend ~minimum_cardinality sc.mapping doc);
-            expect "sharded"
-              (Engine.run_result ~backend ~minimum_cardinality ~mode:`Sharded
-                 ~shard_bytes:64 sc.mapping doc);
             expect "run raises Fail"
               (match Engine.run ~backend ~minimum_cardinality sc.mapping doc with
                | _ -> Ok ()
@@ -247,7 +244,7 @@ let engine_tests =
                   (Engine.run_stream_result ~backend ~minimum_cardinality ~mode
                      ~shard_bytes:64 sc.mapping
                      (Clip_xml.Stream.of_string text)))
-              [ `Whole; `Sharded; `Auto ])
+              [ `Whole; `Sharded ])
           [ `Xquery; `Rel ]);
   ]
 

@@ -192,6 +192,39 @@ let xquery_parser_tests =
               checkb sc.name true (Node.equal via_text direct)
             end)
           S.Figures.all);
+    (* Quotes, ampersands and braces in a constant are escaped in the
+       printed query, in a where-clause literal and in a direct
+       attribute value alike. *)
+    Alcotest.test_case "escaped string constants round-trip" `Quick (fun () ->
+        let m =
+          Clip_core.Dsl.parse
+            {|schema s { a [0..*] { x: string } }
+              schema t { c [0..*] { @x: string  @y: string } }
+              mapping {
+                node n: s.a as $a -> t.c
+                  where $a.x.value != "say \"hi\" & {x}"
+                value s.a.x.value -> t.c.@x
+                value "say \"hi\" & {x} <b>" -> t.c.@y
+              }|}
+        in
+        let q =
+          ok
+            (Clip_core.To_xquery.translate_result ~target_root:"t"
+               (ok (Clip_core.Compile.to_tgd_result m)))
+        in
+        round_trips "equal AST" q;
+        let input =
+          Clip_xml.Parser.parse_string
+            {|<s><a><x>hi</x></a><a><x>say "hi" &amp; {x}</x></a></s>|}
+        in
+        let via_text =
+          ok
+            (Eval.run_document_result ~input
+               (Xquery_parser.parse_string (Clip_core.Engine.xquery_text m)))
+        in
+        Alcotest.(check string) "evaluation"
+          (Clip_xml.Printer.to_string (Clip_core.Engine.run ~backend:`Xquery m input))
+          (Clip_xml.Printer.to_string via_text));
     (* The text path: the printed query of Sec. VI, read back by the
        reference reader and evaluated, agrees with the unplanned oracle. *)
     Alcotest.test_case "the text backend agrees with the others" `Quick (fun () ->

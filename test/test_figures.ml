@@ -129,7 +129,7 @@ let xquery_text_tests =
   ]
 
 (* Every output element's interned symbol names its tag: the tgd
-   builder and the shard rebuild construct elements from symbols they
+   builder and the shard merger construct elements from symbols they
    resolved earlier, never from the tag string. *)
 let symbol_tests =
   [
@@ -142,18 +142,22 @@ let symbol_tests =
                 (Clip_xml.Symbol.name e.Node.sym);
             List.iter (check where) e.Node.children
         in
+        let text = Clip_xml.Printer.to_string S.Deptdb.instance in
         List.iter
           (fun (sc : S.Figures.t) ->
+            let minimum_cardinality = sc.minimum_cardinality in
             List.iter
-              (fun (backend, plan, mode) ->
+              (fun (backend, plan) ->
                 check sc.name
-                  (Engine.run ~backend ~plan ~mode ~shard_bytes:64
-                     ~minimum_cardinality:sc.minimum_cardinality sc.mapping S.Deptdb.instance))
+                  (Engine.run ~backend ~plan ~minimum_cardinality sc.mapping
+                     S.Deptdb.instance);
+                check (sc.name ^ ", streamed")
+                  (Result.get_ok
+                     (Engine.run_stream_result ~backend ~plan ~shard_bytes:64
+                        ~minimum_cardinality sc.mapping
+                        (Clip_xml.Stream.of_string text))))
               (List.concat_map
-                 (fun backend ->
-                   List.concat_map
-                     (fun plan -> [ (backend, plan, `Whole); (backend, plan, `Sharded) ])
-                     [ `Indexed; `Auto ])
+                 (fun backend -> [ (backend, `Indexed); (backend, `Auto) ])
                  (* the universal-solution ablation runs on tgd only *)
                  (if sc.minimum_cardinality then [ `Tgd; `Xquery ] else [ `Tgd ])))
           S.Figures.all);

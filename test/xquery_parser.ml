@@ -91,28 +91,46 @@ let eat_kw st kw =
   if looking_at_kw st kw then st.pos <- st.pos + String.length kw
   else error st "expected keyword %S" kw
 
-let read_string_literal st =
+(* The five predefined entity references; [&] starts one. *)
+let entities =
+  [ ("&amp;", '&'); ("&lt;", '<'); ("&gt;", '>'); ("&quot;", '"'); ("&apos;", '\'') ]
+
+(* A quoted literal: a doubled quote stands for one quote and an entity
+   reference for its character. In a direct attribute value ([~attr])
+   braces are doubled too, since a single one opens an enclosed
+   expression. *)
+let read_quoted ?(attr = false) st =
   let quote = peek st in
   st.pos <- st.pos + 1;
   let buf = Buffer.create 16 in
   let rec go () =
+    let c = peek st in
     if eof st then error st "unterminated string literal"
-    else if peek st = quote then
-      if peek_at st 1 = quote then begin
-        (* doubled quote escape *)
-        Buffer.add_char buf quote;
-        st.pos <- st.pos + 2;
-        go ()
-      end
-      else st.pos <- st.pos + 1
+    else if c = quote && peek_at st 1 <> quote then st.pos <- st.pos + 1
+    else if c = quote || (attr && (c = '{' || c = '}')) then begin
+      if peek_at st 1 <> c then error st "unescaped %C in an attribute value" c;
+      Buffer.add_char buf c;
+      st.pos <- st.pos + 2;
+      go ()
+    end
+    else if c = '&' then begin
+      (match List.find_opt (fun (e, _) -> looking_at st e) entities with
+       | Some (e, ch) ->
+         Buffer.add_char buf ch;
+         st.pos <- st.pos + String.length e
+       | None -> error st "unknown entity reference");
+      go ()
+    end
     else begin
-      Buffer.add_char buf (peek st);
+      Buffer.add_char buf c;
       st.pos <- st.pos + 1;
       go ()
     end
   in
   go ();
   Buffer.contents buf
+
+let read_string_literal st = read_quoted st
 
 let read_number st =
   let start = st.pos in
@@ -412,7 +430,7 @@ and parse_constructor_guarded st =
           let save = st.pos in
           st.pos <- st.pos + 1;
           skip_ws st;
-          if peek st = '{' then begin
+          if peek st = '{' && peek_at st 1 <> '{' then begin
             st.pos <- st.pos + 1;
             let e = parse_expr st in
             skip_ws st;
@@ -424,7 +442,7 @@ and parse_constructor_guarded st =
           end
           else begin
             st.pos <- save;
-            Ast.Literal (Clip_xml.Atom.of_string (read_string_literal st))
+            Ast.Literal (Clip_xml.Atom.String (read_quoted ~attr:true st))
           end
         end
         else error st "expected an attribute value"
