@@ -619,39 +619,42 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     "\nall outputs byte-identical: %b\nall merged counters equal sequential: %b\n"
     all_identical all_counters;
   subrule
-    "degraded batch: one injected par.task fault — survivors intact, counters \
+    "degraded batch: one wrong-root document — survivors intact, counters \
      exact";
-  (* One injected fault in an N-task batch must cost exactly
-     that slot: the other N-1 outputs byte-identical to the fault-free
-     run, and the merged counters equal to the fault-free totals of the
-     survivors alone (failed attempts merge nothing). Sequential run
-     pins the failing slot deterministically (hit ordinal = slot + 1);
-     the pool run gates isolation, since which task claims the firing
-     hit is scheduling-dependent. *)
+  (* One failing document in an N-task batch must cost exactly that
+     slot: the other N-1 outputs byte-identical to the fault-free run,
+     and the merged counters equal to the fault-free totals of the
+     survivors alone (failed attempts merge nothing). The document at
+     [dg_fail] has the wrong root, so its task fails with CLIP-TGD-001
+     at every domain count: the sequential run pins the slot and the
+     counters, the pool run gates isolation. *)
   let dsc = S.Figures.fig6 in
-  let dg_docs = S.Deptdb.instance :: batch ~n:7 ~scale:3 in
-  let dg_n = List.length dg_docs in
+  let dg_good = S.Deptdb.instance :: batch ~n:7 ~scale:3 in
+  let dg_n = List.length dg_good in
   let dg_fail = 3 in
+  let dg_docs =
+    List.mapi
+      (fun i doc -> if i = dg_fail then Clip_xml.Node.elem "wrong" [] else doc)
+      dg_good
+  in
   let task ~obs doc =
     Clip_diag.guard (fun () -> eval dsc ~backend:`Tgd ~plan:`Auto ~obs doc)
   in
   let full =
-    List.map (fun doc -> eval dsc ~backend:`Tgd ~plan:`Auto doc) dg_docs
+    List.map (fun doc -> eval dsc ~backend:`Tgd ~plan:`Auto doc) dg_good
   in
   let cs = Clip_obs.Counters.create () in
   ignore
     (Clip_par.map_results ~jobs:1 ~obs:cs task
        (List.filteri (fun i _ -> i <> dg_fail) dg_docs));
   let cf = Clip_obs.Counters.create () in
-  Clip_fault.arm ~from:(dg_fail + 1) Clip_fault.Site.par_task;
   let rs = Clip_par.map_results ~jobs:1 ~obs:cf task dg_docs in
-  Clip_fault.disarm ();
   let slot_ok i r =
     match r with
     | Ok s when i <> dg_fail -> String.equal s (List.nth full i)
     | Error ds when i = dg_fail ->
       List.exists
-        (fun d -> String.equal d.Clip_diag.code Clip_diag.Codes.fault_permanent)
+        (fun d -> String.equal d.Clip_diag.code Clip_diag.Codes.tgd_eval)
         ds
     | Ok _ | Error _ -> false
   in
@@ -659,9 +662,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let degraded_counters =
     Clip_obs.Counters.to_assoc cs = Clip_obs.Counters.to_assoc cf
   in
-  Clip_fault.arm ~from:1 Clip_fault.Site.par_task;
   let rsp = Clip_par.map_results ~jobs task dg_docs in
-  Clip_fault.disarm ();
   let degraded_par_isolated =
     List.length (List.filter Result.is_error rsp) = 1
     && List.for_all Fun.id
@@ -673,7 +674,7 @@ let par_experiment ?(smoke = false) ?(check = false) () =
             rsp)
   in
   Printf.printf
-    "degraded batch (%d tasks, slot %d injected): survivors intact %b | \
+    "degraded batch (%d tasks, slot %d wrong root): survivors intact %b | \
      counters exact %b | %d-domain isolation %b\n"
     dg_n dg_fail degraded_intact degraded_counters jobs degraded_par_isolated;
   subrule "wall-clock: sequential vs pool on a scaled batch";

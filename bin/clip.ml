@@ -344,106 +344,100 @@ let run_cmd =
        | None -> ());
       Buffer.contents b
     in
-    (* [failed] counts inputs already reported as failed (unreadable
-       or unparsable); [outcomes] holds the rest, in input order. *)
-    let failed, outcomes =
-      if stream then begin
+    (* One outcome per input, in input order. A failure carries the
+       source text when its diagnostics point into it (a parse error),
+       for caret rendering. *)
+    let no_src r = Result.map_error (fun ds -> (None, ds)) r in
+    let outcomes =
+      if stream then
         (* Streaming ingestion: the document is never loaded whole here —
            bytes flow chunkwise from the channel into the engine (and,
            when the mapping shards, straight into the shard cutter).
            Lineage needs the materialised tree, so --trace prints
            counters and phases but no lineage on this path. *)
-        ( 0,
-          List.map
-            (fun path ->
-              (* Opening and reading both raise [Sys_error] (a directory
-                 opens, then fails on the first read). *)
-              match
-                In_channel.with_open_bin path (fun ic ->
-                    let st = Clip_xml.Stream.of_channel ic in
-                    let ctx =
-                      Clip_run.create ~counters:total ?tracer
-                        ?deadline:(deadline_for ()) ~cancel ()
-                    in
-                    Result.map render_out
-                      (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
-                         ?shard_bytes ~jobs m st))
-              with
-              | r -> (path, r)
-              | exception Sys_error msg -> (path, Error [ io_error path msg ]))
-            inputs )
-      end
+        List.map
+          (fun path ->
+            (* Opening and reading both raise [Sys_error] (a directory
+               opens, then fails on the first read). *)
+            match
+              In_channel.with_open_bin path (fun ic ->
+                  let st = Clip_xml.Stream.of_channel ic in
+                  let ctx =
+                    Clip_run.create ~counters:total ?tracer
+                      ?deadline:(deadline_for ()) ~cancel ()
+                  in
+                  Result.map render_out
+                    (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
+                       ?shard_bytes ~jobs m st))
+            with
+            | r -> (path, no_src r)
+            | exception Sys_error msg ->
+              (path, Error (None, [ io_error path msg ])))
+          inputs
       else begin
-        (* Read and parse sequentially: parse diagnostics want the source
-           text for caret rendering, and parsing is cheap next to
-           evaluation. Without --keep-going the first unreadable or
-           unparsable input aborts the whole run; with it, a bad input is
-           just one failed input in the summary. *)
-        let parse_failures = ref 0 in
-        let sources =
-          List.filter_map
-            (fun path ->
-              let parsed =
-                match read_result path with
-                | Error ds -> Error (None, ds)
-                | Ok src ->
-                  Result.map_error
-                    (fun ds -> (Some src, ds))
-                    (Clip_xml.Parser.parse_string_result src)
-              in
-              match parsed with
-              | Error (src, ds) ->
-                if not keep_going then begin
-                  report ?src ds;
-                  exit 1
-                end;
-                incr parse_failures;
-                Printf.eprintf "clip: input %s: failed\n" path;
-                report ?src ds;
-                None
-              | Ok source -> Some (path, source))
-            inputs
+        (* Read and parse sequentially: parsing is cheap next to
+           evaluation. An input that cannot be read or parsed keeps its
+           slot as a failed task, so it is reported in input order like
+           an evaluation failure. Fail-fast reports nothing after it, so
+           the inputs after it are not read. *)
+        let rec read_all = function
+          | [] -> []
+          | path :: rest ->
+            let p =
+              match read_result path with
+              | Error ds -> Error (None, ds)
+              | Ok src ->
+                Result.map_error
+                  (fun ds -> (Some src, ds))
+                  (Clip_xml.Parser.parse_string_result src)
+            in
+            (path, p)
+            :: (if Result.is_error p && not keep_going then [] else read_all rest)
         in
+        let parsed = read_all inputs in
         (* One task per document, with its own context — nothing shared
            across domains but the cancel flag. Rendering to a string
            inside the task keeps stdout in input order. *)
-        let evaluate ~obs (_path, source) =
-          let deadline = deadline_for () in
-          let ctx =
-            Clip_run.create ~counters:obs ?tracer ?deadline ~cancel ()
-          in
-          let traced ctx m =
-            Clip_core.Engine.run_traced_result ~ctx ~plan m source
-          in
-          match chain, backend with
-          | [ m ], `Tgd when trace ->
-            (* The measured run records the lineage itself. *)
-            Result.map
-              (fun (out, entries) -> render_out ~lineage:entries out)
-              (traced ctx m)
-          | [ m ], _ -> (
-            match Clip_core.Engine.run_result ~ctx ~backend ~plan m source with
-            | Ok out when trace ->
-              (* Only the tgd engine's whole-document run records
-                 lineage, so here a separate tgd run recovers it. That
-                 run is bookkeeping, not the measured evaluation: its
-                 context has no counters or tracer of the run's, but it
-                 shares the input's deadline and the SIGINT flag. *)
+        let evaluate ~obs (_path, parsed) =
+          match parsed with
+          | Error (_, ds) -> Error ds
+          | Ok source -> (
+            let deadline = deadline_for () in
+            let ctx =
+              Clip_run.create ~counters:obs ?tracer ?deadline ~cancel ()
+            in
+            let traced ctx m =
+              Clip_core.Engine.run_traced_result ~ctx ~plan m source
+            in
+            match chain, backend with
+            | [ m ], `Tgd when trace ->
+              (* The measured run records the lineage itself. *)
               Result.map
-                (fun (_, entries) -> render_out ~lineage:entries out)
-                (traced (Clip_run.create ?deadline ~cancel ()) m)
-            | r -> Result.map render_out r)
-          | ms, _ ->
-            (* A multi-stage chain has no single mapping to trace, so
-               --then suppresses the lineage section. *)
-            Result.map render_out
-              (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ms source)
+                (fun (out, entries) -> render_out ~lineage:entries out)
+                (traced ctx m)
+            | [ m ], _ -> (
+              match Clip_core.Engine.run_result ~ctx ~backend ~plan m source with
+              | Ok out when trace ->
+                (* Only the tgd engine's whole-document run records
+                   lineage, so here a separate tgd run recovers it. That
+                   run is bookkeeping, not the measured evaluation: its
+                   context has no counters or tracer of the run's, but it
+                   shares the input's deadline and the SIGINT flag. *)
+                Result.map
+                  (fun (_, entries) -> render_out ~lineage:entries out)
+                  (traced (Clip_run.create ?deadline ~cancel ()) m)
+              | r -> Result.map render_out r)
+            | ms, _ ->
+              (* A multi-stage chain has no single mapping to trace, so
+                 --then suppresses the lineage section. *)
+              Result.map render_out
+                (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ms source))
         in
-        let results =
-          Clip_par.map_results ~jobs ~obs:total evaluate sources
-        in
-        ( !parse_failures,
-          List.map2 (fun (path, _) r -> (path, r)) sources results )
+        let results = Clip_par.map_results ~jobs ~obs:total evaluate parsed in
+        List.map2
+          (fun (path, p) r ->
+            (path, match p with Error e -> Error e | Ok _ -> no_src r))
+          parsed results
       end
     in
     let code =
@@ -457,11 +451,11 @@ let run_cmd =
               | Ok s ->
                 print_string s;
                 failed
-              | Error ds ->
+              | Error (src, ds) ->
                 Printf.eprintf "clip: input %s: failed\n" path;
-                report ds;
+                report ?src ds;
                 failed + 1)
-            failed outcomes
+            0 outcomes
         in
         if failed = 0 then 0
         else begin
@@ -478,8 +472,8 @@ let run_cmd =
           | (_, Ok s) :: rest ->
             print_string s;
             emit rest
-          | (_, Error ds) :: _ ->
-            report ds;
+          | (_, Error (src, ds)) :: _ ->
+            report ?src ds;
             1
         in
         emit outcomes
@@ -880,17 +874,4 @@ let main =
       lineage_cmd;
     ]
 
-(* CLIP_FAULT=site[:FROM] arms one deterministic fault
-   before the command runs — the test harness's hook for exercising
-   error paths through the real binary (see Clip_fault). A malformed
-   spec is a usage error, same class as a bad flag. *)
-let () =
-  (match Sys.getenv_opt "CLIP_FAULT" with
-   | None -> ()
-   | Some spec ->
-     (match Clip_fault.arm_spec spec with
-      | Ok () -> ()
-      | Error msg ->
-        prerr_endline ("clip: CLIP_FAULT: " ^ msg);
-        exit 124));
-  exit (Cmd.eval' main)
+let () = exit (Cmd.eval' main)

@@ -26,8 +26,8 @@
     ({!Clip_obs.Counters}).
 
     Every entry point reports failures as [CLIP-*] diagnostics in a
-    [result]: validity, compile, translation, dynamic, resource-limit
-    and injected-fault failures alike. {!run}, {!tgd_text} and
+    [result]: validity, compile, translation, dynamic and
+    resource-limit failures alike. {!run}, {!tgd_text} and
     {!xquery_text} are the only raising wrappers, and they raise only
     {!Clip_diag.Fail}.
 

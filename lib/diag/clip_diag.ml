@@ -171,7 +171,6 @@ module Codes = struct
   let limit_eval_steps = "CLIP-LIM-004"
   let limit_deadline = "CLIP-LIM-005"
   let cancelled = "CLIP-LIM-006"
-  let fault_permanent = "CLIP-FLT-002"
   let algebra_schema_mismatch = "CLIP-ALG-001"
   let algebra_grouping = "CLIP-ALG-002"
   let algebra_ambiguous = "CLIP-ALG-003"

@@ -140,8 +140,6 @@ module Codes : sig
 
   val cancelled : string (** [CLIP-LIM-006] evaluation cancelled cooperatively *)
 
-  val fault_permanent : string (** [CLIP-FLT-002] injected fault ({!Clip_fault}) *)
-
   val algebra_schema_mismatch : string
   (** [CLIP-ALG-001] composition: m1's target is not m2's source *)
 

@@ -17,7 +17,6 @@ module Counters = struct
     mutable session_hits : int;
     mutable lim_ticks : int;
     mutable ctl_checks : int;
-    mutable faults_injected : int;
   }
 
   let create () =
@@ -33,7 +32,6 @@ module Counters = struct
       session_hits = 0;
       lim_ticks = 0;
       ctl_checks = 0;
-      faults_injected = 0;
     }
 
   let add ~into c =
@@ -44,8 +42,7 @@ module Counters = struct
     into.memo_hits <- into.memo_hits + c.memo_hits;
     into.session_hits <- into.session_hits + c.session_hits;
     into.lim_ticks <- into.lim_ticks + c.lim_ticks;
-    into.ctl_checks <- into.ctl_checks + c.ctl_checks;
-    into.faults_injected <- into.faults_injected + c.faults_injected
+    into.ctl_checks <- into.ctl_checks + c.ctl_checks
 
   let work_assoc c =
     [
@@ -62,7 +59,6 @@ module Counters = struct
         ("memo_hits", c.memo_hits);
         ("session_hits", c.session_hits);
         ("ctl_checks", c.ctl_checks);
-        ("faults_injected", c.faults_injected);
       ]
 
   let to_string c =
@@ -71,13 +67,6 @@ module Counters = struct
          (fun (name, v) ->
            if v = 0 then None else Some (Printf.sprintf "  %-16s = %d\n" name v))
          (to_assoc c))
-
-  let to_json c =
-    Printf.sprintf "{%s}"
-      (String.concat ", "
-         (List.map
-            (fun (name, v) -> Printf.sprintf "\"%s\": %d" name v)
-            (to_assoc c)))
 end
 
 module Trace = struct

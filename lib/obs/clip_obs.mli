@@ -60,9 +60,6 @@ module Counters : sig
     mutable ctl_checks : int;
         (** deadline/cancellation polls actually performed at tick
             sites (zero when the run carries no {!Clip_run.Control}) *)
-    mutable faults_injected : int;
-        (** {!Clip_fault} faults fired into this run (zero outside
-            fault-injection harnesses) *)
   }
 
   val create : unit -> t
@@ -84,9 +81,6 @@ module Counters : sig
 
   (** One line per non-zero counter, ["  <name> = <n>"]. *)
   val to_string : t -> string
-
-  (** A flat JSON object with every counter. *)
-  val to_json : t -> string
 end
 
 (** {1 Trace spans} *)

@@ -44,16 +44,11 @@ type 'b slot =
 
 (* One task. [into] is the record its scratch counters merge into on
    success (the worker's per-domain record, or the caller's own in
-   sequential mode). The [par.task] fault point sits inside the task,
-   so an injected task fault gets exactly the isolation a real one
-   gets. *)
+   sequential mode). *)
 let attempt ~into f x =
   let scratch = Clip_obs.Counters.create () in
   let r =
-    match
-      Clip_fault.hit ~obs:scratch Clip_fault.Site.par_task;
-      f ~obs:scratch x
-    with
+    match f ~obs:scratch x with
     | r -> r
     | exception Clip_diag.Fail ds -> Error ds
   in
@@ -66,8 +61,8 @@ let map_results ?jobs ?(obs = Clip_obs.Counters.create ()) f items =
   let jobs = min (clamp_jobs ~cores:(default_jobs ()) jobs) n in
   if jobs <= 1 then
     (* Sequential degenerate case: same task machinery (scratch
-       records, fault point), caller's record as the merge target,
-       tasks in order on the calling domain. *)
+       records), caller's record as the merge target, tasks in order
+       on the calling domain. *)
     List.map (fun x -> attempt ~into:obs f x) items
   else begin
     let results = Array.make n Pending in

@@ -281,10 +281,6 @@ let explain t =
 (* --- Planning ---------------------------------------------------------- *)
 
 let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
-  (* Fault boundary: planning happens inside the backends' guarded
-     entry points, so an injected planner fault escapes as a
-     structured [Error]. *)
-  Clip_fault.hit Clip_fault.Site.plan_build;
   let gens = Array.of_list gens in
   let n = Array.length gens in
   (* Pushdown and joins rely on each variable having exactly one

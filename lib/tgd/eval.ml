@@ -453,7 +453,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     Meter.create ~max_steps:limits.Clip_diag.Limits.max_eval_steps
       ?counters:obs ?ctl ~what:"mapping" source
   in
-  Meter.enter ctx Clip_fault.Site.tgd_execute;
+  Meter.enter ctx;
   let bld = Builder.create ~min_card:minimum_cardinality ~target_root () in
   (* Compile each mapping's universal part once (conditions pushed
      down, equality conditions turned into hash joins where they pay),

@@ -67,7 +67,6 @@ type source = {
   mutable phase : phase;
   mutable stack : string list; (* open elements, innermost first *)
   mutable pending : event list; (* recognised but undelivered events *)
-  mutable started : bool; (* the xml.parse fault point has fired *)
   mutable failed : Clip_diag.t list option; (* latched first failure *)
 }
 
@@ -587,16 +586,12 @@ let rec next_ev st =
        epilog st;
        None)
 
-(* Keep diagnostics chunking-independent (see the top of the file).
-   Injected faults escape unchanged: their boundary is before any byte
-   is consumed. *)
+(* Keep diagnostics chunking-independent (see the top of the file). *)
 let size_precedence st ds =
-  let keeps d =
-    let code = d.Clip_diag.code in
-    String.equal code Clip_diag.Codes.limit_input_bytes
-    || (String.length code >= 8 && String.equal (String.sub code 0 8) "CLIP-FLT")
+  let oversized d =
+    String.equal d.Clip_diag.code Clip_diag.Codes.limit_input_bytes
   in
-  if List.exists keeps ds then ds
+  if List.exists oversized ds then ds
   else
     let total = drain_total st in
     if total > st.limits.Clip_diag.Limits.max_input_bytes then
@@ -604,20 +599,12 @@ let size_precedence st ds =
     else ds
 
 (* Run [body] under the source's one guard: a failure latches, and
-   the xml.parse fault point fires once per source, before the first
-   byte is consumed, so an injected fault escapes as a structured
-   [Error] like any syntax error. *)
+   escapes as a structured [Error]. *)
 let guarded body st =
   match st.failed with
   | Some ds -> Error ds
   | None ->
-    (match
-       if not st.started then begin
-         st.started <- true;
-         Clip_fault.hit Clip_fault.Site.xml_parse
-       end;
-       body st
-     with
+    (match body st with
      | v -> Ok v
      | exception Clip_diag.Fail ds ->
        let ds = size_precedence st ds in
@@ -667,7 +654,6 @@ let of_chunks ?(limits = Clip_diag.Limits.default) refill =
     phase = Prolog;
     stack = [];
     pending = [];
-    started = false;
     failed = None;
   }
 

@@ -49,9 +49,7 @@ val of_channel :
 (** [next_result src] — the next event, [Ok None] once the document
     (root element plus trailing misc) has been fully consumed, or the
     diagnostics of the first failure. A failed source latches: every
-    subsequent call returns the same error. The [xml.parse]
-    {!Clip_fault} site fires once per source, before the first byte is
-    consumed, whichever of the three readers runs first. *)
+    subsequent call returns the same error. *)
 val next_result : source -> (event option, Clip_diag.t list) result
 
 (** [pos src] — the absolute byte offset of the next unconsumed byte;

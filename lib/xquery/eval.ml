@@ -454,7 +454,7 @@ let with_ctx ?ctl ?obs plan limits input f =
     make_ctx ~max_steps:limits.Clip_diag.Limits.max_eval_steps ?obs ?ctl ~plan
       input
   in
-  Meter.enter ctx.meter Clip_fault.Site.xquery_execute;
+  Meter.enter ctx.meter;
   f ctx
 
 let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?ctl ?obs

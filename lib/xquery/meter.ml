@@ -30,9 +30,7 @@ let check_control m =
   | None -> ()
   | Some d -> Clip_diag.fail d
 
-let enter m site =
-  if not (Clip_run.Control.is_none m.ctl) then check_control m;
-  Clip_fault.hit ~obs:m.counters site
+let enter m = if not (Clip_run.Control.is_none m.ctl) then check_control m
 
 let over_budget m =
   Clip_diag.fail

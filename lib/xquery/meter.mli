@@ -33,11 +33,10 @@ val create :
 
 val force_stats : t -> Clip_xml.Stats.t
 
-(** [enter m site] — run entry: one unconditional control poll (so an
+(** [enter m] — run entry: one unconditional control poll, so an
     already-lapsed deadline or a pre-set cancel flag fails the run
-    deterministically, whatever the 64-step amortisation), then the
-    executor's fault site. *)
-val enter : t -> string -> unit
+    deterministically, whatever the 64-step amortisation. *)
+val enter : t -> unit
 
 (** [tick m] — one budget step. Fails with [CLIP-LIM-004] past the
     budget; polls [ctl] every 64 steps of the run. *)

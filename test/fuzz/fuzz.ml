@@ -16,8 +16,7 @@
    document (and equally deep schema DSL, mapping DSL and XQuery
    nestings) must come back as CLIP-LIM-* diagnostics, never a crash.
 
-   Two optional seeded sweeps ride along: [--faults N] replays the
-   engine under injected faults, and [--algebra N] draws random
+   An optional seeded sweep rides along: [--algebra N] draws random
    compose chains over the Table-I figures and checks the mapping
    algebra's differential oracle — pipeline (fused or degraded) vs
    manual staged execution, with CLIP-ALG-* codes on every rejection.
@@ -408,94 +407,6 @@ let guard_checks () =
           (match r with Ok _ -> Ok () | Error ds -> Error ds)
       | exception e -> report_failure "step-budget" mapping_src e))
 
-(* --- Seeded fault-injection sweep (--faults N) ------------------------ *)
-
-let fault_iterations = ref 0
-
-(* Each iteration arms one seeded (site, hit ordinal) fault and
-   drives a fixed, valid end-to-end pipeline that crosses every
-   registered site: re-parsing the printed instance (xml.parse), an
-   [`Indexed] engine run on both backends (plan.build, tgd.execute,
-   xquery.execute) under the
-   {!Clip_par.map_results} wrapper (par.task). Totality plus fault
-   hygiene: a fired fault must surface as [Error] carrying a CLIP-FLT-*
-   code — never an exception, never a silent [Ok] — and after
-   disarming the very same pipeline must run clean (nothing poisoned). *)
-let fault_sweep () =
-  let m =
-    match Clip_core.Dsl.parse_result (List.hd builtin_corpus) with
-    | Ok m -> m
-    | Error _ -> failwith "fault sweep: fixture mapping does not parse"
-  in
-  let doc =
-    Clip_schema.Generate.instance_with_refs
-      ~state:(Random.State.make [| 0xC11F |])
-      ~fanout:3 m.source
-  in
-  let doc_text = Clip_xml.Printer.to_string doc in
-  let task ~obs:_ backend =
-    match Clip_xml.Parser.parse_string_result ~limits doc_text with
-    | Error _ as e -> Result.map ignore e
-    | Ok source ->
-      let ctx = Clip_run.create () in
-      Result.map ignore
-        (Clip_core.Engine.run_result ~ctx ~limits ~backend ~plan:`Indexed m
-           source)
-  in
-  let pipeline () =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Error _, _ -> acc
-        | _, (Error _ as e) -> e
-        | Ok (), Ok () -> acc)
-      (Ok ())
-      (Clip_par.map_results ~jobs:1 task [ `Tgd; `Xquery ])
-  in
-  let is_fault d =
-    String.equal d.Clip_diag.code Clip_diag.Codes.fault_permanent
-  in
-  let show ds = String.concat "," (List.map (fun d -> d.Clip_diag.code) ds) in
-  for i = 1 to !fault_iterations do
-    let site, from = Clip_fault.arm_seeded ~seed:(!seed + (i * 7919)) in
-    let armed_desc = Printf.sprintf "%s hit %d" site from in
-    if !verbose then Printf.eprintf "fault iter %d: %s\n" i armed_desc;
-    let r = match pipeline () with r -> Ok r | exception e -> Error e in
-    let fired = Clip_fault.fired () in
-    Clip_fault.disarm ();
-    (match r with
-    | Error e ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: %s escaped as exception %s\n" armed_desc
-        (Printexc.to_string e)
-    | Ok (Error ds) when fired > 0 && List.exists is_fault ds -> ()
-    | Ok (Ok ()) when fired = 0 -> ()
-    | Ok (Ok ()) ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: %s fired %d time(s) yet run was Ok\n"
-        armed_desc fired
-    | Ok (Error ds) when fired = 0 ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: unfired %s, run failed [%s]\n" armed_desc
-        (show ds)
-    | Ok (Error ds) ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: %s surfaced without CLIP-FLT code [%s]\n"
-        armed_desc (show ds));
-    match pipeline () with
-    | Ok () -> ()
-    | Error ds ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: state poisoned after %s: [%s]\n"
-        armed_desc (show ds)
-    | exception e ->
-      incr failures;
-      Printf.eprintf "FAILURE [fault]: post-disarm exception after %s: %s\n"
-        armed_desc (Printexc.to_string e)
-  done;
-  if !fault_iterations > 0 then
-    Printf.printf "fault sweep: %d seeded site iterations\n%!" !fault_iterations
-
 (* --- Algebra differential sweep (--algebra N) ------------------------- *)
 
 let algebra_iterations = ref 0
@@ -633,9 +544,6 @@ let () =
       ("--iterations", Arg.Set_int iterations, "N  number of fuzz iterations");
       ("--seed", Arg.Set_int seed, "S  PRNG seed");
       ("--corpus", Arg.Set_string corpus_dir, "DIR  corpus directory (default: examples)");
-      ( "--faults",
-        Arg.Set_int fault_iterations,
-        "N  seeded fault-injection sweep iterations (default: 0)" );
       ( "--algebra",
         Arg.Set_int algebra_iterations,
         "N  random compose-chain differential sweep iterations (default: 0)" );
@@ -666,7 +574,6 @@ let () =
   Printf.printf
     "engine target: %d mappings parsed, %d oracle runs ok, %d plan comparisons\n%!"
     !engine_parsed !engine_oracle_ok !engine_compared;
-  fault_sweep ();
   algebra_sweep ();
   if !failures > 0 then begin
     Printf.eprintf "fuzz: %d failure(s) after %d iterations\n" !failures !iterations;

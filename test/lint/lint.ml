@@ -77,13 +77,11 @@ let allowlist = [ ("clio/generate.ml", 1); ("clio/enumerate.ml", 1); ("core/comp
 (* Files allowed N occurrences of [invalid_arg]: constructor and
    accessor preconditions (schema, path, cardinality, node, symbol,
    atom and doc), the scenario fixtures' own path literals, empty
-   chains, an unknown fault site, and the rel evaluator's
-   shape-invariant guard. *)
+   chains, and the rel evaluator's shape-invariant guard. *)
 let invalid_arg_allowlist =
   [
     ("algebra/clip_algebra.ml", 2);
     ("core/engine.ml", 1);
-    ("fault/clip_fault.ml", 1);
     ("scenarios/figures.ml", 1);
     ("scenarios/generic.ml", 1);
     ("scenarios/table1.ml", 1);

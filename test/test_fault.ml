@@ -1,19 +1,14 @@
-(* Fault-tolerance suite: deterministic fault injection (Clip_fault),
-   deadlines and cooperative cancellation (Clip_run.Control), and
-   graceful batch degradation (Clip_par.map_results).
+(* Failure-boundary suite: runs that fail on a real input leave
+   nothing behind, deadlines and cooperative cancellation
+   (Clip_run.Control), and graceful batch degradation
+   (Clip_par.map_results).
 
-   The site-walk harness sweeps {!Clip_fault.all_sites}, so a newly
-   planted failure point is covered here automatically. For every site
-   it asserts the three contract clauses: (a) the injected fault
-   escapes the exception-free [*_result] entry points as a structured
-   [Error] carrying the stable CLIP-FLT-* code; (b) nothing is left
-   poisoned — re-running with the same context after disarming yields
-   exactly the fault-free output; (c) under
-   {!Clip_par.map_results} a fault is isolated to its input slot and
-   the survivors' merged counters equal the fault-free totals. *)
+   Every failure here comes from a real input or limit: a step budget
+   too small to finish (CLIP-LIM-004), a document whose root is not
+   the mapping's (CLIP-TGD-001), an expired deadline (CLIP-LIM-005) or
+   a set cancel flag (CLIP-LIM-006). *)
 
 module D = Clip_diag
-module F = Clip_fault
 module R = Clip_run
 module C = Clip_obs.Counters
 module Engine = Clip_core.Engine
@@ -24,210 +19,94 @@ module Node = Clip_xml.Node
 let codes ds = String.concat "," (List.map (fun d -> d.D.code) ds)
 let has_code code ds = List.exists (fun d -> String.equal d.D.code code) ds
 
-let with_armed ?from site f =
-  F.arm ?from site;
-  Fun.protect ~finally:F.disarm f
-
 let sc = Fig.fig6
 let doc = Dept.synthetic_instance ~depts:8 ~projs:8 ~emps:6
-let doc_text = Clip_xml.Printer.to_string doc
 
-let backend_of site =
-  if String.equal site F.Site.xquery_execute then `Xquery else `Tgd
+(* A document the mapping cannot read: its root is not the source
+   root, so the run fails with the engine's CLIP-TGD-001. *)
+let wrong_root = Node.elem "wrong" []
 
-(* The whole stack through exception-free entry points only: parse,
-   then an engine run. *)
 let engine ?ctx ?limits ~backend source =
   let ctx = match ctx with Some c -> c | None -> R.create () in
   Engine.run_result ~ctx ?limits ~backend
     ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping source
 
-let pipeline ~backend () =
-  match Clip_xml.Parser.parse_string_result doc_text with
-  | Error _ as e -> e
-  | Ok source -> engine ~backend source
-
-(* One driver per site, all returning [(unit, D.t list) result]. *)
-let driver site =
-  if String.equal site F.Site.par_task then
-    match Clip_par.map_results ~jobs:1 (fun ~obs:_ () -> Ok ()) [ () ] with
-    | [ r ] -> r
-    | _ -> assert false
-  else Result.map ignore (pipeline ~backend:(backend_of site) ())
-
-(* (a) every site: armed fault fires and escapes as Error CLIP-FLT-002. *)
-let test_site_walk () =
-  List.iter
-    (fun site ->
-      let r, nfired =
-        with_armed site (fun () ->
-            let r = driver site in
-            (r, F.fired ()))
-      in
-      (match r with
-      | Error ds when has_code D.Codes.fault_permanent ds -> ()
-      | Error ds ->
-        Alcotest.failf "site %s: expected %s, got [%s]" site
-          D.Codes.fault_permanent (codes ds)
-      | Ok () -> Alcotest.failf "site %s: armed fault did not fire" site);
-      if nfired < 1 then Alcotest.failf "site %s: fired() = %d" site nfired;
-      (* disarmed, the same driver succeeds *)
-      match driver site with
-      | Ok () -> ()
-      | Error ds ->
-        Alcotest.failf "site %s: still failing after disarm: [%s]" site
-          (codes ds))
-    F.all_sites
-
-(* (b) no poisoning: a fault mid-run must leave nothing behind that a
-   later run could pick up — the same context re-runs cleanly and
-   agrees with a fresh one. *)
+(* No poisoning: a run stopped mid-evaluation by its step budget must
+   leave nothing behind in its context — the same context re-runs
+   cleanly under default limits and agrees with a fresh run. *)
 let test_no_poisoning () =
-  let engine_sites =
-    List.filter
-      (fun s ->
-        not
-          (String.equal s F.Site.xml_parse || String.equal s F.Site.par_task))
-      F.all_sites
-  in
+  let budget = 200 in
+  let tight = { D.Limits.default with max_eval_steps = budget } in
   List.iter
-    (fun site ->
-      let backend = backend_of site in
+    (fun (bname, backend) ->
       let expected =
         match engine ~backend doc with
         | Ok n -> n
-        | Error ds -> Alcotest.failf "fault-free baseline failed: %s" (codes ds)
+        | Error ds -> Alcotest.failf "%s: fresh run failed: %s" bname (codes ds)
       in
-      let ctx = R.create () in
-      with_armed site (fun () ->
-          match engine ~ctx ~backend doc with
-          | Ok _ -> Alcotest.failf "site %s: armed fault did not fire" site
-          | Error _ -> ());
+      let counters = C.create () in
+      let ctx = R.create ~counters () in
+      (match engine ~ctx ~limits:tight ~backend doc with
+      | Error ds when has_code D.Codes.limit_eval_steps ds -> ()
+      | Error ds ->
+        Alcotest.failf "%s: expected CLIP-LIM-004, got [%s]" bname (codes ds)
+      | Ok _ -> Alcotest.failf "%s: run finished within %d steps" bname budget);
+      if counters.C.lim_ticks <= budget then
+        Alcotest.failf "%s: stopped after %d steps, not mid-run" bname
+          counters.C.lim_ticks;
       match engine ~ctx ~backend doc with
       | Error ds ->
-        Alcotest.failf "site %s: context poisoned after fault: [%s]" site
+        Alcotest.failf "%s: context poisoned after CLIP-LIM-004: [%s]" bname
           (codes ds)
       | Ok n ->
         if not (Node.equal expected n) then
-          Alcotest.failf "site %s: post-fault rerun differs from baseline" site)
-    engine_sites
+          Alcotest.failf "%s: rerun on the same context differs from a fresh run"
+            bname)
+    [ ("tgd", `Tgd); ("xquery", `Xquery) ]
 
-(* Every run plans, whatever the document's size: on the default plan
-   and the paper instance (65 nodes), an armed plan.build fault still
-   fires, on both backends. *)
-let test_plan_build_default () =
-  List.iter
-    (fun backend ->
-      match
-        with_armed F.Site.plan_build (fun () ->
-            Engine.run_result ~backend
-              ~minimum_cardinality:sc.Fig.minimum_cardinality sc.Fig.mapping
-              Dept.instance)
-      with
-      | Error ds when has_code D.Codes.fault_permanent ds -> ()
-      | Error ds ->
-        Alcotest.failf "expected %s, got [%s]" D.Codes.fault_permanent (codes ds)
-      | Ok _ -> Alcotest.fail "plan.build did not fire on the default plan")
-    [ `Tgd; `Xquery ]
-
-(* (c) slot isolation + exact counter merge. All tasks are identical,
-   so each contributes the same counter increments; survivors of a
-   1-in-6 fault must sum to exactly the fault-free totals of 5 tasks,
+(* Slot isolation + exact counter merge. Slot 3 holds a document with
+   the wrong root and fails with CLIP-TGD-001; the other five are
+   identical, so each contributes the same counter increments, and the
+   survivors must sum to exactly the fault-free totals of 5 tasks,
    whatever the task-to-domain partition. *)
-let eval_task ~obs () =
+let eval_task ~obs source =
   let ctx = R.create ~counters:obs () in
-  Result.map ignore (engine ~ctx ~backend:`Tgd doc)
-
-let assoc c = C.to_assoc c
+  Result.map ignore (engine ~ctx ~backend:`Tgd source)
 
 let test_batch_degradation () =
-  let n = 6 in
-  let units = List.init n (fun _ -> ()) in
-  (* fault-free sequential totals for 6 and for 5 tasks *)
-  let c6 = C.create () in
+  let n = 6 and bad = 3 in
+  let units = List.init n (fun i -> if i = bad then wrong_root else doc) in
+  let c5 = C.create () in
   List.iter
     (function
       | Ok () -> ()
       | Error ds -> Alcotest.failf "fault-free task failed: %s" (codes ds))
-    (Clip_par.map_results ~jobs:1 ~obs:c6 eval_task units);
-  let c5 = C.create () in
-  ignore (Clip_par.map_results ~jobs:1 ~obs:c5 eval_task (List.init (n - 1) (fun _ -> ())));
-  let check_run ~jobs ~from =
-    let cf = C.create () in
-    let rs =
-      with_armed ~from F.Site.par_task (fun () ->
-          Clip_par.map_results ~jobs ~obs:cf eval_task units)
-    in
-    let failed =
-      List.filteri (fun _ r -> Result.is_error r) rs |> List.length
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "jobs=%d: exactly one failing slot" jobs)
-      1 failed;
-    List.iter
-      (function
-        | Ok () -> ()
-        | Error ds ->
-          if not (has_code D.Codes.fault_permanent ds) then
-            Alcotest.failf "failing slot carries [%s]" (codes ds))
-      rs;
-    Alcotest.(check (list (pair string int)))
-      (Printf.sprintf "jobs=%d: survivors' counters = fault-free 5-task totals"
-         jobs)
-      (assoc c5) (assoc cf)
-  in
-  (* sequential: hit ordinal 4 is task index 3, deterministically *)
-  check_run ~jobs:1 ~from:4;
-  let rs =
-    with_armed ~from:4 F.Site.par_task (fun () ->
-        Clip_par.map_results ~jobs:1 eval_task units)
-  in
-  List.iteri
-    (fun i r ->
-      match (i, r) with
-      | 3, Error ds when has_code D.Codes.fault_permanent ds -> ()
-      | 3, Error ds -> Alcotest.failf "slot 3: wrong codes [%s]" (codes ds)
-      | 3, Ok () -> Alcotest.fail "slot 3: expected the injected fault"
-      | _, Ok () -> ()
-      | i, Error ds -> Alcotest.failf "slot %d: unexpected [%s]" i (codes ds))
-    rs;
-  (* parallel: which task claims the firing hit is scheduling-dependent,
-     but slot isolation and counter exactness must hold regardless *)
-  check_run ~jobs:4 ~from:1
-
-(* Seeded arming and the CLI spec parser. *)
-let test_arming () =
-  let a = F.arm_seeded ~seed:42 in
-  F.disarm ();
-  let b = F.arm_seeded ~seed:42 in
-  F.disarm ();
-  if a <> b then Alcotest.fail "arm_seeded not deterministic";
-  let site, from = a in
-  if not (List.mem site F.all_sites) then
-    Alcotest.failf "arm_seeded picked unregistered site %s" site;
-  if from < 1 then Alcotest.failf "arm_seeded picked hit ordinal %d" from;
-  (match F.arm_spec "tgd.execute:2" with
-  | Ok () ->
-    Alcotest.(check (option string)) "spec arms site" (Some F.Site.tgd_execute)
-      (F.armed_site ());
-    F.disarm ()
-  | Error e -> Alcotest.failf "valid spec rejected: %s" e);
-  (match F.arm_spec "no.such.site" with
-  | Error _ -> ()
-  | Ok () ->
-    F.disarm ();
-    Alcotest.fail "unknown site accepted");
-  (match F.arm_spec "tgd.execute:zero" with
-  | Error _ -> ()
-  | Ok () ->
-    F.disarm ();
-    Alcotest.fail "malformed ordinal accepted");
-  (* a fault spec has no class field *)
-  match F.arm_spec "tgd.execute:2:permanent" with
-  | Error _ -> ()
-  | Ok () ->
-    F.disarm ();
-    Alcotest.fail "spec with a third field accepted"
+    (Clip_par.map_results ~jobs:1 ~obs:c5 eval_task
+       (List.init (n - 1) (fun _ -> doc)));
+  List.iter
+    (fun jobs ->
+      let cf = C.create () in
+      let rs = Clip_par.map_results ~jobs ~obs:cf eval_task units in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: exactly one failing slot" jobs)
+        1
+        (List.length (List.filter Result.is_error rs));
+      List.iteri
+        (fun i r ->
+          match (i = bad, r) with
+          | true, Error ds when has_code D.Codes.tgd_eval ds -> ()
+          | true, Error ds ->
+            Alcotest.failf "jobs=%d: slot %d carries [%s]" jobs i (codes ds)
+          | true, Ok () -> Alcotest.failf "jobs=%d: slot %d succeeded" jobs i
+          | false, Ok () -> ()
+          | false, Error ds ->
+            Alcotest.failf "jobs=%d: slot %d failed [%s]" jobs i (codes ds))
+        rs;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "jobs=%d: survivors' counters = fault-free 5-task totals"
+           jobs)
+        (C.to_assoc c5) (C.to_assoc cf))
+    [ 1; 4 ]
 
 (* Deadlines against an injected clock: deterministic expiry, both plan
    modes, both backends, clean structured CLIP-LIM-005. *)
@@ -333,19 +212,10 @@ let test_runaway_join () =
 let () =
   Alcotest.run "fault"
     [
-      ( "injection",
-        [
-          Alcotest.test_case "site walk: structured CLIP-FLT-002 escape" `Quick
-            test_site_walk;
-          Alcotest.test_case "no session/memo poisoning" `Quick
-            test_no_poisoning;
-          Alcotest.test_case "arming: seeded + CLIP_FAULT spec" `Quick
-            test_arming;
-          Alcotest.test_case "plan.build fires on the default plan, tiny input"
-            `Quick test_plan_build_default;
-        ] );
       ( "degradation",
         [
+          Alcotest.test_case "no session/memo poisoning" `Quick
+            test_no_poisoning;
           Alcotest.test_case "map_results: slot isolation, exact counters"
             `Quick test_batch_degradation;
         ] );
