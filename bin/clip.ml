@@ -289,15 +289,34 @@ let run_cmd =
        takes the plain engine path below; longer chains go through the
        mapping algebra (fused when composable, staged otherwise). *)
     let chain = m :: List.map load_mapping thens in
-    (* SIGINT flips a cooperative cancellation flag shared by every
-       task; workers notice at their next control poll and unwind with
-       CLIP-LIM-006, so an interrupted batch still reports per-input
-       outcomes instead of dying mid-write. *)
-    let cancel = Clip_run.Cancel.create () in
+    (* Each input evaluates under its own cooperative cancellation
+       flag. SIGINT sets them all; workers notice at their next control
+       poll and unwind with CLIP-LIM-006, so an interrupted batch still
+       reports per-input outcomes instead of dying mid-write. *)
+    let inputs = Array.of_list inputs in
+    let cancels = Array.map (fun _ -> Clip_run.Cancel.create ()) inputs in
     (try
        Sys.set_signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> Clip_run.Cancel.set cancel))
+         (Sys.Signal_handle (fun _ -> Array.iter Clip_run.Cancel.set cancels))
      with Invalid_argument _ | Sys_error _ -> ());
+    (* Fail-fast reports nothing after the first failing input, so that
+       failure stops the inputs after it: one not yet started is
+       skipped, one evaluating is cancelled. [first_failed] is the
+       lowest failing index known so far. *)
+    let first_failed = Atomic.make max_int in
+    let skipped i = (not keep_going) && i > Atomic.get first_failed in
+    let failed i =
+      if not keep_going then begin
+        let rec lower () =
+          let f = Atomic.get first_failed in
+          if i < f && not (Atomic.compare_and_set first_failed f i) then lower ()
+        in
+        lower ();
+        for j = i + 1 to Array.length cancels - 1 do
+          Clip_run.Cancel.set cancels.(j)
+        done
+      end
+    in
     (* Counters from every task merge into [total], printed under
        --trace; the span tracer is single-domain state, so phases are
        reported only on the sequential path (where the one worker is
@@ -344,9 +363,10 @@ let run_cmd =
        | None -> ());
       Buffer.contents b
     in
-    (* One outcome per input, in input order. A failure carries the
-       source text when its diagnostics point into it (a parse error),
-       for caret rendering. *)
+    (* One outcome per input, in input order; fail-fast ends the list at
+       the first failure. A failure carries the source text when its
+       diagnostics point into it (a parse error), for caret
+       rendering. *)
     let no_src r = Result.map_error (fun ds -> (None, ds)) r in
     let outcomes =
       if stream then
@@ -355,89 +375,107 @@ let run_cmd =
            when the mapping shards, straight into the shard cutter).
            Lineage needs the materialised tree, so --trace prints
            counters and phases but no lineage on this path. *)
-        List.map
-          (fun path ->
+        let rec go i =
+          if i = Array.length inputs then []
+          else
+            let path = inputs.(i) in
             (* Opening and reading both raise [Sys_error] (a directory
                opens, then fails on the first read). *)
-            match
-              In_channel.with_open_bin path (fun ic ->
-                  let st = Clip_xml.Stream.of_channel ic in
-                  let ctx =
-                    Clip_run.create ~counters:total ?tracer
-                      ?deadline:(deadline_for ()) ~cancel ()
-                  in
-                  Result.map render_out
-                    (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
-                       ?shard_bytes ~jobs m st))
-            with
-            | r -> (path, no_src r)
-            | exception Sys_error msg ->
-              (path, Error (None, [ io_error path msg ])))
-          inputs
+            let r =
+              match
+                In_channel.with_open_bin path (fun ic ->
+                    let st = Clip_xml.Stream.of_channel ic in
+                    let ctx =
+                      Clip_run.create ~counters:total ?tracer
+                        ?deadline:(deadline_for ()) ~cancel:cancels.(i) ()
+                    in
+                    Result.map render_out
+                      (Clip_core.Engine.run_stream_result ~ctx ~backend ~plan
+                         ?shard_bytes ~jobs m st))
+              with
+              | r -> no_src r
+              | exception Sys_error msg -> Error (None, [ io_error path msg ])
+            in
+            (path, r) :: (if Result.is_error r && not keep_going then [] else go (i + 1))
+        in
+        go 0
       else begin
-        (* Read and parse sequentially: parsing is cheap next to
-           evaluation. An input that cannot be read or parsed keeps its
-           slot as a failed task, so it is reported in input order like
-           an evaluation failure. Fail-fast reports nothing after it, so
-           the inputs after it are not read. *)
-        let rec read_all = function
-          | [] -> []
-          | path :: rest ->
-            let p =
-              match read_result path with
-              | Error ds -> Error (None, ds)
+        (* One task per document, with its own context — nothing shared
+           across domains but the cancel flags. A task reads and parses
+           its input, evaluates it and renders the output to a string,
+           which keeps stdout in input order. An input that cannot be
+           read or parsed is a failed task like one that fails to
+           evaluate; its source text, for the caret, goes to [sources]. *)
+        let sources = Array.make (Array.length inputs) None in
+        let evaluate ~obs i =
+          let parsed =
+            if skipped i then Error []
+            else
+              match read_result inputs.(i) with
+              | Error _ as e -> e
               | Ok src ->
                 Result.map_error
-                  (fun ds -> (Some src, ds))
+                  (fun ds ->
+                    sources.(i) <- Some src;
+                    ds)
                   (Clip_xml.Parser.parse_string_result src)
-            in
-            (path, p)
-            :: (if Result.is_error p && not keep_going then [] else read_all rest)
-        in
-        let parsed = read_all inputs in
-        (* One task per document, with its own context — nothing shared
-           across domains but the cancel flag. Rendering to a string
-           inside the task keeps stdout in input order. *)
-        let evaluate ~obs (_path, parsed) =
-          match parsed with
-          | Error (_, ds) -> Error ds
-          | Ok source -> (
-            let deadline = deadline_for () in
-            let ctx =
-              Clip_run.create ~counters:obs ?tracer ?deadline ~cancel ()
-            in
-            let traced ctx m =
-              Clip_core.Engine.run_traced_result ~ctx ~plan m source
-            in
-            match chain, backend with
-            | [ m ], `Tgd when trace ->
-              (* The measured run records the lineage itself. *)
-              Result.map
-                (fun (out, entries) -> render_out ~lineage:entries out)
-                (traced ctx m)
-            | [ m ], _ -> (
-              match Clip_core.Engine.run_result ~ctx ~backend ~plan m source with
-              | Ok out when trace ->
-                (* Only the tgd engine's whole-document run records
-                   lineage, so here a separate tgd run recovers it. That
-                   run is bookkeeping, not the measured evaluation: its
-                   context has no counters or tracer of the run's, but it
-                   shares the input's deadline and the SIGINT flag. *)
+          in
+          let evaluated =
+            match parsed with
+            | Error ds -> Error ds
+            | Ok source -> (
+              let cancel = cancels.(i) in
+              let deadline = deadline_for () in
+              let ctx =
+                Clip_run.create ~counters:obs ?tracer ?deadline ~cancel ()
+              in
+              let traced ctx m =
                 Result.map
-                  (fun (_, entries) -> render_out ~lineage:entries out)
-                  (traced (Clip_run.create ?deadline ~cancel ()) m)
-              | r -> Result.map render_out r)
-            | ms, _ ->
-              (* A multi-stage chain has no single mapping to trace, so
-                 --then suppresses the lineage section. *)
-              Result.map render_out
-                (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ms source))
+                  (fun (out, entries) -> (out, Some entries))
+                  (Clip_core.Engine.run_traced_result ~ctx ~plan m source)
+              in
+              match chain, backend with
+              | [ m ], `Tgd when trace ->
+                (* The measured run records the lineage itself. *)
+                traced ctx m
+              | [ m ], _ -> (
+                match Clip_core.Engine.run_result ~ctx ~backend ~plan m source with
+                | Ok out when trace ->
+                  (* Only the tgd engine's whole-document run records
+                     lineage, so here a separate tgd run recovers it. That
+                     run is bookkeeping, not the measured evaluation: its
+                     context has no counters or tracer of the run's, but it
+                     shares the input's deadline and cancellation flag. *)
+                  Result.map
+                    (fun (_, lineage) -> (out, lineage))
+                    (traced (Clip_run.create ?deadline ~cancel ()) m)
+                | r -> Result.map (fun out -> (out, None)) r)
+              | ms, _ ->
+                (* A multi-stage chain has no single mapping to trace, so
+                   --then suppresses the lineage section. *)
+                Result.map
+                  (fun out -> (out, None))
+                  (Clip_algebra.Pipeline.run_result ~ctx ~backend ~plan ms source))
+          in
+          match evaluated with
+          | Error _ as e ->
+            failed i;
+            e
+          | Ok _ when skipped i -> Error []
+          | Ok (out, lineage) -> Ok (render_out ?lineage out)
         in
-        let results = Clip_par.map_results ~jobs ~obs:total evaluate parsed in
-        List.map2
-          (fun (path, p) r ->
-            (path, match p with Error e -> Error e | Ok _ -> no_src r))
-          parsed results
+        let results =
+          Clip_par.map_results ~jobs ~obs:total evaluate
+            (List.init (Array.length inputs) Fun.id)
+        in
+        let rec collect i = function
+          | [] -> []
+          | r :: rest ->
+            let r = Result.map_error (fun ds -> (sources.(i), ds)) r in
+            (inputs.(i), r)
+            :: (if Result.is_error r && not keep_going then [] else collect (i + 1) rest)
+        in
+        collect 0 results
       end
     in
     let code =
@@ -460,7 +498,7 @@ let run_cmd =
         if failed = 0 then 0
         else begin
           Printf.eprintf "clip: %d of %d input(s) failed\n" failed
-            (List.length inputs);
+            (Array.length inputs);
           1
         end
       end

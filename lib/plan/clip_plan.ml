@@ -96,9 +96,10 @@ let strategy = function
 type ('env, 'item) gen = {
   var : string;  (** the variable this generator binds *)
   deps : string list;  (** variables its expression reads *)
-  est : int option;
+  est : int option Lazy.t;
       (** estimated items per evaluation (from {!Clip_xml.Stats});
-          [None] = unknown, priced as large *)
+          [None] = unknown, priced as large; forced only by a join
+          cost gate, a table's sizing or EXPLAIN *)
   eval : 'env -> ('item -> unit) -> unit;  (** push the items, in order *)
   bind : 'env -> 'item -> 'env;
 }
@@ -233,7 +234,7 @@ let join_pays ~outer ~seg =
 let est_product gens =
   Array.fold_left
     (fun acc g ->
-      match acc, g.est with
+      match acc, Lazy.force g.est with
       | Some a, Some e -> Some (min est_cap (a * min (max e 0) est_cap))
       | None, _ | _, None -> None)
     (Some 1) gens
@@ -245,9 +246,12 @@ let est_mul a b =
 
 (* Runs of a plan nested in [t]'s per-binding action: [t]'s own runs
    times the bindings its whole chain enumerates (filters ignored — an
-   upper bound, like every other estimate here). *)
+   upper bound, like every other estimate here). Lazy like the
+   estimates it multiplies. *)
 let inner_runs ~runs t =
-  est_mul runs (est_product (Array.concat (List.map stage_gens (Array.to_list t.stages))))
+  lazy
+    (est_mul (Lazy.force runs)
+       (est_product (Array.concat (List.map stage_gens (Array.to_list t.stages)))))
 
 let explain t =
   let b = Buffer.create 256 in
@@ -264,7 +268,7 @@ let explain t =
       match stage with
       | Scan { gen; preds } ->
         Printf.bprintf b "  stage %d: scan %s (est %s)%s\n" i gen.var
-          (est_str gen.est)
+          (est_str (Lazy.force gen.est))
           (filters "filter" (List.length preds))
       | Probe { gens; scope; preds; _ } ->
         Printf.bprintf b "  stage %d: hash probe %s (%s, est %s)%s\n" i
@@ -280,7 +284,9 @@ let explain t =
 
 (* --- Planning ---------------------------------------------------------- *)
 
-let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
+let unknown = Lazy.from_val None
+
+let plan ?(policy = `Force) ?(runs = unknown) ~bound ~gens ~conds () =
   let gens = Array.of_list gens in
   let n = Array.length gens in
   (* Pushdown and joins rely on each variable having exactly one
@@ -400,7 +406,7 @@ let plan ?(policy = `Force) ?runs ~bound ~gens ~conds () =
               let est_range lo hi = est_product (Array.sub gens lo (hi - lo + 1)) in
               let outer g =
                 let o = est_range 0 (g - 1) in
-                if per_run then est_mul runs o else o
+                if per_run then est_mul (Lazy.force runs) o else o
               in
               let cost_rejected = ref None in
               let cost_ok g =

@@ -105,11 +105,13 @@ val strategy : mode -> string
 type ('env, 'item) gen = {
   var : string;  (** the variable this generator binds *)
   deps : string list;  (** variables its expression reads *)
-  est : int option;
+  est : int option Lazy.t;
       (** estimated items per evaluation, from {!Clip_xml.Stats}
           cardinalities; [None] = unknown, priced as large by the cost
           model (unknown inputs are the ones a quadratic blow-up
-          hurts) *)
+          hurts). Forced only where an estimate is read: a join's cost
+          gate, the sizing of its table and {!explain}, so a chain
+          with no join to price never collects statistics. *)
   eval : 'env -> ('item -> unit) -> unit;
       (** push the items to the callback, in order; the callback may
           run the rest of the chain before the next item comes *)
@@ -216,14 +218,16 @@ val join_pays : outer:int option -> seg:int option -> bool
 (** [inner_runs ~runs t] — estimated runs of a plan nested in [t]'s
     per-binding action, when [t] itself runs [runs] times: [runs]
     times the bindings [t]'s chain enumerates. Saturates at
-    {!est_cap}; [None] when any factor is unknown. *)
-val inner_runs : runs:int option -> ('env, 'item) t -> int option
+    {!est_cap}; [None] when any factor is unknown. Nothing is forced
+    until the result is. *)
+val inner_runs : runs:int option Lazy.t -> ('env, 'item) t -> int option Lazy.t
 
 (** [plan ?policy ?runs ~bound ~gens ~conds] — the physical plan for
     one generator chain. [bound] lists the variables already bound by
     the outer environment; [runs] estimates how often the plan runs
     per evaluation (the product of its ancestors' chain estimates, see
-    {!inner_runs}; absent = unknown, priced as large). [policy]
+    {!inner_runs}; absent = unknown, priced as large), and like the
+    generators' estimates it is forced only by a cost gate. [policy]
     (default [`Force]) selects between forced and cost-based join
     selection; condition pushdown is free and happens under both.
 
@@ -240,7 +244,7 @@ val inner_runs : runs:int option -> ('env, 'item) t -> int option
     always preserved). *)
 val plan :
   ?policy:policy ->
-  ?runs:int ->
+  ?runs:int option Lazy.t ->
   bound:string list ->
   gens:('env, 'item) gen list ->
   conds:'env cond list ->

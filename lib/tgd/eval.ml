@@ -370,16 +370,21 @@ let frame_ops ctx layout : (frame, scope) Builder.ops =
 (* Estimated items of one evaluation of [e] under the [`Cost] policy,
    from per-tag cardinalities ({!Meter.est_child}); attribute and value
    steps yield at most one. [var_tags] maps chain variables to the tag
-   of the element they range over. Returns the estimate and the
-   result's tag (for threading through [var_tags]). *)
-let est_expr ctx var_tags (e : Term.expr) : int option * Xml.Symbol.t option =
+   of the element they range over. Returns the estimate, forced only
+   where the planner reads it, and the result's tag (for threading
+   through [var_tags]). *)
+let one = Lazy.from_val (Some 1)
+
+let est_expr ctx var_tags (e : Term.expr) : int option Lazy.t * Xml.Symbol.t option =
   let rec go = function
-    | Term.Root s -> (Some 1, Some (Xml.Symbol.intern s))
-    | Term.Var x -> (Some 1, Option.join (List.assoc_opt x var_tags))
+    | Term.Root s -> (one, Some (Xml.Symbol.intern s))
+    | Term.Var x -> (one, Option.join (List.assoc_opt x var_tags))
     | Term.Proj (e, step) ->
       (match (step : Path.step) with
        | Path.Attr _ | Path.Value -> (fst (go e), None)
-       | Path.Child t -> Meter.est_child ctx (go e) t)
+       | Path.Child t ->
+         let sym = Xml.Symbol.intern t in
+         (Meter.est_child ctx (go e) sym, Some sym))
   in
   go e
 
@@ -396,20 +401,21 @@ let cond_of ctx scope (c : Tgd.comparison) =
 
 (* Compile a mapping tree to physical plans. Planning needs only the
    statically known outer scope (and, under [`Cost], the instance
-   statistics); the closures — plans and rule bodies — capture the
+   statistics, collected only if a join's cost gate reads an
+   estimate); the closures — plans and rule bodies — capture the
    context and slot numbers, and a frame is allocated per run of the
    tree. [scope] threads through the generators, the
    target generators and the children in lexical order, each binding
    site taking a fresh slot of [layout]. [runs] estimates how often the
    plan runs per evaluation (its ancestors' chain estimates), for
    pricing a per-run join with the parent. *)
-let rec plan_mapping ctx layout policy ?runs scope var_tags (m : Tgd.t) =
+let rec plan_mapping ctx layout policy ~runs scope var_tags (m : Tgd.t) =
   let gens_rev, var_tags', scope' =
     List.fold_left
       (fun (acc, vt, scope) (g : Tgd.source_gen) ->
         let est, tag =
           match policy with
-          | `Force -> (None, None)
+          | `Force -> (Lazy.from_val None, None)
           | `Cost -> est_expr ctx vt g.sexpr
         in
         let slot = layout.nsrc in
@@ -430,7 +436,7 @@ let rec plan_mapping ctx layout policy ?runs scope var_tags (m : Tgd.t) =
       ([], var_tags, scope) m.foralls
   in
   let pplan =
-    Clip_plan.plan ~policy ?runs ~bound:(List.map fst scope) ~gens:(List.rev gens_rev)
+    Clip_plan.plan ~policy ~runs ~bound:(List.map fst scope) ~gens:(List.rev gens_rev)
       ~conds:(List.map (cond_of ctx scope') m.cond) ()
   in
   let runs = Clip_plan.inner_runs ~runs pplan in
@@ -439,12 +445,12 @@ let rec plan_mapping ctx layout policy ?runs scope var_tags (m : Tgd.t) =
     pm = m;
     pplan;
     pbody;
-    pchildren = List.map (plan_mapping ctx layout policy ?runs scope'' var_tags') m.children;
+    pchildren = List.map (plan_mapping ctx layout policy ~runs scope'' var_tags') m.children;
   }
 
 let plan_tree ctx policy m =
   let layout = { nsrc = 0; ntgt = 0 } in
-  let tree = plan_mapping ctx layout policy ~runs:1 [] [] m in
+  let tree = plan_mapping ctx layout policy ~runs:one [] [] m in
   { tree; slots = layout }
 
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)

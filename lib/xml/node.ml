@@ -25,6 +25,7 @@ let make attrs tag sym children =
 
 let elem ?(attrs = []) tag children = make attrs tag (Symbol.intern tag) children
 let elem_sym ~attrs sym children = make attrs (Symbol.name sym) sym children
+let elem_named ~attrs tag sym children = make attrs tag sym children
 let text a = Text a
 let text_string s = Text (Atom.String s)
 let leaf ?attrs tag a = elem ?attrs tag [ Text a ]
@@ -36,15 +37,6 @@ let as_element = function
 let tag = function
   | Element e -> e.tag
   | Text _ -> invalid_arg "Node.tag: text node"
-
-let rec push_tagged sym f x = function
-  | [] -> ()
-  | (Element c as n) :: rest ->
-    if Symbol.equal c.sym sym then f x n;
-    push_tagged sym f x rest
-  | Text _ :: rest -> push_tagged sym f x rest
-
-let iter_children_tagged e sym f x = push_tagged sym f x e.children
 
 let child_elements e =
   List.filter_map (function Element c -> Some c | Text _ -> None) e.children

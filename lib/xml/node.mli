@@ -33,6 +33,12 @@ val elem : ?attrs:(string * Atom.t) list -> string -> t list -> t
     lexer keeps one per name it reads): it skips the intern's hash
     lookup. *)
 val elem_sym : attrs:(string * Atom.t) list -> Symbol.t -> t list -> t
+
+(** [elem_named ~attrs tag sym children] — {!elem_sym} for a caller
+    that also holds the tag's string: it skips the symbol table read.
+    [sym] must be the symbol of [tag]. *)
+val elem_named : attrs:(string * Atom.t) list -> string -> Symbol.t -> t list -> t
+
 val text : Atom.t -> t
 val text_string : string -> t
 
@@ -53,10 +59,6 @@ val tag : t -> string
 val children_named : element -> string -> element list
 
 val child_elements : element -> element list
-
-(** [iter_children_tagged e sym f x] — [f x c] for every child element
-    [c] of [e] tagged [sym], in document order, with no list built. *)
-val iter_children_tagged : element -> Symbol.t -> ('a -> t -> unit) -> 'a -> unit
 
 (** [attr e name] is the value of attribute [name], if present. *)
 val attr : element -> string -> Atom.t option

@@ -28,7 +28,23 @@ let add_escaped buf ~attr s =
   done;
   Buffer.add_substring buf s !from (String.length s - !from)
 
-let add_text buf a = add_escaped buf ~attr:false (Atom.to_string a)
+(* Does [s] from [i] on hold none of the characters [add_escaped] may
+   change? *)
+let rec clean s i =
+  i = String.length s
+  || match String.unsafe_get s i with '<' | '>' | '&' | '"' -> false | _ -> clean s (i + 1)
+
+(* The decimal digits of [i >= 0], written straight into [buf]. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+(* An atom as text: a clean string is copied whole, and an [Int]
+   needs no escaping and no string of its own. *)
+let add_atom buf ~attr = function
+  | Atom.String s when clean s 0 -> Buffer.add_string buf s
+  | Atom.Int i when i >= 0 -> add_digits buf i
+  | a -> add_escaped buf ~attr (Atom.to_string a)
 
 let rec add_attrs buf = function
   | [] -> ()
@@ -36,7 +52,7 @@ let rec add_attrs buf = function
     Buffer.add_char buf ' ';
     Buffer.add_string buf k;
     Buffer.add_string buf "=\"";
-    add_escaped buf ~attr:true (Atom.to_string v);
+    add_atom buf ~attr:true v;
     Buffer.add_char buf '"';
     add_attrs buf rest
 
@@ -51,77 +67,91 @@ let add_close buf tag =
   Buffer.add_string buf tag;
   Buffer.add_char buf '>'
 
-(* Compact rendering: a worklist of nodes still to open and closing
-   tags to emit once their subtree is done. *)
-type ctok = CNode of Node.t | CClose of string
+(* One open element whose children are still being written: [todo]
+   holds the children not yet written, [level] the element's own
+   depth. The worklist holds one frame per open element, innermost
+   first. *)
+type frame = { tag : string; level : int; mutable todo : Node.t list }
 
+(* Write the worklist's nodes in document order. [visit level n stack]
+   writes [n] at [level] and returns [stack], with [n]'s frame pushed
+   when [n] is an element whose children are still to come; [close]
+   ends a frame's element. *)
+let rec drain visit close = function
+  | [] -> ()
+  | f :: rest as stack ->
+    (match f.todo with
+     | c :: tl ->
+       f.todo <- tl;
+       drain visit close (visit (f.level + 1) c stack)
+     | [] ->
+       close f;
+       drain visit close rest)
+
+(* Compact rendering. *)
 let add_compact buf node =
-  let rec go = function
-    | [] -> ()
-    | CClose tag :: rest ->
-      add_close buf tag;
-      go rest
-    | CNode (Node.Text a) :: rest ->
-      add_text buf a;
-      go rest
-    | CNode (Node.Element e) :: rest ->
+  let visit _ n stack =
+    match n with
+    | Node.Text a ->
+      add_atom buf ~attr:false a;
+      stack
+    | Node.Element e ->
       add_open buf e;
       (match e.children with
        | [] ->
          Buffer.add_string buf "/>";
-         go rest
+         stack
        | children ->
          Buffer.add_char buf '>';
-         go (List.map (fun c -> CNode c) children @ (CClose e.tag :: rest)))
+         { tag = e.tag; level = 0; todo = children } :: stack)
   in
-  go [ CNode node ]
+  drain visit (fun f -> add_close buf f.tag) (visit 0 node [])
 
 let to_string node =
   let buf = Buffer.create 256 in
   add_compact buf node;
   Buffer.contents buf
 
-type ptok = PNode of Node.t | PClose of string
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    add_spaces buf (n - k)
+  end
 
 let to_pretty_string ?(indent = 2) node =
   let buf = Buffer.create 256 in
-  let pad level =
-    for _ = 1 to level * indent do
-      Buffer.add_char buf ' '
-    done
-  in
-  let rec go = function
-    | [] -> ()
-    | (level, PClose tag) :: rest ->
-      pad level;
-      add_close buf tag;
+  let visit level n stack =
+    add_spaces buf (level * indent);
+    match n with
+    | Node.Text a ->
+      add_atom buf ~attr:false a;
       Buffer.add_char buf '\n';
-      go rest
-    | (level, PNode (Node.Text a)) :: rest ->
-      pad level;
-      add_text buf a;
-      Buffer.add_char buf '\n';
-      go rest
-    | (level, PNode (Node.Element e)) :: rest ->
-      pad level;
+      stack
+    | Node.Element e ->
       add_open buf e;
       (match e.children with
        | [] ->
          Buffer.add_string buf "/>\n";
-         go rest
+         stack
        | [ Node.Text a ] ->
          Buffer.add_char buf '>';
-         add_text buf a;
+         add_atom buf ~attr:false a;
          add_close buf e.tag;
          Buffer.add_char buf '\n';
-         go rest
+         stack
        | children ->
          Buffer.add_string buf ">\n";
-         go
-           (List.map (fun c -> (level + 1, PNode c)) children
-           @ ((level, PClose e.tag) :: rest)))
+         { tag = e.tag; level; todo = children } :: stack)
   in
-  go [ (0, PNode node) ];
+  let close f =
+    add_spaces buf (f.level * indent);
+    add_close buf f.tag;
+    Buffer.add_char buf '\n'
+  in
+  drain visit close (visit 0 node []);
   Buffer.contents buf
 
 (* --- The paper's ASCII-tree rendering --------------------------------- *)

@@ -4,13 +4,10 @@
    generator chains with per-tag cardinalities: the estimated size of
    [source.dept.Proj] is the Proj count, the estimated per-department
    fan-out of [d.Proj] is Proj count / dept count, and so on. One
-   preorder walk collects everything, once per run. *)
+   preorder walk collects them, once per run that prices a join. *)
 
 type t = {
   nodes : int; (* elements + attributes + texts, like Node.size *)
-  elements : int;
-  depth : int;
-  max_fanout : int; (* most element children under one element *)
   counts : int array; (* elements per tag, indexed by symbol *)
 }
 
@@ -18,8 +15,6 @@ type t = {
    was interned before its node was built, so [Symbol.interned] at the
    start of a walk bounds them; [bump] still grows the array should a
    concurrent domain intern more. *)
-let make_counts () = ref (Array.make (Symbol.interned ()) 0)
-
 let bump counts (sym : Symbol.t) =
   let i = (sym :> int) in
   let a = !counts in
@@ -32,55 +27,24 @@ let bump counts (sym : Symbol.t) =
   a.(i) <- a.(i) + 1
 
 let collect doc =
-  let counts = make_counts () in
-  let nodes = ref 0 and elements = ref 0 and max_fanout = ref 0 in
-  (* Returns the deepest level in the subtree of [n] at level [depth]. *)
-  let rec walk depth n =
-    match n with
-    | Node.Text _ ->
+  let counts = ref (Array.make (Symbol.interned ()) 0) in
+  let nodes = ref 0 in
+  let rec walk = function
+    | [] -> ()
+    | Node.Text _ :: rest ->
       incr nodes;
-      depth
-    | Node.Element e ->
-      incr elements;
+      walk rest
+    | Node.Element e :: rest ->
       nodes := !nodes + 1 + List.length e.Node.attrs;
       bump counts e.Node.sym;
-      children (depth + 1) e.Node.children 0 depth
-  and children depth cs fanout deepest =
-    match cs with
-    | [] ->
-      if fanout > !max_fanout then max_fanout := fanout;
-      deepest
-    | c :: rest ->
-      let fanout = match c with Node.Element _ -> fanout + 1 | Node.Text _ -> fanout in
-      let d = walk depth c in
-      children depth rest fanout (if d > deepest then d else deepest)
+      walk e.Node.children;
+      walk rest
   in
-  let depth = walk 1 doc in
-  {
-    nodes = !nodes;
-    elements = !elements;
-    depth;
-    max_fanout = !max_fanout;
-    counts = !counts;
-  }
+  walk [ doc ];
+  { nodes = !nodes; counts = !counts }
 
 let tag_count t (sym : Symbol.t) =
   let i = (sym :> int) in
   if i < Array.length t.counts then t.counts.(i) else 0
 
 let node_count t = t.nodes
-let element_count t = t.elements
-let depth t = t.depth
-let max_fanout t = t.max_fanout
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>nodes %d, elements %d, depth %d, max fan-out %d"
-    t.nodes t.elements t.depth t.max_fanout;
-  let tags = ref [] in
-  Array.iteri
-    (fun i n -> if n > 0 then tags := (Symbol.name (Symbol.of_int i), n) :: !tags)
-    t.counts;
-  List.iter
-    (fun (tag, n) -> Format.fprintf fmt "@,  %s: %d" tag n)
-    (List.sort compare !tags);
-  Format.fprintf fmt "@]"

@@ -1,10 +1,10 @@
-(** One-pass instance statistics: node/element counts, per-tag
-    cardinalities, depth and maximum fan-out.
+(** One-pass instance statistics: the node count and per-tag
+    cardinalities.
 
     The adaptive planner prices generator chains with these numbers —
     the estimated cardinality of a [Child] step is the step tag's
-    count divided by its parent tag's count. The engine collects them
-    once per run. *)
+    count divided by its parent tag's count. A run collects them only
+    when a join cost gate or EXPLAIN reads an estimate. *)
 
 type t
 
@@ -18,11 +18,3 @@ val tag_count : t -> Symbol.t -> int
 (** Total nodes, counted like {!Node.size} (elements + attributes +
     texts). *)
 val node_count : t -> int
-
-val element_count : t -> int
-val depth : t -> int
-
-(** Most element children under any single element. *)
-val max_fanout : t -> int
-
-val pp : Format.formatter -> t -> unit

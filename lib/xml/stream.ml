@@ -9,9 +9,14 @@
    values are typed in the window at the markup that ends them
    ([Atom.of_bytes]): an integer or boolean is read without a copy, any
    other value is sliced once, and only a value holding ['&'] is
-   entity-decoded and typed again. A closing tag is compared with its
-   opening tag in place, and a name seen before is shared rather than
-   copied.
+   entity-decoded and typed again. A name is hashed while it is
+   scanned and compared in place with the name last seen under its
+   hash, so a name seen before is shared rather than copied; a closing
+   tag is compared with its opening tag in place, in the same pass that
+   finds its ['>']. The common spellings — an attribute's ['='] right
+   before a double quote, a tag closed by ['>'], markup straight after
+   markup — are taken directly, and the general paths only run for the
+   rest.
 
    The window. Bytes [wpos, len) of [buf] are unconsumed; a run being
    scanned stays in the window from the cursor on while [more] pulls
@@ -63,6 +68,7 @@ type source = {
                            length is a power of two *)
   syms : Symbol.t option array; (* the symbol of [names.(h)] once a tag
                                    has needed it *)
+  mutable hash : int; (* the hash of the name [name_end] last scanned *)
   limits : Clip_diag.Limits.t;
   mutable phase : phase;
   mutable stack : string list; (* open elements, innermost first *)
@@ -196,14 +202,26 @@ let rec index st k c =
   let k = !i - st.wpos in
   if !i < stop || not (more st) then k else index st k c
 
-let rec name_end st k =
+(* The offset where the name run from offset [k] on ends, hashing its
+   bytes on the way: [h] is the hash of the bytes before offset [k],
+   and the whole name's is left in [st.hash]. *)
+let rec name_end st k h =
   let buf = st.buf and stop = st.len in
-  let i = ref (st.wpos + k) in
-  while !i < stop && is_name_char (Bytes.unsafe_get buf !i) do
-    incr i
+  let i = ref (st.wpos + k) and h = ref h and more_name = ref true in
+  while !more_name && !i < stop do
+    let c = Bytes.unsafe_get buf !i in
+    if is_name_char c then begin
+      h := (!h * 31) + Char.code c;
+      incr i
+    end
+    else more_name := false
   done;
   let k = !i - st.wpos in
-  if !i < stop || not (more st) then k else name_end st k
+  if !i < stop || not (more st) then begin
+    st.hash <- !h;
+    k
+  end
+  else name_end st k !h
 
 let rec skip_spaces st =
   let buf = st.buf and stop = st.len in
@@ -214,25 +232,32 @@ let rec skip_spaces st =
   st.wpos <- !i;
   if !i = stop && more st then skip_spaces st
 
-(* Do the bytes from offset [k] on spell [lit] from its index [j] on?
-   They must be available. *)
-let rec spells st k lit j =
-  j = String.length lit
-  || Bytes.unsafe_get st.buf (st.wpos + k + j) = String.unsafe_get lit j
-     && spells st k lit (j + 1)
+(* Do the bytes from offset [k] on spell [lit]? They must be
+   available. *)
+let spells st k lit =
+  let buf = st.buf and off = st.wpos + k and n = String.length lit in
+  let j = ref 0 in
+  while !j < n && Bytes.unsafe_get buf (off + !j) = String.unsafe_get lit !j do
+    incr j
+  done;
+  !j = n
 
-let looking_at st lit = has st (String.length lit - 1) && spells st 0 lit 0
+let looking_at st lit = has st (String.length lit - 1) && spells st 0 lit
 
 (* The offset of the first [lit] at or past offset [k], or [-1]. *)
 let rec find st k lit =
   let k = index st k (String.unsafe_get lit 0) in
   if not (has st (k + String.length lit - 1)) then -1
-  else if spells st k lit 0 then k
+  else if spells st k lit then k
   else find st (k + 1) lit
 
 let expect st c =
   if has st 0 && byte st 0 = c then st.wpos <- st.wpos + 1
   else error st (Printf.sprintf "expected %S" (String.make 1 c))
+
+(* Are the [k] bytes at the cursor the name [s]? They must be
+   available. *)
+let same st s k = String.length s = k && spells st 0 s
 
 (* Documents repeat a schema-sized set of names: a name still held in
    its slot of [names] is returned again, not copied, so trees share
@@ -241,14 +266,9 @@ let expect st c =
    returns its slot. *)
 let name_slot st =
   if not (has st 0 && is_name_start (byte st 0)) then error st "expected a name";
-  let k = name_end st 1 in
-  let h = ref 0 in
-  for i = st.wpos to st.wpos + k - 1 do
-    h := (!h * 31) + Char.code (Bytes.unsafe_get st.buf i)
-  done;
-  let h = !h land (Array.length st.names - 1) in
-  let s = st.names.(h) in
-  if not (String.length s = k && spells st 0 s 0) then begin
+  let k = name_end st 0 0 in
+  let h = st.hash land (Array.length st.names - 1) in
+  if not (same st st.names.(h) k) then begin
     st.names.(h) <- Bytes.sub_string st.buf st.wpos k;
     st.syms.(h) <- None
   end;
@@ -345,17 +365,24 @@ let quoted st =
   st.wpos <- st.wpos + k + 1;
   value st lo (lo + k - 1)
 
+(* [List.rev] without copying a list of one: most elements hold one
+   attribute or one child. *)
+let rev = function [] | [ _ ] as l -> l | l -> List.rev l
+
 let rec attrs st acc =
-  skip_spaces st;
-  if not (has st 0) then List.rev acc
+  if has st 0 && is_space (byte st 0) then skip_spaces st;
+  if not (has st 0) then rev acc
   else
     match byte st 0 with
-    | '>' | '/' -> List.rev acc
+    | '>' | '/' -> rev acc
     | _ ->
       let n = name st in
-      skip_spaces st;
-      expect st '=';
-      skip_spaces st;
+      if has st 1 && byte st 0 = '=' && byte st 1 = '"' then st.wpos <- st.wpos + 1
+      else begin
+        skip_spaces st;
+        expect st '=';
+        skip_spaces st
+      end;
       let v = quoted st in
       attrs st ((n, v) :: acc)
 
@@ -374,7 +401,11 @@ let open_tag st =
 (* After the attributes: [true] for "/>" (the element is closed, depth
    restored), [false] for '>'. *)
 let self_closing st =
-  if looking_at st "/>" then begin
+  if has st 0 && byte st 0 = '>' then begin
+    st.wpos <- st.wpos + 1;
+    false
+  end
+  else if looking_at st "/>" then begin
     st.wpos <- st.wpos + 2;
     st.depth <- st.depth - 1;
     true
@@ -384,21 +415,32 @@ let self_closing st =
     false
   end
 
-(* The cursor is on "</" inside [tag]. *)
-let close_tag st tag =
-  st.wpos <- st.wpos + 2;
+(* A closing tag that is not [tag] followed by ['>']: spaces before the
+   ['>'], or a mismatch, reported with the name found. *)
+let close_tag_slow st tag =
   if not (has st 0 && is_name_start (byte st 0)) then error st "expected a name";
-  let k = name_end st 1 in
-  let same = k = String.length tag && spells st 0 tag 0 in
-  let closing = if same then tag else Bytes.sub_string st.buf st.wpos k in
+  let k = name_end st 0 0 in
+  let matched = same st tag k in
+  let closing = if matched then tag else Bytes.sub_string st.buf st.wpos k in
   st.wpos <- st.wpos + k;
   skip_spaces st;
   expect st '>';
-  if not same then
+  if not matched then
     error st
       (Printf.sprintf "mismatched closing tag: expected </%s>, found </%s>" tag
          closing);
   st.depth <- st.depth - 1
+
+(* The cursor is on "</" inside [tag]. The common [</tag>] is matched
+   in one pass. *)
+let close_tag st tag =
+  st.wpos <- st.wpos + 2;
+  let n = String.length tag in
+  if has st n && same st tag n && byte st n = '>' then begin
+    st.wpos <- st.wpos + n + 1;
+    st.depth <- st.depth - 1
+  end
+  else close_tag_slow st tag
 
 let skip_comment st =
   let k = find st 4 "-->" in
@@ -463,33 +505,41 @@ let epilog st =
 (* Character data inside [tag]: move the cursor over the run to the
    next markup and return the run's start. The markup must be there. *)
 let text_run st tag =
-  let k = index st 0 '<' in
-  let i = st.wpos in
-  st.wpos <- i + k;
-  if not (has st 0) then error st ("unterminated element <" ^ tag ^ ">");
-  i
-
-(* Is the run from [i] to the cursor whitespace-only (no text node)? *)
-let blank st i =
-  let j = ref i in
-  while !j < st.wpos && is_space (Bytes.unsafe_get st.buf !j) do
-    incr j
-  done;
-  !j = st.wpos
+  if has st 0 && byte st 0 = '<' then st.wpos
+  else begin
+    let k = index st 0 '<' in
+    let i = st.wpos in
+    st.wpos <- i + k;
+    if not (has st 0) then error st ("unterminated element <" ^ tag ^ ">");
+    i
+  end
 
 let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* The non-blank run from [i] to the cursor as a text atom: trimmed
-   (as [String.trim] does), typed, decoded if it holds ['&']. *)
+(* What [text] returns for a whitespace-only run: no text node. It is
+   compared physically, so no typed value can be mistaken for it. *)
+let blank = Atom.String "blank"
+
+(* The run from [i] to the cursor as a text atom — trimmed (as
+   [String.trim] does), typed, decoded if it holds ['&'] — or [blank]
+   when it holds only spaces, tabs and line breaks. A form feed is
+   trimmed but is not a space: a run that holds one is an empty
+   text. *)
 let text st i =
-  let lo = ref i and hi = ref st.wpos in
-  while !lo < !hi && is_trimmed (Bytes.unsafe_get st.buf !lo) do
+  let buf = st.buf and stop = st.wpos in
+  let lo = ref i and ff = ref false in
+  while !lo < stop && is_trimmed (Bytes.unsafe_get buf !lo) do
+    if Bytes.unsafe_get buf !lo = '\012' then ff := true;
     incr lo
   done;
-  while !hi > !lo && is_trimmed (Bytes.unsafe_get st.buf (!hi - 1)) do
-    decr hi
-  done;
-  value st !lo !hi
+  if !lo = stop && not !ff then blank
+  else begin
+    let hi = ref stop in
+    while !hi > !lo && is_trimmed (Bytes.unsafe_get buf (!hi - 1)) do
+      decr hi
+    done;
+    value st !lo !hi
+  end
 
 type markup = Close | Comment | Cdata | Open
 
@@ -509,17 +559,18 @@ let rec element st =
   let slot = open_tag st in
   let tag = st.names.(slot) and sym = symbol st slot in
   let attrs = attrs st [] in
-  if self_closing st then Node.elem_sym ~attrs sym []
+  if self_closing st then Node.elem_named ~attrs tag sym []
   else children st sym tag attrs []
 
 (* The content of the open element [tag] up to its closing tag. *)
 and children st sym tag attrs acc =
   let i = text_run st tag in
-  let acc = if blank st i then acc else Node.text (text st i) :: acc in
+  let a = text st i in
+  let acc = if a == blank then acc else Node.text a :: acc in
   match markup st with
   | Close ->
     close_tag st tag;
-    Node.elem_sym ~attrs sym (List.rev acc)
+    Node.elem_named ~attrs tag sym (rev acc)
   | Comment ->
     skip_comment st;
     children st sym tag attrs acc
@@ -551,7 +602,8 @@ let close st =
    error wins over the text in front of it. *)
 let content_events st tag =
   let i = text_run st tag in
-  let text = if blank st i then None else Some (Text (text st i)) in
+  let a = text st i in
+  let text = if a == blank then None else Some (Text a) in
   let evs =
     match markup st with
     | Close ->
@@ -650,6 +702,7 @@ let of_chunks ?(limits = Clip_diag.Limits.default) refill =
     depth = 0;
     names = Array.make 64 "";
     syms = Array.make 64 None;
+    hash = 0;
     limits;
     phase = Prolog;
     stack = [];

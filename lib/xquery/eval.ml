@@ -17,7 +17,10 @@ module Env = Map.Make (String)
    keyed by the physical identity of the clause list — the same FLWOR
    block re-entered once per outer binding (the hot path of nested
    queries) then replans zero times — plus the outer-variable set,
-   policy and run estimate, which all affect planning. *)
+   policy and run estimate, which all affect planning. The run
+   estimate is lazy and compared physically, so the memo never forces
+   it: an entry keeps the estimate it hands to the blocks nested in
+   it, and a re-entered block meets the same one again. *)
 type ctx = {
   meter : Meter.t;
   plan : Clip_plan.mode;
@@ -25,13 +28,14 @@ type ctx = {
     (Ast.clause list
     * string list
     * bool
-    * int option
-    * (Value.t Env.t, Value.t) Clip_plan.t)
+    * int option Lazy.t
+    * (Value.t Env.t, Value.t) Clip_plan.t
+    * int option Lazy.t)
     list
     ref;
   run : Value.t Clip_plan.Run.t;
       (* the hash tables of run-scoped probes *)
-  mutable runs : int option;
+  mutable runs : int option Lazy.t;
       (* estimated runs of the FLWOR block being entered: 1 at the top,
          times each enclosing block's chain estimate *)
 }
@@ -88,21 +92,26 @@ let numeric name v =
    variables to (estimated items when enumerated, element tag);
    variables bound outside the chain are priced as single items of
    unknown tag. Returns the estimate and the result tag. *)
-let est_flwor_expr ctx var_tags (e : Ast.expr) : int option * Xml.Symbol.t option =
+let one = Lazy.from_val (Some 1)
+let unknown = Lazy.from_val None
+
+let est_flwor_expr ctx var_tags (e : Ast.expr) : int option Lazy.t * Xml.Symbol.t option =
   let rec go = function
-    | Ast.Doc tag -> (Some 1, Some (Xml.Symbol.intern tag))
+    | Ast.Doc tag -> (one, Some (Xml.Symbol.intern tag))
     | Ast.Var x ->
       (match List.assoc_opt x var_tags with
        | Some (est, tag) -> (est, tag)
-       | None -> (Some 1, None))
+       | None -> (one, None))
     | Ast.Path (base, steps) ->
       List.fold_left
         (fun (est, ptag) step ->
           match (step : Ast.step) with
           | Ast.Attr_step _ | Ast.Text_step -> (est, None)
-          | Ast.Child_step t -> Meter.est_child ctx.meter (est, ptag) t)
+          | Ast.Child_step t ->
+            let sym = Xml.Symbol.intern t in
+            (Meter.est_child ctx.meter (est, ptag) sym, Some sym))
         (go base) steps
-    | _ -> (None, None)
+    | _ -> (unknown, None)
   in
   go e
 
@@ -199,7 +208,7 @@ let rec eval ctx env (e : Ast.expr) : Value.t =
    and equality conjuncts become hash-join candidates. Purely static —
    the closures capture [ctx] but nothing is evaluated here — which is
    what lets [explain] below reuse it without running the query. *)
-and flwor_plan ctx ~policy ?runs ~bound clauses where =
+and flwor_plan ctx ~policy ~runs ~bound clauses where =
   let cost = match policy with `Cost -> true | `Force -> false in
   let gens_rev, _ =
     List.fold_left
@@ -207,7 +216,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
         match clause with
         | Ast.For (x, e) ->
           let est, tag =
-            if cost then est_flwor_expr ctx vt e else (None, None)
+            if cost then est_flwor_expr ctx vt e else (unknown, None)
           in
           let gen =
             {
@@ -219,16 +228,16 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
             }
           in
           (* The for-variable itself ranges over single items. *)
-          (gen :: acc, (x, (Some 1, tag)) :: vt)
+          (gen :: acc, (x, (one, tag)) :: vt)
         | Ast.Let (x, e) ->
           let seq_est =
-            if cost then est_flwor_expr ctx vt e else (None, None)
+            if cost then est_flwor_expr ctx vt e else (unknown, None)
           in
           let gen =
             {
               Clip_plan.var = x;
               deps = Ast.free_vars e;
-              est = Some 1 (* binds the whole sequence as one item *);
+              est = one (* binds the whole sequence as one item *);
               eval = (fun env f -> f (eval ctx env e));
               bind = (fun env v -> Env.add x v env);
             }
@@ -258,7 +267,7 @@ and flwor_plan ctx ~policy ?runs ~bound clauses where =
   let conds =
     match where with None -> [] | Some w -> List.map cond_of (conjuncts w)
   in
-  Clip_plan.plan ~policy ?runs ~bound ~gens:(List.rev gens_rev) ~conds ()
+  Clip_plan.plan ~policy ~runs ~bound ~gens:(List.rev gens_rev) ~conds ()
 
 (* Plan-based FLWOR evaluation: bindings stream into the [return] in
    the clause-by-clause enumeration order. *)
@@ -270,26 +279,27 @@ and eval_flwor ctx env clauses where return =
      of the memo key. *)
   let bound = Env.fold (fun x _ acc -> x :: acc) env [] in
   let runs = ctx.runs in
-  let p =
+  let p, inner =
     let rec find = function
       | [] -> None
-      | (cs, b, c, r, p) :: rest ->
-        if cs == clauses && c = cost && r = runs && List.equal String.equal b bound
-        then Some p
+      | (cs, b, c, r, p, inner) :: rest ->
+        if cs == clauses && c = cost && r == runs && List.equal String.equal b bound
+        then Some (p, inner)
         else find rest
     in
     match find !(ctx.plans) with
-    | Some p ->
+    | Some entry ->
       ctx.meter.counters.memo_hits <- ctx.meter.counters.memo_hits + 1;
-      p
+      entry
     | None ->
-      let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
-      ctx.plans := (clauses, bound, cost, runs, p) :: !(ctx.plans);
-      p
+      let p = flwor_plan ctx ~policy ~runs ~bound clauses where in
+      let inner = Clip_plan.inner_runs ~runs p in
+      ctx.plans := (clauses, bound, cost, runs, p, inner) :: !(ctx.plans);
+      (p, inner)
   in
   let m = ctx.meter in
   let acc = ref [] in
-  ctx.runs <- Clip_plan.inner_runs ~runs p;
+  ctx.runs <- inner;
   Clip_plan.execute ~obs:m.counters ~run:ctx.run p
     ~tick:(fun () -> Meter.tick m)
     ~env
@@ -379,7 +389,7 @@ let make_ctx ?max_steps ?obs ?ctl ?(plan = `Auto) input =
     plan;
     plans = ref [];
     run = Clip_plan.Run.create ();
-    runs = Some 1;
+    runs = one;
   }
 
 (* Static plan rendering for every FLWOR block of a query, numbered in
@@ -430,7 +440,7 @@ let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
         (match where with
          | None -> ""
          | Some w -> " where " ^ Pretty.expr_to_string w);
-      let p = flwor_plan ctx ~policy ?runs ~bound clauses where in
+      let p = flwor_plan ctx ~policy ~runs ~bound clauses where in
       Printf.bprintf b "  plan: %s\n" (Clip_plan.describe p);
       Buffer.add_string b (Clip_plan.explain p);
       let walk = walk (Clip_plan.inner_runs ~runs p) in
@@ -446,7 +456,7 @@ let explain ?(plan = `Auto) ~input (expr : Ast.expr) : string =
       (match where with Some w -> walk bound' w | None -> ());
       walk bound' return
   in
-  walk (Some 1) [] expr;
+  walk one [] expr;
   Buffer.contents b
 
 let with_ctx ?ctl ?obs plan limits input f =

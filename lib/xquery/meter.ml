@@ -67,33 +67,42 @@ let ticks m n =
       tick m
     done
 
-(* Each visited child is counted before the first match is pushed, as
-   when the step returned a list: a consumer that fails midway sees the
-   step's whole count. *)
+(* Children are counted as the scan visits them. A consumer that
+   raises still leaves the step's whole count: the rest of the list is
+   added before the exception goes on. The scan is top-level, so a
+   step allocates no closure. *)
+let rec scan_children (c : Clip_obs.Counters.t) sym f x seen = function
+  | [] -> c.nodes_scanned <- c.nodes_scanned + seen
+  | (Xml.Node.Element e as n) :: rest when Xml.Symbol.equal e.sym sym ->
+    (match f x n with
+     | () -> ()
+     | exception ex ->
+       let bt = Printexc.get_raw_backtrace () in
+       c.nodes_scanned <- c.nodes_scanned + seen + 1 + List.length rest;
+       Printexc.raise_with_backtrace ex bt);
+    scan_children c sym f x (seen + 1) rest
+  | _ :: rest -> scan_children c sym f x (seen + 1) rest
+
 let child_step m (e : Xml.Node.element) sym f x =
   let c = m.counters in
   c.child_steps <- c.child_steps + 1;
-  c.nodes_scanned <- c.nodes_scanned + List.length e.children;
-  Xml.Node.iter_children_tagged e sym f x
+  scan_children c sym f x 0 e.children
 
 let child_items m e sym =
   let acc = ref [] in
   child_step m e sym (fun acc n -> acc := Value.Node n :: !acc) acc;
   List.rev !acc
 
-let est_child m (est, ptag) tag =
-  let stats = force_stats m in
-  let sym = Xml.Symbol.intern tag in
-  let ct = Xml.Stats.tag_count stats sym in
-  let est' =
-    if ct = 0 then Some 0
-    else
-      match est, ptag with
-      | Some e0, Some p when Xml.Stats.tag_count stats p > 0 ->
-        let cp = Xml.Stats.tag_count stats p in
-        let fan = max 1 ((ct + cp - 1) / cp) in
-        Some (min Clip_plan.est_cap (e0 * fan))
-      | Some e0, _ -> Some (min Clip_plan.est_cap (max e0 1 * ct))
-      | None, _ -> Some ct
-  in
-  (est', Some sym)
+let est_child m (est, ptag) sym =
+  lazy
+    (let stats = force_stats m in
+     let ct = Xml.Stats.tag_count stats sym in
+     if ct = 0 then Some 0
+     else
+       match Lazy.force est, ptag with
+       | Some e0, Some p when Xml.Stats.tag_count stats p > 0 ->
+         let cp = Xml.Stats.tag_count stats p in
+         let fan = max 1 ((ct + cp - 1) / cp) in
+         Some (min Clip_plan.est_cap (e0 * fan))
+       | Some e0, _ -> Some (min Clip_plan.est_cap (max e0 1 * ct))
+       | None, _ -> Some ct)

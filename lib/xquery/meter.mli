@@ -48,8 +48,8 @@ val ticks : t -> int -> unit
 
 (** [child_step m e sym f x] — [f x c] for every child element [c] of
     [e] tagged [sym], in document order, with no list built. Counts one
-    child step, and every child of [e] as a scanned node, all before
-    the first match is pushed. *)
+    child step, and every child of [e] as a scanned node, also when
+    [f] raises. *)
 val child_step :
   t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> ('a -> Clip_xml.Node.t -> unit) -> 'a -> unit
 
@@ -62,10 +62,10 @@ val child_items : t -> Clip_xml.Node.element -> Clip_xml.Symbol.t -> Value.item 
     tagged [parent], it yields about count(tag)/count(parent) items
     each (ceil; at least 1 when [tag] occurs at all, exactly 0 when it
     never does). A parent of unknown tag falls back to the global
-    count of [tag], an upper bound. Returns the estimate and the
-    result's tag. *)
+    count of [tag], an upper bound. The statistics are collected when
+    the estimate is first forced, not before. *)
 val est_child :
   t ->
-  int option * Clip_xml.Symbol.t option ->
-  string ->
-  int option * Clip_xml.Symbol.t option
+  int option Lazy.t * Clip_xml.Symbol.t option ->
+  Clip_xml.Symbol.t ->
+  int option Lazy.t

@@ -32,7 +32,7 @@ let gen ?(deps = []) ?est var items : (env, int) P.gen =
   {
     P.var;
     deps;
-    est;
+    est = Lazy.from_val est;
     eval = (fun env f -> List.iter f (items env));
     bind = (fun env v -> (var, v) :: env);
   }
@@ -183,6 +183,38 @@ let cost_tests =
         checks "costed" "scan(x) probe(y@0)" (P.describe costed);
         let got, _ = run_plan costed in
         checkb "same bindings as naive" true (got = run_naive gens join_conds));
+    Alcotest.test_case "`Cost reads estimates only to price a join" `Quick (fun () ->
+        (* A chain with no equality has no join to price: planning and
+           running it force neither an estimate nor the run count. *)
+        let unread var items =
+          { (const var items) with P.est = lazy (Alcotest.fail (var ^ "'s estimate was read")) }
+        in
+        let gens = [ unread "x" [ 1; 2 ]; unread "y" [ 2; 3 ] ] in
+        let conds = [ P.Other (pred [ "x"; "y" ] (fun env -> lookup env "x" < lookup env "y")) ] in
+        let p =
+          P.plan ~policy:`Cost ~runs:(lazy (Alcotest.fail "runs was read")) ~bound:[] ~gens
+            ~conds ()
+        in
+        checks "no equality" "scan(x) scan(y/1)" (P.describe p);
+        ignore (P.inner_runs ~runs:(lazy (Alcotest.fail "runs was read")) p);
+        let got, _ = run_plan p in
+        checkb "same bindings as naive" true (got = run_naive gens conds);
+        (* An equality still reads both estimates and prices its join
+           as before. *)
+        let reads = ref 0 in
+        let counted est var items =
+          { (const var items) with P.est = lazy (incr reads; Some est) }
+        in
+        let xs = List.init 40 Fun.id in
+        let plan est =
+          P.describe
+            (P.plan ~policy:`Cost ~bound:[]
+               ~gens:[ counted est "x" xs; counted est "y" xs ]
+               ~conds:join_conds ())
+        in
+        checks "large: join" "scan(x) probe(y@0)" (plan 40);
+        checkb "both estimates read" true (!reads = 2);
+        checks "tiny: scans" "scan(x) scan(y/1)" (plan 2));
     Alcotest.test_case "`Cost prices unknown estimates as large (joins)" `Quick
       (fun () ->
         let gens = [ const "x" [ 1; 2 ]; const "y" [ 2; 3 ] ] in
@@ -796,7 +828,9 @@ let repr_counter_tests =
    chain joins its one generator [g] to it. *)
 let nested_join ?(policy = `Force) ?runs ?(deps = []) ?(eval = fun _ -> [ 3; 1; 2; 1; 3 ])
     () =
-  P.plan ~policy ?runs ~bound:[ "c" ]
+  P.plan ~policy
+    ?runs:(Option.map (fun r -> Lazy.from_val (Some r)) runs)
+    ~bound:[ "c" ]
     ~gens:[ gen ~deps ~est:5 "g" eval ]
     ~conds:[ eq ~left:[ "c" ] ~lkeys:(key1 "c") ~right:[ "g" ] ~rkeys:(key1 "g") ]
     ()

@@ -239,6 +239,35 @@ let equivalence_tests =
                 (typed_outcome (Stream.parse_result (chunked bytes [ c ])))
             done)
           docs);
+    Alcotest.test_case "tags and attributes read alike across every chunk boundary" `Quick
+      (fun () ->
+        (* The spellings the lexer takes directly ([a="1"], a tag
+           closed by '>', [</e>]) next to the ones it does not
+           ([a = '1'], [<e >], [</e >]), names that share a slot of the
+           name table (e, af and ch hash alike), and runs of spaces and
+           form feeds, cut at every byte: each feed gives the oracle's
+           tree or its diagnostic. *)
+        let docs =
+          [
+            "<r a=\"1\" b = '2' c =\"x\"d='y'><e/><e ><e a=\"1\"/></e ><af/><e>1</e>\
+             <ch a=\"1\">t</ch><e/></r>";
+            "<r>  <e>\012</e> <e> \012 </e><e>  </e>\n<e> x </e></r>";
+            "<r><e></ee></r>";
+            "<r><ee></e></r>";
+            "<r><e></e x></r>";
+            "<r a=\"1\" a2/>";
+            "<r a=\"1>";
+          ]
+        in
+        List.iter
+          (fun bytes ->
+            let reference = typed_outcome (Xml_oracle.parse_string_result bytes) in
+            checks bytes reference (typed_outcome (Stream.parse_result (byte_by_byte bytes)));
+            for c = 1 to String.length bytes - 1 do
+              checks (Printf.sprintf "%s cut at %d" bytes c) reference
+                (typed_outcome (Stream.parse_result (chunked bytes [ c ])))
+            done)
+          docs);
     Alcotest.test_case "event stream shape" `Quick (fun () ->
         let st = Stream.of_string "<r a=\"1\">hi<e/></r>" in
         let next () =
