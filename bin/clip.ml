@@ -220,9 +220,9 @@ let then_arg =
   Arg.(value & opt_all file [] & info [ "then" ] ~docv:"MAPPING" ~doc)
 
 (* --then chains materialised documents, which --stream never builds,
-   and only a byte stream is cut into shards; run and explain reject
-   both misuses alike. *)
-let check_stream_flags ~stream ~shard_bytes thens =
+   so run and explain reject the pair alike; only a byte stream is cut
+   into shards, so run rejects a shard budget without --stream. *)
+let check_stream_flags ?(shard_bytes : int option) ~stream thens =
   let usage msg =
     prerr_endline ("clip: " ^ msg);
     exit 124
@@ -284,7 +284,7 @@ let run_cmd =
   let run file inputs backend plan tree trace jobs timeout_ms keep_going
       stream shard_bytes thens =
     let m = load_mapping file in
-    check_stream_flags ~stream ~shard_bytes thens;
+    check_stream_flags ~stream ?shard_bytes thens;
     (* The pipeline stages, first mapping included. A singleton chain
        takes the plain engine path below; longer chains go through the
        mapping algebra (fused when composable, staged otherwise). *)
@@ -534,9 +534,9 @@ let run_cmd =
 (* --- explain ------------------------------------------------------------ *)
 
 let explain_cmd =
-  let run file input backend plan stream shard_bytes thens =
+  let run file input backend plan stream thens =
     let m = load_mapping file in
-    check_stream_flags ~stream ~shard_bytes thens;
+    check_stream_flags ~stream thens;
     let chain = m :: List.map load_mapping thens in
     let xml_src = read_file input in
     (* --stream asks for the sharding decision a streamed run would
@@ -574,7 +574,7 @@ let explain_cmd =
           with --stream, the sharding decision, and with \
           --then, the pipeline-fusion decision")
     Term.(const run $ mapping_file $ input_file $ backend_arg $ plan_arg
-          $ stream_flag $ shard_bytes_arg $ then_arg)
+          $ stream_flag $ then_arg)
 
 (* --- compose ------------------------------------------------------------ *)
 

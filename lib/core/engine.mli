@@ -13,8 +13,7 @@
       Its concrete syntax ({!xquery_text}) is checked by the test
       suite, which parses the printed query back to an equal AST.
 
-    The test suite asserts all backends agree on every scenario; the
-    benchmark harness compares their cost.
+    The test suite asserts all backends agree on every scenario.
 
     Every backend executes through the shared {!Clip_plan} layer.
     Orthogonally to the backend, [?plan] selects its join policy:

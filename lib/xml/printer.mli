@@ -2,8 +2,8 @@
 
     [to_string]/[to_pretty_string] emit XML text that {!Parser} can read
     back. [to_tree_string] renders the paper's ASCII-tree instance
-    notation ([target---department---employee---@name = ...]), used by
-    the bench harness to print results side by side with the paper. *)
+    notation ([target---department---employee---@name = ...]), in which
+    EXPERIMENTS.md prints each figure's output. *)
 
 (** Compact single-line XML. *)
 val to_string : Node.t -> string
